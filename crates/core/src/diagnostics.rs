@@ -277,19 +277,24 @@ pub struct PredictReport {
     /// surviving-ensemble position (the order of
     /// [`surviving_models`](crate::Suod::surviving_models), the same
     /// index space as `skipped` — NOT configured-pool indices;
-    /// approximated models answer through their regressors): the sum of
-    /// the model's (model × row-chunk) task times. Zero for models the
-    /// caller masked out.
+    /// approximated models answer through their regressors): over the
+    /// row chunks, the model's own scoring time plus an equal share of
+    /// what its prediction unit spent on the stage its members share
+    /// (row slab, projection, the one neighbour query). The times of a
+    /// unit's members therefore sum to the unit's executor task times,
+    /// and a model scoring alone gets its whole task time. Zero for
+    /// models the caller masked out.
     pub model_times: Vec<Duration>,
     /// End-to-end wall time of the prediction pass.
     pub wall_time: Duration,
     /// Number of query rows scored.
     pub n_rows: usize,
     /// Executor telemetry for the predict-phase task batch: per-task wall
-    /// times, steals, and the fault-isolation `failures` counter, with
-    /// `stragglers` holding the positions (in the surviving ensemble) of
-    /// models whose measured scoring time ran far past their forecast
-    /// share.
+    /// times (one task per prediction unit and row chunk, unit-major),
+    /// steals, and the fault-isolation `failures` counter — panics caught
+    /// at a task's boundary or at a unit member's own — with `stragglers`
+    /// holding the positions (in the surviving ensemble) of models whose
+    /// measured scoring time ran far past their forecast share.
     pub execution: ExecutionReport,
     /// Models whose scoring failed this call (panic, typed error, or
     /// non-finite scores). Their columns in the returned matrix are NaN.

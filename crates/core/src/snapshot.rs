@@ -407,13 +407,13 @@ impl Suod {
             for _ in 0..n_models {
                 models.push(Arc::new(read_model(&mut r, n_workers)?));
             }
-            Some(Arc::new(FittedState {
+            Some(Arc::new(FittedState::new(
                 models,
                 threshold,
                 n_features,
                 score_means,
                 score_stds,
-            }))
+            )))
         } else {
             None
         };

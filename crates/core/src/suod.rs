@@ -25,22 +25,25 @@ use crate::pseudo::{fit_approximator, ApproxSpec};
 use crate::spec::ModelSpec;
 use crate::{Error, Result};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use suod_detectors::{validate_finite, Detector, FitContext};
+use suod_linalg::distance::Neighbor;
 use suod_linalg::{
-    DataFingerprint, DistanceBackend, DistanceMetric, KernelConfig, Matrix, NeighborBackend,
-    NeighborCache, Precision,
+    DataFingerprint, DistanceBackend, DistanceMetric, KernelConfig, KnnIndex, Matrix,
+    NeighborBackend, NeighborCache, Precision,
 };
 use suod_observe::{Counter, Observer, SpanAttrs, Stage};
 use suod_projection::{JlProjector, JlVariant, Projector};
 use suod_scheduler::{
-    bps_schedule, generic_schedule, simulate_makespan, AnalyticCostModel, Assignment, CostModel,
-    DatasetMeta, ExecutionReport, SimulationResult, TaskFailure, WorkStealingExecutor,
+    bps_schedule, generic_schedule, shared_query_costs, simulate_makespan, AnalyticCostModel,
+    Assignment, CostModel, DatasetMeta, ExecutionReport, SimulationResult, TaskFailure,
+    WorkStealingExecutor,
 };
 use suod_supervised::Regressor;
 
-/// Row-chunk width for the (model x row-chunk) prediction task split.
+/// Row-chunk width for the (unit x row-chunk) prediction task split.
 /// Fixed (never derived from the worker count) so the task decomposition
 /// — and therefore every computed value — is identical no matter how
 /// many workers execute it.
@@ -217,8 +220,8 @@ impl SuodBuilder {
     ///
     /// When on, `fit` groups proximity models (kNN, LOF, LoOP, COF, ABOD)
     /// by feature space and distance metric, builds each group's
-    /// [`KnnIndex`](suod_linalg::KnnIndex) and leave-one-out neighbour
-    /// sweep **once** at the pooled maximum `k`, and serves every member
+    /// [`KnnIndex`] and leave-one-out neighbour sweep **once** at the
+    /// pooled maximum `k`, and serves every member
     /// an exact sorted-prefix view. Scores are bit-identical either way —
     /// the switch exists for benchmarking and as an escape hatch.
     pub fn with_neighbor_cache(mut self, enabled: bool) -> Self {
@@ -462,6 +465,34 @@ pub(crate) struct FittedModel {
     pub(crate) fit_time: Duration,
 }
 
+impl FittedModel {
+    /// The neighbour query this model's prediction starts with: its
+    /// detector's, unless a PSA approximator answers in the detector's
+    /// place (a regressor queries nothing).
+    fn neighbor_query(&self) -> Option<(&Arc<KnnIndex>, usize)> {
+        match self.approximator {
+            Some(_) => None,
+            None => self.detector.neighbor_query(),
+        }
+    }
+
+    /// `true` when `other` can answer from this model's neighbour query:
+    /// both read the same input space (no projector, or an identical one)
+    /// and ask the same index (one `Arc`, or two that answer alike — a
+    /// pool fitted without the shared cache builds an equal index per
+    /// model) for `k`s of which one answer is a prefix of the other.
+    fn shares_query_with(&self, other: &FittedModel) -> bool {
+        match (self.neighbor_query(), other.neighbor_query()) {
+            (Some((a, k_a)), Some((b, k_b))) => {
+                self.projector == other.projector
+                    && (Arc::ptr_eq(a, b) || a.same_answers(b))
+                    && a.prefix_exact(k_a, k_b)
+            }
+            _ => false,
+        }
+    }
+}
+
 pub(crate) struct FittedState {
     /// Surviving models, `Arc`-shared so a warm refit can carry unchanged
     /// members into the next fitted state without re-training them.
@@ -472,6 +503,77 @@ pub(crate) struct FittedState {
     pub(crate) score_means: Vec<f64>,
     /// Per-model std of training scores (floored away from zero).
     pub(crate) score_stds: Vec<f64>,
+    /// Partition of `models` (positions, ascending) into prediction
+    /// units — the schedulable pieces of a prediction pass, ordered by
+    /// first member. A unit is one model that scores through its
+    /// `decision_function` or its approximator, or one or more
+    /// un-approximated proximity models that score from one shared
+    /// neighbour query. Derived from the models alone, so a fit, a warm
+    /// refit and a snapshot load of the same pool plan the same units.
+    pub(crate) units: Vec<Vec<usize>>,
+}
+
+impl FittedState {
+    /// Assembles a fitted state and plans its prediction units: every
+    /// proximity model joins the first unit whose members it
+    /// [shares a query with](FittedModel::shares_query_with) — an
+    /// equivalence, so comparing against a unit's first member suffices —
+    /// and every other model is a unit of its own.
+    pub(crate) fn new(
+        models: Vec<Arc<FittedModel>>,
+        threshold: f64,
+        n_features: usize,
+        score_means: Vec<f64>,
+        score_stds: Vec<f64>,
+    ) -> Self {
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        for (pos, model) in models.iter().enumerate() {
+            match units
+                .iter_mut()
+                .find(|unit| models[unit[0]].shares_query_with(model))
+            {
+                Some(unit) => unit.push(pos),
+                None => units.push(vec![pos]),
+            }
+        }
+        Self {
+            models,
+            threshold,
+            n_features,
+            score_means,
+            score_stds,
+            units,
+        }
+    }
+
+    /// Every unit cut down to the members `active` leaves in (all of
+    /// them without a mask); units left empty are dropped.
+    fn active_units(&self, active: Option<&[bool]>) -> Vec<Vec<usize>> {
+        self.units
+            .iter()
+            .map(|unit| {
+                unit.iter()
+                    .copied()
+                    .filter(|&mi| active.is_none_or(|a| a[mi]))
+                    .collect::<Vec<usize>>()
+            })
+            .filter(|members| !members.is_empty())
+            .collect()
+    }
+
+    /// The one neighbour query the given members of a unit score from:
+    /// their index, at the largest `k` any of them asks for — so masking
+    /// out a unit's largest-k member shrinks the query. `None` for a unit
+    /// that queries nothing.
+    fn shared_query(&self, members: &[usize]) -> Option<(&Arc<KnnIndex>, usize)> {
+        let (index, _) = self.models[*members.first()?].neighbor_query()?;
+        let k_max = members
+            .iter()
+            .filter_map(|&mi| self.models[mi].neighbor_query())
+            .map(|(_, k)| k)
+            .max()?;
+        Some((index, k_max))
+    }
 }
 
 /// Context retained from the most recent fit so a subsequent
@@ -1002,13 +1104,13 @@ impl Suod {
             (score_means, score_stds, threshold)
         };
 
-        self.state = Some(Arc::new(FittedState {
-            models: models.into_iter().map(Arc::new).collect(),
+        self.state = Some(Arc::new(FittedState::new(
+            models.into_iter().map(Arc::new).collect(),
             threshold,
-            n_features: d,
+            d,
             score_means,
             score_stds,
-        }));
+        )));
         // Retain the neighbour cache + data identity so a warm_refit on
         // the same matrix can reuse proximity graphs and survivor models.
         self.warm = Some(WarmContext {
@@ -1366,13 +1468,13 @@ impl Suod {
             (score_means, score_stds, threshold)
         };
 
-        self.state = Some(Arc::new(FittedState {
+        self.state = Some(Arc::new(FittedState::new(
             models,
             threshold,
-            n_features: d,
+            d,
             score_means,
             score_stds,
-        }));
+        )));
         self.warm = Some(WarmContext {
             cache: cache.clone(),
             train_fingerprint: fp,
@@ -1409,43 +1511,59 @@ impl Suod {
     }
 
     /// Per-model prediction cost forecast (the cost model's unitless
-    /// scale) for the models at the given surviving-ensemble positions:
-    /// nominal 1.0 for approximated models (cheap forest lookups),
-    /// analytic forecast otherwise.
-    fn predict_model_costs(&self, state: &FittedState, positions: &[usize]) -> Vec<f64> {
+    /// scale) for the given [active units](FittedState::active_units),
+    /// indexed by surviving-ensemble position; zero for models in none of
+    /// them. Nominal 1.0 for approximated models (cheap forest lookups),
+    /// the analytic forecast for a model scoring alone, and for the
+    /// members of a shared-query unit one index sweep split between them
+    /// plus each member's epilogue ([`shared_query_costs`]).
+    fn predict_model_costs(&self, state: &FittedState, units: &[Vec<usize>]) -> Vec<f64> {
         let meta = DatasetMeta::from_shape(state.models[0].train_scores.len(), state.n_features);
-        positions
-            .iter()
-            .map(|&p| {
-                let model = &state.models[p];
-                if model.approximator.is_some() {
-                    1.0
-                } else {
-                    self.config
-                        .cost_model
-                        .predict_cost(&model.spec.task_descriptor(), &meta)
+        let cost_model = self.config.cost_model.as_ref();
+        let mut costs = vec![0.0; state.models.len()];
+        for members in units {
+            if state.shared_query(members).is_some() {
+                let tasks: Vec<_> = members
+                    .iter()
+                    .map(|&mi| state.models[mi].spec.task_descriptor())
+                    .collect();
+                for (&mi, cost) in members
+                    .iter()
+                    .zip(shared_query_costs(cost_model, &tasks, &meta))
+                {
+                    costs[mi] = cost;
                 }
-            })
-            .collect()
+            } else {
+                for &mi in members {
+                    let model = &state.models[mi];
+                    costs[mi] = if model.approximator.is_some() {
+                        1.0
+                    } else {
+                        cost_model.predict_cost(&model.spec.task_descriptor(), &meta)
+                    };
+                }
+            }
+        }
+        costs
     }
 
     /// BPS applies to "both training and prediction stage" (paper §3.5).
-    /// Prediction work is split into (model x row-chunk) tasks, ordered
-    /// model-major; each task's cost is the model's forecast (nominal 1.0
-    /// for approximated models, which answer through cheap forest
-    /// lookups) scaled by the chunk's share of the query rows.
+    /// Prediction work is split into (unit x row-chunk) tasks, ordered
+    /// unit-major; each task's cost is the unit's forecast (the sum of
+    /// its active members' [`predict_model_costs`](Self::predict_model_costs))
+    /// scaled by the chunk's share of the query rows.
     fn prediction_schedule(
         &self,
-        model_costs: &[f64],
+        unit_costs: &[f64],
         chunks: &[std::ops::Range<usize>],
     ) -> Result<Assignment> {
-        let n_tasks = model_costs.len() * chunks.len();
+        let n_tasks = unit_costs.len() * chunks.len();
         let t = self.config.n_workers;
         if t <= 1 || !self.config.bps_enabled {
             return Ok(generic_schedule(n_tasks, t.max(1))?);
         }
         let chunk_lens: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
-        let costs = suod_scheduler::predict_chunk_costs(model_costs, &chunk_lens);
+        let costs = suod_scheduler::predict_chunk_costs(unit_costs, &chunk_lens);
         Ok(bps_schedule(&costs, t, self.config.bps_alpha)?)
     }
 
@@ -1477,9 +1595,11 @@ impl Suod {
     /// counters), and one [`PredictFailure`] per model whose column was
     /// replaced by NaN.
     ///
-    /// Span attribution ([`Stage::PredictChunk`]) uses the model's
-    /// position in the **surviving** ensemble (quarantined models never
-    /// predict). Observation does not change any computed value.
+    /// Span attribution ([`Stage::PredictChunk`], one per model and row
+    /// chunk) uses the model's position in the **surviving** ensemble
+    /// (quarantined models never predict); each neighbour query a unit of
+    /// proximity models shares is one [`Stage::NeighborQuery`] span.
+    /// Observation does not change any computed value.
     ///
     /// # Errors
     ///
@@ -1515,10 +1635,19 @@ impl Suod {
 
     /// The fault-isolated prediction engine shared by
     /// [`decision_function`](Self::decision_function) and its observed /
-    /// masked variants: runs the (model x row-chunk) task grid on the
-    /// persistent executor with per-task panic isolation, turns every
-    /// per-model failure into an all-NaN column, and assembles the
-    /// telemetry.
+    /// masked variants: runs the (unit x row-chunk) task grid on the
+    /// persistent executor, turns every per-model failure into an all-NaN
+    /// column, and assembles the telemetry.
+    ///
+    /// A unit ([`FittedState::units`]) is one model, or the proximity
+    /// models that fit left reading one input space through one neighbour
+    /// index. Its task prepares the input once (row slab, projection),
+    /// runs **one** neighbour query at the largest `k` an *active* member
+    /// asks for, and then scores each active member from its sorted
+    /// prefix of that answer under the member's own `catch_unwind` — so a
+    /// member that panics or returns NaN loses its own column and nothing
+    /// else, while a failure of the shared stage fails every member of
+    /// the unit with the same typed cause.
     fn predict_isolated(
         &self,
         x: &Matrix,
@@ -1548,19 +1677,10 @@ impl Suod {
         let _predict_span =
             suod_observe::span(observer.as_ref(), Stage::Predict, SpanAttrs::none());
         let n = x.nrows();
-        let positions: Vec<usize> = (0..m).filter(|&i| active.is_none_or(|a| a[i])).collect();
         let skipped: Vec<usize> = (0..m).filter(|&i| !active.is_none_or(|a| a[i])).collect();
 
-        // Columns default to NaN; only chunks that score successfully
-        // overwrite them. NaN is a constant, so failed/masked columns are
-        // as bit-reproducible as healthy ones.
-        let mut out = Matrix::zeros(n, m);
-        for r in 0..n {
-            for c in 0..m {
-                out.set(r, c, f64::NAN);
-            }
-        }
-        if positions.is_empty() {
+        let units = state.active_units(active);
+        if units.is_empty() {
             let report = PredictReport {
                 model_times: vec![Duration::ZERO; m],
                 wall_time: wall_start.elapsed(),
@@ -1569,61 +1689,36 @@ impl Suod {
                 failures: Vec::new(),
                 skipped,
             };
-            return Ok((out, report));
+            return Ok((Matrix::from_vec(n, m, vec![f64::NAN; n * m])?, report));
         }
 
         let chunks = predict_chunks(n);
         let n_chunks = chunks.len();
-        let model_costs = self.predict_model_costs(&state, &positions);
-        let assignment = self.prediction_schedule(&model_costs, &chunks)?;
+        let model_costs = self.predict_model_costs(&state, &units);
+        let unit_costs: Vec<f64> = units
+            .iter()
+            .map(|members| members.iter().map(|&mi| model_costs[mi]).sum())
+            .collect();
+        let assignment = self.prediction_schedule(&unit_costs, &chunks)?;
 
-        // (model x row-chunk) tasks, model-major over the active subset.
-        // Every detector scores rows independently and standardization
-        // uses training statistics, so chunk boundaries cannot change any
+        // (unit x row-chunk) tasks, unit-major over the active units. One
+        // row slab per chunk, shared by every task of that chunk. Every
+        // detector scores rows independently and standardization uses
+        // training statistics, so chunk boundaries cannot change any
         // value — scores are bit-identical to a sequential whole-matrix
         // pass at any worker count.
-        let query = Arc::new(x.clone());
-        type ChunkScores = std::result::Result<Vec<f64>, suod_detectors::Error>;
-        let mut tasks: Vec<Box<dyn FnOnce() -> ChunkScores + Send>> =
-            Vec::with_capacity(positions.len() * n_chunks);
-        for (pi, &mi) in positions.iter().enumerate() {
-            for (ci, chunk) in chunks.iter().enumerate() {
+        let slabs: Vec<Arc<Matrix>> = chunks.iter().map(|c| Arc::new(row_slab(x, c))).collect();
+        let mut tasks: Vec<Box<dyn FnOnce() -> UnitChunk + Send>> =
+            Vec::with_capacity(units.len() * n_chunks);
+        for (ui, members) in units.iter().enumerate() {
+            for (ci, slab) in slabs.iter().enumerate() {
                 let state = Arc::clone(&state);
-                let query = Arc::clone(&query);
-                let chunk = chunk.clone();
+                let members = members.clone();
+                let slab = Arc::clone(slab);
                 let task_obs = Arc::clone(observer);
-                let task_index = pi * n_chunks + ci;
+                let task_index = ui * n_chunks + ci;
                 tasks.push(Box::new(move || {
-                    let _span = suod_observe::span(
-                        task_obs.as_ref(),
-                        Stage::PredictChunk,
-                        SpanAttrs::model(mi).with_task(task_index),
-                    );
-                    let model = &state.models[mi];
-                    let slab = row_slab(&query, &chunk);
-                    let projected;
-                    let z: &Matrix = match &model.projector {
-                        Some(p) => match p.transform(&slab) {
-                            Ok(t) => {
-                                projected = t;
-                                &projected
-                            }
-                            Err(e) => {
-                                return Err(suod_detectors::Error::DegenerateData(format!(
-                                    "projection failed at predict: {e}"
-                                )))
-                            }
-                        },
-                        None => &slab,
-                    };
-                    match &model.approximator {
-                        Some(r) => r.predict(z).map_err(|e| {
-                            suod_detectors::Error::DegenerateData(format!(
-                                "approximator prediction failed: {e}"
-                            ))
-                        }),
-                        None => model.detector.decision_function(z),
-                    }
+                    score_unit_chunk(&state, &members, &slab, task_obs.as_ref(), task_index)
                 }));
             }
         }
@@ -1633,81 +1728,109 @@ impl Suod {
 
         // Per-model reassembly: the first failed chunk quarantines the
         // whole column (partial columns would silently shift the
-        // combiner's average), but the model's measured time still counts
-        // every chunk — the work was performed.
+        // combiner's average). A model's measured time is its own scoring
+        // time plus an equal share of what its unit's tasks spent on the
+        // shared stage, so the times still sum to the executor's task
+        // times — the work was performed, whatever its outcome.
         let mut model_times = vec![Duration::ZERO; m];
         let mut failures: Vec<PredictFailure> = Vec::new();
+        let mut columns: Vec<Option<Vec<Vec<f64>>>> = (0..m).map(|_| None).collect();
+        let mut member_panics = 0usize;
         let mut outcomes = outcomes.into_iter();
-        for (pi, &mi) in positions.iter().enumerate() {
-            let mut parts: Vec<(usize, Vec<f64>)> = Vec::with_capacity(n_chunks);
-            let mut cause: Option<suod_detectors::Error> = None;
+        for (ui, members) in units.iter().enumerate() {
+            let mut parts: Vec<Vec<Vec<f64>>> = vec![Vec::with_capacity(n_chunks); members.len()];
+            let mut causes: Vec<Option<suod_detectors::Error>> = vec![None; members.len()];
             for (ci, chunk) in chunks.iter().enumerate() {
-                let outcome = outcomes.next().expect("one outcome per task");
-                if cause.is_some() {
-                    continue;
-                }
-                match outcome {
-                    Err(panic) => {
-                        cause = Some(suod_detectors::Error::Panicked(panic.message));
+                let task_time = execution
+                    .task_times
+                    .get(ui * n_chunks + ci)
+                    .copied()
+                    .unwrap_or(Duration::ZERO);
+                let scored: Vec<MemberChunk> = match outcomes.next().expect("one outcome per task")
+                {
+                    Ok(Ok(scored)) => scored,
+                    // The shared stage failed (typed, or a panic the
+                    // executor caught): every member fails alike.
+                    Ok(Err(cause)) => vec![(Ok(Err(cause)), Duration::ZERO); members.len()],
+                    Err(panic) => vec![(Err(panic), Duration::ZERO); members.len()],
+                };
+                let own: Duration = scored.iter().map(|(_, took)| *took).sum();
+                let share = task_time.saturating_sub(own) / members.len() as u32;
+                for (slot, (caught, took)) in scored.into_iter().enumerate() {
+                    model_times[members[slot]] += took + share;
+                    if causes[slot].is_some() {
+                        continue;
                     }
-                    Ok(Err(e)) => cause = Some(e),
-                    Ok(Ok(part)) => {
-                        if part.len() != chunk.len() {
-                            cause = Some(suod_detectors::Error::DegenerateData(format!(
+                    causes[slot] = match caught {
+                        Err(panic) => {
+                            member_panics += 1;
+                            Some(suod_detectors::Error::Panicked(panic.message))
+                        }
+                        Ok(Err(e)) => Some(e),
+                        Ok(Ok(part)) if part.len() != chunk.len() => {
+                            Some(suod_detectors::Error::DegenerateData(format!(
                                 "model produced {} scores for {} samples",
                                 part.len(),
                                 chunk.len()
-                            )));
-                        } else if part.iter().any(|v| !v.is_finite()) {
-                            cause = Some(suod_detectors::Error::DegenerateData(
-                                "model produced non-finite prediction scores".into(),
-                            ));
-                        } else {
-                            parts.push((ci, part));
+                            )))
                         }
-                    }
+                        Ok(Ok(part)) if part.iter().any(|v| !v.is_finite()) => {
+                            Some(suod_detectors::Error::DegenerateData(
+                                "model produced non-finite prediction scores".into(),
+                            ))
+                        }
+                        Ok(Ok(part)) => {
+                            parts[slot].push(part);
+                            None
+                        }
+                    };
                 }
             }
-            model_times[mi] = (0..n_chunks)
-                .map(|ci| {
-                    execution
-                        .task_times
-                        .get(pi * n_chunks + ci)
-                        .copied()
-                        .unwrap_or(Duration::ZERO)
-                })
-                .sum();
-            match cause {
-                Some(cause) => failures.push(PredictFailure {
-                    index: state.models[mi].pool_index,
-                    name: state.models[mi].spec.name(),
-                    cause,
-                }),
-                None => {
-                    for (ci, part) in parts {
-                        let chunk = &chunks[ci];
-                        for (offset, &v) in part.iter().enumerate() {
-                            out.set(chunk.start + offset, mi, v);
-                        }
-                    }
+            for ((&mi, cause), parts) in members.iter().zip(causes).zip(parts) {
+                match cause {
+                    Some(cause) => failures.push(PredictFailure {
+                        index: state.models[mi].pool_index,
+                        name: state.models[mi].spec.name(),
+                        cause,
+                    }),
+                    None => columns[mi] = Some(parts),
                 }
             }
         }
+        failures.sort_by_key(|f| f.index);
+        // Panics caught at a member's own boundary never reach the
+        // executor's; report them through the same two channels. A panic of
+        // a task's shared stage was counted by the executor, once.
+        if member_panics > 0 {
+            execution.failures += member_panics;
+            observer.counter(Counter::TaskFailure, member_panics as u64);
+        }
+
+        // The output in one pass, row-major: a model without a column
+        // (masked out, or failed) reads NaN — a constant, so those columns
+        // are as bit-reproducible as healthy ones.
+        let mut data = Vec::with_capacity(n * m);
+        for (ci, chunk) in chunks.iter().enumerate() {
+            for offset in 0..chunk.len() {
+                data.extend(
+                    columns
+                        .iter()
+                        .map(|column| column.as_ref().map_or(f64::NAN, |parts| parts[ci][offset])),
+                );
+            }
+        }
+        let out = Matrix::from_vec(n, m, data)?;
 
         // Straggler flagging mirrors fit: measured model time far past
         // its forecast-implied share of the pass (and non-trivial in
         // absolute terms). Wall-clock-dependent, excluded from
         // determinism guarantees.
         let total_pred: f64 = model_costs.iter().sum();
-        let total_measured: f64 = positions
-            .iter()
-            .map(|&mi| model_times[mi].as_secs_f64())
-            .sum();
+        let total_measured: f64 = model_times.iter().map(Duration::as_secs_f64).sum();
         let mut stragglers = Vec::new();
         if total_pred > 0.0 && total_measured > 0.0 {
-            for (pi, &mi) in positions.iter().enumerate() {
-                let expected = model_costs[pi] / total_pred * total_measured;
-                let measured = model_times[mi].as_secs_f64();
+            for (mi, measured) in model_times.iter().map(Duration::as_secs_f64).enumerate() {
+                let expected = model_costs[mi] / total_pred * total_measured;
                 if measured > self.config.straggler_factor * expected && measured > 0.05 {
                     stragglers.push(mi);
                 }
@@ -1911,7 +2034,9 @@ impl Suod {
 
     /// Per-surviving-model prediction cost forecast in the cost model's
     /// unitless scale (nominal 1.0 for approximated models, which answer
-    /// through cheap forest lookups). Combine with
+    /// through cheap forest lookups; proximity models that share one
+    /// neighbour query at predict split one index sweep between them, so
+    /// the sum charges it once). Combine with
     /// [`train_rows`](Self::train_rows) and
     /// [`suod_scheduler::predict_batch_forecast`] to size serving
     /// micro-batches.
@@ -1921,8 +2046,7 @@ impl Suod {
     /// Returns [`Error::NotFitted`] before `fit`.
     pub fn predict_unit_costs(&self) -> Result<Vec<f64>> {
         let state = self.state()?;
-        let all: Vec<usize> = (0..state.models.len()).collect();
-        Ok(self.predict_model_costs(state, &all))
+        Ok(self.predict_model_costs(state, &state.active_units(None)))
     }
 
     /// Combines an already-computed `n x m` per-model score matrix (as
@@ -2144,6 +2268,84 @@ fn predict_chunks(n: usize) -> Vec<std::ops::Range<usize>> {
         .step_by(PREDICT_ROW_CHUNK)
         .map(|start| start..(start + PREDICT_ROW_CHUNK).min(n))
         .collect()
+}
+
+/// What one member of a unit produced for one row chunk — its scores or
+/// typed failure, or the panic caught at its own fault boundary — and how
+/// long its own scoring took.
+type MemberChunk = (
+    std::result::Result<std::result::Result<Vec<f64>, suod_detectors::Error>, TaskFailure>,
+    Duration,
+);
+
+/// A unit task's output: one [`MemberChunk`] per active member, or the
+/// typed failure of the stage the members share (projection, neighbour
+/// query).
+type UnitChunk = std::result::Result<Vec<MemberChunk>, suod_detectors::Error>;
+
+/// Scores one row chunk with the active `members` of one prediction unit
+/// (see [`Suod::predict_isolated`]).
+fn score_unit_chunk(
+    state: &FittedState,
+    members: &[usize],
+    slab: &Matrix,
+    observer: &dyn Observer,
+    task_index: usize,
+) -> UnitChunk {
+    // Shared stage: the unit's input space, then one index walk.
+    let lead = &state.models[members[0]];
+    let projected;
+    let z: &Matrix = match &lead.projector {
+        Some(p) => {
+            projected = p.transform(slab).map_err(|e| {
+                suod_detectors::Error::DegenerateData(format!("projection failed at predict: {e}"))
+            })?;
+            &projected
+        }
+        None => slab,
+    };
+    let lists = match state.shared_query(members) {
+        Some((index, k_max)) => {
+            let _span =
+                suod_observe::span(observer, Stage::NeighborQuery, SpanAttrs::task(task_index));
+            Some(index.query_batch(z, k_max)?)
+        }
+        None => None,
+    };
+    Ok(members
+        .iter()
+        .map(|&mi| {
+            let model = &state.models[mi];
+            let _span = suod_observe::span(
+                observer,
+                Stage::PredictChunk,
+                SpanAttrs::model(mi).with_task(task_index),
+            );
+            let start = Instant::now();
+            let scores = catch_unwind(AssertUnwindSafe(|| {
+                match (&lists, model.neighbor_query()) {
+                    // Lists are sorted by (distance, index) and the unit's
+                    // members are prefix-exact, so the first k entries are
+                    // this member's own query answer.
+                    (Some(lists), Some((_, k))) => {
+                        let prefixes: Vec<&[Neighbor]> =
+                            lists.iter().map(|nn| &nn[..k.min(nn.len())]).collect();
+                        model.detector.score_from_neighbors(z, &prefixes)
+                    }
+                    _ => match &model.approximator {
+                        Some(r) => r.predict(z).map_err(|e| {
+                            suod_detectors::Error::DegenerateData(format!(
+                                "approximator prediction failed: {e}"
+                            ))
+                        }),
+                        None => model.detector.decision_function(z),
+                    },
+                }
+            }))
+            .map_err(TaskFailure::from_payload);
+            (scores, start.elapsed())
+        })
+        .collect())
 }
 
 /// Copies a contiguous row range of `x` into its own matrix.
@@ -2751,10 +2953,125 @@ mod tests {
         let trace = recorder.trace();
         assert_eq!(trace.spans_of(Stage::Predict).count(), 1);
         assert_eq!(trace.spans_of(Stage::PredictChunk).count(), 4);
+        // kNN and LOF answer through their approximators here, so no
+        // model walks a neighbour index at predict.
+        assert_eq!(trace.spans_of(Stage::NeighborQuery).count(), 0);
         // The observed path and the plain path share one engine; scores
         // match bit for bit.
         let parallel = clf.decision_function(&x).unwrap();
         assert_eq!(scores.as_slice(), parallel.as_slice());
+    }
+
+    /// Five un-approximated proximity models on one index (largest k in
+    /// slot 1), a Manhattan LOF on an index of its own, and HBOS.
+    fn shared_index_pool() -> Suod {
+        let lof = |n_neighbors, metric| ModelSpec::Lof {
+            n_neighbors,
+            metric,
+        };
+        let mut clf = Suod::builder()
+            .base_estimators(vec![
+                ModelSpec::Knn {
+                    n_neighbors: 5,
+                    method: KnnMethod::Largest,
+                },
+                lof(20, DistanceMetric::Euclidean),
+                ModelSpec::Hbos {
+                    n_bins: 10,
+                    tolerance: 0.3,
+                },
+                ModelSpec::Loop { n_neighbors: 9 },
+                lof(7, DistanceMetric::Manhattan),
+                ModelSpec::Abod { n_neighbors: 6 },
+                ModelSpec::Cof { n_neighbors: 4 },
+            ])
+            .with_projection(false)
+            .with_approximation(false)
+            .n_workers(2)
+            .build()
+            .unwrap();
+        clf.fit(&data()).unwrap();
+        clf
+    }
+
+    #[test]
+    fn models_on_one_index_share_one_query_per_chunk() {
+        use suod_observe::RecordingObserver;
+        let clf = shared_index_pool();
+        let state = clf.state().unwrap();
+        assert_eq!(state.units, [vec![0, 1, 3, 5, 6], vec![2], vec![4]]);
+        let k_of = |members: &[usize]| state.shared_query(members).map(|(_, k)| k);
+        assert_eq!(k_of(&state.units[0]), Some(20));
+        assert_eq!(k_of(&state.units[1]), None);
+        assert_eq!(k_of(&state.units[2]), Some(7));
+        // Masking out the largest-k member shrinks the shared query to
+        // what the remaining members ask for; a fully masked unit is gone.
+        let mask = [true, false, true, true, false, true, true];
+        let masked = state.active_units(Some(&mask));
+        assert_eq!(masked, [vec![0, 3, 5, 6], vec![2]]);
+        assert_eq!(k_of(&masked[0]), Some(9));
+
+        // 300 rows = 2 chunks: (3 units x 2 chunks) tasks, one neighbour
+        // query per (querying unit x chunk), one span per (model x chunk).
+        let x = data().vstack(&data()).unwrap().vstack(&data()).unwrap();
+        let x = x.vstack(&x).unwrap();
+        assert_eq!(predict_chunks(x.nrows()).len(), 2);
+        let recorder = Arc::new(RecordingObserver::new());
+        let observer: Arc<dyn Observer> = recorder.clone();
+        let (_, report) = clf.decision_function_observed(&x, &observer).unwrap();
+        assert!(report.fully_healthy());
+        assert_eq!(report.execution.task_times.len(), 6);
+        let trace = recorder.trace();
+        assert_eq!(trace.spans_of(Stage::NeighborQuery).count(), 4);
+        assert_eq!(trace.spans_of(Stage::PredictChunk).count(), 14);
+        assert!(report.model_times.iter().all(|t| *t > Duration::ZERO));
+
+        // The forecast charges the shared sweep once: the unit's five
+        // members together cost less than two of them would alone.
+        let costs = clf.predict_unit_costs().unwrap();
+        let meta = DatasetMeta::from_shape(62, 4);
+        let alone = |i: usize| {
+            clf.config
+                .cost_model
+                .predict_cost(&clf.config.base_estimators[i].task_descriptor(), &meta)
+        };
+        let unit: f64 = [0usize, 1, 3, 5, 6].iter().map(|&i| costs[i]).sum();
+        assert!(unit < alone(0) + alone(1));
+        assert_eq!(costs[2], alone(2));
+        assert_eq!(costs[4], alone(4));
+    }
+
+    #[test]
+    fn failing_shared_query_fails_every_member_typed() {
+        // A state whose declared width disagrees with its indexes lets a
+        // query through validation that every neighbour walk must refuse.
+        let mut clf = shared_index_pool();
+        let state = clf.state.take().unwrap();
+        clf.state = Some(Arc::new(FittedState::new(
+            state.models.clone(),
+            state.threshold,
+            state.n_features + 1,
+            state.score_means.clone(),
+            state.score_stds.clone(),
+        )));
+        let observer: Arc<dyn Observer> = suod_observe::noop();
+        let (scores, report) = clf
+            .decision_function_observed(&Matrix::zeros(3, 5), &observer)
+            .expect("model failures are columns, not call failures");
+        assert!(scores.as_slice().iter().all(|v| v.is_nan()));
+        assert_eq!(report.failures.len(), 7);
+        assert_eq!(report.execution.failures, 0, "no panic anywhere");
+        for failure in &report.failures {
+            let shared_query = failure.index != 2;
+            assert_eq!(
+                matches!(
+                    failure.cause,
+                    suod_detectors::Error::Linalg(suod_linalg::Error::ShapeMismatch { .. })
+                ),
+                shared_query,
+                "{failure:?}"
+            );
+        }
     }
 
     #[test]

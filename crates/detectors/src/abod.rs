@@ -12,7 +12,9 @@
 //! Scores are negated (`-ABOF`) so that larger = more outlying, matching
 //! the PyOD convention used across this workspace.
 
-use crate::{check_dims, validate_finite, Detector, Error, FitContext, Result};
+use crate::{
+    check_scoring_input, query_then_score, validate_finite, Detector, Error, FitContext, Result,
+};
 use std::sync::Arc;
 use suod_linalg::distance::Neighbor;
 use suod_linalg::{DistanceMetric, KnnIndex, Matrix};
@@ -134,16 +136,20 @@ impl Detector for AbodDetector {
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
+        query_then_score(self, "AbodDetector", x)
+    }
+
+    fn neighbor_query(&self) -> Option<(&Arc<KnnIndex>, usize)> {
+        self.index.as_ref().map(|ix| (ix, self.k.min(ix.len())))
+    }
+
+    fn score_from_neighbors(&self, x: &Matrix, neighbors: &[&[Neighbor]]) -> Result<Vec<f64>> {
         let index = self
             .index
             .as_ref()
             .ok_or(Error::NotFitted("AbodDetector"))?;
-        check_dims(index.train_data().ncols(), x)?;
-        let k = self.k.min(index.len());
-        // Batched neighbour lookup hits the tiled brute-force fast path
-        // on blocked/gemm indexes; results equal per-row queries exactly.
-        let batch = index.query_batch(x, k)?;
-        Ok(batch
+        check_scoring_input(index, x, neighbors)?;
+        Ok(neighbors
             .iter()
             .enumerate()
             .map(|(i, nn)| Self::score_one(index, x.row(i), nn))

@@ -20,7 +20,9 @@
 //! [`ChaosDetector::from_mode`].
 
 use crate::{Detector, FitContext, Result};
-use suod_linalg::Matrix;
+use std::sync::Arc;
+use suod_linalg::distance::Neighbor;
+use suod_linalg::{KnnIndex, Matrix};
 
 /// splitmix64 finalizer: uncorrelated 64-bit stream from seed + channel.
 fn mix(mut z: u64) -> u64 {
@@ -313,6 +315,17 @@ impl Detector for ChaosDetector {
         self.inject_pre_predict();
         self.inner
             .decision_function(x)
+            .map(|s| self.poison_predict(s))
+    }
+
+    fn neighbor_query(&self) -> Option<(&Arc<KnnIndex>, usize)> {
+        self.inner.neighbor_query()
+    }
+
+    fn score_from_neighbors(&self, x: &Matrix, neighbors: &[&[Neighbor]]) -> Result<Vec<f64>> {
+        self.inject_pre_predict();
+        self.inner
+            .score_from_neighbors(x, neighbors)
             .map(|s| self.poison_predict(s))
     }
 

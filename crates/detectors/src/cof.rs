@@ -12,7 +12,7 @@
 //! COF(p) = ac_dist(p) / mean_{o in N_k(p)} ac_dist(o)
 //! ```
 
-use crate::{check_dims, Detector, Error, FitContext, Result};
+use crate::{check_scoring_input, query_then_score, Detector, Error, FitContext, Result};
 use std::sync::Arc;
 use suod_linalg::distance::Neighbor;
 use suod_linalg::{DistanceMetric, KnnIndex, Matrix};
@@ -184,13 +184,17 @@ impl Detector for CofDetector {
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
+        query_then_score(self, "CofDetector", x)
+    }
+
+    fn neighbor_query(&self) -> Option<(&Arc<KnnIndex>, usize)> {
+        self.index.as_ref().map(|ix| (ix, self.k.min(ix.len())))
+    }
+
+    fn score_from_neighbors(&self, x: &Matrix, neighbors: &[&[Neighbor]]) -> Result<Vec<f64>> {
         let index = self.index.as_ref().ok_or(Error::NotFitted("CofDetector"))?;
-        check_dims(index.train_data().ncols(), x)?;
-        // Batched neighbour lookup hits the tiled brute-force fast path
-        // on blocked/gemm indexes; results equal per-row queries exactly.
-        let k = self.k.min(index.len());
-        let batch = index.query_batch(x, k)?;
-        Ok(batch
+        check_scoring_input(index, x, neighbors)?;
+        Ok(neighbors
             .iter()
             .enumerate()
             .map(|(i, nn)| self.score_query(index, x.row(i), nn))

@@ -6,8 +6,9 @@
 //! `{largest, mean, median}`; "average kNN" (akNN, §4.2) is exactly
 //! `method = mean`.
 
-use crate::{check_dims, Detector, Error, FitContext, Result};
+use crate::{check_scoring_input, query_then_score, Detector, Error, FitContext, Result};
 use std::sync::Arc;
+use suod_linalg::distance::Neighbor;
 use suod_linalg::{DistanceMetric, KnnIndex, Matrix};
 
 /// How the k neighbour distances collapse into one score.
@@ -164,12 +165,19 @@ impl Detector for KnnDetector {
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
+        query_then_score(self, "KnnDetector", x)
+    }
+
+    fn neighbor_query(&self) -> Option<(&Arc<KnnIndex>, usize)> {
+        // The index clamps `k` to its size; clamping here keeps pooled
+        // prefixes and the standalone query the same length.
+        self.index.as_ref().map(|ix| (ix, self.k.min(ix.len())))
+    }
+
+    fn score_from_neighbors(&self, x: &Matrix, neighbors: &[&[Neighbor]]) -> Result<Vec<f64>> {
         let index = self.index.as_ref().ok_or(Error::NotFitted("KnnDetector"))?;
-        check_dims(index.train_data().ncols(), x)?;
-        // Batched neighbour lookup hits the tiled brute-force fast path
-        // on blocked/gemm indexes; results equal per-row queries exactly.
-        let batch = index.query_batch(x, self.k)?;
-        Ok(batch
+        check_scoring_input(index, x, neighbors)?;
+        Ok(neighbors
             .iter()
             .map(|nn| {
                 let d: Vec<f64> = nn.iter().map(|n| n.distance).collect();

@@ -80,6 +80,7 @@ pub use pca_detector::PcaDetector;
 
 use std::fmt;
 use std::sync::Arc;
+use suod_linalg::distance::Neighbor;
 use suod_linalg::{
     emit_kernel_counters, DataFingerprint, DistanceMetric, KernelConfig, KnnIndex, Matrix,
     NeighborCache, SelfNeighbors, SnapshotReader, SnapshotWriter,
@@ -369,6 +370,39 @@ pub trait Detector: Send + Sync {
     /// [`Error::DimensionMismatch`] when `x` has the wrong width.
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>>;
 
+    /// The neighbour query this detector's
+    /// [`decision_function`](Self::decision_function) starts with: the
+    /// index it asks and the `k` it asks for. `None` (the default) for
+    /// detectors that do not score from one `k`-nearest-neighbour list per
+    /// row, and before `fit`.
+    ///
+    /// The five proximity detectors are written as
+    /// `decision_function(x) = score_from_neighbors(x, index.query_batch(x, k))`,
+    /// so a pool whose members share an index can run the query once, at
+    /// the largest `k`, and hand every member its prefix (see
+    /// [`KnnIndex::prefix_exact`]).
+    fn neighbor_query(&self) -> Option<(&Arc<KnnIndex>, usize)> {
+        None
+    }
+
+    /// Scores the rows of `x` from their neighbour lists: `neighbors[i]`
+    /// is what the [`neighbor_query`](Self::neighbor_query) index returns
+    /// for row `i` at that `k`, ascending by (distance, index).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] from detectors without a
+    /// [`neighbor_query`](Self::neighbor_query) (the default), or when
+    /// `neighbors` does not hold one list per row; otherwise the same
+    /// failures as [`decision_function`](Self::decision_function).
+    fn score_from_neighbors(&self, x: &Matrix, neighbors: &[&[Neighbor]]) -> Result<Vec<f64>> {
+        let _ = (x, neighbors);
+        Err(Error::InvalidParameter(format!(
+            "{} does not score from neighbour lists",
+            self.name()
+        )))
+    }
+
     /// Outlyingness scores of the training rows, computed at fit time.
     ///
     /// For neighbourhood methods this is the leave-one-out score (a point
@@ -439,7 +473,9 @@ pub fn write_detector(det: &dyn Detector, w: &mut SnapshotWriter) -> Result<()> 
 pub fn read_detector(r: &mut SnapshotReader<'_>, n_threads: usize) -> Result<Box<dyn Detector>> {
     let name = r.read_str()?;
     let body = r.read_bytes()?;
-    let mut br = SnapshotReader::new(body);
+    // Nested, not new: index records of different detectors (and of a
+    // chaos wrapper's inner detector) collapse into one shared `Arc`.
+    let mut br = r.nested(body);
     let det: Box<dyn Detector> = match name.as_str() {
         "knn" | "aknn" => Box::new(KnnDetector::snapshot_read(&mut br, n_threads)?),
         "lof" => Box::new(LofDetector::snapshot_read(&mut br, n_threads)?),
@@ -484,7 +520,7 @@ pub(crate) fn read_opt_index(
     n_threads: usize,
 ) -> Result<Option<Arc<KnnIndex>>> {
     Ok(if r.read_bool()? {
-        Some(Arc::new(KnnIndex::snapshot_read(r, n_threads)?))
+        Some(KnnIndex::snapshot_read_shared(r, n_threads)?)
     } else {
         None
     })
@@ -703,6 +739,41 @@ pub fn validate_finite(x: &Matrix, boundary: &'static str) -> Result<()> {
     }
 }
 
+/// The standalone form of a proximity detector's `decision_function`:
+/// its own [`Detector::neighbor_query`], then
+/// [`Detector::score_from_neighbors`] on the answer.
+pub(crate) fn query_then_score(
+    det: &dyn Detector,
+    not_fitted: &'static str,
+    x: &Matrix,
+) -> Result<Vec<f64>> {
+    let (index, k) = det.neighbor_query().ok_or(Error::NotFitted(not_fitted))?;
+    check_dims(index.train_data().ncols(), x)?;
+    // Batched neighbour lookup hits the tiled brute-force fast path on
+    // blocked/gemm indexes; results equal per-row queries exactly.
+    let batch = index.query_batch(x, k)?;
+    let lists: Vec<&[Neighbor]> = batch.iter().map(Vec::as_slice).collect();
+    det.score_from_neighbors(x, &lists)
+}
+
+/// Rows of the fitted width and one neighbour list per row, or a typed
+/// error.
+pub(crate) fn check_scoring_input(
+    index: &KnnIndex,
+    x: &Matrix,
+    neighbors: &[&[Neighbor]],
+) -> Result<()> {
+    check_dims(index.train_data().ncols(), x)?;
+    if neighbors.len() != x.nrows() {
+        return Err(Error::InvalidParameter(format!(
+            "{} neighbour lists for {} rows",
+            neighbors.len(),
+            x.nrows()
+        )));
+    }
+    Ok(())
+}
+
 pub(crate) fn check_dims(expected: usize, x: &Matrix) -> Result<()> {
     if x.ncols() != expected {
         return Err(Error::DimensionMismatch {
@@ -761,6 +832,58 @@ mod tests {
         assert_eq!(trace.counter(Counter::CacheMiss), 1);
         assert_eq!(trace.counter(Counter::CacheHit), 0);
         assert_eq!(trace.spans_of(Stage::NeighborBuild).count(), 1);
+    }
+
+    #[test]
+    fn prefix_of_a_wider_query_scores_like_the_detectors_own_query() {
+        let rows: Vec<Vec<f64>> = (0..30)
+            .map(|i| vec![(i % 6) as f64 * 0.3, (i / 6) as f64 * 0.3, (i % 4) as f64])
+            .collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let q = Matrix::from_rows(&[
+            vec![0.1, 0.2, 1.0],
+            vec![5.0, 5.0, 5.0],
+            vec![0.3, 0.3, 0.0],
+        ])
+        .unwrap();
+        let detectors: Vec<Box<dyn Detector>> = vec![
+            Box::new(KnnDetector::new(4, KnnMethod::Median).unwrap()),
+            Box::new(LofDetector::new(5).unwrap()),
+            Box::new(LoopDetector::new(6).unwrap()),
+            Box::new(CofDetector::new(3).unwrap()),
+            Box::new(AbodDetector::new(5).unwrap()),
+            Box::new(ChaosDetector::from_mode(
+                Box::new(KnnDetector::new(40, KnnMethod::Mean).unwrap()),
+                ChaosMode::Passthrough,
+                0,
+            )),
+        ];
+        for mut det in detectors {
+            assert!(det.neighbor_query().is_none(), "{}: unfitted", det.name());
+            det.fit(&x).unwrap();
+            let (index, k) = det.neighbor_query().expect("proximity detector");
+            assert!(
+                k <= index.len(),
+                "{}: k is clamped to the index",
+                det.name()
+            );
+            let wide = index.query_batch(&q, k + 7).unwrap();
+            let prefixes: Vec<&[Neighbor]> = wide.iter().map(|nn| &nn[..k.min(nn.len())]).collect();
+            let pooled = det.score_from_neighbors(&q, &prefixes).unwrap();
+            let own = det.decision_function(&q).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&pooled), bits(&own), "{}", det.name());
+            // One list per row, rows of the fitted width.
+            assert!(det.score_from_neighbors(&q, &prefixes[..2]).is_err());
+            assert!(det
+                .score_from_neighbors(&Matrix::zeros(3, 2), &prefixes)
+                .is_err());
+        }
+        // Everything else keeps the defaults: no query, no list scoring.
+        let mut hbos = HbosDetector::new(5, 0.3).unwrap();
+        hbos.fit(&x).unwrap();
+        assert!(hbos.neighbor_query().is_none());
+        assert!(hbos.score_from_neighbors(&q, &[]).is_err());
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! points reuses the training set's k-distances and local reachability
 //! densities, mirroring scikit-learn's `novelty=True` mode.
 
-use crate::{check_dims, Detector, Error, FitContext, Result};
+use crate::{check_scoring_input, query_then_score, Detector, Error, FitContext, Result};
 use std::sync::Arc;
+use suod_linalg::distance::Neighbor;
 use suod_linalg::{DistanceMetric, KnnIndex, Matrix};
 
 /// Local Outlier Factor detector.
@@ -137,14 +138,18 @@ impl Detector for LofDetector {
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
+        query_then_score(self, "LofDetector", x)
+    }
+
+    fn neighbor_query(&self) -> Option<(&Arc<KnnIndex>, usize)> {
+        self.index.as_ref().map(|ix| (ix, self.k.min(ix.len())))
+    }
+
+    fn score_from_neighbors(&self, x: &Matrix, neighbors: &[&[Neighbor]]) -> Result<Vec<f64>> {
         let index = self.index.as_ref().ok_or(Error::NotFitted("LofDetector"))?;
-        check_dims(index.train_data().ncols(), x)?;
-        let k = self.k.min(index.len());
-        // Batched neighbour lookup hits the tiled brute-force fast path
-        // on blocked/gemm indexes; results equal per-row queries exactly.
-        let batch = index.query_batch(x, k)?;
+        check_scoring_input(index, x, neighbors)?;
         let mut scores = Vec::with_capacity(x.nrows());
-        for nn in &batch {
+        for nn in neighbors {
             let reach_sum: f64 = nn
                 .iter()
                 .map(|nb| nb.distance.max(self.k_distances[nb.index]))

@@ -6,8 +6,9 @@
 //! paper cites LoOP as a representative costly proximity-based model
 //! (§1), so it joins the zoo and the costly-algorithm pool `M_c`.
 
-use crate::{check_dims, Detector, Error, FitContext, Result};
+use crate::{check_scoring_input, query_then_score, Detector, Error, FitContext, Result};
 use std::sync::Arc;
+use suod_linalg::distance::Neighbor;
 use suod_linalg::{DistanceMetric, KnnIndex, Matrix};
 
 /// Significance multiplier for the probabilistic set distance
@@ -70,7 +71,7 @@ impl LoopDetector {
         self.k
     }
 
-    fn pdist_of(neighbors: &[suod_linalg::distance::Neighbor]) -> f64 {
+    fn pdist_of(neighbors: &[Neighbor]) -> f64 {
         if neighbors.is_empty() {
             return 0.0;
         }
@@ -146,17 +147,21 @@ impl Detector for LoopDetector {
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
+        query_then_score(self, "LoopDetector", x)
+    }
+
+    fn neighbor_query(&self) -> Option<(&Arc<KnnIndex>, usize)> {
+        self.index.as_ref().map(|ix| (ix, self.k.min(ix.len())))
+    }
+
+    fn score_from_neighbors(&self, x: &Matrix, neighbors: &[&[Neighbor]]) -> Result<Vec<f64>> {
         let index = self
             .index
             .as_ref()
             .ok_or(Error::NotFitted("LoopDetector"))?;
-        check_dims(index.train_data().ncols(), x)?;
-        let k = self.k.min(index.len());
-        // Batched neighbour lookup hits the tiled brute-force fast path
-        // on blocked/gemm indexes; results equal per-row queries exactly.
-        let batch = index.query_batch(x, k)?;
+        check_scoring_input(index, x, neighbors)?;
         let mut scores = Vec::with_capacity(x.nrows());
-        for nn in &batch {
+        for nn in neighbors {
             let pd_q = Self::pdist_of(nn);
             let mean_nb: f64 =
                 nn.iter().map(|nb| self.pdist[nb.index]).sum::<f64>() / nn.len().max(1) as f64;

@@ -416,15 +416,26 @@ pub fn pairwise_distances_symmetric_with(
             }
         }
     });
-    // Mirror the strict upper triangle; cheap copies, no metric calls.
-    for i in 1..n {
-        for j in 0..i {
-            let d = out.get(j, i);
-            out.set(i, j, d);
+    // Mirror the strict upper triangle; copies, no metric calls. Tile by
+    // tile, so the column-wise reads of one tile stay in cache instead of
+    // missing once per element.
+    for i0 in (0..n).step_by(MIRROR_TILE) {
+        let i1 = (i0 + MIRROR_TILE).min(n);
+        for j0 in (0..i1).step_by(MIRROR_TILE) {
+            for i in i0..i1 {
+                for j in j0..(j0 + MIRROR_TILE).min(i) {
+                    let d = out.get(j, i);
+                    out.set(i, j, d);
+                }
+            }
         }
     }
     out
 }
+
+/// Tile edge of the symmetric-matrix mirror pass: two 32 x 32 `f64` tiles
+/// (16 KiB) fit in L1.
+const MIRROR_TILE: usize = 32;
 
 /// A neighbour returned by [`KnnIndex`] queries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -515,7 +526,7 @@ impl KnnIndex {
         metric: DistanceMetric,
         config: KernelConfig,
     ) -> Result<Self> {
-        Self::build_inner(train, metric, config, 1, true, "KnnIndex::build")
+        Self::build_inner(train.clone(), metric, config, 1, true, "KnnIndex::build")
     }
 
     /// [`build_with`](Self::build_with) with an explicit worker budget
@@ -532,7 +543,14 @@ impl KnnIndex {
         config: KernelConfig,
         n_threads: usize,
     ) -> Result<Self> {
-        Self::build_inner(train, metric, config, n_threads, true, "KnnIndex::build")
+        Self::build_inner(
+            train.clone(),
+            metric,
+            config,
+            n_threads,
+            true,
+            "KnnIndex::build",
+        )
     }
 
     /// Serializes the index for a `suod-pool/1` snapshot: the training
@@ -559,10 +577,52 @@ impl KnnIndex {
         r: &mut crate::snapshot::SnapshotReader<'_>,
         n_threads: usize,
     ) -> Result<Self> {
-        let train = r.read_matrix()?;
-        let metric = r.read_metric()?;
-        let config = r.read_kernel_config()?;
-        Self::build_with_threads(&train, metric, config, n_threads)
+        let (train, metric, config) = Self::snapshot_read_parts(r)?;
+        // The decoded slab moves into the index: no second copy.
+        Self::build_inner(train, metric, config, n_threads, true, "KnnIndex::build")
+    }
+
+    fn snapshot_read_parts(
+        r: &mut crate::snapshot::SnapshotReader<'_>,
+    ) -> Result<(Matrix, DistanceMetric, KernelConfig)> {
+        Ok((r.read_matrix()?, r.read_metric()?, r.read_kernel_config()?))
+    }
+
+    /// [`snapshot_read`](Self::snapshot_read) for indexes held behind an
+    /// `Arc`: a record whose training rows, metric and [`KernelConfig`]
+    /// equal (bit for bit) those of an index this reader — or a reader it
+    /// was [nested](crate::snapshot::SnapshotReader::nested) from — has
+    /// already decoded returns that index instead of building a second
+    /// one. A pool whose proximity detectors shared one index at fit
+    /// therefore shares one again after a reload, and its tree or graph
+    /// is rebuilt once.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`snapshot_read`](Self::snapshot_read).
+    pub fn snapshot_read_shared(
+        r: &mut crate::snapshot::SnapshotReader<'_>,
+        n_threads: usize,
+    ) -> Result<Arc<Self>> {
+        let (train, metric, config) = Self::snapshot_read_parts(r)?;
+        let seen = r.decoded_indexes();
+        if let Some(hit) = seen
+            .borrow()
+            .iter()
+            .find(|ix| ix.metric == metric && ix.config == config && same_bits(&ix.train, &train))
+        {
+            return Ok(Arc::clone(hit));
+        }
+        let index = Arc::new(Self::build_inner(
+            train,
+            metric,
+            config,
+            n_threads,
+            true,
+            "KnnIndex::build",
+        )?);
+        seen.borrow_mut().push(Arc::clone(&index));
+        Ok(index)
     }
 
     /// Builds an index that always scans linearly (used by tests to check
@@ -574,7 +634,7 @@ impl KnnIndex {
     /// Returns [`Error::Empty`] when `train` has no rows.
     pub fn build_brute_force(train: &Matrix, metric: DistanceMetric) -> Result<Self> {
         Self::build_inner(
-            train,
+            train.clone(),
             metric,
             KernelConfig::default(),
             1,
@@ -584,7 +644,7 @@ impl KnnIndex {
     }
 
     fn build_inner(
-        train: &Matrix,
+        train: Matrix,
         metric: DistanceMetric,
         config: KernelConfig,
         n_threads: usize,
@@ -616,7 +676,7 @@ impl KnnIndex {
             && allow_acceleration
             && config.uses_kdtree(train.nrows(), train.ncols())
         {
-            Some(crate::kdtree::KdTree::build(train, metric)?)
+            Some(crate::kdtree::KdTree::build(&train, metric)?)
         } else {
             None
         };
@@ -635,12 +695,12 @@ impl KnnIndex {
         let train_sq_norms = ((gemm_brute && metric == DistanceMetric::Euclidean)
             || hnsw_params.is_some())
         .then(|| match config.precision {
-            Precision::F64 => crate::gemm::row_sq_norms(train),
-            Precision::Mixed => crate::gemm::row_sq_norms_mixed(train),
+            Precision::F64 => crate::gemm::row_sq_norms(&train),
+            Precision::Mixed => crate::gemm::row_sq_norms_mixed(&train),
         });
         let hnsw = hnsw_params.map(|p| {
             HnswGraph::build(
-                train,
+                &train,
                 train_sq_norms.as_deref().expect("norms cached for hnsw"),
                 config.precision,
                 p,
@@ -648,7 +708,7 @@ impl KnnIndex {
             )
         });
         Ok(Self {
-            train: train.clone(),
+            train,
             metric,
             tree,
             hnsw,
@@ -696,6 +756,38 @@ impl KnnIndex {
     /// The kernel tuning this index was built with.
     pub fn kernel_config(&self) -> KernelConfig {
         self.config
+    }
+
+    /// `true` when the first `min(k_a, k_b)` entries of a query at the
+    /// larger of the two `k` are, bit for bit, the answer to a query at
+    /// the smaller — the condition under which models asking this index
+    /// for different `k` can share one query.
+    ///
+    /// The exact backends always qualify: they return the `k` smallest
+    /// neighbours under the total order (distance, index), so any answer
+    /// is a prefix of every longer one. The HNSW beam search returns the
+    /// head of its `max(k, ef_search)` best candidates, so two `k`
+    /// qualify exactly when they search with the same beam width.
+    pub fn prefix_exact(&self, k_a: usize, k_b: usize) -> bool {
+        match &self.hnsw {
+            Some(h) => {
+                let beam = |k: usize| h.params().ef_search.max(k.min(self.len()));
+                beam(k_a) == beam(k_b)
+            }
+            None => true,
+        }
+    }
+
+    /// `true` when `other` answers every query exactly as this index
+    /// does: same metric, [`KernelConfig`] and backend choice over
+    /// bitwise-equal training rows (trees and graphs are deterministic
+    /// functions of those).
+    pub fn same_answers(&self, other: &KnnIndex) -> bool {
+        self.metric == other.metric
+            && self.config == other.config
+            && self.tree.is_some() == other.tree.is_some()
+            && self.hnsw.is_some() == other.hnsw.is_some()
+            && same_bits(&self.train, &other.train)
     }
 
     /// Snapshot of the kernel-work counters accumulated by this index
@@ -878,15 +970,16 @@ impl KnnIndex {
                 return crate::parallel::par_chunk_map(n, n_threads, |range| {
                     range
                         .map(|i| {
-                            let all: Vec<Neighbor> = d
-                                .row(i)
-                                .iter()
-                                .enumerate()
-                                .map(|(j, &distance)| Neighbor { index: j, distance })
-                                .collect();
                             // Same k+1 / drop-self / truncate protocol as
                             // `query_excluding`, fed bitwise-equal distances.
-                            let mut nn = select_smallest(all, (k + 1).min(n));
+                            // The bounded heap keeps the same (distance,
+                            // index)-smallest set `select_smallest` would,
+                            // without materializing the row as neighbours.
+                            let mut heap = TopK::new((k + 1).min(n));
+                            for (j, &distance) in d.row(i).iter().enumerate() {
+                                heap.push(Neighbor { index: j, distance });
+                            }
+                            let mut nn = heap.into_sorted();
                             nn.retain(|nb| nb.index != i);
                             nn.truncate(k);
                             nn
@@ -1009,6 +1102,16 @@ impl KnnIndex {
                 .collect()
         })
     }
+}
+
+/// Shape and every `f64` bit pattern equal (`==` on floats would call
+/// `0.0` and `-0.0` the same data).
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// A packed train tile of the batched kNN fast path, in whichever
@@ -1694,5 +1797,84 @@ mod tests {
             }
             assert_eq!(heap.into_sorted(), select_smallest(all.clone(), k), "k={k}");
         }
+    }
+
+    #[test]
+    fn prefix_exact_holds_where_it_says_so() {
+        use crate::HnswParams;
+        let train = random_matrix(400, 6, 71);
+        let queries = random_matrix(25, 6, 72);
+        let hnsw = KernelConfig::default().with_neighbor(NeighborBackend::Hnsw(HnswParams {
+            ef_search: 12,
+            min_rows: 1,
+            ..HnswParams::default()
+        }));
+        let configs = [
+            KernelConfig::default(),
+            KernelConfig::default().with_backend(DistanceBackend::Naive),
+            KernelConfig::default().with_backend(DistanceBackend::Gemm),
+            KernelConfig::default().with_kdtree_crossover_dim(16),
+            hnsw,
+        ];
+        for config in configs {
+            let index = KnnIndex::build_with(&train, DistanceMetric::Euclidean, config).unwrap();
+            for (small, large) in [(3usize, 12usize), (5, 40), (12, 13), (30, 30), (7, 900)] {
+                let exact = index.prefix_exact(small, large);
+                assert_eq!(exact, index.prefix_exact(large, small));
+                // Exact backends always; HNSW while both search with the
+                // same beam (k <= ef_search = 12, or equal k).
+                assert_eq!(exact, !index.uses_hnsw() || large <= 12 || small == large);
+                if exact {
+                    let wide = index.query_batch(&queries, large).unwrap();
+                    let narrow = index.query_batch(&queries, small).unwrap();
+                    for (w, n) in wide.iter().zip(&narrow) {
+                        assert_eq!(&w[..n.len()], &n[..], "{config:?} {small} in {large}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_index_records_decode_to_one_shared_index() {
+        use crate::snapshot::{SnapshotReader, SnapshotWriter};
+        let train = random_matrix(60, 4, 73);
+        let euclid = KnnIndex::build(&train, DistanceMetric::Euclidean).unwrap();
+        let manhattan = KnnIndex::build(&train, DistanceMetric::Manhattan).unwrap();
+        let mut other_rows = train.clone();
+        other_rows.set(59, 3, -0.0);
+        let other = KnnIndex::build(&other_rows, DistanceMetric::Euclidean).unwrap();
+        assert!(euclid.same_answers(&euclid.clone()));
+        assert!(!euclid.same_answers(&manhattan));
+        assert!(!euclid.same_answers(&other));
+
+        let mut inner = SnapshotWriter::new();
+        euclid.snapshot_write(&mut inner);
+        let mut w = SnapshotWriter::new();
+        euclid.snapshot_write(&mut w);
+        manhattan.snapshot_write(&mut w);
+        other.snapshot_write(&mut w);
+        w.write_bytes(inner.as_bytes());
+        euclid.snapshot_write(&mut w);
+
+        let mut r = SnapshotReader::new(w.as_bytes());
+        let first = KnnIndex::snapshot_read_shared(&mut r, 1).unwrap();
+        let second = KnnIndex::snapshot_read_shared(&mut r, 1).unwrap();
+        let third = KnnIndex::snapshot_read_shared(&mut r, 1).unwrap();
+        let body = r.read_bytes().unwrap();
+        let nested = KnnIndex::snapshot_read_shared(&mut r.nested(body), 1).unwrap();
+        let last = KnnIndex::snapshot_read_shared(&mut r, 1).unwrap();
+        assert!(r.is_exhausted());
+        assert!(!Arc::ptr_eq(&first, &second), "another metric");
+        assert!(!Arc::ptr_eq(&first, &third), "other rows");
+        assert!(
+            Arc::ptr_eq(&first, &nested),
+            "a nested record collapses too"
+        );
+        assert!(Arc::ptr_eq(&first, &last));
+        // An unrelated reader starts from nothing.
+        let fresh = KnnIndex::snapshot_read_shared(&mut SnapshotReader::new(w.as_bytes()), 1);
+        assert!(!Arc::ptr_eq(&first, &fresh.unwrap()));
+        assert!(first.same_answers(&euclid));
     }
 }

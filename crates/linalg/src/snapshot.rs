@@ -24,7 +24,12 @@
 //! recoverable error at the `Suod::load` boundary.
 
 use crate::hnsw::{HnswParams, NeighborBackend};
-use crate::{DistanceBackend, DistanceMetric, Error, KernelConfig, Matrix, Precision, Result};
+use crate::{
+    DistanceBackend, DistanceMetric, Error, KernelConfig, KnnIndex, Matrix, Precision, Result,
+};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Append-only byte sink for snapshot encoding.
 #[derive(Debug, Default, Clone)]
@@ -173,17 +178,43 @@ fn corrupt(what: &str) -> Error {
     Error::InvalidParameter(format!("snapshot: {what}"))
 }
 
+/// Neighbour indexes decoded so far during one snapshot load, shared by
+/// a reader and the readers nested from it.
+pub(crate) type DecodedIndexes = Rc<RefCell<Vec<Arc<KnnIndex>>>>;
+
 /// Cursor over snapshot bytes; every read is bounds-checked.
 #[derive(Debug, Clone)]
 pub struct SnapshotReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// What [`KnnIndex::snapshot_read_shared`] has decoded through this
+    /// reader's family, so equal index records collapse into one `Arc`.
+    indexes: DecodedIndexes,
 }
 
 impl<'a> SnapshotReader<'a> {
     /// A reader positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            indexes: DecodedIndexes::default(),
+        }
+    }
+
+    /// A reader over `buf` — a length-prefixed record taken from this
+    /// reader — that shares this reader's decoded-index table, so index
+    /// records in different nested records still collapse.
+    pub fn nested(&self, buf: &'a [u8]) -> Self {
+        Self {
+            buf,
+            pos: 0,
+            indexes: Rc::clone(&self.indexes),
+        }
+    }
+
+    pub(crate) fn decoded_indexes(&self) -> DecodedIndexes {
+        Rc::clone(&self.indexes)
     }
 
     /// Bytes not yet consumed.

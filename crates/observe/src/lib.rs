@@ -72,10 +72,11 @@ pub enum Stage {
     NeighborPlan,
     /// One shared neighbour-graph build (index + leave-one-out sweep).
     NeighborBuild,
-    /// The leave-one-out query sweep over a built neighbour index (the
-    /// part an approximate backend accelerates, split out from
-    /// [`Stage::NeighborBuild`] so recall/speed tradeoffs show up in
-    /// traces).
+    /// A query sweep over a built neighbour index. At fit: the
+    /// leave-one-out sweep (the part an approximate backend accelerates,
+    /// split out from [`Stage::NeighborBuild`] so recall/speed tradeoffs
+    /// show up in traces). At predict: the one query a prediction unit
+    /// runs per row chunk, shared by every proximity model of the unit.
     NeighborQuery,
     /// BPS cost forecasting and worker assignment.
     BpsPlan,
@@ -89,7 +90,9 @@ pub enum Stage {
     Threshold,
     /// Whole `decision_function` call (the root span of a predict trace).
     Predict,
-    /// One (model × row-chunk) prediction task.
+    /// One model scoring one row chunk: its own work inside a (unit ×
+    /// row-chunk) prediction task, after the stage the unit shares
+    /// (projection, [`Stage::NeighborQuery`]).
     PredictChunk,
     /// One model's full sequential scoring pass
     /// (`decision_function_observed`).

@@ -116,7 +116,7 @@ impl JlVariant {
 }
 
 /// A seeded JL projector.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JlProjector {
     variant: JlVariant,
     k: usize,

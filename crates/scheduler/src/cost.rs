@@ -184,10 +184,54 @@ impl CostModel for AnalyticCostModel {
     }
 }
 
-/// Expands per-model prediction costs into the (model × row-chunk) task
-/// cost vector the predict-phase scheduler balances, model-major: task
-/// `m * chunks + c` is model `m` scoring chunk `c`, costed as the model's
-/// forecast scaled by the chunk's share of the query rows.
+/// Per-member prediction costs of a group of proximity models that
+/// answer from **one shared neighbour query**: the index sweep is paid
+/// once, every member pays its own epilogue — the predict-side mirror of
+/// [`TaskDescriptor::cached_neighbors`] at fit.
+///
+/// The sweep is the index term of the member with the largest `knob`
+/// (its `k`; the first such member on ties — the rule fit uses to pick a
+/// group's builder): its full forecast minus its
+/// [`cached_neighbors`](TaskDescriptor::cached_neighbors) forecast. It
+/// is split evenly over the members, as the measured query time is, so a
+/// member's forecast stays comparable with its measured time; the costs
+/// sum to one sweep plus all epilogues. A group of one keeps its
+/// unshared forecast exactly.
+pub fn shared_query_costs(
+    model: &dyn CostModel,
+    tasks: &[TaskDescriptor],
+    meta: &DatasetMeta,
+) -> Vec<f64> {
+    let Some(lead) = (0..tasks.len()).reduce(|best, i| {
+        if tasks[i].knob > tasks[best].knob {
+            i
+        } else {
+            best
+        }
+    }) else {
+        return Vec::new();
+    };
+    let epilogue = |t: &TaskDescriptor| model.predict_cost(&t.with_cached_neighbors(true), meta);
+    let full = model.predict_cost(&tasks[lead], meta);
+    let share = (full - epilogue(&tasks[lead])).max(0.0) / tasks.len() as f64;
+    tasks
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            if i == lead {
+                full - share * (tasks.len() - 1) as f64
+            } else {
+                epilogue(t) + share
+            }
+        })
+        .collect()
+}
+
+/// Expands per-unit prediction costs into the (unit × row-chunk) task
+/// cost vector the predict-phase scheduler balances, unit-major: task
+/// `u * chunks + c` is unit `u` (a model, or a group of models sharing
+/// one neighbour query) scoring chunk `c`, costed as the unit's forecast
+/// scaled by the chunk's share of the query rows.
 ///
 /// This is the shared cost shape for both offline `decision_function`
 /// scheduling and the serving layer's micro-batch forecasts, so batch
@@ -498,6 +542,38 @@ mod tests {
     }
 
     #[test]
+    fn shared_query_charges_the_sweep_once() {
+        let m = meta(5000, 20);
+        let model = AnalyticCostModel::new();
+        let group = [
+            TaskDescriptor::new(AlgorithmFamily::Knn, 5.0),
+            TaskDescriptor::new(AlgorithmFamily::Lof, 40.0),
+            TaskDescriptor::new(AlgorithmFamily::Abod, 10.0),
+            TaskDescriptor::new(AlgorithmFamily::Knn, 40.0),
+        ];
+        let shared = shared_query_costs(&model, &group, &m);
+        let alone: Vec<f64> = group.iter().map(|t| model.predict_cost(t, &m)).collect();
+        let epilogues: Vec<f64> = group
+            .iter()
+            .map(|t| model.predict_cost(&t.with_cached_neighbors(true), &m))
+            .collect();
+        // One sweep (the largest-k member's: LOF 40, first of the tie) plus
+        // every epilogue — not four sweeps.
+        let sweep = alone[1] - epilogues[1];
+        let total: f64 = shared.iter().sum();
+        let expected = sweep + epilogues.iter().sum::<f64>();
+        assert!((total - expected).abs() <= 1e-9 * expected);
+        assert!(total < alone.iter().sum::<f64>() / 3.0);
+        // Split evenly: every member carries a quarter of the sweep.
+        for (s, e) in shared.iter().zip(&epilogues) {
+            assert!((s - e - sweep / 4.0).abs() <= 1e-9 * sweep);
+        }
+        // A group of one is the unshared forecast, bit for bit.
+        assert_eq!(shared_query_costs(&model, &group[..1], &m), alone[..1]);
+        assert!(shared_query_costs(&model, &[], &m).is_empty());
+    }
+
+    #[test]
     fn approx_neighbors_discounts_index_cost() {
         let m = meta(100_000, 20);
         let model = AnalyticCostModel::new();
@@ -527,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_chunk_costs_are_model_major_row_shares() {
+    fn predict_chunk_costs_are_unit_major_row_shares() {
         let costs = predict_chunk_costs(&[4.0, 1.0], &[256, 256, 128]);
         assert_eq!(costs.len(), 6);
         // Model 0 over three chunks, then model 1.

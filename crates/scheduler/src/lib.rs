@@ -58,8 +58,8 @@ pub mod work_stealing;
 
 pub use assignment::{bps_schedule, generic_schedule, shuffled_schedule, Assignment};
 pub use cost::{
-    predict_batch_forecast, predict_chunk_costs, AnalyticCostModel, CostModel, ForestCostPredictor,
-    TaskDescriptor,
+    predict_batch_forecast, predict_chunk_costs, shared_query_costs, AnalyticCostModel, CostModel,
+    ForestCostPredictor, TaskDescriptor,
 };
 pub use executor::ThreadPoolExecutor;
 pub use meta::DatasetMeta;

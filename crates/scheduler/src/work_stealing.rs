@@ -82,7 +82,9 @@ pub struct TaskFailure {
 }
 
 impl TaskFailure {
-    fn from_payload(payload: Box<dyn Any + Send>) -> Self {
+    /// Flattens a payload caught by `catch_unwind` — for callers that run
+    /// their own fault boundary inside a task.
+    pub fn from_payload(payload: Box<dyn Any + Send>) -> Self {
         let message = if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {
