@@ -55,7 +55,8 @@ pub struct ServeArgs {
     pub queue: usize,
     /// Micro-batch row cap.
     pub batch_rows: usize,
-    /// Batch assembly window in milliseconds.
+    /// Extra delay before each batch in milliseconds; dispatch is
+    /// work-conserving, so 0 (the default) serves a lone request at once.
     pub window_ms: u64,
     /// Default per-request deadline budget in milliseconds.
     pub deadline_ms: Option<u64>,
@@ -95,7 +96,7 @@ impl Default for ServeArgs {
             snapshot: None,
             queue: 64,
             batch_rows: 256,
-            window_ms: 2,
+            window_ms: 0,
             deadline_ms: None,
             failure_budget: 3,
             min_healthy: 0.5,
@@ -550,7 +551,8 @@ SERVE OPTIONS (plus the shared detect flags above):
   --snapshot <path>     serve this saved pool instead of fitting
   --queue <n>           admission queue capacity              [64]
   --batch-rows <n>      micro-batch row cap                   [256]
-  --window-ms <ms>      batch assembly window                 [2]
+  --window-ms <ms>      extra delay before each batch; 0 =
+                        serve at once, coalesce while busy    [0]
   --deadline-ms <ms>    default per-request deadline          [none]
   --failure-budget <n>  predict faults before quarantine      [3]
   --min-healthy <f>     serving floor (healthy fraction)      [0.5]

@@ -122,7 +122,7 @@ impl Detector for AbodDetector {
         // reject typed instead.
         validate_finite(x, "abod fit")?;
         // Leave-one-out lists come batched: pool-shared prefix views when
-        // `ctx` carries a cache, the symmetric-distance fast path
+        // `ctx` carries a cache, a direct `self_query_batch` sweep
         // otherwise.
         let k = self.k.min(x.nrows() - 1);
         let (index, neighbors) = ctx.self_neighbors(x, DistanceMetric::Euclidean, k)?;

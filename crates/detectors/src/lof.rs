@@ -93,8 +93,8 @@ impl Detector for LofDetector {
         let k = self.k.min(n - 1);
 
         // Leave-one-out neighbour lists: a prefix view of the pool-shared
-        // neighbour graph when `ctx` carries a cache, a direct sweep via
-        // the symmetric-distance fast path otherwise.
+        // neighbour graph when `ctx` carries a cache, a direct
+        // `self_query_batch` sweep otherwise.
         let (index, neighbors) = ctx.self_neighbors(x, self.metric, k)?;
 
         // k-distance of each point = distance to its k-th neighbour.

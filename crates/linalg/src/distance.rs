@@ -927,69 +927,21 @@ impl KnnIndex {
     /// bit-for-bit. This is the hot loop of every proximity detector's
     /// `fit` (LOF, kNN, LoOP, COF, ABOD).
     ///
-    /// Brute-force gemm indexes stream norm-trick GEMM tiles through
-    /// per-row bounded heaps (no `n x n` matrix, no size cap). Other
-    /// brute-force backends use the symmetric-matrix fast path up to a
-    /// memory cap — distances from
-    /// [`pairwise_distances_symmetric_backend`], which evaluates the
-    /// metric only for the upper triangle and mirrors — and the blocked
-    /// backend switches to the tiled heap sweep beyond the cap. The
-    /// KD-tree backend (and oversized naive inputs) fall back to per-row
-    /// queries, chunked across `n_threads` either way.
+    /// The brute-force blocked and gemm backends stream distance tiles
+    /// (scalar tiles, or norm-trick GEMM tiles) through per-row bounded
+    /// heaps: no `n x n` matrix at any size, so a fit's peak memory does
+    /// not depend on how many sweeps ran before it. The scalar tiles call
+    /// the metric once per pair of rows inside a thread's chunk (see
+    /// `brute_batch_topk`). The KD-tree and HNSW backends and the naive
+    /// reference backend answer row by row. Both are chunked across
+    /// `n_threads` and thread-count invariant.
     pub fn self_query_batch(&self, k: usize, n_threads: usize) -> Vec<Vec<Neighbor>> {
         let n = self.train.nrows();
-        if self.hnsw.is_some() {
-            // Leave-one-out via the approximate graph: per-row searches
-            // with the `query_excluding` k+1 protocol, chunked across
-            // threads (pure reads — thread-count invariant).
-            return crate::parallel::par_chunk_map(n, n_threads, |range| {
-                range
-                    .map(|i| self.query_excluding(self.train.row(i), k, i))
-                    .collect()
-            });
-        }
-        if self.tree.is_none() {
-            if self.train_sq_norms.is_some() {
-                return self.brute_batch_topk(&self.train, k, n_threads, true);
-            }
-            if n <= SELF_BATCH_MATRIX_MAX_ROWS {
-                // Gemm lands here only for non-Euclidean metrics; its
-                // symmetric fallback is the blocked kernel (the fallback
-                // hit was recorded at build time).
-                let backend = match self.config.backend {
-                    DistanceBackend::Naive => DistanceBackend::Naive,
-                    _ => DistanceBackend::Blocked,
-                };
-                let d = pairwise_distances_symmetric_backend(
-                    &self.train,
-                    self.metric,
-                    backend,
-                    n_threads,
-                    None,
-                );
-                return crate::parallel::par_chunk_map(n, n_threads, |range| {
-                    range
-                        .map(|i| {
-                            // Same k+1 / drop-self / truncate protocol as
-                            // `query_excluding`, fed bitwise-equal distances.
-                            // The bounded heap keeps the same (distance,
-                            // index)-smallest set `select_smallest` would,
-                            // without materializing the row as neighbours.
-                            let mut heap = TopK::new((k + 1).min(n));
-                            for (j, &distance) in d.row(i).iter().enumerate() {
-                                heap.push(Neighbor { index: j, distance });
-                            }
-                            let mut nn = heap.into_sorted();
-                            nn.retain(|nb| nb.index != i);
-                            nn.truncate(k);
-                            nn
-                        })
-                        .collect()
-                });
-            }
-            if self.config.backend != DistanceBackend::Naive {
-                return self.brute_batch_topk(&self.train, k, n_threads, true);
-            }
+        if self.hnsw.is_none()
+            && self.tree.is_none()
+            && self.config.backend != DistanceBackend::Naive
+        {
+            return self.brute_batch_topk(&self.train, k, n_threads, true);
         }
         crate::parallel::par_chunk_map(n, n_threads, |range| {
             range
@@ -1006,9 +958,16 @@ impl KnnIndex {
     /// distance is computed by a per-element code path independent of the
     /// tiling, and the heap keeps the k smallest under the total order
     /// (distance, index) — a unique set, so push order is irrelevant.
-    /// With `exclude_self` the heap holds `k+1` candidates and the
-    /// querying row is dropped afterwards, the exact
-    /// [`query_excluding`](Self::query_excluding) protocol.
+    /// With `exclude_self` — `queries` is the training matrix itself —
+    /// the heap holds `k+1` candidates and the querying row is dropped
+    /// afterwards, the exact [`query_excluding`](Self::query_excluding)
+    /// protocol. The scalar tiles then evaluate a pair whose two rows
+    /// both fall in one thread's chunk once, at (lower row, higher row),
+    /// and push the distance into both rows' heaps: every metric is
+    /// bitwise symmetric (`(x - y)²` and `|x - y|` do not see the sign),
+    /// so the heaps receive the same candidates as from the full sweep
+    /// for half the metric calls at one thread, and still no `n x n`
+    /// matrix.
     fn brute_batch_topk(
         &self,
         queries: &Matrix,
@@ -1074,6 +1033,29 @@ impl KnnIndex {
                                 });
                             }
                         }
+                    } else if exclude_self {
+                        // Row j's heap lives in this chunk when `range`
+                        // holds j: the pair is then evaluated from its
+                        // lower row only and pushed into both heaps. Its
+                        // own loop, so the query loop below — predict's
+                        // inner loop — carries none of these tests.
+                        for qi in q0..q1 {
+                            let rq = queries.row(qi);
+                            for j in t0..t1 {
+                                let shared = range.contains(&j);
+                                if shared && j < qi {
+                                    continue;
+                                }
+                                let distance = metric.distance(rq, train.row(j));
+                                heaps[qi - range.start].push(Neighbor { index: j, distance });
+                                if shared && j > qi {
+                                    heaps[j - range.start].push(Neighbor {
+                                        index: qi,
+                                        distance,
+                                    });
+                                }
+                            }
+                        }
                     } else {
                         for qi in q0..q1 {
                             let rq = queries.row(qi);
@@ -1120,13 +1102,6 @@ enum TrainTile {
     F64(PackedPanels),
     F32(PackedPanelsF32),
 }
-
-/// Memory cap for the symmetric-matrix fast path of
-/// [`KnnIndex::self_query_batch`]: a 4096-row set costs a 128 MiB
-/// distance matrix; beyond that the blocked/gemm backends stream tiles
-/// through bounded heaps and the naive backend falls back to row-at-a-time
-/// queries.
-const SELF_BATCH_MATRIX_MAX_ROWS: usize = 4096;
 
 /// Bounded max-heap over the total order (distance, index): keeps the
 /// `k` smallest neighbours seen. Because the order is total, the k-smallest
@@ -1548,7 +1523,7 @@ mod tests {
 
     #[test]
     fn self_query_batch_matches_query_excluding() {
-        // Brute backend (symmetric fast path) and KD-tree backend.
+        // Brute backend (tile-streamed sweep) and KD-tree backend.
         let wide = random_matrix(50, 20, 9); // > crossover dim -> brute
         let narrow = random_matrix(150, 3, 10); // KD-tree eligible
         for train in [&wide, &narrow] {
@@ -1562,6 +1537,29 @@ mod tests {
                     expected,
                     "threads={threads}"
                 );
+            }
+        }
+        // The default blocked sweep at the edges: one row, two rows, one
+        // row past a query-tile boundary, several train tiles; k of one,
+        // wider than a query tile, and at least the whole set.
+        for n in [1usize, 2, 257, 1600] {
+            let train = random_matrix(n, 8, 90 + n as u64);
+            let idx = KnnIndex::build(&train, DistanceMetric::Euclidean).unwrap();
+            assert!(!idx.uses_kdtree());
+            assert_eq!(idx.kernel_config().backend, DistanceBackend::Blocked);
+            for k in [1usize, 40, n + 3] {
+                let expected: Vec<Vec<Neighbor>> = (0..n)
+                    .map(|i| idx.query_excluding(train.row(i), k, i))
+                    .collect();
+                // One chunk (every pair evaluated once) and two (pairs
+                // across the chunks evaluated from both sides).
+                for threads in [1usize, 2] {
+                    assert_eq!(
+                        idx.self_query_batch(k, threads),
+                        expected,
+                        "n={n} k={k} threads={threads}"
+                    );
+                }
             }
         }
     }

@@ -58,7 +58,7 @@ use crate::{Error, Result};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use suod_observe::{Counter, Observer, SpanAttrs, Stage};
@@ -190,8 +190,6 @@ struct Batch<F, T> {
     /// Per-worker deques of task indices. Owners pop from the front,
     /// thieves steal from the back.
     queues: Vec<Mutex<VecDeque<usize>>>,
-    /// Tasks not yet finished (including in-flight).
-    remaining: AtomicUsize,
     /// Per-worker result buffers — no shared result table.
     logs: Vec<Mutex<WorkerLog<T>>>,
     /// First panic payload from a task, propagated to the submitter
@@ -213,22 +211,29 @@ where
     T: Send + 'static,
 {
     /// Pops work for `worker`: its own front first, then the tail of the
-    /// most-loaded peer. Returns `(index, was_steal)`.
+    /// most-loaded peer. Returns `(index, was_steal)`, or `None` once
+    /// every deque has been read empty. Nothing is pushed after
+    /// submission, so a deque seen empty stays empty: `None` means all
+    /// that is left of the batch is in flight on other workers.
     fn find_work(&self, worker: usize) -> Option<(usize, bool)> {
         if let Some(i) = lock_ignore_poison(&self.queues[worker]).pop_front() {
             return Some((i, false));
         }
-        // Pick the currently longest peer queue. The length probe is
-        // racy by design: stealing needs only a heuristic victim.
-        let victim = (0..self.queues.len())
-            .filter(|&w| w != worker)
-            .map(|w| (lock_ignore_poison(&self.queues[w]).len(), w))
-            .max()
-            .filter(|&(len, _)| len > 0)
-            .map(|(_, w)| w)?;
-        lock_ignore_poison(&self.queues[victim])
-            .pop_back()
-            .map(|i| (i, true))
+        loop {
+            // Pick the currently longest peer queue. The length probe is
+            // racy by design: stealing needs only a heuristic victim.
+            let victim = (0..self.queues.len())
+                .filter(|&w| w != worker)
+                .map(|w| (lock_ignore_poison(&self.queues[w]).len(), w))
+                .max()
+                .filter(|&(len, _)| len > 0)
+                .map(|(_, w)| w)?;
+            if let Some(i) = lock_ignore_poison(&self.queues[victim]).pop_back() {
+                return Some((i, true));
+            }
+            // Lost the race for the victim's last task; another peer may
+            // still hold queued work, so probe again.
+        }
     }
 }
 
@@ -243,13 +248,10 @@ where
             if self.panicked.load(Ordering::Acquire) {
                 break;
             }
+            // The task set is fixed, so empty deques end this worker's
+            // part of the batch; the submitter waits for every worker.
             let Some((index, stolen)) = self.find_work(worker) else {
-                if self.remaining.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                // Peers still have tasks in flight; nothing to steal yet.
-                std::thread::sleep(Duration::from_micros(50));
-                continue;
+                break;
             };
             if stolen {
                 log.steals += 1;
@@ -269,7 +271,6 @@ where
                     self.observer.span_end(span);
                     log.out.push((index, Ok(out), elapsed));
                     log.busy += elapsed;
-                    self.remaining.fetch_sub(1, Ordering::AcqRel);
                 }
                 Err(payload) if self.isolate => {
                     // Per-task fault boundary: record the failure and keep
@@ -281,7 +282,6 @@ where
                     log.out
                         .push((index, Err(TaskFailure::from_payload(payload)), elapsed));
                     log.busy += elapsed;
-                    self.remaining.fetch_sub(1, Ordering::AcqRel);
                 }
                 Err(payload) => {
                     self.observer.span_end(span);
@@ -291,7 +291,6 @@ where
                         *slot = Some(payload);
                     }
                     self.panicked.store(true, Ordering::Release);
-                    self.remaining.fetch_sub(1, Ordering::AcqRel);
                     break;
                 }
             }
@@ -439,7 +438,6 @@ impl WorkStealingExecutor {
         let batch: Arc<Batch<F, T>> = Arc::new(Batch {
             tasks: tasks.into_iter().map(|t| Mutex::new(Some(t))).collect(),
             queues: queues.into_iter().map(Mutex::new).collect(),
-            remaining: AtomicUsize::new(n),
             logs: (0..self.n_workers)
                 .map(|_| Mutex::new(WorkerLog::default()))
                 .collect(),

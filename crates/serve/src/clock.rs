@@ -10,15 +10,27 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// A monotonic millisecond time source the service consults for
-/// admission timestamps, deadline checks, and batch-window pacing.
+/// A monotonic time source the service consults for admission
+/// timestamps, deadline checks, and latency telemetry.
 pub trait Clock: Send + Sync + std::fmt::Debug {
-    /// Milliseconds elapsed since the clock's epoch (monotonic).
+    /// Milliseconds elapsed since the clock's epoch (monotonic). Every
+    /// *decision* the service makes (deadlines, the shed set) reads this.
     fn now_millis(&self) -> u64;
 
-    /// Blocks the calling thread for roughly `window` — the dispatcher's
-    /// batch-assembly pause. Manual clocks make this a no-op; callers
-    /// stepping a service by hand pace it themselves.
+    /// Microseconds elapsed since the clock's epoch (monotonic) — the
+    /// resolution of [`ServeReport`](crate::ServeReport)'s latency
+    /// percentiles, never of a decision. The provided body is
+    /// `now_millis() * 1000`, so a millisecond clock stays consistent
+    /// with itself; [`SystemClock`] overrides it with real microseconds.
+    fn now_micros(&self) -> u64 {
+        self.now_millis().saturating_mul(1000)
+    }
+
+    /// Blocks the calling thread for roughly `window`. The dispatcher is
+    /// work-conserving and calls this only when someone set a non-zero
+    /// [`ServeConfig::batch_window`](crate::ServeConfig::batch_window) as
+    /// an explicit extra delay; with the default it is never called.
+    /// Manual clocks make it a no-op.
     fn sleep(&self, window: Duration);
 }
 
@@ -46,6 +58,10 @@ impl Default for SystemClock {
 impl Clock for SystemClock {
     fn now_millis(&self) -> u64 {
         self.origin.elapsed().as_millis() as u64
+    }
+
+    fn now_micros(&self) -> u64 {
+        self.origin.elapsed().as_micros() as u64
     }
 
     fn sleep(&self, window: Duration) {
@@ -95,6 +111,7 @@ mod tests {
         assert_eq!(clock.now_millis(), 0);
         clock.advance(250);
         assert_eq!(clock.now_millis(), 250);
+        assert_eq!(clock.now_micros(), 250_000);
     }
 
     #[test]
@@ -103,5 +120,7 @@ mod tests {
         let a = clock.now_millis();
         clock.sleep(Duration::from_millis(2));
         assert!(clock.now_millis() >= a);
+        // Both readings come off one origin.
+        assert!(clock.now_micros() >= 2_000);
     }
 }

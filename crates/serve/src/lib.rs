@@ -20,12 +20,17 @@
 //! * **Bounded admission** — [`ScoreService::submit`] enqueues into a
 //!   fixed-capacity queue and rejects with [`SubmitError::Busy`] when
 //!   full. Backpressure is explicit; memory never grows unboundedly.
-//! * **Micro-batching** — pending requests coalesce (within
-//!   [`ServeConfig::batch_window`], or per [`ScoreService::process_once`]
-//!   call) into one matrix that rides the estimator's existing
+//! * **Work-conserving micro-batching** — each
+//!   [`ScoreService::process_once`] call takes the FIFO prefix of the
+//!   queue into one matrix that rides the estimator's existing
 //!   (model x row-chunk) parallel predict path, so service throughput
-//!   inherits the paper's BPS scheduling. Batch size is capped by rows
-//!   and, optionally, by the scheduler's deterministic cost forecast
+//!   inherits the paper's BPS scheduling. The background dispatcher is
+//!   *wait until the queue is non-empty → `process_once`*: idle, it
+//!   serves a lone request at once; busy, everything that arrives while
+//!   a batch executes coalesces into the next. No timer is involved
+//!   ([`ServeConfig::batch_window`] is zero unless someone asks for an
+//!   extra delay). Batch size is capped by rows and, optionally, by the
+//!   scheduler's deterministic cost forecast
 //!   ([`ServeConfig::max_batch_units`]).
 //! * **Deadline shedding** — requests carry a deadline budget; those
 //!   already expired at assembly are dropped *before* any compute is
@@ -45,9 +50,11 @@
 //! the batch's (model x row-chunk) split is fixed, failed models
 //! contribute NaN columns that survivor combination skips, and chaos
 //! faults (see `suod_detectors::ChaosDetector`) are pure functions of
-//! the model seed. On a [`ManualClock`], batch composition and the shed
-//! set are pure functions of the submitted trace too — which is exactly
-//! what the chaos serve suite asserts across 1/2/8 workers.
+//! the model seed. `process_once` is the one unit of dispatch — the
+//! background thread adds no decision of its own, only the moment it
+//! calls it — so on a [`ManualClock`] batch composition and the shed set
+//! are pure functions of the submitted trace too, which is exactly what
+//! the chaos serve suite asserts across 1/2/8 workers.
 //!
 //! # Example
 //!

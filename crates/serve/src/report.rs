@@ -37,11 +37,18 @@ pub struct ServeReport {
     pub active_models: usize,
     /// Models in the served ensemble.
     pub total_models: usize,
-    /// Median admission-to-response latency (clock ms, scored requests).
+    /// Median admission-to-response latency of scored requests, in
+    /// clock microseconds ([`Clock::now_micros`](crate::Clock::now_micros)).
+    pub p50_latency_us: u64,
+    /// 99th-percentile latency (nearest-rank, clock µs).
+    pub p99_latency_us: u64,
+    /// Worst observed latency (clock µs).
+    pub max_latency_us: u64,
+    /// `p50_latency_us` in whole milliseconds.
     pub p50_latency_ms: u64,
-    /// 99th-percentile latency (nearest-rank, clock ms).
+    /// `p99_latency_us` in whole milliseconds.
     pub p99_latency_ms: u64,
-    /// Worst observed latency (clock ms).
+    /// `max_latency_us` in whole milliseconds.
     pub max_latency_ms: u64,
     /// EWMA of measured seconds per forecast cost unit; `None` before
     /// the first batch. Multiplied by a batch's unit forecast this
@@ -73,8 +80,8 @@ impl std::fmt::Display for ServeReport {
         )?;
         write!(
             f,
-            "  latency: p50 {}ms, p99 {}ms, max {}ms",
-            self.p50_latency_ms, self.p99_latency_ms, self.max_latency_ms
+            "  latency: p50 {}µs, p99 {}µs, max {}µs",
+            self.p50_latency_us, self.p99_latency_us, self.max_latency_us
         )?;
         if let Some(spu) = self.secs_per_unit {
             write!(f, ", {spu:.3e}s/unit")?;

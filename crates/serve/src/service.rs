@@ -29,9 +29,12 @@ pub struct ServeConfig {
     /// active models) would exceed this. Deterministic — derived from
     /// the fit-time cost forecast, not from measured times.
     pub max_batch_units: Option<f64>,
-    /// How long the background dispatcher waits after the first pending
-    /// request before assembling a batch, letting concurrent submitters
-    /// coalesce. Ignored when stepping manually.
+    /// Extra delay the background dispatcher adds between finding the
+    /// queue non-empty and assembling a batch. Zero by default: dispatch
+    /// is work-conserving — an idle dispatcher serves whatever is queued
+    /// at once, and requests coalesce while the previous batch executes —
+    /// so a window buys fewer, larger batches only at the price of that
+    /// much latency on every request. Ignored when stepping manually.
     pub batch_window: Duration,
     /// Deadline budget applied to requests submitted without an explicit
     /// one. `None` disables shedding for such requests.
@@ -65,7 +68,7 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             max_batch_rows: 1024,
             max_batch_units: None,
-            batch_window: Duration::from_millis(2),
+            batch_window: Duration::ZERO,
             default_deadline_ms: None,
             predict_failure_budget: 3,
             predict_timeout: None,
@@ -241,6 +244,9 @@ impl Ticket {
 struct Pending {
     rows: Matrix,
     enqueued_ms: u64,
+    /// [`Clock::now_micros`] at admission — telemetry only; deadlines
+    /// and `waited_ms` read `enqueued_ms`.
+    enqueued_us: u64,
     /// Absolute clock deadline; `None` = never shed.
     deadline_at_ms: Option<u64>,
     /// The relative budget, kept for the shed response.
@@ -333,8 +339,9 @@ struct ServeStats {
     predict_faults: u64,
     quarantined: u64,
     reloads: u64,
-    /// Ring of the most recent [`LATENCY_SAMPLE_CAP`] request latencies.
-    latencies_ms: VecDeque<u64>,
+    /// Ring of the most recent [`LATENCY_SAMPLE_CAP`] request latencies,
+    /// in clock microseconds.
+    latencies_us: VecDeque<u64>,
     /// EWMA of measured seconds per forecast cost unit — the
     /// calibration joining the scheduler's unitless forecasts to wall
     /// time for capacity estimates.
@@ -369,8 +376,10 @@ struct ServiceInner {
 /// Two driving modes:
 ///
 /// * **Background** — [`spawn_dispatcher`](Self::spawn_dispatcher)
-///   starts a thread that waits for work, sleeps one batch window so
-///   concurrent submitters coalesce, then assembles and scores a batch.
+///   starts a thread that repeats *wait until the queue is non-empty →
+///   [`process_once`](Self::process_once)*. Dispatch is work-conserving:
+///   an idle dispatcher serves a lone request at once, and whatever
+///   arrives while a batch executes rides together in the next one.
 /// * **Manual** — the owner calls [`process_once`](Self::process_once)
 ///   to drive one batch synchronously. With a
 ///   [`ManualClock`](crate::ManualClock) this makes every decision —
@@ -583,8 +592,12 @@ impl ServiceInner {
                     return;
                 }
             }
-            // Let concurrent submitters coalesce into this batch.
-            self.clock.sleep(self.config.batch_window);
+            // Work-conserving: nothing is executing, so what is queued is
+            // served now; coalescing is whatever arrives while this batch
+            // runs. A window is honoured only as an explicit extra delay.
+            if !self.config.batch_window.is_zero() {
+                self.clock.sleep(self.config.batch_window);
+            }
             self.process_once();
         }
     }
@@ -617,6 +630,7 @@ impl ServiceInner {
             SpanAttrs::none(),
         );
         let now = self.clock.now_millis();
+        let now_us = self.clock.now_micros();
         let slot = ResponseSlot::new();
         {
             let mut queue = lock_ignore_poison(&self.queue);
@@ -633,6 +647,7 @@ impl ServiceInner {
             queue.pending.push_back(Pending {
                 rows,
                 enqueued_ms: now,
+                enqueued_us: now_us,
                 deadline_at_ms: deadline_ms.map(|d| now.saturating_add(d)),
                 deadline_ms,
                 slot: Arc::clone(&slot),
@@ -954,6 +969,7 @@ impl ServiceInner {
 
         // --- Slice per-request outcomes, preserving row order. ----------
         let done = self.clock.now_millis();
+        let done_us = self.clock.now_micros();
         let mut offset = 0usize;
         let mut latencies = Vec::with_capacity(batch.len());
         let mut missed = 0u64;
@@ -965,7 +981,7 @@ impl ServiceInner {
                 self.observer.counter(Counter::DeadlineMissed, 1);
                 missed += 1;
             }
-            latencies.push(latency_ms);
+            latencies.push(done_us.saturating_sub(request.enqueued_us));
             outcomes.push(ScoreOutcome::Scored(ScoredBatch {
                 combined: combined[offset..offset + rows].to_vec(),
                 faults: faults.clone(),
@@ -985,9 +1001,9 @@ impl ServiceInner {
             stats.requests_scored += batch.len() as u64;
             stats.rows_scored += total_rows as u64;
             stats.deadline_missed += missed;
-            stats.latencies_ms.extend(latencies);
-            while stats.latencies_ms.len() > LATENCY_SAMPLE_CAP {
-                stats.latencies_ms.pop_front();
+            stats.latencies_us.extend(latencies);
+            while stats.latencies_us.len() > LATENCY_SAMPLE_CAP {
+                stats.latencies_us.pop_front();
             }
             let active_cost: f64 = pool
                 .unit_costs
@@ -1018,7 +1034,7 @@ impl ServiceInner {
         // `process_once`).
         let mut report = {
             let stats = lock_ignore_poison(&self.stats);
-            let mut sorted: Vec<u64> = stats.latencies_ms.iter().copied().collect();
+            let mut sorted: Vec<u64> = stats.latencies_us.iter().copied().collect();
             sorted.sort_unstable();
             let percentile = |p: f64| -> u64 {
                 if sorted.is_empty() {
@@ -1027,6 +1043,8 @@ impl ServiceInner {
                 let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
                 sorted[rank - 1]
             };
+            let (p50, p99) = (percentile(0.50), percentile(0.99));
+            let max = sorted.last().copied().unwrap_or(0);
             ServeReport {
                 admitted: stats.admitted,
                 rejected: stats.rejected,
@@ -1042,9 +1060,12 @@ impl ServiceInner {
                 pool_epoch: 0,
                 active_models: 0,
                 total_models: 0,
-                p50_latency_ms: percentile(0.50),
-                p99_latency_ms: percentile(0.99),
-                max_latency_ms: sorted.last().copied().unwrap_or(0),
+                p50_latency_us: p50,
+                p99_latency_us: p99,
+                max_latency_us: max,
+                p50_latency_ms: p50 / 1000,
+                p99_latency_ms: p99 / 1000,
+                max_latency_ms: max / 1000,
                 secs_per_unit: stats.secs_per_unit,
             }
         };
@@ -1069,6 +1090,8 @@ pub(crate) fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'
 mod tests {
     use super::*;
     use crate::ManualClock;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use suod::prelude::*;
 
     fn data(n: usize) -> Matrix {
@@ -1280,13 +1303,13 @@ mod tests {
         // evict old samples instead of growing past the cap.
         {
             let mut stats = lock_ignore_poison(&service.inner.stats);
-            stats.latencies_ms.extend(0..LATENCY_SAMPLE_CAP as u64);
+            stats.latencies_us.extend(0..LATENCY_SAMPLE_CAP as u64);
         }
         let ticket = service.submit(data(3)).unwrap();
         service.process_once();
         assert!(matches!(ticket.wait(), ScoreOutcome::Scored(_)));
         let stats = lock_ignore_poison(&service.inner.stats);
-        assert_eq!(stats.latencies_ms.len(), LATENCY_SAMPLE_CAP);
+        assert_eq!(stats.latencies_us.len(), LATENCY_SAMPLE_CAP);
     }
 
     #[test]
@@ -1390,6 +1413,118 @@ mod tests {
         assert_eq!(reload.total_models, 2);
         assert_eq!(reload.carried_over, 2);
         assert_eq!(service.active_models(), vec![true, true]);
+    }
+
+    /// System time, counting the dispatcher's `sleep` calls.
+    #[derive(Debug, Default)]
+    struct SleepCountingClock {
+        inner: SystemClock,
+        sleeps: AtomicUsize,
+    }
+
+    impl Clock for SleepCountingClock {
+        fn now_millis(&self) -> u64 {
+            self.inner.now_millis()
+        }
+
+        fn sleep(&self, window: Duration) {
+            self.sleeps.fetch_add(1, Ordering::SeqCst);
+            self.inner.sleep(window);
+        }
+    }
+
+    /// The dispatch rule: an idle dispatcher serves a lone request
+    /// without consulting a timer; a configured window is slept exactly
+    /// once per batch.
+    #[test]
+    fn idle_dispatcher_serves_at_once_and_sleeps_only_for_an_explicit_window() {
+        for (batch_window, sleeps_per_batch) in [(Duration::ZERO, 0), (Duration::from_millis(1), 1)]
+        {
+            let clock = Arc::new(SleepCountingClock::default());
+            let config = ServeConfig {
+                batch_window,
+                ..ServeConfig::default()
+            };
+            let mut service = ScoreService::with_parts(
+                fitted(healthy_pool()),
+                config,
+                clock.clone(),
+                suod_observe::noop(),
+            )
+            .unwrap();
+            service.spawn_dispatcher();
+            for _ in 0..50 {
+                let outcome = service.submit(data(2)).unwrap().wait();
+                assert!(matches!(outcome, ScoreOutcome::Scored(_)));
+            }
+            service.shutdown();
+            assert_eq!(service.report().batches, 50);
+            assert_eq!(
+                clock.sleeps.load(Ordering::SeqCst),
+                50 * sleeps_per_batch,
+                "window {batch_window:?}"
+            );
+        }
+    }
+
+    /// Holds the first batch inside its `Combine` span until released,
+    /// and says when it got there — the batch is then provably executing
+    /// with its requests already drained from the queue.
+    struct HoldFirstBatch {
+        /// `(reached, release)`, taken by the first batch.
+        gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+    }
+
+    impl Observer for HoldFirstBatch {
+        fn span_begin(&self, stage: Stage, _attrs: SpanAttrs) -> suod_observe::SpanId {
+            if stage == Stage::Combine {
+                if let Some((reached, release)) = lock_ignore_poison(&self.gate).take() {
+                    reached.send(()).unwrap();
+                    release.recv().unwrap();
+                }
+            }
+            suod_observe::SpanId::NONE
+        }
+    }
+
+    /// Coalescing happens while a batch runs: requests that arrive
+    /// behind an executing batch ride together in the next one.
+    #[test]
+    fn requests_arriving_while_a_batch_runs_coalesce_into_the_next() {
+        let (reached_tx, reached_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        let mut service = ScoreService::with_parts(
+            fitted(healthy_pool()),
+            ServeConfig::default(),
+            Arc::new(SystemClock::new()),
+            Arc::new(HoldFirstBatch {
+                gate: Mutex::new(Some((reached_tx, release_rx))),
+            }),
+        )
+        .unwrap();
+        service.spawn_dispatcher();
+        let oracle = fitted(healthy_pool());
+        let queries = [data(2), data(5), data(3), data(7)];
+
+        let mut tickets = vec![service.submit(queries[0].clone()).unwrap()];
+        reached_rx.recv().unwrap();
+        assert_eq!(service.queue_depth(), 0, "the first batch took its request");
+        for query in &queries[1..] {
+            tickets.push(service.submit(query.clone()).unwrap());
+        }
+        release_tx.send(()).unwrap();
+
+        for (ticket, query) in tickets.into_iter().zip(&queries) {
+            match ticket.wait() {
+                ScoreOutcome::Scored(batch) => {
+                    assert_eq!(batch.combined, oracle.combined_scores(query).unwrap())
+                }
+                other => panic!("expected scores, got {other:?}"),
+            }
+        }
+        let report = service.report();
+        assert_eq!(report.batches, 2);
+        assert_eq!(report.requests_scored, 4);
     }
 
     #[test]

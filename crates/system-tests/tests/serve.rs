@@ -8,6 +8,7 @@
 //! request batch. All chaos injections are pure functions of the model
 //! seed (see `suod_detectors::chaos`), so every assertion is exact.
 
+use proptest::prelude::*;
 use std::sync::Arc;
 use suod::prelude::*;
 use suod_serve::{ManualClock, ScoreOutcome, ScoreService, ServeConfig, SubmitError};
@@ -30,25 +31,27 @@ fn data() -> Matrix {
     Matrix::from_rows(&rows).unwrap()
 }
 
-/// Query rows disjoint from the training grid.
-fn queries(n: usize) -> Vec<Matrix> {
-    (0..n)
-        .map(|r| {
-            let rows: Vec<Vec<f64>> = (0..4)
-                .map(|i| {
-                    let k = (r * 4 + i) as f64;
-                    vec![
-                        (k * 0.17) % 2.0,
-                        (k * 0.29) % 2.0,
-                        (k * 0.41) % 0.7,
-                        (k * 0.53) % 1.1,
-                        (k * 0.61) % 1.3,
-                    ]
-                })
-                .collect();
-            Matrix::from_rows(&rows).unwrap()
+/// `rows` query rows starting at global row `start`, disjoint from the
+/// training grid.
+fn request(start: usize, rows: usize) -> Matrix {
+    let rows: Vec<Vec<f64>> = (start..start + rows)
+        .map(|i| {
+            let k = i as f64;
+            vec![
+                (k * 0.17) % 2.0,
+                (k * 0.29) % 2.0,
+                (k * 0.41) % 0.7,
+                (k * 0.53) % 1.1,
+                (k * 0.61) % 1.3,
+            ]
         })
-        .collect()
+        .collect();
+    Matrix::from_rows(&rows).unwrap()
+}
+
+/// `n` consecutive four-row requests.
+fn queries(n: usize) -> Vec<Matrix> {
+    (0..n).map(|r| request(r * 4, 4)).collect()
 }
 
 /// Eight healthy models across five families, chaos members appended at
@@ -414,4 +417,166 @@ fn core_predict_chaos_is_bit_identical_across_worker_counts() {
     assert!(reference.iter().any(|&b| f64::from_bits(b).is_nan()));
     assert_eq!(score(2), reference);
     assert_eq!(score(8), reference);
+}
+
+/// One step of a generated arrival trace.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Submit {
+        rows: usize,
+        deadline_ms: Option<u64>,
+    },
+    Advance(u64),
+    Process,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    (0usize..8, 1usize..11, 0u64..6, proptest::bool::ANY).prop_map(
+        |(kind, rows, ms, has_deadline)| match kind {
+            0..=4 => Step::Submit {
+                rows,
+                deadline_ms: has_deadline.then_some(ms),
+            },
+            5 => Step::Advance(ms),
+            _ => Step::Process,
+        },
+    )
+}
+
+/// An admitted request as the model of the queue remembers it.
+struct Queued {
+    ticket: suod_serve::Ticket,
+    query: Matrix,
+    enqueued_ms: u64,
+    deadline_at_ms: Option<u64>,
+}
+
+/// Replays `steps` on a manual clock beside a model of the admission
+/// queue and checks the dispatch rule, which the background dispatcher
+/// only repeats: each `process_once` retires exactly the FIFO prefix
+/// under `max_batch_rows` (at least one request), sheds the expired
+/// members of that prefix, and scores the rest bit-equal to the offline
+/// oracle. Every ticket resolves exactly once and the counters balance.
+fn replay_and_check(steps: Vec<Step>) {
+    const CAPACITY: usize = 6;
+    const MAX_BATCH_ROWS: usize = 16;
+    let pool = || healthy_pool()[2..6].to_vec();
+    let oracle = fit(pool(), 1);
+    let clock = Arc::new(ManualClock::new());
+    let service = ScoreService::with_parts(
+        fit(pool(), 2),
+        ServeConfig {
+            queue_capacity: CAPACITY,
+            max_batch_rows: MAX_BATCH_ROWS,
+            ..ServeConfig::default()
+        },
+        clock.clone(),
+        suod_observe::noop(),
+    )
+    .unwrap();
+
+    let mut now = 0u64;
+    let mut queue: std::collections::VecDeque<Queued> = Default::default();
+    let mut next_row = 0usize;
+    let (mut admitted, mut rejected, mut shed, mut scored) = (0u64, 0u64, 0u64, 0u64);
+    let mut batches = 0u64;
+    // The trace, then `Process` until the model queue is empty.
+    let mut steps = steps.into_iter();
+    while let Some(step) = steps
+        .next()
+        .or((!queue.is_empty()).then_some(Step::Process))
+    {
+        match step {
+            Step::Submit { rows, deadline_ms } => {
+                let query = request(next_row, rows);
+                next_row += rows;
+                match service.submit_with_deadline(query.clone(), deadline_ms) {
+                    Ok(ticket) => {
+                        assert!(queue.len() < CAPACITY);
+                        admitted += 1;
+                        queue.push_back(Queued {
+                            ticket,
+                            query,
+                            enqueued_ms: now,
+                            deadline_at_ms: deadline_ms.map(|d| now + d),
+                        });
+                    }
+                    Err(SubmitError::Busy { capacity }) => {
+                        assert_eq!((capacity, queue.len()), (CAPACITY, CAPACITY));
+                        rejected += 1;
+                    }
+                    Err(e) => panic!("unexpected submit error: {e}"),
+                }
+            }
+            Step::Advance(ms) => {
+                clock.advance(ms);
+                now += ms;
+            }
+            Step::Process => {
+                let (mut take, mut rows) = (0usize, 0usize);
+                for queued in &queue {
+                    if take > 0 && rows + queued.query.nrows() > MAX_BATCH_ROWS {
+                        break;
+                    }
+                    rows += queued.query.nrows();
+                    take += 1;
+                }
+                assert_eq!(service.process_once(), take);
+                let batch: Vec<Queued> = queue.drain(..take).collect();
+                for behind in &queue {
+                    assert!(behind.ticket.try_take().is_none(), "served out of order");
+                }
+                let mut any_scored = false;
+                for queued in batch {
+                    let outcome = queued.ticket.try_take().expect("resolved by its batch");
+                    assert!(queued.ticket.try_take().is_none(), "resolved twice");
+                    let expired = matches!(queued.deadline_at_ms, Some(at) if at < now);
+                    let waited = now - queued.enqueued_ms;
+                    match &outcome {
+                        ScoreOutcome::Shed { waited_ms, .. } => {
+                            assert!(expired);
+                            assert_eq!(*waited_ms, waited);
+                            shed += 1;
+                        }
+                        ScoreOutcome::Scored(batch) => {
+                            assert!(!expired);
+                            assert_eq!(batch.latency_ms, waited);
+                            let offline = oracle.combined_scores(&queued.query).unwrap();
+                            let offline: Vec<u64> = offline.iter().map(|s| s.to_bits()).collect();
+                            assert_eq!(combined_bits(&outcome), offline);
+                            scored += 1;
+                            any_scored = true;
+                        }
+                        other => panic!("unexpected outcome {other:?}"),
+                    }
+                }
+                batches += u64::from(any_scored);
+            }
+        }
+    }
+
+    let report = service.report();
+    assert_eq!(
+        (report.admitted, report.rejected, report.shed),
+        (admitted, rejected, shed)
+    );
+    assert_eq!((report.requests_scored, report.batches), (scored, batches));
+    assert_eq!(report.requests_failed, 0);
+    assert_eq!(
+        report.admitted,
+        report.requests_scored + report.shed + report.requests_failed
+    );
+    // A millisecond clock reads the same latency in either unit.
+    assert_eq!(report.p50_latency_us, report.p50_latency_ms * 1000);
+    assert_eq!(report.max_latency_us, report.max_latency_ms * 1000);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    fn generated_traces_resolve_every_ticket_once_in_fifo_prefix_batches(
+        steps in proptest::collection::vec(step(), 1..40),
+    ) {
+        replay_and_check(steps);
+    }
 }

@@ -71,7 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ServeConfig {
         queue_capacity: 32,
         max_batch_rows: 32,
-        batch_window: Duration::from_millis(1),
         predict_failure_budget: 2,
         min_healthy_fraction: 0.6,
         ..ServeConfig::default()
