@@ -1,0 +1,165 @@
+//! The fitted ensemble: per-model state, prediction-unit planning, and
+//! the warm-start context.
+
+use crate::spec::ModelSpec;
+use crate::{Error, Result};
+use std::sync::Arc;
+use std::time::Duration;
+use suod_detectors::Detector;
+use suod_linalg::{DataFingerprint, KnnIndex, Matrix, NeighborCache};
+use suod_projection::JlProjector;
+use suod_supervised::Regressor;
+
+pub(crate) struct FittedModel {
+    pub(crate) spec: ModelSpec,
+    /// Original index in the configured pool — stable across fit-time
+    /// quarantines, so predict-time health reports line up with the
+    /// fit-time [`ModelHealth`] indices.
+    pub(crate) pool_index: usize,
+    pub(crate) detector: Box<dyn Detector>,
+    pub(crate) projector: Option<JlProjector>,
+    pub(crate) approximator: Option<Box<dyn Regressor>>,
+    pub(crate) train_scores: Vec<f64>,
+    pub(crate) fit_time: Duration,
+}
+
+impl FittedModel {
+    /// The neighbour query this model's prediction starts with: its
+    /// detector's, unless a PSA approximator answers in the detector's
+    /// place (a regressor queries nothing).
+    pub(super) fn neighbor_query(&self) -> Option<(&Arc<KnnIndex>, usize)> {
+        match self.approximator {
+            Some(_) => None,
+            None => self.detector.neighbor_query(),
+        }
+    }
+
+    /// `true` when `other` can answer from this model's neighbour query:
+    /// both read the same input space (no projector, or an identical one)
+    /// and ask the same index (one `Arc`, or two that answer alike — a
+    /// pool fitted without the shared cache builds an equal index per
+    /// model) for `k`s of which one answer is a prefix of the other.
+    fn shares_query_with(&self, other: &FittedModel) -> bool {
+        match (self.neighbor_query(), other.neighbor_query()) {
+            (Some((a, k_a)), Some((b, k_b))) => {
+                self.projector == other.projector
+                    && (Arc::ptr_eq(a, b) || a.same_answers(b))
+                    && a.prefix_exact(k_a, k_b)
+            }
+            _ => false,
+        }
+    }
+}
+
+pub(crate) struct FittedState {
+    /// Surviving models, `Arc`-shared so a warm refit can carry unchanged
+    /// members into the next fitted state without re-training them.
+    pub(crate) models: Vec<Arc<FittedModel>>,
+    pub(crate) threshold: f64,
+    pub(crate) n_features: usize,
+    /// Per-model mean of training scores (standardization reference).
+    pub(crate) score_means: Vec<f64>,
+    /// Per-model std of training scores (floored away from zero).
+    pub(crate) score_stds: Vec<f64>,
+    /// Partition of `models` (positions, ascending) into prediction
+    /// units — the schedulable pieces of a prediction pass, ordered by
+    /// first member. A unit is one model that scores through its
+    /// `decision_function` or its approximator, or one or more
+    /// un-approximated proximity models that score from one shared
+    /// neighbour query. Derived from the models alone, so a fit, a warm
+    /// refit and a snapshot load of the same pool plan the same units.
+    pub(crate) units: Vec<Vec<usize>>,
+}
+
+impl FittedState {
+    /// Assembles a fitted state and plans its prediction units: every
+    /// proximity model joins the first unit whose members it
+    /// [shares a query with](FittedModel::shares_query_with) — an
+    /// equivalence, so comparing against a unit's first member suffices —
+    /// and every other model is a unit of its own.
+    pub(crate) fn new(
+        models: Vec<Arc<FittedModel>>,
+        threshold: f64,
+        n_features: usize,
+        score_means: Vec<f64>,
+        score_stds: Vec<f64>,
+    ) -> Self {
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        for (pos, model) in models.iter().enumerate() {
+            match units
+                .iter_mut()
+                .find(|unit| models[unit[0]].shares_query_with(model))
+            {
+                Some(unit) => unit.push(pos),
+                None => units.push(vec![pos]),
+            }
+        }
+        Self {
+            models,
+            threshold,
+            n_features,
+            score_means,
+            score_stds,
+            units,
+        }
+    }
+
+    /// Every unit cut down to the members `active` leaves in (all of
+    /// them without a mask); units left empty are dropped.
+    pub(super) fn active_units(&self, active: Option<&[bool]>) -> Vec<Vec<usize>> {
+        self.units
+            .iter()
+            .map(|unit| {
+                unit.iter()
+                    .copied()
+                    .filter(|&mi| active.is_none_or(|a| a[mi]))
+                    .collect::<Vec<usize>>()
+            })
+            .filter(|members| !members.is_empty())
+            .collect()
+    }
+
+    /// The one neighbour query the given members of a unit score from:
+    /// their index, at the largest `k` any of them asks for — so masking
+    /// out a unit's largest-k member shrinks the query. `None` for a unit
+    /// that queries nothing.
+    pub(super) fn shared_query(&self, members: &[usize]) -> Option<(&Arc<KnnIndex>, usize)> {
+        let (index, _) = self.models[*members.first()?].neighbor_query()?;
+        let k_max = members
+            .iter()
+            .filter_map(|&mi| self.models[mi].neighbor_query())
+            .map(|(_, k)| k)
+            .max()?;
+        Some((index, k_max))
+    }
+}
+
+/// Context retained from the most recent fit so a subsequent
+/// [`Suod::warm_refit`] on the *same* training matrix can reuse work:
+/// the shared neighbour cache (proximity graphs keyed by feature space)
+/// and the fingerprint that gates reuse to an identical dataset.
+pub(crate) struct WarmContext {
+    /// Neighbour cache from the fit, `None` after a snapshot load (graphs
+    /// are not persisted — they rebuild on the first warm refit).
+    pub(crate) cache: Option<Arc<NeighborCache>>,
+    /// Fingerprint of the training matrix the fitted state came from.
+    pub(crate) train_fingerprint: DataFingerprint,
+}
+
+/// Assembles per-model score columns into an `n x m` matrix.
+pub(super) fn scores_to_matrix(columns: Vec<Vec<f64>>, n: usize) -> Result<Matrix> {
+    let m = columns.len();
+    let mut out = Matrix::zeros(n, m);
+    for (c, col) in columns.iter().enumerate() {
+        if col.len() != n {
+            return Err(Error::InvalidConfig(format!(
+                "model {c} produced {} scores for {n} samples",
+                col.len()
+            )));
+        }
+        for (r, &v) in col.iter().enumerate() {
+            out.set(r, c, v);
+        }
+    }
+    Ok(out)
+}
