@@ -123,7 +123,9 @@ fn write_config(config: &SuodBuilder, w: &mut SnapshotWriter) {
     w.write_u64(config.seed);
     w.write_bool(config.neighbor_cache_enabled);
     w.write_kernel_config(&config.kernel);
-    w.write_opt_u64(config.ef_search.map(|v| v as u64));
+    // Slot of the retired `ef_search` builder override (always folded
+    // into the kernel config above): kept so the byte layout stands.
+    w.write_opt_u64(None);
     w.write_f64(config.min_healthy_fraction);
     w.write_usize(config.max_model_retries);
     w.write_f64(config.straggler_factor);
@@ -155,7 +157,7 @@ fn read_config(r: &mut SnapshotReader<'_>) -> Result<SuodBuilder> {
     config.seed = r.read_u64()?;
     config.neighbor_cache_enabled = r.read_bool()?;
     config.kernel = r.read_kernel_config()?;
-    config.ef_search = r.read_opt_u64()?.map(|v| v as usize);
+    r.read_opt_u64()?; // retired `ef_search` override, see `write_config`
     config.min_healthy_fraction = r.read_f64()?;
     config.max_model_retries = r.read_usize()?;
     config.straggler_factor = r.read_f64()?;
@@ -500,5 +502,46 @@ impl Suod {
         let bytes = std::fs::read(path)
             .map_err(|e| Error::SnapshotIo(format!("reading {}: {e}", path.display())))?;
         Self::load_from_bytes(&bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::suod::testing::small_pool;
+
+    /// The optional-`u64` slot after the kernel config once carried the
+    /// builder's `ef_search` override (already folded into the persisted
+    /// kernel config). A file written with a value there must still load.
+    #[test]
+    fn retired_ef_search_slot_loads_with_a_value_in_it() {
+        let unfitted = Suod::builder()
+            .base_estimators(small_pool())
+            .build()
+            .unwrap();
+        let bytes = unfitted.save_to_bytes().unwrap();
+        let mut header = SnapshotReader::new(&bytes[SNAPSHOT_MAGIC.len()..]);
+        header.read_u64().unwrap();
+        header.read_str().unwrap();
+        let payload = header.read_bytes().unwrap();
+
+        // Unfitted, no health: the slot's tag byte is followed by three
+        // 8-byte config fields and the fitted + health flags.
+        let slot = payload.len() - (3 * 8 + 2) - 1;
+        assert_eq!(payload[slot], 0, "this build writes the slot empty");
+        let mut patched = payload[..slot].to_vec();
+        patched.push(1);
+        patched.extend_from_slice(&128u64.to_le_bytes());
+        patched.extend_from_slice(&payload[slot + 1..]);
+
+        let mut framed = SnapshotWriter::new();
+        framed.write_u64(SNAPSHOT_VERSION);
+        framed.write_str(&payload_signature(&patched));
+        framed.write_bytes(&patched);
+        let old_file = [&SNAPSHOT_MAGIC[..], framed.as_bytes()].concat();
+
+        let loaded = Suod::load_from_bytes(&old_file).expect("old file loads");
+        assert_eq!(loaded.n_models(), 4);
+        assert_eq!(loaded.save_to_bytes().unwrap(), bytes);
     }
 }

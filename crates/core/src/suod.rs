@@ -1,21 +1,24 @@
 //! The SUOD estimator: builder, fit, and prediction paths.
 //!
-//! Mirrors Algorithm 1 of the paper. `fit`:
+//! Mirrors Algorithm 1 of the paper as **one** fit pipeline (`fit.rs`);
+//! `fit` runs it cold, `warm_refit` runs it with the unchanged models of
+//! the previous fit carried over:
 //!
 //! 1. **RP** — per model, if projection is enabled and the family is
 //!    projection-friendly, draw an independent JL matrix and project the
 //!    training data (`psi_i`); otherwise use the original space.
 //! 2. **BPS** — forecast per-model cost with the configured cost model,
-//!    schedule the `m` fits onto `t` workers (BPS or generic), and run
-//!    them on the thread-pool executor.
+//!    schedule the fits onto `t` workers (BPS or generic), and run them
+//!    fault-isolated on the work-stealing executor.
 //! 3. **PSA** — for every costly model, train a supervised regressor on
 //!    `(psi_i, training scores of M_i)`; the regressor serves that
 //!    model's predictions from then on.
 //!
-//! `decision_function` projects the query with each model's retained `W`,
-//! routes costly models through their approximators, and returns the
-//! `n x m` score matrix; `combined_scores`/`predict` collapse it with the
-//! average combiner and the contamination threshold learned at fit time.
+//! `decision_function` (`predict.rs`) projects the query with each
+//! model's retained `W`, routes costly models through their
+//! approximators, and returns the `n x m` score matrix;
+//! `combined_scores`/`predict` collapse it with the average combiner and
+//! the contamination threshold learned at fit time.
 
 mod builder;
 mod fit;
@@ -28,7 +31,8 @@ pub(crate) use state::{FittedModel, FittedState, WarmContext};
 use crate::diagnostics::FitDiagnostics;
 use crate::{Error, Result};
 use std::sync::Arc;
-use suod_scheduler::WorkStealingExecutor;
+use std::time::Duration;
+use suod_scheduler::{bps_schedule, generic_schedule, Assignment, WorkStealingExecutor};
 
 /// The SUOD estimator (see the [crate docs](crate) for the full story).
 pub struct Suod {
@@ -100,6 +104,24 @@ impl Suod {
         }
     }
 
+    /// Places tasks with the given cost `forecast` onto the workers: BPS
+    /// over the forecast, or generic contiguous chunks when BPS is off or
+    /// there is one worker. Fit and prediction schedule alike (§3.5).
+    fn schedule(&self, forecast: &[f64]) -> Result<Assignment> {
+        let t = self.config.n_workers;
+        if t > 1 && self.config.bps_enabled {
+            Ok(bps_schedule(forecast, t, self.config.bps_alpha)?)
+        } else {
+            Ok(generic_schedule(forecast.len(), t)?)
+        }
+    }
+
+    /// Fewest healthy models a pool of `total` may be left with: the
+    /// `min_healthy_fraction` floor fit and prediction both enforce.
+    fn required_healthy(&self, total: usize) -> usize {
+        (((self.config.min_healthy_fraction * total as f64) - 1e-9).ceil() as usize).max(1)
+    }
+
     /// Unified diagnostics from the most recent [`fit`](Self::fit):
     /// execution telemetry ([`FitDiagnostics::execution`]), per-model
     /// health ([`FitDiagnostics::health`]), and per-model rows joining
@@ -110,6 +132,26 @@ impl Suod {
     pub fn diagnostics(&self) -> Option<&FitDiagnostics> {
         self.diagnostics.as_ref()
     }
+}
+
+/// Positions whose measured time exceeds `factor` times their
+/// forecast-implied share of the total (and is non-trivial in absolute
+/// terms) — the straggler rule of fit tasks and predict models alike.
+/// Wall-clock-dependent by nature, so deliberately excluded from
+/// determinism guarantees.
+fn stragglers(forecast: &[f64], measured: &[Duration], factor: f64) -> Vec<usize> {
+    let total_pred: f64 = forecast.iter().sum();
+    let total_measured: f64 = measured.iter().map(Duration::as_secs_f64).sum();
+    if forecast.len() != measured.len() || total_pred <= 0.0 || total_measured <= 0.0 {
+        return Vec::new();
+    }
+    (0..measured.len())
+        .filter(|&i| {
+            let expected = forecast[i] / total_pred * total_measured;
+            let measured = measured[i].as_secs_f64();
+            measured > factor * expected && measured > 0.05
+        })
+        .collect()
 }
 
 /// Fixtures shared by the submodules' unit tests.

@@ -5,7 +5,7 @@ use crate::pseudo::ApproxSpec;
 use crate::spec::ModelSpec;
 use crate::{Error, Result};
 use std::sync::Arc;
-use suod_linalg::{DistanceBackend, KernelConfig, NeighborBackend, Precision};
+use suod_linalg::KernelConfig;
 use suod_observe::Observer;
 use suod_projection::JlVariant;
 use suod_scheduler::{AnalyticCostModel, CostModel};
@@ -29,9 +29,6 @@ pub struct SuodBuilder {
     pub(crate) seed: u64,
     pub(crate) neighbor_cache_enabled: bool,
     pub(crate) kernel: KernelConfig,
-    /// `ef_search` override applied to the HNSW params at `build()`, so
-    /// `ef_search(..)` composes with `neighbor_backend(..)` in any order.
-    pub(crate) ef_search: Option<usize>,
     pub(crate) min_healthy_fraction: f64,
     pub(crate) max_model_retries: usize,
     pub(crate) straggler_factor: f64,
@@ -56,7 +53,6 @@ impl Default for SuodBuilder {
             seed: 0,
             neighbor_cache_enabled: true,
             kernel: KernelConfig::default(),
-            ef_search: None,
             min_healthy_fraction: 1.0,
             max_model_retries: 1,
             straggler_factor: 4.0,
@@ -178,85 +174,6 @@ impl SuodBuilder {
         self
     }
 
-    /// Selects the distance/GEMM backend behind every proximity
-    /// detector's brute-force paths (default:
-    /// [`DistanceBackend::Blocked`], which is bit-identical to `Naive`).
-    /// Choose [`DistanceBackend::Gemm`] for the fastest Euclidean
-    /// kernels at the cost of last-bit reproducibility relative to the
-    /// scalar reference — results are still deterministic for a fixed
-    /// configuration, including across worker counts.
-    #[deprecated(note = "use `kernel(KernelConfig::default().with_backend(..))` instead")]
-    pub fn distance_backend(mut self, backend: DistanceBackend) -> Self {
-        self.kernel.backend = backend;
-        self
-    }
-
-    /// Sets the dimensionality at or below which `KnnIndex` builds a
-    /// KD-tree instead of using the brute-force kernels (default
-    /// [`suod_linalg::DEFAULT_KDTREE_CROSSOVER_DIM`], tuned from the
-    /// committed kernel benchmarks). Set to 0 to force brute force
-    /// everywhere; set very large to always prefer the tree.
-    #[deprecated(
-        note = "use `kernel(KernelConfig::default().with_kdtree_crossover_dim(..))` \
-                         instead"
-    )]
-    pub fn kdtree_crossover_dim(mut self, dims: usize) -> Self {
-        self.kernel.kdtree_crossover_dim = dims;
-        self
-    }
-
-    /// Selects the numeric precision of the packed distance kernels
-    /// (default [`Precision::F64`], the exact mode). With
-    /// [`Precision::Mixed`] the [`DistanceBackend::Gemm`] Euclidean
-    /// paths store packed panels in f32 and accumulate in f64: roughly
-    /// half the kernel memory traffic, distances within
-    /// [`suod_linalg::mixed_distance_error_bound`] of the exact values,
-    /// and still deterministic across worker counts. Ignored by the
-    /// bit-identical backends (`Naive`/`Blocked`) and by non-Euclidean
-    /// metrics.
-    #[deprecated(note = "use `kernel(KernelConfig::default().with_precision(..))` instead")]
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.kernel.precision = precision;
-        self
-    }
-
-    /// Selects the neighbour index behind every proximity detector's kNN
-    /// queries (default [`NeighborBackend::Exact`]). With
-    /// [`NeighborBackend::Hnsw`] the index is a seeded, deterministic
-    /// approximate graph: the exact `O(n² d)` leave-one-out sweep becomes
-    /// an `O(n log n · d)` build plus beam searches, at a documented
-    /// recall ≥ 0.95 target for the default parameters. Small inputs
-    /// (below [`suod_linalg::DEFAULT_HNSW_MIN_ROWS`] rows) and
-    /// non-Euclidean metrics route to the exact path and count an
-    /// exactness fallback in
-    /// [`FitDiagnostics`](crate::FitDiagnostics::ann_fallbacks). Scores
-    /// remain bit-identical across worker counts for a fixed seed.
-    #[deprecated(note = "use `kernel(KernelConfig::default().with_neighbor(..))` instead")]
-    pub fn neighbor_backend(mut self, backend: NeighborBackend) -> Self {
-        self.kernel.neighbor = backend;
-        self
-    }
-
-    /// Sets the HNSW search beam width `ef_search` — the recall knob
-    /// (default [`suod_linalg::DEFAULT_EF_SEARCH`]). Larger values search
-    /// more candidates per query: higher recall, slower queries. Applies
-    /// whenever the neighbour backend is (or becomes)
-    /// [`NeighborBackend::Hnsw`], regardless of builder-call order; it is
-    /// ignored by the exact backend.
-    #[deprecated(note = "set ef_search on the HnswParams inside \
-                         `kernel(KernelConfig::default().with_neighbor(..))` instead")]
-    pub fn ef_search(mut self, ef: usize) -> Self {
-        self.ef_search = Some(ef.max(1));
-        self
-    }
-
-    /// Replaces the whole kernel configuration at once (backend,
-    /// precision, neighbour backend, and KD-tree crossover thresholds).
-    #[deprecated(note = "renamed to `kernel`")]
-    pub fn kernel_config(self, kernel: KernelConfig) -> Self {
-        self.kernel(kernel)
-    }
-
     /// Minimum fraction of the pool that must fit successfully — after
     /// retries — for [`Suod::fit`] to succeed (default 1.0: any permanent
     /// model failure fails the fit, the strictest behaviour). Lowering it
@@ -357,14 +274,8 @@ impl SuodBuilder {
                 self.straggler_factor
             )));
         }
-        let mut config = self;
-        if let Some(ef) = config.ef_search {
-            if let NeighborBackend::Hnsw(p) = config.kernel.neighbor {
-                config.kernel.neighbor = NeighborBackend::Hnsw(p.with_ef_search(ef));
-            }
-        }
         Ok(Suod {
-            config,
+            config: self,
             state: None,
             executor: None,
             diagnostics: None,

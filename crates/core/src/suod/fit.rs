@@ -1,7 +1,7 @@
-//! The fit side of the estimator: cold `fit` and `warm_refit`.
+//! The fit side of the estimator: one staged pipeline with two entry
+//! points. A cold [`Suod::fit`] is a [`Suod::warm_refit`] with nothing to
+//! carry over and an empty neighbour cache.
 
-use super::predict::combine_standardized;
-use super::state::scores_to_matrix;
 use super::{FittedModel, FittedState, Suod, WarmContext};
 use crate::diagnostics::{CpuFeatures, FitDiagnostics, ModelDiagnostics};
 use crate::health::{ModelHealth, ModelReport, ModelStatus};
@@ -15,9 +15,7 @@ use suod_detectors::{validate_finite, Detector, FitContext};
 use suod_linalg::{DataFingerprint, DistanceMetric, Matrix, NeighborBackend, NeighborCache};
 use suod_observe::{Counter, SpanAttrs, Stage};
 use suod_projection::{JlProjector, Projector};
-use suod_scheduler::{
-    bps_schedule, generic_schedule, Assignment, DatasetMeta, ExecutionReport, TaskFailure,
-};
+use suod_scheduler::{generic_schedule, DatasetMeta, ExecutionReport, TaskDescriptor, TaskFailure};
 
 /// A successful single-model fit: the detector, its training scores, and
 /// the measured fit duration.
@@ -36,27 +34,63 @@ fn salted_seed(seed: u64, attempt: usize) -> u64 {
     seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Classifies one fit task's outcome. `Ok(Ok(..))` is a healthy fit with
-/// finite training scores; `Ok(Err(cause))` is a retryable model failure
-/// (caught panic, typed detector error, or non-finite training scores);
-/// the outer `Err` propagates fatal non-model failures.
-fn interpret_outcome(
-    outcome: std::result::Result<Result<FitOutput>, TaskFailure>,
-) -> Result<FitOutput> {
-    match outcome {
-        Err(panic) => Ok(Err(suod_detectors::Error::Panicked(panic.message))),
-        Ok(Err(fatal)) => Err(fatal),
-        Ok(Ok(Err(cause))) => Ok(Err(cause)),
-        Ok(Ok(Ok((det, scores, dur)))) => {
-            if scores.iter().all(|v| v.is_finite()) {
-                Ok(Ok((det, scores, dur)))
-            } else {
-                Ok(Err(suod_detectors::Error::DegenerateData(
-                    "model produced non-finite training scores".into(),
-                )))
-            }
+/// Per-model results of the execution stage, by pool index: the fitted
+/// detector or the cause of the latest failed attempt, and how many
+/// attempts the model has consumed.
+struct FitResults {
+    fitted: Vec<Option<FitSuccess>>,
+    causes: Vec<Option<suod_detectors::Error>>,
+    attempts: Vec<usize>,
+}
+
+impl FitResults {
+    fn new(m: usize) -> Self {
+        Self {
+            fitted: (0..m).map(|_| None).collect(),
+            causes: vec![None; m],
+            attempts: vec![0; m],
         }
     }
+
+    /// Books one more attempt of model `i`. A fit with finite training
+    /// scores is healthy; a caught panic, a typed detector error and
+    /// non-finite training scores are retryable causes; a fatal non-model
+    /// failure propagates.
+    fn record(
+        &mut self,
+        i: usize,
+        outcome: std::result::Result<Result<FitOutput>, TaskFailure>,
+    ) -> Result<()> {
+        self.attempts[i] += 1;
+        let cause = match outcome {
+            Err(panic) => suod_detectors::Error::Panicked(panic.message),
+            Ok(Err(fatal)) => return Err(fatal),
+            Ok(Ok(Err(cause))) => cause,
+            Ok(Ok(Ok(ok))) if ok.1.iter().all(|v| v.is_finite()) => {
+                (self.fitted[i], self.causes[i]) = (Some(ok), None);
+                return Ok(());
+            }
+            Ok(Ok(Ok(_))) => suod_detectors::Error::DegenerateData(
+                "model produced non-finite training scores".into(),
+            ),
+        };
+        self.causes[i] = Some(cause);
+        Ok(())
+    }
+}
+
+/// How the models that run will meet the shared neighbour cache.
+struct NeighborPlan {
+    /// Cache key of each running proximity model's feature space, by
+    /// pool index; `None` everywhere when the cache is off.
+    fingerprints: Vec<Option<DataFingerprint>>,
+    /// By pool index: another member of the model's cache group builds
+    /// the graph, so this model's own lookup is a near-free hit.
+    cached: Vec<bool>,
+    /// Worker budget of one graph build: groups build concurrently on the
+    /// executor, so splitting the pool across them keeps a lone group's
+    /// sweep parallel without oversubscribing many groups.
+    fit_threads: usize,
 }
 
 impl Suod {
@@ -74,52 +108,33 @@ impl Suod {
         ((d as f64 * self.config.rp_target_fraction).ceil() as usize).clamp(1, d)
     }
 
-    /// Builds the fit assignment over the model pool. `cached_flags[i]`
-    /// marks models whose neighbour graph is a shared-cache hit, and
-    /// `approx_flags[i]` marks models whose graph the HNSW backend will
-    /// answer: their descriptors carry the flags so the cost model stops
-    /// forecasting the exact `O(n^2 d)` index build BPS would otherwise
-    /// balance against.
-    fn schedule(
-        &self,
-        x_meta: &DatasetMeta,
-        cached_flags: &[bool],
-        approx_flags: &[bool],
-    ) -> Result<Assignment> {
-        let m = self.config.base_estimators.len();
-        let t = self.config.n_workers;
-        if t <= 1 {
-            return Ok(generic_schedule(m, 1)?);
-        }
-        if self.config.bps_enabled {
-            let tasks: Vec<_> = self
-                .config
-                .base_estimators
-                .iter()
-                .zip(cached_flags.iter().zip(approx_flags))
-                .map(|(s, (&cached, &approx))| {
-                    s.task_descriptor()
-                        .with_cached_neighbors(cached)
-                        .with_approx_neighbors(approx)
-                })
-                .collect();
-            let costs = self.config.cost_model.predict_costs(&tasks, x_meta);
-            Ok(bps_schedule(&costs, t, self.config.bps_alpha)?)
-        } else {
-            Ok(generic_schedule(m, t)?)
-        }
+    /// An empty neighbour cache under this estimator's kernel config, or
+    /// `None` when the shared cache is switched off.
+    fn fresh_cache(&self) -> Option<Arc<NeighborCache>> {
+        self.config.neighbor_cache_enabled.then(|| {
+            Arc::new(NeighborCache::with_config(
+                self.config.kernel,
+                Arc::clone(&self.config.observer),
+            ))
+        })
     }
 
     /// Fits every base estimator (Algorithm 1, lines 3–16), then trains
     /// the PSA approximators for costly models (lines 17–24).
     ///
+    /// This is the fit pipeline run **cold**: nothing is carried over and
+    /// the neighbour cache starts empty, so no stage is skipped — every
+    /// model is projected, fitted, and (if costly) distilled, whatever an
+    /// earlier fit of this estimator left behind.
+    ///
     /// Model fits run **fault-isolated**: a detector that panics or
     /// returns a typed error is retried up to
-    /// [`max_model_retries`](super::SuodBuilder::max_model_retries) times with a
-    /// re-salted seed, and quarantined if it never recovers. Quarantined
-    /// models are excluded from the fitted ensemble — combination,
-    /// pseudo-supervision, and prediction scheduling operate over the
-    /// survivors — and recorded in [`diagnostics`](Self::diagnostics).
+    /// [`max_model_retries`](super::SuodBuilder::max_model_retries) times
+    /// with a re-salted seed, and quarantined if it never recovers.
+    /// Quarantined models are excluded from the fitted ensemble —
+    /// combination, pseudo-supervision, and prediction scheduling operate
+    /// over the survivors — and recorded in
+    /// [`diagnostics`](Self::diagnostics).
     ///
     /// Every stage reports spans and counters to the configured
     /// [`observer`](super::SuodBuilder::observer); the resulting
@@ -131,9 +146,99 @@ impl Suod {
     /// [`NonFiniteInput`](suod_detectors::Error::NonFiniteInput) for
     /// training data containing NaN/infinities, [`Error::PoolDegraded`]
     /// when fewer than `ceil(min_healthy_fraction * m)` models survive
-    /// quarantine (the health report stays available), and propagates
-    /// fatal failures from projection, scheduling, or approximation.
+    /// quarantine (the estimator is left unfitted, the health report
+    /// stays available), and propagates fatal failures from projection,
+    /// scheduling, or approximation — those leave the estimator exactly
+    /// as it was.
     pub fn fit(&mut self, x: &Matrix) -> Result<&mut Self> {
+        let specs = self.config.base_estimators.clone();
+        let carry = vec![None; specs.len()];
+        let cache = self.fresh_cache();
+        self.run_fit(x, DataFingerprint::of(x), specs, carry, cache)?;
+        Ok(self)
+    }
+
+    /// Refits the pool **warm** on the same training matrix: the same
+    /// pipeline as [`fit`](Self::fit), run with a carry-over set and the
+    /// neighbour cache the previous fit retained. A model of the fitted
+    /// state whose own spec equals `specs[i]` at its pool index `i` is
+    /// carried over (the `Arc` is shared) and skips projection, the
+    /// neighbour plan, scheduling, fitting and distillation; every other
+    /// spec runs all of them, with proximity graphs over an already-seen
+    /// feature space served from the cache. Assembly, standardisation and
+    /// the threshold always cover the whole new pool. A refit that
+    /// changes `c` of `m` models therefore costs `O(c)` model fits
+    /// instead of `O(m)`.
+    ///
+    /// Scores after a warm refit are **bitwise-identical** to a cold
+    /// [`fit`](Self::fit) of a pool configured with `specs`: per-model
+    /// seeds derive from the pool index alone, so carried and refitted
+    /// models alike land in exactly the state a full fit would produce.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NotFitted`] before a successful fit,
+    /// [`Error::InvalidConfig`] when `specs` is empty or `x` is not the
+    /// training matrix of the previous fit (warm refit never silently
+    /// retrains on new data — call [`fit`](Self::fit) for that), and the
+    /// same fit-time failures as a cold fit for the models that run,
+    /// including [`Error::PoolDegraded`] against the **new** pool size.
+    /// Any failure other than `PoolDegraded` leaves the estimator on its
+    /// previous pool: recipe, fitted state and diagnostics untouched.
+    pub fn warm_refit(&mut self, x: &Matrix, specs: Vec<ModelSpec>) -> Result<&mut Self> {
+        let prev = Arc::clone(self.state()?);
+        let warm = self.warm.as_ref().ok_or(Error::NotFitted)?;
+        if specs.is_empty() {
+            return Err(Error::InvalidConfig(
+                "base_estimators must not be empty".into(),
+            ));
+        }
+        let fp = DataFingerprint::of(x);
+        if fp != warm.train_fingerprint {
+            return Err(Error::InvalidConfig(
+                "warm_refit requires the training matrix of the previous fit (data \
+                 fingerprint differs); call fit() to train on new data"
+                    .into(),
+            ));
+        }
+        // The retained cache serves graphs over feature spaces it has
+        // already seen; after a snapshot load there is none to retain.
+        let cache = warm.cache.clone().or_else(|| self.fresh_cache());
+        let carry = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let same = prev
+                    .models
+                    .iter()
+                    .find(|m| m.pool_index == i && m.spec == *spec);
+                same.cloned()
+            })
+            .collect();
+        self.run_fit(x, fp, specs, carry, cache)?;
+        Ok(self)
+    }
+
+    /// The one fit pipeline behind [`fit`](Self::fit) and
+    /// [`warm_refit`](Self::warm_refit): validate → project → neighbour
+    /// plan → schedule → fault-isolated fit + bounded retry → health and
+    /// the degradation floor → assemble → PSA distill → standardisation +
+    /// threshold → commit. `carry` has one slot per spec: `Some` is a model
+    /// taken over from the previous fitted state instead of trained, and
+    /// every per-model stage covers the empty slots only. `cache` is the
+    /// neighbour cache the proximity graphs come from.
+    ///
+    /// Nothing of `self` that describes the fitted pool changes before
+    /// [`commit`](Self::commit): a failure on the way leaves the
+    /// estimator on its previous pool.
+    fn run_fit(
+        &mut self,
+        x: &Matrix,
+        train_fingerprint: DataFingerprint,
+        specs: Vec<ModelSpec>,
+        mut carry: Vec<Option<Arc<FittedModel>>>,
+        cache: Option<Arc<NeighborCache>>,
+    ) -> Result<()> {
         if x.nrows() == 0 || x.ncols() == 0 {
             return Err(Error::InvalidConfig(
                 "training data must be non-empty".into(),
@@ -142,113 +247,45 @@ impl Suod {
         validate_finite(x, "fit").map_err(Error::Detector)?;
         let obs = Arc::clone(&self.config.observer);
         let _fit_span = suod_observe::span(obs.as_ref(), Stage::Fit, SpanAttrs::none());
-        let d = x.ncols();
-        let meta = DatasetMeta::extract(x);
-        let shared_x = Arc::new(x.clone());
+        let (n, d, m) = (x.nrows(), x.ncols(), specs.len());
+        let run: Vec<usize> = (0..m).filter(|&i| carry[i].is_none()).collect();
 
-        // --- RP: per-model feature spaces. ---------------------------------
-        let mut projectors: Vec<Option<JlProjector>> = Vec::with_capacity(self.n_models());
-        let mut spaces: Vec<Arc<Matrix>> = Vec::with_capacity(self.n_models());
-        for (i, spec) in self.config.base_estimators.iter().enumerate() {
-            if self.should_project(spec, d) {
+        // --- RP: one feature space per model that runs. ---------------------
+        let shared_x = Arc::new(x.clone());
+        let mut projectors: Vec<Option<JlProjector>> = (0..m).map(|_| None).collect();
+        let mut spaces = vec![Arc::clone(&shared_x); m];
+        for &i in &run {
+            if self.should_project(&specs[i], d) {
                 let _span =
                     suod_observe::span(obs.as_ref(), Stage::Projection, SpanAttrs::model(i));
                 let k = self.target_dim(d);
                 let mut proj = JlProjector::new(self.config.rp_variant, k, self.model_seed(i))?;
                 proj.fit(x)?;
-                spaces.push(Arc::new(proj.transform(x)?));
-                projectors.push(Some(proj));
-            } else {
-                spaces.push(Arc::clone(&shared_x));
-                projectors.push(None);
+                spaces[i] = Arc::new(proj.transform(x)?);
+                projectors[i] = Some(proj);
             }
         }
 
-        // --- Neighbor-cache plan (pass 1 of the two-pass fit). --------------
-        // Scan the specs to find which proximity models share a feature
-        // space and metric, pre-register each group's k so the cache's
-        // first build covers the pooled maximum, and pick one "builder"
-        // per group for the cost model (everyone else is a near-free
-        // cache hit).
+        // --- Neighbour plan (pass 1 of the two-pass fit). -------------------
         let plan_span = obs.span_begin(Stage::NeighborPlan, SpanAttrs::none());
-        let cache: Option<Arc<NeighborCache>> = self.config.neighbor_cache_enabled.then(|| {
-            Arc::new(NeighborCache::with_config(
-                self.config.kernel,
-                Arc::clone(&obs),
-            ))
-        });
-        let m = self.n_models();
-        let mut fingerprints: Vec<Option<DataFingerprint>> = vec![None; m];
-        let mut cached_flags = vec![false; m];
-        // Models whose neighbour graph the approximate backend will
-        // actually answer (the exactness fallback routes small n and
-        // non-Euclidean metrics back to the exact path, so their cost
-        // forecast must stay exact too).
-        let approx_flags: Vec<bool> = self
-            .config
-            .base_estimators
-            .iter()
-            .map(
-                |spec| match (self.config.kernel.neighbor, spec.neighbor_requirement()) {
-                    (NeighborBackend::Hnsw(p), Some((metric, _))) => {
-                        metric == DistanceMetric::Euclidean && x.nrows() >= p.min_rows
-                    }
-                    _ => false,
-                },
-            )
-            .collect();
-        // Worker budget for the graph builds: groups build concurrently on
-        // the executor, so splitting the pool across them keeps a lone
-        // group's sweep parallel without oversubscribing many groups.
-        let mut fit_threads = 1usize;
-        if let Some(cache) = &cache {
-            let mut fp_by_space: HashMap<usize, DataFingerprint> = HashMap::new();
-            let mut groups: HashMap<(DataFingerprint, u8, u64), Vec<(usize, usize)>> =
-                HashMap::new();
-            for (i, spec) in self.config.base_estimators.iter().enumerate() {
-                if let Some((metric, k)) = spec.neighbor_requirement() {
-                    let ptr = Arc::as_ptr(&spaces[i]) as usize;
-                    let fp = *fp_by_space
-                        .entry(ptr)
-                        .or_insert_with(|| DataFingerprint::of(&spaces[i]));
-                    cache.register(fp, metric, k);
-                    fingerprints[i] = Some(fp);
-                    let (tag, bits) = metric_key(metric);
-                    let k_eff = k.min(x.nrows().saturating_sub(1));
-                    groups.entry((fp, tag, bits)).or_default().push((i, k_eff));
-                }
-            }
-            for members in groups.values() {
-                // Builder = largest effective k (ties break to the lowest
-                // model index, matching the cache's widen-to-max rule).
-                let &(builder, _) = members
-                    .iter()
-                    .max_by_key(|&&(i, k)| (k, std::cmp::Reverse(i)))
-                    .expect("groups are non-empty by construction");
-                for &(i, _) in members {
-                    cached_flags[i] = i != builder;
-                }
-            }
-            fit_threads = (self.config.n_workers / groups.len().max(1)).max(1);
-        }
+        let plan = self.plan_neighbors(cache.as_deref(), &specs, &spaces, &run);
         obs.span_end(plan_span);
+        // The cache may have served earlier fits: this run's share of its
+        // lifetime counters is what the diagnostics report.
+        let cache_before = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
 
         // --- BPS + fault-isolated fit execution (pass 2). -------------------
-        let bps_span = obs.span_begin(Stage::BpsPlan, SpanAttrs::none());
-        let assignment = self.schedule(&meta, &cached_flags, &approx_flags);
-        obs.span_end(bps_span);
-        let assignment = assignment?;
         let executor = self.executor_for_run()?;
         let make_task =
             |i: usize, attempt: usize| -> Box<dyn FnOnce() -> Result<FitOutput> + Send> {
-                let spec = self.config.base_estimators[i];
+                let spec = specs[i];
                 let seed = salted_seed(self.model_seed(i), attempt);
                 let psi = Arc::clone(&spaces[i]);
-                let ctx = match &cache {
-                    Some(c) if fingerprints[i].is_some() => {
-                        FitContext::cached(Arc::clone(c), fingerprints[i], fit_threads)
+                let ctx = match (&cache, plan.fingerprints[i]) {
+                    (Some(c), Some(fp)) => {
+                        FitContext::cached(Arc::clone(c), Some(fp), plan.fit_threads)
                     }
-                    _ => FitContext::standalone(fit_threads),
+                    _ => FitContext::standalone(plan.fit_threads),
                 }
                 .with_kernel_config(self.config.kernel);
                 let task_obs = Arc::clone(&obs);
@@ -274,17 +311,28 @@ impl Suod {
                     }
                 })
             };
-        let tasks: Vec<_> = (0..m).map(|i| make_task(i, 0)).collect();
-        let (outcomes, mut report) =
-            executor.run_with_report_isolated_observed(tasks, &assignment, Arc::clone(&obs))?;
-
-        let mut fitted: Vec<Option<FitSuccess>> = (0..m).map(|_| None).collect();
-        let mut causes: Vec<Option<suod_detectors::Error>> = vec![None; m];
-        let mut attempts = vec![1usize; m];
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match interpret_outcome(outcome)? {
-                Ok(ok) => fitted[i] = Some(ok),
-                Err(cause) => causes[i] = Some(cause),
+        let mut results = FitResults::new(m);
+        let mut report = ExecutionReport::default();
+        let mut forecast = Vec::new();
+        if !run.is_empty() {
+            let bps_span = obs.span_begin(Stage::BpsPlan, SpanAttrs::none());
+            let descriptors: Vec<_> = run
+                .iter()
+                .map(|&i| self.fit_descriptor(&specs[i], plan.cached[i], n))
+                .collect();
+            let meta = DatasetMeta::extract(x);
+            forecast = self.config.cost_model.predict_costs(&descriptors, &meta);
+            let assignment = self.schedule(&forecast);
+            obs.span_end(bps_span);
+            let tasks: Vec<_> = run.iter().map(|&i| make_task(i, 0)).collect();
+            let (outcomes, first_report) = executor.run_with_report_isolated_observed(
+                tasks,
+                &assignment?,
+                Arc::clone(&obs),
+            )?;
+            report = first_report;
+            for (&i, outcome) in run.iter().zip(outcomes) {
+                results.record(i, outcome)?;
             }
         }
 
@@ -293,7 +341,7 @@ impl Suod {
         // failed subset is small and its costs are unknown — the original
         // forecast clearly missed). Each retry re-salts the model seed.
         for attempt in 1..=self.config.max_model_retries {
-            let pending: Vec<usize> = (0..m).filter(|&i| causes[i].is_some()).collect();
+            let pending: Vec<usize> = (0..m).filter(|&i| results.causes[i].is_some()).collect();
             if pending.is_empty() {
                 break;
             }
@@ -310,14 +358,7 @@ impl Suod {
             report.failures += retry_report.failures;
             report.steals += retry_report.steals;
             for (&i, outcome) in pending.iter().zip(retry_outcomes) {
-                attempts[i] += 1;
-                match interpret_outcome(outcome)? {
-                    Ok(ok) => {
-                        fitted[i] = Some(ok);
-                        causes[i] = None;
-                    }
-                    Err(cause) => causes[i] = Some(cause),
-                }
+                results.record(i, outcome)?;
             }
         }
 
@@ -326,59 +367,40 @@ impl Suod {
         let mut ann_fallbacks = 0u64;
         if let Some(cache) = &cache {
             let stats = cache.stats();
-            report.cache_hits = stats.hits;
-            report.cache_misses = stats.misses;
-            report.cache_build_time = stats.build_time;
-            ann_fallbacks = stats.ann_fallbacks;
+            report.cache_hits = stats.hits - cache_before.hits;
+            report.cache_misses = stats.misses - cache_before.misses;
+            report.cache_build_time = stats.build_time - cache_before.build_time;
+            ann_fallbacks = stats.ann_fallbacks - cache_before.ann_fallbacks;
         }
 
-        // --- Straggler flagging from the BPS cost forecast. -----------------
-        // A model is a straggler when its measured fit time exceeds
-        // `straggler_factor` times its forecast-implied share of the total
-        // (and is non-trivial in absolute terms). Wall-clock-dependent by
-        // nature, so deliberately excluded from determinism guarantees.
+        // --- Stragglers, from the BPS cost forecast of the tasks that ran. --
+        report.stragglers =
+            super::stragglers(&forecast, &report.task_times, self.config.straggler_factor);
         let mut straggler_flags = vec![false; m];
-        if report.task_times.len() == m {
-            let descriptors: Vec<_> = self
-                .config
-                .base_estimators
-                .iter()
-                .zip(cached_flags.iter().zip(&approx_flags))
-                .map(|(s, (&cached, &approx))| {
-                    s.task_descriptor()
-                        .with_cached_neighbors(cached)
-                        .with_approx_neighbors(approx)
-                })
-                .collect();
-            let predicted = self.config.cost_model.predict_costs(&descriptors, &meta);
-            let total_pred: f64 = predicted.iter().sum();
-            let total_measured: f64 = report.task_times.iter().map(Duration::as_secs_f64).sum();
-            if total_pred > 0.0 && total_measured > 0.0 {
-                for i in 0..m {
-                    let expected = predicted[i] / total_pred * total_measured;
-                    let measured = report.task_times[i].as_secs_f64();
-                    straggler_flags[i] =
-                        measured > self.config.straggler_factor * expected && measured > 0.05;
-                }
-            }
-            report.stragglers = straggler_flags
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &flag)| flag.then_some(i))
-                .collect();
+        for &task in &report.stragglers {
+            straggler_flags[run[task]] = true;
         }
 
         // --- Quarantine bookkeeping + degradation floor. --------------------
+        // One health row and one diagnostics row per configured model. A
+        // carried model is healthy with zero attempts this round and keeps
+        // the fit time and projection decision of the fit that trained it.
+        // `approximated` is back-filled after PSA below.
+        let FitResults {
+            mut fitted,
+            causes,
+            attempts,
+        } = results;
+        let status = |i: usize| match carry[i].is_some() || fitted[i].is_some() {
+            true => ModelStatus::Healthy,
+            false => ModelStatus::Quarantined,
+        };
         let health = ModelHealth::new(
             (0..m)
                 .map(|i| ModelReport {
                     index: i,
-                    name: self.config.base_estimators[i].name(),
-                    status: if fitted[i].is_some() {
-                        ModelStatus::Healthy
-                    } else {
-                        ModelStatus::Quarantined
-                    },
+                    name: specs[i].name(),
+                    status: status(i),
                     cause: causes[i].clone(),
                     attempts: attempts[i],
                     straggler: straggler_flags[i],
@@ -391,405 +413,40 @@ impl Suod {
         if !report.stragglers.is_empty() {
             obs.counter(Counter::Straggler, report.stragglers.len() as u64);
         }
-
-        // One diagnostics row per configured model, joining the health and
-        // execution views with the module decisions. `approximated` is
-        // back-filled after PSA below (no approximator exists yet).
         let models_diag: Vec<ModelDiagnostics> = (0..m)
             .map(|i| ModelDiagnostics {
                 index: i,
-                name: self.config.base_estimators[i].name(),
-                status: if fitted[i].is_some() {
-                    ModelStatus::Healthy
-                } else {
-                    ModelStatus::Quarantined
-                },
+                name: specs[i].name(),
+                status: status(i),
                 attempts: attempts[i],
                 straggler: straggler_flags[i],
-                fit_time: fitted[i].as_ref().map(|&(_, _, t)| t),
-                projected: projectors[i].is_some(),
-                approximated: false,
-            })
-            .collect();
-
-        let n_healthy = health.healthy();
-        let required =
-            (((self.config.min_healthy_fraction * m as f64) - 1e-9).ceil() as usize).max(1);
-        self.diagnostics = Some(FitDiagnostics::new(
-            report,
-            health,
-            models_diag,
-            CpuFeatures::detect(self.config.kernel.precision, self.config.kernel.neighbor),
-            ann_fallbacks,
-        ));
-        if n_healthy < required {
-            let cause = causes
-                .iter()
-                .flatten()
-                .next()
-                .cloned()
-                .expect("a degraded pool records at least one failure cause");
-            self.state = None;
-            return Err(Error::PoolDegraded {
-                healthy: n_healthy,
-                total: m,
-                required,
-                cause,
-            });
-        }
-
-        // --- Assemble the surviving ensemble. -------------------------------
-        // Survivors keep their original pool indices (`model_indices`) so
-        // their feature spaces and derived seeds are unchanged by the
-        // quarantine of other models.
-        let mut models: Vec<FittedModel> = Vec::with_capacity(n_healthy);
-        let mut model_indices: Vec<usize> = Vec::with_capacity(n_healthy);
-        for i in 0..m {
-            if let Some((detector, train_scores, fit_time)) = fitted[i].take() {
-                models.push(FittedModel {
-                    spec: self.config.base_estimators[i],
-                    pool_index: i,
-                    detector,
-                    projector: projectors[i].take(),
-                    approximator: None,
-                    train_scores,
-                    fit_time,
-                });
-                model_indices.push(i);
-            }
-        }
-
-        // --- PSA: distill costly models. ------------------------------------
-        if self.config.approx_enabled {
-            for (model, &i) in models.iter_mut().zip(&model_indices) {
-                if model.spec.is_costly() {
-                    let _span =
-                        suod_observe::span(obs.as_ref(), Stage::PsaDistill, SpanAttrs::model(i));
-                    let approx = fit_approximator(
-                        &self.config.approx_spec,
-                        &spaces[i],
-                        &model.train_scores,
-                        self.model_seed(i) ^ 0xA55A,
-                    )?;
-                    model.approximator = Some(approx);
-                }
-            }
-        }
-        if let Some(diag) = self.diagnostics.as_mut() {
-            for (model, &i) in models.iter().zip(&model_indices) {
-                if let Some(row) = diag.models_mut().get_mut(i) {
-                    row.approximated = model.approximator.is_some();
-                }
-            }
-        }
-
-        // --- Standardization reference + contamination threshold. -----------
-        // Test-time scores must be z-scored against the TRAINING
-        // distribution (the PyOD convention): per-batch statistics would
-        // zero out single-sample queries and drift with batch composition.
-        let (score_means, score_stds, threshold) = {
-            let _span = suod_observe::span(obs.as_ref(), Stage::Threshold, SpanAttrs::none());
-            let score_means: Vec<f64> = models
-                .iter()
-                .map(|m| suod_linalg::stats::mean(&m.train_scores))
-                .collect();
-            let score_stds: Vec<f64> = models
-                .iter()
-                .map(|m| suod_linalg::stats::std_dev(&m.train_scores).max(1e-12))
-                .collect();
-            let train_matrix = scores_to_matrix(
-                models.iter().map(|m| m.train_scores.clone()).collect(),
-                x.nrows(),
-            )?;
-            let combined = combine_standardized(&train_matrix, &score_means, &score_stds, None);
-            let n_out = ((x.nrows() as f64) * self.config.contamination).round() as usize;
-            let n_out = n_out.clamp(1, x.nrows());
-            let threshold = suod_linalg::rank::kth_largest(&combined, n_out)
-                .expect("n_out within bounds by construction");
-            (score_means, score_stds, threshold)
-        };
-
-        self.state = Some(Arc::new(FittedState::new(
-            models.into_iter().map(Arc::new).collect(),
-            threshold,
-            d,
-            score_means,
-            score_stds,
-        )));
-        // Retain the neighbour cache + data identity so a warm_refit on
-        // the same matrix can reuse proximity graphs and survivor models.
-        self.warm = Some(WarmContext {
-            cache: cache.clone(),
-            train_fingerprint: DataFingerprint::of(x),
-        });
-        Ok(self)
-    }
-
-    /// Refits the pool **warm** on the same training matrix: models whose
-    /// spec is unchanged at the same pool index are carried over from the
-    /// fitted state (zero re-training, the `Arc` is shared), and only
-    /// changed or added specs are fitted — reusing the neighbour cache
-    /// retained from the previous fit, so proximity graphs over the
-    /// original feature space are cache hits. A refit that changes `c` of
-    /// `m` models therefore costs `O(c)` model fits instead of `O(m)`.
-    ///
-    /// Scores after a warm refit are **bitwise-identical** to a cold
-    /// [`fit`](Self::fit) of a pool configured with `specs`: per-model
-    /// seeds derive from the pool index alone, so reused and refitted
-    /// models alike land in exactly the state a full fit would produce.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotFitted`] before a successful fit,
-    /// [`Error::InvalidConfig`] when `specs` is empty or `x` is not the
-    /// training matrix of the previous fit (warm refit never silently
-    /// retrains on new data — call [`fit`](Self::fit) for that), and the
-    /// same fit-time failures as a cold fit for the changed subset,
-    /// including [`Error::PoolDegraded`] against the **new** pool size.
-    pub fn warm_refit(&mut self, x: &Matrix, specs: Vec<ModelSpec>) -> Result<&mut Self> {
-        let prev = Arc::clone(self.state.as_ref().ok_or(Error::NotFitted)?);
-        let fp_prev = self
-            .warm
-            .as_ref()
-            .ok_or(Error::NotFitted)?
-            .train_fingerprint;
-        if specs.is_empty() {
-            return Err(Error::InvalidConfig(
-                "base_estimators must not be empty".into(),
-            ));
-        }
-        let fp = DataFingerprint::of(x);
-        if fp != fp_prev {
-            return Err(Error::InvalidConfig(
-                "warm_refit requires the training matrix of the previous fit (data \
-                 fingerprint differs); call fit() to train on new data"
-                    .into(),
-            ));
-        }
-        let obs = Arc::clone(&self.config.observer);
-        let _fit_span = suod_observe::span(obs.as_ref(), Stage::Fit, SpanAttrs::none());
-        let d = x.ncols();
-        let old_specs = std::mem::replace(&mut self.config.base_estimators, specs);
-        let m = self.config.base_estimators.len();
-        let shared_x = Arc::new(x.clone());
-
-        // Reuse decision: same spec at the same pool index, and the model
-        // survived the previous fit. Everything else is refitted.
-        let reused: Vec<Option<Arc<FittedModel>>> = (0..m)
-            .map(|i| {
-                (i < old_specs.len() && old_specs[i] == self.config.base_estimators[i])
-                    .then(|| prev.models.iter().find(|mm| mm.pool_index == i).cloned())
-                    .flatten()
-            })
-            .collect();
-        let changed: Vec<usize> = (0..m).filter(|&i| reused[i].is_none()).collect();
-
-        // Feature spaces + projectors for the changed subset only
-        // (deterministic per model seed, identical to a cold fit).
-        let mut projectors: Vec<Option<JlProjector>> = (0..m).map(|_| None).collect();
-        let mut spaces: Vec<Arc<Matrix>> = (0..m).map(|_| Arc::clone(&shared_x)).collect();
-        for &i in &changed {
-            let spec = self.config.base_estimators[i];
-            if self.should_project(&spec, d) {
-                let _span =
-                    suod_observe::span(obs.as_ref(), Stage::Projection, SpanAttrs::model(i));
-                let k = self.target_dim(d);
-                let mut proj = JlProjector::new(self.config.rp_variant, k, self.model_seed(i))?;
-                proj.fit(x)?;
-                spaces[i] = Arc::new(proj.transform(x)?);
-                projectors[i] = Some(proj);
-            }
-        }
-
-        // Reuse the retained neighbour cache (graphs over the original
-        // space are hits); fall back to a fresh one after a snapshot load.
-        let cache: Option<Arc<NeighborCache>> = self.config.neighbor_cache_enabled.then(|| {
-            self.warm
-                .as_ref()
-                .and_then(|wc| wc.cache.clone())
-                .unwrap_or_else(|| {
-                    Arc::new(NeighborCache::with_config(
-                        self.config.kernel,
-                        Arc::clone(&obs),
-                    ))
-                })
-        });
-        let mut fingerprints: Vec<Option<DataFingerprint>> = vec![None; m];
-        if let Some(cache) = &cache {
-            let mut fp_by_space: HashMap<usize, DataFingerprint> = HashMap::new();
-            for &i in &changed {
-                if let Some((metric, k)) = self.config.base_estimators[i].neighbor_requirement() {
-                    let ptr = Arc::as_ptr(&spaces[i]) as usize;
-                    let sp_fp = *fp_by_space
-                        .entry(ptr)
-                        .or_insert_with(|| DataFingerprint::of(&spaces[i]));
-                    cache.register(sp_fp, metric, k);
-                    fingerprints[i] = Some(sp_fp);
-                }
-            }
-        }
-
-        // Fit the changed subset with the same fault isolation and
-        // bounded retries as a cold fit. A generic schedule suffices: the
-        // subset is small, and per-model results are independent of task
-        // placement.
-        let executor = self.executor_for_run()?;
-        let fit_threads = (self.config.n_workers / changed.len().max(1)).max(1);
-        let make_task =
-            |i: usize, attempt: usize| -> Box<dyn FnOnce() -> Result<FitOutput> + Send> {
-                let spec = self.config.base_estimators[i];
-                let seed = salted_seed(self.model_seed(i), attempt);
-                let psi = Arc::clone(&spaces[i]);
-                let ctx = match &cache {
-                    Some(c) if fingerprints[i].is_some() => {
-                        FitContext::cached(Arc::clone(c), fingerprints[i], fit_threads)
-                    }
-                    _ => FitContext::standalone(fit_threads),
-                }
-                .with_kernel_config(self.config.kernel);
-                let task_obs = Arc::clone(&obs);
-                let stage = if attempt == 0 {
-                    Stage::ModelFit
-                } else {
-                    Stage::ModelRetry
-                };
-                Box::new(move || {
-                    let _span = suod_observe::span(task_obs.as_ref(), stage, SpanAttrs::model(i));
-                    let mut det = spec.build(seed)?;
-                    let start = Instant::now();
-                    match det.fit_with_context(&psi, &ctx) {
-                        Ok(()) => {
-                            let elapsed = start.elapsed();
-                            let scores = det.training_scores()?;
-                            Ok(Ok((det, scores, elapsed)))
-                        }
-                        Err(e) => Ok(Err(e)),
-                    }
-                })
-            };
-
-        let mut fitted: Vec<Option<FitSuccess>> = (0..m).map(|_| None).collect();
-        let mut causes: Vec<Option<suod_detectors::Error>> = vec![None; m];
-        let mut attempts = vec![0usize; m];
-        let mut report = ExecutionReport::default();
-        if !changed.is_empty() {
-            let tasks: Vec<_> = changed.iter().map(|&i| make_task(i, 0)).collect();
-            let assignment =
-                generic_schedule(changed.len(), self.config.n_workers.min(changed.len()))?;
-            let (outcomes, first_report) =
-                executor.run_with_report_isolated_observed(tasks, &assignment, Arc::clone(&obs))?;
-            report = first_report;
-            for (&i, outcome) in changed.iter().zip(outcomes) {
-                attempts[i] = 1;
-                match interpret_outcome(outcome)? {
-                    Ok(ok) => fitted[i] = Some(ok),
-                    Err(cause) => causes[i] = Some(cause),
-                }
-            }
-            for attempt in 1..=self.config.max_model_retries {
-                let pending: Vec<usize> = changed
-                    .iter()
-                    .copied()
-                    .filter(|&i| causes[i].is_some())
-                    .collect();
-                if pending.is_empty() {
-                    break;
-                }
-                let retry_tasks: Vec<_> = pending.iter().map(|&i| make_task(i, attempt)).collect();
-                let retry_assignment =
-                    generic_schedule(pending.len(), self.config.n_workers.min(pending.len()))?;
-                let (retry_outcomes, retry_report) = executor.run_with_report_isolated_observed(
-                    retry_tasks,
-                    &retry_assignment,
-                    Arc::clone(&obs),
-                )?;
-                obs.counter(Counter::Retry, pending.len() as u64);
-                report.retries += pending.len();
-                report.failures += retry_report.failures;
-                report.steals += retry_report.steals;
-                for (&i, outcome) in pending.iter().zip(retry_outcomes) {
-                    attempts[i] += 1;
-                    match interpret_outcome(outcome)? {
-                        Ok(ok) => {
-                            fitted[i] = Some(ok);
-                            causes[i] = None;
-                        }
-                        Err(cause) => causes[i] = Some(cause),
-                    }
-                }
-            }
-        }
-        if let Some(cache) = &cache {
-            let stats = cache.stats();
-            report.cache_hits = stats.hits;
-            report.cache_misses = stats.misses;
-            report.cache_build_time = stats.build_time;
-        }
-
-        // Health + degradation floor over the NEW pool. Reused models are
-        // healthy with zero attempts this round; stragglers are a
-        // wall-clock property of a full fit and stay unset here.
-        let health = ModelHealth::new(
-            (0..m)
-                .map(|i| ModelReport {
-                    index: i,
-                    name: self.config.base_estimators[i].name(),
-                    status: if reused[i].is_some() || fitted[i].is_some() {
-                        ModelStatus::Healthy
-                    } else {
-                        ModelStatus::Quarantined
-                    },
-                    cause: causes[i].clone(),
-                    attempts: attempts[i],
-                    straggler: false,
-                })
-                .collect(),
-        );
-        if health.quarantined() > 0 {
-            obs.counter(Counter::Quarantine, health.quarantined() as u64);
-        }
-        let models_diag: Vec<ModelDiagnostics> = (0..m)
-            .map(|i| ModelDiagnostics {
-                index: i,
-                name: self.config.base_estimators[i].name(),
-                status: if reused[i].is_some() || fitted[i].is_some() {
-                    ModelStatus::Healthy
-                } else {
-                    ModelStatus::Quarantined
+                fit_time: match &carry[i] {
+                    Some(carried) => Some(carried.fit_time),
+                    None => fitted[i].as_ref().map(|&(_, _, t)| t),
                 },
-                attempts: attempts[i],
-                straggler: false,
-                fit_time: reused[i]
-                    .as_ref()
-                    .map(|mm| mm.fit_time)
-                    .or_else(|| fitted[i].as_ref().map(|&(_, _, t)| t)),
-                projected: reused[i]
-                    .as_ref()
-                    .map(|mm| mm.projector.is_some())
-                    .unwrap_or_else(|| projectors[i].is_some()),
+                projected: match &carry[i] {
+                    Some(carried) => carried.projector.is_some(),
+                    None => projectors[i].is_some(),
+                },
                 approximated: false,
             })
             .collect();
         let n_healthy = health.healthy();
-        let required =
-            (((self.config.min_healthy_fraction * m as f64) - 1e-9).ceil() as usize).max(1);
-        let ann_fallbacks = cache.as_ref().map_or(0, |c| c.stats().ann_fallbacks);
-        self.diagnostics = Some(FitDiagnostics::new(
+        let required = self.required_healthy(m);
+        let mut diagnostics = FitDiagnostics::new(
             report,
             health,
             models_diag,
             CpuFeatures::detect(self.config.kernel.precision, self.config.kernel.neighbor),
             ann_fallbacks,
-        ));
+        );
         if n_healthy < required {
             let cause = causes
-                .iter()
+                .into_iter()
                 .flatten()
                 .next()
-                .cloned()
                 .expect("a degraded pool records at least one failure cause");
-            self.state = None;
-            self.warm = None;
+            self.commit(specs, None, diagnostics);
             return Err(Error::PoolDegraded {
                 healthy: n_healthy,
                 total: m,
@@ -798,103 +455,145 @@ impl Suod {
             });
         }
 
-        // Assemble: PSA for changed costly models, then merge reused and
-        // fresh models in pool order.
-        let mut new_fitted: Vec<Option<FittedModel>> = (0..m).map(|_| None).collect();
-        for &i in &changed {
-            if let Some((detector, train_scores, fit_time)) = fitted[i].take() {
-                new_fitted[i] = Some(FittedModel {
-                    spec: self.config.base_estimators[i],
-                    pool_index: i,
-                    detector,
-                    projector: projectors[i].take(),
-                    approximator: None,
-                    train_scores,
-                    fit_time,
-                });
-            }
-        }
-        if self.config.approx_enabled {
-            for &i in &changed {
-                if let Some(model) = new_fitted[i].as_mut() {
-                    if model.spec.is_costly() {
-                        let _span = suod_observe::span(
-                            obs.as_ref(),
-                            Stage::PsaDistill,
-                            SpanAttrs::model(i),
-                        );
-                        model.approximator = Some(fit_approximator(
-                            &self.config.approx_spec,
-                            &spaces[i],
-                            &model.train_scores,
-                            self.model_seed(i) ^ 0xA55A,
-                        )?);
-                    }
-                }
-            }
-        }
+        // --- Assemble the surviving ensemble, in pool order. ----------------
+        // Survivors keep their original pool indices so their feature
+        // spaces and derived seeds are unchanged by the quarantine of
+        // other models. Fresh costly models are distilled on the way in.
         let mut models: Vec<Arc<FittedModel>> = Vec::with_capacity(n_healthy);
         for i in 0..m {
-            if let Some(mm) = &reused[i] {
-                models.push(Arc::clone(mm));
-            } else if let Some(model) = new_fitted[i].take() {
-                models.push(Arc::new(model));
+            if let Some(carried) = carry[i].take() {
+                models.push(carried);
+            } else if let Some((detector, train_scores, fit_time)) = fitted[i].take() {
+                let approximator = if self.config.approx_enabled && specs[i].is_costly() {
+                    let _span =
+                        suod_observe::span(obs.as_ref(), Stage::PsaDistill, SpanAttrs::model(i));
+                    Some(fit_approximator(
+                        &self.config.approx_spec,
+                        &spaces[i],
+                        &train_scores,
+                        self.model_seed(i) ^ 0xA55A,
+                    )?)
+                } else {
+                    None
+                };
+                models.push(Arc::new(FittedModel {
+                    spec: specs[i],
+                    pool_index: i,
+                    detector,
+                    projector: projectors[i].take(),
+                    approximator,
+                    train_scores,
+                    fit_time,
+                }));
             }
         }
-        if let Some(diag) = self.diagnostics.as_mut() {
-            for model in &models {
-                if let Some(row) = diag.models_mut().get_mut(model.pool_index) {
-                    row.approximated = model.approximator.is_some();
+        for model in &models {
+            diagnostics.models_mut()[model.pool_index].approximated = model.approximator.is_some();
+        }
+        // Fit-only scratch goes before the new state exists beside the old.
+        drop((spaces, shared_x, projectors));
+
+        // --- Standardization reference + contamination threshold. -----------
+        let state = {
+            let _span = suod_observe::span(obs.as_ref(), Stage::Threshold, SpanAttrs::none());
+            FittedState::from_training(models, n, d, self.config.contamination)?
+        };
+        // Retain the neighbour cache + data identity so a warm refit on
+        // the same matrix can reuse proximity graphs and survivor models.
+        let warm = WarmContext {
+            cache,
+            train_fingerprint,
+        };
+        self.commit(specs, Some((state, warm)), diagnostics);
+        Ok(())
+    }
+
+    /// Publishes a pipeline result in one step: the pool recipe, its
+    /// fitted state with the warm-start context (`None` for a degraded
+    /// pool, which leaves the estimator unfitted), and the diagnostics
+    /// describing that recipe.
+    fn commit(
+        &mut self,
+        specs: Vec<ModelSpec>,
+        fitted: Option<(FittedState, WarmContext)>,
+        diagnostics: FitDiagnostics,
+    ) {
+        let (state, warm) = fitted.map(|(s, w)| (Arc::new(s), w)).unzip();
+        self.config.base_estimators = specs;
+        self.state = state;
+        self.warm = warm;
+        self.diagnostics = Some(diagnostics);
+    }
+
+    /// Pass 1 of the two-pass fit: finds which running proximity models
+    /// share a feature space and metric, pre-registers each group's k so
+    /// the cache's first build covers the pooled maximum, and picks one
+    /// "builder" per group for the cost model (everyone else is a
+    /// near-free cache hit).
+    fn plan_neighbors(
+        &self,
+        cache: Option<&NeighborCache>,
+        specs: &[ModelSpec],
+        spaces: &[Arc<Matrix>],
+        run: &[usize],
+    ) -> NeighborPlan {
+        let mut plan = NeighborPlan {
+            fingerprints: vec![None; specs.len()],
+            cached: vec![false; specs.len()],
+            fit_threads: 1,
+        };
+        let Some(cache) = cache else {
+            return plan;
+        };
+        let mut fp_by_space: HashMap<usize, DataFingerprint> = HashMap::new();
+        // (space, metric) -> members as (pool index, effective k).
+        type Group = ((DataFingerprint, DistanceMetric), Vec<(usize, usize)>);
+        let mut groups: Vec<Group> = Vec::new();
+        for &i in run {
+            if let Some((metric, k)) = specs[i].neighbor_requirement() {
+                let ptr = Arc::as_ptr(&spaces[i]) as usize;
+                let fp = *fp_by_space
+                    .entry(ptr)
+                    .or_insert_with(|| DataFingerprint::of(&spaces[i]));
+                cache.register(fp, metric, k);
+                plan.fingerprints[i] = Some(fp);
+                let member = (i, k.min(fp.rows().saturating_sub(1)));
+                match groups.iter_mut().find(|(key, _)| *key == (fp, metric)) {
+                    Some((_, members)) => members.push(member),
+                    None => groups.push(((fp, metric), vec![member])),
                 }
             }
         }
-
-        // Standardization reference + threshold over the FULL new
-        // ensemble (identical formulas to a cold fit).
-        let (score_means, score_stds, threshold) = {
-            let _span = suod_observe::span(obs.as_ref(), Stage::Threshold, SpanAttrs::none());
-            let score_means: Vec<f64> = models
+        for (_, members) in &groups {
+            // Builder = largest effective k (ties break to the lowest
+            // model index, matching the cache's widen-to-max rule).
+            let &(builder, _) = members
                 .iter()
-                .map(|m| suod_linalg::stats::mean(&m.train_scores))
-                .collect();
-            let score_stds: Vec<f64> = models
-                .iter()
-                .map(|m| suod_linalg::stats::std_dev(&m.train_scores).max(1e-12))
-                .collect();
-            let train_matrix = scores_to_matrix(
-                models.iter().map(|m| m.train_scores.clone()).collect(),
-                x.nrows(),
-            )?;
-            let combined = combine_standardized(&train_matrix, &score_means, &score_stds, None);
-            let n_out = ((x.nrows() as f64) * self.config.contamination).round() as usize;
-            let n_out = n_out.clamp(1, x.nrows());
-            let threshold = suod_linalg::rank::kth_largest(&combined, n_out)
-                .expect("n_out within bounds by construction");
-            (score_means, score_stds, threshold)
-        };
-
-        self.state = Some(Arc::new(FittedState::new(
-            models,
-            threshold,
-            d,
-            score_means,
-            score_stds,
-        )));
-        self.warm = Some(WarmContext {
-            cache: cache.clone(),
-            train_fingerprint: fp,
-        });
-        Ok(self)
+                .max_by_key(|&&(i, k)| (k, std::cmp::Reverse(i)))
+                .expect("groups are non-empty by construction");
+            for &(i, _) in members {
+                plan.cached[i] = i != builder;
+            }
+        }
+        plan.fit_threads = (self.config.n_workers / groups.len().max(1)).max(1);
+        plan
     }
-}
 
-/// Hashable identity of a [`DistanceMetric`] for grouping cache entries
-/// (the enum itself carries an `f64` exponent, so it is not `Eq`/`Hash`).
-fn metric_key(m: DistanceMetric) -> (u8, u64) {
-    match m {
-        DistanceMetric::Euclidean => (0, 0),
-        DistanceMetric::Manhattan => (1, 0),
-        DistanceMetric::Minkowski(p) => (2, p.to_bits()),
+    /// The cost-model view of one model's fit task. It says when the
+    /// model's neighbour graph is a shared-cache hit (`cached`) or comes
+    /// from the HNSW backend (not for small `n` or non-Euclidean metrics,
+    /// which fall back to the exact path), so the cost model stops
+    /// forecasting an exact `O(n^2 d)` build for BPS to balance against.
+    fn fit_descriptor(&self, spec: &ModelSpec, cached: bool, n: usize) -> TaskDescriptor {
+        let approx = match (self.config.kernel.neighbor, spec.neighbor_requirement()) {
+            (NeighborBackend::Hnsw(p), Some((metric, _))) => {
+                metric == DistanceMetric::Euclidean && n >= p.min_rows
+            }
+            _ => false,
+        };
+        spec.task_descriptor()
+            .with_cached_neighbors(cached)
+            .with_approx_neighbors(approx)
     }
 }
 
@@ -1270,6 +969,38 @@ mod tests {
             trace.counter(Counter::TaskFailure),
             clf.diagnostics().unwrap().execution().failures as u64
         );
+    }
+
+    #[test]
+    fn warm_refit_carries_unchanged_models_as_the_same_allocation() {
+        let mut clf = fitted(Suod::builder());
+        let before = clf.state().unwrap().models.clone();
+        let mut specs = small_pool();
+        specs[2] = ModelSpec::Hbos {
+            n_bins: 12,
+            tolerance: 0.2,
+        };
+        clf.warm_refit(&data(), specs).unwrap();
+        let after = clf.state().unwrap().models.clone();
+        // No retraining and no copy: the carried members *are* the old ones.
+        for i in [0, 1, 3] {
+            assert!(
+                Arc::ptr_eq(&before[i], &after[i]),
+                "model {i} was not carried"
+            );
+        }
+        assert!(!Arc::ptr_eq(&before[2], &after[2]));
+        let diag = clf.diagnostics().unwrap();
+        let attempts: Vec<usize> = diag.models().iter().map(|row| row.attempts).collect();
+        assert_eq!(attempts, [0, 0, 1, 0]);
+        // Carried rows keep the decisions of the fit that trained them.
+        assert_eq!(diag.projected(), vec![true, true, false, false]);
+        assert_eq!(diag.approximated(), vec![true, true, false, false]);
+        assert!(diag.models().iter().all(|row| row.fit_time.is_some()));
+        // A cold fit never looks at what an earlier fit left behind.
+        clf.fit(&data()).unwrap();
+        let refitted = &clf.state().unwrap().models;
+        assert!((0..4).all(|i| !Arc::ptr_eq(&after[i], &refitted[i])));
     }
 
     #[test]

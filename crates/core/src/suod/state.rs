@@ -1,6 +1,7 @@
 //! The fitted ensemble: per-model state, prediction-unit planning, and
 //! the warm-start context.
 
+use super::predict::combine_standardized;
 use crate::spec::ModelSpec;
 use crate::{Error, Result};
 use std::sync::Arc;
@@ -104,6 +105,57 @@ impl FittedState {
         }
     }
 
+    /// The fitted state of a freshly assembled ensemble over `n` training
+    /// rows: the standardization reference and the contamination
+    /// threshold are learned here, then the units are planned.
+    ///
+    /// Test-time scores must be z-scored against the TRAINING
+    /// distribution (the PyOD convention): per-batch statistics would
+    /// zero out single-sample queries and drift with batch composition.
+    pub(super) fn from_training(
+        models: Vec<Arc<FittedModel>>,
+        n: usize,
+        n_features: usize,
+        contamination: f64,
+    ) -> Result<Self> {
+        let score_means: Vec<f64> = models
+            .iter()
+            .map(|m| suod_linalg::stats::mean(&m.train_scores))
+            .collect();
+        let score_stds: Vec<f64> = models
+            .iter()
+            .map(|m| suod_linalg::stats::std_dev(&m.train_scores).max(1e-12))
+            .collect();
+        let train_matrix = train_score_matrix(&models, n)?;
+        let combined = combine_standardized(&train_matrix, &score_means, &score_stds, None);
+        let n_out = ((n as f64 * contamination).round() as usize).clamp(1, n);
+        let threshold = suod_linalg::rank::kth_largest(&combined, n_out)
+            .expect("n_out within bounds by construction");
+        Ok(Self::new(
+            models,
+            threshold,
+            n_features,
+            score_means,
+            score_stds,
+        ))
+    }
+
+    /// Combines an `n x m` score matrix against this ensemble's training
+    /// statistics (see [`combine_standardized`]).
+    pub(super) fn combine(&self, scores: &Matrix, buckets: Option<usize>) -> Vec<f64> {
+        combine_standardized(scores, &self.score_means, &self.score_stds, buckets)
+    }
+
+    /// Number of training rows the ensemble was fitted on.
+    pub(super) fn train_rows(&self) -> usize {
+        self.models[0].train_scores.len()
+    }
+
+    /// Per-model training scores as an `n x m` matrix.
+    pub(super) fn train_score_matrix(&self) -> Result<Matrix> {
+        train_score_matrix(&self.models, self.train_rows())
+    }
+
     /// Every unit cut down to the members `active` leaves in (all of
     /// them without a mask); units left empty are dropped.
     pub(super) fn active_units(&self, active: Option<&[bool]>) -> Vec<Vec<usize>> {
@@ -146,20 +198,21 @@ pub(crate) struct WarmContext {
     pub(crate) train_fingerprint: DataFingerprint,
 }
 
-/// Assembles per-model score columns into an `n x m` matrix.
-pub(super) fn scores_to_matrix(columns: Vec<Vec<f64>>, n: usize) -> Result<Matrix> {
-    let m = columns.len();
-    let mut out = Matrix::zeros(n, m);
-    for (c, col) in columns.iter().enumerate() {
-        if col.len() != n {
+/// The `n x m` matrix of per-model training scores, filled row-major
+/// straight from the models' own columns.
+pub(super) fn train_score_matrix(models: &[Arc<FittedModel>], n: usize) -> Result<Matrix> {
+    let m = models.len();
+    let mut data = vec![0.0; n * m];
+    for (c, model) in models.iter().enumerate() {
+        if model.train_scores.len() != n {
             return Err(Error::InvalidConfig(format!(
                 "model {c} produced {} scores for {n} samples",
-                col.len()
+                model.train_scores.len()
             )));
         }
-        for (r, &v) in col.iter().enumerate() {
-            out.set(r, c, v);
+        for (r, &v) in model.train_scores.iter().enumerate() {
+            data[r * m + c] = v;
         }
     }
-    Ok(out)
+    Ok(Matrix::from_vec(n, m, data)?)
 }

@@ -87,9 +87,8 @@ const GRAM_B_BLOCK_PANELS: usize = 128;
 /// hardcoded constant was 15; the `kernel_report` crossover sweep
 /// (single-threaded, 10k train / 1k queries, see `BENCH_kernels.json`)
 /// shows the tree winning decisively through d = 6 and the tiled brute
-/// path overtaking it by d = 8, so the tuned default is 6. Override per
-/// estimator via `SuodBuilder::kdtree_crossover_dim` or per index via
-/// [`KernelConfig`].
+/// path overtaking it by d = 8, so the tuned default is 6. Override via
+/// [`KernelConfig::with_kdtree_crossover_dim`].
 pub const DEFAULT_KDTREE_CROSSOVER_DIM: usize = 6;
 
 /// Minimum row count for the KD-tree backend to engage (tree build and

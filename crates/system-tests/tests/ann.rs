@@ -248,32 +248,20 @@ fn non_euclidean_metrics_fall_back_to_exact() {
 }
 
 #[test]
-#[allow(deprecated)] // the deprecated delegates are the contract under test
 fn ef_search_knob_reaches_the_index_through_the_builder() {
-    // The canonical spelling, plus the deprecated ef_search() /
-    // neighbor_backend() delegates composing in either order — all
-    // three must resolve to the same index configuration.
-    let b0 = Suod::builder().kernel(KernelConfig::default().with_neighbor(NeighborBackend::Hnsw(
-        HnswParams::default().with_ef_search(128),
-    )));
-    let b1 = Suod::builder()
-        .ef_search(128)
-        .neighbor_backend(NeighborBackend::Hnsw(HnswParams::default()));
-    let b2 = Suod::builder()
-        .neighbor_backend(NeighborBackend::Hnsw(HnswParams::default()))
-        .ef_search(128);
-    for builder in [b0, b1, b2] {
-        let mut model = builder
-            .base_estimators(vec![ModelSpec::Knn {
-                n_neighbors: 5,
-                method: KnnMethod::Mean,
-            }])
-            .with_approximation(false)
-            .build()
-            .expect("valid config");
-        let (x, _) = with_outliers(400, 4, 10, 1);
-        model.fit(&x).expect("fit succeeds");
-        let features = model.diagnostics().expect("diagnostics").cpu_features();
-        assert_eq!(format!("{}", features.neighbor), "hnsw(ef_search=128)");
-    }
+    let mut model = Suod::builder()
+        .kernel(KernelConfig::default().with_neighbor(NeighborBackend::Hnsw(
+            HnswParams::default().with_ef_search(128),
+        )))
+        .base_estimators(vec![ModelSpec::Knn {
+            n_neighbors: 5,
+            method: KnnMethod::Mean,
+        }])
+        .with_approximation(false)
+        .build()
+        .expect("valid config");
+    let (x, _) = with_outliers(400, 4, 10, 1);
+    model.fit(&x).expect("fit succeeds");
+    let features = model.diagnostics().expect("diagnostics").cpu_features();
+    assert_eq!(format!("{}", features.neighbor), "hnsw(ef_search=128)");
 }

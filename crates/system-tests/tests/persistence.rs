@@ -11,8 +11,10 @@
 //! requests, and every answered batch is bitwise-equal to one of the
 //! two pools' sequential scores.
 
+use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use suod::observe::Stage;
 use suod::prelude::*;
 use suod_serve::{ManualClock, ScoreOutcome, ScoreService, ServeConfig, SubmitError};
 
@@ -564,4 +566,205 @@ fn warm_refit_reuses_survivors_and_stays_deterministic() {
 
     // New data is refused, never silently retrained.
     assert!(warm.warm_refit(&q, specs).is_err());
+}
+
+/// A failed warm refit must not leave anything behind. Recipe B dies
+/// mid-pipeline (a kNN with `k = 0` cannot be built — a fatal error, not
+/// a quarantine), after which the estimator must still be on pool A in
+/// every respect; the next refit, to C, shares `C[1] == B[1]` with the
+/// failed recipe and must not mistake A's model 1 for a fit of it.
+#[test]
+fn failed_warm_refit_leaves_the_previous_pool_in_place() {
+    let x = data();
+    let q = queries();
+    let knn = |n_neighbors| ModelSpec::Knn {
+        n_neighbors,
+        method: KnnMethod::Largest,
+    };
+    let hbos = |n_bins| ModelSpec::Hbos {
+        n_bins,
+        tolerance: 0.3,
+    };
+    let builder = || Suod::builder().seed(7);
+    let (pool_a, pool_b, pool_c) = (
+        vec![knn(5), hbos(10)],
+        vec![knn(0), hbos(20)],
+        vec![knn(5), hbos(20)],
+    );
+
+    let mut clf = fit(builder().base_estimators(pool_a), &x);
+    let observe = |clf: &Suod| {
+        (
+            clf.n_models(),
+            clf.surviving_models().unwrap(),
+            clf.combined_scores(&q).unwrap(),
+        )
+    };
+    let on_a = observe(&clf);
+    assert!(matches!(
+        clf.warm_refit(&x, pool_b),
+        Err(suod::Error::Detector(_))
+    ));
+    assert_eq!(observe(&clf), on_a, "a failed refit must change nothing");
+
+    clf.warm_refit(&x, pool_c.clone()).expect("refit to C");
+    let cold = fit(builder().base_estimators(pool_c), &x);
+    assert_eq!(observe(&clf), observe(&cold));
+    assert_eq!(clf.threshold().unwrap(), cold.threshold().unwrap());
+    assert_eq!(
+        clf.training_combined_scores().unwrap(),
+        cold.training_combined_scores().unwrap()
+    );
+}
+
+/// One generated pool member: six proximity families, three cheap ones,
+/// and a pass-through chaos wrapper — a kNN that, unlike the others,
+/// stays unprojected, so several of them share one cached graph over the
+/// original space even with projection on.
+fn generated_spec(family: usize, p: usize) -> ModelSpec {
+    match family % 10 {
+        0 => ModelSpec::Knn {
+            n_neighbors: p,
+            method: KnnMethod::Largest,
+        },
+        1 => ModelSpec::Knn {
+            n_neighbors: p,
+            method: KnnMethod::Mean,
+        },
+        2 => ModelSpec::Lof {
+            n_neighbors: p,
+            metric: Metric::Euclidean,
+        },
+        3 => ModelSpec::Lof {
+            n_neighbors: p,
+            metric: Metric::Manhattan,
+        },
+        4 => ModelSpec::Abod { n_neighbors: p },
+        5 => ModelSpec::Loop { n_neighbors: p },
+        6 => ModelSpec::Hbos {
+            n_bins: p + 3,
+            tolerance: 0.3,
+        },
+        7 => ModelSpec::IForest {
+            n_estimators: p + 4,
+            max_features: 0.8,
+        },
+        8 => ModelSpec::Loda {
+            n_members: p,
+            n_bins: 8,
+        },
+        _ => ModelSpec::Chaos {
+            mode: ChaosMode::Passthrough,
+            n_neighbors: p,
+        },
+    }
+}
+
+/// What a warm refit must reproduce bit for bit.
+fn fitted_bits(clf: &Suod, q: &Matrix) -> (Vec<u64>, u64, Vec<u64>) {
+    let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
+    (
+        bits(clf.decision_function(q).unwrap().as_slice()),
+        clf.threshold().unwrap().to_bits(),
+        bits(&clf.training_combined_scores().unwrap()),
+    )
+}
+
+/// Pool indices the latest (re)fit carried over: zero attempts this round.
+fn carried(clf: &Suod) -> Vec<usize> {
+    let rows = clf.diagnostics().expect("diagnostics").models();
+    let carried = rows.iter().filter(|row| row.attempts == 0);
+    carried.map(|row| row.index).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// `warm_refit` == a cold fit of the new recipe, with projection and
+    /// PSA on, for generated recipes and generated edits (change, append,
+    /// remove — which shifts every later pool index), at 1/2/8 workers,
+    /// from a live estimator and from a reloaded snapshot (no retained
+    /// cache). Every second recipe also gains a member that is quarantined
+    /// and a proximity member whose larger `k` widens a cached graph the
+    /// carried members were fitted from.
+    ///
+    /// Snapshots of the two cannot be byte-equal — they carry wall-clock
+    /// fit times and per-round attempt counts — so the check there is
+    /// equal size, and equal scores after a reload.
+    fn generated_warm_refits_equal_cold_fits(
+        first in proptest::collection::vec((0usize..10, 2usize..14), 3..7),
+        edits in proptest::collection::vec((0usize..3, 0usize..64, 0usize..10, 2usize..14), 1..4),
+        projection in 0usize..3,
+        seed in 1u64..1_000,
+    ) {
+        let x = data();
+        let q = queries();
+        // Slot 0 is fixed: a small-k graph over the original space.
+        let mut recipe_a = vec![generated_spec(9, 4)];
+        recipe_a.extend(first.iter().map(|&(family, p)| generated_spec(family, p)));
+        let mut recipe_b = recipe_a.clone();
+        for &(op, at, family, p) in &edits {
+            let at = 1 + at % (recipe_b.len() - 1);
+            match op {
+                0 => recipe_b[at] = generated_spec(family, p),
+                1 => recipe_b.push(generated_spec(family, p)),
+                _ if recipe_b.len() > 2 => drop(recipe_b.remove(at)),
+                _ => {}
+            }
+        }
+        recipe_b.push(generated_spec(9, 25));
+        recipe_b.push(ModelSpec::Chaos {
+            mode: ChaosMode::PanicOnFit,
+            n_neighbors: 5,
+        });
+        let expect_carried: Vec<usize> = (0..recipe_a.len().min(recipe_b.len()))
+            .filter(|&i| recipe_a[i] == recipe_b[i])
+            .collect();
+        let expect_fits = recipe_b.len() - expect_carried.len();
+
+        for n_workers in [1usize, 2, 8] {
+            let builder = |specs: &[ModelSpec]| {
+                Suod::builder()
+                    .base_estimators(specs.to_vec())
+                    .with_projection(projection > 0)
+                    .approximator(ApproxSpec::RandomForest {
+                        n_estimators: 6,
+                        max_depth: 6,
+                    })
+                    .min_healthy_fraction(0.5)
+                    .n_workers(n_workers)
+                    .seed(seed)
+            };
+            let recorder = Arc::new(RecordingObserver::new());
+            let mut warm = fit(builder(&recipe_a).observer(recorder.clone()), &x);
+            let snapshot_a = warm.save_to_bytes().expect("save");
+            let spans = |stage| recorder.trace().spans_of(stage).count();
+            let (fits_a, retries_a) = (spans(Stage::ModelFit), spans(Stage::ModelRetry));
+
+            let cold = fit(builder(&recipe_b), &x);
+            let expected = fitted_bits(&cold, &q);
+            prop_assert!(carried(&cold).is_empty());
+
+            warm.warm_refit(&x, recipe_b.clone()).expect("warm refit");
+            prop_assert_eq!(&fitted_bits(&warm, &q), &expected, "{:?} -> {:?}", recipe_a, recipe_b);
+            prop_assert_eq!(&carried(&warm), &expect_carried);
+            // One fit per model that ran, one retry for the panicking one.
+            prop_assert_eq!(spans(Stage::ModelFit) - fits_a, expect_fits);
+            prop_assert_eq!(spans(Stage::ModelRetry) - retries_a, 1);
+            prop_assert_eq!(warm.surviving_models().unwrap(), cold.surviving_models().unwrap());
+
+            let mut reloaded = Suod::load_from_bytes(&snapshot_a).expect("load");
+            reloaded.warm_refit(&x, recipe_b.clone()).expect("warm refit after reload");
+            prop_assert_eq!(&fitted_bits(&reloaded, &q), &expected);
+            prop_assert_eq!(&carried(&reloaded), &expect_carried);
+
+            let cold_bytes = cold.save_to_bytes().expect("save");
+            for refit in [&warm, &reloaded] {
+                let bytes = refit.save_to_bytes().expect("save");
+                prop_assert_eq!(bytes.len(), cold_bytes.len());
+                let back = Suod::load_from_bytes(&bytes).expect("load");
+                prop_assert_eq!(&fitted_bits(&back, &q), &expected);
+            }
+        }
+    }
 }
