@@ -7,8 +7,10 @@
 //! offers ridge and k-NN regressors for the ablation studies.
 
 use crate::Result;
+use std::sync::{Arc, OnceLock};
 use suod_linalg::Matrix;
-use suod_supervised::{KnnRegressor, RandomForestRegressor, Regressor, Ridge};
+use suod_scheduler::DistillForest;
+use suod_supervised::{KnnRegressor, PresortedSpace, RandomForestRegressor, Regressor, Ridge};
 
 /// Which supervised regressor approximates costly detectors.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,10 +55,27 @@ impl ApproxSpec {
             ApproxSpec::RandomForest {
                 n_estimators,
                 max_depth,
-            } => Box::new(RandomForestRegressor::new(n_estimators, seed).with_max_depth(max_depth)),
+            } => Box::new(unfitted_forest(n_estimators, max_depth, seed)),
             ApproxSpec::Ridge { lambda } => Box::new(Ridge::new(lambda)?),
             ApproxSpec::Knn { k } => Box::new(KnnRegressor::new(k)?),
         })
+    }
+
+    /// What distilling this spec on an `n_features`-wide space adds to a
+    /// fit task's cost forecast: the forest to grow, or nothing for the
+    /// ridge and k-NN baselines, whose fits are a solve and an index.
+    pub(crate) fn distill_forest(&self, n_features: usize) -> Option<DistillForest> {
+        match *self {
+            ApproxSpec::RandomForest {
+                n_estimators,
+                max_depth,
+            } => Some(DistillForest {
+                trees: n_estimators,
+                max_depth,
+                n_features,
+            }),
+            _ => None,
+        }
     }
 
     /// Short name for reports.
@@ -115,20 +134,64 @@ impl ApproxSpec {
     }
 }
 
-/// Trains an approximator on `(features, pseudo_truth)` — the distillation
-/// step of PSA.
+fn unfitted_forest(n_estimators: usize, max_depth: usize, seed: u64) -> RandomForestRegressor {
+    RandomForestRegressor::new(n_estimators, seed).with_max_depth(max_depth)
+}
+
+/// A feature space approximators are distilled on: the matrix, and its
+/// [`PresortedSpace`] once the first forest trained on it has built one.
+/// Models that share a feature space share one `DistillSpace`, so their
+/// forests — grown by different fit tasks, on any worker — presort it
+/// once between them.
+#[derive(Debug)]
+pub(crate) struct DistillSpace {
+    features: Arc<Matrix>,
+    presorted: OnceLock<suod_supervised::Result<PresortedSpace>>,
+}
+
+impl DistillSpace {
+    /// Wraps a feature space; nothing is presorted until a forest asks.
+    pub(crate) fn new(features: Arc<Matrix>) -> Self {
+        Self {
+            features,
+            presorted: OnceLock::new(),
+        }
+    }
+
+    fn presorted(&self) -> suod_supervised::Result<&PresortedSpace> {
+        self.presorted
+            .get_or_init(|| PresortedSpace::new(&self.features))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+}
+
+/// Trains an approximator on `(space, pseudo_truth)` — the distillation
+/// step of PSA. The fit pipeline runs it on the executor, as the last
+/// step of the costly model's own fit task; a forest is grown by the
+/// presorted CART builder over `space`'s shared [`PresortedSpace`].
 ///
 /// # Errors
 ///
-/// Propagates regressor construction/fitting failures.
-pub fn fit_approximator(
+/// Propagates regressor construction/fitting failures, non-finite
+/// features or targets among them.
+pub(crate) fn fit_approximator(
     spec: &ApproxSpec,
-    features: &Matrix,
+    space: &DistillSpace,
     pseudo_truth: &[f64],
     seed: u64,
 ) -> Result<Box<dyn Regressor>> {
+    if let ApproxSpec::RandomForest {
+        n_estimators,
+        max_depth,
+    } = *spec
+    {
+        let mut forest = unfitted_forest(n_estimators, max_depth, seed);
+        forest.fit_presorted(space.presorted()?, pseudo_truth)?;
+        return Ok(Box::new(forest));
+    }
     let mut regressor = spec.build(seed)?;
-    regressor.fit(features, pseudo_truth)?;
+    regressor.fit(&space.features, pseudo_truth)?;
     Ok(regressor)
 }
 
@@ -145,6 +208,10 @@ mod tests {
         Matrix::from_rows(&rows).unwrap()
     }
 
+    fn space_of(x: &Matrix) -> DistillSpace {
+        DistillSpace::new(Arc::new(x.clone()))
+    }
+
     #[test]
     fn approximator_reproduces_detector_ranking() {
         let x = training_data();
@@ -157,7 +224,7 @@ mod tests {
             ApproxSpec::Ridge { lambda: 1e-3 },
             ApproxSpec::Knn { k: 3 },
         ] {
-            let approx = fit_approximator(&spec, &x, &truth, 0).unwrap();
+            let approx = fit_approximator(&spec, &space_of(&x), &truth, 0).unwrap();
             let pred = approx.predict(&x).unwrap();
             // The far outlier must stay on top of the approximated scores.
             let top = suod_linalg::rank::argsort_desc(&pred)[0];
@@ -171,7 +238,7 @@ mod tests {
         let mut det = KnnDetector::new(3, KnnMethod::Largest).unwrap();
         det.fit(&x).unwrap();
         let truth = det.training_scores().unwrap();
-        let approx = fit_approximator(&ApproxSpec::default(), &x, &truth, 1).unwrap();
+        let approx = fit_approximator(&ApproxSpec::default(), &space_of(&x), &truth, 1).unwrap();
         let q = Matrix::from_rows(&[vec![0.5, 0.5], vec![7.5, 7.5]]).unwrap();
         let pred = approx.predict(&q).unwrap();
         assert!(pred[1] > pred[0]);

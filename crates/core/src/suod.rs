@@ -7,12 +7,13 @@
 //! 1. **RP** — per model, if projection is enabled and the family is
 //!    projection-friendly, draw an independent JL matrix and project the
 //!    training data (`psi_i`); otherwise use the original space.
-//! 2. **BPS** — forecast per-model cost with the configured cost model,
-//!    schedule the fits onto `t` workers (BPS or generic), and run them
-//!    fault-isolated on the work-stealing executor.
-//! 3. **PSA** — for every costly model, train a supervised regressor on
-//!    `(psi_i, training scores of M_i)`; the regressor serves that
-//!    model's predictions from then on.
+//! 2. **BPS** — forecast per-model cost with the configured cost model
+//!    (detector fit plus, for a costly model, its PSA distillation),
+//!    schedule the fit tasks onto `t` workers (BPS or generic), and run
+//!    them fault-isolated on the work-stealing executor.
+//! 3. **PSA** — every costly model's task ends by training a supervised
+//!    regressor on `(psi_i, training scores of M_i)`; the regressor
+//!    serves that model's predictions from then on.
 //!
 //! `decision_function` (`predict.rs`) projects the query with each
 //! model's retained `W`, routes costly models through their

@@ -5,7 +5,7 @@
 use super::{FittedModel, FittedState, Suod, WarmContext};
 use crate::diagnostics::{CpuFeatures, FitDiagnostics, ModelDiagnostics};
 use crate::health::{ModelHealth, ModelReport, ModelStatus};
-use crate::pseudo::fit_approximator;
+use crate::pseudo::{fit_approximator, DistillSpace};
 use crate::spec::ModelSpec;
 use crate::{Error, Result};
 use std::collections::HashMap;
@@ -15,15 +15,27 @@ use suod_detectors::{validate_finite, Detector, FitContext};
 use suod_linalg::{DataFingerprint, DistanceMetric, Matrix, NeighborBackend, NeighborCache};
 use suod_observe::{Counter, SpanAttrs, Stage};
 use suod_projection::{JlProjector, Projector};
-use suod_scheduler::{generic_schedule, DatasetMeta, ExecutionReport, TaskDescriptor, TaskFailure};
+use suod_scheduler::{
+    current_worker, generic_schedule, DatasetMeta, ExecutionReport, TaskDescriptor, TaskFailure,
+};
+use suod_supervised::Regressor;
 
-/// A successful single-model fit: the detector, its training scores, and
-/// the measured fit duration.
-type FitSuccess = (Box<dyn Detector>, Vec<f64>, Duration);
+/// What a successful fit task leaves behind.
+struct FitSuccess {
+    detector: Box<dyn Detector>,
+    /// Finite: a model with non-finite training scores has failed.
+    train_scores: Vec<f64>,
+    /// Duration of the detector fit alone.
+    fit_time: Duration,
+    /// The PSA approximator the task distilled from `train_scores` as its
+    /// last step; `None` for a model that serves its own predictions.
+    approximator: Option<Box<dyn Regressor>>,
+}
 
 /// What a fit task returns: the model-level outcome, where `Err` is a
 /// retryable typed detector failure. The task-level (outer) `Result`
-/// carries non-model failures (spec construction), which stay fatal.
+/// carries non-model failures (spec construction, a PSA approximator
+/// that cannot be trained), which stay fatal.
 type FitOutput = std::result::Result<FitSuccess, suod_detectors::Error>;
 
 /// Seed for fit attempt `attempt` (0-based) of a model whose base seed
@@ -52,10 +64,10 @@ impl FitResults {
         }
     }
 
-    /// Books one more attempt of model `i`. A fit with finite training
-    /// scores is healthy; a caught panic, a typed detector error and
-    /// non-finite training scores are retryable causes; a fatal non-model
-    /// failure propagates.
+    /// Books one more attempt of model `i`: a completed task is healthy;
+    /// a caught panic and a typed detector error (non-finite training
+    /// scores among them) are retryable causes; a fatal non-model failure
+    /// propagates.
     fn record(
         &mut self,
         i: usize,
@@ -66,13 +78,10 @@ impl FitResults {
             Err(panic) => suod_detectors::Error::Panicked(panic.message),
             Ok(Err(fatal)) => return Err(fatal),
             Ok(Ok(Err(cause))) => cause,
-            Ok(Ok(Ok(ok))) if ok.1.iter().all(|v| v.is_finite()) => {
+            Ok(Ok(Ok(ok))) => {
                 (self.fitted[i], self.causes[i]) = (Some(ok), None);
                 return Ok(());
             }
-            Ok(Ok(Ok(_))) => suod_detectors::Error::DegenerateData(
-                "model produced non-finite training scores".into(),
-            ),
         };
         self.causes[i] = Some(cause);
         Ok(())
@@ -119,8 +128,12 @@ impl Suod {
         })
     }
 
-    /// Fits every base estimator (Algorithm 1, lines 3–16), then trains
-    /// the PSA approximators for costly models (lines 17–24).
+    /// Fits every base estimator (Algorithm 1, lines 3–16) and trains the
+    /// PSA approximators for costly models (lines 17–24): one task per
+    /// model on the work-stealing executor, and a costly model's task
+    /// ends by distilling its approximator from the training scores it
+    /// has just produced, so BPS places — and every worker shares — the
+    /// whole of the costly work.
     ///
     /// This is the fit pipeline run **cold**: nothing is carried over and
     /// the neighbour cache starts empty, so no stage is skipped — every
@@ -148,8 +161,9 @@ impl Suod {
     /// when fewer than `ceil(min_healthy_fraction * m)` models survive
     /// quarantine (the estimator is left unfitted, the health report
     /// stays available), and propagates fatal failures from projection,
-    /// scheduling, or approximation — those leave the estimator exactly
-    /// as it was.
+    /// scheduling, or approximation (an approximator that cannot be
+    /// trained fails the fit from inside its model's task; it is not a
+    /// quarantine) — those leave the estimator exactly as it was.
     pub fn fit(&mut self, x: &Matrix) -> Result<&mut Self> {
         let specs = self.config.base_estimators.clone();
         let carry = vec![None; specs.len()];
@@ -162,10 +176,11 @@ impl Suod {
     /// pipeline as [`fit`](Self::fit), run with a carry-over set and the
     /// neighbour cache the previous fit retained. A model of the fitted
     /// state whose own spec equals `specs[i]` at its pool index `i` is
-    /// carried over (the `Arc` is shared) and skips projection, the
-    /// neighbour plan, scheduling, fitting and distillation; every other
-    /// spec runs all of them, with proximity graphs over an already-seen
-    /// feature space served from the cache. Assembly, standardisation and
+    /// carried over (the `Arc` is shared, approximator included) and skips
+    /// projection, the neighbour plan, scheduling and its fit task —
+    /// detector fit and distillation both; every other spec runs all of
+    /// them, with proximity graphs over an already-seen feature space
+    /// served from the cache. Assembly, standardisation and
     /// the threshold always cover the whole new pool. A refit that
     /// changes `c` of `m` models therefore costs `O(c)` model fits
     /// instead of `O(m)`.
@@ -221,12 +236,15 @@ impl Suod {
 
     /// The one fit pipeline behind [`fit`](Self::fit) and
     /// [`warm_refit`](Self::warm_refit): validate → project → neighbour
-    /// plan → schedule → fault-isolated fit + bounded retry → health and
-    /// the degradation floor → assemble → PSA distill → standardisation +
-    /// threshold → commit. `carry` has one slot per spec: `Some` is a model
-    /// taken over from the previous fitted state instead of trained, and
-    /// every per-model stage covers the empty slots only. `cache` is the
-    /// neighbour cache the proximity graphs come from.
+    /// plan → schedule → fault-isolated fit tasks + bounded retry → health
+    /// and the degradation floor → assemble → standardisation + threshold
+    /// → commit. A fit task is the detector fit and, for a costly model
+    /// with PSA on, the distillation of its approximator; the cost
+    /// forecast BPS places it by covers both. `carry` has one slot per
+    /// spec: `Some` is a model taken over from the previous fitted state
+    /// instead of trained, and every per-model stage covers the empty
+    /// slots only. `cache` is the neighbour cache the proximity graphs
+    /// come from.
     ///
     /// Nothing of `self` that describes the fitted pool changes before
     /// [`commit`](Self::commit): a failure on the way leaves the
@@ -274,43 +292,96 @@ impl Suod {
         // lifetime counters is what the diagnostics report.
         let cache_before = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
 
-        // --- BPS + fault-isolated fit execution (pass 2). -------------------
         let executor = self.executor_for_run()?;
-        let make_task =
-            |i: usize, attempt: usize| -> Box<dyn FnOnce() -> Result<FitOutput> + Send> {
-                let spec = specs[i];
-                let seed = salted_seed(self.model_seed(i), attempt);
-                let psi = Arc::clone(&spaces[i]);
-                let ctx = match (&cache, plan.fingerprints[i]) {
-                    (Some(c), Some(fp)) => {
-                        FitContext::cached(Arc::clone(c), Some(fp), plan.fit_threads)
-                    }
-                    _ => FitContext::standalone(plan.fit_threads),
-                }
-                .with_kernel_config(self.config.kernel);
-                let task_obs = Arc::clone(&obs);
-                let stage = if attempt == 0 {
-                    Stage::ModelFit
-                } else {
-                    Stage::ModelRetry
-                };
-                Box::new(move || {
-                    // Guard, not begin/end: the drop runs even when a
-                    // chaotic detector panics out of the closure, so
-                    // quarantined models still close their spans.
-                    let _span = suod_observe::span(task_obs.as_ref(), stage, SpanAttrs::model(i));
-                    let mut det = spec.build(seed)?;
-                    let start = Instant::now();
-                    match det.fit_with_context(&psi, &ctx) {
-                        Ok(()) => {
-                            let elapsed = start.elapsed();
-                            let scores = det.training_scores()?;
-                            Ok(Ok((det, scores, elapsed)))
-                        }
-                        Err(e) => Ok(Err(e)),
-                    }
+
+        // --- PSA: a costly model's task ends by distilling its approximator. -
+        // The tasks of one executor run that distill on the same feature
+        // space share a `DistillSpace`, so their forests presort it once, in
+        // whichever task asks first. The tasks are its only owners: it is
+        // freed when the last of them finishes, not when the fit does.
+        let distill_spaces = |models: &[usize]| -> Vec<Option<Arc<DistillSpace>>> {
+            let mut by_space: HashMap<usize, Arc<DistillSpace>> = HashMap::new();
+            let distilled = |&i: &usize| {
+                self.distills(&specs[i]).then(|| {
+                    let space = by_space
+                        .entry(Arc::as_ptr(&spaces[i]) as usize)
+                        .or_insert_with(|| Arc::new(DistillSpace::new(Arc::clone(&spaces[i]))));
+                    Arc::clone(space)
                 })
             };
+            models.iter().map(distilled).collect()
+        };
+
+        // --- BPS + fault-isolated fit execution (pass 2). -------------------
+        let make_task = |i: usize,
+                         attempt: usize,
+                         distill_space: Option<Arc<DistillSpace>>|
+         -> Box<dyn FnOnce() -> Result<FitOutput> + Send> {
+            let spec = specs[i];
+            let seed = salted_seed(self.model_seed(i), attempt);
+            // The approximator's seed ignores the retry salt: a model
+            // that recovers on retry is distilled as a first-attempt
+            // success would be.
+            let distill_seed = self.model_seed(i) ^ 0xA55A;
+            let approx_spec = self.config.approx_spec;
+            let psi = Arc::clone(&spaces[i]);
+            let ctx = match (&cache, plan.fingerprints[i]) {
+                (Some(c), Some(fp)) => {
+                    FitContext::cached(Arc::clone(c), Some(fp), plan.fit_threads)
+                }
+                _ => FitContext::standalone(plan.fit_threads),
+            }
+            .with_kernel_config(self.config.kernel);
+            let task_obs = Arc::clone(&obs);
+            let stage = if attempt == 0 {
+                Stage::ModelFit
+            } else {
+                Stage::ModelRetry
+            };
+            Box::new(move || {
+                let attrs = SpanAttrs {
+                    worker: current_worker(),
+                    ..SpanAttrs::model(i)
+                };
+                // Guard, not begin/end: the drop runs even when a
+                // chaotic detector panics out of the closure, so
+                // quarantined models still close their spans.
+                let fit_span = suod_observe::span(task_obs.as_ref(), stage, attrs);
+                let mut detector = spec.build(seed)?;
+                let start = Instant::now();
+                if let Err(e) = detector.fit_with_context(&psi, &ctx) {
+                    return Ok(Err(e));
+                }
+                let fit_time = start.elapsed();
+                let train_scores = detector.training_scores()?;
+                drop(fit_span);
+                if !train_scores.iter().all(|v| v.is_finite()) {
+                    return Ok(Err(suod_detectors::Error::DegenerateData(
+                        "model produced non-finite training scores".into(),
+                    )));
+                }
+                // PSA: the costly model's task ends by growing its
+                // approximator, on this worker, beside the other fits.
+                let approximator = match &distill_space {
+                    Some(space) => {
+                        let _span = suod_observe::span(task_obs.as_ref(), Stage::PsaDistill, attrs);
+                        Some(fit_approximator(
+                            &approx_spec,
+                            space,
+                            &train_scores,
+                            distill_seed,
+                        )?)
+                    }
+                    None => None,
+                };
+                Ok(Ok(FitSuccess {
+                    detector,
+                    train_scores,
+                    fit_time,
+                    approximator,
+                }))
+            })
+        };
         let mut results = FitResults::new(m);
         let mut report = ExecutionReport::default();
         let mut forecast = Vec::new();
@@ -318,13 +389,17 @@ impl Suod {
             let bps_span = obs.span_begin(Stage::BpsPlan, SpanAttrs::none());
             let descriptors: Vec<_> = run
                 .iter()
-                .map(|&i| self.fit_descriptor(&specs[i], plan.cached[i], n))
+                .map(|&i| self.fit_descriptor(&specs[i], plan.cached[i], n, spaces[i].ncols()))
                 .collect();
             let meta = DatasetMeta::extract(x);
             forecast = self.config.cost_model.predict_costs(&descriptors, &meta);
             let assignment = self.schedule(&forecast);
             obs.span_end(bps_span);
-            let tasks: Vec<_> = run.iter().map(|&i| make_task(i, 0)).collect();
+            let tasks: Vec<_> = run
+                .iter()
+                .zip(distill_spaces(&run))
+                .map(|(&i, space)| make_task(i, 0, space))
+                .collect();
             let (outcomes, first_report) = executor.run_with_report_isolated_observed(
                 tasks,
                 &assignment?,
@@ -345,7 +420,11 @@ impl Suod {
             if pending.is_empty() {
                 break;
             }
-            let retry_tasks: Vec<_> = pending.iter().map(|&i| make_task(i, attempt)).collect();
+            let retry_tasks: Vec<_> = pending
+                .iter()
+                .zip(distill_spaces(&pending))
+                .map(|(&i, space)| make_task(i, attempt, space))
+                .collect();
             let retry_assignment =
                 generic_schedule(pending.len(), self.config.n_workers.min(pending.len()))?;
             let (retry_outcomes, retry_report) = executor.run_with_report_isolated_observed(
@@ -422,7 +501,7 @@ impl Suod {
                 straggler: straggler_flags[i],
                 fit_time: match &carry[i] {
                     Some(carried) => Some(carried.fit_time),
-                    None => fitted[i].as_ref().map(|&(_, _, t)| t),
+                    None => fitted[i].as_ref().map(|ok| ok.fit_time),
                 },
                 projected: match &carry[i] {
                     Some(carried) => carried.projector.is_some(),
@@ -458,32 +537,20 @@ impl Suod {
         // --- Assemble the surviving ensemble, in pool order. ----------------
         // Survivors keep their original pool indices so their feature
         // spaces and derived seeds are unchanged by the quarantine of
-        // other models. Fresh costly models are distilled on the way in.
+        // other models.
         let mut models: Vec<Arc<FittedModel>> = Vec::with_capacity(n_healthy);
         for i in 0..m {
             if let Some(carried) = carry[i].take() {
                 models.push(carried);
-            } else if let Some((detector, train_scores, fit_time)) = fitted[i].take() {
-                let approximator = if self.config.approx_enabled && specs[i].is_costly() {
-                    let _span =
-                        suod_observe::span(obs.as_ref(), Stage::PsaDistill, SpanAttrs::model(i));
-                    Some(fit_approximator(
-                        &self.config.approx_spec,
-                        &spaces[i],
-                        &train_scores,
-                        self.model_seed(i) ^ 0xA55A,
-                    )?)
-                } else {
-                    None
-                };
+            } else if let Some(ok) = fitted[i].take() {
                 models.push(Arc::new(FittedModel {
                     spec: specs[i],
                     pool_index: i,
-                    detector,
+                    detector: ok.detector,
                     projector: projectors[i].take(),
-                    approximator,
-                    train_scores,
-                    fit_time,
+                    approximator: ok.approximator,
+                    train_scores: ok.train_scores,
+                    fit_time: ok.fit_time,
                 }));
             }
         }
@@ -579,21 +646,41 @@ impl Suod {
         plan
     }
 
-    /// The cost-model view of one model's fit task. It says when the
-    /// model's neighbour graph is a shared-cache hit (`cached`) or comes
-    /// from the HNSW backend (not for small `n` or non-Euclidean metrics,
-    /// which fall back to the exact path), so the cost model stops
-    /// forecasting an exact `O(n^2 d)` build for BPS to balance against.
-    fn fit_descriptor(&self, spec: &ModelSpec, cached: bool, n: usize) -> TaskDescriptor {
+    /// `true` when a fresh fit of `spec` ends by distilling a PSA
+    /// approximator from the model's training scores.
+    fn distills(&self, spec: &ModelSpec) -> bool {
+        self.config.approx_enabled && spec.is_costly()
+    }
+
+    /// The cost-model view of one model's fit task on `n` rows of a
+    /// `space_features`-wide feature space. It says when the model's
+    /// neighbour graph is a shared-cache hit (`cached`) or comes from the
+    /// HNSW backend (not for small `n` or non-Euclidean metrics, which
+    /// fall back to the exact path), so the cost model stops forecasting
+    /// an exact `O(n^2 d)` build for BPS to balance against; and it names
+    /// the forest a model that [`distills`](Self::distills) grows before
+    /// its task ends, so the forecast covers the whole task.
+    fn fit_descriptor(
+        &self,
+        spec: &ModelSpec,
+        cached: bool,
+        n: usize,
+        space_features: usize,
+    ) -> TaskDescriptor {
         let approx = match (self.config.kernel.neighbor, spec.neighbor_requirement()) {
             (NeighborBackend::Hnsw(p), Some((metric, _))) => {
                 metric == DistanceMetric::Euclidean && n >= p.min_rows
             }
             _ => false,
         };
+        let forest = match self.distills(spec) {
+            true => self.config.approx_spec.distill_forest(space_features),
+            false => None,
+        };
         spec.task_descriptor()
             .with_cached_neighbors(cached)
             .with_approx_neighbors(approx)
+            .with_distillation(forest)
     }
 }
 
@@ -973,7 +1060,14 @@ mod tests {
 
     #[test]
     fn warm_refit_carries_unchanged_models_as_the_same_allocation() {
-        let mut clf = fitted(Suod::builder());
+        use suod_observe::RecordingObserver;
+        let recorder = Arc::new(RecordingObserver::new());
+        let distilled = || -> Vec<Option<usize>> {
+            let trace = recorder.trace();
+            trace.spans_of(Stage::PsaDistill).map(|s| s.model).collect()
+        };
+        let mut clf = fitted(Suod::builder().observer(recorder.clone()));
+        assert_eq!(distilled().len(), 2);
         let before = clf.state().unwrap().models.clone();
         let mut specs = small_pool();
         specs[2] = ModelSpec::Hbos {
@@ -990,6 +1084,9 @@ mod tests {
             );
         }
         assert!(!Arc::ptr_eq(&before[2], &after[2]));
+        // A carried costly model keeps its approximator with the rest of
+        // it: the refit distilled nothing.
+        assert_eq!(distilled().len(), 2);
         let diag = clf.diagnostics().unwrap();
         let attempts: Vec<usize> = diag.models().iter().map(|row| row.attempts).collect();
         assert_eq!(attempts, [0, 0, 1, 0]);
@@ -997,10 +1094,139 @@ mod tests {
         assert_eq!(diag.projected(), vec![true, true, false, false]);
         assert_eq!(diag.approximated(), vec![true, true, false, false]);
         assert!(diag.models().iter().all(|row| row.fit_time.is_some()));
+        // Swapping a costly model distills that one, once.
+        let mut specs = clf.config.base_estimators.clone();
+        specs[1] = ModelSpec::Lof {
+            n_neighbors: 6,
+            metric: DistanceMetric::Euclidean,
+        };
+        clf.warm_refit(&data(), specs).unwrap();
+        assert_eq!(distilled()[2..], [Some(1)]);
+        let after = clf.state().unwrap().models.clone();
         // A cold fit never looks at what an earlier fit left behind.
         clf.fit(&data()).unwrap();
         let refitted = &clf.state().unwrap().models;
         assert!((0..4).all(|i| !Arc::ptr_eq(&after[i], &refitted[i])));
+    }
+
+    #[test]
+    fn an_approximator_that_cannot_be_trained_fails_the_fit_and_keeps_the_previous_pool() {
+        use crate::ApproxSpec;
+        // No costly model, so the unusable approximator is never built.
+        let cheap = vec![small_pool()[2], small_pool()[3]];
+        let mut clf = Suod::builder()
+            .base_estimators(cheap.clone())
+            .approximator(ApproxSpec::Ridge { lambda: -1.0 })
+            .min_healthy_fraction(0.1)
+            .n_workers(2)
+            .build()
+            .unwrap();
+        let x = data();
+        clf.fit(&x).unwrap();
+        let before = clf.decision_function(&x).unwrap();
+        // A costly model joins: its task fits the detector, then fails to
+        // distill — fatal, not a quarantine, whatever the health floor.
+        let err = clf.warm_refit(&x, small_pool()).unwrap_err();
+        assert!(matches!(err, Error::Approximation(_)), "{err}");
+        assert_eq!(clf.config.base_estimators, cheap);
+        assert_eq!(clf.diagnostics().unwrap().models().len(), 2);
+        let after = clf.decision_function(&x).unwrap();
+        assert_eq!(before.as_slice(), after.as_slice());
+    }
+
+    #[test]
+    fn only_a_distilled_model_is_forecast_a_forest() {
+        use crate::ApproxSpec;
+        let spec_of =
+            |builder: crate::SuodBuilder| builder.base_estimators(small_pool()).build().unwrap();
+        let approx = ApproxSpec::RandomForest {
+            n_estimators: 7,
+            max_depth: 3,
+        };
+        let on = spec_of(Suod::builder().approximator(approx));
+        let off = spec_of(Suod::builder().with_approximation(false));
+        let ridge = spec_of(Suod::builder().approximator(ApproxSpec::Ridge { lambda: 1.0 }));
+        for (i, spec) in small_pool().iter().enumerate() {
+            let forest = on.fit_descriptor(spec, false, 62, 3).distill;
+            // kNN and LOF are costly; HBOS and iForest serve themselves.
+            assert_eq!(forest.is_some(), i < 2, "{}", spec.name());
+            if let Some(forest) = forest {
+                assert_eq!(
+                    (forest.trees, forest.max_depth, forest.n_features),
+                    (7, 3, 3)
+                );
+            }
+            // PSA off, or an approximator that is no forest: the task is
+            // described exactly as before distillation joined it.
+            let plain = spec.task_descriptor();
+            assert_eq!(off.fit_descriptor(spec, false, 62, 3), plain);
+            assert_eq!(ridge.fit_descriptor(spec, false, 62, 3), plain);
+        }
+    }
+
+    #[test]
+    fn forecasting_the_whole_task_flags_no_distilled_model() {
+        use crate::ApproxSpec;
+        // Three costly models whose tasks are mostly distillation; CBLOF's
+        // own fit is ~2 % of the pool's fit forecast.
+        let pool = vec![
+            ModelSpec::Knn {
+                n_neighbors: 10,
+                method: KnnMethod::Largest,
+            },
+            ModelSpec::Lof {
+                n_neighbors: 10,
+                metric: DistanceMetric::Euclidean,
+            },
+            ModelSpec::Cblof { n_clusters: 2 },
+        ];
+        let mut state = 7u64;
+        let mut uniform = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let x = Matrix::from_vec(600, 8, (0..600 * 8).map(|_| uniform()).collect()).unwrap();
+        let mut clf = Suod::builder()
+            .base_estimators(pool.clone())
+            .with_projection(false)
+            .approximator(ApproxSpec::RandomForest {
+                n_estimators: 30,
+                max_depth: 12,
+            })
+            .n_workers(2)
+            .seed(5)
+            .build()
+            .unwrap();
+        clf.fit(&x).unwrap();
+        let diag = clf.diagnostics().unwrap();
+        assert_eq!(diag.approximated(), vec![true; 3]);
+        assert!(diag.execution().stragglers.is_empty());
+        assert!(diag.models().iter().all(|row| !row.straggler));
+        // The rule itself, on a run that goes exactly as forecast (task
+        // times proportional to the whole-task forecast, each far above
+        // the 50 ms floor) rather than on this host's clock.
+        let meta = DatasetMeta::extract(&x);
+        let cost_model = &clf.config.cost_model;
+        let whole: Vec<TaskDescriptor> = pool
+            .iter()
+            .map(|spec| clf.fit_descriptor(spec, false, x.nrows(), x.ncols()))
+            .collect();
+        let whole = cost_model.predict_costs(&whole, &meta);
+        let fit_only: Vec<TaskDescriptor> = pool.iter().map(ModelSpec::task_descriptor).collect();
+        let fit_only = cost_model.predict_costs(&fit_only, &meta);
+        let shortest = whole.iter().copied().fold(f64::INFINITY, f64::min);
+        let measured: Vec<Duration> = whole
+            .iter()
+            .map(|cost| Duration::from_secs_f64(cost / shortest))
+            .collect();
+        let factor = clf.config.straggler_factor;
+        assert!(super::super::stragglers(&whole, &measured, factor).is_empty());
+        // Against a forecast of the fits alone, CBLOF's task is many times
+        // its share.
+        let flagged = super::super::stragglers(&fit_only, &measured, factor);
+        assert!(flagged.contains(&2), "{flagged:?}");
     }
 
     #[test]

@@ -43,6 +43,35 @@ pub struct TaskDescriptor {
     /// `O(n^2 d)` to `O(n log n · d)`, and BPS should not treat an
     /// approximate proximity fit as the pool's heavyweight.
     pub approx_neighbors: bool,
+    /// The forest this task grows from the model's training scores once
+    /// the model is fitted (PSA distillation, §3.4), `None` for a task
+    /// that only fits. The task's cost is the fit **plus** the forest, so
+    /// placement and straggler flagging see all of it.
+    pub distill: Option<DistillForest>,
+}
+
+/// Shape of a PSA approximator forest, as far as its training cost goes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DistillForest {
+    /// Number of trees.
+    pub trees: usize,
+    /// Maximum tree depth.
+    pub max_depth: usize,
+    /// Features of the space the forest is trained on (the model's
+    /// projected space when it has one).
+    pub n_features: usize,
+}
+
+impl DistillForest {
+    /// Split-search work of growing the forest on `n` rows: every tree
+    /// has `min(max_depth, log2 n)` levels that each order all `n` rows
+    /// (`n log2 n`) for `ceil(sqrt(d))` candidate features.
+    fn operations(&self, n: f64) -> f64 {
+        let log_n = n.max(2.0).log2();
+        let levels = (self.max_depth as f64).min(log_n);
+        let candidates = (self.n_features as f64).sqrt().ceil();
+        self.trees as f64 * levels * candidates * n * log_n
+    }
 }
 
 impl TaskDescriptor {
@@ -54,6 +83,7 @@ impl TaskDescriptor {
             weight: 1.0,
             cached_neighbors: false,
             approx_neighbors: false,
+            distill: None,
         }
     }
 
@@ -78,9 +108,29 @@ impl TaskDescriptor {
         self
     }
 
+    /// Sets the forest the task distills after its fit (see the field docs
+    /// on `distill`).
+    pub fn with_distillation(mut self, forest: Option<DistillForest>) -> Self {
+        self.distill = forest;
+        self
+    }
+
+    /// Forecast of the whole task from the forecast of its fit: `fit` plus
+    /// the [`distill`](Self::distill) forest grown on `n` rows, at
+    /// `per_operation` of the cost model's own units per split-search
+    /// operation; `fit` itself, bit for bit, for a task without a forest.
+    pub fn with_distill_cost(&self, fit: f64, per_operation: f64, n: usize) -> f64 {
+        match self.distill {
+            None => fit,
+            Some(forest) => fit + per_operation * forest.operations(n as f64),
+        }
+    }
+
     /// Full feature vector for the learned predictor: dataset meta-features
     /// followed by the knob, the weight, the cached-neighbors flag, the
-    /// approx-neighbors flag, and a one-hot family embedding.
+    /// approx-neighbors flag, and a one-hot family embedding. It describes
+    /// the model's fit; a [`distill`](Self::distill) forest is costed
+    /// beside the learned forecast, not through it.
     pub fn feature_vector(&self, meta: &DatasetMeta) -> Vec<f64> {
         let mut v = meta.feature_vector();
         v.push(self.knob);
@@ -97,6 +147,13 @@ impl TaskDescriptor {
 /// Forecasts the execution cost of fitting (or predicting with) a model on
 /// a dataset. Units are arbitrary: only the induced *ranking* matters for
 /// BPS (ranks transfer across hardware, §3.5).
+///
+/// An implementation must cost the **whole** task: a descriptor that
+/// carries a [`distill`](TaskDescriptor::distill) forest is the fit plus
+/// growing that forest, which is what
+/// [`TaskDescriptor::with_distill_cost`] adds in the model's own units.
+/// Forecasting the fit alone makes every distilled model look like a
+/// straggler against its share.
 pub trait CostModel: Send + Sync {
     /// Predicted cost for one task on one dataset.
     fn predict_cost(&self, task: &TaskDescriptor, meta: &DatasetMeta) -> f64;
@@ -119,6 +176,18 @@ pub trait CostModel: Send + Sync {
             .collect()
     }
 }
+
+/// Cost of one [`DistillForest`] split-search operation in
+/// [`AnalyticCostModel`] units, calibrated as the family constants were
+/// (EXPERIMENTS.md, cost-model calibration probe): the proximity-family
+/// fits of a PSA pool run at 2.2–3.8e9 units/s and its `PsaDistill` spans
+/// at 4.5–5.6e8 operations/s, 4.4–7.2 units per operation over five
+/// shapes.
+const ANALYTIC_UNITS_PER_DISTILL_OP: f64 = 5.5;
+
+/// The same operation in seconds, the unit [`ForestCostPredictor`]
+/// learns its fit forecasts in: 1.8–2.2 ns on the same probe.
+const SECONDS_PER_DISTILL_OP: f64 = 2.0e-9;
 
 /// Closed-form per-family complexity estimates.
 ///
@@ -180,7 +249,11 @@ impl CostModel for AnalyticCostModel {
             // so single-task queries are also pessimistic.
             AlgorithmFamily::Unknown => f64::MAX / 4.0,
         };
-        base * task.weight
+        task.with_distill_cost(
+            base * task.weight,
+            ANALYTIC_UNITS_PER_DISTILL_OP,
+            meta.n_samples,
+        )
     }
 }
 
@@ -350,10 +423,11 @@ impl CostModel for ForestCostPredictor {
         }
         let row = task.feature_vector(meta);
         let x = suod_linalg::Matrix::from_rows(&[row]).expect("single fixed-size row");
-        match self.forest.predict(&x) {
+        let fit = match self.forest.predict(&x) {
             Ok(p) => p[0].exp(),
             Err(_) => 1.0,
-        }
+        };
+        task.with_distill_cost(fit, SECONDS_PER_DISTILL_OP, meta.n_samples)
     }
 }
 
@@ -539,6 +613,65 @@ mod tests {
             model.predict_cost(&t, &m),
             model.predict_cost(&t.with_cached_neighbors(true), &m)
         );
+    }
+
+    #[test]
+    fn distillation_is_added_to_the_fit_forecast() {
+        let m = meta(700, 40);
+        let analytic = AnalyticCostModel::new();
+        let forest = |trees, max_depth| {
+            Some(DistillForest {
+                trees,
+                max_depth,
+                n_features: 27,
+            })
+        };
+        for family in [AlgorithmFamily::Knn, AlgorithmFamily::Cblof] {
+            let fit = TaskDescriptor::new(family, 5.0);
+            let plain = analytic.predict_cost(&fit, &m);
+            // No forest: the fit forecast, bit for bit.
+            assert_eq!(
+                analytic.predict_cost(&fit.with_distillation(None), &m),
+                plain
+            );
+            let small = analytic.predict_cost(&fit.with_distillation(forest(10, 8)), &m);
+            let more_trees = analytic.predict_cost(&fit.with_distillation(forest(20, 8)), &m);
+            let deeper = analytic.predict_cost(&fit.with_distillation(forest(10, 9)), &m);
+            let past_log_n = analytic.predict_cost(&fit.with_distillation(forest(10, 30)), &m);
+            assert!(small > plain);
+            // The term is linear in the trees and capped at log2 n levels.
+            let term = small - plain;
+            assert!((more_trees - plain - 2.0 * term).abs() <= 1e-9 * term);
+            assert!(deeper > small && past_log_n > deeper);
+            assert!(past_log_n - plain < term * 700f64.log2() / 8.0 * (1.0 + 1e-9));
+        }
+        // On the probe shape a 10 x depth-8 forest outweighs a cheap fit
+        // and is a fraction of a proximity fit.
+        let cblof = analytic.predict_cost(&TaskDescriptor::new(AlgorithmFamily::Cblof, 4.0), &m);
+        let knn = analytic.predict_cost(&TaskDescriptor::new(AlgorithmFamily::Knn, 5.0), &m);
+        let term = analytic.predict_cost(
+            &TaskDescriptor::new(AlgorithmFamily::Knn, 5.0).with_distillation(forest(10, 8)),
+            &m,
+        ) - knn;
+        assert!(term > cblof && term < knn * 2.0, "{term} vs {cblof}, {knn}");
+    }
+
+    #[test]
+    fn forest_predictor_rejects_non_finite_meta_features() {
+        let sample = |mean_std: f64| CostSample {
+            task: TaskDescriptor::new(AlgorithmFamily::Knn, 5.0),
+            meta: DatasetMeta {
+                mean_std,
+                ..meta(100, 4)
+            },
+            seconds: 0.5,
+        };
+        let mut predictor = ForestCostPredictor::new(3, 0);
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert!(predictor.fit(&[sample(1.0), sample(bad)]).is_err());
+            assert!(!predictor.is_fitted());
+        }
+        predictor.fit(&[sample(1.0), sample(2.0)]).unwrap();
     }
 
     #[test]

@@ -59,12 +59,12 @@ pub mod work_stealing;
 pub use assignment::{bps_schedule, generic_schedule, shuffled_schedule, Assignment};
 pub use cost::{
     predict_batch_forecast, predict_chunk_costs, shared_query_costs, AnalyticCostModel, CostModel,
-    ForestCostPredictor, TaskDescriptor,
+    DistillForest, ForestCostPredictor, TaskDescriptor,
 };
 pub use executor::ThreadPoolExecutor;
 pub use meta::DatasetMeta;
 pub use simulate::{simulate_makespan, SimulationResult};
-pub use work_stealing::{ExecutionReport, TaskFailure, WorkStealingExecutor};
+pub use work_stealing::{current_worker, ExecutionReport, TaskFailure, WorkStealingExecutor};
 
 use std::fmt;
 

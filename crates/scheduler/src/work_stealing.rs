@@ -687,7 +687,21 @@ impl Drop for WorkStealingExecutor {
     }
 }
 
+thread_local! {
+    /// Pool index of the worker this thread is; `None` off the pool.
+    static CURRENT_WORKER: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Index, within its pool, of the [`WorkStealingExecutor`] worker the
+/// calling thread is — `None` on any other thread. A task reads it to
+/// attribute the spans it opens to the worker that runs it, as the
+/// executor does for the [`Stage::ExecutorTask`] span around the task.
+pub fn current_worker() -> Option<usize> {
+    CURRENT_WORKER.get()
+}
+
 fn worker_loop(shared: &PoolShared, worker: usize) {
+    CURRENT_WORKER.set(Some(worker));
     let mut seen_epoch = 0u64;
     loop {
         let batch = {

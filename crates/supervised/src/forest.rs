@@ -6,14 +6,27 @@
 //! and interpretability") and the model class behind the BPS cost
 //! predictor. Bootstrap-sampled CART trees with per-split feature
 //! subsampling; predictions are the mean over trees.
+//!
+//! Training presorts the matrix once ([`PresortedSpace`]) and grows every
+//! tree over it: a bootstrap sample is a list of row ids, not a copy of
+//! the rows, and split search sorts integer keys. What is computed — RNG
+//! draws, visiting order, floating-point operation order — is unchanged,
+//! so a forest is the same forest bit for bit; `tree::oracle` keeps the
+//! copying builder for the tests to hold it to that.
 
 use crate::tree::{DecisionTreeRegressor, TreeParams};
-use crate::{check_fit_inputs, Error, Regressor, Result};
+use crate::{check_targets, Error, PresortedSpace, Regressor, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use suod_linalg::Matrix;
 
 /// Random forest regressor.
+///
+/// [`fit`](Regressor::fit) presorts its matrix and calls
+/// [`fit_presorted`](Self::fit_presorted); callers that train several
+/// forests on one matrix presort it themselves and share the result.
+/// [`predict`](Regressor::predict) walks every tree per row straight
+/// into the output, allocating nothing per tree.
 ///
 /// # Example
 ///
@@ -121,17 +134,28 @@ impl RandomForestRegressor {
         }
         Ok(acc)
     }
-}
 
-impl Regressor for RandomForestRegressor {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        check_fit_inputs(x, y)?;
-        let n = x.nrows();
-        let d = x.ncols();
+    /// Fits the forest on a matrix that is already presorted — what
+    /// [`Regressor::fit`] does after presorting its argument. Forests
+    /// trained on one matrix (PSA approximators of models that share a
+    /// feature space) share the [`PresortedSpace`] and pay for it once.
+    ///
+    /// A tree's bootstrap sample is a list of row ids drawn from the
+    /// forest's RNG, never a copy of the rows.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] when `y` is not one target per
+    /// row of `space` and [`Error::NonFiniteInput`] for a NaN or
+    /// infinite target.
+    pub fn fit_presorted(&mut self, space: &PresortedSpace, y: &[f64]) -> Result<()> {
+        check_targets(space.n_rows(), y)?;
+        let n = space.n_rows();
+        let d = space.n_features();
         self.n_features = d;
         let max_features = match self.max_features_fraction {
-            Some(f) => ((d as f64 * f).ceil() as usize).clamp(1, d),
-            None => ((d as f64).sqrt().ceil() as usize).clamp(1, d),
+            Some(f) => ((d as f64 * f).ceil() as usize).clamp(1, d.max(1)),
+            None => ((d as f64).sqrt().ceil() as usize).clamp(1, d.max(1)),
         };
         let params = TreeParams {
             max_features: Some(max_features),
@@ -140,31 +164,39 @@ impl Regressor for RandomForestRegressor {
 
         let mut rng = StdRng::seed_from_u64(self.seed);
         self.trees = Vec::with_capacity(self.n_estimators);
+        let mut rows: Vec<u32> = Vec::with_capacity(n);
         for t in 0..self.n_estimators {
             let tree_seed = rng.random::<u64>() ^ t as u64;
-            let (bx, by) = if self.bootstrap {
-                let idx: Vec<usize> = (0..n).map(|_| rng.random_range(0..n)).collect();
-                let bx = x.select_rows(&idx);
-                let by: Vec<f64> = idx.iter().map(|&i| y[i]).collect();
-                (bx, by)
+            rows.clear();
+            if self.bootstrap {
+                rows.extend((0..n).map(|_| rng.random_range(0..n) as u32));
             } else {
-                (x.clone(), y.to_vec())
-            };
+                rows.extend(0..n as u32);
+            }
             let mut tree = DecisionTreeRegressor::new(params, tree_seed);
-            tree.fit(&bx, &by)?;
+            tree.grow(space, y, &mut rows);
             self.trees.push(tree);
         }
         Ok(())
+    }
+}
+
+impl Regressor for RandomForestRegressor {
+    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
+        self.fit_presorted(&PresortedSpace::new(x)?, y)
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
         if self.trees.is_empty() {
             return Err(Error::NotFitted("RandomForestRegressor"));
         }
+        // Row walks straight into the accumulator, in ascending tree
+        // order: the sums a per-tree prediction vector would give.
         let mut acc = vec![0.0; x.nrows()];
         for tree in &self.trees {
-            for (a, p) in acc.iter_mut().zip(tree.predict(x)?) {
-                *a += p;
+            tree.check_predict_input(x)?;
+            for (a, row) in acc.iter_mut().zip(x.rows_iter()) {
+                *a += tree.predict_row(row);
             }
         }
         let k = self.trees.len() as f64;
@@ -239,6 +271,8 @@ impl RandomForestRegressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::oracle;
+    use proptest::prelude::*;
     use suod_datasets_testutil::*;
 
     /// Tiny shared helpers (kept local; no extra dev-dependency).
@@ -316,6 +350,92 @@ mod tests {
         let pred = rf.predict(&x).unwrap();
         for (p, t) in pred.iter().zip(&y) {
             assert!((p - t).abs() < 3.0, "{p} vs {t}");
+        }
+    }
+
+    /// A matrix and targets built to tie: per column continuous, a small
+    /// lattice that holds both zeros, or constant; then a share of the
+    /// rows overwritten with copies of other rows.
+    fn tie_heavy_problem(n: usize, d: usize, seed: u64) -> (Matrix, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lattice = [-1.0, -0.0, 0.0, 0.5, 2.0];
+        let mut x = Matrix::zeros(n, d);
+        for c in 0..d {
+            let kind = rng.random_range(0..4usize);
+            let constant = lattice[rng.random_range(0..lattice.len())];
+            for r in 0..n {
+                let v = match kind {
+                    0 | 1 => lattice[rng.random_range(0..lattice.len())],
+                    2 => rng.random::<f64>() * 8.0 - 4.0,
+                    _ => constant,
+                };
+                x.set(r, c, v);
+            }
+        }
+        let mut y: Vec<f64> = (0..n)
+            .map(|_| match seed % 3 {
+                0 => rng.random::<f64>() * 10.0 - 5.0,
+                _ => lattice[rng.random_range(0..lattice.len())],
+            })
+            .collect();
+        for r in 0..n {
+            if rng.random_bool(0.3) {
+                let from = rng.random_range(0..n);
+                let row = x.row(from).to_vec();
+                x.row_mut(r).copy_from_slice(&row);
+                if rng.random_bool(0.5) {
+                    y[r] = y[from];
+                }
+            }
+        }
+        (x, y)
+    }
+
+    fn snapshot_bytes(tree: &DecisionTreeRegressor) -> Vec<u8> {
+        let mut w = suod_linalg::SnapshotWriter::new();
+        tree.snapshot_write(&mut w).unwrap();
+        w.as_bytes().to_vec()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The presorted builder grows the trees the builder before it
+        /// grew — nodes, thresholds, importances — on data where nearly
+        /// every comparison is a tie.
+        #[test]
+        fn presorted_builder_grows_the_oracle_trees(
+            (n, d, seed) in (1usize..200, 1usize..12, 0u64..u64::MAX),
+            (max_depth, min_samples_leaf, min_samples_split) in (0usize..=12, 1usize..=5, 2usize..=6),
+            (bootstrap, feature_draw) in (proptest::bool::ANY, 0usize..12),
+        ) {
+            let (x, y) = tie_heavy_problem(n, d, seed);
+            let max_features = 1 + feature_draw % d;
+
+            let params = TreeParams {
+                max_depth,
+                min_samples_split,
+                min_samples_leaf,
+                max_features: (feature_draw < 11).then_some(max_features),
+            };
+            let mut tree = DecisionTreeRegressor::new(params, seed);
+            tree.fit(&x, &y).unwrap();
+            let expected = oracle::fit_tree(params, seed, &x, &y);
+            prop_assert_eq!(snapshot_bytes(&tree), snapshot_bytes(&expected));
+
+            let mut forest = RandomForestRegressor::new(4, seed)
+                .with_max_depth(max_depth)
+                .with_min_samples_leaf(min_samples_leaf)
+                .with_max_features_fraction(max_features as f64 / d as f64)
+                .unwrap();
+            forest.bootstrap = bootstrap;
+            forest.fit(&x, &y).unwrap();
+            let params = forest.trees[0].params();
+            let expected = oracle::fit_forest_trees(4, params, bootstrap, seed, &x, &y);
+            prop_assert_eq!(forest.trees.len(), expected.len());
+            for (grown, expected) in forest.trees.iter().zip(&expected) {
+                prop_assert_eq!(snapshot_bytes(grown), snapshot_bytes(expected));
+            }
         }
     }
 

@@ -35,11 +35,13 @@
 
 pub mod forest;
 pub mod knn_regressor;
+pub mod presorted;
 pub mod ridge;
 pub mod tree;
 
 pub use forest::RandomForestRegressor;
 pub use knn_regressor::KnnRegressor;
+pub use presorted::PresortedSpace;
 pub use ridge::Ridge;
 pub use tree::{DecisionTreeRegressor, TreeParams};
 
@@ -63,6 +65,9 @@ pub enum Error {
     InvalidParameter(String),
     /// Training data was empty.
     EmptyInput(&'static str),
+    /// Training data (`"features"` or `"targets"`) held a NaN or an
+    /// infinity.
+    NonFiniteInput(&'static str),
     /// Propagated linear-algebra failure.
     Linalg(suod_linalg::Error),
 }
@@ -77,6 +82,7 @@ impl fmt::Display for Error {
             Error::NotFitted(model) => write!(f, "{model} must be fitted before prediction"),
             Error::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             Error::EmptyInput(what) => write!(f, "{what} received empty training data"),
+            Error::NonFiniteInput(what) => write!(f, "training {what} contain NaN or infinity"),
             Error::Linalg(e) => write!(f, "linear algebra error: {e}"),
         }
     }
@@ -110,7 +116,9 @@ pub trait Regressor: Send + Sync {
     /// # Errors
     ///
     /// Implementations return [`Error::ShapeMismatch`] when `x.nrows() !=
-    /// y.len()` and [`Error::EmptyInput`] when `x` has no rows.
+    /// y.len()`, [`Error::EmptyInput`] when `x` has no rows, and
+    /// [`Error::NonFiniteInput`] when `x` or `y` holds a NaN or an
+    /// infinity.
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()>;
 
     /// Predicts targets for each row of `x`.
@@ -202,11 +210,61 @@ pub(crate) fn check_fit_inputs(x: &Matrix, y: &[f64]) -> Result<()> {
     if x.nrows() == 0 {
         return Err(Error::EmptyInput("Regressor::fit"));
     }
-    if x.nrows() != y.len() {
+    check_finite(x.as_slice(), "features")?;
+    check_targets(x.nrows(), y)
+}
+
+/// The target half of [`check_fit_inputs`], for `rows` training rows.
+pub(crate) fn check_targets(rows: usize, y: &[f64]) -> Result<()> {
+    if rows != y.len() {
         return Err(Error::ShapeMismatch {
-            rows: x.nrows(),
+            rows,
             targets: y.len(),
         });
     }
-    Ok(())
+    check_finite(y, "targets")
+}
+
+pub(crate) fn check_finite(values: &[f64], what: &'static str) -> Result<()> {
+    if values.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(Error::NonFiniteInput(what))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_regressor_rejects_non_finite_training_data() {
+        let x = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.5], vec![2.0, 0.0]]).unwrap();
+        let y = [0.0, 1.0, 2.0];
+        let regressors: Vec<Box<dyn Regressor>> = vec![
+            Box::new(DecisionTreeRegressor::default()),
+            Box::new(RandomForestRegressor::new(3, 0)),
+            Box::new(Ridge::new(1e-3).unwrap()),
+            Box::new(KnnRegressor::new(1).unwrap()),
+        ];
+        for mut regressor in regressors {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut bad_x = x.clone();
+                bad_x.set(1, 1, bad);
+                assert_eq!(
+                    regressor.fit(&bad_x, &y).unwrap_err(),
+                    Error::NonFiniteInput("features"),
+                    "{}",
+                    regressor.name()
+                );
+            }
+            assert_eq!(
+                regressor.fit(&x, &[0.0, f64::NAN, 2.0]).unwrap_err(),
+                Error::NonFiniteInput("targets"),
+                "{}",
+                regressor.name()
+            );
+            regressor.fit(&x, &y).unwrap();
+        }
+    }
 }

@@ -6,8 +6,15 @@
 //! can decorrelate its members, and records impurity
 //! decrease per feature to expose the feature importances the paper
 //! highlights as PSA's interpretability benefit (§3.4, Remark 1).
+//!
+//! There is one split search, over a [`PresortedSpace`]: a node orders
+//! its rows for a candidate feature by sorting `u64` keys, `dense rank
+//! << 32 | position in the current order`. The keys are unique, so the
+//! (unstable) sort has one possible result — rows by value, equal values
+//! in the order they were in — which is what a stable comparison sort
+//! through the matrix gives, ties included.
 
-use crate::{check_fit_inputs, Error, Regressor, Result};
+use crate::{check_targets, Error, PresortedSpace, Regressor, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use suod_linalg::Matrix;
@@ -123,7 +130,7 @@ impl DecisionTreeRegressor {
         self.nodes.len()
     }
 
-    fn predict_row(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
         let mut idx = 0;
         loop {
             match self.nodes[idx] {
@@ -144,123 +151,9 @@ impl DecisionTreeRegressor {
         }
     }
 
-    fn build(
-        &mut self,
-        x: &Matrix,
-        y: &[f64],
-        indices: &mut [usize],
-        depth: usize,
-        rng: &mut StdRng,
-    ) -> usize {
-        let node_mean = mean_of(y, indices);
-        let node_sse = sse_of(y, indices, node_mean);
-        let is_leaf = depth >= self.params.max_depth
-            || indices.len() < self.params.min_samples_split
-            || node_sse <= 1e-12;
-
-        if !is_leaf {
-            if let Some((feature, threshold, gain)) = self.best_split(x, y, indices, node_sse, rng)
-            {
-                self.importances[feature] += gain;
-                let mid = partition(x, indices, feature, threshold);
-                // Reserve this node's slot before recursing.
-                let node_idx = self.nodes.len();
-                self.nodes.push(Node::Leaf { value: node_mean });
-                let (left_idx, right_idx) = {
-                    let (li, ri) = indices.split_at_mut(mid);
-                    let l = self.build(x, y, li, depth + 1, rng);
-                    let r = self.build(x, y, ri, depth + 1, rng);
-                    (l, r)
-                };
-                self.nodes[node_idx] = Node::Split {
-                    feature,
-                    threshold,
-                    left: left_idx,
-                    right: right_idx,
-                };
-                return node_idx;
-            }
-        }
-        let node_idx = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: node_mean });
-        node_idx
-    }
-
-    /// Finds the split maximizing SSE reduction; `None` when no valid
-    /// split improves on the parent.
-    fn best_split(
-        &self,
-        x: &Matrix,
-        y: &[f64],
-        indices: &[usize],
-        parent_sse: f64,
-        rng: &mut StdRng,
-    ) -> Option<(usize, f64, f64)> {
-        let d = x.ncols();
-        let features: Vec<usize> = match self.params.max_features {
-            Some(k) if k < d => sample_features(d, k, rng),
-            _ => (0..d).collect(),
-        };
-
-        let mut best: Option<(usize, f64, f64)> = None;
-        let n = indices.len() as f64;
-        let min_leaf = self.params.min_samples_leaf.max(1);
-
-        let mut order: Vec<usize> = indices.to_vec();
-        for &f in &features {
-            order.sort_by(|&a, &b| {
-                x.get(a, f)
-                    .partial_cmp(&x.get(b, f))
-                    .expect("finite features")
-            });
-            // Prefix sums over sorted targets for O(1) SSE at each cut.
-            let mut sum_left = 0.0;
-            let mut sumsq_left = 0.0;
-            let total_sum: f64 = order.iter().map(|&i| y[i]).sum();
-            let total_sumsq: f64 = order.iter().map(|&i| y[i] * y[i]).sum();
-
-            for (pos, &i) in order.iter().enumerate() {
-                sum_left += y[i];
-                sumsq_left += y[i] * y[i];
-                let n_left = pos + 1;
-                let n_right = order.len() - n_left;
-                if n_left < min_leaf || n_right < min_leaf {
-                    continue;
-                }
-                let v = x.get(i, f);
-                let v_next = x.get(order[pos + 1], f);
-                if v_next <= v {
-                    // No threshold separates equal values.
-                    continue;
-                }
-                let sse_left = sumsq_left - sum_left * sum_left / n_left as f64;
-                let sum_right = total_sum - sum_left;
-                let sumsq_right = total_sumsq - sumsq_left;
-                let sse_right = sumsq_right - sum_right * sum_right / n_right as f64;
-                let gain = parent_sse - sse_left - sse_right;
-                if gain > 1e-12 * n && best.is_none_or(|(_, _, bg)| gain > bg) {
-                    best = Some((f, 0.5 * (v + v_next), gain));
-                }
-            }
-        }
-        best
-    }
-}
-
-impl Regressor for DecisionTreeRegressor {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        check_fit_inputs(x, y)?;
-        self.nodes.clear();
-        self.n_features = x.ncols();
-        self.importances = vec![0.0; x.ncols()];
-        let mut indices: Vec<usize> = (0..x.nrows()).collect();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        self.build(x, y, &mut indices, 0, &mut rng);
-        self.fitted = true;
-        Ok(())
-    }
-
-    fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
+    /// The shape and fit-state check shared by [`Regressor::predict`] and
+    /// the forest's row walk.
+    pub(crate) fn check_predict_input(&self, x: &Matrix) -> Result<()> {
         if !self.fitted {
             return Err(Error::NotFitted("DecisionTreeRegressor"));
         }
@@ -271,6 +164,185 @@ impl Regressor for DecisionTreeRegressor {
                 x.ncols()
             )));
         }
+        Ok(())
+    }
+
+    /// Grows the tree on the sample `rows` — row ids into `space`, one per
+    /// draw, so a bootstrap names a row as often as it drew it — reading
+    /// targets from `y` by row id. `rows` is reordered in place.
+    pub(crate) fn grow(&mut self, space: &PresortedSpace, y: &[f64], rows: &mut [u32]) {
+        let mut grower = Grower {
+            space,
+            y,
+            params: self.params,
+            rng: StdRng::seed_from_u64(self.seed),
+            nodes: Vec::new(),
+            importances: vec![0.0; space.n_features()],
+            features: Vec::new(),
+            order: Vec::new(),
+            sorted: Vec::new(),
+            keys: Vec::new(),
+            targets: Vec::new(),
+        };
+        grower.build(rows, 0);
+        self.nodes = grower.nodes;
+        self.importances = grower.importances;
+        self.n_features = space.n_features();
+        self.fitted = true;
+    }
+}
+
+/// Low 32 bits of a sort key: the row's position in the order the sort
+/// started from.
+const POSITION_MASK: u64 = u32::MAX as u64;
+
+/// One tree under construction: depth-first CART over a
+/// [`PresortedSpace`], plus the scratch `best_split` reuses at every node.
+struct Grower<'a> {
+    space: &'a PresortedSpace,
+    y: &'a [f64],
+    params: TreeParams,
+    rng: StdRng,
+    nodes: Vec<Node>,
+    importances: Vec<f64>,
+    /// Candidate features of the current node.
+    features: Vec<usize>,
+    /// The node's rows in the order the previous candidate left them.
+    order: Vec<u32>,
+    sorted: Vec<u32>,
+    /// `dense rank << 32 | position in order`, one per row of the node.
+    keys: Vec<u64>,
+    /// Targets in `order`.
+    targets: Vec<f64>,
+}
+
+impl Grower<'_> {
+    fn build(&mut self, rows: &mut [u32], depth: usize) -> usize {
+        let node_mean = mean_of(self.y, rows);
+        let node_sse = sse_of(self.y, rows, node_mean);
+        let is_leaf = depth >= self.params.max_depth
+            || rows.len() < self.params.min_samples_split
+            || node_sse <= 1e-12;
+
+        if !is_leaf {
+            if let Some((feature, threshold, gain)) = self.best_split(rows, node_sse) {
+                self.importances[feature] += gain;
+                let mid = partition(self.space.values(feature), rows, threshold);
+                // Reserve this node's slot before recursing.
+                let node_idx = self.nodes.len();
+                self.nodes.push(Node::Leaf { value: node_mean });
+                let (left_rows, right_rows) = rows.split_at_mut(mid);
+                let left = self.build(left_rows, depth + 1);
+                let right = self.build(right_rows, depth + 1);
+                self.nodes[node_idx] = Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                };
+                return node_idx;
+            }
+        }
+        let node_idx = self.nodes.len();
+        self.nodes.push(Node::Leaf { value: node_mean });
+        node_idx
+    }
+
+    /// Draws the node's candidate features into `self.features`: all of
+    /// them, or `max_features` by partial Fisher–Yates.
+    fn sample_features(&mut self) {
+        let d = self.space.n_features();
+        self.features.clear();
+        self.features.extend(0..d);
+        if let Some(k) = self.params.max_features.filter(|&k| k < d) {
+            for i in 0..k {
+                let j = self.rng.random_range(i..d);
+                self.features.swap(i, j);
+            }
+            self.features.truncate(k);
+        }
+    }
+
+    /// Finds the split maximizing SSE reduction; `None` when no valid
+    /// split improves on the parent. Candidates are tried in drawn order,
+    /// each starting from the row order the one before it produced (the
+    /// module docs say why the unstable sort keeps that order among ties).
+    fn best_split(&mut self, rows: &[u32], parent_sse: f64) -> Option<(usize, f64, f64)> {
+        self.sample_features();
+        let mut best: Option<(usize, f64, f64)> = None;
+        let len = rows.len();
+        let n = len as f64;
+        let min_leaf = self.params.min_samples_leaf.max(1);
+
+        self.order.clear();
+        self.order.extend_from_slice(rows);
+        for &f in &self.features {
+            let ranks = self.space.ranks(f);
+            self.keys.clear();
+            self.keys.extend(
+                self.order
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, &row)| u64::from(ranks[row as usize]) << 32 | pos as u64),
+            );
+            self.keys.sort_unstable();
+            self.sorted.clear();
+            self.sorted.extend(
+                self.keys
+                    .iter()
+                    .map(|key| self.order[(key & POSITION_MASK) as usize]),
+            );
+            std::mem::swap(&mut self.order, &mut self.sorted);
+            self.targets.clear();
+            self.targets
+                .extend(self.order.iter().map(|&row| self.y[row as usize]));
+
+            // Prefix sums over sorted targets for O(1) SSE at each cut.
+            let mut sum_left = 0.0;
+            let mut sumsq_left = 0.0;
+            let total_sum: f64 = self.targets.iter().sum();
+            let total_sumsq: f64 = self.targets.iter().map(|&t| t * t).sum();
+
+            for (pos, &t) in self.targets.iter().enumerate() {
+                sum_left += t;
+                sumsq_left += t * t;
+                let n_left = pos + 1;
+                let n_right = len - n_left;
+                if n_left < min_leaf || n_right < min_leaf {
+                    continue;
+                }
+                if self.keys[pos + 1] >> 32 <= self.keys[pos] >> 32 {
+                    // No threshold separates equal values.
+                    continue;
+                }
+                let sse_left = sumsq_left - sum_left * sum_left / n_left as f64;
+                let sum_right = total_sum - sum_left;
+                let sumsq_right = total_sumsq - sumsq_left;
+                let sse_right = sumsq_right - sum_right * sum_right / n_right as f64;
+                let gain = parent_sse - sse_left - sse_right;
+                if gain > 1e-12 * n && best.is_none_or(|(_, _, bg)| gain > bg) {
+                    let values = self.space.values(f);
+                    let v = values[self.order[pos] as usize];
+                    let v_next = values[self.order[pos + 1] as usize];
+                    best = Some((f, 0.5 * (v + v_next), gain));
+                }
+            }
+        }
+        best
+    }
+}
+
+impl Regressor for DecisionTreeRegressor {
+    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
+        let space = PresortedSpace::new(x)?;
+        check_targets(space.n_rows(), y)?;
+        let mut rows: Vec<u32> = (0..space.n_rows() as u32).collect();
+        self.grow(&space, y, &mut rows);
+        Ok(())
+    }
+
+    fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
+        self.check_predict_input(x)?;
         Ok(x.rows_iter().map(|row| self.predict_row(row)).collect())
     }
 
@@ -379,40 +451,34 @@ pub(crate) fn read_tree_params(r: &mut suod_linalg::SnapshotReader<'_>) -> Resul
     })
 }
 
-fn mean_of(y: &[f64], indices: &[usize]) -> f64 {
-    if indices.is_empty() {
+fn mean_of(y: &[f64], rows: &[u32]) -> f64 {
+    if rows.is_empty() {
         return 0.0;
     }
-    indices.iter().map(|&i| y[i]).sum::<f64>() / indices.len() as f64
+    rows.iter().map(|&i| y[i as usize]).sum::<f64>() / rows.len() as f64
 }
 
-fn sse_of(y: &[f64], indices: &[usize], mean: f64) -> f64 {
-    indices.iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum()
+fn sse_of(y: &[f64], rows: &[u32], mean: f64) -> f64 {
+    rows.iter()
+        .map(|&i| (y[i as usize] - mean) * (y[i as usize] - mean))
+        .sum()
 }
 
-/// Partitions `indices` in place so rows with `x[., feature] <= threshold`
-/// come first; returns the boundary position.
-fn partition(x: &Matrix, indices: &mut [usize], feature: usize, threshold: f64) -> usize {
+/// Partitions `rows` in place so those whose feature value (`values`, by
+/// row id) is `<= threshold` come first; returns the boundary position.
+fn partition(values: &[f64], rows: &mut [u32], threshold: f64) -> usize {
     let mut lt = 0;
-    for i in 0..indices.len() {
-        if x.get(indices[i], feature) <= threshold {
-            indices.swap(lt, i);
+    for i in 0..rows.len() {
+        if values[rows[i] as usize] <= threshold {
+            rows.swap(lt, i);
             lt += 1;
         }
     }
     lt
 }
 
-/// Samples `k` distinct feature indices from `0..d` (partial Fisher–Yates).
-fn sample_features(d: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
-    let mut pool: Vec<usize> = (0..d).collect();
-    for i in 0..k {
-        let j = rng.random_range(i..d);
-        pool.swap(i, j);
-    }
-    pool.truncate(k);
-    pool
-}
+#[cfg(test)]
+pub(crate) mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -325,3 +325,60 @@ fn slow_model_flagged_as_straggler_but_not_quarantined() {
     // Straggling alone never quarantines.
     assert_eq!(health.report(9).unwrap().status, ModelStatus::Healthy);
 }
+
+#[test]
+fn distillation_covers_exactly_the_healthy_costly_models() {
+    // PSA on, with a member that recovers on retry and two that never do.
+    // Distillation is the tail of a *successful* costly fit task: one
+    // `PsaDistill` span per approximated model, none for a failed attempt,
+    // a retried chaos member (never costly) or a quarantined one — at any
+    // worker count, with the same scores.
+    use std::sync::Arc;
+    use suod::observe::Stage;
+
+    let x = data();
+    let run = |workers: usize| {
+        let mut pool = base_pool();
+        pool.push(chaos(ChaosMode::FlakyPanic)); // index 18: retried
+        pool.push(chaos(ChaosMode::PanicOnFit)); // index 19: quarantined
+        pool.push(chaos(ChaosMode::NanScores)); // index 20: quarantined
+        let recorder = Arc::new(RecordingObserver::new());
+        let mut clf = Suod::builder()
+            .base_estimators(pool)
+            .approximator(ApproxSpec::RandomForest {
+                n_estimators: 5,
+                max_depth: 6,
+            })
+            .min_healthy_fraction(0.5)
+            .n_workers(workers)
+            .observer(recorder.clone())
+            .seed(2)
+            .build()
+            .unwrap();
+        clf.fit(&x).unwrap();
+        let diag = clf.diagnostics().unwrap();
+        assert_eq!(diag.health().quarantined_indices(), vec![19, 20]);
+        assert_eq!(diag.health().report(18).unwrap().attempts, 2);
+        assert!(matches!(
+            diag.health().report(20).unwrap().cause,
+            Some(suod_detectors::Error::DegenerateData(_))
+        ));
+        let approximated = diag.approximated();
+        // The ten proximity models of the base pool, nothing else.
+        assert_eq!(approximated.iter().filter(|&&a| a).count(), 10);
+        let mut distilled: Vec<usize> = recorder
+            .trace()
+            .spans_of(Stage::PsaDistill)
+            .map(|s| s.model.unwrap())
+            .collect();
+        distilled.sort_unstable();
+        let expected: Vec<usize> = (0..approximated.len())
+            .filter(|&i| approximated[i])
+            .collect();
+        assert_eq!(distilled, expected);
+        clf.decision_function(&x).unwrap()
+    };
+    let scores_1 = run(1);
+    let scores_4 = run(4);
+    assert_eq!(scores_1.as_slice(), scores_4.as_slice());
+}

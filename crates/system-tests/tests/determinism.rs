@@ -108,3 +108,75 @@ fn repeated_predictions_reuse_pool_and_stay_identical() {
         assert_eq!(first.as_slice(), again.as_slice());
     }
 }
+
+/// PSA distillation runs inside the fit tasks, on whichever worker picks
+/// a model up, and forests over an unprojected pool share one presorted
+/// space built by whichever task asks first: none of that may reach a
+/// number, with projection on (private spaces) or off (one shared space).
+#[test]
+fn worker_side_distillation_is_bit_identical_across_worker_counts() {
+    use std::sync::Arc;
+    use suod::observe::Stage;
+
+    let ds = registry::load_scaled("cardio", 11, 0.3).expect("registry dataset");
+    for projection in [true, false] {
+        let run = |n_workers: usize| {
+            let recorder = Arc::new(RecordingObserver::new());
+            let mut model = Suod::builder()
+                .base_estimators(pool())
+                .with_projection(projection)
+                .with_approximation(true)
+                .approximator(ApproxSpec::RandomForest {
+                    n_estimators: 10,
+                    max_depth: 8,
+                })
+                .n_workers(n_workers)
+                .observer(recorder.clone())
+                .seed(42)
+                .build()
+                .expect("valid config");
+            model.fit(&ds.x).expect("fit succeeds");
+
+            // One distillation per approximated model, on a worker, after
+            // that model's fit and before the executor run is over.
+            let trace = recorder.trace();
+            let approximated = model.diagnostics().expect("fitted").approximated();
+            let distilled: Vec<_> = trace.spans_of(Stage::PsaDistill).collect();
+            assert_eq!(distilled.len(), approximated.iter().filter(|&&a| a).count());
+            let last_task_end = trace
+                .spans_of(Stage::ExecutorTask)
+                .map(|s| s.start_us + s.dur_us)
+                .max()
+                .expect("fit ran tasks");
+            for span in &distilled {
+                let model_index = span.model.expect("attributed to a model");
+                assert!(approximated[model_index]);
+                assert!(span.worker.is_some_and(|w| w < n_workers));
+                let fit = trace
+                    .spans_of(Stage::ModelFit)
+                    .find(|s| s.model == span.model)
+                    .expect("the model was fitted");
+                assert_eq!(fit.worker, span.worker);
+                assert!(fit.start_us + fit.dur_us <= span.start_us);
+                assert!(span.start_us <= last_task_end);
+            }
+
+            let reloaded = Suod::load_from_bytes(&model.save_to_bytes().expect("encodes"))
+                .expect("snapshot loads");
+            (
+                model.decision_function(&ds.x).expect("fitted"),
+                model.threshold().expect("fitted"),
+                reloaded.decision_function(&ds.x).expect("loaded"),
+            )
+        };
+        let (scores_1, threshold_1, reloaded_1) = run(1);
+        assert_eq!(scores_1.as_slice(), reloaded_1.as_slice());
+        for workers in [2usize, 8] {
+            let (scores_w, threshold_w, reloaded_w) = run(workers);
+            let case = format!("projection={projection} n_workers={workers}");
+            assert_eq!(scores_1.as_slice(), scores_w.as_slice(), "{case}");
+            assert_eq!(threshold_1.to_bits(), threshold_w.to_bits(), "{case}");
+            assert_eq!(scores_1.as_slice(), reloaded_w.as_slice(), "{case}");
+        }
+    }
+}
