@@ -8,57 +8,19 @@
 //!
 //! Table B.1 varies `n_estimators` and `max_features` (the fraction of
 //! features each tree sees), both supported here.
+//!
+//! The trees live in one [`Forest`] arena, each split on the global
+//! column its tree's feature subset names, each leaf holding its path
+//! length `depth + c(size)`: the value a walk that counted the depth
+//! would return there. Scoring, the training-score pass in `fit`
+//! included, is one [`Forest::leaf_sums`] walk and the `2^(-mean / c)`
+//! epilogue.
 
 use crate::{check_dims, Detector, Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use suod_linalg::Matrix;
-
-#[derive(Debug, Clone)]
-enum ITreeNode {
-    Leaf {
-        /// Number of training samples that reached this leaf.
-        size: usize,
-    },
-    Split {
-        /// Index into the tree's feature subset.
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct ITree {
-    nodes: Vec<ITreeNode>,
-    /// Global feature indices this tree operates on.
-    features: Vec<usize>,
-}
-
-impl ITree {
-    fn path_length(&self, row: &[f64]) -> f64 {
-        let mut idx = 0;
-        let mut depth = 0.0;
-        loop {
-            match &self.nodes[idx] {
-                ITreeNode::Leaf { size } => {
-                    return depth + average_path_length(*size);
-                }
-                ITreeNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    depth += 1.0;
-                    let v = row[self.features[*feature]];
-                    idx = if v <= *threshold { *left } else { *right };
-                }
-            }
-        }
-    }
-}
+use suod_linalg::forest::{read_split_record, write_split_record};
+use suod_linalg::{FlatNode, Forest, Matrix};
 
 /// Expected path length of an unsuccessful BST search over `n` points —
 /// the `c(n)` normalizer from the Isolation Forest paper.
@@ -72,6 +34,59 @@ pub fn average_path_length(n: usize) -> f64 {
             // 2 H(n-1) - 2 (n-1)/n with H(k) ~ ln(k) + gamma.
             2.0 * ((nf - 1.0).ln() + EULER_MASCHERONI) - 2.0 * (nf - 1.0) / nf
         }
+    }
+}
+
+/// What the trees' snapshot records hold and the arena resolves away.
+/// Only `snapshot_write` reads it.
+#[derive(Debug, Clone, Default)]
+struct TreeRecords {
+    /// Per tree, the global columns its splits index into.
+    subsets: Vec<Vec<usize>>,
+    /// Per arena node: a leaf's training-sample count, or a split's index
+    /// into its tree's subset.
+    ids: Vec<usize>,
+}
+
+impl TreeRecords {
+    /// Pushes one tree into `forest`. `tree` is its nodes in preorder,
+    /// splits naming their feature by position in `subset`; `ids` holds
+    /// what each node's record holds (see [`TreeRecords::ids`]). Splits
+    /// are resolved to global columns and leaves get their path lengths.
+    fn push(
+        &mut self,
+        forest: &mut Forest,
+        mut tree: Vec<FlatNode>,
+        ids: Vec<usize>,
+        subset: Vec<usize>,
+    ) -> Result<()> {
+        let mut sorted = subset.clone();
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|w| w[0] == w[1]) {
+            return Err(Error::InvalidParameter(
+                "snapshot: itree feature subset repeats a feature".into(),
+            ));
+        }
+        if sorted.last().is_some_and(|&f| f >= forest.n_features()) {
+            return Err(Error::InvalidParameter(format!(
+                "snapshot: itree feature subset names a feature of {}",
+                forest.n_features()
+            )));
+        }
+        for node in tree.iter_mut().filter(|node| !node.is_leaf()) {
+            let Some(&global) = subset.get(node.feature()) else {
+                return Err(Error::InvalidParameter(format!(
+                    "snapshot: itree split on subset entry {} of {}",
+                    node.feature(),
+                    subset.len()
+                )));
+            };
+            *node = FlatNode::split(global, node.value(), node.right());
+        }
+        forest.push_tree(&tree, |i, depth| depth as f64 + average_path_length(ids[i]))?;
+        self.ids.extend(ids);
+        self.subsets.push(subset);
+        Ok(())
     }
 }
 
@@ -103,8 +118,8 @@ pub struct IsolationForest {
     max_samples: usize,
     max_features_fraction: f64,
     seed: u64,
-    trees: Vec<ITree>,
-    n_features: usize,
+    forest: Forest,
+    records: TreeRecords,
     subsample_size: usize,
     train_scores: Vec<f64>,
 }
@@ -125,8 +140,8 @@ impl IsolationForest {
             max_samples: 256,
             max_features_fraction: 1.0,
             seed,
-            trees: Vec::new(),
-            n_features: 0,
+            forest: Forest::default(),
+            records: TreeRecords::default(),
             subsample_size: 0,
             train_scores: Vec::new(),
         })
@@ -166,18 +181,9 @@ impl IsolationForest {
         self.n_estimators
     }
 
-    fn build_tree(
-        x: &Matrix,
-        rows: &mut [usize],
-        features: Vec<usize>,
-        height_limit: usize,
-        rng: &mut StdRng,
-    ) -> ITree {
-        let mut nodes = Vec::new();
-        Self::build_node(x, rows, &features, 0, height_limit, rng, &mut nodes);
-        ITree { nodes, features }
-    }
-
+    /// Grows the subtree over `rows` into `tree` (preorder) and `ids`
+    /// (each node's record id), returning its root's index. Splits name
+    /// their feature by position in `features`.
     #[allow(clippy::too_many_arguments)]
     fn build_node(
         x: &Matrix,
@@ -186,11 +192,13 @@ impl IsolationForest {
         depth: usize,
         height_limit: usize,
         rng: &mut StdRng,
-        nodes: &mut Vec<ITreeNode>,
+        tree: &mut Vec<FlatNode>,
+        ids: &mut Vec<usize>,
     ) -> usize {
+        let idx = tree.len();
         if depth >= height_limit || rows.len() <= 1 {
-            let idx = nodes.len();
-            nodes.push(ITreeNode::Leaf { size: rows.len() });
+            tree.push(FlatNode::leaf(0.0));
+            ids.push(rows.len());
             return idx;
         }
         // Pick a feature with spread; give up after a few attempts (all
@@ -212,8 +220,8 @@ impl IsolationForest {
             }
         }
         let Some((fi, lo, hi)) = chosen else {
-            let idx = nodes.len();
-            nodes.push(ITreeNode::Leaf { size: rows.len() });
+            tree.push(FlatNode::leaf(0.0));
+            ids.push(rows.len());
             return idx;
         };
         let threshold = rng.random_range(lo..hi);
@@ -226,29 +234,43 @@ impl IsolationForest {
                 lt += 1;
             }
         }
-        let node_idx = nodes.len();
-        nodes.push(ITreeNode::Leaf { size: 0 }); // placeholder
+        // Reserve the split's slot; its left child is the next node.
+        tree.push(FlatNode::leaf(0.0));
+        ids.push(fi);
         let (left_rows, right_rows) = rows.split_at_mut(lt);
-        let left = Self::build_node(x, left_rows, features, depth + 1, height_limit, rng, nodes);
-        let right = Self::build_node(x, right_rows, features, depth + 1, height_limit, rng, nodes);
-        nodes[node_idx] = ITreeNode::Split {
-            feature: fi,
-            threshold,
-            left,
-            right,
-        };
-        node_idx
+        Self::build_node(
+            x,
+            left_rows,
+            features,
+            depth + 1,
+            height_limit,
+            rng,
+            tree,
+            ids,
+        );
+        let right = Self::build_node(
+            x,
+            right_rows,
+            features,
+            depth + 1,
+            height_limit,
+            rng,
+            tree,
+            ids,
+        );
+        tree[idx] = FlatNode::split(fi, threshold, right);
+        idx
     }
 
-    fn score_rows(&self, x: &Matrix) -> Vec<f64> {
+    fn score_rows(&self, x: &Matrix) -> Result<Vec<f64>> {
         let c = average_path_length(self.subsample_size).max(1e-12);
-        x.rows_iter()
-            .map(|row| {
-                let mean_path: f64 = self.trees.iter().map(|t| t.path_length(row)).sum::<f64>()
-                    / self.trees.len() as f64;
-                2f64.powf(-mean_path / c)
-            })
-            .collect()
+        let n_trees = self.forest.n_trees() as f64;
+        let mut scores = self.forest.leaf_sums(x)?;
+        for s in &mut scores {
+            let mean_path = *s / n_trees;
+            *s = 2f64.powf(-mean_path / c);
+        }
+        Ok(scores)
     }
 }
 
@@ -262,46 +284,58 @@ impl Detector for IsolationForest {
             });
         }
         let d = x.ncols();
-        self.n_features = d;
         let psi = self.max_samples.min(n);
-        self.subsample_size = psi;
         let height_limit = (psi as f64).log2().ceil() as usize;
         let n_tree_features = ((d as f64 * self.max_features_fraction).ceil() as usize).clamp(1, d);
 
         let mut rng = StdRng::seed_from_u64(self.seed);
-        self.trees = (0..self.n_estimators)
-            .map(|_| {
-                // Sample psi distinct rows (partial Fisher–Yates).
-                let mut pool: Vec<usize> = (0..n).collect();
-                for i in 0..psi {
-                    let j = rng.random_range(i..n);
-                    pool.swap(i, j);
-                }
-                pool.truncate(psi);
-                // Sample the feature subset for this tree.
-                let mut fpool: Vec<usize> = (0..d).collect();
-                for i in 0..n_tree_features {
-                    let j = rng.random_range(i..d);
-                    fpool.swap(i, j);
-                }
-                fpool.truncate(n_tree_features);
-                Self::build_tree(x, &mut pool, fpool, height_limit, &mut rng)
-            })
-            .collect();
-        self.train_scores = self.score_rows(x);
+        let mut forest = Forest::new(d);
+        let mut records = TreeRecords::default();
+        for _ in 0..self.n_estimators {
+            // Sample psi distinct rows (partial Fisher–Yates).
+            let mut pool: Vec<usize> = (0..n).collect();
+            for i in 0..psi {
+                let j = rng.random_range(i..n);
+                pool.swap(i, j);
+            }
+            pool.truncate(psi);
+            // Sample the feature subset for this tree.
+            let mut fpool: Vec<usize> = (0..d).collect();
+            for i in 0..n_tree_features {
+                let j = rng.random_range(i..d);
+                fpool.swap(i, j);
+            }
+            fpool.truncate(n_tree_features);
+            let (mut tree, mut ids) = (Vec::new(), Vec::new());
+            Self::build_node(
+                x,
+                &mut pool,
+                &fpool,
+                0,
+                height_limit,
+                &mut rng,
+                &mut tree,
+                &mut ids,
+            );
+            records.push(&mut forest, tree, ids, fpool)?;
+        }
+        self.forest = forest;
+        self.records = records;
+        self.subsample_size = psi;
+        self.train_scores = self.score_rows(x)?;
         Ok(())
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if self.trees.is_empty() {
+        if !self.is_fitted() {
             return Err(Error::NotFitted("IsolationForest"));
         }
-        check_dims(self.n_features, x)?;
-        Ok(self.score_rows(x))
+        check_dims(self.forest.n_features(), x)?;
+        self.score_rows(x)
     }
 
     fn training_scores(&self) -> Result<Vec<f64>> {
-        if self.trees.is_empty() {
+        if !self.is_fitted() {
             return Err(Error::NotFitted("IsolationForest"));
         }
         Ok(self.train_scores.clone())
@@ -312,7 +346,7 @@ impl Detector for IsolationForest {
     }
 
     fn is_fitted(&self) -> bool {
-        !self.trees.is_empty()
+        self.forest.n_trees() > 0
     }
 
     fn snapshot_write(&self, w: &mut suod_linalg::SnapshotWriter) -> Result<()> {
@@ -320,32 +354,25 @@ impl Detector for IsolationForest {
         w.write_usize(self.max_samples);
         w.write_f64(self.max_features_fraction);
         w.write_u64(self.seed);
-        w.write_usize(self.trees.len());
-        for tree in &self.trees {
-            w.write_usize(tree.nodes.len());
-            for node in &tree.nodes {
-                match node {
-                    ITreeNode::Leaf { size } => {
-                        w.write_u8(0);
-                        w.write_usize(*size);
-                    }
-                    ITreeNode::Split {
-                        feature,
-                        threshold,
-                        left,
-                        right,
-                    } => {
-                        w.write_u8(1);
-                        w.write_usize(*feature);
-                        w.write_f64(*threshold);
-                        w.write_usize(*left);
-                        w.write_usize(*right);
-                    }
+        w.write_usize(self.forest.n_trees());
+        for t in 0..self.forest.n_trees() {
+            let span = self.forest.tree_span(t);
+            w.write_usize(span.len());
+            for i in span.clone() {
+                let node = self.forest.nodes()[i];
+                let id = self.records.ids[i];
+                if node.is_leaf() {
+                    w.write_u8(0);
+                    w.write_usize(id);
+                } else {
+                    w.write_u8(1);
+                    let (at, right) = (i - span.start, node.right() - span.start);
+                    write_split_record(w, id, node.value(), at, right);
                 }
             }
-            w.write_usizes(&tree.features);
+            w.write_usizes(&self.records.subsets[t]);
         }
-        w.write_usize(self.n_features);
+        w.write_usize(self.forest.n_features());
         w.write_usize(self.subsample_size);
         w.write_f64s(&self.train_scores);
         Ok(())
@@ -357,7 +384,11 @@ impl IsolationForest {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameter`] on truncated or malformed state.
+    /// Returns [`Error::InvalidParameter`] (possibly wrapped in
+    /// [`Error::Linalg`]) on truncated or malformed state — a tree that
+    /// is not its nodes in preorder, a split outside its tree's feature
+    /// subset, a subset naming a feature twice or one the forest does not
+    /// have — before any tree is walked.
     pub fn snapshot_read(
         r: &mut suod_linalg::SnapshotReader<'_>,
         _n_threads: usize,
@@ -367,40 +398,43 @@ impl IsolationForest {
         let max_features_fraction = r.read_f64()?;
         let seed = r.read_u64()?;
         let n_trees = r.read_usize()?;
-        let mut trees = Vec::new();
+        // The forest's width follows the trees, so they are checked after.
+        let mut read = Vec::new();
         for _ in 0..n_trees {
             let n_nodes = r.read_usize()?;
-            let mut nodes = Vec::new();
-            for _ in 0..n_nodes {
-                nodes.push(match r.read_u8()? {
-                    0 => ITreeNode::Leaf {
-                        size: r.read_usize()?,
-                    },
-                    1 => ITreeNode::Split {
-                        feature: r.read_usize()?,
-                        threshold: r.read_f64()?,
-                        left: r.read_usize()?,
-                        right: r.read_usize()?,
-                    },
+            let (mut tree, mut ids) = (Vec::new(), Vec::new());
+            for at in 0..n_nodes {
+                match r.read_u8()? {
+                    0 => {
+                        tree.push(FlatNode::leaf(0.0));
+                        ids.push(r.read_usize()?);
+                    }
+                    1 => {
+                        let (feature, threshold, right) = read_split_record(r, at)?;
+                        tree.push(FlatNode::split(feature, threshold, right));
+                        ids.push(feature);
+                    }
                     other => {
                         return Err(Error::InvalidParameter(format!(
                             "snapshot: unknown itree node tag {other}"
                         )))
                     }
-                });
+                }
             }
-            trees.push(ITree {
-                nodes,
-                features: r.read_usizes()?,
-            });
+            read.push((tree, ids, r.read_usizes()?));
+        }
+        let mut forest = Forest::new(r.read_usize()?);
+        let mut records = TreeRecords::default();
+        for (tree, ids, subset) in read {
+            records.push(&mut forest, tree, ids, subset)?;
         }
         Ok(Self {
             n_estimators,
             max_samples,
             max_features_fraction,
             seed,
-            trees,
-            n_features: r.read_usize()?,
+            forest,
+            records,
             subsample_size: r.read_usize()?,
             train_scores: r.read_f64s()?,
         })
@@ -408,8 +442,19 @@ impl IsolationForest {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
+#[path = "../../supervised/src/tie_heavy.rs"]
+mod tie_heavy;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use suod_linalg::{SnapshotReader, SnapshotWriter};
 
     fn grid_with_outlier() -> Matrix {
         let mut rows: Vec<Vec<f64>> = (0..100)
@@ -509,5 +554,157 @@ mod tests {
         assert!(f.decision_function(&Matrix::zeros(1, 2)).is_err());
         f.fit(&grid_with_outlier()).unwrap();
         assert!(f.decision_function(&Matrix::zeros(1, 9)).is_err());
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|s| s.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The arena forest is the forest the enum-node builder grew —
+        /// the same snapshot bytes — and scores every row, training rows
+        /// included, with the old walk's bits: rows that hold NaN and
+        /// infinities, at every row count around a block boundary, and
+        /// after a snapshot reload.
+        #[test]
+        fn flat_forest_scores_the_oracle_walk(
+            (n, d, seed) in (2usize..300, 1usize..8, 0u64..u64::MAX),
+            (n_estimators, max_samples, fraction) in (1usize..60, 2usize..300, 0.0f64..1.0),
+        ) {
+            let (x, _) = tie_heavy::tie_heavy_problem(n, d, seed);
+            let fraction = 1.0 - fraction; // (0, 1]
+            let mut forest = IsolationForest::new(n_estimators, seed)
+                .unwrap()
+                .with_max_samples(max_samples)
+                .unwrap()
+                .with_max_features_fraction(fraction)
+                .unwrap();
+            forest.fit(&x).unwrap();
+            let expected = oracle::fit(n_estimators, max_samples, fraction, seed, &x);
+
+            let mut w = SnapshotWriter::new();
+            forest.snapshot_write(&mut w).unwrap();
+            prop_assert_eq!(w.as_bytes(), expected.snapshot_bytes().as_slice());
+            prop_assert_eq!(
+                bits(&forest.training_scores().unwrap()),
+                bits(&expected.train_scores)
+            );
+
+            let loaded = IsolationForest::snapshot_read(&mut SnapshotReader::new(w.as_bytes()), 1)
+                .unwrap();
+            for (k, &count) in tie_heavy::QUERY_COUNTS.iter().enumerate() {
+                let q = tie_heavy::hostile_queries(&x, count, seed ^ k as u64);
+                let want = bits(&expected.score_rows(&q));
+                prop_assert_eq!(&bits(&forest.decision_function(&q).unwrap()), &want);
+                prop_assert_eq!(&bits(&loaded.decision_function(&q).unwrap()), &want);
+            }
+        }
+    }
+
+    /// A node record: `(tag, a, threshold, left, right)`, `a` a leaf's
+    /// size or a split's subset index.
+    type Record = (u8, usize, f64, usize, usize);
+    const LEAF: Record = (0, 3, 0.0, 0, 0);
+
+    /// A split that sends the all-zero rows [`load_and_score`] scores
+    /// left (`goes_left`) or right.
+    fn split(feature: usize, goes_left: bool, left: usize, right: usize) -> Record {
+        (1, feature, if goes_left { 0.5 } else { -0.5 }, left, right)
+    }
+
+    /// A one-tree record of a 2-feature forest with the given nodes and
+    /// feature subset.
+    fn crafted_forest(nodes: &[Record], subset: &[usize]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.write_usize(1); // n_estimators
+        w.write_usize(256); // max_samples
+        w.write_f64(1.0); // max_features_fraction
+        w.write_u64(0); // seed
+        w.write_usize(1); // trees
+        w.write_usize(nodes.len());
+        for &(tag, a, threshold, left, right) in nodes {
+            w.write_u8(tag);
+            w.write_usize(a);
+            if tag == 1 {
+                w.write_f64(threshold);
+                w.write_usize(left);
+                w.write_usize(right);
+            }
+        }
+        w.write_usizes(subset);
+        w.write_usize(2); // n_features
+        w.write_usize(4); // subsample_size
+        w.write_f64s(&[0.5]);
+        w.into_bytes()
+    }
+
+    /// Loads `bytes` and scores two rows on another thread; whatever
+    /// comes back within the deadline. A hang or a panic is a failure.
+    fn load_and_score(bytes: Vec<u8>) -> Result<Vec<f64>> {
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let scored = IsolationForest::snapshot_read(&mut SnapshotReader::new(&bytes), 1)
+                .and_then(|f| f.decision_function(&Matrix::zeros(2, 2)));
+            let _ = tx.send(scored);
+        });
+        // A hung walk cannot be joined; it is left behind when this fails.
+        let scored = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("load + score neither hangs nor panics");
+        worker.join().expect("the scoring thread finished");
+        scored
+    }
+
+    fn assert_rejected(nodes: &[Record], subset: &[usize]) {
+        match load_and_score(crafted_forest(nodes, subset)) {
+            Err(Error::InvalidParameter(msg))
+            | Err(Error::Linalg(suod_linalg::Error::InvalidParameter(msg))) => {
+                assert!(msg.starts_with("snapshot: "), "{msg}");
+            }
+            other => panic!("expected a typed snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_well_formed_crafted_record_loads_and_scores() {
+        let good = crafted_forest(&[split(0, false, 1, 2), LEAF, LEAF], &[0, 1]);
+        assert_eq!(load_and_score(good).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn crafted_self_loop_is_a_typed_error() {
+        assert_rejected(&[split(0, true, 0, 2), LEAF, LEAF], &[0, 1]);
+    }
+
+    #[test]
+    fn crafted_back_edge_is_a_typed_error() {
+        assert_rejected(
+            &[split(0, true, 1, 3), split(0, false, 2, 0), LEAF, LEAF],
+            &[0, 1],
+        );
+    }
+
+    #[test]
+    fn crafted_child_out_of_range_is_a_typed_error() {
+        assert_rejected(&[split(0, false, 1, 7), LEAF, LEAF], &[0, 1]);
+    }
+
+    #[test]
+    fn crafted_feature_out_of_range_is_a_typed_error() {
+        // Outside the tree's subset, and a subset entry outside the forest.
+        assert_rejected(&[split(2, false, 1, 2), LEAF, LEAF], &[0, 1]);
+        assert_rejected(&[split(1, false, 1, 2), LEAF, LEAF], &[0, 5]);
+    }
+
+    #[test]
+    fn crafted_duplicate_subset_entry_is_a_typed_error() {
+        assert_rejected(&[split(0, false, 1, 2), LEAF, LEAF], &[1, 1]);
+    }
+
+    #[test]
+    fn crafted_empty_tree_is_a_typed_error() {
+        assert_rejected(&[], &[0, 1]);
     }
 }

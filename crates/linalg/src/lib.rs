@@ -42,6 +42,8 @@
 //!   ([`HnswGraph`]) selected through [`NeighborBackend::Hnsw`]; turns the
 //!   exact O(n²) self-sweep into an O(n·log n) build plus beam searches,
 //!   with an exactness fallback for small n and non-Euclidean metrics.
+//! * [`forest`] — the flat node arena ([`Forest`]) every tree ensemble
+//!   stores its trees in, and the one walk that scores them.
 //!
 //! # Example
 //!
@@ -59,6 +61,7 @@
 
 pub mod distance;
 pub mod eigen;
+pub mod forest;
 pub mod gemm;
 pub mod hnsw;
 pub mod kdtree;
@@ -76,6 +79,7 @@ pub use distance::{
     pairwise_distances_with, DistanceMetric, KnnIndex, Neighbor,
 };
 pub use eigen::{symmetric_eigen, EigenDecomposition};
+pub use forest::{FlatNode, Forest};
 pub use gemm::{
     gram, matmul_packed, mixed_distance_error_bound, row_sq_norms, row_sq_norms_mixed,
     set_simd_lane_override, DistanceBackend, KernelConfig, KernelCounters, KernelStats, Precision,

@@ -13,20 +13,23 @@
 //! draws, visiting order, floating-point operation order — is unchanged,
 //! so a forest is the same forest bit for bit; `tree::oracle` keeps the
 //! copying builder for the tests to hold it to that.
+//!
+//! Every tree lives in one [`Forest`] arena and prediction is one
+//! [`Forest::leaf_sums`] walk over it, divided by the tree count.
 
-use crate::tree::{DecisionTreeRegressor, TreeParams};
+use crate::tree::{self, TreeMeta, TreeParams};
 use crate::{check_targets, Error, PresortedSpace, Regressor, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use suod_linalg::Matrix;
+use suod_linalg::{Forest, Matrix, SnapshotReader, SnapshotWriter};
 
 /// Random forest regressor.
 ///
 /// [`fit`](Regressor::fit) presorts its matrix and calls
 /// [`fit_presorted`](Self::fit_presorted); callers that train several
 /// forests on one matrix presort it themselves and share the result.
-/// [`predict`](Regressor::predict) walks every tree per row straight
-/// into the output, allocating nothing per tree.
+/// [`predict`](Regressor::predict) checks the input once and walks every
+/// tree of the one arena.
 ///
 /// # Example
 ///
@@ -53,8 +56,10 @@ pub struct RandomForestRegressor {
     max_features_fraction: Option<f64>,
     bootstrap: bool,
     seed: u64,
-    trees: Vec<DecisionTreeRegressor>,
-    n_features: usize,
+    /// Per tree, what its record holds besides its nodes.
+    members: Vec<TreeMeta>,
+    /// Every tree's nodes.
+    forest: Forest,
 }
 
 impl RandomForestRegressor {
@@ -67,8 +72,8 @@ impl RandomForestRegressor {
             max_features_fraction: None,
             bootstrap: true,
             seed,
-            trees: Vec::new(),
-            n_features: 0,
+            members: Vec::new(),
+            forest: Forest::default(),
         }
     }
 
@@ -117,12 +122,14 @@ impl RandomForestRegressor {
     ///
     /// Returns [`Error::NotFitted`] before `fit`.
     pub fn feature_importances(&self) -> Result<Vec<f64>> {
-        if self.trees.is_empty() {
+        if self.members.is_empty() {
             return Err(Error::NotFitted("RandomForestRegressor"));
         }
-        let mut acc = vec![0.0; self.n_features];
-        for tree in &self.trees {
-            for (a, v) in acc.iter_mut().zip(tree.feature_importances()?) {
+        let n_features = self.forest.n_features();
+        let mut acc = vec![0.0; n_features];
+        for member in &self.members {
+            let importances = tree::normalized_importances(&member.importances, n_features);
+            for (a, v) in acc.iter_mut().zip(importances) {
                 *a += v;
             }
         }
@@ -152,7 +159,6 @@ impl RandomForestRegressor {
         check_targets(space.n_rows(), y)?;
         let n = space.n_rows();
         let d = space.n_features();
-        self.n_features = d;
         let max_features = match self.max_features_fraction {
             Some(f) => ((d as f64 * f).ceil() as usize).clamp(1, d.max(1)),
             None => ((d as f64).sqrt().ceil() as usize).clamp(1, d.max(1)),
@@ -163,7 +169,8 @@ impl RandomForestRegressor {
         };
 
         let mut rng = StdRng::seed_from_u64(self.seed);
-        self.trees = Vec::with_capacity(self.n_estimators);
+        let mut members = Vec::with_capacity(self.n_estimators);
+        let mut forest = Forest::new(d);
         let mut rows: Vec<u32> = Vec::with_capacity(n);
         for t in 0..self.n_estimators {
             let tree_seed = rng.random::<u64>() ^ t as u64;
@@ -173,10 +180,16 @@ impl RandomForestRegressor {
             } else {
                 rows.extend(0..n as u32);
             }
-            let mut tree = DecisionTreeRegressor::new(params, tree_seed);
-            tree.grow(space, y, &mut rows);
-            self.trees.push(tree);
+            let (nodes, importances) = tree::grow(params, tree_seed, space, y, &mut rows);
+            tree::push_tree(&mut forest, &nodes)?;
+            members.push(TreeMeta {
+                params,
+                seed: tree_seed,
+                importances,
+            });
         }
+        self.members = members;
+        self.forest = forest;
         Ok(())
     }
 }
@@ -187,23 +200,19 @@ impl Regressor for RandomForestRegressor {
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if self.trees.is_empty() {
+        if self.members.is_empty() {
             return Err(Error::NotFitted("RandomForestRegressor"));
         }
-        // Row walks straight into the accumulator, in ascending tree
-        // order: the sums a per-tree prediction vector would give.
-        let mut acc = vec![0.0; x.nrows()];
-        for tree in &self.trees {
-            tree.check_predict_input(x)?;
-            for (a, row) in acc.iter_mut().zip(x.rows_iter()) {
-                *a += tree.predict_row(row);
-            }
+        tree::check_width(self.forest.n_features(), x)?;
+        let k = self.members.len() as f64;
+        let mut sums = self.forest.leaf_sums(x)?;
+        for s in &mut sums {
+            // The walk sums onto -0.0; the per-tree loop this replaced
+            // summed onto +0.0. `+ 0.0` maps the one sum where that
+            // differs (every leaf -0.0) to its bits and leaves all others.
+            *s = (*s + 0.0) / k;
         }
-        let k = self.trees.len() as f64;
-        for a in &mut acc {
-            *a /= k;
-        }
-        Ok(acc)
+        Ok(sums)
     }
 
     fn name(&self) -> &'static str {
@@ -214,9 +223,9 @@ impl Regressor for RandomForestRegressor {
         RandomForestRegressor::feature_importances(self).ok()
     }
 
-    fn snapshot_write(&self, w: &mut suod_linalg::SnapshotWriter) -> Result<()> {
+    fn snapshot_write(&self, w: &mut SnapshotWriter) -> Result<()> {
         w.write_usize(self.n_estimators);
-        crate::tree::write_tree_params(&self.tree_params, w);
+        tree::write_tree_params(&self.tree_params, w);
         match self.max_features_fraction {
             Some(f) => {
                 w.write_bool(true);
@@ -226,11 +235,11 @@ impl Regressor for RandomForestRegressor {
         }
         w.write_bool(self.bootstrap);
         w.write_u64(self.seed);
-        w.write_usize(self.trees.len());
-        for tree in &self.trees {
-            tree.snapshot_write(w)?;
+        w.write_usize(self.members.len());
+        for (t, member) in self.members.iter().enumerate() {
+            tree::write_tree_record(w, member, &self.forest, Some(t));
         }
-        w.write_usize(self.n_features);
+        w.write_usize(self.forest.n_features());
         Ok(())
     }
 }
@@ -240,10 +249,13 @@ impl RandomForestRegressor {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameter`] on truncated or malformed state.
-    pub fn snapshot_read(r: &mut suod_linalg::SnapshotReader<'_>) -> Result<Self> {
+    /// Returns [`Error::InvalidParameter`] (possibly wrapped in
+    /// [`Error::Linalg`]) on truncated or malformed state — a tree that is
+    /// unfitted, not a tree in preorder, or over another width than the
+    /// forest's — before any walk.
+    pub fn snapshot_read(r: &mut SnapshotReader<'_>) -> Result<Self> {
         let n_estimators = r.read_usize()?;
-        let tree_params = crate::tree::read_tree_params(r)?;
+        let tree_params = tree::read_tree_params(r)?;
         let max_features_fraction = if r.read_bool()? {
             Some(r.read_f64()?)
         } else {
@@ -252,9 +264,24 @@ impl RandomForestRegressor {
         let bootstrap = r.read_bool()?;
         let seed = r.read_u64()?;
         let count = r.read_usize()?;
-        let mut trees = Vec::new();
+        let mut records = Vec::new();
         for _ in 0..count {
-            trees.push(DecisionTreeRegressor::snapshot_read(r)?);
+            records.push(tree::read_tree_record(r)?);
+        }
+        // The forest's width follows the trees, so they are checked after.
+        let mut forest = Forest::new(r.read_usize()?);
+        let mut members = Vec::with_capacity(records.len());
+        for (t, record) in records.into_iter().enumerate() {
+            if !record.fitted || record.n_features != forest.n_features() {
+                return Err(Error::InvalidParameter(format!(
+                    "snapshot: forest tree {t} (fitted: {}) is over {} features, the forest over {}",
+                    record.fitted,
+                    record.n_features,
+                    forest.n_features()
+                )));
+            }
+            tree::push_tree(&mut forest, &record.nodes)?;
+            members.push(record.meta);
         }
         Ok(Self {
             n_estimators,
@@ -262,8 +289,8 @@ impl RandomForestRegressor {
             max_features_fraction,
             bootstrap,
             seed,
-            trees,
-            n_features: r.read_usize()?,
+            members,
+            forest,
         })
     }
 }
@@ -271,7 +298,8 @@ impl RandomForestRegressor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::oracle;
+    use crate::tie_heavy;
+    use crate::tree::{oracle, DecisionTreeRegressor};
     use proptest::prelude::*;
     use suod_datasets_testutil::*;
 
@@ -353,48 +381,21 @@ mod tests {
         }
     }
 
-    /// A matrix and targets built to tie: per column continuous, a small
-    /// lattice that holds both zeros, or constant; then a share of the
-    /// rows overwritten with copies of other rows.
-    fn tie_heavy_problem(n: usize, d: usize, seed: u64) -> (Matrix, Vec<f64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let lattice = [-1.0, -0.0, 0.0, 0.5, 2.0];
-        let mut x = Matrix::zeros(n, d);
-        for c in 0..d {
-            let kind = rng.random_range(0..4usize);
-            let constant = lattice[rng.random_range(0..lattice.len())];
-            for r in 0..n {
-                let v = match kind {
-                    0 | 1 => lattice[rng.random_range(0..lattice.len())],
-                    2 => rng.random::<f64>() * 8.0 - 4.0,
-                    _ => constant,
-                };
-                x.set(r, c, v);
-            }
-        }
-        let mut y: Vec<f64> = (0..n)
-            .map(|_| match seed % 3 {
-                0 => rng.random::<f64>() * 10.0 - 5.0,
-                _ => lattice[rng.random_range(0..lattice.len())],
-            })
-            .collect();
-        for r in 0..n {
-            if rng.random_bool(0.3) {
-                let from = rng.random_range(0..n);
-                let row = x.row(from).to_vec();
-                x.row_mut(r).copy_from_slice(&row);
-                if rng.random_bool(0.5) {
-                    y[r] = y[from];
-                }
-            }
-        }
-        (x, y)
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|s| s.to_bits()).collect()
     }
 
-    fn snapshot_bytes(tree: &DecisionTreeRegressor) -> Vec<u8> {
-        let mut w = suod_linalg::SnapshotWriter::new();
+    fn tree_bytes(tree: &DecisionTreeRegressor) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
         tree.snapshot_write(&mut w).unwrap();
-        w.as_bytes().to_vec()
+        w.into_bytes()
+    }
+
+    /// Tree `t`'s record, as a lone tree's `snapshot_write` writes it.
+    fn member_bytes(forest: &RandomForestRegressor, t: usize) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        tree::write_tree_record(&mut w, &forest.members[t], &forest.forest, Some(t));
+        w.into_bytes()
     }
 
     proptest! {
@@ -402,14 +403,17 @@ mod tests {
 
         /// The presorted builder grows the trees the builder before it
         /// grew — nodes, thresholds, importances — on data where nearly
-        /// every comparison is a tie.
+        /// every comparison is a tie, and the arena walk predicts what the
+        /// enum-node walk predicted on them, bit for bit: for rows that
+        /// hold NaN and infinities, at every row count around a block
+        /// boundary, and after a snapshot reload.
         #[test]
         fn presorted_builder_grows_the_oracle_trees(
             (n, d, seed) in (1usize..200, 1usize..12, 0u64..u64::MAX),
             (max_depth, min_samples_leaf, min_samples_split) in (0usize..=12, 1usize..=5, 2usize..=6),
-            (bootstrap, feature_draw) in (proptest::bool::ANY, 0usize..12),
+            (bootstrap, feature_draw, n_trees) in (proptest::bool::ANY, 0usize..12, 1usize..=6),
         ) {
-            let (x, y) = tie_heavy_problem(n, d, seed);
+            let (x, y) = tie_heavy::tie_heavy_problem(n, d, seed);
             let max_features = 1 + feature_draw % d;
 
             let params = TreeParams {
@@ -420,23 +424,195 @@ mod tests {
             };
             let mut tree = DecisionTreeRegressor::new(params, seed);
             tree.fit(&x, &y).unwrap();
-            let expected = oracle::fit_tree(params, seed, &x, &y);
-            prop_assert_eq!(snapshot_bytes(&tree), snapshot_bytes(&expected));
+            let expected_tree = oracle::fit_tree(params, seed, &x, &y);
+            prop_assert_eq!(tree_bytes(&tree), expected_tree.snapshot_bytes());
 
-            let mut forest = RandomForestRegressor::new(4, seed)
+            let mut forest = RandomForestRegressor::new(n_trees, seed)
                 .with_max_depth(max_depth)
                 .with_min_samples_leaf(min_samples_leaf)
                 .with_max_features_fraction(max_features as f64 / d as f64)
                 .unwrap();
             forest.bootstrap = bootstrap;
             forest.fit(&x, &y).unwrap();
-            let params = forest.trees[0].params();
-            let expected = oracle::fit_forest_trees(4, params, bootstrap, seed, &x, &y);
-            prop_assert_eq!(forest.trees.len(), expected.len());
-            for (grown, expected) in forest.trees.iter().zip(&expected) {
-                prop_assert_eq!(snapshot_bytes(grown), snapshot_bytes(expected));
+            let params = forest.members[0].params;
+            let expected = oracle::fit_forest_trees(n_trees, params, bootstrap, seed, &x, &y);
+            prop_assert_eq!(forest.members.len(), expected.len());
+            for (t, expected) in expected.iter().enumerate() {
+                prop_assert_eq!(member_bytes(&forest, t), expected.snapshot_bytes());
+            }
+
+            let mut w = SnapshotWriter::new();
+            forest.snapshot_write(&mut w).unwrap();
+            let loaded = RandomForestRegressor::snapshot_read(&mut SnapshotReader::new(w.as_bytes()))
+                .unwrap();
+            let loaded_tree = DecisionTreeRegressor::snapshot_read(
+                &mut SnapshotReader::new(&tree_bytes(&tree)),
+            )
+            .unwrap();
+            for (k, &count) in tie_heavy::QUERY_COUNTS.iter().enumerate() {
+                let q = tie_heavy::hostile_queries(&x, count, seed ^ k as u64);
+                let want = bits(&expected_tree.predict(&q));
+                prop_assert_eq!(&bits(&tree.predict(&q).unwrap()), &want);
+                prop_assert_eq!(&bits(&loaded_tree.predict(&q).unwrap()), &want);
+                let want = bits(&oracle::forest_predict(&expected, &q));
+                prop_assert_eq!(&bits(&forest.predict(&q).unwrap()), &want);
+                prop_assert_eq!(&bits(&loaded.predict(&q).unwrap()), &want);
             }
         }
+    }
+
+    /// A node record: `(tag, feature, threshold or leaf value, left,
+    /// right)`.
+    type Record = (u8, usize, f64, usize, usize);
+    const LEAF: Record = (0, 0, 1.0, 0, 0);
+
+    /// A split that sends the all-zero rows [`load_and_predict`] predicts
+    /// left (`goes_left`) or right.
+    fn split(feature: usize, goes_left: bool, left: usize, right: usize) -> Record {
+        (1, feature, if goes_left { 0.5 } else { -0.5 }, left, right)
+    }
+
+    /// A fitted tree's record over `n_features` columns.
+    fn write_crafted_tree(w: &mut SnapshotWriter, nodes: &[Record], n_features: usize) {
+        tree::write_tree_params(&TreeParams::default(), w);
+        w.write_u64(0);
+        w.write_usize(nodes.len());
+        for &(tag, feature, value, left, right) in nodes {
+            w.write_u8(tag);
+            if tag == 1 {
+                w.write_usize(feature);
+            }
+            w.write_f64(value);
+            if tag == 1 {
+                w.write_usize(left);
+                w.write_usize(right);
+            }
+        }
+        w.write_usize(n_features);
+        w.write_f64s(&vec![0.0; n_features]);
+        w.write_bool(true);
+    }
+
+    /// A two-column `random_forest` record holding the given trees.
+    fn crafted_forest(trees: &[(&[Record], usize)]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.write_usize(trees.len());
+        tree::write_tree_params(&TreeParams::default(), &mut w);
+        w.write_bool(false); // max_features_fraction
+        w.write_bool(true); // bootstrap
+        w.write_u64(0); // seed
+        w.write_usize(trees.len());
+        for &(nodes, n_features) in trees {
+            write_crafted_tree(&mut w, nodes, n_features);
+        }
+        w.write_usize(2);
+        w.into_bytes()
+    }
+
+    /// Loads a `decision_tree` (a one-tree record) or a `random_forest`
+    /// and predicts two all-zero rows on another thread; whatever comes
+    /// back within the deadline. A hang or a panic is a failure.
+    fn load_and_predict(name: &'static str, body: Vec<u8>) -> Result<Vec<f64>> {
+        let mut w = SnapshotWriter::new();
+        w.write_str(name);
+        w.write_bytes(&body);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let predicted = crate::read_regressor(&mut SnapshotReader::new(w.as_bytes()))
+                .and_then(|model| model.predict(&Matrix::zeros(2, 2)));
+            let _ = tx.send(predicted);
+        });
+        // A hung walk cannot be joined; it is left behind when this fails.
+        let predicted = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("load + predict neither hangs nor panics");
+        worker.join().expect("the predicting thread finished");
+        predicted
+    }
+
+    /// Both the lone tree and a forest holding it reject `nodes`.
+    fn assert_rejected(nodes: &[Record]) {
+        let mut lone = SnapshotWriter::new();
+        write_crafted_tree(&mut lone, nodes, 2);
+        let good: &[Record] = &[LEAF];
+        for (name, body) in [
+            ("decision_tree", lone.into_bytes()),
+            ("random_forest", crafted_forest(&[(good, 2), (nodes, 2)])),
+        ] {
+            match load_and_predict(name, body) {
+                Err(Error::InvalidParameter(msg))
+                | Err(Error::Linalg(suod_linalg::Error::InvalidParameter(msg))) => {
+                    assert!(msg.starts_with("snapshot: "), "{name}: {msg}");
+                }
+                other => panic!("{name}: expected a typed snapshot error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn well_formed_crafted_records_load_and_predict() {
+        let nodes: &[Record] = &[split(1, false, 1, 2), LEAF, LEAF];
+        let mut lone = SnapshotWriter::new();
+        write_crafted_tree(&mut lone, nodes, 2);
+        assert_eq!(
+            load_and_predict("decision_tree", lone.into_bytes()).unwrap(),
+            vec![1.0, 1.0]
+        );
+        let forest = crafted_forest(&[(nodes, 2), (nodes, 2)]);
+        assert_eq!(
+            load_and_predict("random_forest", forest).unwrap(),
+            vec![1.0, 1.0]
+        );
+    }
+
+    #[test]
+    fn crafted_self_loop_is_a_typed_error() {
+        assert_rejected(&[split(0, true, 0, 2), LEAF, LEAF]);
+    }
+
+    #[test]
+    fn crafted_back_edge_is_a_typed_error() {
+        assert_rejected(&[split(0, true, 1, 3), split(0, false, 2, 0), LEAF, LEAF]);
+    }
+
+    #[test]
+    fn crafted_child_out_of_range_is_a_typed_error() {
+        assert_rejected(&[split(0, false, 1, 9), LEAF, LEAF]);
+    }
+
+    #[test]
+    fn crafted_feature_out_of_range_is_a_typed_error() {
+        assert_rejected(&[split(2, false, 1, 2), LEAF, LEAF]);
+    }
+
+    #[test]
+    fn crafted_empty_fitted_tree_is_a_typed_error() {
+        assert_rejected(&[]);
+    }
+
+    #[test]
+    fn crafted_forest_with_disagreeing_widths_is_a_typed_error() {
+        let wide: &[Record] = &[split(2, false, 1, 2), LEAF, LEAF];
+        let bytes = crafted_forest(&[(&[LEAF], 2), (wide, 3)]);
+        match load_and_predict("random_forest", bytes) {
+            Err(Error::InvalidParameter(msg)) => assert!(msg.starts_with("snapshot: "), "{msg}"),
+            other => panic!("expected a typed snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn negative_zero_leaves_keep_their_bits() {
+        // A tree's leaf is its mean, -0.0 included; a forest's mean of
+        // -0.0 leaves was +0.0 and stays +0.0.
+        let x = Matrix::from_rows(&[vec![1.0], vec![2.0]]).unwrap();
+        let y = [-0.0, -0.0];
+        let q = Matrix::from_rows(&[vec![0.0], vec![f64::NAN]]).unwrap();
+        let mut tree = DecisionTreeRegressor::default();
+        tree.fit(&x, &y).unwrap();
+        assert_eq!(bits(&tree.predict(&q).unwrap()), bits(&[-0.0, -0.0]));
+        let mut forest = RandomForestRegressor::new(3, 0);
+        forest.fit(&x, &y).unwrap();
+        assert_eq!(bits(&forest.predict(&q).unwrap()), bits(&[0.0, 0.0]));
     }
 
     #[test]

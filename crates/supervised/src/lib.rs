@@ -39,6 +39,9 @@ pub mod presorted;
 pub mod ridge;
 pub mod tree;
 
+#[cfg(test)]
+mod tie_heavy;
+
 pub use forest::RandomForestRegressor;
 pub use knn_regressor::KnnRegressor;
 pub use presorted::PresortedSpace;

@@ -13,11 +13,16 @@
 //! (unstable) sort has one possible result — rows by value, equal values
 //! in the order they were in — which is what a stable comparison sort
 //! through the matrix gives, ties included.
+//!
+//! A grown tree is a one-tree [`Forest`]: its nodes in preorder, each
+//! leaf holding its mean, walked by [`Forest::leaf_sums`] — the arena and
+//! walk [`crate::RandomForestRegressor`] keeps all its trees in.
 
 use crate::{check_targets, Error, PresortedSpace, Regressor, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use suod_linalg::Matrix;
+use suod_linalg::forest::{read_split_record, write_split_record};
+use suod_linalg::{FlatNode, Forest, Matrix, SnapshotReader, SnapshotWriter};
 
 /// Hyperparameters for [`DecisionTreeRegressor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,17 +48,13 @@ impl Default for TreeParams {
     }
 }
 
+/// What a tree's snapshot record holds besides its nodes and width.
 #[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
+pub(crate) struct TreeMeta {
+    pub(crate) params: TreeParams,
+    pub(crate) seed: u64,
+    /// Impurity decrease per feature, not normalized.
+    pub(crate) importances: Vec<f64>,
 }
 
 /// CART regression tree with variance-reduction splits.
@@ -75,12 +76,9 @@ enum Node {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DecisionTreeRegressor {
-    params: TreeParams,
-    seed: u64,
-    nodes: Vec<Node>,
-    n_features: usize,
-    importances: Vec<f64>,
-    fitted: bool,
+    meta: TreeMeta,
+    /// The fitted tree, a forest of one; no trees before `fit`.
+    forest: Forest,
 }
 
 impl Default for DecisionTreeRegressor {
@@ -94,18 +92,18 @@ impl DecisionTreeRegressor {
     /// seed (the seed only matters when `max_features` subsamples).
     pub fn new(params: TreeParams, seed: u64) -> Self {
         Self {
-            params,
-            seed,
-            nodes: Vec::new(),
-            n_features: 0,
-            importances: Vec::new(),
-            fitted: false,
+            meta: TreeMeta {
+                params,
+                seed,
+                importances: Vec::new(),
+            },
+            forest: Forest::default(),
         }
     }
 
     /// The hyperparameters this tree was constructed with.
     pub fn params(&self) -> TreeParams {
-        self.params
+        self.meta.params
     }
 
     /// Per-feature impurity-decrease importances, normalized to sum to 1
@@ -115,81 +113,74 @@ impl DecisionTreeRegressor {
     ///
     /// Returns [`Error::NotFitted`] before `fit`.
     pub fn feature_importances(&self) -> Result<Vec<f64>> {
-        if !self.fitted {
+        if self.forest.n_trees() == 0 {
             return Err(Error::NotFitted("DecisionTreeRegressor"));
         }
-        let total: f64 = self.importances.iter().sum();
-        if total <= 0.0 {
-            return Ok(vec![0.0; self.n_features]);
-        }
-        Ok(self.importances.iter().map(|&v| v / total).collect())
+        Ok(normalized_importances(
+            &self.meta.importances,
+            self.forest.n_features(),
+        ))
     }
 
     /// Number of nodes in the fitted tree.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.forest.nodes().len()
     }
+}
 
-    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
-        let mut idx = 0;
-        loop {
-            match self.nodes[idx] {
-                Node::Leaf { value } => return value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    idx = if row[feature] <= threshold {
-                        left
-                    } else {
-                        right
-                    };
-                }
-            }
-        }
+/// `importances` scaled to sum to 1, or `n_features` zeros when nothing
+/// was gained.
+pub(crate) fn normalized_importances(importances: &[f64], n_features: usize) -> Vec<f64> {
+    let total: f64 = importances.iter().sum();
+    if total <= 0.0 {
+        return vec![0.0; n_features];
     }
+    importances.iter().map(|&v| v / total).collect()
+}
 
-    /// The shape and fit-state check shared by [`Regressor::predict`] and
-    /// the forest's row walk.
-    pub(crate) fn check_predict_input(&self, x: &Matrix) -> Result<()> {
-        if !self.fitted {
-            return Err(Error::NotFitted("DecisionTreeRegressor"));
-        }
-        if x.ncols() != self.n_features {
-            return Err(Error::InvalidParameter(format!(
-                "expected {} features, got {}",
-                self.n_features,
-                x.ncols()
-            )));
-        }
-        Ok(())
+/// The width check [`Regressor::predict`] makes before a walk.
+pub(crate) fn check_width(n_features: usize, x: &Matrix) -> Result<()> {
+    if x.ncols() != n_features {
+        return Err(Error::InvalidParameter(format!(
+            "expected {n_features} features, got {}",
+            x.ncols()
+        )));
     }
+    Ok(())
+}
 
-    /// Grows the tree on the sample `rows` — row ids into `space`, one per
-    /// draw, so a bootstrap names a row as often as it drew it — reading
-    /// targets from `y` by row id. `rows` is reordered in place.
-    pub(crate) fn grow(&mut self, space: &PresortedSpace, y: &[f64], rows: &mut [u32]) {
-        let mut grower = Grower {
-            space,
-            y,
-            params: self.params,
-            rng: StdRng::seed_from_u64(self.seed),
-            nodes: Vec::new(),
-            importances: vec![0.0; space.n_features()],
-            features: Vec::new(),
-            order: Vec::new(),
-            sorted: Vec::new(),
-            keys: Vec::new(),
-            targets: Vec::new(),
-        };
-        grower.build(rows, 0);
-        self.nodes = grower.nodes;
-        self.importances = grower.importances;
-        self.n_features = space.n_features();
-        self.fitted = true;
-    }
+/// Grows one tree on the sample `rows` — row ids into `space`, one per
+/// draw, so a bootstrap names a row as often as it drew it — reading
+/// targets from `y` by row id. `rows` is reordered in place. Returns the
+/// tree's nodes in preorder (for [`push_tree`]) and its raw importances.
+pub(crate) fn grow(
+    params: TreeParams,
+    seed: u64,
+    space: &PresortedSpace,
+    y: &[f64],
+    rows: &mut [u32],
+) -> (Vec<FlatNode>, Vec<f64>) {
+    let mut grower = Grower {
+        space,
+        y,
+        params,
+        rng: StdRng::seed_from_u64(seed),
+        nodes: Vec::new(),
+        importances: vec![0.0; space.n_features()],
+        features: Vec::new(),
+        order: Vec::new(),
+        sorted: Vec::new(),
+        keys: Vec::new(),
+        targets: Vec::new(),
+    };
+    grower.build(rows, 0);
+    (grower.nodes, grower.importances)
+}
+
+/// Appends a regression tree — nodes in preorder, each leaf holding its
+/// mean — to `forest`.
+pub(crate) fn push_tree(forest: &mut Forest, nodes: &[FlatNode]) -> Result<()> {
+    Ok(forest.push_tree(nodes, |i, _| nodes[i].value())?)
 }
 
 /// Low 32 bits of a sort key: the row's position in the order the sort
@@ -203,7 +194,8 @@ struct Grower<'a> {
     y: &'a [f64],
     params: TreeParams,
     rng: StdRng,
-    nodes: Vec<Node>,
+    /// The tree so far, in preorder.
+    nodes: Vec<FlatNode>,
     importances: Vec<f64>,
     /// Candidate features of the current node.
     features: Vec<usize>,
@@ -228,23 +220,18 @@ impl Grower<'_> {
             if let Some((feature, threshold, gain)) = self.best_split(rows, node_sse) {
                 self.importances[feature] += gain;
                 let mid = partition(self.space.values(feature), rows, threshold);
-                // Reserve this node's slot before recursing.
+                // Reserve this node's slot; its left child is the next node.
                 let node_idx = self.nodes.len();
-                self.nodes.push(Node::Leaf { value: node_mean });
+                self.nodes.push(FlatNode::leaf(node_mean));
                 let (left_rows, right_rows) = rows.split_at_mut(mid);
-                let left = self.build(left_rows, depth + 1);
+                self.build(left_rows, depth + 1);
                 let right = self.build(right_rows, depth + 1);
-                self.nodes[node_idx] = Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
+                self.nodes[node_idx] = FlatNode::split(feature, threshold, right);
                 return node_idx;
             }
         }
         let node_idx = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: node_mean });
+        self.nodes.push(FlatNode::leaf(node_mean));
         node_idx
     }
 
@@ -337,13 +324,21 @@ impl Regressor for DecisionTreeRegressor {
         let space = PresortedSpace::new(x)?;
         check_targets(space.n_rows(), y)?;
         let mut rows: Vec<u32> = (0..space.n_rows() as u32).collect();
-        self.grow(&space, y, &mut rows);
+        let (nodes, importances) = grow(self.meta.params, self.meta.seed, &space, y, &mut rows);
+        let mut forest = Forest::new(space.n_features());
+        push_tree(&mut forest, &nodes)?;
+        self.forest = forest;
+        self.meta.importances = importances;
         Ok(())
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
-        self.check_predict_input(x)?;
-        Ok(x.rows_iter().map(|row| self.predict_row(row)).collect())
+        if self.forest.n_trees() == 0 {
+            return Err(Error::NotFitted("DecisionTreeRegressor"));
+        }
+        check_width(self.forest.n_features(), x)?;
+        // A one-tree sum is the leaf itself, bit for bit.
+        Ok(self.forest.leaf_sums(x)?)
     }
 
     fn name(&self) -> &'static str {
@@ -354,33 +349,9 @@ impl Regressor for DecisionTreeRegressor {
         DecisionTreeRegressor::feature_importances(self).ok()
     }
 
-    fn snapshot_write(&self, w: &mut suod_linalg::SnapshotWriter) -> Result<()> {
-        write_tree_params(&self.params, w);
-        w.write_u64(self.seed);
-        w.write_usize(self.nodes.len());
-        for node in &self.nodes {
-            match node {
-                Node::Leaf { value } => {
-                    w.write_u8(0);
-                    w.write_f64(*value);
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    w.write_u8(1);
-                    w.write_usize(*feature);
-                    w.write_f64(*threshold);
-                    w.write_usize(*left);
-                    w.write_usize(*right);
-                }
-            }
-        }
-        w.write_usize(self.n_features);
-        w.write_f64s(&self.importances);
-        w.write_bool(self.fitted);
+    fn snapshot_write(&self, w: &mut SnapshotWriter) -> Result<()> {
+        let tree = (self.forest.n_trees() > 0).then_some(0);
+        write_tree_record(w, &self.meta, &self.forest, tree);
         Ok(())
     }
 }
@@ -390,42 +361,101 @@ impl DecisionTreeRegressor {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameter`] on truncated or malformed state.
-    pub fn snapshot_read(r: &mut suod_linalg::SnapshotReader<'_>) -> Result<Self> {
-        let params = read_tree_params(r)?;
-        let seed = r.read_u64()?;
-        let n_nodes = r.read_usize()?;
-        let mut nodes = Vec::new();
-        for _ in 0..n_nodes {
-            nodes.push(match r.read_u8()? {
-                0 => Node::Leaf {
-                    value: r.read_f64()?,
-                },
-                1 => Node::Split {
-                    feature: r.read_usize()?,
-                    threshold: r.read_f64()?,
-                    left: r.read_usize()?,
-                    right: r.read_usize()?,
-                },
-                other => {
-                    return Err(Error::InvalidParameter(format!(
-                        "snapshot: unknown tree node tag {other}"
-                    )))
-                }
-            });
+    /// Returns [`Error::InvalidParameter`] (possibly wrapped in
+    /// [`Error::Linalg`]) on truncated or malformed state — a fitted tree
+    /// without nodes, an unfitted one with some, or nodes that are not a
+    /// tree in preorder over the record's width — before any walk.
+    pub fn snapshot_read(r: &mut SnapshotReader<'_>) -> Result<Self> {
+        let record = read_tree_record(r)?;
+        if record.fitted == record.nodes.is_empty() {
+            return Err(Error::InvalidParameter(format!(
+                "snapshot: tree (fitted: {}) has {} nodes",
+                record.fitted,
+                record.nodes.len()
+            )));
+        }
+        let mut forest = Forest::new(record.n_features);
+        if record.fitted {
+            push_tree(&mut forest, &record.nodes)?;
         }
         Ok(Self {
-            params,
-            seed,
-            nodes,
-            n_features: r.read_usize()?,
-            importances: r.read_f64s()?,
-            fitted: r.read_bool()?,
+            meta: record.meta,
+            forest,
         })
     }
 }
 
-pub(crate) fn write_tree_params(params: &TreeParams, w: &mut suod_linalg::SnapshotWriter) {
+/// A tree's snapshot record, read; its nodes are checked when pushed.
+pub(crate) struct TreeRecord {
+    pub(crate) meta: TreeMeta,
+    pub(crate) nodes: Vec<FlatNode>,
+    pub(crate) n_features: usize,
+    pub(crate) fitted: bool,
+}
+
+/// Writes a tree's record: `meta`'s parameters and seed, the nodes of
+/// tree `tree` of `forest`, the forest's width, `meta`'s importances, and
+/// whether the tree is fitted — `None` writes an unfitted tree.
+pub(crate) fn write_tree_record(
+    w: &mut SnapshotWriter,
+    meta: &TreeMeta,
+    forest: &Forest,
+    tree: Option<usize>,
+) {
+    write_tree_params(&meta.params, w);
+    w.write_u64(meta.seed);
+    let span = tree.map_or(0..0, |t| forest.tree_span(t));
+    w.write_usize(span.len());
+    for i in span.clone() {
+        let node = forest.nodes()[i];
+        if node.is_leaf() {
+            w.write_u8(0);
+            w.write_f64(node.value());
+        } else {
+            w.write_u8(1);
+            let (at, right) = (i - span.start, node.right() - span.start);
+            write_split_record(w, node.feature(), node.value(), at, right);
+        }
+    }
+    w.write_usize(forest.n_features());
+    w.write_f64s(&meta.importances);
+    w.write_bool(tree.is_some());
+}
+
+/// Reads a record [`write_tree_record`] wrote.
+pub(crate) fn read_tree_record(r: &mut SnapshotReader<'_>) -> Result<TreeRecord> {
+    let params = read_tree_params(r)?;
+    let seed = r.read_u64()?;
+    let n_nodes = r.read_usize()?;
+    let mut nodes = Vec::new();
+    for at in 0..n_nodes {
+        nodes.push(match r.read_u8()? {
+            0 => FlatNode::leaf(r.read_f64()?),
+            1 => {
+                let (feature, threshold, right) = read_split_record(r, at)?;
+                FlatNode::split(feature, threshold, right)
+            }
+            other => {
+                return Err(Error::InvalidParameter(format!(
+                    "snapshot: unknown tree node tag {other}"
+                )))
+            }
+        });
+    }
+    let n_features = r.read_usize()?;
+    Ok(TreeRecord {
+        meta: TreeMeta {
+            params,
+            seed,
+            importances: r.read_f64s()?,
+        },
+        nodes,
+        n_features,
+        fitted: r.read_bool()?,
+    })
+}
+
+pub(crate) fn write_tree_params(params: &TreeParams, w: &mut SnapshotWriter) {
     w.write_usize(params.max_depth);
     w.write_usize(params.min_samples_split);
     w.write_usize(params.min_samples_leaf);
@@ -438,7 +468,7 @@ pub(crate) fn write_tree_params(params: &TreeParams, w: &mut suod_linalg::Snapsh
     }
 }
 
-pub(crate) fn read_tree_params(r: &mut suod_linalg::SnapshotReader<'_>) -> Result<TreeParams> {
+pub(crate) fn read_tree_params(r: &mut SnapshotReader<'_>) -> Result<TreeParams> {
     Ok(TreeParams {
         max_depth: r.read_usize()?,
         min_samples_split: r.read_usize()?,

@@ -1,31 +1,132 @@
-//! Test oracle: the CART builder and forest bootstrap this crate shipped
-//! before the presorted builder, kept as they were. It reads features
-//! through the row-major matrix, orders a node's rows with a stable
-//! `sort_by` that carries one candidate feature's order into the next,
-//! and materialises every bootstrap sample as a matrix copy. The
-//! generated equivalence property in `forest.rs` holds the shipped
-//! builder to these trees byte for byte.
+//! Test oracle: the CART trees, tree walk and forest bootstrap this crate
+//! shipped before the presorted builder and the flat forest arena, kept
+//! as they were. The builder reads features through the row-major
+//! matrix, orders a node's rows with a stable `sort_by` that carries one
+//! candidate feature's order into the next, and materialises every
+//! bootstrap sample as a matrix copy; trees are `enum` nodes walked one
+//! row × one tree at a time. The generated properties in `forest.rs` hold
+//! the shipped builder to these trees byte for byte and the shipped walk
+//! to these predictions bit for bit.
 
-use super::{DecisionTreeRegressor, Node, TreeParams};
+use super::{write_tree_params, TreeParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use suod_linalg::Matrix;
+use suod_linalg::{Matrix, SnapshotWriter};
+
+#[derive(Debug, Clone)]
+enum Node {
+    Leaf {
+        value: f64,
+    },
+    Split {
+        feature: usize,
+        threshold: f64,
+        left: usize,
+        right: usize,
+    },
+}
+
+/// A `DecisionTreeRegressor` as the enum-node build fitted it.
+#[derive(Debug, Clone)]
+pub(crate) struct OracleTree {
+    params: TreeParams,
+    seed: u64,
+    nodes: Vec<Node>,
+    n_features: usize,
+    importances: Vec<f64>,
+}
+
+impl OracleTree {
+    /// The old walk.
+    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
+        let mut idx = 0;
+        loop {
+            match self.nodes[idx] {
+                Node::Leaf { value } => return value,
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    idx = if row[feature] <= threshold {
+                        left
+                    } else {
+                        right
+                    };
+                }
+            }
+        }
+    }
+
+    /// The old `Regressor::predict` of a tree.
+    pub(crate) fn predict(&self, x: &Matrix) -> Vec<f64> {
+        x.rows_iter().map(|row| self.predict_row(row)).collect()
+    }
+
+    /// The old `snapshot_write` of a fitted tree.
+    pub(crate) fn snapshot_bytes(&self) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        write_tree_params(&self.params, &mut w);
+        w.write_u64(self.seed);
+        w.write_usize(self.nodes.len());
+        for node in &self.nodes {
+            match node {
+                Node::Leaf { value } => {
+                    w.write_u8(0);
+                    w.write_f64(*value);
+                }
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    w.write_u8(1);
+                    w.write_usize(*feature);
+                    w.write_f64(*threshold);
+                    w.write_usize(*left);
+                    w.write_usize(*right);
+                }
+            }
+        }
+        w.write_usize(self.n_features);
+        w.write_f64s(&self.importances);
+        w.write_bool(true);
+        w.into_bytes()
+    }
+}
+
+/// The old `RandomForestRegressor::predict`: row walks into an
+/// accumulator that starts at `+0.0`, in ascending tree order, then the
+/// mean.
+pub(crate) fn forest_predict(trees: &[OracleTree], x: &Matrix) -> Vec<f64> {
+    let mut acc = vec![0.0; x.nrows()];
+    for tree in trees {
+        for (a, row) in acc.iter_mut().zip(x.rows_iter()) {
+            *a += tree.predict_row(row);
+        }
+    }
+    let k = trees.len() as f64;
+    for a in &mut acc {
+        *a /= k;
+    }
+    acc
+}
 
 /// The tree `DecisionTreeRegressor::new(params, seed).fit(x, y)` grew
 /// before the presorted builder.
-pub(crate) fn fit_tree(
-    params: TreeParams,
-    seed: u64,
-    x: &Matrix,
-    y: &[f64],
-) -> DecisionTreeRegressor {
-    let mut tree = DecisionTreeRegressor::new(params, seed);
-    tree.n_features = x.ncols();
-    tree.importances = vec![0.0; x.ncols()];
+pub(crate) fn fit_tree(params: TreeParams, seed: u64, x: &Matrix, y: &[f64]) -> OracleTree {
+    let mut tree = OracleTree {
+        params,
+        seed,
+        nodes: Vec::new(),
+        n_features: x.ncols(),
+        importances: vec![0.0; x.ncols()],
+    };
     let mut indices: Vec<usize> = (0..x.nrows()).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     build(&mut tree, x, y, &mut indices, 0, &mut rng);
-    tree.fitted = true;
     tree
 }
 
@@ -39,7 +140,7 @@ pub(crate) fn fit_forest_trees(
     seed: u64,
     x: &Matrix,
     y: &[f64],
-) -> Vec<DecisionTreeRegressor> {
+) -> Vec<OracleTree> {
     let n = x.nrows();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut trees = Vec::with_capacity(n_estimators);
@@ -59,7 +160,7 @@ pub(crate) fn fit_forest_trees(
 }
 
 fn build(
-    tree: &mut DecisionTreeRegressor,
+    tree: &mut OracleTree,
     x: &Matrix,
     y: &[f64],
     indices: &mut [usize],
@@ -102,7 +203,7 @@ fn build(
 /// Finds the split maximizing SSE reduction; `None` when no valid
 /// split improves on the parent.
 fn best_split(
-    tree: &DecisionTreeRegressor,
+    tree: &OracleTree,
     x: &Matrix,
     y: &[f64],
     indices: &[usize],

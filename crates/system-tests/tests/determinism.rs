@@ -109,16 +109,28 @@ fn repeated_predictions_reuse_pool_and_stay_identical() {
     }
 }
 
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 /// PSA distillation runs inside the fit tasks, on whichever worker picks
 /// a model up, and forests over an unprojected pool share one presorted
 /// space built by whichever task asks first: none of that may reach a
 /// number, with projection on (private spaces) or off (one shared space).
+/// The pool's IForest and its PSA forests score through one forest walk,
+/// so this also pins that walk across workers, row chunks (the queries
+/// span several) and a snapshot reload, bit for bit.
 #[test]
 fn worker_side_distillation_is_bit_identical_across_worker_counts() {
     use std::sync::Arc;
     use suod::observe::Stage;
 
     let ds = registry::load_scaled("cardio", 11, 0.3).expect("registry dataset");
+    let mut shifted = ds.x.clone();
+    for v in shifted.as_mut_slice() {
+        *v = -*v * 1.5;
+    }
+    let queries = ds.x.vstack(&shifted).expect("same width");
     for projection in [true, false] {
         let run = |n_workers: usize| {
             let recorder = Arc::new(RecordingObserver::new());
@@ -164,19 +176,24 @@ fn worker_side_distillation_is_bit_identical_across_worker_counts() {
             let reloaded = Suod::load_from_bytes(&model.save_to_bytes().expect("encodes"))
                 .expect("snapshot loads");
             (
-                model.decision_function(&ds.x).expect("fitted"),
-                model.threshold().expect("fitted"),
-                reloaded.decision_function(&ds.x).expect("loaded"),
+                bits(&model.decision_function(&queries).expect("fitted")),
+                bits(&model.training_scores().expect("fitted")),
+                model.threshold().expect("fitted").to_bits(),
+                bits(&reloaded.decision_function(&queries).expect("loaded")),
+                bits(&reloaded.training_scores().expect("loaded")),
             )
         };
-        let (scores_1, threshold_1, reloaded_1) = run(1);
-        assert_eq!(scores_1.as_slice(), reloaded_1.as_slice());
+        let (scores_1, train_1, threshold_1, reloaded_1, reloaded_train_1) = run(1);
+        assert_eq!(scores_1, reloaded_1);
+        assert_eq!(train_1, reloaded_train_1);
         for workers in [2usize, 8] {
-            let (scores_w, threshold_w, reloaded_w) = run(workers);
+            let (scores_w, train_w, threshold_w, reloaded_w, reloaded_train_w) = run(workers);
             let case = format!("projection={projection} n_workers={workers}");
-            assert_eq!(scores_1.as_slice(), scores_w.as_slice(), "{case}");
-            assert_eq!(threshold_1.to_bits(), threshold_w.to_bits(), "{case}");
-            assert_eq!(scores_1.as_slice(), reloaded_w.as_slice(), "{case}");
+            assert_eq!(scores_1, scores_w, "{case}");
+            assert_eq!(train_1, train_w, "{case}");
+            assert_eq!(threshold_1, threshold_w, "{case}");
+            assert_eq!(scores_1, reloaded_w, "{case}");
+            assert_eq!(train_1, reloaded_train_w, "{case}");
         }
     }
 }

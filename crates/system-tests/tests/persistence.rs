@@ -108,9 +108,22 @@ fn fit(builder: SuodBuilder, x: &Matrix) -> Suod {
 
 /// The qualitatively different configurations the format must carry:
 /// the default pipeline, every stage disabled, mixed-precision GEMM
-/// kernels, and the approximate HNSW neighbour backend.
+/// kernels, the approximate HNSW neighbour backend, and PSA forests over
+/// one shared unprojected space (the golden fixture has no forest).
 fn config_variants() -> Vec<(&'static str, SuodBuilder)> {
     vec![
+        (
+            "psa-forests",
+            Suod::builder()
+                .base_estimators(full_pool())
+                .with_projection(false)
+                .with_approximation(true)
+                .approximator(ApproxSpec::RandomForest {
+                    n_estimators: 12,
+                    max_depth: 10,
+                })
+                .seed(19),
+        ),
         (
             "default",
             Suod::builder().base_estimators(full_pool()).seed(7),
@@ -165,9 +178,10 @@ fn round_trip_scores_bitwise_identical_across_worker_counts() {
             let clf = fit(builder.n_workers(n_workers), &x);
             let loaded = Suod::load_from_bytes(&clf.save_to_bytes().expect("save")).expect("load");
 
+            let bits = |m: Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                clf.decision_function(&q).unwrap().as_slice(),
-                loaded.decision_function(&q).unwrap().as_slice(),
+                bits(clf.decision_function(&q).unwrap()),
+                bits(loaded.decision_function(&q).unwrap()),
                 "{name}: per-model scores drifted at n_workers={n_workers}"
             );
             assert_eq!(
@@ -195,6 +209,10 @@ fn save_load_save_is_byte_identical() {
     let x = data();
     for (name, builder) in config_variants() {
         let clf = fit(builder, &x);
+        if name == "psa-forests" {
+            let approximated = clf.diagnostics().expect("fitted").approximated();
+            assert!(approximated.iter().any(|&a| a), "{name}: no forest");
+        }
         let first = clf.save_to_bytes().expect("save");
         let loaded = Suod::load_from_bytes(&first).expect("load");
         let second = loaded.save_to_bytes().expect("re-save");
