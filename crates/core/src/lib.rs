@@ -72,7 +72,7 @@ pub mod streaming;
 pub mod suod;
 pub mod xgbod;
 
-pub use crate::snapshot::{SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
+pub use crate::snapshot::{OLDEST_SNAPSHOT_VERSION, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
 pub use crate::suod::{Suod, SuodBuilder};
 pub use diagnostics::{
     CpuFeatures, FitDiagnostics, ModelDiagnostics, PredictFailure, PredictReport,

@@ -87,7 +87,7 @@ impl ApproxSpec {
         }
     }
 
-    /// Appends the spec to a `suod-pool/1` snapshot body.
+    /// Appends the spec to a `suod-pool` snapshot body.
     pub fn snapshot_write(&self, w: &mut suod_linalg::SnapshotWriter) {
         match *self {
             ApproxSpec::RandomForest {

@@ -1,4 +1,4 @@
-//! Versioned fitted-pool snapshots — the `suod-pool/1` format.
+//! Versioned fitted-pool snapshots — the `suod-pool/2` format.
 //!
 //! A snapshot captures everything a fitted [`Suod`] needs to score new
 //! samples bitwise-identically on another process: the builder
@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! 8 bytes   magic b"SUODPOOL"
-//! u64       format version (1)
+//! u64       format version (2; files of version 1 still load)
 //! str       integrity signature ("fnv1a64:<16 hex>" over the payload)
 //! bytes     payload (length-prefixed)
 //! ```
@@ -23,6 +23,14 @@
 //! the stored value: any truncation or bit flip surfaces as a typed
 //! [`Error::SnapshotCorrupt`], never a panic.
 //!
+//! Each neighbour-index record carries the HNSW graph fit built, when the
+//! index engages HNSW, as per-level CSR (`suod-pool/2`). Loading checks
+//! the graph against the rules it was built under and uses it as is, so
+//! a cold start does not rebuild it. A `suod-pool/1` file carries no
+//! graphs: they are rebuilt at load, bit for bit the graphs fit built,
+//! and saving such a pool writes `suod-pool/2`. The loader reads the
+//! version once and hands it to every record reader.
+//!
 //! # What is not persisted
 //!
 //! * the **cost model** and **observer** (trait objects with no state
@@ -30,6 +38,7 @@
 //!   a fresh builder if needed;
 //! * the **neighbour cache** (proximity graphs rebuild on the first
 //!   [`Suod::warm_refit`] after a load);
+//! * **KD-trees**, which are rebuilt at load;
 //! * execution telemetry (`FitDiagnostics::execution`) — health and
 //!   module decisions are reconstructed, wall-clock telemetry is not.
 //!
@@ -74,11 +83,10 @@ use suod_supervised::{read_regressor, write_regressor};
 /// Leading magic bytes of every `suod-pool` snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SUODPOOL";
 
-/// Format version this build writes and the newest it can read.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub use suod_linalg::snapshot::{OLDEST_SNAPSHOT_VERSION, SNAPSHOT_VERSION};
 
 /// Human-readable format name (magic + version), printed by the CLI.
-pub const SNAPSHOT_FORMAT: &str = "suod-pool/1";
+pub const SNAPSHOT_FORMAT: &str = "suod-pool/2";
 
 fn corrupt(what: &str) -> Error {
     Error::Linalg(suod_linalg::Error::InvalidParameter(format!(
@@ -269,7 +277,7 @@ fn read_health(r: &mut SnapshotReader<'_>, config: &SuodBuilder) -> Result<Model
 
 impl Suod {
     /// Serializes the estimator — configuration, fitted state, and health
-    /// report — into a `suod-pool/1` snapshot.
+    /// report — into a `suod-pool/2` snapshot.
     ///
     /// The bytes are self-verifying: the header carries a deterministic
     /// signature over the payload which [`Suod::load_from_bytes`] checks
@@ -327,7 +335,7 @@ impl Suod {
         Ok(bytes)
     }
 
-    /// Writes a `suod-pool/1` snapshot to `path` **atomically**: the
+    /// Writes a `suod-pool/2` snapshot to `path` **atomically**: the
     /// bytes land in a sibling temporary file first and are renamed into
     /// place, so a reader (e.g. a serving process hot-reloading the
     /// pool) never observes a half-written snapshot.
@@ -358,12 +366,13 @@ impl Suod {
     ///
     /// # Errors
     ///
-    /// * [`Error::SnapshotFormat`] — wrong magic, or a version newer
-    ///   than [`SNAPSHOT_VERSION`];
+    /// * [`Error::SnapshotFormat`] — wrong magic, or a version outside
+    ///   [`OLDEST_SNAPSHOT_VERSION`]`..=`[`SNAPSHOT_VERSION`];
     /// * [`Error::SnapshotCorrupt`] — stored and recomputed payload
     ///   signatures differ;
     /// * [`Error::Linalg`] — structurally malformed payload (truncated
-    ///   fields, unknown tags, trailing bytes).
+    ///   fields, unknown tags, trailing bytes, a stored HNSW graph that
+    ///   breaks its load rules).
     pub fn load_from_bytes(bytes: &[u8]) -> Result<Suod> {
         if bytes.len() < SNAPSHOT_MAGIC.len() || &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
             return Err(Error::SnapshotFormat(
@@ -372,10 +381,10 @@ impl Suod {
         }
         let mut header = SnapshotReader::new(&bytes[SNAPSHOT_MAGIC.len()..]);
         let version = header.read_u64()?;
-        if version != SNAPSHOT_VERSION {
+        if !(OLDEST_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&version) {
             return Err(Error::SnapshotFormat(format!(
                 "snapshot version {version} is not supported (this build reads \
-                 {SNAPSHOT_FORMAT})"
+                 suod-pool/{OLDEST_SNAPSHOT_VERSION} to {SNAPSHOT_FORMAT})"
             )));
         }
         let expected = header.read_str()?;
@@ -391,7 +400,7 @@ impl Suod {
             return Err(Error::SnapshotCorrupt { expected, actual });
         }
 
-        let mut r = SnapshotReader::new(payload);
+        let mut r = SnapshotReader::with_version(payload, version);
         let config = read_config(&mut r)?;
         let n_workers = config.n_workers.max(1);
         let fitted = r.read_bool()?;
@@ -490,7 +499,7 @@ impl Suod {
         Ok(clf)
     }
 
-    /// Reads a `suod-pool/1` snapshot from `path` (see
+    /// Reads a `suod-pool` snapshot from `path` (see
     /// [`Suod::load_from_bytes`]).
     ///
     /// # Errors

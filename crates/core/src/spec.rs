@@ -312,7 +312,7 @@ impl ModelSpec {
         }
     }
 
-    /// Appends the spec to a `suod-pool/1` snapshot body as a fixed tag
+    /// Appends the spec to a `suod-pool` snapshot body as a fixed tag
     /// (enum-declaration order) followed by the variant's fields.
     pub fn snapshot_write(&self, w: &mut suod_linalg::SnapshotWriter) {
         match *self {

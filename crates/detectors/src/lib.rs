@@ -420,7 +420,7 @@ pub trait Detector: Send + Sync {
     fn is_fitted(&self) -> bool;
 
     /// Appends the detector's full state (parameters + fitted model) to a
-    /// `suod-pool/1` snapshot body.
+    /// `suod-pool` snapshot body.
     ///
     /// Implementations write every field in a fixed order so that
     /// save → load → save is byte-identical; the matching reader is the
@@ -462,9 +462,9 @@ pub fn write_detector(det: &dyn Detector, w: &mut SnapshotWriter) -> Result<()> 
 /// Reads a detector record written by [`write_detector`], dispatching on
 /// the stored name.
 ///
-/// `n_threads` sizes the neighbour-index rebuild for proximity detectors;
-/// rebuilt indexes are bit-identical for every thread count, so the value
-/// only affects load latency.
+/// `n_threads` sizes the neighbour-index builds a load still makes (the
+/// HNSW graphs of a `suod-pool/1` file); built indexes are bit-identical
+/// for every thread count, so the value only affects load latency.
 ///
 /// # Errors
 ///

@@ -1,4 +1,4 @@
-//! Round-trip tests for per-detector `suod-pool/1` state serialization:
+//! Round-trip tests for per-detector `suod-pool` state serialization:
 //! save → load → save must be byte-identical and reloaded detectors must
 //! score bitwise-equal to the originals.
 

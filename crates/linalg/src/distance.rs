@@ -36,6 +36,7 @@ use crate::gemm::{
     PackedPanelsF32, Precision, SimdLane, NR,
 };
 use crate::hnsw::{DistCtx, HnswGraph, NeighborBackend};
+use crate::snapshot::corrupt;
 use crate::{Error, Matrix, Result};
 use std::sync::Arc;
 
@@ -526,7 +527,14 @@ impl KnnIndex {
         metric: DistanceMetric,
         config: KernelConfig,
     ) -> Result<Self> {
-        Self::build_inner(train.clone(), metric, config, 1, true, "KnnIndex::build")
+        Self::build_inner(
+            train.clone(),
+            metric,
+            config,
+            GraphSource::Build(1),
+            true,
+            "KnnIndex::build",
+        )
     }
 
     /// [`build_with`](Self::build_with) with an explicit worker budget
@@ -547,45 +555,81 @@ impl KnnIndex {
             train.clone(),
             metric,
             config,
-            n_threads,
+            GraphSource::Build(n_threads),
             true,
             "KnnIndex::build",
         )
     }
 
-    /// Serializes the index for a `suod-pool/1` snapshot: the training
-    /// slab, metric, and [`KernelConfig`]. Tree/graph internals are *not*
-    /// stored — [`snapshot_read`](Self::snapshot_read) rebuilds them
-    /// deterministically (KD-tree construction is input-ordered and the
-    /// HNSW build is seeded), which keeps the format independent of
-    /// in-memory layout while preserving bit-identical query results.
+    /// Serializes the index for a `suod-pool/2` snapshot: the training
+    /// slab, metric and [`KernelConfig`], then a graph tag. When the
+    /// index engages HNSW the tag is 1 and the built graph follows as
+    /// per-level CSR, so [`snapshot_read`](Self::snapshot_read) loads it
+    /// instead of rebuilding it; otherwise the tag is 0. A KD-tree is not
+    /// stored: it is rebuilt at load (construction is input-ordered, so
+    /// query results stay bit-identical).
     pub fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
         w.write_matrix(&self.train);
         w.write_metric(self.metric);
         w.write_kernel_config(&self.config);
+        match &self.hnsw {
+            Some(graph) => {
+                w.write_u8(1);
+                graph.snapshot_write(w);
+            }
+            None => w.write_u8(0),
+        }
     }
 
-    /// Reconstructs an index written by [`snapshot_write`](Self::snapshot_write),
-    /// rebuilding any KD-tree or HNSW structure with `n_threads` workers
-    /// (bit-identical for every thread count).
+    /// Reconstructs an index written by [`snapshot_write`](Self::snapshot_write).
+    /// A `suod-pool/2` record brings its HNSW graph, checked before use;
+    /// a `suod-pool/1` record carries none, and the graph is rebuilt with
+    /// `n_threads` workers (bit-identical for every thread count). Any
+    /// KD-tree is rebuilt either way.
     ///
     /// # Errors
     ///
     /// Returns a `snapshot:`-prefixed [`Error::InvalidParameter`] on a
-    /// truncated or corrupt payload, and propagates build failures.
+    /// truncated or corrupt payload, on a graph that breaks the rules
+    /// [`HnswGraph`] loads under, and on a graph present on an index that
+    /// does not engage HNSW or missing on one that does; propagates build
+    /// failures.
     pub fn snapshot_read(
         r: &mut crate::snapshot::SnapshotReader<'_>,
         n_threads: usize,
     ) -> Result<Self> {
-        let (train, metric, config) = Self::snapshot_read_parts(r)?;
+        let (train, metric, config, graph) = Self::snapshot_read_parts(r, n_threads)?;
         // The decoded slab moves into the index: no second copy.
-        Self::build_inner(train, metric, config, n_threads, true, "KnnIndex::build")
+        Self::build_inner(train, metric, config, graph, true, "KnnIndex::build")
     }
 
+    /// Decodes an index record. The one place that reads the format
+    /// version: `suod-pool/1` records carry no graph (it is rebuilt),
+    /// `suod-pool/2` records carry one exactly when the index engages
+    /// HNSW.
     fn snapshot_read_parts(
         r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(Matrix, DistanceMetric, KernelConfig)> {
-        Ok((r.read_matrix()?, r.read_metric()?, r.read_kernel_config()?))
+        n_threads: usize,
+    ) -> Result<(Matrix, DistanceMetric, KernelConfig, GraphSource)> {
+        let (train, metric, config) = (r.read_matrix()?, r.read_metric()?, r.read_kernel_config()?);
+        if r.version() < 2 {
+            return Ok((train, metric, config, GraphSource::Build(n_threads)));
+        }
+        let engaged = hnsw_engages(&config, metric, train.nrows(), true);
+        let graph = match (r.read_u8()?, engaged) {
+            (0, None) => None,
+            (1, Some(params)) => Some(HnswGraph::snapshot_read(r, train.nrows(), params)?),
+            (0, Some(_)) => {
+                return Err(corrupt("an index that engages HNSW carries no graph"));
+            }
+            (1, None) => {
+                return Err(corrupt(
+                    "an index that does not engage HNSW carries a graph",
+                ));
+            }
+            (tag, _) => return Err(corrupt(&format!("unknown graph tag {tag}"))),
+        };
+        Ok((train, metric, config, GraphSource::Stored(graph)))
     }
 
     /// [`snapshot_read`](Self::snapshot_read) for indexes held behind an
@@ -594,30 +638,39 @@ impl KnnIndex {
     /// was [nested](crate::snapshot::SnapshotReader::nested) from — has
     /// already decoded returns that index instead of building a second
     /// one. A pool whose proximity detectors shared one index at fit
-    /// therefore shares one again after a reload, and its tree or graph
-    /// is rebuilt once.
+    /// therefore shares one again after a reload, and its tree is rebuilt
+    /// (or its `suod-pool/1` graph rebuilt) once.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`snapshot_read`](Self::snapshot_read).
+    /// Same conditions as [`snapshot_read`](Self::snapshot_read), and a
+    /// `suod-pool/2` record whose graph differs from the one an equal
+    /// earlier record carried.
     pub fn snapshot_read_shared(
         r: &mut crate::snapshot::SnapshotReader<'_>,
         n_threads: usize,
     ) -> Result<Arc<Self>> {
-        let (train, metric, config) = Self::snapshot_read_parts(r)?;
+        let (train, metric, config, graph) = Self::snapshot_read_parts(r, n_threads)?;
         let seen = r.decoded_indexes();
         if let Some(hit) = seen
             .borrow()
             .iter()
             .find(|ix| ix.metric == metric && ix.config == config && same_bits(&ix.train, &train))
         {
+            if let GraphSource::Stored(graph) = &graph {
+                if hit.hnsw != *graph {
+                    return Err(corrupt(
+                        "two records of one neighbour index carry different graphs",
+                    ));
+                }
+            }
             return Ok(Arc::clone(hit));
         }
         let index = Arc::new(Self::build_inner(
             train,
             metric,
             config,
-            n_threads,
+            graph,
             true,
             "KnnIndex::build",
         )?);
@@ -637,7 +690,7 @@ impl KnnIndex {
             train.clone(),
             metric,
             KernelConfig::default(),
-            1,
+            GraphSource::Build(1),
             false,
             "KnnIndex::build_brute_force",
         )
@@ -647,7 +700,7 @@ impl KnnIndex {
         train: Matrix,
         metric: DistanceMetric,
         config: KernelConfig,
-        n_threads: usize,
+        graph: GraphSource,
         allow_acceleration: bool,
         op: &'static str,
     ) -> Result<Self> {
@@ -658,20 +711,10 @@ impl KnnIndex {
         // The ANN backend takes precedence over the KD-tree when it is
         // eligible; otherwise it falls back to the exact decision chain
         // and records the exactness fallback.
-        let hnsw_params = match config.neighbor {
-            NeighborBackend::Hnsw(p)
-                if allow_acceleration
-                    && metric == DistanceMetric::Euclidean
-                    && train.nrows() >= p.min_rows =>
-            {
-                Some(p)
-            }
-            NeighborBackend::Hnsw(_) => {
-                stats.record_ann_fallback();
-                None
-            }
-            NeighborBackend::Exact => None,
-        };
+        let hnsw_params = hnsw_engages(&config, metric, train.nrows(), allow_acceleration);
+        if config.neighbor.is_approximate() && hnsw_params.is_none() {
+            stats.record_ann_fallback();
+        }
         let tree = if hnsw_params.is_none()
             && allow_acceleration
             && config.uses_kdtree(train.nrows(), train.ncols())
@@ -698,15 +741,20 @@ impl KnnIndex {
             Precision::F64 => crate::gemm::row_sq_norms(&train),
             Precision::Mixed => crate::gemm::row_sq_norms_mixed(&train),
         });
-        let hnsw = hnsw_params.map(|p| {
-            HnswGraph::build(
-                &train,
-                train_sq_norms.as_deref().expect("norms cached for hnsw"),
-                config.precision,
-                p,
-                n_threads,
-            )
-        });
+        let hnsw = match graph {
+            // `snapshot_read_parts` checked that a stored graph is
+            // present exactly when `hnsw_params` is.
+            GraphSource::Stored(graph) => graph,
+            GraphSource::Build(n_threads) => hnsw_params.map(|p| {
+                HnswGraph::build(
+                    &train,
+                    train_sq_norms.as_deref().expect("norms cached for hnsw"),
+                    config.precision,
+                    p,
+                    n_threads,
+                )
+            }),
+        };
         Ok(Self {
             train,
             metric,
@@ -1083,6 +1131,37 @@ impl KnnIndex {
                 })
                 .collect()
         })
+    }
+}
+
+/// Where an index's HNSW graph comes from.
+enum GraphSource {
+    /// Build it with this many workers: at fit, and for `suod-pool/1`
+    /// records, which carry no graph.
+    Build(usize),
+    /// Decoded from a `suod-pool/2` record: present exactly when the
+    /// index engages HNSW.
+    Stored(Option<HnswGraph>),
+}
+
+/// The HNSW params an index over `n_rows` rows uses, or `None` when it
+/// answers exactly: the backend is not configured, acceleration is off,
+/// the metric is not Euclidean, or the index is below `min_rows`.
+fn hnsw_engages(
+    config: &KernelConfig,
+    metric: DistanceMetric,
+    n_rows: usize,
+    allow_acceleration: bool,
+) -> Option<crate::hnsw::HnswParams> {
+    match config.neighbor {
+        NeighborBackend::Hnsw(p)
+            if allow_acceleration
+                && metric == DistanceMetric::Euclidean
+                && n_rows >= p.min_rows =>
+        {
+            Some(p)
+        }
+        _ => None,
     }
 }
 

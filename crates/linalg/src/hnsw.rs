@@ -55,6 +55,7 @@
 use crate::distance::Neighbor;
 use crate::gemm::Precision;
 use crate::matrix::Matrix;
+use crate::snapshot::{corrupt, SnapshotReader, SnapshotWriter};
 use crate::{Error, Result};
 use std::collections::BinaryHeap;
 
@@ -311,186 +312,24 @@ impl Scratch {
     }
 }
 
-/// The seeded deterministic HNSW graph over a training matrix.
-///
-/// Holds adjacency only — the matrix and its norms stay in the owning
-/// [`KnnIndex`](crate::distance::KnnIndex) and are borrowed per call via
-/// the internal `DistCtx`. See the [module docs](self) for the
-/// determinism contract.
-#[derive(Debug, Clone)]
-pub struct HnswGraph {
-    params: HnswParams,
-    /// `links[node][level]` = neighbour indices at that level; a node
-    /// participates in levels `0..links[node].len()`.
-    links: Vec<Vec<Vec<u32>>>,
-    /// Entry node: highest level, ties to the lowest index.
-    entry: u32,
-    max_level: usize,
-    /// Level-0 adjacency flattened to CSR after construction — the
-    /// query-time beam spends most of its time scanning level-0
-    /// neighbour lists, and the nested `Vec`s cost two dependent loads
-    /// per list. Empty until the build's consolidation pass fills it.
-    base: Vec<u32>,
-    /// CSR offsets into [`base`](Self::base) (`n + 1` entries).
-    base_start: Vec<u32>,
+/// The params a graph over `n` nodes is built and loaded under (`m`
+/// floors at 2), and every node's seeded level: node `i` sits at
+/// `floor(-ln(u_i) / ln(m))`, capped at `MAX_LEVEL`.
+fn seeded(params: HnswParams, n: usize) -> (HnswParams, Vec<usize>) {
+    let m = params.m.max(2);
+    let ml = 1.0 / (m as f64).ln();
+    let levels = (0..n)
+        .map(|i| ((-unit_open(params.seed, i as u64).ln() * ml) as usize).min(MAX_LEVEL))
+        .collect();
+    (HnswParams { m, ..params }, levels)
 }
 
-impl HnswGraph {
-    /// Builds the graph over the rows of `train` (Euclidean metric,
-    /// `norms[i] = ‖row_i‖²` under the configured precision).
-    ///
-    /// Batched frozen-graph construction: each batch's candidate
-    /// searches run read-only against the pre-batch graph (chunked over
-    /// `n_threads`, thread-count-invariant), then edges are applied
-    /// sequentially in ascending node order. Batch sizes grow with the
-    /// graph (half the inserted prefix, capped) so early batches see a
-    /// dense enough graph to search.
-    pub(crate) fn build(
-        train: &Matrix,
-        norms: &[f64],
-        precision: Precision,
-        params: HnswParams,
-        n_threads: usize,
-    ) -> Self {
-        let n = train.nrows();
-        assert!(n > 0, "HnswGraph::build requires rows");
-        let ctx = DistCtx::new(train, norms, precision);
-        let m = params.m.max(2);
-        let ml = 1.0 / (m as f64).ln();
-        let levels: Vec<usize> = (0..n)
-            .map(|i| ((-unit_open(params.seed, i as u64).ln() * ml) as usize).min(MAX_LEVEL))
-            .collect();
-        let mut graph = Self {
-            params: HnswParams { m, ..params },
-            links: levels.iter().map(|&l| vec![Vec::new(); l + 1]).collect(),
-            entry: 0,
-            max_level: levels[0],
-            base: Vec::new(),
-            base_start: Vec::new(),
-        };
-
-        const MAX_BATCH: usize = 4096;
-        let mut cur = 1usize; // node 0 is the initial (edgeless) graph
-        let mut scratch_pool: Vec<Scratch> = Vec::new();
-        while cur < n {
-            let batch = (cur / 2).clamp(1, MAX_BATCH).min(n - cur);
-            let end = cur + batch;
-            // Parallel phase: frozen-graph searches, pure per point.
-            let threads = n_threads.max(1).min(batch);
-            while scratch_pool.len() < threads {
-                scratch_pool.push(Scratch::new(n));
-            }
-            let found: Vec<Vec<Vec<Cand>>> = if threads <= 1 {
-                let scratch = &mut scratch_pool[0];
-                (cur..end)
-                    .map(|p| graph.insert_candidates(&ctx, p as u32, levels[p], scratch))
-                    .collect()
-            } else {
-                let graph_ref = &graph;
-                let ctx_ref = &ctx;
-                let levels_ref = &levels;
-                let ranges = crate::parallel::split_ranges(batch, threads);
-                let mut out: Vec<Vec<Vec<Vec<Cand>>>> = Vec::with_capacity(threads);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = ranges
-                        .into_iter()
-                        .zip(scratch_pool.iter_mut())
-                        .map(|(range, scratch)| {
-                            scope.spawn(move || {
-                                range
-                                    .map(|off| {
-                                        let p = cur + off;
-                                        graph_ref.insert_candidates(
-                                            ctx_ref,
-                                            p as u32,
-                                            levels_ref[p],
-                                            scratch,
-                                        )
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        out.push(h.join().expect("hnsw search worker panicked"));
-                    }
-                });
-                out.into_iter().flatten().collect()
-            };
-            // Sequential phase: apply edges in ascending node order.
-            for (off, cands) in found.into_iter().enumerate() {
-                graph.apply(&ctx, (cur + off) as u32, levels[cur + off], cands);
-            }
-            cur = end;
-        }
-        // Consolidation: restore the degree caps that the amortized
-        // prune slack let adjacency lists exceed, in ascending node
-        // order (deterministic), then flatten level 0 to CSR for the
-        // query-time beam.
-        for node in 0..n as u32 {
-            for l in 0..graph.links[node as usize].len() {
-                let m_max = if l == 0 {
-                    2 * graph.params.m
-                } else {
-                    graph.params.m
-                };
-                if graph.links[node as usize][l].len() > m_max {
-                    graph.reselect(&ctx, node, l, m_max);
-                }
-            }
-        }
-        graph.base_start = Vec::with_capacity(n + 1);
-        graph.base_start.push(0);
-        graph.base = Vec::with_capacity(graph.base_degree_sum());
-        for node in &graph.links {
-            graph.base.extend_from_slice(&node[0]);
-            graph.base_start.push(graph.base.len() as u32);
-        }
-        graph
-    }
-
-    /// Level-`level` neighbour list of `node` — the CSR view at level 0
-    /// once construction has flattened it, the nested lists otherwise.
-    #[inline]
-    fn neighbors(&self, node: u32, level: usize) -> &[u32] {
-        if level == 0 && !self.base_start.is_empty() {
-            let start = self.base_start[node as usize] as usize;
-            let end = self.base_start[node as usize + 1] as usize;
-            &self.base[start..end]
-        } else {
-            &self.links[node as usize][level]
-        }
-    }
-
-    /// Frozen-graph candidate search for inserting node `p` at level
-    /// `lp`: greedy descent from the entry to `lp + 1`, then an
-    /// `ef_construction` beam per level `min(lp, max_level)..=0`.
-    /// Returns candidates per level, index 0 = level 0.
-    fn insert_candidates(
-        &self,
-        ctx: &DistCtx<'_>,
-        p: u32,
-        lp: usize,
-        scratch: &mut Scratch,
-    ) -> Vec<Vec<Cand>> {
-        let q = ctx.train.row(p as usize);
-        let nq = ctx.norms[p as usize];
-        let mut ep = Cand {
-            dist: ctx.dist_q(q, nq, self.entry),
-            idx: self.entry,
-        };
-        for l in ((lp + 1)..=self.max_level).rev() {
-            ep = self.greedy_step(ctx, q, nq, ep, l);
-        }
-        let top = lp.min(self.max_level);
-        let mut per_level = vec![Vec::new(); top + 1];
-        for l in (0..=top).rev() {
-            let found = self.search_layer(ctx, q, nq, ep, l, self.params.ef_construction, scratch);
-            ep = found[0];
-            per_level[l] = found;
-        }
-        per_level
-    }
+/// Read access to adjacency lists, shared by construction (nested,
+/// growable lists) and queries (the finished graph's CSR levels), so
+/// both walk the graph through the same greedy descent and beam search.
+trait Adjacency {
+    /// Level-`level` neighbour list of `node`.
+    fn neighbors(&self, node: u32, level: usize) -> &[u32];
 
     /// Greedy closest-neighbour descent at one level (ef = 1).
     fn greedy_step(
@@ -563,6 +402,94 @@ impl HnswGraph {
         out.sort_unstable();
         out
     }
+}
+
+/// One level of the graph in CSR form: node `i`'s neighbours are
+/// `ids[start[i]..start[i + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct CsrLevel {
+    /// `n + 1` offsets into [`ids`](Self::ids), starting at 0.
+    start: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+/// The seeded deterministic HNSW graph over a training matrix.
+///
+/// Holds adjacency only — the matrix and its norms stay in the owning
+/// [`KnnIndex`](crate::distance::KnnIndex) and are borrowed per call via
+/// the internal `DistCtx`. Every level is stored as CSR (offsets plus
+/// neighbour ids), the form queries read and snapshots persist. See the
+/// [module docs](self) for the determinism contract.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HnswGraph {
+    params: HnswParams,
+    /// `levels[l]` is the adjacency at level `l`, for `l` in
+    /// `0..=max_level`. A node whose seeded level is below `l` has an
+    /// empty range there.
+    levels: Vec<CsrLevel>,
+    /// Entry node: highest level, ties to the lowest index.
+    entry: u32,
+}
+
+impl Adjacency for HnswGraph {
+    #[inline]
+    fn neighbors(&self, node: u32, level: usize) -> &[u32] {
+        let csr = &self.levels[level];
+        let start = csr.start[node as usize] as usize;
+        let end = csr.start[node as usize + 1] as usize;
+        &csr.ids[start..end]
+    }
+}
+
+/// Build-time graph: per-node, per-level neighbour lists that grow and
+/// get pruned while nodes are inserted, flattened into an [`HnswGraph`]
+/// once construction ends.
+struct GraphBuilder {
+    params: HnswParams,
+    /// `links[node][level]` = neighbour indices at that level; a node
+    /// participates in levels `0..links[node].len()`.
+    links: Vec<Vec<Vec<u32>>>,
+    entry: u32,
+    max_level: usize,
+}
+
+impl Adjacency for GraphBuilder {
+    #[inline]
+    fn neighbors(&self, node: u32, level: usize) -> &[u32] {
+        &self.links[node as usize][level]
+    }
+}
+
+impl GraphBuilder {
+    /// Frozen-graph candidate search for inserting node `p` at level
+    /// `lp`: greedy descent from the entry to `lp + 1`, then an
+    /// `ef_construction` beam per level `min(lp, max_level)..=0`.
+    /// Returns candidates per level, index 0 = level 0.
+    fn insert_candidates(
+        &self,
+        ctx: &DistCtx<'_>,
+        p: u32,
+        lp: usize,
+        scratch: &mut Scratch,
+    ) -> Vec<Vec<Cand>> {
+        let q = ctx.train.row(p as usize);
+        let nq = ctx.norms[p as usize];
+        let mut ep = Cand {
+            dist: ctx.dist_q(q, nq, self.entry),
+            idx: self.entry,
+        };
+        for l in ((lp + 1)..=self.max_level).rev() {
+            ep = self.greedy_step(ctx, q, nq, ep, l);
+        }
+        let top = lp.min(self.max_level);
+        let mut per_level = vec![Vec::new(); top + 1];
+        for l in (0..=top).rev() {
+            let found = self.search_layer(ctx, q, nq, ep, l, self.params.ef_construction, scratch);
+            ep = found[0];
+            per_level[l] = found;
+        }
+        per_level
+    }
 
     /// Sequentially applies node `p`'s edges from its frozen-search
     /// candidates: heuristic neighbour selection, bidirectional links,
@@ -614,6 +541,213 @@ impl HnswGraph {
             .collect();
     }
 
+    /// Flattens the nested lists into per-level CSR, releasing each list
+    /// as it is copied.
+    fn finish(mut self) -> HnswGraph {
+        let n = self.links.len();
+        let levels = (0..=self.max_level)
+            .map(|l| {
+                let mut start = Vec::with_capacity(n + 1);
+                start.push(0u32);
+                let mut ids = Vec::new();
+                for node in &mut self.links {
+                    if let Some(list) = node.get_mut(l) {
+                        ids.extend_from_slice(&std::mem::take(list));
+                    }
+                    start.push(ids.len() as u32);
+                }
+                CsrLevel { start, ids }
+            })
+            .collect();
+        HnswGraph {
+            params: self.params,
+            levels,
+            entry: self.entry,
+        }
+    }
+}
+
+impl HnswGraph {
+    /// Builds the graph over the rows of `train` (Euclidean metric,
+    /// `norms[i] = ‖row_i‖²` under the configured precision).
+    ///
+    /// Batched frozen-graph construction: each batch's candidate
+    /// searches run read-only against the pre-batch graph (chunked over
+    /// `n_threads`, thread-count-invariant), then edges are applied
+    /// sequentially in ascending node order. Batch sizes grow with the
+    /// graph (half the inserted prefix, capped) so early batches see a
+    /// dense enough graph to search.
+    pub(crate) fn build(
+        train: &Matrix,
+        norms: &[f64],
+        precision: Precision,
+        params: HnswParams,
+        n_threads: usize,
+    ) -> Self {
+        let n = train.nrows();
+        assert!(n > 0, "HnswGraph::build requires rows");
+        let ctx = DistCtx::new(train, norms, precision);
+        let (params, levels) = seeded(params, n);
+        let mut graph = GraphBuilder {
+            params,
+            links: levels.iter().map(|&l| vec![Vec::new(); l + 1]).collect(),
+            entry: 0,
+            max_level: levels[0],
+        };
+
+        const MAX_BATCH: usize = 4096;
+        let mut cur = 1usize; // node 0 is the initial (edgeless) graph
+        let mut scratch_pool: Vec<Scratch> = Vec::new();
+        while cur < n {
+            let batch = (cur / 2).clamp(1, MAX_BATCH).min(n - cur);
+            let end = cur + batch;
+            // Parallel phase: frozen-graph searches, pure per point.
+            let threads = n_threads.max(1).min(batch);
+            while scratch_pool.len() < threads {
+                scratch_pool.push(Scratch::new(n));
+            }
+            let found: Vec<Vec<Vec<Cand>>> = if threads <= 1 {
+                let scratch = &mut scratch_pool[0];
+                (cur..end)
+                    .map(|p| graph.insert_candidates(&ctx, p as u32, levels[p], scratch))
+                    .collect()
+            } else {
+                let graph_ref = &graph;
+                let ctx_ref = &ctx;
+                let levels_ref = &levels;
+                let ranges = crate::parallel::split_ranges(batch, threads);
+                let mut out: Vec<Vec<Vec<Vec<Cand>>>> = Vec::with_capacity(threads);
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = ranges
+                        .into_iter()
+                        .zip(scratch_pool.iter_mut())
+                        .map(|(range, scratch)| {
+                            scope.spawn(move || {
+                                range
+                                    .map(|off| {
+                                        let p = cur + off;
+                                        graph_ref.insert_candidates(
+                                            ctx_ref,
+                                            p as u32,
+                                            levels_ref[p],
+                                            scratch,
+                                        )
+                                    })
+                                    .collect::<Vec<_>>()
+                            })
+                        })
+                        .collect();
+                    for h in handles {
+                        out.push(h.join().expect("hnsw search worker panicked"));
+                    }
+                });
+                out.into_iter().flatten().collect()
+            };
+            // Sequential phase: apply edges in ascending node order.
+            for (off, cands) in found.into_iter().enumerate() {
+                graph.apply(&ctx, (cur + off) as u32, levels[cur + off], cands);
+            }
+            cur = end;
+        }
+        // Consolidation: restore the degree caps that the amortized
+        // prune slack let adjacency lists exceed, in ascending node
+        // order (deterministic), then flatten every level to CSR.
+        for node in 0..n as u32 {
+            for l in 0..graph.links[node as usize].len() {
+                let m_max = if l == 0 {
+                    2 * graph.params.m
+                } else {
+                    graph.params.m
+                };
+                if graph.links[node as usize][l].len() > m_max {
+                    graph.reselect(&ctx, node, l, m_max);
+                }
+            }
+        }
+        graph.finish()
+    }
+
+    /// Appends the CSR levels to a `suod-pool/2` index record: the level
+    /// count, then each level's offsets and neighbour ids as
+    /// length-prefixed `u32` arrays. Node levels and the entry point are
+    /// not written: they are functions of `(params.seed, i)`.
+    pub(crate) fn snapshot_write(&self, w: &mut SnapshotWriter) {
+        w.write_usize(self.levels.len());
+        for level in &self.levels {
+            w.write_u32s(&level.start);
+            w.write_u32s(&level.ids);
+        }
+    }
+
+    /// Reads levels written by [`snapshot_write`](Self::snapshot_write)
+    /// for an index over `n` rows configured with `params`, and checks
+    /// them before any search can walk them: the level count is the
+    /// seeded one; every offsets array has `n + 1` entries, starts at 0,
+    /// never decreases and ends at its ids length; every degree is within
+    /// its cap (`2m` at level 0, `m` above); a node below level `l` has no
+    /// links there; and every id names a node that exists at `l`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a `snapshot:`-prefixed [`Error::InvalidParameter`] for a
+    /// truncated section or any violated rule.
+    pub(crate) fn snapshot_read(
+        r: &mut SnapshotReader<'_>,
+        n: usize,
+        params: HnswParams,
+    ) -> Result<Self> {
+        let (params, node_levels) = seeded(params, n);
+        let max_level = node_levels.iter().copied().max().unwrap_or(0);
+        let entry = node_levels
+            .iter()
+            .position(|&l| l == max_level)
+            .unwrap_or(0);
+        let n_levels = r.read_usize()?;
+        if n_levels != max_level + 1 {
+            return Err(corrupt(&format!(
+                "hnsw graph has {n_levels} levels, the seeded graph has {}",
+                max_level + 1
+            )));
+        }
+        let mut levels = Vec::with_capacity(n_levels);
+        for l in 0..n_levels {
+            let start = r.read_u32s()?;
+            let ids = r.read_u32s()?;
+            let cap = if l == 0 { 2 * params.m } else { params.m };
+            if start.len() != n + 1 || start[0] != 0 || start[n] as usize != ids.len() {
+                return Err(corrupt(&format!(
+                    "hnsw level {l}: offsets do not span its {} ids over {n} nodes",
+                    ids.len()
+                )));
+            }
+            for (node, w) in start.windows(2).enumerate() {
+                let degree = w[1].checked_sub(w[0]).ok_or_else(|| {
+                    corrupt(&format!("hnsw level {l}: offsets decrease at node {node}"))
+                })? as usize;
+                if degree > cap || (degree > 0 && node_levels[node] < l) {
+                    return Err(corrupt(&format!(
+                        "hnsw level {l}: node {node} has {degree} links (cap {cap}, node level {})",
+                        node_levels[node]
+                    )));
+                }
+            }
+            if let Some(&bad) = ids
+                .iter()
+                .find(|&&id| node_levels.get(id as usize).is_none_or(|&nl| nl < l))
+            {
+                return Err(corrupt(&format!(
+                    "hnsw level {l}: link to node {bad}, which is not on this level"
+                )));
+            }
+            levels.push(CsrLevel { start, ids });
+        }
+        Ok(Self {
+            params,
+            levels,
+            entry: entry as u32,
+        })
+    }
+
     /// The `k` approximate nearest training rows to `query`, searched
     /// with beam width `max(ef, k)`; ascending `(distance, index)`.
     pub(crate) fn search(
@@ -628,14 +762,14 @@ impl HnswGraph {
             dist: ctx.dist_q(query, nq, self.entry),
             idx: self.entry,
         };
-        for l in (1..=self.max_level).rev() {
+        for l in (1..=self.max_level()).rev() {
             ep = self.greedy_step(ctx, query, nq, ep, l);
         }
         // Reuse one scratch per thread: a fresh visited array per query
         // would mean zeroing `n` words per row of a self-sweep.
         let mut found = SEARCH_SCRATCH.with(|s| {
             let mut scratch = s.borrow_mut();
-            scratch.ensure(self.links.len());
+            scratch.ensure(self.len());
             self.search_layer(ctx, query, nq, ep, 0, ef.max(k).max(1), &mut scratch)
         });
         found.truncate(k);
@@ -650,12 +784,12 @@ impl HnswGraph {
 
     /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.links.len()
+        self.levels[0].start.len() - 1
     }
 
     /// `true` when no points are indexed (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
+        self.len() == 0
     }
 
     /// The params the graph was built with.
@@ -663,9 +797,19 @@ impl HnswGraph {
         self.params
     }
 
+    /// Highest level of the graph (the entry node's level).
+    pub fn max_level(&self) -> usize {
+        self.levels.len() - 1
+    }
+
+    /// Entry node of every search: the lowest index on the highest level.
+    pub fn entry(&self) -> usize {
+        self.entry as usize
+    }
+
     /// Total directed edges at level 0 (diagnostics).
     pub fn base_degree_sum(&self) -> usize {
-        self.links.iter().map(|l| l[0].len()).sum()
+        self.levels[0].ids.len()
     }
 }
 
@@ -752,10 +896,12 @@ mod tests {
         let g1 = build(&x, params, 1);
         let g2 = build(&x, params, 2);
         let g8 = build(&x, params, 8);
-        assert_eq!(g1.links, g2.links);
-        assert_eq!(g1.links, g8.links);
-        assert_eq!(g1.entry, g8.entry);
-        assert_eq!(g1.max_level, g8.max_level);
+        assert_eq!(g1, g2);
+        assert_eq!(g1, g8);
+        assert!(
+            g1.max_level() > 0,
+            "the test graph should have upper levels"
+        );
     }
 
     #[test]
@@ -804,12 +950,35 @@ mod tests {
             ..HnswParams::default()
         };
         let g = build(&x, params, 1);
-        for node in &g.links {
-            for (l, adj) in node.iter().enumerate() {
-                let cap = if l == 0 { 16 } else { 8 };
-                assert!(adj.len() <= cap, "level {l} degree {}", adj.len());
+        for l in 0..=g.max_level() {
+            let cap = if l == 0 { 16 } else { 8 };
+            for node in 0..g.len() as u32 {
+                let degree = g.neighbors(node, l).len();
+                assert!(degree <= cap, "level {l} degree {degree}");
             }
         }
+    }
+
+    #[test]
+    fn snapshot_round_trip_recomputes_levels_and_entry() {
+        let x = blobs(700, 5, 13);
+        let params = HnswParams {
+            m: 6,
+            min_rows: 1,
+            ..HnswParams::default()
+        };
+        let g = build(&x, params, 2);
+        let mut w = SnapshotWriter::new();
+        g.snapshot_write(&mut w);
+        let mut r = SnapshotReader::new(w.as_bytes());
+        let loaded = HnswGraph::snapshot_read(&mut r, x.nrows(), params).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(loaded, g);
+        assert_eq!(loaded.entry(), g.entry());
+        // The same bytes under another seed name other node levels.
+        let reseeded = HnswParams { seed: 1, ..params };
+        let mut r = SnapshotReader::new(w.as_bytes());
+        assert!(HnswGraph::snapshot_read(&mut r, x.nrows(), reseeded).is_err());
     }
 
     #[test]

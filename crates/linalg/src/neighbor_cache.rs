@@ -83,7 +83,7 @@ impl DataFingerprint {
         self.rows
     }
 
-    /// Appends the fingerprint to a `suod-pool/1` snapshot body.
+    /// Appends the fingerprint to a `suod-pool` snapshot body.
     pub fn snapshot_write(&self, w: &mut crate::SnapshotWriter) {
         w.write_usize(self.rows);
         w.write_usize(self.cols);

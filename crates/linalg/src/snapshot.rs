@@ -1,4 +1,5 @@
-//! Byte-level codec for the `suod-pool/1` snapshot format.
+//! Byte-level codec for the `suod-pool` snapshot format (`suod-pool/2`;
+//! `suod-pool/1` still reads).
 //!
 //! Hand-rolled (serde-free) little-endian encoding, in the same spirit as
 //! the `suod-trace/1` JSON schema in `suod-observe`: every field is
@@ -9,7 +10,9 @@
 //!
 //! # Encoding rules
 //!
-//! * Integers are `u64` little-endian (lengths, counts, indices).
+//! * Integers are `u64` little-endian (lengths, counts, indices), except
+//!   HNSW graph arrays, which are length-prefixed `u32` little-endian
+//!   ([`SnapshotWriter::write_u32s`]), the width the graph stores them in.
 //! * `f64` values are written as their IEEE-754 **bit pattern** in
 //!   little-endian order — round-tripping is bit-exact, including NaN
 //!   payloads and signed zeros. This is what makes the pool-level
@@ -21,7 +24,18 @@
 //! Decoding is defensive: every read validates remaining length and
 //! returns a typed [`Error::InvalidParameter`] with a `snapshot:` prefix
 //! instead of panicking, so a truncated or corrupt snapshot surfaces as a
-//! recoverable error at the `Suod::load` boundary.
+//! recoverable error at the `Suod::load` boundary. A length prefix is
+//! checked against the bytes that remain before anything is allocated
+//! for it.
+//!
+//! # Versions
+//!
+//! A [`SnapshotReader`] carries the format version of the file it reads
+//! (the top-level loader sets it once; [`SnapshotReader::nested`]
+//! readers inherit it). Version 2 added the built HNSW graph to each
+//! neighbour-index record; a version-1 index record carries none and its
+//! graph is rebuilt at load. `KnnIndex::snapshot_read_parts` is the one
+//! reader that looks at the version.
 
 use crate::hnsw::{HnswParams, NeighborBackend};
 use crate::{
@@ -30,6 +44,13 @@ use crate::{
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// The `suod-pool` format version this build writes, and the newest it
+/// reads.
+pub const SNAPSHOT_VERSION: u64 = 2;
+
+/// The oldest `suod-pool` format version this build reads.
+pub const OLDEST_SNAPSHOT_VERSION: u64 = 1;
 
 /// Append-only byte sink for snapshot encoding.
 #[derive(Debug, Default, Clone)]
@@ -107,6 +128,15 @@ impl SnapshotWriter {
         }
     }
 
+    /// Writes a length-prefixed `u32` slice (each value little-endian).
+    pub fn write_u32s(&mut self, v: &[u32]) {
+        self.write_usize(v.len());
+        self.buf.reserve(v.len() * 4);
+        for &x in v {
+            self.buf.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+
     /// Writes a length-prefixed `usize` slice.
     pub fn write_usizes(&mut self, v: &[usize]) {
         self.write_usize(v.len());
@@ -174,7 +204,7 @@ impl SnapshotWriter {
     }
 }
 
-fn corrupt(what: &str) -> Error {
+pub(crate) fn corrupt(what: &str) -> Error {
     Error::InvalidParameter(format!("snapshot: {what}"))
 }
 
@@ -187,28 +217,46 @@ pub(crate) type DecodedIndexes = Rc<RefCell<Vec<Arc<KnnIndex>>>>;
 pub struct SnapshotReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Format version of the file being read (see the module docs).
+    version: u64,
     /// What [`KnnIndex::snapshot_read_shared`] has decoded through this
     /// reader's family, so equal index records collapse into one `Arc`.
     indexes: DecodedIndexes,
 }
 
 impl<'a> SnapshotReader<'a> {
-    /// A reader positioned at the start of `buf`.
+    /// A reader positioned at the start of `buf`, reading the current
+    /// format ([`SNAPSHOT_VERSION`]).
     pub fn new(buf: &'a [u8]) -> Self {
+        Self::with_version(buf, SNAPSHOT_VERSION)
+    }
+
+    /// A reader positioned at the start of `buf`, reading records as
+    /// format `version` wrote them. The caller checks that `version` is
+    /// one this build reads.
+    pub fn with_version(buf: &'a [u8], version: u64) -> Self {
         Self {
             buf,
             pos: 0,
+            version,
             indexes: DecodedIndexes::default(),
         }
     }
 
+    /// The format version this reader decodes.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// A reader over `buf` — a length-prefixed record taken from this
-    /// reader — that shares this reader's decoded-index table, so index
-    /// records in different nested records still collapse.
+    /// reader — that shares this reader's format version and
+    /// decoded-index table, so index records in different nested records
+    /// still collapse.
     pub fn nested(&self, buf: &'a [u8]) -> Self {
         Self {
             buf,
             pos: 0,
+            version: self.version,
             indexes: Rc::clone(&self.indexes),
         }
     }
@@ -289,6 +337,20 @@ impl<'a> SnapshotReader<'a> {
             return Err(corrupt("truncated f64 vector"));
         }
         (0..n).map(|_| self.read_f64()).collect()
+    }
+
+    /// Reads a length-prefixed `u32` vector. The claimed length is
+    /// checked against the remaining bytes before anything is allocated.
+    pub fn read_u32s(&mut self) -> Result<Vec<u32>> {
+        let n = self.read_usize()?;
+        let bytes = self.take(
+            n.checked_mul(4)
+                .ok_or_else(|| corrupt("u32 vector length overflows"))?,
+        )?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
+            .collect())
     }
 
     /// Reads a length-prefixed `usize` vector.
@@ -385,6 +447,7 @@ mod tests {
         w.write_str("suod-pool/1");
         w.write_f64s(&[1.5, f64::INFINITY]);
         w.write_usizes(&[3, 0, 9]);
+        w.write_u32s(&[u32::MAX, 0, 7]);
         w.write_opt_u64(None);
         w.write_opt_u64(Some(11));
         let bytes = w.into_bytes();
@@ -400,6 +463,7 @@ mod tests {
         assert_eq!(r.read_str().unwrap(), "suod-pool/1");
         assert_eq!(r.read_f64s().unwrap(), vec![1.5, f64::INFINITY]);
         assert_eq!(r.read_usizes().unwrap(), vec![3, 0, 9]);
+        assert_eq!(r.read_u32s().unwrap(), vec![u32::MAX, 0, 7]);
         assert_eq!(r.read_opt_u64().unwrap(), None);
         assert_eq!(r.read_opt_u64().unwrap(), Some(11));
         assert!(r.is_exhausted());
@@ -465,6 +529,23 @@ mod tests {
         assert!(r.read_f64s().is_err());
         let mut r = SnapshotReader::new(&bytes);
         assert!(r.read_bytes().is_err());
+        let mut r = SnapshotReader::new(&bytes);
+        assert!(r.read_u32s().is_err());
+        // A length that fits but exceeds the remaining bytes.
+        let mut w = SnapshotWriter::new();
+        w.write_u32s(&[1, 2, 3]);
+        let bytes = w.into_bytes();
+        let mut r = SnapshotReader::new(&bytes[..bytes.len() - 1]);
+        assert!(r.read_u32s().is_err());
+    }
+
+    #[test]
+    fn nested_readers_inherit_the_version() {
+        let bytes = [0u8; 4];
+        let outer = SnapshotReader::with_version(&bytes, 1);
+        assert_eq!(outer.version(), 1);
+        assert_eq!(outer.nested(&bytes[1..]).version(), 1);
+        assert_eq!(SnapshotReader::new(&bytes).version(), SNAPSHOT_VERSION);
     }
 
     #[test]

@@ -107,10 +107,10 @@ pub enum Stage {
     BatchAssemble,
     /// Survivor-only score combination of one served batch.
     Combine,
-    /// Encoding a fitted pool into a `suod-pool/1` snapshot
+    /// Encoding a fitted pool into a `suod-pool` snapshot
     /// (`Suod::save`).
     SnapshotSave,
-    /// Decoding and rebuilding a pool from a `suod-pool/1` snapshot
+    /// Decoding and rebuilding a pool from a `suod-pool` snapshot
     /// (`Suod::load`), including deterministic index reconstruction.
     SnapshotLoad,
     /// Atomically swapping a serving pool for a reloaded one
@@ -268,10 +268,10 @@ pub enum Counter {
     /// seed-deterministic, but the timeout channel is wall-clock, so the
     /// counter as a whole is excluded from determinism guarantees.
     PredictQuarantined,
-    /// Fitted pools encoded into `suod-pool/1` snapshots (call-derived
+    /// Fitted pools encoded into `suod-pool` snapshots (call-derived
     /// and deterministic).
     SnapshotSave,
-    /// Pools decoded from `suod-pool/1` snapshots (call-derived and
+    /// Pools decoded from `suod-pool` snapshots (call-derived and
     /// deterministic).
     SnapshotLoad,
     /// Serving pools atomically swapped by a hot reload. Reloads are
@@ -418,7 +418,7 @@ impl std::fmt::Display for Counter {
 
 /// Deterministic integrity signature over a byte payload.
 ///
-/// FNV-1a 64-bit, rendered as `fnv1a64:<16 hex digits>`. The `suod-pool/1`
+/// FNV-1a 64-bit, rendered as `fnv1a64:<16 hex digits>`. The `suod-pool`
 /// snapshot format stores this signature over its payload section; a
 /// mismatch at load time means the bytes were corrupted or hand-edited
 /// and surfaces as a typed `SnapshotCorrupt` error instead of a

@@ -117,7 +117,7 @@ pub trait Projector: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Appends the projector's full state (parameters + fitted transform)
-    /// to a `suod-pool/1` snapshot body.
+    /// to a `suod-pool` snapshot body.
     ///
     /// Implementations write every field in a fixed order so that
     /// save → load → save is byte-identical; the matching reader is the

@@ -1,7 +1,7 @@
 //! The `suod-wire/1` binary wire protocol.
 //!
 //! The serving front end's framed request/response format — hand-rolled
-//! and dependency-free in the style of the `suod-pool/1` snapshot
+//! and dependency-free in the style of the `suod-pool` snapshot
 //! format. Scores cross the wire as raw little-endian `f64` bits, so a
 //! client reads back **exactly** the bytes `decision_function` produced:
 //! no float formatting, no parsing, no round-trip loss. Frames are

@@ -144,7 +144,7 @@ pub trait Regressor: Send + Sync {
     }
 
     /// Appends the regressor's full state (parameters + fitted model) to
-    /// a `suod-pool/1` snapshot body.
+    /// a `suod-pool` snapshot body.
     ///
     /// Implementations write every field in a fixed order so that
     /// save → load → save is byte-identical; the matching reader is the
@@ -188,7 +188,9 @@ pub fn write_regressor(model: &dyn Regressor, w: &mut SnapshotWriter) -> Result<
 pub fn read_regressor(r: &mut SnapshotReader<'_>) -> Result<Box<dyn Regressor>> {
     let name = r.read_str()?;
     let body = r.read_bytes()?;
-    let mut br = SnapshotReader::new(body);
+    // Nested, not new: a kNN regressor's index record is read under the
+    // file's format version.
+    let mut br = r.nested(body);
     let model: Box<dyn Regressor> = match name.as_str() {
         "random_forest" => Box::new(RandomForestRegressor::snapshot_read(&mut br)?),
         "decision_tree" => Box::new(DecisionTreeRegressor::snapshot_read(&mut br)?),

@@ -8,10 +8,16 @@
 //! like every other backend — bit-identical scores across worker counts
 //! for a fixed seed. Ineligible inputs (small n, non-Euclidean metrics)
 //! must fall back to the exact path and say so in `FitDiagnostics`.
+//! A snapshot stores the graph fit built: the loaded graph equals a fresh
+//! build and answers bit-equal, and a reloaded pool scores the offline
+//! bits at every worker count.
 
+use proptest::prelude::*;
+use std::sync::Arc;
 use suod::prelude::*;
-use suod_linalg::{DistanceMetric, KnnIndex, Matrix};
+use suod_linalg::{DistanceMetric, KnnIndex, Matrix, SnapshotReader, SnapshotWriter};
 use suod_metrics::roc_auc;
+use suod_serve::{ManualClock, ScoreOutcome, ScoreService, ServeConfig};
 
 /// splitmix64 — the workspace's standard seeded generator.
 fn splitmix64(mut z: u64) -> u64 {
@@ -264,4 +270,157 @@ fn ef_search_knob_reaches_the_index_through_the_builder() {
     model.fit(&x).expect("fit succeeds");
     let features = model.diagnostics().expect("diagnostics").cpu_features();
     assert_eq!(format!("{}", features.neighbor), "hnsw(ef_search=128)");
+}
+
+/// Query rows: training rows nudged off the sample, plus far points.
+fn probe_rows(x: &Matrix, seed: u64) -> Matrix {
+    let rows: Vec<Vec<f64>> = (0..24)
+        .map(|q| {
+            let base = x.row(q * 7 % x.nrows());
+            base.iter()
+                .enumerate()
+                .map(|(j, v)| v + (unit(seed, (q * 64 + j) as u64) - 0.5) * (q % 4) as f64)
+                .collect()
+        })
+        .collect();
+    Matrix::from_rows(&rows).expect("non-empty")
+}
+
+fn neighbor_bits(index: &KnnIndex, q: &Matrix, k: usize) -> Vec<(usize, u64)> {
+    index
+        .query_batch(q, k)
+        .expect("matching dims")
+        .iter()
+        .flatten()
+        .map(|nb| (nb.index, nb.distance.to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(18))]
+
+    /// The graph a `suod-pool/2` record carries is the graph a fresh
+    /// build makes — every CSR array, the entry node and the top level —
+    /// and answers queries with the same bits, at any build thread count.
+    fn stored_graph_equals_a_fresh_build(
+        n_pick in 0usize..6,
+        d in 1usize..48,
+        m in 2usize..16,
+        mixed in proptest::bool::ANY,
+        dup in proptest::bool::ANY,
+        threads_pick in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let n = [1, 2, m, 2 * m + 1, 257, 3000][n_pick];
+        // Keep the 3000-row cases to a few dimensions in unoptimised builds.
+        let d = if n == 3000 && cfg!(debug_assertions) { d.min(6) } else { d };
+        let x = if dup { duplicate_heavy(n, d, seed) } else { clustered(n, d, seed) };
+        let config = KernelConfig {
+            precision: if mixed { Precision::Mixed } else { Precision::F64 },
+            neighbor: NeighborBackend::Hnsw(HnswParams {
+                m,
+                min_rows: 0,
+                seed,
+                ..HnswParams::default()
+            }),
+            ..KernelConfig::default()
+        };
+        let threads = [1, 2, 8][threads_pick];
+        let fresh = KnnIndex::build_with(&x, DistanceMetric::Euclidean, config).unwrap();
+        let built = KnnIndex::build_with_threads(&x, DistanceMetric::Euclidean, config, threads)
+            .unwrap();
+        let mut w = SnapshotWriter::new();
+        built.snapshot_write(&mut w);
+        let mut r = SnapshotReader::new(w.as_bytes());
+        let loaded = KnnIndex::snapshot_read(&mut r, threads).unwrap();
+        prop_assert!(r.is_exhausted());
+        let (want, got) = (fresh.hnsw().expect("engaged"), loaded.hnsw().expect("stored"));
+        prop_assert_eq!(want, got);
+        prop_assert_eq!((want.entry(), want.max_level()), (got.entry(), got.max_level()));
+        let q = probe_rows(&x, seed);
+        let k = 10.min(n);
+        prop_assert_eq!(neighbor_bits(&fresh, &q, k), neighbor_bits(&loaded, &q, k));
+    }
+}
+
+/// `ann-mixed`'s pool shape: three proximity models over their own
+/// projected spaces (RP on, so three graphs) beside HBOS and an IForest.
+fn ann_mixed_pool(n_workers: usize, x: &Matrix) -> Suod {
+    let mut clf = Suod::builder()
+        .base_estimators(vec![
+            ModelSpec::Knn {
+                n_neighbors: 10,
+                method: KnnMethod::Largest,
+            },
+            ModelSpec::Lof {
+                n_neighbors: 20,
+                metric: Metric::Euclidean,
+            },
+            ModelSpec::Loop { n_neighbors: 15 },
+            ModelSpec::Hbos {
+                n_bins: 10,
+                tolerance: 0.3,
+            },
+            ModelSpec::IForest {
+                n_estimators: 30,
+                max_features: 0.8,
+            },
+        ])
+        .kernel(KernelConfig::default().with_neighbor(hnsw_always()))
+        .with_projection(true)
+        .with_approximation(false)
+        .n_workers(n_workers)
+        .seed(13)
+        .build()
+        .expect("valid config");
+    clf.fit(x).expect("fit succeeds");
+    clf
+}
+
+fn score_bits(clf: &Suod, q: &Matrix) -> Vec<u64> {
+    let s = clf.decision_function(q).expect("scores");
+    s.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn reloaded_ann_pool_scores_the_offline_bits_and_serves_them() {
+    let (x, _) = with_outliers(700, 24, 20, 17);
+    let q = probe_rows(&x, 3);
+    let reference = ann_mixed_pool(1, &x);
+    let want = score_bits(&reference, &q);
+    for workers in [1usize, 2, 8] {
+        let clf = ann_mixed_pool(workers, &x);
+        let bytes = clf.save_to_bytes().expect("save");
+        let loaded = Suod::load_from_bytes(&bytes).expect("load");
+        assert_eq!(score_bits(&loaded, &q), want, "n_workers={workers}");
+        assert_eq!(
+            loaded.save_to_bytes().unwrap(),
+            bytes,
+            "n_workers={workers}"
+        );
+        assert_eq!(
+            loaded.training_combined_scores().unwrap(),
+            reference.training_combined_scores().unwrap()
+        );
+    }
+
+    // A service reloaded from the bytes serves the offline bits.
+    let bytes = reference.save_to_bytes().unwrap();
+    let offline = reference.combined_scores(&q).unwrap();
+    let service = ScoreService::with_parts(
+        ann_mixed_pool(2, &with_outliers(300, 24, 8, 5).0),
+        ServeConfig::default(),
+        Arc::new(ManualClock::new()),
+        suod_observe::noop(),
+    )
+    .expect("service starts");
+    service
+        .reload(Suod::load_from_bytes(&bytes).unwrap())
+        .expect("reload accepted");
+    let ticket = service.submit(q.clone()).expect("admitted");
+    while service.process_once() == 0 {}
+    match ticket.wait() {
+        ScoreOutcome::Scored(batch) => assert_eq!(batch.combined, offline),
+        other => panic!("request not scored: {other:?}"),
+    }
 }

@@ -1,12 +1,15 @@
-//! End-to-end contracts for the `suod-pool/1` snapshot format and the
+//! End-to-end contracts for the `suod-pool` snapshot format and the
 //! serving layer's zero-downtime hot reload.
 //!
 //! The persistence contract: `load(save(pool))` scores **bitwise
 //! identically** to the original at any worker count, `save → load →
 //! save` is **byte-identical** (the format has one canonical encoding),
 //! corruption and version skew surface as typed errors (never panics),
-//! and the committed golden fixture keeps loading forever — a snapshot
-//! written by an old build must open under every future one. On the
+//! and the committed golden fixtures keep loading forever — a snapshot
+//! written by an old build must open under every future one. A stored
+//! HNSW graph is checked before use: every truncation, bit flip and
+//! inflated count in a graph section, and every hand-crafted graph that
+//! breaks a load rule, is a typed error. On the
 //! serving side: a reload under concurrent submission drops zero
 //! requests, and every answered batch is bitwise-equal to one of the
 //! two pools' sequential scores.
@@ -16,6 +19,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use suod::observe::Stage;
 use suod::prelude::*;
+use suod::SNAPSHOT_VERSION;
+use suod_linalg::{KnnIndex, Neighbor, SnapshotReader, SnapshotWriter};
 use suod_serve::{ManualClock, ScoreOutcome, ScoreService, ServeConfig, SubmitError};
 
 /// 120 x 4 synthetic grid with planted outliers — big enough for every
@@ -310,8 +315,7 @@ fn corruption_and_version_skew_are_typed_errors_not_panics() {
     assert!(Suod::load_from_bytes(&padded).is_err());
 }
 
-/// The committed fixture's exact configuration — regenerate with
-/// `cargo test -p suod-system-tests --test persistence -- --ignored`.
+/// The recipe of the `suod-pool/1` fixture `golden.suod`.
 fn golden_estimator() -> Suod {
     fit(
         Suod::builder()
@@ -339,30 +343,109 @@ fn golden_estimator() -> Suod {
     )
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden.suod")
+/// The recipe of `golden-v2.suod` (written by this format) and of
+/// `golden-v1-hnsw.suod` (written by the last `suod-pool/1` build): an
+/// HNSW pool with `min_rows: 0`, so the kNN and the Euclidean LOF share
+/// one graph, and the Manhattan LOF's index is exact and carries none.
+/// The kernel config is pool-wide, so the graph-less index record comes
+/// from the non-Euclidean model.
+fn golden_hnsw_estimator() -> Suod {
+    fit(
+        Suod::builder()
+            .base_estimators(vec![
+                ModelSpec::Hbos {
+                    n_bins: 8,
+                    tolerance: 0.3,
+                },
+                ModelSpec::IForest {
+                    n_estimators: 10,
+                    max_features: 1.0,
+                },
+                ModelSpec::Knn {
+                    n_neighbors: 5,
+                    method: KnnMethod::Mean,
+                },
+                ModelSpec::Lof {
+                    n_neighbors: 6,
+                    metric: Metric::Euclidean,
+                },
+                ModelSpec::Lof {
+                    n_neighbors: 6,
+                    metric: Metric::Manhattan,
+                },
+            ])
+            .kernel(
+                KernelConfig::default().with_neighbor(NeighborBackend::Hnsw(HnswParams {
+                    min_rows: 0,
+                    ..HnswParams::default()
+                })),
+            )
+            .n_workers(1)
+            .seed(7),
+        &data(),
+    )
+}
+
+fn fixture(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+fn read_fixture(name: &str) -> Vec<u8> {
+    std::fs::read(fixture(name)).expect("committed fixture present")
+}
+
+/// The payload of a snapshot file.
+fn payload(file: &[u8]) -> Vec<u8> {
+    let mut r = SnapshotReader::new(&file[8..]);
+    r.read_u64().unwrap();
+    r.read_str().unwrap();
+    r.read_bytes().unwrap().to_vec()
+}
+
+/// The payload of `clf`'s snapshot with every model's measured fit time
+/// zeroed: the one field two fits of one recipe do not share. A model
+/// record ends with its training scores and then its fit time, so the
+/// pair locates the field.
+fn payload_without_fit_times(clf: &Suod) -> Vec<u8> {
+    let mut payload = payload(&clf.save_to_bytes().unwrap());
+    let scores = clf.training_scores().unwrap();
+    let times = clf.diagnostics().expect("fitted").fit_times();
+    assert_eq!(times.len(), scores.ncols());
+    for (m, time) in times.iter().enumerate() {
+        let mut tail: Vec<u8> = (0..scores.nrows())
+            .flat_map(|i| scores.get(i, m).to_bits().to_le_bytes())
+            .collect();
+        tail.extend_from_slice(&u64::try_from(time.as_nanos()).unwrap().to_le_bytes());
+        let at = payload
+            .windows(tail.len())
+            .position(|w| w == tail)
+            .expect("model record ends with its scores and fit time");
+        payload[at + tail.len() - 8..at + tail.len()].fill(0);
+    }
+    payload
 }
 
 #[test]
 #[ignore = "writes the committed fixture; run once when the format version bumps"]
 fn regenerate_golden_fixture() {
-    let path = golden_path();
+    let path = fixture("golden-v2.suod");
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    golden_estimator().save(&path).unwrap();
+    golden_hnsw_estimator().save(&path).unwrap();
 }
 
-/// Format stability: the fixture bytes in git were written by the build
-/// that introduced `suod-pool/1`. Every later build must (a) load them,
-/// (b) score with them, and (c) re-encode them byte-for-byte — if this
-/// test fails, the format changed and the version must be bumped
-/// instead.
+/// Format stability: `golden.suod` was written by the build that
+/// introduced `suod-pool/1`. Every later build must load it, score with
+/// it exactly like a fresh fit of its recipe, and re-encode it to the
+/// bytes a fresh save of that recipe gives in the current format (fit
+/// times aside: they are measured).
 #[test]
 fn golden_fixture_still_loads_and_reencodes_identically() {
-    let bytes = std::fs::read(golden_path()).expect("committed fixture present");
+    let bytes = read_fixture("golden.suod");
     let loaded = Suod::load_from_bytes(&bytes).expect("golden fixture loads");
     assert_eq!(loaded.n_models(), 4);
     assert_eq!(loaded.n_features().unwrap(), 4);
-    assert_eq!(loaded.save_to_bytes().unwrap(), bytes, "format drifted");
 
     // The fixture must score exactly like a fresh fit of its recipe —
     // the repo-wide determinism contract extended across process exits.
@@ -373,6 +456,468 @@ fn golden_fixture_still_loads_and_reencodes_identically() {
         loaded.combined_scores(&q).unwrap(),
         "fixture scores drifted from a fresh deterministic fit"
     );
+    assert_eq!(
+        payload_without_fit_times(&loaded),
+        payload_without_fit_times(&fresh),
+        "a suod-pool/1 pool must re-encode like a fresh save"
+    );
+}
+
+/// Format stability of `suod-pool/2`: `golden-v2.suod` (an HNSW graph
+/// stored beside an exact index) loads, re-encodes byte for byte, and
+/// matches a fresh fit's save but for fit times — if this fails, the
+/// format changed and the version must be bumped instead.
+#[test]
+fn golden_v2_fixture_loads_and_reencodes_byte_for_byte() {
+    let bytes = read_fixture("golden-v2.suod");
+    assert_eq!(&bytes[8..16], &SNAPSHOT_VERSION.to_le_bytes());
+    let loaded = Suod::load_from_bytes(&bytes).expect("v2 fixture loads");
+    assert_eq!(loaded.n_models(), 5);
+    assert_eq!(loaded.save_to_bytes().unwrap(), bytes, "format drifted");
+    let fresh = golden_hnsw_estimator();
+    assert_eq!(
+        payload_without_fit_times(&fresh),
+        payload_without_fit_times(&loaded),
+        "fit drifted"
+    );
+    let q = queries();
+    assert_eq!(
+        fresh.decision_function(&q).unwrap(),
+        loaded.decision_function(&q).unwrap()
+    );
+}
+
+/// `golden-v1-hnsw.suod` has `golden-v2.suod`'s recipe but was written by
+/// the last `suod-pool/1` build, so it carries no graphs: loading it
+/// rebuilds them, and the rebuilt graphs must be the stored ones — same
+/// scores bit for bit, and the same bytes once re-encoded (fit times
+/// aside).
+#[test]
+fn golden_v1_hnsw_fixture_rebuilds_the_graphs_v2_stores() {
+    let v1 = read_fixture("golden-v1-hnsw.suod");
+    let v2 = read_fixture("golden-v2.suod");
+    assert_eq!(&v1[8..16], &1u64.to_le_bytes());
+    let rebuilt = Suod::load_from_bytes(&v1).expect("v1 fixture loads");
+    let stored = Suod::load_from_bytes(&v2).expect("v2 fixture loads");
+    let bits = |clf: &Suod| -> Vec<u64> {
+        let s = clf.decision_function(&queries()).unwrap();
+        s.as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&rebuilt), bits(&stored));
+    assert_eq!(
+        rebuilt.training_combined_scores().unwrap(),
+        stored.training_combined_scores().unwrap()
+    );
+    assert_eq!(
+        payload_without_fit_times(&rebuilt),
+        payload_without_fit_times(&stored)
+    );
+}
+
+/// Hostile bytes at the stored HNSW graph. Each mutant is re-signed with
+/// [`payload_signature`](suod::observe::payload_signature) (the checksum
+/// is not a MAC), then loaded and scored on another thread: a typed error
+/// must come back within the deadline. A hang or a panic is a failure.
+mod graph_mutants {
+    use super::*;
+    use std::ops::Range;
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use suod::observe::payload_signature;
+
+    /// Small enough to mutate at every byte: 40 rows, `m = 2`, so the
+    /// seeded graph has several levels. kNN and LOF share one index, so
+    /// the payload carries the same graph twice.
+    fn pool() -> (Suod, usize) {
+        let x = data().select_rows(&(0..40).collect::<Vec<_>>());
+        let clf = fit(
+            Suod::builder()
+                .base_estimators(vec![
+                    ModelSpec::Knn {
+                        n_neighbors: 5,
+                        method: KnnMethod::Largest,
+                    },
+                    ModelSpec::Lof {
+                        n_neighbors: 6,
+                        metric: Metric::Euclidean,
+                    },
+                ])
+                .kernel(small_graph_kernel())
+                .with_projection(false)
+                .with_approximation(false)
+                .n_workers(1)
+                .seed(5),
+            &x,
+        );
+        (clf, x.nrows())
+    }
+
+    fn small_graph_kernel() -> KernelConfig {
+        KernelConfig::default().with_neighbor(NeighborBackend::Hnsw(HnswParams {
+            m: 2,
+            min_rows: 0,
+            ..HnswParams::default()
+        }))
+    }
+
+    /// A snapshot file around `payload`, signed for it.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.write_u64(SNAPSHOT_VERSION);
+        w.write_str(&payload_signature(payload));
+        w.write_bytes(payload);
+        [&b"SUODPOOL"[..], w.as_bytes()].concat()
+    }
+
+    fn u64_at(b: &[u8], at: usize) -> Option<u64> {
+        Some(u64::from_le_bytes(b.get(at..at + 8)?.try_into().unwrap()))
+    }
+
+    fn u32_at(b: &[u8], at: usize) -> Option<u32> {
+        Some(u32::from_le_bytes(b.get(at..at + 4)?.try_into().unwrap()))
+    }
+
+    /// Positions of a graph section's length prefixes (level count, then
+    /// per level the offsets and ids prefixes) when a well-formed section
+    /// over `n` nodes starts at `at`, with the section's end.
+    fn walk_section(b: &[u8], at: usize, n: usize) -> Option<(Vec<usize>, usize)> {
+        let levels = u64_at(b, at)?;
+        if !(1..=25).contains(&levels) {
+            return None;
+        }
+        let mut prefixes = vec![at];
+        let mut pos = at + 8;
+        for _ in 0..levels {
+            if u64_at(b, pos)? != n as u64 + 1 {
+                return None;
+            }
+            prefixes.push(pos);
+            let offsets: Vec<u32> = (0..=n)
+                .map(|i| u32_at(b, pos + 8 + 4 * i))
+                .collect::<Option<_>>()?;
+            if offsets[0] != 0 || offsets.windows(2).any(|w| w[1] < w[0]) {
+                return None;
+            }
+            pos += 8 + 4 * (n + 1);
+            if u64_at(b, pos)? != u64::from(offsets[n]) {
+                return None;
+            }
+            prefixes.push(pos);
+            pos += 8 + 4 * offsets[n] as usize;
+            if pos > b.len() {
+                return None;
+            }
+        }
+        Some((prefixes, pos))
+    }
+
+    /// Every graph section in `payload`, found by its shape.
+    fn graph_sections(payload: &[u8], n: usize) -> Vec<(Range<usize>, Vec<usize>)> {
+        let mut found = Vec::new();
+        let mut at = 0;
+        while at < payload.len() {
+            match walk_section(payload, at, n) {
+                Some((prefixes, end)) => {
+                    found.push((at..end, prefixes));
+                    at = end;
+                }
+                None => at += 1,
+            }
+        }
+        found
+    }
+
+    /// Loads `file` and scores the query rows on another thread.
+    fn load_and_score(file: Vec<u8>) -> suod::Result<Matrix> {
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let scored =
+                Suod::load_from_bytes(&file).and_then(|clf| clf.decision_function(&queries()));
+            let _ = tx.send(scored);
+        });
+        // A hung load cannot be joined; it is left behind when this fails.
+        let scored = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("load + score neither hangs nor panics");
+        worker.join().expect("the loading thread finished");
+        scored
+    }
+
+    fn assert_typed_error(payload: &[u8], what: &str) {
+        match load_and_score(frame(payload)) {
+            Err(suod::Error::Linalg(suod_linalg::Error::InvalidParameter(msg)))
+            | Err(suod::Error::Detector(suod_detectors::Error::InvalidParameter(msg)))
+            | Err(suod::Error::Detector(suod_detectors::Error::Linalg(
+                suod_linalg::Error::InvalidParameter(msg),
+            ))) => assert!(msg.starts_with("snapshot: "), "{what}: {msg}"),
+            other => panic!("{what}: expected a typed snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn graph_section_mutants_are_typed_errors() {
+        let (clf, n) = pool();
+        let file = clf.save_to_bytes().unwrap();
+        let good = payload(&file);
+        let sections = graph_sections(&good, n);
+        assert_eq!(sections.len(), 2, "kNN and LOF each write the shared graph");
+        assert_eq!(good[sections[0].0.clone()], good[sections[1].0.clone()]);
+        // The locator and the framing are right: the re-signed payload
+        // loads and scores like the pool.
+        assert_eq!(
+            load_and_score(frame(&good)).unwrap(),
+            clf.decision_function(&queries()).unwrap()
+        );
+
+        for (range, prefixes) in &sections {
+            for cut in range.clone() {
+                assert_typed_error(&good[..cut], &format!("truncated at {cut}"));
+            }
+            for at in range.clone() {
+                let mut flipped = good.clone();
+                flipped[at] ^= 1 << (at % 8);
+                assert_typed_error(&flipped, &format!("bit {} flipped at {at}", at % 8));
+            }
+            for &at in prefixes {
+                let len = u64_at(&good, at).unwrap();
+                for inflated in [len + 1, len + 1000, 1 << 40, u64::MAX / 4, u64::MAX] {
+                    let mut mutant = good.clone();
+                    mutant[at..at + 8].copy_from_slice(&inflated.to_le_bytes());
+                    assert_typed_error(&mutant, &format!("count {len} -> {inflated} at {at}"));
+                }
+            }
+            // Inflated values inside the arrays: every offset and id.
+            let mut at = range.start + 8;
+            while at < range.end {
+                if !prefixes.contains(&at) {
+                    let value = u32_at(&good, at).unwrap();
+                    for inflated in [value + 1, n as u32, u32::MAX]
+                        .into_iter()
+                        .filter(|&v| v != value)
+                    {
+                        let mut mutant = good.clone();
+                        mutant[at..at + 4].copy_from_slice(&inflated.to_le_bytes());
+                        assert_typed_error(
+                            &mutant,
+                            &format!("value {value} -> {inflated} at {at}"),
+                        );
+                    }
+                    at += 4;
+                } else {
+                    at += 8;
+                }
+            }
+        }
+    }
+
+    /// A graph section as arrays: per level, `(offsets, ids)`.
+    type Levels = Vec<(Vec<u32>, Vec<u32>)>;
+
+    fn index_record(
+        x: &Matrix,
+        metric: Metric,
+        config: KernelConfig,
+        graph: Option<&Levels>,
+    ) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.write_matrix(x);
+        w.write_metric(metric);
+        w.write_kernel_config(&config);
+        match graph {
+            Some(levels) => {
+                w.write_u8(1);
+                w.write_usize(levels.len());
+                for (offsets, ids) in levels {
+                    w.write_u32s(offsets);
+                    w.write_u32s(ids);
+                }
+            }
+            None => w.write_u8(0),
+        }
+        w.into_bytes()
+    }
+
+    /// The graph fit builds over `x`, read back from its index record.
+    fn built_levels(x: &Matrix) -> Levels {
+        let index = KnnIndex::build_with(x, Metric::Euclidean, small_graph_kernel()).unwrap();
+        let mut w = SnapshotWriter::new();
+        index.snapshot_write(&mut w);
+        let mut r = SnapshotReader::new(w.as_bytes());
+        r.read_matrix().unwrap();
+        r.read_metric().unwrap();
+        r.read_kernel_config().unwrap();
+        assert_eq!(r.read_u8().unwrap(), 1, "the graph engages");
+        let levels = (0..r.read_usize().unwrap())
+            .map(|_| (r.read_u32s().unwrap(), r.read_u32s().unwrap()))
+            .collect();
+        assert!(r.is_exhausted());
+        levels
+    }
+
+    /// Reads every record in `bytes` through one reader and queries the
+    /// last index, on another thread.
+    fn load_records(bytes: Vec<u8>, records: usize) -> suod_linalg::Result<Vec<Neighbor>> {
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut r = SnapshotReader::new(&bytes);
+            let mut last = None;
+            let mut result = Ok(());
+            for _ in 0..records {
+                match KnnIndex::snapshot_read_shared(&mut r, 1) {
+                    Ok(index) => last = Some(index),
+                    Err(e) => {
+                        result = Err(e);
+                        break;
+                    }
+                }
+            }
+            let _ = tx.send(result.map(|()| {
+                let index = last.expect("one record");
+                index.query(index.train_data().row(3), 4)
+            }));
+        });
+        let got = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("load + query neither hangs nor panics");
+        worker.join().expect("the loading thread finished");
+        got
+    }
+
+    fn assert_rejected(bytes: Vec<u8>, records: usize, rule: &str) {
+        match load_records(bytes, records) {
+            Err(suod_linalg::Error::InvalidParameter(msg)) => {
+                assert!(
+                    msg.starts_with("snapshot: ") && msg.contains(rule),
+                    "{rule}: {msg}"
+                );
+            }
+            other => panic!("{rule}: expected a typed snapshot error, got {other:?}"),
+        }
+    }
+
+    /// One hand-written graph per load rule.
+    #[test]
+    fn crafted_graphs_break_one_rule_each() {
+        let x = data().select_rows(&(0..60).collect::<Vec<_>>());
+        let n = x.nrows() as u32;
+        let hnsw = small_graph_kernel();
+        let good = built_levels(&x);
+        assert!(good.len() >= 2, "the crafted cases need an upper level");
+        let record = |graph: &Levels| index_record(&x, Metric::Euclidean, hnsw, Some(graph));
+        let built = KnnIndex::build_with(&x, Metric::Euclidean, hnsw).unwrap();
+        assert_eq!(
+            load_records(record(&good), 1).unwrap(),
+            built.query(x.row(3), 4),
+            "the well-formed record loads and answers like the built index"
+        );
+
+        // A node with no links at level 1 that no level-1 list names: its
+        // seeded level is 0.
+        let (up_offsets, up_ids) = &good[1];
+        let low = (0..n)
+            .find(|&v| up_offsets[v as usize] == up_offsets[v as usize + 1] && !up_ids.contains(&v))
+            .expect("a level-0 node");
+
+        let mut g = good.clone();
+        g[0].1[0] = n;
+        assert_rejected(record(&g), 1, "not on this level");
+
+        let mut g = good.clone();
+        g[1].1[0] = low;
+        assert_rejected(record(&g), 1, "not on this level");
+
+        // `low` gets a level-1 link of its own (to a real level-1 node).
+        let mut g = good.clone();
+        let target = g[1].1[0];
+        let at = g[1].0[low as usize] as usize;
+        g[1].1.insert(at, target);
+        for o in &mut g[1].0[low as usize + 1..] {
+            *o += 1;
+        }
+        assert_rejected(record(&g), 1, &format!("node {low} has 1 links"));
+
+        // Node 0 gets five level-0 links: the cap is 2m = 4.
+        let mut g = good.clone();
+        let extra = 5 - (g[0].0[1] - g[0].0[0]);
+        for i in 0..extra {
+            g[0].1.insert(0, 1 + i);
+        }
+        for o in &mut g[0].0[1..] {
+            *o += extra;
+        }
+        assert_rejected(record(&g), 1, "links (cap 4");
+
+        let mut g = good.clone();
+        assert!(g[0].0[1] >= 1);
+        g[0].0[2] = g[0].0[1] - 1;
+        assert_rejected(record(&g), 1, "offsets decrease at node 1");
+
+        let mut g = good.clone();
+        g[0].0.pop();
+        assert_rejected(record(&g), 1, "offsets do not span");
+
+        let mut g = good.clone();
+        let last = g[0].0.len() - 1;
+        g[0].0[last] -= 1;
+        assert_rejected(record(&g), 1, "offsets do not span");
+
+        let mut g = good.clone();
+        g.push((vec![0; n as usize + 1], Vec::new()));
+        assert_rejected(record(&g), 1, "levels, the seeded graph has");
+
+        let mut g = good.clone();
+        g.pop();
+        assert_rejected(record(&g), 1, "levels, the seeded graph has");
+
+        let exact = KernelConfig::default();
+        assert_rejected(
+            index_record(&x, Metric::Euclidean, exact, Some(&good)),
+            1,
+            "does not engage HNSW carries a graph",
+        );
+        let too_small = KernelConfig::default().with_neighbor(NeighborBackend::Hnsw(HnswParams {
+            m: 2,
+            min_rows: n as usize + 1,
+            ..HnswParams::default()
+        }));
+        assert_rejected(
+            index_record(&x, Metric::Euclidean, too_small, Some(&good)),
+            1,
+            "does not engage HNSW carries a graph",
+        );
+        assert_rejected(
+            index_record(&x, Metric::Manhattan, hnsw, Some(&good)),
+            1,
+            "does not engage HNSW carries a graph",
+        );
+        assert_rejected(
+            index_record(&x, Metric::Euclidean, hnsw, None),
+            1,
+            "carries no graph",
+        );
+        let mut tagged = index_record(&x, Metric::Euclidean, hnsw, None);
+        *tagged.last_mut().unwrap() = 2;
+        assert_rejected(tagged, 1, "unknown graph tag 2");
+
+        // Equal rows, metric and config, but one link fewer: a valid
+        // graph on its own, and a contradiction after the first record.
+        let mut fewer = good.clone();
+        let (offsets, ids) = &mut fewer[0];
+        let node = (0..n as usize)
+            .find(|&v| offsets[v + 1] > offsets[v])
+            .unwrap();
+        ids.remove(offsets[node] as usize);
+        for o in &mut offsets[node + 1..] {
+            *o -= 1;
+        }
+        assert!(load_records(record(&fewer), 1).is_ok());
+        assert_rejected(
+            [record(&good), record(&fewer)].concat(),
+            2,
+            "carry different graphs",
+        );
+        assert!(load_records([record(&good), record(&good)].concat(), 2).is_ok());
+    }
 }
 
 #[test]
