@@ -5,18 +5,16 @@
 //! for 1000-model pools — negligible against seconds of detector
 //! training. The second group runs a skewed-cost straggler workload (one
 //! task ~50x the rest, under a deliberately wrong cost forecast) through
-//! the static [`ThreadPoolExecutor`] and the [`WorkStealingExecutor`]:
-//! stealing bounds the damage of a misprediction, static chunking eats it
-//! in full. (On a single-core host both degenerate to sequential time;
-//! the gap appears with >= 2 physical cores.)
+//! the [`WorkStealingExecutor`]: stealing bounds the damage of a
+//! misprediction. (On a single-core host it degenerates to sequential
+//! time.)
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use suod_scheduler::{
-    bps_schedule, generic_schedule, shuffled_schedule, simulate_makespan, ThreadPoolExecutor,
-    WorkStealingExecutor,
+    bps_schedule, generic_schedule, shuffled_schedule, simulate_makespan, WorkStealingExecutor,
 };
 
 fn costs(m: usize) -> Vec<f64> {
@@ -73,17 +71,6 @@ fn bench_straggler(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("straggler_m16_t4");
     group.sample_size(10);
-    group.bench_function("static", |b| {
-        b.iter_batched(
-            straggler_tasks,
-            |tasks| {
-                ThreadPoolExecutor::new()
-                    .run(tasks, &assignment)
-                    .expect("runs")
-            },
-            BatchSize::SmallInput,
-        )
-    });
     group.bench_function("stealing", |b| {
         b.iter_batched(
             straggler_tasks,

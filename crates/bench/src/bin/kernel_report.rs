@@ -1,10 +1,11 @@
 //! Distance-kernel backend report: naive vs blocked vs GEMM, scalar vs
-//! SIMD, f64 vs mixed precision.
+//! SIMD.
 //!
 //! Sweeps the pairwise-distance kernels over `(n, d)` in
 //! `{2k, 20k} x {8, 32, 128}` for every [`DistanceBackend`] — timing the
 //! GEMM backend once per [`SimdLane`] (forced via
-//! [`set_simd_lane_override`]) and once per [`Precision`] — times the
+//! [`set_simd_lane_override`]) — through [`pairwise_distances_with`],
+//! times the
 //! batched brute-force kNN fast path, and sweeps the KD-tree-vs-brute
 //! crossover dimension that justifies
 //! [`suod_linalg::DEFAULT_KDTREE_CROSSOVER_DIM`]. Results go to
@@ -29,9 +30,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use suod_bench::Scale;
 use suod_linalg::{
-    pairwise_distances_backend, pairwise_distances_with, set_simd_lane_override, DistanceBackend,
-    DistanceMetric, KernelConfig, KnnIndex, Matrix, Precision, SimdLane,
-    DEFAULT_KDTREE_CROSSOVER_DIM,
+    pairwise_distances_with, set_simd_lane_override, DistanceBackend, DistanceMetric, KernelConfig,
+    KnnIndex, Matrix, SimdLane, DEFAULT_KDTREE_CROSSOVER_DIM,
 };
 
 const REPS: usize = 3;
@@ -83,55 +83,28 @@ fn time_with_lane(lane: SimdLane, f: impl FnMut()) -> f64 {
     t
 }
 
-fn gemm_config(precision: Precision) -> KernelConfig {
-    KernelConfig {
-        backend: DistanceBackend::Gemm,
-        precision,
-        kdtree_crossover_dim: 0,
-        ..KernelConfig::default()
-    }
-}
-
-/// One pairwise cell's timings across backends, lanes and precisions.
+/// One pairwise cell's timings across backends and lanes.
 struct PairwiseCell {
     naive_s: f64,
     blocked_s: f64,
     gemm_scalar_s: f64,
     gemm_simd_s: f64,
-    gemm_mixed_scalar_s: f64,
-    gemm_mixed_simd_s: f64,
 }
 
 impl PairwiseCell {
     fn measure(n: usize, d: usize) -> Self {
         let a = random_matrix(n, d, n as u64 ^ d as u64);
-        let scalar_only = |backend| {
-            min_time(|| {
-                let _ =
-                    pairwise_distances_backend(&a, &a, DistanceMetric::Euclidean, backend, 1, None)
-                        .expect("shapes agree");
-            })
-        };
-        let gemm = |lane, precision| {
-            time_with_lane(lane, || {
-                let _ = pairwise_distances_with(
-                    &a,
-                    &a,
-                    DistanceMetric::Euclidean,
-                    gemm_config(precision),
-                    1,
-                    None,
-                )
+        let run = |backend| {
+            let config = KernelConfig::default().with_backend(backend);
+            let _ = pairwise_distances_with(&a, &a, DistanceMetric::Euclidean, config, 1, None)
                 .expect("shapes agree");
-            })
         };
+        let gemm = |lane| time_with_lane(lane, || run(DistanceBackend::Gemm));
         Self {
-            naive_s: scalar_only(DistanceBackend::Naive),
-            blocked_s: scalar_only(DistanceBackend::Blocked),
-            gemm_scalar_s: gemm(SimdLane::Scalar, Precision::F64),
-            gemm_simd_s: gemm(SimdLane::Avx2, Precision::F64),
-            gemm_mixed_scalar_s: gemm(SimdLane::Scalar, Precision::Mixed),
-            gemm_mixed_simd_s: gemm(SimdLane::Avx2, Precision::Mixed),
+            naive_s: min_time(|| run(DistanceBackend::Naive)),
+            blocked_s: min_time(|| run(DistanceBackend::Blocked)),
+            gemm_scalar_s: gemm(SimdLane::Scalar),
+            gemm_simd_s: gemm(SimdLane::Avx2),
         }
     }
 
@@ -140,19 +113,15 @@ impl PairwiseCell {
         let _ = write!(
             s,
             "\"naive_s\": {:.6}, \"blocked_s\": {:.6}, \"gemm_scalar_s\": {:.6}, \
-             \"gemm_simd_s\": {:.6}, \"gemm_mixed_scalar_s\": {:.6}, \
-             \"gemm_mixed_simd_s\": {:.6}, \"blocked_speedup\": {:.4}, \
-             \"gemm_speedup\": {:.4}, \"simd_speedup\": {:.4}, \"mixed_speedup\": {:.4}}}",
+             \"gemm_simd_s\": {:.6}, \"blocked_speedup\": {:.4}, \
+             \"gemm_speedup\": {:.4}, \"simd_speedup\": {:.4}}}",
             self.naive_s,
             self.blocked_s,
             self.gemm_scalar_s,
             self.gemm_simd_s,
-            self.gemm_mixed_scalar_s,
-            self.gemm_mixed_simd_s,
             self.naive_s / self.blocked_s,
             self.naive_s / self.gemm_simd_s,
             self.gemm_scalar_s / self.gemm_simd_s,
-            self.gemm_simd_s / self.gemm_mixed_simd_s,
         );
         s
     }
@@ -182,14 +151,13 @@ fn main() {
         let cell = PairwiseCell::measure(n, d);
         println!(
             "naive {:.3}s  blocked {:.3}s ({:.2}x)  gemm scalar {:.3}s  gemm simd {:.3}s \
-             ({:.2}x over scalar)  mixed simd {:.3}s",
+             ({:.2}x over scalar)",
             cell.naive_s,
             cell.blocked_s,
             cell.naive_s / cell.blocked_s,
             cell.gemm_scalar_s,
             cell.gemm_simd_s,
             cell.gemm_scalar_s / cell.gemm_simd_s,
-            cell.gemm_mixed_simd_s,
         );
         if cell.blocked_s >= cell.naive_s {
             eprintln!("FAIL: blocked backend no faster than naive");
@@ -217,16 +185,13 @@ fn main() {
             let cell = PairwiseCell::measure(n, d);
             println!(
                 "pairwise {n:>6}x{d:<4} naive {:>8.3}s  blocked {:>8.3}s ({:>4.2}x)  \
-                 gemm[scalar] {:>8.3}s  gemm[simd] {:>8.3}s ({:>4.2}x lane)  \
-                 mixed[simd] {:>8.3}s ({:>4.2}x prec)",
+                 gemm[scalar] {:>8.3}s  gemm[simd] {:>8.3}s ({:>4.2}x lane)",
                 cell.naive_s,
                 cell.blocked_s,
                 cell.naive_s / cell.blocked_s,
                 cell.gemm_scalar_s,
                 cell.gemm_simd_s,
                 cell.gemm_scalar_s / cell.gemm_simd_s,
-                cell.gemm_mixed_simd_s,
-                cell.gemm_simd_s / cell.gemm_mixed_simd_s,
             );
             pairwise_rows.push(format!("\"n{n}_d{d}\": {}", cell.json()));
         }
@@ -252,14 +217,11 @@ fn main() {
     let knn_naive = knn_time(brute_config(DistanceBackend::Naive));
     let knn_blocked = knn_time(brute_config(DistanceBackend::Blocked));
     let knn_gemm = knn_time(brute_config(DistanceBackend::Gemm));
-    let knn_mixed = knn_time(gemm_config(Precision::Mixed));
     println!(
         "knn_batch {knn_n}tr/{knn_q}q d{knn_d} k{knn_k}  naive {knn_naive:>8.3}s  \
-         blocked {knn_blocked:>8.3}s ({:>4.2}x)  gemm {knn_gemm:>8.3}s ({:>4.2}x)  \
-         gemm+mixed {knn_mixed:>8.3}s ({:>4.2}x)",
+         blocked {knn_blocked:>8.3}s ({:>4.2}x)  gemm {knn_gemm:>8.3}s ({:>4.2}x)",
         knn_naive / knn_blocked,
         knn_naive / knn_gemm,
-        knn_naive / knn_mixed,
     );
 
     // --- KD-tree crossover sweep. ------------------------------------------
@@ -315,11 +277,10 @@ fn main() {
     let json = format!(
         "{{\n  \"git_rev\": \"{rev}\",\n  \"host_cores\": {host_cores},\n  \
          \"avx2_fma_supported\": {avx2},\n  \"lane_detected\": \"{}\",\n  \
-         \"precisions\": [\"f64\", \"mixed\"],\n  \"scale\": \"{scale:?}\",\n  \
+         \"scale\": \"{scale:?}\",\n  \
          \"n_threads\": 1,\n  \"pairwise\": {{\n    {}\n  }},\n  \
          \"knn_batch_n{knn_n}_q{knn_q}_d{knn_d}_k{knn_k}\": {{\"naive_s\": {knn_naive:.6}, \
-         \"blocked_s\": {knn_blocked:.6}, \"gemm_s\": {knn_gemm:.6}, \
-         \"gemm_mixed_s\": {knn_mixed:.6}}},\n  \
+         \"blocked_s\": {knn_blocked:.6}, \"gemm_s\": {knn_gemm:.6}}},\n  \
          \"kdtree_crossover_n{cx_n}_q{cx_q}_k{cx_k}\": {{\n    {}\n  }},\n  \
          \"crossover_derived\": {derived_crossover},\n  \
          \"crossover_default\": {DEFAULT_KDTREE_CROSSOVER_DIM}\n}}\n",

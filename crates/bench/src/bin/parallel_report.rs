@@ -1,8 +1,8 @@
 //! Parallel-kernel and end-to-end timing report.
 //!
-//! Times the data-parallel kernels (`pairwise_distances`,
+//! Times the data-parallel kernels (`pairwise_distances_with`,
 //! `matmul_blocked`, `KnnIndex::query_batch_parallel`), the
-//! static-vs-stealing executor straggler workload, and the full SUOD
+//! work-stealing executor on a straggler workload, and the full SUOD
 //! fit/predict pipeline at 1/2/4/8 threads, and writes the results to
 //! `BENCH_parallel.json` in the working directory so the perf trajectory
 //! is tracked across PRs.
@@ -19,8 +19,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use suod::prelude::*;
 use suod_bench::Scale;
-use suod_linalg::{pairwise_distances_parallel, DistanceMetric, KnnIndex, Matrix};
-use suod_scheduler::{bps_schedule, ThreadPoolExecutor, WorkStealingExecutor};
+use suod_linalg::{pairwise_distances_with, DistanceMetric, KnnIndex, Matrix};
+use suod_scheduler::{bps_schedule, WorkStealingExecutor};
 
 const THREADS: &[usize] = &[1, 2, 4, 8];
 const REPS: usize = 3;
@@ -142,7 +142,15 @@ fn main() {
     let (pw_n, pw_d) = scale.pick((400, 16), (2000, 16), (2000, 16));
     let a = random_matrix(pw_n, pw_d, 1);
     let pairwise = sweep(&format!("pairwise {pw_n}x{pw_d}"), |t| {
-        let _ = pairwise_distances_parallel(&a, &a, DistanceMetric::Euclidean, t).expect("shapes");
+        let _ = pairwise_distances_with(
+            &a,
+            &a,
+            DistanceMetric::Euclidean,
+            KernelConfig::default(),
+            t,
+            None,
+        )
+        .expect("shapes");
     });
 
     let mm = scale.pick(128, 384, 384);
@@ -164,11 +172,6 @@ fn main() {
     let mut wrong_costs = vec![1.0; 16];
     wrong_costs[0] = 2.0;
     let assignment = bps_schedule(&wrong_costs, 4, 1.0).expect("valid");
-    let static_s = min_time(|| {
-        ThreadPoolExecutor::new()
-            .run(straggler_tasks(), &assignment)
-            .expect("runs");
-    });
     let steal_pool = WorkStealingExecutor::new(4).expect("valid");
     let mut steals = 0usize;
     let stealing_s = min_time(|| {
@@ -177,11 +180,7 @@ fn main() {
             .expect("runs");
         steals = report.steals;
     });
-    println!(
-        "straggler m16/t4             static {static_s:.4}s  stealing {stealing_s:.4}s \
-         ({:.2}x, {steals} steals)",
-        static_s / stealing_s
-    );
+    println!("straggler m16/t4             stealing {stealing_s:.4}s ({steals} steals)");
 
     // --- End-to-end fit/predict. -------------------------------------------
     let (n, m_each) = scale.pick((150, 1), (600, 2), (1200, 3));
@@ -271,7 +270,7 @@ fn main() {
         "{{\n  \"host_cores\": {host_cores},\n  \"scale\": \"{scale:?}\",\n  \"kernels\": {{\n    \
          \"pairwise_{pw_n}x{pw_d}\": {pairwise},\n    \"matmul_blocked_{mm}\": {matmul},\n    \
          \"knn_batch_{knn_n}x{knn_q}\": {knn}\n  }},\n  \"executor_straggler_m16_t4\": {{\n    \
-         \"static_s\": {static_s:.6},\n    \"stealing_s\": {stealing_s:.6},\n    \
+         \"stealing_s\": {stealing_s:.6},\n    \
          \"steals\": {steals}\n  }},\n  \"end_to_end_n{n}\": {{\n    \"fit\": {},\n    \
          \"predict\": {}\n  }},\n  \"neighbor_cache_pool_fit_n{cache_n}\": {{\n    \
          \"pool\": {{\"total\": {cache_pool_size}, \"knn\": 8, \"lof\": 8, \"loop\": 8}},\n    \

@@ -1,13 +1,12 @@
 //! Network front-end report: request throughput for the `suod-wire/1`
-//! binary keep-alive protocol versus the one-shot text debug path.
+//! binary keep-alive protocol.
 //!
-//! Sweeps (wire format x client connections x front worker threads)
-//! against a live [`serve_front`] listener on loopback: each cell fits
-//! the same seeded pool, starts a `ScoreService` plus front end, and
-//! fires an open-loop generator at it — binary clients pipeline a
-//! bounded window of frames per keep-alive socket without waiting for
-//! individual replies, text clients pay a fresh TCP connection per
-//! request. `busy` responses are *measured*, never retried, and every
+//! Sweeps (client connections x front worker threads) against a live
+//! [`serve_front`] listener on loopback: each cell fits the same seeded
+//! pool, starts a `ScoreService` plus front end, and fires an open-loop
+//! generator at it — clients pipeline a bounded window of frames per
+//! keep-alive socket without waiting for individual replies. `busy`
+//! responses are *measured*, never retried, and every
 //! `ok` response is compared bit-for-bit against offline
 //! [`Suod::combined_scores`], so each cell doubles as an end-to-end
 //! determinism check. Results go to `BENCH_wire.json` with the git
@@ -16,9 +15,7 @@
 //! Flags: `--quick`/`--paper` scale the trace; `--smoke` runs the CI
 //! gates and exits non-zero unless (1) no request in any gate cell goes
 //! unanswered (zero dropped frames), (2) every scored response is
-//! bit-identical to offline scoring at 1, 2, and 4 front workers, and
-//! (3) binary keep-alive throughput beats one-shot text at equal
-//! worker count.
+//! bit-identical to offline scoring at 1, 2, and 4 front workers.
 
 use std::collections::VecDeque;
 use std::net::TcpListener;
@@ -28,8 +25,8 @@ use suod_bench::Scale;
 use suod_datasets::registry;
 use suod_linalg::SimdLane;
 use suod_serve::{
-    score_rows_text, serve_front, FrontConfig, FrontReport, Lane, ScoreService, ServeConfig,
-    WireClient, WireResponse,
+    serve_front, FrontConfig, FrontReport, Lane, ScoreService, ServeConfig, WireClient,
+    WireResponse,
 };
 
 /// Frames a binary client keeps in flight per keep-alive socket. Below
@@ -189,50 +186,6 @@ fn binary_client(
     stats
 }
 
-/// One fresh TCP connection per request — the debug path's natural
-/// usage and the baseline the binary protocol is gated against.
-fn text_client(
-    addr: &str,
-    text_rows: &[Vec<Vec<f64>>],
-    ref_bits: &[Vec<u64>],
-    n_requests: usize,
-) -> ClientStats {
-    let mut stats = ClientStats::default();
-    for i in 0..n_requests {
-        let qi = i % text_rows.len();
-        match score_rows_text(addr, &text_rows[qi]) {
-            Ok(scores) => {
-                let bits: Vec<u64> = scores.iter().map(|v| v.to_bits()).collect();
-                if bits == ref_bits[qi] {
-                    stats.ok += 1;
-                } else {
-                    stats.bit_mismatch += 1;
-                }
-            }
-            Err(msg) if msg.contains("busy") => stats.busy += 1,
-            Err(msg) if msg.contains("shed") => stats.shed += 1,
-            Err(msg) if msg.contains("refused") => stats.error += 1,
-            Err(_) => stats.dropped += 1,
-        }
-    }
-    stats
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Binary,
-}
-
-impl Format {
-    fn name(self) -> &'static str {
-        match self {
-            Format::Text => "text",
-            Format::Binary => "binary",
-        }
-    }
-}
-
 struct Cell {
     wall_s: f64,
     req_per_s: f64,
@@ -241,26 +194,18 @@ struct Cell {
     front: FrontReport,
 }
 
-/// The shared per-run workload: training matrix, the query set in both
-/// wire representations, and the offline reference bits every response
-/// is checked against.
+/// The shared per-run workload: training matrix, the query set, and the
+/// offline reference bits every response is checked against.
 struct Workload<'a> {
     x: &'a Matrix,
     queries: &'a [Matrix],
-    text_rows: &'a [Vec<Vec<f64>>],
     ref_bits: &'a [Vec<u64>],
 }
 
 /// Fits a pool, serves it behind a front end with `workers` connection
-/// workers, and drives it with `conns` parallel clients issuing
-/// `reqs_per_conn` requests each in the given wire format.
-fn run_cell(
-    w: &Workload,
-    format: Format,
-    conns: usize,
-    workers: usize,
-    reqs_per_conn: usize,
-) -> Cell {
+/// workers, and drives it with `conns` parallel keep-alive clients
+/// issuing `reqs_per_conn` requests each.
+fn run_cell(w: &Workload, conns: usize, workers: usize, reqs_per_conn: usize) -> Cell {
     let config = ServeConfig {
         queue_capacity: 256,
         batch_window: Duration::from_millis(1),
@@ -271,16 +216,11 @@ fn run_cell(
     service.spawn_dispatcher();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
-    // Text opens one connection per request; binary keeps `conns`
-    // sockets alive for the whole cell. Either way the front end exits
-    // once the last expected connection closes.
-    let total_conns = match format {
-        Format::Binary => conns,
-        Format::Text => conns * reqs_per_conn,
-    };
+    // Each client keeps one socket alive for the whole cell; the front
+    // end exits once the last expected connection closes.
     let front_config = FrontConfig {
         worker_threads: workers,
-        max_conns: total_conns,
+        max_conns: conns,
         ..FrontConfig::default()
     };
     let observer = suod_observe::noop();
@@ -291,10 +231,7 @@ fn run_cell(
         let clients: Vec<_> = (0..conns)
             .map(|_| {
                 let addr = addr.clone();
-                s.spawn(move || match format {
-                    Format::Binary => binary_client(&addr, w.queries, w.ref_bits, reqs_per_conn),
-                    Format::Text => text_client(&addr, w.text_rows, w.ref_bits, reqs_per_conn),
-                })
+                s.spawn(move || binary_client(&addr, w.queries, w.ref_bits, reqs_per_conn))
             })
             .collect();
         let mut stats = ClientStats::default();
@@ -357,10 +294,6 @@ fn main() {
             Matrix::from_rows(&rows).expect("rectangular request")
         })
         .collect();
-    let text_rows: Vec<Vec<Vec<f64>>> = queries
-        .iter()
-        .map(|q| (0..q.nrows()).map(|i| q.row(i).to_vec()).collect())
-        .collect();
     // Offline reference: the bit pattern every wire response must
     // reproduce. Fitting is seeded, so a fresh fit inside each cell
     // serves this exact model.
@@ -380,7 +313,6 @@ fn main() {
     let workload = Workload {
         x: &ds.x,
         queries: &queries,
-        text_rows: &text_rows,
         ref_bits: &ref_bits,
     };
 
@@ -390,44 +322,16 @@ fn main() {
              (cores: {host_cores})"
         );
         let mut pass = true;
-        // Gate 1+2 (and the cross-worker half of gate 3): binary
-        // keep-alive at 1, 2, and 4 front workers must answer every
-        // frame with offline-exact bits.
-        let mut binary_w2 = None;
+        // Gates 1+2: keep-alive clients at 1, 2, and 4 front workers
+        // must have every frame answered with offline-exact bits.
         for workers in [1usize, 2, 4] {
-            let cell = run_cell(&workload, Format::Binary, 4, workers, reqs_per_conn);
+            let cell = run_cell(&workload, 4, workers, reqs_per_conn);
             println!(
                 "binary conns 4 workers {workers}: {:.3}s wall, {:.0} req/s, \
                  ok {} busy {} dropped {}",
                 cell.wall_s, cell.req_per_s, cell.stats.ok, cell.stats.busy, cell.stats.dropped
             );
             pass &= gate_cell_clean(&format!("binary workers={workers}"), &cell);
-            if workers == 2 {
-                binary_w2 = Some(cell);
-            }
-        }
-        // Gate 3: the keep-alive binary path must beat one-shot text at
-        // equal worker count (the committed full report shows >= 3x;
-        // the smoke bar is lower to stay robust on noisy CI runners).
-        let text = run_cell(&workload, Format::Text, 4, 2, reqs_per_conn);
-        println!(
-            "text   conns 4 workers 2: {:.3}s wall, {:.0} req/s, ok {} busy {} dropped {}",
-            text.wall_s, text.req_per_s, text.stats.ok, text.stats.busy, text.stats.dropped
-        );
-        pass &= gate_cell_clean("text workers=2", &text);
-        let binary = binary_w2.expect("binary workers=2 cell ran");
-        if binary.req_per_s <= text.req_per_s {
-            eprintln!(
-                "FAIL: binary keep-alive ({:.0} req/s) does not beat one-shot text \
-                 ({:.0} req/s) at equal workers",
-                binary.req_per_s, text.req_per_s
-            );
-            pass = false;
-        } else {
-            println!(
-                "binary/text throughput ratio at 2 workers: {:.1}x",
-                binary.req_per_s / text.req_per_s
-            );
         }
         if !pass {
             std::process::exit(1);
@@ -444,48 +348,41 @@ fn main() {
     let conn_counts = [1usize, 4, 8];
     let worker_counts = [1usize, 2, 4];
     let mut cells: Vec<String> = Vec::new();
-    for format in [Format::Text, Format::Binary] {
-        for &conns in &conn_counts {
-            for &workers in &worker_counts {
-                let cell = run_cell(&workload, format, conns, workers, reqs_per_conn);
-                assert_eq!(
-                    cell.stats.bit_mismatch,
-                    0,
-                    "{} conns {conns} workers {workers}: wire scores differ from offline",
-                    format.name()
-                );
-                println!(
-                    "{:>6} conns {conns} workers {workers}  {:.3}s wall  {:>7.0} req/s  \
-                     {:>8.0} rows/s  ok {}  busy {}  dropped {}",
-                    format.name(),
-                    cell.wall_s,
-                    cell.req_per_s,
-                    cell.rows_per_s,
-                    cell.stats.ok,
-                    cell.stats.busy,
-                    cell.stats.dropped
-                );
-                cells.push(format!(
-                    "\"{}_conns{conns}_workers{workers}\": {{\
-                     \"wall_s\": {:.6}, \"req_per_s\": {:.1}, \"rows_per_s\": {:.1}, \
-                     \"ok\": {}, \"busy\": {}, \"shed\": {}, \"error\": {}, \
-                     \"dropped\": {}, \"bit_mismatch\": {}, \
-                     \"conns_accepted\": {}, \"wire_requests\": {}, \"text_requests\": {}}}",
-                    format.name(),
-                    cell.wall_s,
-                    cell.req_per_s,
-                    cell.rows_per_s,
-                    cell.stats.ok,
-                    cell.stats.busy,
-                    cell.stats.shed,
-                    cell.stats.error,
-                    cell.stats.dropped,
-                    cell.stats.bit_mismatch,
-                    cell.front.conns_accepted,
-                    cell.front.wire_requests,
-                    cell.front.text_requests,
-                ));
-            }
+    for &conns in &conn_counts {
+        for &workers in &worker_counts {
+            let cell = run_cell(&workload, conns, workers, reqs_per_conn);
+            assert_eq!(
+                cell.stats.bit_mismatch, 0,
+                "conns {conns} workers {workers}: wire scores differ from offline"
+            );
+            println!(
+                "binary conns {conns} workers {workers}  {:.3}s wall  {:>7.0} req/s  \
+                 {:>8.0} rows/s  ok {}  busy {}  dropped {}",
+                cell.wall_s,
+                cell.req_per_s,
+                cell.rows_per_s,
+                cell.stats.ok,
+                cell.stats.busy,
+                cell.stats.dropped
+            );
+            cells.push(format!(
+                "\"binary_conns{conns}_workers{workers}\": {{\
+                 \"wall_s\": {:.6}, \"req_per_s\": {:.1}, \"rows_per_s\": {:.1}, \
+                 \"ok\": {}, \"busy\": {}, \"shed\": {}, \"error\": {}, \
+                 \"dropped\": {}, \"bit_mismatch\": {}, \
+                 \"conns_accepted\": {}, \"wire_requests\": {}}}",
+                cell.wall_s,
+                cell.req_per_s,
+                cell.rows_per_s,
+                cell.stats.ok,
+                cell.stats.busy,
+                cell.stats.shed,
+                cell.stats.error,
+                cell.stats.dropped,
+                cell.stats.bit_mismatch,
+                cell.front.conns_accepted,
+                cell.front.wire_requests,
+            ));
         }
     }
 

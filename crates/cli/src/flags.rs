@@ -114,27 +114,6 @@ impl Default for ServeArgs {
     }
 }
 
-/// Wire protocol the `score --connect` client speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireFormat {
-    /// The `suod-wire/1` binary framing (keep-alive, exact f64 bits).
-    #[default]
-    Binary,
-    /// The line-oriented CSV protocol — debug path; one request per
-    /// connection, scores formatted/parsed as text.
-    Text,
-}
-
-impl WireFormat {
-    fn parse(raw: &str) -> Result<Self, String> {
-        match raw {
-            "binary" => Ok(WireFormat::Binary),
-            "text" => Ok(WireFormat::Text),
-            other => Err(format!("unknown wire format `{other}` (binary|text)")),
-        }
-    }
-}
-
 /// Arguments for [`Command::Score`]: either the client side of
 /// `serve --listen` (`--connect`) or offline scoring against a local
 /// snapshot (`--snapshot`).
@@ -157,8 +136,6 @@ pub struct ScoreArgs {
     pub label_column: Option<usize>,
     /// Optional output CSV path for the returned scores.
     pub output: Option<String>,
-    /// Protocol for `--connect` (binary keep-alive vs debug text).
-    pub wire: WireFormat,
 }
 
 /// Export format for [`Command::Trace`].
@@ -211,8 +188,6 @@ pub struct DetectArgs {
     pub output: Option<String>,
     /// Brute-force distance backend (naive | blocked | gemm).
     pub backend: DistanceBackend,
-    /// Kernel numeric precision (f64 | mixed).
-    pub precision: Precision,
     /// Neighbour index backend (exact | hnsw).
     pub neighbor: NeighborBackend,
     /// HNSW search beam width (recall knob); `None` keeps the default.
@@ -235,7 +210,6 @@ impl Default for DetectArgs {
             seed: 42,
             output: None,
             backend: KernelConfig::default().backend,
-            precision: Precision::default(),
             neighbor: NeighborBackend::default(),
             ef_search: None,
         }
@@ -243,9 +217,9 @@ impl Default for DetectArgs {
 }
 
 impl DetectArgs {
-    /// Folds the four kernel flags into the estimator's single
-    /// [`KernelConfig`] knob: backend, precision, neighbour backend with
-    /// the `--ef-search` override applied.
+    /// Folds the three kernel flags into the estimator's single
+    /// [`KernelConfig`] knob: backend and neighbour backend with the
+    /// `--ef-search` override applied.
     pub fn kernel_config(&self) -> KernelConfig {
         let mut neighbor = self.neighbor;
         if let (Some(ef), NeighborBackend::Hnsw(params)) = (self.ef_search, neighbor) {
@@ -253,7 +227,6 @@ impl DetectArgs {
         }
         KernelConfig::default()
             .with_backend(self.backend)
-            .with_precision(self.precision)
             .with_neighbor(neighbor)
     }
 }
@@ -394,7 +367,6 @@ fn parse_score_flags(
         seed: 42,
         label_column: None,
         output: None,
-        wire: WireFormat::default(),
     };
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -404,7 +376,6 @@ fn parse_score_flags(
         };
         match flag.as_str() {
             "--connect" => s.connect = Some(value("--connect")?),
-            "--wire" => s.wire = WireFormat::parse(&value("--wire")?)?,
             "--snapshot" => s.snapshot = Some(value("--snapshot")?),
             "--csv" => s.csv = Some(value("--csv")?),
             "--dataset" => s.dataset = Some(value("--dataset")?),
@@ -467,9 +438,6 @@ fn parse_pipeline_flags(
                 d.backend =
                     DistanceBackend::parse(&value("--backend")?).map_err(|e| e.to_string())?
             }
-            "--precision" => {
-                d.precision = Precision::parse(&value("--precision")?).map_err(|e| e.to_string())?
-            }
             "--neighbor-backend" => {
                 d.neighbor = NeighborBackend::parse(&value("--neighbor-backend")?)
                     .map_err(|e| e.to_string())?
@@ -529,9 +497,6 @@ FIT / DETECT / TRACE OPTIONS:
   --seed <s>            RNG seed                              [42]
   --output <path>       detect: score CSV; trace: trace file
   --backend <b>         distance backend: naive|blocked|gemm  [blocked]
-  --precision <p>       distance kernels: f64|mixed           [f64]
-                        mixed = f32 packed storage with f64
-                        accumulation (documented error bound)
   --neighbor-backend <b>  kNN index: exact|hnsw               [exact]
                         hnsw = seeded approximate graph (recall
                         >= 0.95 at defaults; small n and
@@ -568,13 +533,11 @@ SERVE OPTIONS (plus the shared detect flags above):
   --lane-headroom <f>   listen: queue fraction open to the normal
                         lane; the rest is high-lane slack        [1.0]
 
-The listener speaks suod-wire/1 (binary, keep-alive, exact f64 bits)
-and falls back to the line-oriented text protocol per connection.
+The listener speaks suod-wire/1 (binary, keep-alive, exact f64 bits);
+a connection that opens with anything else gets an in-band error.
 
 SCORE OPTIONS:
   --connect <addr>      server address (serve --listen)
-  --wire <binary|text>  protocol for --connect                  [binary]
-                        text = debug path, one-shot CSV lines
   --snapshot <path>     score locally with this saved pool
   --csv <path>          feature rows to score
   --dataset <name>      registry rows to score (--snapshot mode)

@@ -28,7 +28,6 @@ pub mod flags;
 
 pub use flags::{
     parse_args, usage, Command, DetectArgs, FitArgs, ScoreArgs, ServeArgs, TraceArgs, TraceFormat,
-    WireFormat,
 };
 
 use std::fmt::Write as _;
@@ -39,8 +38,8 @@ use suod_datasets::csv::{load_csv, CsvOptions};
 use suod_datasets::{registry, Dataset};
 use suod_metrics::{precision_at_n, roc_auc};
 use suod_serve::{
-    score_rows_text, serve_front, FrontConfig, Lane, LaneConfig, ScoreOutcome, ScoreService,
-    ServeConfig, SubmitError, WireClient, WireResponse,
+    serve_front, FrontConfig, Lane, LaneConfig, ScoreOutcome, ScoreService, ServeConfig,
+    SubmitError, WireClient, WireResponse,
 };
 
 /// Runs a parsed command, returning the text to print.
@@ -466,42 +465,35 @@ fn serve(args: &ServeArgs) -> Result<String, String> {
     Ok(out)
 }
 
-/// Scores `rows` against a `serve --listen` server over the requested
-/// wire protocol and returns the combined scores. Thin wrapper over the
-/// clients in `suod_serve::net` — the protocol itself lives there.
+/// Scores `rows` against a `serve --listen` server over `suod-wire/1`
+/// and returns the combined scores. Thin wrapper over the
+/// [`WireClient`] in `suod_serve::net` — the protocol itself lives there.
 ///
 /// # Errors
 ///
 /// Returns a message on connection failure, a `busy` / `shed` / `error`
 /// response, or a malformed reply.
-pub fn score_rows(addr: &str, rows: &[Vec<f64>], wire: WireFormat) -> Result<Vec<f64>, String> {
-    match wire {
-        WireFormat::Text => score_rows_text(addr, rows),
-        WireFormat::Binary => {
-            let query = suod_linalg::Matrix::from_rows(rows)
-                .map_err(|e| format!("rows are not a matrix: {e}"))?;
-            let mut client =
-                WireClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-            match client
-                .score(&query, Lane::Normal, None)
-                .map_err(|e| e.to_string())?
-            {
-                WireResponse::Ok { scores, .. } => Ok(scores),
-                WireResponse::Busy { reason, .. } => {
-                    Err(format!("server refused request: busy ({})", reason.name()))
-                }
-                WireResponse::Shed {
-                    waited_ms,
-                    deadline_ms,
-                    ..
-                } => Err(format!(
-                    "server refused request: shed waited_ms={waited_ms} deadline_ms={deadline_ms}"
-                )),
-                WireResponse::Error { message, .. } => {
-                    Err(format!("server refused request: {message}"))
-                }
-            }
+pub fn score_rows(addr: &str, rows: &[Vec<f64>]) -> Result<Vec<f64>, String> {
+    let query =
+        suod_linalg::Matrix::from_rows(rows).map_err(|e| format!("rows are not a matrix: {e}"))?;
+    let mut client =
+        WireClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    match client
+        .score(&query, Lane::Normal, None)
+        .map_err(|e| e.to_string())?
+    {
+        WireResponse::Ok { scores, .. } => Ok(scores),
+        WireResponse::Busy { reason, .. } => {
+            Err(format!("server refused request: busy ({})", reason.name()))
         }
+        WireResponse::Shed {
+            waited_ms,
+            deadline_ms,
+            ..
+        } => Err(format!(
+            "server refused request: shed waited_ms={waited_ms} deadline_ms={deadline_ms}"
+        )),
+        WireResponse::Error { message, .. } => Err(format!("server refused request: {message}")),
     }
 }
 
@@ -520,7 +512,7 @@ fn score(args: &ScoreArgs) -> Result<String, String> {
     )
     .map_err(|e| format!("cannot load CSV: {e}"))?;
     let rows: Vec<Vec<f64>> = (0..ds.x.nrows()).map(|r| ds.x.row(r).to_vec()).collect();
-    let scores = score_rows(connect, &rows, args.wire)?;
+    let scores = score_rows(connect, &rows)?;
 
     let mut csv_out = String::from("index,score\n");
     for (i, s) in scores.iter().enumerate() {
@@ -624,7 +616,6 @@ mod tests {
         assert!(parse_args(&argv("detect --dataset a --models x")).is_err());
         assert!(parse_args(&argv("detect --dataset a --models")).is_err());
         assert!(parse_args(&argv("detect --dataset a --backend simd")).is_err());
-        assert!(parse_args(&argv("detect --dataset a --precision f16")).is_err());
         assert!(parse_args(&argv("detect --dataset a --neighbor-backend kdtree")).is_err());
         assert!(parse_args(&argv("detect --dataset a --ef-search fast")).is_err());
         // --snapshot belongs to fit/serve/score, not detect.
@@ -653,24 +644,39 @@ mod tests {
 
     #[test]
     fn parses_kernel_flags() {
-        let cmd = parse_args(&argv(
-            "detect --dataset cardio --backend gemm --precision mixed",
-        ))
-        .unwrap();
+        let cmd = parse_args(&argv("detect --dataset cardio --backend gemm")).unwrap();
         let Command::Detect(d) = cmd else {
             panic!("expected detect")
         };
         assert_eq!(d.backend, DistanceBackend::Gemm);
-        assert_eq!(d.precision, Precision::Mixed);
 
-        // Defaults: the exact blocked/f64 pipeline.
+        // Defaults: the exact blocked pipeline.
         let Command::Detect(d) = parse_args(&argv("detect --dataset cardio")).unwrap() else {
             panic!("expected detect")
         };
         assert_eq!(d.backend, DistanceBackend::Blocked);
-        assert_eq!(d.precision, Precision::F64);
         assert_eq!(d.neighbor, NeighborBackend::Exact);
         assert_eq!(d.ef_search, None);
+    }
+
+    #[test]
+    fn retired_precision_and_wire_flags_are_unknown() {
+        // A script still passing a retired flag must fail loudly, not run
+        // with a silently different kernel or protocol.
+        for line in [
+            "detect --dataset cardio --precision mixed",
+            "fit --dataset cardio --snapshot pool.suod --precision f64",
+            "score --connect 127.0.0.1:7878 --csv q.csv --wire text",
+        ] {
+            let flag = line.split_whitespace().rev().nth(1).unwrap();
+            let err = parse_args(&argv(line)).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown flag `{flag}`")),
+                "{line}: {err}"
+            );
+        }
+        assert!(!usage().contains("--precision"));
+        assert!(!usage().contains("--wire"));
     }
 
     #[test]
@@ -694,13 +700,11 @@ mod tests {
     #[test]
     fn detect_reports_cpu_features() {
         let cmd = parse_args(&argv(
-            "detect --dataset pima --scale 0.2 --models 4 --seed 3 --backend gemm \
-             --precision mixed",
+            "detect --dataset pima --scale 0.2 --models 4 --seed 3 --backend gemm",
         ))
         .unwrap();
         let out = run(cmd).unwrap();
         assert!(out.contains("kernels: backend=gemm lane="), "{out}");
-        assert!(out.contains("precision=mixed"), "{out}");
         assert!(out.contains("neighbors=exact"), "{out}");
         assert!(out.contains("snapshot format: suod-pool/2"), "{out}");
     }
@@ -1015,7 +1019,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             let front = FrontConfig {
                 worker_threads: 2,
-                max_conns: 4,
+                max_conns: 2,
                 ..FrontConfig::default()
             };
             let report = serve_front(&listener, &service, &front, &suod::observe::noop()).unwrap();
@@ -1024,26 +1028,12 @@ mod tests {
 
         // Connection 1: binary keep-alive client round trip.
         let queries = vec![vec![1.0, 0.5, 2.0], vec![39.0, 41.0, 38.0]];
-        let scores = score_rows(&addr, &queries, WireFormat::Binary).unwrap();
+        let scores = score_rows(&addr, &queries).unwrap();
         assert_eq!(scores.len(), 2);
         assert!(scores.iter().all(|s| s.is_finite()));
         assert!(scores[1] > scores[0], "planted outlier must score higher");
 
-        // Connection 2: the text debug path returns the same bits.
-        let text_scores = score_rows(&addr, &queries, WireFormat::Text).unwrap();
-        assert_eq!(
-            scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            text_scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            "binary and text protocols must agree bit-for-bit"
-        );
-
-        // Connection 3: a ragged text request is answered in-band, not
-        // fatal (the binary client rejects ragged rows before sending).
-        let err =
-            score_rows(&addr, &[vec![1.0, 2.0, 3.0], vec![4.0]], WireFormat::Text).unwrap_err();
-        assert!(err.contains("server refused request"), "{err}");
-
-        // Connection 4: the score subcommand end to end, via CSV.
+        // Connection 2: the score subcommand end to end, via CSV.
         let input = dir.join("queries.csv");
         std::fs::write(&input, "a,b,c\n0.0,0.5,1.0\n38.0,40.0,39.0\n").unwrap();
         let output = dir.join("scores.csv");
@@ -1060,13 +1050,12 @@ mod tests {
         assert_eq!(written.lines().count(), 3);
 
         let (front_report, report) = server.join().unwrap();
-        assert_eq!(front_report.conns_accepted, 4);
-        assert_eq!(front_report.wire_requests, 2); // conn 1 + the subcommand
-        assert_eq!(front_report.text_requests, 2); // conn 2 + the ragged one
-        assert_eq!(front_report.responses_ok, 3);
-        assert_eq!(front_report.responses_error, 1);
-        assert_eq!(report.requests_scored, 3);
-        assert_eq!(report.admitted, 3); // the ragged request never queued
+        assert_eq!(front_report.conns_accepted, 2);
+        assert_eq!(front_report.wire_requests, 2);
+        assert_eq!(front_report.responses_ok, 2);
+        assert_eq!(front_report.responses_error, 0);
+        assert_eq!(report.requests_scored, 2);
+        assert_eq!(report.admitted, 2);
     }
 
     #[test]

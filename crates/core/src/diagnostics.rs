@@ -15,26 +15,21 @@
 
 use crate::health::{ModelHealth, ModelStatus};
 use std::time::Duration;
-use suod_linalg::{NeighborBackend, Precision, SimdLane};
+use suod_linalg::{NeighborBackend, SimdLane};
 use suod_scheduler::ExecutionReport;
 
 /// The hardware kernel path a fit's distance kernels ran on — recorded
 /// so bench JSON and traces say what produced their numbers.
 ///
 /// The lane is host-dependent (runtime CPU detection, overridable via
-/// `SUOD_SIMD_LANE` or [`suod_linalg::set_simd_lane_override`]); the
-/// precision is configuration. In [`Precision::F64`] the lane never
-/// changes any score bit, so this record is purely provenance; in
-/// [`Precision::Mixed`] scores carry the documented f32-storage error
-/// bound regardless of lane.
+/// `SUOD_SIMD_LANE` or [`suod_linalg::set_simd_lane_override`]). The lane
+/// never changes any score bit, so this record is purely provenance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuFeatures {
     /// Micro-kernel lane the kernels selected at fit time.
     pub simd_lane: SimdLane,
     /// Whether the host CPU supports the AVX2+FMA lane at all.
     pub avx2_supported: bool,
-    /// Numeric precision the kernels were configured with.
-    pub precision: Precision,
     /// Neighbour index backend the proximity detectors were configured
     /// with (exact, or the approximate HNSW graph with its recall knob).
     pub neighbor: NeighborBackend,
@@ -42,12 +37,11 @@ pub struct CpuFeatures {
 
 impl CpuFeatures {
     /// Captures the current host's lane selection alongside the
-    /// configured precision and neighbour backend.
-    pub fn detect(precision: Precision, neighbor: NeighborBackend) -> Self {
+    /// configured neighbour backend.
+    pub fn detect(neighbor: NeighborBackend) -> Self {
         Self {
             simd_lane: SimdLane::detect(),
             avx2_supported: SimdLane::supported() == SimdLane::Avx2,
-            precision,
             neighbor,
         }
     }
@@ -57,14 +51,13 @@ impl std::fmt::Display for CpuFeatures {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "lane={} (avx2 {}), precision={}, neighbors={}",
+            "lane={} (avx2 {}), neighbors={}",
             self.simd_lane,
             if self.avx2_supported {
                 "supported"
             } else {
                 "unsupported"
             },
-            self.precision,
             self.neighbor,
         )
     }
@@ -132,8 +125,8 @@ impl FitDiagnostics {
         }
     }
 
-    /// The hardware kernel path (SIMD lane, precision, neighbour
-    /// backend) the fit ran on.
+    /// The hardware kernel path (SIMD lane, neighbour backend) the fit
+    /// ran on.
     pub fn cpu_features(&self) -> CpuFeatures {
         self.cpu_features
     }
@@ -409,7 +402,7 @@ mod tests {
             ExecutionReport::default(),
             health,
             models,
-            CpuFeatures::detect(Precision::F64, NeighborBackend::Exact),
+            CpuFeatures::detect(NeighborBackend::Exact),
             0,
         )
     }
@@ -430,11 +423,32 @@ mod tests {
     }
 
     #[test]
+    fn cpu_features_display_names_lane_support_and_neighbors() {
+        let scalar = CpuFeatures {
+            simd_lane: SimdLane::Scalar,
+            avx2_supported: false,
+            neighbor: NeighborBackend::Exact,
+        };
+        assert_eq!(
+            scalar.to_string(),
+            "lane=scalar (avx2 unsupported), neighbors=exact"
+        );
+        let avx2 = CpuFeatures {
+            simd_lane: SimdLane::Avx2,
+            avx2_supported: true,
+            neighbor: NeighborBackend::Hnsw(suod_linalg::HnswParams::default().with_ef_search(77)),
+        };
+        assert_eq!(
+            avx2.to_string(),
+            "lane=avx2 (avx2 supported), neighbors=hnsw(ef_search=77)"
+        );
+    }
+
+    #[test]
     fn display_summarizes_pool() {
         let text = sample().to_string();
         assert!(text.contains("3 models, 2 healthy"));
         assert!(text.contains("kernels: lane="));
-        assert!(text.contains("precision=f64"));
         assert!(text.contains("neighbors=exact"));
         assert!(text.contains("quarantined"));
         assert!(text.contains("projected"));

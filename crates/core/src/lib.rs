@@ -103,9 +103,7 @@ pub mod prelude {
     pub use suod_detectors::{Kernel, KnnMethod};
     pub use suod_linalg::DistanceMetric as Metric;
     pub use suod_linalg::Matrix;
-    pub use suod_linalg::{
-        DistanceBackend, HnswParams, KernelConfig, NeighborBackend, Precision, SimdLane,
-    };
+    pub use suod_linalg::{DistanceBackend, HnswParams, KernelConfig, NeighborBackend, SimdLane};
     pub use suod_observe::{NoopObserver, Observer, RecordingObserver};
     pub use suod_projection::JlVariant;
 }

@@ -474,7 +474,7 @@ impl Suod {
                 ExecutionReport::default(),
                 health,
                 models_diag,
-                CpuFeatures::detect(config.kernel.precision, config.kernel.neighbor),
+                CpuFeatures::detect(config.kernel.neighbor),
                 0,
             )
         });

@@ -147,8 +147,8 @@ impl SuodBuilder {
     }
 
     /// Sets the whole numeric-kernel configuration at once: distance
-    /// backend, precision, neighbour backend (including HNSW parameters
-    /// such as `ef_search`), and the KD-tree crossover threshold. This is
+    /// backend, neighbour backend (including HNSW parameters such as
+    /// `ef_search`), and the KD-tree crossover threshold. This is
     /// the single entry point for every kernel knob — build the
     /// [`KernelConfig`] with its own with-style setters:
     ///
@@ -160,7 +160,6 @@ impl SuodBuilder {
     ///     .kernel(
     ///         KernelConfig::default()
     ///             .with_backend(DistanceBackend::Gemm)
-    ///             .with_precision(Precision::Mixed)
     ///             .with_neighbor(NeighborBackend::Hnsw(
     ///                 HnswParams::default().with_ef_search(64),
     ///             )),

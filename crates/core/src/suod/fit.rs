@@ -516,7 +516,7 @@ impl Suod {
             report,
             health,
             models_diag,
-            CpuFeatures::detect(self.config.kernel.precision, self.config.kernel.neighbor),
+            CpuFeatures::detect(self.config.kernel.neighbor),
             ann_fallbacks,
         );
         if n_healthy < required {

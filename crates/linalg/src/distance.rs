@@ -23,17 +23,14 @@
 //!   fall back to `blocked` and record a fallback hit. The micro-kernel
 //!   lane (scalar or AVX2) is picked per invocation by
 //!   [`SimdLane::detect`](crate::gemm::SimdLane::detect) — invisible in
-//!   the output, visible in the counters. With
-//!   [`Precision::Mixed`](crate::gemm::Precision) the gemm paths store
-//!   panels in f32 and accumulate in f64: distances are then taken
-//!   between the f32-rounded rows, within
-//!   [`mixed_distance_error_bound`](crate::gemm::mixed_distance_error_bound)
-//!   of the exact values, and still deterministic across thread counts
-//!   and lanes.
+//!   the output, visible in the counters.
+//!
+//! [`pairwise_distances_with`] is the one public entry point for full
+//! distance matrices; [`KnnIndex`] serves the neighbour queries.
 
 use crate::gemm::{
     dist_from_gram, DistanceBackend, KernelConfig, KernelCounters, KernelStats, PackedPanels,
-    PackedPanelsF32, Precision, SimdLane, NR,
+    SimdLane, NR,
 };
 use crate::hnsw::{DistCtx, HnswGraph, NeighborBackend};
 use crate::snapshot::corrupt;
@@ -115,83 +112,14 @@ const KNN_Q_TILE: usize = 32;
 /// Training rows per tile in the batched brute-force kNN fast path.
 const KNN_T_TILE: usize = 512;
 
-/// Full pairwise distance matrix between the rows of `a` and the rows of `b`.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] when column counts differ.
-pub fn pairwise_distances(a: &Matrix, b: &Matrix, metric: DistanceMetric) -> Result<Matrix> {
-    pairwise_distances_parallel(a, b, metric, 1)
-}
-
-/// [`pairwise_distances`] chunked over row blocks of `a` across
-/// `n_threads` scoped threads, evaluated through the blocked kernel
-/// (bit-identical to naive — see [`DistanceBackend::Blocked`]).
-///
-/// Each output element is computed by the same code path regardless of
-/// chunking and tiling, so the result is **bit-identical** to the
-/// single-threaded naive kernel for every `n_threads`.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] when column counts differ.
-pub fn pairwise_distances_parallel(
-    a: &Matrix,
-    b: &Matrix,
-    metric: DistanceMetric,
-    n_threads: usize,
-) -> Result<Matrix> {
-    pairwise_distances_backend(a, b, metric, DistanceBackend::Blocked, n_threads, None)
-}
-
-/// Pairwise distances through an explicit [`DistanceBackend`].
+/// Full pairwise distance matrix between the rows of `a` and the rows of
+/// `b`, through the [`DistanceBackend`] in `config`.
 ///
 /// `naive` and `blocked` produce bitwise-equal matrices for every metric;
 /// `gemm` applies the norm trick for [`DistanceMetric::Euclidean`] and
 /// falls back to `blocked` otherwise (recording a fallback hit on
-/// `stats`). All backends are bit-identical across `n_threads`.
-///
-/// # Errors
-///
-/// Returns [`Error::ShapeMismatch`] when column counts differ.
-pub fn pairwise_distances_backend(
-    a: &Matrix,
-    b: &Matrix,
-    metric: DistanceMetric,
-    backend: DistanceBackend,
-    n_threads: usize,
-    stats: Option<&KernelStats>,
-) -> Result<Matrix> {
-    if a.ncols() != b.ncols() {
-        return Err(Error::ShapeMismatch {
-            op: "pairwise_distances",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    match backend {
-        DistanceBackend::Naive => Ok(naive_pairwise(a, b, metric, n_threads)),
-        DistanceBackend::Blocked => Ok(blocked_pairwise(a, b, metric, n_threads)),
-        DistanceBackend::Gemm => {
-            if metric == DistanceMetric::Euclidean {
-                gemm_pairwise(a, b, Precision::F64, n_threads, stats)
-            } else {
-                if let Some(s) = stats {
-                    s.record_fallback();
-                }
-                Ok(blocked_pairwise(a, b, metric, n_threads))
-            }
-        }
-    }
-}
-
-/// Pairwise distances honouring a full [`KernelConfig`]: the backend
-/// *and* the precision. [`Precision::Mixed`] only changes the
-/// [`DistanceBackend::Gemm`] Euclidean path (f32 packed storage, f64
-/// accumulation, within [`crate::gemm::mixed_distance_error_bound`] of
-/// the exact distances); every other combination is exact and identical
-/// to [`pairwise_distances_backend`]. All paths remain bit-identical
-/// across `n_threads`.
+/// `stats`). Every backend is bit-identical across `n_threads`. The
+/// other [`KernelConfig`] fields tune [`KnnIndex`] and do not apply here.
 ///
 /// # Errors
 ///
@@ -204,20 +132,26 @@ pub fn pairwise_distances_with(
     n_threads: usize,
     stats: Option<&KernelStats>,
 ) -> Result<Matrix> {
-    if config.backend == DistanceBackend::Gemm
-        && config.precision == Precision::Mixed
-        && metric == DistanceMetric::Euclidean
-    {
-        if a.ncols() != b.ncols() {
-            return Err(Error::ShapeMismatch {
-                op: "pairwise_distances",
-                lhs: a.shape(),
-                rhs: b.shape(),
-            });
-        }
-        return gemm_pairwise(a, b, Precision::Mixed, n_threads, stats);
+    if a.ncols() != b.ncols() {
+        return Err(Error::ShapeMismatch {
+            op: "pairwise_distances",
+            lhs: a.shape(),
+            rhs: b.shape(),
+        });
     }
-    pairwise_distances_backend(a, b, metric, config.backend, n_threads, stats)
+    match config.backend {
+        DistanceBackend::Naive => Ok(naive_pairwise(a, b, metric, n_threads)),
+        DistanceBackend::Blocked => Ok(blocked_pairwise(a, b, metric, n_threads)),
+        DistanceBackend::Gemm if metric == DistanceMetric::Euclidean => {
+            Ok(gemm_pairwise(a, b, n_threads, stats))
+        }
+        DistanceBackend::Gemm => {
+            if let Some(s) = stats {
+                s.record_fallback();
+            }
+            Ok(blocked_pairwise(a, b, metric, n_threads))
+        }
+    }
 }
 
 fn naive_pairwise(a: &Matrix, b: &Matrix, metric: DistanceMetric, n_threads: usize) -> Matrix {
@@ -261,182 +195,25 @@ fn blocked_pairwise(a: &Matrix, b: &Matrix, metric: DistanceMetric, n_threads: u
     out
 }
 
-fn gemm_pairwise(
-    a: &Matrix,
-    b: &Matrix,
-    precision: Precision,
-    n_threads: usize,
-    stats: Option<&KernelStats>,
-) -> Result<Matrix> {
-    if a.ncols() != b.ncols() {
-        return Err(Error::ShapeMismatch {
-            op: "gemm_pairwise",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
+fn gemm_pairwise(a: &Matrix, b: &Matrix, n_threads: usize, stats: Option<&KernelStats>) -> Matrix {
     let lane = SimdLane::detect();
     if let Some(s) = stats {
-        s.record_gemm(a.nrows(), b.nrows(), lane, precision);
+        s.record_gemm(a.nrows(), b.nrows(), lane);
     }
     let mut out = Matrix::zeros(a.nrows(), b.nrows());
     let cols = b.nrows();
     // The norm-trick epilogue is fused into the GEMM tile write-back:
     // distances stream out in a single pass instead of materialising the
     // Gram matrix and re-walking it (which triples memory traffic on
-    // large inputs). In mixed mode the norms are taken over the
-    // f32-rounded rows so every term refers to the same rounded data.
-    match precision {
-        Precision::F64 => {
-            let na = crate::gemm::row_sq_norms(a);
-            let nb = crate::gemm::row_sq_norms(b);
-            let packed = PackedPanels::from_rows(b);
-            crate::parallel::par_row_blocks(
-                out.as_mut_slice(),
-                cols.max(1),
-                n_threads,
-                |rows, block| {
-                    crate::gemm::gram_rows_dist_into(a, rows, &packed, lane, &na, &nb, block);
-                },
-            );
-        }
-        Precision::Mixed => {
-            let na = crate::gemm::row_sq_norms_mixed(a);
-            let nb = crate::gemm::row_sq_norms_mixed(b);
-            let packed = PackedPanelsF32::from_rows(b);
-            crate::parallel::par_row_blocks(
-                out.as_mut_slice(),
-                cols.max(1),
-                n_threads,
-                |rows, block| {
-                    crate::gemm::gram_rows_dist_into_mixed(a, rows, &packed, lane, &na, &nb, block);
-                },
-            );
-        }
-    }
-    Ok(out)
-}
-
-/// Self-distance matrix of `a`: equal to `pairwise_distances(a, a, m)`
-/// but computes only the upper triangle and mirrors it, halving the
-/// metric evaluations.
-///
-/// The mirror is exact: every supported metric is built from terms
-/// symmetric in its arguments (`(x - y)^2`, `|x - y|`), so
-/// `distance(u, v)` is bitwise equal to `distance(v, u)` and the result
-/// matches the naive full computation bit-for-bit.
-pub fn pairwise_distances_symmetric(a: &Matrix, metric: DistanceMetric) -> Matrix {
-    pairwise_distances_symmetric_parallel(a, metric, 1)
-}
-
-/// [`pairwise_distances_symmetric`] with the upper-triangle rows chunked
-/// across `n_threads` scoped threads through the blocked kernel
-/// (bit-identical to naive for every `n_threads`).
-pub fn pairwise_distances_symmetric_parallel(
-    a: &Matrix,
-    metric: DistanceMetric,
-    n_threads: usize,
-) -> Matrix {
-    pairwise_distances_symmetric_backend(a, metric, DistanceBackend::Blocked, n_threads, None)
-}
-
-/// Symmetric pairwise distances through an explicit [`DistanceBackend`].
-///
-/// `naive`/`blocked` evaluate the upper triangle and mirror (bitwise
-/// equal to each other and to the full naive matrix); `gemm` computes the
-/// full norm-trick matrix directly — the Gram matrix and the norm sums
-/// are symmetric term by term, so the result is still exactly symmetric.
-/// Non-Euclidean metrics under `gemm` fall back to `blocked` (recording a
-/// fallback hit on `stats`).
-pub fn pairwise_distances_symmetric_backend(
-    a: &Matrix,
-    metric: DistanceMetric,
-    backend: DistanceBackend,
-    n_threads: usize,
-    stats: Option<&KernelStats>,
-) -> Matrix {
-    pairwise_distances_symmetric_with(
-        a,
-        metric,
-        KernelConfig::default().with_backend(backend),
-        n_threads,
-        stats,
-    )
-}
-
-/// Symmetric pairwise distances honouring a full [`KernelConfig`]
-/// (backend and precision) — the symmetric counterpart of
-/// [`pairwise_distances_with`]. Mixed precision affects only the gemm
-/// Euclidean path; the norm trick stays exactly symmetric there and the
-/// diagonal is exactly zero (norms and Gram diagonal are both taken over
-/// the f32-rounded rows, so the terms cancel bitwise).
-pub fn pairwise_distances_symmetric_with(
-    a: &Matrix,
-    metric: DistanceMetric,
-    config: KernelConfig,
-    n_threads: usize,
-    stats: Option<&KernelStats>,
-) -> Matrix {
-    let backend = config.backend;
-    if backend == DistanceBackend::Gemm {
-        if metric == DistanceMetric::Euclidean {
-            return gemm_pairwise(a, a, config.precision, n_threads, stats)
-                .expect("same matrix: shapes agree");
-        }
-        if let Some(s) = stats {
-            s.record_fallback();
-        }
-    }
-    let n = a.nrows();
-    let mut out = Matrix::zeros(n, n);
-    let tile = match backend {
-        DistanceBackend::Naive => n.max(1),
-        _ => BLOCKED_J_TILE,
-    };
-    let itile = match backend {
-        DistanceBackend::Naive => n.max(1),
-        _ => BLOCKED_I_TILE,
-    };
-    crate::parallel::par_row_blocks(out.as_mut_slice(), n.max(1), n_threads, |rows, block| {
-        let block_rows = rows.len();
-        for i0 in (0..block_rows).step_by(itile) {
-            let i1 = (i0 + itile).min(block_rows);
-            for j0 in (0..n).step_by(tile) {
-                let j1 = (j0 + tile).min(n);
-                for offset in i0..i1 {
-                    let i = rows.start + offset;
-                    let ra = a.row(i);
-                    let out_row = &mut block[offset * n..(offset + 1) * n];
-                    // Rows past this tile's end contribute nothing
-                    // (lo == j1).
-                    let lo = j0.max(i).min(j1);
-                    for (j, o) in out_row[lo..j1].iter_mut().enumerate() {
-                        *o = metric.distance(ra, a.row(lo + j));
-                    }
-                }
-            }
-        }
+    // large inputs).
+    let na = crate::gemm::row_sq_norms(a);
+    let nb = crate::gemm::row_sq_norms(b);
+    let packed = PackedPanels::from_rows(b);
+    crate::parallel::par_row_blocks(out.as_mut_slice(), cols.max(1), n_threads, |rows, block| {
+        crate::gemm::gram_rows_dist_into(a, rows, &packed, lane, &na, &nb, block);
     });
-    // Mirror the strict upper triangle; copies, no metric calls. Tile by
-    // tile, so the column-wise reads of one tile stay in cache instead of
-    // missing once per element.
-    for i0 in (0..n).step_by(MIRROR_TILE) {
-        let i1 = (i0 + MIRROR_TILE).min(n);
-        for j0 in (0..i1).step_by(MIRROR_TILE) {
-            for i in i0..i1 {
-                for j in j0..(j0 + MIRROR_TILE).min(i) {
-                    let d = out.get(j, i);
-                    out.set(i, j, d);
-                }
-            }
-        }
-    }
     out
 }
-
-/// Tile edge of the symmetric-matrix mirror pass: two 32 x 32 `f64` tiles
-/// (16 KiB) fit in L1.
-const MIRROR_TILE: usize = 32;
 
 /// A neighbour returned by [`KnnIndex`] queries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -468,11 +245,7 @@ pub struct Neighbor {
 /// (`d ≤ kdtree_crossover_dim`, `n ≥ kdtree_min_rows`) is configurable
 /// there too. None of the backends caps the number of indexed or
 /// queried rows — the batched sweeps stream tiles through bounded
-/// per-query heaps, so memory stays `O(n d + q k)` at any size. (Until
-/// PR 5 the self-sweep materialized an `n x n` matrix and documented an
-/// `n ≤ 4096` practical cap; the cap is gone — 4096 rows survives only
-/// as the size at which the symmetric-matrix fast path hands over to
-/// tile streaming, see [`Self::self_query_batch`].)
+/// per-query heaps, so memory stays `O(n d + q k)` at any size.
 ///
 /// # Example
 ///
@@ -730,17 +503,11 @@ impl KnnIndex {
             // this index will take the blocked path instead.
             stats.record_fallback();
         }
-        // In mixed mode the cached norms are taken over the f32-rounded
-        // rows — the invariant that keeps every norm-trick term (norms,
-        // Gram tiles, single-query dots) referring to the same data. The
-        // HNSW graph shares the cached norms for its norm-trick distance
-        // evaluations.
+        // The HNSW graph shares the cached norms for its norm-trick
+        // distance evaluations.
         let train_sq_norms = ((gemm_brute && metric == DistanceMetric::Euclidean)
             || hnsw_params.is_some())
-        .then(|| match config.precision {
-            Precision::F64 => crate::gemm::row_sq_norms(&train),
-            Precision::Mixed => crate::gemm::row_sq_norms_mixed(&train),
-        });
+        .then(|| crate::gemm::row_sq_norms(&train));
         let hnsw = match graph {
             // `snapshot_read_parts` checked that a stored graph is
             // present exactly when `hnsw_params` is.
@@ -749,7 +516,6 @@ impl KnnIndex {
                 HnswGraph::build(
                     &train,
                     train_sq_norms.as_deref().expect("norms cached for hnsw"),
-                    config.precision,
                     p,
                     n_threads,
                 )
@@ -866,7 +632,7 @@ impl KnnIndex {
                 .train_sq_norms
                 .as_deref()
                 .expect("hnsw caches row norms at build");
-            let ctx = DistCtx::new(&self.train, norms, self.config.precision);
+            let ctx = DistCtx::new(&self.train, norms);
             return h.search(&ctx, query, k.min(self.train.nrows()), h.params().ef_search);
         }
         if let Some(tree) = &self.tree {
@@ -875,27 +641,17 @@ impl KnnIndex {
         // Single-query gemm path: same `dist_from_gram` combination, and
         // the scalar `dot` carries the same bits as the packed micro-kernel
         // (one accumulator, ascending k) — so per-row queries agree
-        // bitwise with the batched gemm tiles. The mixed variant swaps in
-        // the f32-rounding dot/norm, which the mixed micro-kernel matches
-        // bitwise on either lane.
+        // bitwise with the batched gemm tiles on either lane.
         if let Some(norms) = &self.train_sq_norms {
-            let mixed = self.config.precision == Precision::Mixed;
-            let nq = if mixed {
-                crate::gemm::norm_sq_mixed(query)
-            } else {
-                crate::matrix::norm_sq(query)
-            };
+            let nq = crate::matrix::norm_sq(query);
             let all: Vec<Neighbor> = (0..self.train.nrows())
-                .map(|i| {
-                    let g = if mixed {
-                        crate::gemm::dot_mixed(query, self.train.row(i))
-                    } else {
-                        crate::matrix::dot(query, self.train.row(i))
-                    };
-                    Neighbor {
-                        index: i,
-                        distance: dist_from_gram(nq, norms[i], g),
-                    }
+                .map(|i| Neighbor {
+                    index: i,
+                    distance: dist_from_gram(
+                        nq,
+                        norms[i],
+                        crate::matrix::dot(query, self.train.row(i)),
+                    ),
                 })
                 .collect();
             return select_smallest(all, k);
@@ -1030,13 +786,12 @@ impl KnnIndex {
             k.min(n)
         };
         let gemm = self.train_sq_norms.as_deref();
-        let precision = self.config.precision;
         let lane = SimdLane::detect();
         if gemm.is_some() {
             // Logical work of one queries x train gemm; derived from
             // shapes so the counters match at every thread count (the
             // lane tag is host-dependent, the rest is not).
-            self.stats.record_gemm(queries.nrows(), n, lane, precision);
+            self.stats.record_gemm(queries.nrows(), n, lane);
         }
         let train = &self.train;
         let metric = self.metric;
@@ -1047,31 +802,16 @@ impl KnnIndex {
                 let t1 = (t0 + KNN_T_TILE).min(n);
                 // Pack the train tile once per thread; the packing cost is
                 // O(n d) per sweep, noise next to the O(nq n d) contraction.
-                let packed = gemm.is_some().then(|| match precision {
-                    Precision::F64 => {
-                        TrainTile::F64(PackedPanels::from_row_range(train, t0..t1, NR))
-                    }
-                    Precision::Mixed => {
-                        TrainTile::F32(PackedPanelsF32::from_row_range(train, t0..t1, NR))
-                    }
-                });
+                let packed = gemm
+                    .is_some()
+                    .then(|| PackedPanels::from_row_range(train, t0..t1, NR));
                 for q0 in (range.start..range.end).step_by(KNN_Q_TILE) {
                     let q1 = (q0 + KNN_Q_TILE).min(range.end);
                     if let (Some(norms), Some(packed)) = (gemm, &packed) {
                         let tile = &mut scratch[..(q1 - q0) * (t1 - t0)];
-                        match packed {
-                            TrainTile::F64(p) => {
-                                crate::gemm::gram_rows_into(queries, q0..q1, p, lane, tile)
-                            }
-                            TrainTile::F32(p) => {
-                                crate::gemm::gram_rows_into_mixed(queries, q0..q1, p, lane, tile)
-                            }
-                        }
+                        crate::gemm::gram_rows_into(queries, q0..q1, packed, lane, tile);
                         for qi in q0..q1 {
-                            let nq = match precision {
-                                Precision::F64 => crate::matrix::norm_sq(queries.row(qi)),
-                                Precision::Mixed => crate::gemm::norm_sq_mixed(queries.row(qi)),
-                            };
+                            let nq = crate::matrix::norm_sq(queries.row(qi));
                             let row = &tile[(qi - q0) * (t1 - t0)..(qi - q0 + 1) * (t1 - t0)];
                             let heap = &mut heaps[qi - range.start];
                             for (j, &g) in row.iter().enumerate() {
@@ -1173,13 +913,6 @@ fn same_bits(a: &Matrix, b: &Matrix) -> bool {
             .iter()
             .zip(b.as_slice())
             .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// A packed train tile of the batched kNN fast path, in whichever
-/// storage precision the index is configured for.
-enum TrainTile {
-    F64(PackedPanels),
-    F32(PackedPanelsF32),
 }
 
 /// Bounded max-heap over the total order (distance, index): keeps the
@@ -1321,10 +1054,24 @@ mod tests {
     fn pairwise_shapes_and_values() {
         let a = Matrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 1.0]]).unwrap();
         let b = Matrix::from_rows(&[vec![0.0, 1.0]]).unwrap();
-        let d = pairwise_distances(&a, &b, DistanceMetric::Euclidean).unwrap();
+        let d = pairwise(
+            &a,
+            &b,
+            DistanceMetric::Euclidean,
+            DistanceBackend::Blocked,
+            1,
+        );
         assert_eq!(d.shape(), (2, 1));
         assert!((d.get(0, 0) - 1.0).abs() < 1e-12);
         assert!((d.get(1, 0) - 1.0).abs() < 1e-12);
+        // One width check guards every backend.
+        for backend in [DistanceBackend::Naive, DistanceBackend::Gemm] {
+            let config = KernelConfig::default().with_backend(backend);
+            let wide = Matrix::zeros(1, 3);
+            let err =
+                pairwise_distances_with(&a, &wide, DistanceMetric::Euclidean, config, 1, None);
+            assert!(matches!(err, Err(Error::ShapeMismatch { .. })), "{backend}");
+        }
     }
 
     #[test]
@@ -1388,14 +1135,26 @@ mod tests {
         DistanceMetric::Minkowski(3.0),
     ];
 
+    /// [`pairwise_distances_with`] on `backend` with no counters.
+    fn pairwise(
+        a: &Matrix,
+        b: &Matrix,
+        metric: DistanceMetric,
+        backend: DistanceBackend,
+        threads: usize,
+    ) -> Matrix {
+        let config = KernelConfig::default().with_backend(backend);
+        pairwise_distances_with(a, b, metric, config, threads, None).unwrap()
+    }
+
     #[test]
     fn pairwise_parallel_bit_identical() {
         let a = random_matrix(37, 5, 7);
         let b = random_matrix(23, 5, 11);
         for metric in ALL_METRICS {
-            let base = pairwise_distances(&a, &b, metric).unwrap();
+            let base = pairwise(&a, &b, metric, DistanceBackend::Blocked, 1);
             for threads in [2usize, 4, 8] {
-                let par = pairwise_distances_parallel(&a, &b, metric, threads).unwrap();
+                let par = pairwise(&a, &b, metric, DistanceBackend::Blocked, threads);
                 assert_eq!(par.as_slice(), base.as_slice(), "threads={threads}");
             }
         }
@@ -1407,18 +1166,9 @@ mod tests {
         let a = random_matrix(67, 9, 21);
         let b = random_matrix(BLOCKED_J_TILE + 37, 9, 22);
         for metric in ALL_METRICS {
-            let naive = pairwise_distances_backend(&a, &b, metric, DistanceBackend::Naive, 1, None)
-                .unwrap();
+            let naive = pairwise(&a, &b, metric, DistanceBackend::Naive, 1);
             for threads in [1usize, 3] {
-                let blocked = pairwise_distances_backend(
-                    &a,
-                    &b,
-                    metric,
-                    DistanceBackend::Blocked,
-                    threads,
-                    None,
-                )
-                .unwrap();
+                let blocked = pairwise(&a, &b, metric, DistanceBackend::Blocked, threads);
                 assert_eq!(
                     blocked.as_slice(),
                     naive.as_slice(),
@@ -1432,37 +1182,14 @@ mod tests {
     fn gemm_backend_close_to_naive_and_deterministic() {
         let a = random_matrix(41, 7, 31);
         let b = random_matrix(29, 7, 32);
-        let naive = pairwise_distances_backend(
-            &a,
-            &b,
-            DistanceMetric::Euclidean,
-            DistanceBackend::Naive,
-            1,
-            None,
-        )
-        .unwrap();
-        let base = pairwise_distances_backend(
-            &a,
-            &b,
-            DistanceMetric::Euclidean,
-            DistanceBackend::Gemm,
-            1,
-            None,
-        )
-        .unwrap();
+        let euclid = DistanceMetric::Euclidean;
+        let naive = pairwise(&a, &b, euclid, DistanceBackend::Naive, 1);
+        let base = pairwise(&a, &b, euclid, DistanceBackend::Gemm, 1);
         for (g, n) in base.as_slice().iter().zip(naive.as_slice()) {
             assert!((g - n).abs() <= 1e-9 * (1.0 + n.abs()), "{g} vs {n}");
         }
         for threads in [2usize, 5] {
-            let par = pairwise_distances_backend(
-                &a,
-                &b,
-                DistanceMetric::Euclidean,
-                DistanceBackend::Gemm,
-                threads,
-                None,
-            )
-            .unwrap();
+            let par = pairwise(&a, &b, euclid, DistanceBackend::Gemm, threads);
             assert_eq!(par.as_slice(), base.as_slice(), "threads={threads}");
         }
     }
@@ -1471,62 +1198,186 @@ mod tests {
     fn gemm_backend_non_euclidean_falls_back() {
         let a = random_matrix(12, 4, 3);
         let stats = KernelStats::new();
-        let gemm = pairwise_distances_backend(
-            &a,
-            &a,
-            DistanceMetric::Manhattan,
-            DistanceBackend::Gemm,
-            1,
-            Some(&stats),
-        )
-        .unwrap();
-        let naive = pairwise_distances_backend(
-            &a,
-            &a,
-            DistanceMetric::Manhattan,
-            DistanceBackend::Naive,
-            1,
-            None,
-        )
-        .unwrap();
+        let gemm_cfg = KernelConfig::default().with_backend(DistanceBackend::Gemm);
+        let gemm =
+            pairwise_distances_with(&a, &a, DistanceMetric::Manhattan, gemm_cfg, 1, Some(&stats))
+                .unwrap();
+        let naive = pairwise(&a, &a, DistanceMetric::Manhattan, DistanceBackend::Naive, 1);
         assert_eq!(gemm.as_slice(), naive.as_slice());
         assert_eq!(stats.snapshot().fallback_hits, 1);
         assert_eq!(stats.snapshot().gemm_tiles, 0);
     }
 
     #[test]
-    fn symmetric_bit_identical_to_full() {
-        let a = random_matrix(31, 4, 3);
-        for metric in ALL_METRICS {
-            let full = pairwise_distances(&a, &a, metric).unwrap();
-            let sym = pairwise_distances_symmetric(&a, metric);
-            assert_eq!(sym.as_slice(), full.as_slice(), "{metric:?}");
-            for threads in [2usize, 4] {
-                let par = pairwise_distances_symmetric_parallel(&a, metric, threads);
-                assert_eq!(
-                    par.as_slice(),
-                    full.as_slice(),
-                    "{metric:?} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn symmetric_gemm_is_symmetric_and_zero_diagonal_free() {
+    fn gemm_self_distances_symmetric_with_zero_diagonal() {
+        // Gram and norm sums are symmetric term by term, and a row's Gram
+        // diagonal is its cached norm bit for bit, so `a` against itself
+        // comes out exactly symmetric with an exactly zero diagonal.
         let a = random_matrix(19, 6, 13);
-        let d = pairwise_distances_symmetric_backend(
-            &a,
-            DistanceMetric::Euclidean,
-            DistanceBackend::Gemm,
-            1,
-            None,
-        );
+        let d = pairwise(&a, &a, DistanceMetric::Euclidean, DistanceBackend::Gemm, 1);
         for i in 0..a.nrows() {
             assert_eq!(d.get(i, i), 0.0);
             for j in 0..a.nrows() {
                 assert_eq!(d.get(i, j).to_bits(), d.get(j, i).to_bits());
                 assert!(d.get(i, j) >= 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn exact_self_distances_symmetric_with_zero_diagonal() {
+        // Every metric is symmetric term by term (`|x - y| == |y - x|`), so
+        // the exact backends need no mirror pass: `a` against itself is
+        // already bitwise symmetric, at any thread count.
+        let a = random_matrix(31, 4, 3);
+        for metric in ALL_METRICS {
+            for backend in [DistanceBackend::Naive, DistanceBackend::Blocked] {
+                for threads in [1usize, 3] {
+                    let d = pairwise(&a, &a, metric, backend, threads);
+                    for i in 0..a.nrows() {
+                        assert_eq!(d.get(i, i).to_bits(), 0, "{metric:?} {backend} diag {i}");
+                        for j in 0..i {
+                            assert_eq!(
+                                d.get(i, j).to_bits(),
+                                d.get(j, i).to_bits(),
+                                "{metric:?} {backend} threads={threads} ({i},{j})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_pairwise_counts_shape_derived_tiles_and_one_lane() {
+        let a = random_matrix(10, 5, 61);
+        let b = random_matrix(7, 5, 62);
+        let config = KernelConfig::default().with_backend(DistanceBackend::Gemm);
+        for threads in [1usize, 4] {
+            let stats = KernelStats::new();
+            pairwise_distances_with(
+                &a,
+                &b,
+                DistanceMetric::Euclidean,
+                config,
+                threads,
+                Some(&stats),
+            )
+            .unwrap();
+            let c = stats.snapshot();
+            // ceil(10/4)=3 a-panels + ceil(7/8)=1 b-panel; 3*1 tiles.
+            assert_eq!(c.packed_panels, 4, "threads={threads}");
+            assert_eq!(c.gemm_tiles, 3, "threads={threads}");
+            assert_eq!(c.fallback_hits, 0, "threads={threads}");
+            assert_eq!(c.simd_invocations + c.scalar_invocations, 1);
+        }
+        // The exact backends never touch the GEMM counters.
+        for backend in [DistanceBackend::Naive, DistanceBackend::Blocked] {
+            let stats = KernelStats::new();
+            let config = KernelConfig::default().with_backend(backend);
+            pairwise_distances_with(&a, &b, DistanceMetric::Euclidean, config, 2, Some(&stats))
+                .unwrap();
+            assert_eq!(stats.snapshot(), KernelCounters::default(), "{backend}");
+        }
+    }
+
+    #[test]
+    fn gemm_backend_falls_back_bitwise_for_every_non_euclidean_metric() {
+        // Minkowski(2) is the Euclidean distance on paper, but it is not
+        // the Euclidean metric tag: it must take the exact path, so its
+        // bits match the naive loop, not the norm trick.
+        let a = random_matrix(17, 5, 63);
+        let b = random_matrix(BLOCKED_J_TILE + 3, 5, 64);
+        let config = KernelConfig::default().with_backend(DistanceBackend::Gemm);
+        for metric in [
+            DistanceMetric::Manhattan,
+            DistanceMetric::Minkowski(3.0),
+            DistanceMetric::Minkowski(2.0),
+        ] {
+            let naive = pairwise(&a, &b, metric, DistanceBackend::Naive, 1);
+            for threads in [1usize, 3] {
+                let stats = KernelStats::new();
+                let got =
+                    pairwise_distances_with(&a, &b, metric, config, threads, Some(&stats)).unwrap();
+                assert_eq!(got.as_slice(), naive.as_slice(), "{metric:?} t={threads}");
+                let c = stats.snapshot();
+                assert_eq!(c.fallback_hits, 1, "{metric:?}");
+                assert_eq!(c.gemm_tiles + c.packed_panels, 0, "{metric:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_operands_give_empty_matrices_on_every_backend() {
+        let some = random_matrix(5, 3, 65);
+        let none = Matrix::zeros(0, 3);
+        for backend in [
+            DistanceBackend::Naive,
+            DistanceBackend::Blocked,
+            DistanceBackend::Gemm,
+        ] {
+            for threads in [1usize, 4] {
+                let d = pairwise(&none, &some, DistanceMetric::Euclidean, backend, threads);
+                assert_eq!(d.shape(), (0, 5), "{backend}");
+                let d = pairwise(&some, &none, DistanceMetric::Euclidean, backend, threads);
+                assert_eq!(d.shape(), (5, 0), "{backend}");
+                let d = pairwise(&none, &none, DistanceMetric::Euclidean, backend, threads);
+                assert_eq!(d.shape(), (0, 0), "{backend}");
+            }
+        }
+    }
+
+    #[test]
+    fn surplus_threads_change_no_bits() {
+        // More threads than rows: the row split clamps, never splits a
+        // row or reorders a reduction.
+        let a = random_matrix(3, 6, 66);
+        let b = random_matrix(NR + 1, 6, 67);
+        for backend in [
+            DistanceBackend::Naive,
+            DistanceBackend::Blocked,
+            DistanceBackend::Gemm,
+        ] {
+            let base = pairwise(&a, &b, DistanceMetric::Euclidean, backend, 1);
+            let wide = pairwise(&a, &b, DistanceMetric::Euclidean, backend, 64);
+            assert_eq!(wide.as_slice(), base.as_slice(), "{backend}");
+        }
+    }
+
+    #[test]
+    fn brute_index_distances_equal_the_entry_point_bitwise() {
+        // The index and the one pairwise entry point are two views of
+        // one kernel per backend: each neighbour's distance carries the
+        // same bits as the matching pairwise cell.
+        let train = random_matrix(KNN_T_TILE + 5, 5, 68);
+        let queries = random_matrix(KNN_Q_TILE + 3, 5, 69);
+        for backend in [DistanceBackend::Blocked, DistanceBackend::Gemm] {
+            let config = KernelConfig {
+                kdtree_crossover_dim: 0, // force brute
+                ..KernelConfig::default().with_backend(backend)
+            };
+            let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, config).unwrap();
+            let d = pairwise_distances_with(
+                &queries,
+                &train,
+                DistanceMetric::Euclidean,
+                config,
+                1,
+                None,
+            )
+            .unwrap();
+            let batch = idx.query_batch(&queries, 9).unwrap();
+            for (i, nn) in batch.iter().enumerate() {
+                assert_eq!(nn.len(), 9);
+                for n in nn {
+                    assert_eq!(
+                        n.distance.to_bits(),
+                        d.get(i, n.index).to_bits(),
+                        "{backend} query {i} neighbour {}",
+                        n.index
+                    );
+                }
             }
         }
     }
@@ -1698,164 +1549,6 @@ mod tests {
         assert!(!off.uses_kdtree());
         // Both backends return the same neighbours.
         assert_eq!(on.self_query_batch(4, 1), off.self_query_batch(4, 1));
-    }
-
-    /// Mixed-precision gemm config with the KD-tree disabled so every
-    /// sweep runs the brute norm-trick path.
-    fn mixed_cfg() -> KernelConfig {
-        KernelConfig {
-            kdtree_crossover_dim: 0,
-            precision: Precision::Mixed,
-            ..KernelConfig::default().with_backend(DistanceBackend::Gemm)
-        }
-    }
-
-    #[test]
-    fn mixed_pairwise_within_bound_and_thread_deterministic() {
-        let a = random_matrix(43, 9, 81);
-        let b = random_matrix(27, 9, 82);
-        let exact = pairwise_distances_backend(
-            &a,
-            &b,
-            DistanceMetric::Euclidean,
-            DistanceBackend::Naive,
-            1,
-            None,
-        )
-        .unwrap();
-        let base = pairwise_distances_with(&a, &b, DistanceMetric::Euclidean, mixed_cfg(), 1, None)
-            .unwrap();
-        for i in 0..a.nrows() {
-            let na = crate::matrix::norm_sq(a.row(i)).sqrt();
-            for j in 0..b.nrows() {
-                let nb = crate::matrix::norm_sq(b.row(j)).sqrt();
-                let bound = crate::gemm::mixed_distance_error_bound(na, nb);
-                let (got, want) = (base.get(i, j), exact.get(i, j));
-                assert!(
-                    (got - want).abs() <= bound,
-                    "mixed {got} vs exact {want} beyond bound {bound} at ({i},{j})"
-                );
-            }
-        }
-        for threads in [2usize, 5] {
-            let par = pairwise_distances_with(
-                &a,
-                &b,
-                DistanceMetric::Euclidean,
-                mixed_cfg(),
-                threads,
-                None,
-            )
-            .unwrap();
-            assert_eq!(par.as_slice(), base.as_slice(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn mixed_non_euclidean_ignores_precision() {
-        let a = random_matrix(14, 5, 83);
-        let mixed =
-            pairwise_distances_with(&a, &a, DistanceMetric::Manhattan, mixed_cfg(), 1, None)
-                .unwrap();
-        let naive = pairwise_distances_backend(
-            &a,
-            &a,
-            DistanceMetric::Manhattan,
-            DistanceBackend::Naive,
-            1,
-            None,
-        )
-        .unwrap();
-        assert_eq!(mixed.as_slice(), naive.as_slice());
-    }
-
-    #[test]
-    fn mixed_symmetric_has_exact_zero_diagonal() {
-        let a = random_matrix(21, 6, 84);
-        let d =
-            pairwise_distances_symmetric_with(&a, DistanceMetric::Euclidean, mixed_cfg(), 1, None);
-        for i in 0..a.nrows() {
-            assert_eq!(d.get(i, i), 0.0, "diagonal at {i}");
-            for j in 0..a.nrows() {
-                assert_eq!(d.get(i, j).to_bits(), d.get(j, i).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_batch_fast_path_matches_per_row_queries() {
-        // The batched mixed tiles and the single-query mixed dot must
-        // agree bitwise — the same consistency contract the f64 gemm
-        // path has, across the KNN tile boundaries.
-        let train = random_matrix(KNN_T_TILE + 41, 6, 85);
-        let queries = random_matrix(KNN_Q_TILE + 9, 6, 86);
-        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, mixed_cfg()).unwrap();
-        assert!(!idx.uses_kdtree());
-        let batch = idx.query_batch(&queries, 7).unwrap();
-        for (i, nn) in batch.iter().enumerate() {
-            assert_eq!(nn, &idx.query(queries.row(i), 7), "row {i}");
-        }
-        for threads in [2usize, 4] {
-            let par = idx.query_batch_parallel(&queries, 7, threads).unwrap();
-            assert_eq!(par, batch, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn mixed_self_query_batch_matches_query_excluding() {
-        let train = random_matrix(90, 8, 87);
-        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, mixed_cfg()).unwrap();
-        let expected: Vec<Vec<Neighbor>> = (0..train.nrows())
-            .map(|i| idx.query_excluding(train.row(i), 5, i))
-            .collect();
-        for threads in [1usize, 3] {
-            assert_eq!(
-                idx.self_query_batch(5, threads),
-                expected,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn mixed_neighbor_sets_mostly_match_f64() {
-        // The quality contract: f32 storage may flip near-ties, but the
-        // overwhelming majority of neighbour sets must survive.
-        let train = random_matrix(400, 12, 88);
-        let f64_idx = KnnIndex::build_with(
-            &train,
-            DistanceMetric::Euclidean,
-            KernelConfig {
-                kdtree_crossover_dim: 0,
-                ..KernelConfig::default().with_backend(DistanceBackend::Gemm)
-            },
-        )
-        .unwrap();
-        let mixed_idx =
-            KnnIndex::build_with(&train, DistanceMetric::Euclidean, mixed_cfg()).unwrap();
-        let k = 10;
-        let exact = f64_idx.self_query_batch(k, 1);
-        let approx = mixed_idx.self_query_batch(k, 1);
-        let mut agree = 0usize;
-        let mut total = 0usize;
-        for (e, a) in exact.iter().zip(&approx) {
-            let es: std::collections::HashSet<usize> = e.iter().map(|n| n.index).collect();
-            agree += a.iter().filter(|n| es.contains(&n.index)).count();
-            total += e.len();
-        }
-        let frac = agree as f64 / total as f64;
-        assert!(frac >= 0.99, "neighbour agreement too low: {frac}");
-    }
-
-    #[test]
-    fn mixed_counters_tag_invocations() {
-        let train = random_matrix(60, 6, 89);
-        let idx = KnnIndex::build_with(&train, DistanceMetric::Euclidean, mixed_cfg()).unwrap();
-        idx.self_query_batch(3, 1);
-        let c = idx.kernel_counters();
-        assert!(c.gemm_tiles > 0);
-        assert_eq!(c.mixed_invocations, 1);
-        assert_eq!(c.simd_invocations + c.scalar_invocations, 1);
     }
 
     #[test]

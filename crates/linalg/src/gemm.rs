@@ -21,10 +21,6 @@
 //!   AVX2 lane (runtime feature detection) or the always-available scalar
 //!   lane. Selected once per kernel invocation and recorded in
 //!   [`KernelStats`] so traces show which hardware path produced a run.
-//! * [`Precision`] — opt-in mixed-precision mode for the distance paths:
-//!   f32 packed storage with f64 accumulation, halving panel memory
-//!   traffic in exchange for a documented error bound
-//!   ([`mixed_distance_error_bound`]).
 //! * [`KernelStats`] — packed-panel / GEMM-tile / fallback / lane
 //!   counters the observability layer exports so traces attribute time
 //!   to the kernels.
@@ -39,19 +35,12 @@
 //! **bit-identical across thread counts and tile boundaries** — the
 //! invariant the determinism system tests pin down.
 //!
-//! The SIMD lanes preserve the same contract *across lanes*:
-//!
-//! * In f64 mode the AVX2 lane uses separate multiply and add
-//!   instructions (never FMA — fusing would skip the intermediate
-//!   rounding the scalar lane performs) with the identical ascending-`k`
-//!   order per element, so the SIMD and scalar lanes are **bitwise
-//!   identical** and lane selection is invisible in the output.
-//! * In mixed mode both lanes widen each f32 operand to f64 before
-//!   multiplying. The widening is exact and the product of two
-//!   f32-representable values fits in an f64 mantissa (24 + 24 ≤ 53
-//!   bits), so the multiply is exact and a fused multiply-add rounds
-//!   exactly like multiply-then-add: the AVX2 mixed lane may use FMA and
-//!   still match the scalar mixed lane **bitwise**.
+//! The SIMD lanes preserve the same contract *across lanes*: the AVX2
+//! lane uses separate multiply and add instructions (never FMA — fusing
+//! would skip the intermediate rounding the scalar lane performs) with
+//! the identical ascending-`k` order per element, so the SIMD and scalar
+//! lanes are **bitwise identical** and lane selection is invisible in the
+//! output.
 
 use crate::hnsw::NeighborBackend;
 use crate::{Error, Matrix, Result};
@@ -168,8 +157,8 @@ impl std::fmt::Display for DistanceBackend {
 /// `SUOD_SIMD_LANE` environment variable (`scalar` | `avx2`), then
 /// runtime CPU feature detection. Requesting `avx2` on a host without
 /// AVX2+FMA silently degrades to `Scalar` — the scalar lane is the
-/// always-available fallback, and in f64 mode the two lanes are bitwise
-/// identical anyway (see the [module docs](self)).
+/// always-available fallback, and the two lanes are bitwise identical
+/// anyway (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLane {
     /// Portable scalar micro-kernel (the pre-SIMD reference). Always
@@ -177,9 +166,8 @@ pub enum SimdLane {
     /// build target, but its arithmetic order is fixed.
     Scalar,
     /// Explicit AVX2 micro-kernel (`std::arch` intrinsics, 4 × f64 per
-    /// vector). Requires AVX2 and FMA at runtime; FMA is only *used* by
-    /// the mixed-precision kernel, where it is exact (see the
-    /// [module docs](self)).
+    /// vector). Selected only on hosts with AVX2 and FMA (the `avx2+fma`
+    /// flag the bench reports print); the kernel itself never fuses.
     Avx2,
 }
 
@@ -269,101 +257,12 @@ impl std::fmt::Display for SimdLane {
     }
 }
 
-/// Numeric precision of the packed distance kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// f64 packed storage, f64 accumulation — the exact mode. Scores are
-    /// bit-identical to the pre-SIMD kernels at any thread count and on
-    /// either lane. The default.
-    #[default]
-    F64,
-    /// f32 packed storage, f64 accumulation. Panels shrink 2x (more of
-    /// the training matrix stays cache-resident) and the AVX2 lane can
-    /// use FMA exactly. Distances are computed between the f32-rounded
-    /// rows, so they differ from the f64 reference by at most
-    /// [`mixed_distance_error_bound`]; opt in when that bound is
-    /// acceptable (standardized data, detection-quality workloads).
-    Mixed,
-}
-
-impl Precision {
-    /// Stable config/CLI name (`f64` | `mixed`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::F64 => "f64",
-            Precision::Mixed => "mixed",
-        }
-    }
-
-    /// Parses a stable name back into a precision.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] for unknown names.
-    pub fn parse(name: &str) -> Result<Self> {
-        match name {
-            "f64" => Ok(Precision::F64),
-            "mixed" => Ok(Precision::Mixed),
-            other => Err(Error::InvalidParameter(format!(
-                "unknown precision `{other}` (expected f64|mixed)"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for Precision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Unit roundoff of IEEE-754 binary32: `2^-24`. Rounding a normal-range
-/// f64 value `v` to f32 perturbs it by at most `F32_UNIT_ROUNDOFF * |v|`.
-pub const F32_UNIT_ROUNDOFF: f64 = 5.960_464_477_539_063e-8;
-
-/// Guaranteed error bound of a [`Precision::Mixed`] Euclidean distance
-/// against the exact f64 distance, given the L2 norms of the two rows.
-///
-/// # Derivation
-///
-/// The mixed kernel computes the distance **between the f32-rounded
-/// rows** `fl(x)`, `fl(y)` (norms, Gram entries, and single-query dot
-/// products are all taken over the rounded values — see
-/// [`dot_mixed`](self)), with all accumulation in f64. Rounding each
-/// coordinate perturbs it by at most `u·|x_k|` (`u = 2^-24`) in the
-/// normal f32 range, so `‖fl(x) − x‖ ≤ u·‖x‖`, and the triangle
-/// inequality gives
-///
-/// ```text
-/// |d(fl(x), fl(y)) − d(x, y)| ≤ u·(‖x‖ + ‖y‖)
-/// ```
-///
-/// The remaining f64 accumulation error is `O(d · 2^-53 · ‖x‖·‖y‖)` —
-/// orders of magnitude below the f32 term for any realistic `d` — and
-/// the norm-trick cancellation near `d ≈ 0` only *shrinks* the computed
-/// value toward the clamp at zero. A 4x safety factor absorbs both, and
-/// an absolute floor of `1e-40` covers coordinates in the f32 subnormal
-/// range (where rounding error is bounded by `2^-149` absolutely, not
-/// relatively) and f64 values below `~1.4e-45` that flush to zero in
-/// f32.
-///
-/// **Out of contract:** coordinates with magnitude above `f32::MAX`
-/// (~3.4e38) overflow to infinity in mixed mode. Standardize or scale
-/// such data, or stay on [`Precision::F64`].
-pub fn mixed_distance_error_bound(norm_a: f64, norm_b: f64) -> f64 {
-    4.0 * F32_UNIT_ROUNDOFF * (norm_a + norm_b) + 1e-40
-}
-
 /// Kernel tuning threaded from the estimator config down to every
 /// [`KnnIndex`](crate::distance::KnnIndex) and pairwise-distance call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Distance/GEMM backend for brute-force paths.
     pub backend: DistanceBackend,
-    /// Numeric precision of the packed distance kernels (f64 exact or
-    /// f32-storage mixed). Only the [`DistanceBackend::Gemm`] distance
-    /// paths honour `Mixed`; the bit-identical backends always run f64.
-    pub precision: Precision,
     /// Maximum dimensionality at which the KD-tree backend engages
     /// (replaces the old hardcoded `d <= 15`); see
     /// [`DEFAULT_KDTREE_CROSSOVER_DIM`] for how the default was derived.
@@ -383,7 +282,6 @@ impl Default for KernelConfig {
     fn default() -> Self {
         Self {
             backend: DistanceBackend::default(),
-            precision: Precision::default(),
             kdtree_crossover_dim: DEFAULT_KDTREE_CROSSOVER_DIM,
             kdtree_min_rows: DEFAULT_KDTREE_MIN_ROWS,
             neighbor: NeighborBackend::Exact,
@@ -395,12 +293,6 @@ impl KernelConfig {
     /// Returns the config with the distance/GEMM backend replaced.
     pub fn with_backend(mut self, backend: DistanceBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Returns the config with the packed-kernel precision replaced.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -433,9 +325,9 @@ impl KernelConfig {
 /// Monotonic kernel-work counters (thread-safe, shared by reference).
 ///
 /// The shape-derived counts (`packed_panels`, `gemm_tiles`,
-/// `fallback_hits`, `mixed_invocations`) are **deterministic**: they are
-/// derived from matrix shapes, the fixed panel/tile geometry, and the
-/// configured precision, so a given sequence of kernel calls produces
+/// `fallback_hits`) are **deterministic**: they are derived from matrix
+/// shapes and the fixed panel/tile geometry, so a given sequence of kernel
+/// calls produces
 /// the same counts at every thread count. The lane counts
 /// (`simd_invocations` / `scalar_invocations`) record which micro-kernel
 /// lane [`SimdLane::detect`] picked and are therefore **host-dependent**
@@ -449,7 +341,6 @@ pub struct KernelStats {
     fallback_hits: AtomicU64,
     simd_invocations: AtomicU64,
     scalar_invocations: AtomicU64,
-    mixed_invocations: AtomicU64,
     ann_queries: AtomicU64,
     ann_fallback_hits: AtomicU64,
 }
@@ -468,7 +359,6 @@ impl KernelStats {
             fallback_hits: self.fallback_hits.load(Ordering::Relaxed),
             simd_invocations: self.simd_invocations.load(Ordering::Relaxed),
             scalar_invocations: self.scalar_invocations.load(Ordering::Relaxed),
-            mixed_invocations: self.mixed_invocations.load(Ordering::Relaxed),
             ann_queries: self.ann_queries.load(Ordering::Relaxed),
             ann_fallback_hits: self.ann_fallback_hits.load(Ordering::Relaxed),
         }
@@ -477,14 +367,8 @@ impl KernelStats {
     /// Records one GEMM invocation over an `a_rows x b_rows` output:
     /// `ceil(a_rows/MR) + ceil(b_rows/NR)` logical packed panels,
     /// `ceil(a_rows/MR) * ceil(b_rows/NR)` micro-kernel tiles, and the
-    /// lane/precision the invocation ran with.
-    pub(crate) fn record_gemm(
-        &self,
-        a_rows: usize,
-        b_rows: usize,
-        lane: SimdLane,
-        precision: Precision,
-    ) {
+    /// lane the invocation ran on.
+    pub(crate) fn record_gemm(&self, a_rows: usize, b_rows: usize, lane: SimdLane) {
         let ap = a_rows.div_ceil(MR) as u64;
         let bp = b_rows.div_ceil(NR) as u64;
         self.packed_panels.fetch_add(ap + bp, Ordering::Relaxed);
@@ -493,9 +377,6 @@ impl KernelStats {
             SimdLane::Avx2 => self.simd_invocations.fetch_add(1, Ordering::Relaxed),
             SimdLane::Scalar => self.scalar_invocations.fetch_add(1, Ordering::Relaxed),
         };
-        if precision == Precision::Mixed {
-            self.mixed_invocations.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Records one request the selected backend could not serve (e.g. a
@@ -533,9 +414,6 @@ pub struct KernelCounters {
     /// Kernel invocations that ran on the scalar fallback lane
     /// (host-dependent; see [`KernelStats`]).
     pub scalar_invocations: u64,
-    /// Kernel invocations that ran in mixed precision (config-derived,
-    /// deterministic).
-    pub mixed_invocations: u64,
     /// Queries answered by the approximate HNSW graph (request-derived,
     /// deterministic).
     pub ann_queries: u64,
@@ -558,9 +436,6 @@ impl KernelCounters {
             scalar_invocations: self
                 .scalar_invocations
                 .saturating_sub(earlier.scalar_invocations),
-            mixed_invocations: self
-                .mixed_invocations
-                .saturating_sub(earlier.mixed_invocations),
             ann_queries: self.ann_queries.saturating_sub(earlier.ann_queries),
             ann_fallback_hits: self
                 .ann_fallback_hits
@@ -575,63 +450,25 @@ impl KernelCounters {
 /// `panel[k*width + r]` — the micro-kernel streams it with unit stride.
 /// Short trailing panels are zero-padded, so every panel has the same
 /// byte length and the kernel never branches on edges along the packed
-/// axis. Generic over the storage element: `f64` for the exact path,
-/// `f32` for [`Precision::Mixed`] (identical layout, half the bytes).
-pub(crate) struct Panels<T> {
-    data: Vec<T>,
+/// axis.
+pub(crate) struct PackedPanels {
+    data: Vec<f64>,
     n_rows: usize,
     d: usize,
     width: usize,
 }
 
-/// The exact-path panels (f64 storage).
-pub(crate) type PackedPanels = Panels<f64>;
-/// Mixed-precision panels: each element is the source value rounded to
-/// f32. The micro-kernel widens back to f64 before accumulating.
-pub(crate) type PackedPanelsF32 = Panels<f32>;
-
-impl<T: Copy + Default> Panels<T> {
-    /// Packs the rows in `range` into `width`-wide panels, converting
-    /// each element through `conv`.
-    fn from_row_range_with(
-        m: &Matrix,
-        range: Range<usize>,
-        width: usize,
-        conv: impl Fn(f64) -> T,
-    ) -> Self {
-        let n_rows = range.len();
-        let d = m.ncols();
-        let n_panels = n_rows.div_ceil(width.max(1)).max(usize::from(n_rows > 0));
-        let mut data = vec![T::default(); n_panels * d * width];
-        for (local, src) in range.enumerate() {
-            let panel = local / width;
-            let lane = local % width;
-            let row = m.row(src);
-            let base = panel * d * width;
-            for (k, &v) in row.iter().enumerate() {
-                data[base + k * width + lane] = conv(v);
-            }
-        }
-        Self {
-            data,
-            n_rows,
-            d,
-            width,
-        }
-    }
-
+impl PackedPanels {
     /// Number of packed entities (rows or columns).
     pub(crate) fn len(&self) -> usize {
         self.n_rows
     }
 
-    fn panel(&self, p: usize) -> &[T] {
+    fn panel(&self, p: usize) -> &[f64] {
         let stride = self.d * self.width;
         &self.data[p * stride..(p + 1) * stride]
     }
-}
 
-impl PackedPanels {
     /// Packs every row of `m` (used for [`gram`]: `B`'s rows are `Bᵀ`'s
     /// columns).
     pub(crate) fn from_rows(m: &Matrix) -> Self {
@@ -640,7 +477,25 @@ impl PackedPanels {
 
     /// Packs the rows in `range` into `width`-wide panels.
     pub(crate) fn from_row_range(m: &Matrix, range: Range<usize>, width: usize) -> Self {
-        Self::from_row_range_with(m, range, width, |v| v)
+        let n_rows = range.len();
+        let d = m.ncols();
+        let n_panels = n_rows.div_ceil(width.max(1)).max(usize::from(n_rows > 0));
+        let mut data = vec![0.0; n_panels * d * width];
+        for (local, src) in range.enumerate() {
+            let panel = local / width;
+            let lane = local % width;
+            let row = m.row(src);
+            let base = panel * d * width;
+            for (k, &v) in row.iter().enumerate() {
+                data[base + k * width + lane] = v;
+            }
+        }
+        Self {
+            data,
+            n_rows,
+            d,
+            width,
+        }
     }
 
     /// Packs the *columns* of `m` (used for [`matmul_packed`], where the
@@ -668,18 +523,6 @@ impl PackedPanels {
     }
 }
 
-impl PackedPanelsF32 {
-    /// Packs every row of `m`, rounding each element to f32.
-    pub(crate) fn from_rows(m: &Matrix) -> Self {
-        Self::from_row_range(m, 0..m.nrows(), NR)
-    }
-
-    /// Packs the rows in `range` into `width`-wide f32 panels.
-    pub(crate) fn from_row_range(m: &Matrix, range: Range<usize>, width: usize) -> Self {
-        Self::from_row_range_with(m, range, width, |v| v as f32)
-    }
-}
-
 /// The 4x8 register-blocked inner kernel: `acc[i][j] += Σ_k a[k][i] *
 /// b[k][j]` with `k` strictly ascending and one accumulator per output
 /// element (the determinism contract). `chunks_exact` hands the
@@ -692,24 +535,6 @@ fn microkernel(apanel: &[f64], bpanel: &[f64], acc: &mut [f64; MR * NR]) {
             let ai = a[i];
             for j in 0..NR {
                 acc[i * NR + j] += ai * b[j];
-            }
-        }
-    }
-}
-
-/// Scalar lane of the mixed-precision micro-kernel: f32 panels widened
-/// to f64 per element, accumulated in f64 with the same ascending-`k`,
-/// one-accumulator-per-element order as [`microkernel`]. The widening is
-/// exact and each product of two widened f32s is exactly representable
-/// in f64, so this lane and the AVX2 FMA lane agree bitwise (see the
-/// [module docs](self)).
-#[inline]
-fn microkernel_mixed(apanel: &[f32], bpanel: &[f32], acc: &mut [f64; MR * NR]) {
-    for (a, b) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
-        for i in 0..MR {
-            let ai = f64::from(a[i]);
-            for j in 0..NR {
-                acc[i * NR + j] += ai * f64::from(b[j]);
             }
         }
     }
@@ -774,61 +599,6 @@ mod x86 {
         _mm256_storeu_pd(acc.as_mut_ptr().add(3 * NR), acc3l);
         _mm256_storeu_pd(acc.as_mut_ptr().add(3 * NR + 4), acc3h);
     }
-
-    /// AVX2+FMA lane of the mixed-precision micro-kernel: f32 panels
-    /// widened lane-wise (`cvtps_pd`, exact) and accumulated with
-    /// `fmadd`. The product of two widened f32s is exact in f64, so the
-    /// fused rounding equals multiply-then-add and this lane matches the
-    /// scalar mixed lane bitwise.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and FMA (guaranteed when
-    /// [`super::SimdLane::detect`] returned `Avx2`).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn microkernel_mixed(
-        apanel: &[f32],
-        bpanel: &[f32],
-        acc: &mut [f64; MR * NR],
-    ) {
-        debug_assert_eq!(MR, 4);
-        debug_assert_eq!(NR, 8);
-        let mut acc0l = _mm256_loadu_pd(acc.as_ptr());
-        let mut acc0h = _mm256_loadu_pd(acc.as_ptr().add(4));
-        let mut acc1l = _mm256_loadu_pd(acc.as_ptr().add(NR));
-        let mut acc1h = _mm256_loadu_pd(acc.as_ptr().add(NR + 4));
-        let mut acc2l = _mm256_loadu_pd(acc.as_ptr().add(2 * NR));
-        let mut acc2h = _mm256_loadu_pd(acc.as_ptr().add(2 * NR + 4));
-        let mut acc3l = _mm256_loadu_pd(acc.as_ptr().add(3 * NR));
-        let mut acc3h = _mm256_loadu_pd(acc.as_ptr().add(3 * NR + 4));
-        let depth = apanel.len() / MR;
-        debug_assert_eq!(bpanel.len(), depth * NR);
-        for k in 0..depth {
-            let bl = _mm256_cvtps_pd(_mm_loadu_ps(bpanel.as_ptr().add(k * NR)));
-            let bh = _mm256_cvtps_pd(_mm_loadu_ps(bpanel.as_ptr().add(k * NR + 4)));
-            let a = apanel.as_ptr().add(k * MR);
-            let a0 = _mm256_set1_pd(f64::from(*a));
-            acc0l = _mm256_fmadd_pd(a0, bl, acc0l);
-            acc0h = _mm256_fmadd_pd(a0, bh, acc0h);
-            let a1 = _mm256_set1_pd(f64::from(*a.add(1)));
-            acc1l = _mm256_fmadd_pd(a1, bl, acc1l);
-            acc1h = _mm256_fmadd_pd(a1, bh, acc1h);
-            let a2 = _mm256_set1_pd(f64::from(*a.add(2)));
-            acc2l = _mm256_fmadd_pd(a2, bl, acc2l);
-            acc2h = _mm256_fmadd_pd(a2, bh, acc2h);
-            let a3 = _mm256_set1_pd(f64::from(*a.add(3)));
-            acc3l = _mm256_fmadd_pd(a3, bl, acc3l);
-            acc3h = _mm256_fmadd_pd(a3, bh, acc3h);
-        }
-        _mm256_storeu_pd(acc.as_mut_ptr(), acc0l);
-        _mm256_storeu_pd(acc.as_mut_ptr().add(4), acc0h);
-        _mm256_storeu_pd(acc.as_mut_ptr().add(NR), acc1l);
-        _mm256_storeu_pd(acc.as_mut_ptr().add(NR + 4), acc1h);
-        _mm256_storeu_pd(acc.as_mut_ptr().add(2 * NR), acc2l);
-        _mm256_storeu_pd(acc.as_mut_ptr().add(2 * NR + 4), acc2h);
-        _mm256_storeu_pd(acc.as_mut_ptr().add(3 * NR), acc3l);
-        _mm256_storeu_pd(acc.as_mut_ptr().add(3 * NR + 4), acc3h);
-    }
 }
 
 /// Euclidean distance from cached squared norms and a Gram entry:
@@ -849,13 +619,13 @@ pub(crate) fn dist_from_gram(na: f64, nb: f64, g: f64) -> f64 {
 /// block loops change only *when* a tile is computed (B blocks stay
 /// L2-resident across an A block), never the per-element reduction —
 /// results are bitwise independent of the blocking. Generic over the
-/// panel element type (f64 exact / f32 mixed) and the micro-kernel lane.
+/// micro-kernel lane.
 #[inline]
-fn gram_blocks<T: Copy + Default>(
-    apanels: &Panels<T>,
-    packed: &Panels<T>,
+fn gram_blocks(
+    apanels: &PackedPanels,
+    packed: &PackedPanels,
     a_start: usize,
-    kernel: impl Fn(&[T], &[T], &mut [f64; MR * NR]),
+    kernel: impl Fn(&[f64], &[f64], &mut [f64; MR * NR]),
     out: &mut [f64],
     mut finish: impl FnMut(usize, usize, f64) -> f64,
 ) {
@@ -887,9 +657,9 @@ fn gram_blocks<T: Copy + Default>(
     }
 }
 
-/// f64 panel sweep on the selected lane. Lane dispatch happens once per
-/// call (one branch), not per tile; either lane produces identical bits
-/// in f64 mode, so the choice only affects speed.
+/// Panel sweep on the selected lane. Lane dispatch happens once per call
+/// (one branch), not per tile; either lane produces identical bits, so
+/// the choice only affects speed.
 #[inline]
 fn gram_rows_apply(
     a: &Matrix,
@@ -923,55 +693,6 @@ fn gram_rows_apply(
     }
 }
 
-/// Mixed-precision panel sweep: `a`'s rows are packed (and rounded) to
-/// f32 panels to match the pre-packed f32 `B` panels.
-#[inline]
-fn gram_rows_apply_mixed(
-    a: &Matrix,
-    a_range: Range<usize>,
-    packed: &PackedPanelsF32,
-    lane: SimdLane,
-    out: &mut [f64],
-    finish: impl FnMut(usize, usize, f64) -> f64,
-) {
-    debug_assert_eq!(a.ncols(), packed.d);
-    debug_assert_eq!(out.len(), a_range.len() * packed.len());
-    if a_range.is_empty() || packed.len() == 0 {
-        return;
-    }
-    let apanels = PackedPanelsF32::from_row_range(a, a_range.clone(), MR);
-    match lane {
-        #[cfg(target_arch = "x86_64")]
-        SimdLane::Avx2 => gram_blocks(
-            &apanels,
-            packed,
-            a_range.start,
-            // SAFETY: `Avx2` is only selected when runtime detection
-            // confirmed AVX2 and FMA support.
-            |ap, bp, acc| unsafe { x86::microkernel_mixed(ap, bp, acc) },
-            out,
-            finish,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLane::Avx2 => gram_blocks(
-            &apanels,
-            packed,
-            a_range.start,
-            microkernel_mixed,
-            out,
-            finish,
-        ),
-        SimdLane::Scalar => gram_blocks(
-            &apanels,
-            packed,
-            a_range.start,
-            microkernel_mixed,
-            out,
-            finish,
-        ),
-    }
-}
-
 /// Computes `out[r][c] = a_row(a_range.start + r) · packed[c]` for every
 /// packed entity `c`, writing into the row-major `out` slice
 /// (`a_range.len() * packed.len()` elements).
@@ -983,18 +704,6 @@ pub(crate) fn gram_rows_into(
     out: &mut [f64],
 ) {
     gram_rows_apply(a, a_range, packed, lane, out, |_, _, g| g);
-}
-
-/// Mixed-precision [`gram_rows_into`]: dot products of the f32-rounded
-/// rows, accumulated in f64.
-pub(crate) fn gram_rows_into_mixed(
-    a: &Matrix,
-    a_range: Range<usize>,
-    packed: &PackedPanelsF32,
-    lane: SimdLane,
-    out: &mut [f64],
-) {
-    gram_rows_apply_mixed(a, a_range, packed, lane, out, |_, _, g| g);
 }
 
 /// [`gram_rows_into`] with the norm-trick epilogue fused into the tile
@@ -1013,25 +722,6 @@ pub(crate) fn gram_rows_dist_into(
     out: &mut [f64],
 ) {
     gram_rows_apply(a, a_range, packed, lane, out, |i, j, g| {
-        dist_from_gram(na[i], nb[j], g)
-    });
-}
-
-/// Mixed-precision [`gram_rows_dist_into`]. `na`/`nb` must be the
-/// **f32-rounded** squared norms ([`row_sq_norms_mixed`]) so that every
-/// term of the norm trick refers to the same rounded rows — that is what
-/// makes self-distances exactly zero and keeps the batched path bitwise
-/// consistent with the single-query mixed path.
-pub(crate) fn gram_rows_dist_into_mixed(
-    a: &Matrix,
-    a_range: Range<usize>,
-    packed: &PackedPanelsF32,
-    lane: SimdLane,
-    na: &[f64],
-    nb: &[f64],
-    out: &mut [f64],
-) {
-    gram_rows_apply_mixed(a, a_range, packed, lane, out, |i, j, g| {
         dist_from_gram(na[i], nb[j], g)
     });
 }
@@ -1060,7 +750,7 @@ pub fn gram(
     }
     let lane = SimdLane::detect();
     if let Some(s) = stats {
-        s.record_gemm(a.nrows(), b.nrows(), lane, Precision::F64);
+        s.record_gemm(a.nrows(), b.nrows(), lane);
     }
     let packed = PackedPanels::from_rows(b);
     let mut out = Matrix::zeros(a.nrows(), b.nrows());
@@ -1097,7 +787,7 @@ pub fn matmul_packed(
     }
     let lane = SimdLane::detect();
     if let Some(s) = stats {
-        s.record_gemm(a.nrows(), b.ncols(), lane, Precision::F64);
+        s.record_gemm(a.nrows(), b.ncols(), lane);
     }
     let packed = PackedPanels::from_cols(b);
     let mut out = Matrix::zeros(a.nrows(), b.ncols());
@@ -1112,35 +802,6 @@ pub fn matmul_packed(
 /// norm trick).
 pub fn row_sq_norms(m: &Matrix) -> Vec<f64> {
     m.rows_iter().map(crate::matrix::norm_sq).collect()
-}
-
-/// Mixed-precision dot product: both operands rounded to f32, widened
-/// back to f64, and accumulated in f64 over ascending `k` with a single
-/// accumulator — exactly the arithmetic the mixed micro-kernel performs
-/// per output element, so the single-query path agrees bitwise with the
-/// batched tiles.
-#[inline]
-pub(crate) fn dot_mixed(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0.0f64;
-    for (&x, &y) in a.iter().zip(b) {
-        acc += f64::from(x as f32) * f64::from(y as f32);
-    }
-    acc
-}
-
-/// Mixed-precision squared norm: [`dot_mixed`] of a row with itself —
-/// the `‖x‖²` term every mixed norm-trick path must use so that
-/// self-distances cancel to exactly zero.
-#[inline]
-pub(crate) fn norm_sq_mixed(a: &[f64]) -> f64 {
-    dot_mixed(a, a)
-}
-
-/// [`row_sq_norms`] over the f32-rounded rows (the cached `‖x‖²` terms
-/// of the mixed-precision norm trick).
-pub fn row_sq_norms_mixed(m: &Matrix) -> Vec<f64> {
-    m.rows_iter().map(norm_sq_mixed).collect()
 }
 
 #[cfg(test)]
@@ -1283,7 +944,6 @@ mod tests {
             assert_eq!(c.gemm_tiles, 3);
             assert_eq!(c.fallback_hits, 0);
             assert_eq!(c.simd_invocations + c.scalar_invocations, 1);
-            assert_eq!(c.mixed_invocations, 0);
         }
     }
 
@@ -1291,7 +951,7 @@ mod tests {
     fn counters_since_computes_delta() {
         let s = KernelStats::new();
         let before = s.snapshot();
-        s.record_gemm(8, 8, SimdLane::Avx2, Precision::Mixed);
+        s.record_gemm(8, 8, SimdLane::Avx2);
         s.record_fallback();
         let delta = s.snapshot().since(&before);
         // ceil(8/4)=2 a-panels + ceil(8/8)=1 b-panel; 2*1 tiles.
@@ -1300,19 +960,14 @@ mod tests {
         assert_eq!(delta.fallback_hits, 1);
         assert_eq!(delta.simd_invocations, 1);
         assert_eq!(delta.scalar_invocations, 0);
-        assert_eq!(delta.mixed_invocations, 1);
     }
 
     #[test]
-    fn lane_and_precision_names_round_trip() {
+    fn lane_names_round_trip() {
         for lane in [SimdLane::Scalar, SimdLane::Avx2] {
             assert_eq!(SimdLane::parse(lane.name()).unwrap(), lane);
         }
         assert!(SimdLane::parse("neon").is_err());
-        for p in [Precision::F64, Precision::Mixed] {
-            assert_eq!(Precision::parse(p.name()).unwrap(), p);
-        }
-        assert!(Precision::parse("f16").is_err());
     }
 
     #[test]
@@ -1327,11 +982,10 @@ mod tests {
         assert_eq!(SimdLane::detect(), SimdLane::supported());
     }
 
-    /// Adversarial inputs for the lane-equivalence property tests:
-    /// denormals (f64 subnormals that flush to zero in f32), extreme
-    /// ±1e±6 scaling, exactly colinear rows, and duplicate rows — the
-    /// inputs where reassociation or rounding differences would surface
-    /// first.
+    /// Adversarial inputs for the lane-equivalence test: denormals,
+    /// extreme ±1e±6 scaling, exactly colinear rows, and duplicate rows —
+    /// the inputs where reassociation or rounding differences would
+    /// surface first.
     fn adversarial_matrices() -> Vec<(Matrix, Matrix)> {
         let mut cases = Vec::new();
         // Denormals and tiny magnitudes mixed with ordinary values.
@@ -1405,30 +1059,33 @@ mod tests {
         }
     }
 
+    /// The lanes this host can run.
+    fn host_lanes() -> Vec<SimdLane> {
+        let mut lanes = vec![SimdLane::Scalar];
+        if SimdLane::supported() == SimdLane::Avx2 {
+            lanes.push(SimdLane::Avx2);
+        }
+        lanes
+    }
+
     #[test]
-    fn mixed_lanes_agree_bitwise_and_match_dot_mixed() {
+    fn fused_distance_epilogue_matches_gram_then_norm_trick() {
         let mut cases = adversarial_matrices();
-        cases.push((random_matrix(29, 11, 9), random_matrix(17, 11, 10)));
+        cases.push((random_matrix(29, 11, 17), random_matrix(NR * 2 + 3, 11, 18)));
         for (a, b) in &cases {
-            if a.ncols() != b.ncols() {
-                continue;
-            }
-            let packed = PackedPanelsF32::from_rows(b);
-            let mut scalar = vec![0.0; a.nrows() * b.nrows()];
-            gram_rows_into_mixed(a, 0..a.nrows(), &packed, SimdLane::Scalar, &mut scalar);
-            if SimdLane::supported() == SimdLane::Avx2 {
-                let mut simd = vec![0.0; a.nrows() * b.nrows()];
-                gram_rows_into_mixed(a, 0..a.nrows(), &packed, SimdLane::Avx2, &mut simd);
-                assert_eq!(scalar, simd, "mixed lanes diverged");
-            }
-            // FMA-exactness argument checked in practice: the tile value
-            // must equal the scalar mixed dot bit for bit.
-            for i in 0..a.nrows() {
-                for j in 0..b.nrows() {
+            let packed = PackedPanels::from_rows(b);
+            let (na, nb) = (row_sq_norms(a), row_sq_norms(b));
+            for lane in host_lanes() {
+                let mut g = vec![0.0; a.nrows() * b.nrows()];
+                gram_rows_into(a, 0..a.nrows(), &packed, lane, &mut g);
+                let mut fused = vec![0.0; a.nrows() * b.nrows()];
+                gram_rows_dist_into(a, 0..a.nrows(), &packed, lane, &na, &nb, &mut fused);
+                for (k, (&d, &gk)) in fused.iter().zip(&g).enumerate() {
+                    let (i, j) = (k / b.nrows(), k % b.nrows());
                     assert_eq!(
-                        scalar[i * b.nrows() + j],
-                        dot_mixed(a.row(i), b.row(j)),
-                        "mixed gram != dot_mixed at ({i},{j})"
+                        d.to_bits(),
+                        dist_from_gram(na[i], nb[j], gk).to_bits(),
+                        "{lane} ({i},{j})"
                     );
                 }
             }
@@ -1436,64 +1093,54 @@ mod tests {
     }
 
     #[test]
-    fn mixed_distances_stay_within_documented_bound() {
-        let mut cases = adversarial_matrices();
-        cases.push((random_matrix(41, 13, 11), random_matrix(19, 13, 12)));
-        for (a, b) in &cases {
-            if a.ncols() != b.ncols() {
-                continue;
-            }
-            let na = row_sq_norms_mixed(a);
-            let nb = row_sq_norms_mixed(b);
-            let packed = PackedPanelsF32::from_rows(b);
-            let mut dist = vec![0.0; a.nrows() * b.nrows()];
-            gram_rows_dist_into_mixed(
-                a,
-                0..a.nrows(),
-                &packed,
-                SimdLane::detect(),
-                &na,
-                &nb,
-                &mut dist,
-            );
-            for i in 0..a.nrows() {
-                for j in 0..b.nrows() {
-                    let exact =
-                        crate::distance::DistanceMetric::Euclidean.distance(a.row(i), b.row(j));
-                    let bound = mixed_distance_error_bound(
-                        crate::matrix::norm_sq(a.row(i)).sqrt(),
-                        crate::matrix::norm_sq(b.row(j)).sqrt(),
-                    );
-                    let got = dist[i * b.nrows() + j];
-                    assert!(
-                        (got - exact).abs() <= bound,
-                        "mixed distance {got} vs exact {exact} exceeds bound {bound} at ({i},{j})"
-                    );
+    fn self_distance_is_exactly_zero_on_every_lane() {
+        // A row's Gram diagonal is its cached norm bit for bit, so
+        // `n + n - 2n` cancels to exactly zero — duplicates, colinear
+        // rows, denormals and ±1e6 scaling included.
+        let mut cases: Vec<Matrix> = adversarial_matrices().into_iter().map(|(a, _)| a).collect();
+        cases.push(random_matrix(MR * 3 + 1, 9, 19));
+        for a in &cases {
+            let packed = PackedPanels::from_rows(a);
+            let n = row_sq_norms(a);
+            for lane in host_lanes() {
+                let mut d = vec![f64::NAN; a.nrows() * a.nrows()];
+                gram_rows_dist_into(a, 0..a.nrows(), &packed, lane, &n, &n, &mut d);
+                for i in 0..a.nrows() {
+                    assert_eq!(d[i * a.nrows() + i].to_bits(), 0, "{lane} row {i}");
                 }
+                assert!(d.iter().all(|v| *v >= 0.0), "{lane}");
             }
         }
     }
 
     #[test]
-    fn mixed_self_distance_is_exactly_zero() {
-        let (a, _) = adversarial_matrices().remove(2);
-        let na = row_sq_norms_mixed(&a);
-        let packed = PackedPanelsF32::from_rows(&a);
-        let mut dist = vec![0.0; a.nrows() * a.nrows()];
-        gram_rows_dist_into_mixed(
-            &a,
-            0..a.nrows(),
-            &packed,
-            SimdLane::detect(),
-            &na,
-            &na,
-            &mut dist,
-        );
+    fn dist_from_gram_clamps_cancellation_to_zero() {
+        // 1 + 1 - 2(1 + eps) is slightly negative: clamped, never NaN.
+        assert_eq!(dist_from_gram(1.0, 1.0, 1.0 + f64::EPSILON).to_bits(), 0);
+        // (0,0)-(3,4): 0 + 25 - 0.
+        assert_eq!(dist_from_gram(0.0, 25.0, 0.0), 5.0);
+        // (1,0)-(0,1): 1 + 1 - 0.
+        assert_eq!(dist_from_gram(1.0, 1.0, 0.0), 2f64.sqrt());
+    }
+
+    #[test]
+    fn gram_bit_identical_across_cache_block_edges() {
+        // Enough rows on both sides to cross the A- and B-block panel
+        // counts, with ragged trailing panels: the block loops reorder
+        // tiles, never a per-element reduction.
+        let a = random_matrix(GRAM_A_BLOCK_PANELS * MR + MR + 1, 3, 20);
+        let b = random_matrix(GRAM_B_BLOCK_PANELS * NR + 5, 3, 21);
+        let base = gram(&a, &b, 1, None).unwrap();
         for i in 0..a.nrows() {
-            assert_eq!(dist[i * a.nrows() + i], 0.0, "self-distance at row {i}");
+            for j in 0..b.nrows() {
+                assert_eq!(
+                    base.get(i, j).to_bits(),
+                    crate::matrix::dot(a.row(i), b.row(j)).to_bits(),
+                    "({i},{j})"
+                );
+            }
         }
-        // Duplicate rows (0, 1, 4 are identical) must also be exactly 0.
-        assert_eq!(dist[1], 0.0);
-        assert_eq!(dist[4], 0.0);
+        let par = gram(&a, &b, 3, None).unwrap();
+        assert_eq!(par.as_slice(), base.as_slice());
     }
 }

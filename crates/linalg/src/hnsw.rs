@@ -38,10 +38,8 @@
 //!
 //! Distance evaluations go through the norm trick
 //! (`d^2 = ‖x‖^2 + ‖y‖^2 - 2x·y`) over cached row norms with the same
-//! `dot` / `dot_mixed` kernels as the single-query GEMM path in
-//! [`KnnIndex::query`](crate::distance::KnnIndex::query), so the
-//! [`Precision`] contract (f32 storage rounding in mixed mode) carries
-//! over unchanged.
+//! `dot` kernel as the single-query GEMM path in
+//! [`KnnIndex::query`](crate::distance::KnnIndex::query).
 //!
 //! # Exactness fallback
 //!
@@ -53,7 +51,6 @@
 //! — mirroring how the gemm backend falls back on non-Euclidean metrics.
 
 use crate::distance::Neighbor;
-use crate::gemm::Precision;
 use crate::matrix::Matrix;
 use crate::snapshot::{corrupt, SnapshotReader, SnapshotWriter};
 use crate::{Error, Result};
@@ -209,36 +206,22 @@ impl PartialOrd for Cand {
 }
 
 /// Borrowed distance context: the training matrix plus its cached row
-/// norms, evaluated through the norm trick with the precision-matched
-/// dot kernel (the exact same code path as single-query GEMM lookups).
+/// norms, evaluated through the norm trick with the scalar dot kernel
+/// (the exact same code path as single-query GEMM lookups).
 pub(crate) struct DistCtx<'a> {
     train: &'a Matrix,
     norms: &'a [f64],
-    mixed: bool,
 }
 
 impl<'a> DistCtx<'a> {
-    pub(crate) fn new(train: &'a Matrix, norms: &'a [f64], precision: Precision) -> Self {
-        Self {
-            train,
-            norms,
-            mixed: precision == Precision::Mixed,
-        }
-    }
-
-    #[inline]
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-        if self.mixed {
-            crate::gemm::dot_mixed(a, b)
-        } else {
-            crate::matrix::dot(a, b)
-        }
+    pub(crate) fn new(train: &'a Matrix, norms: &'a [f64]) -> Self {
+        Self { train, norms }
     }
 
     /// Distance between training rows `i` and `j`.
     #[inline]
     fn dist(&self, i: u32, j: u32) -> f64 {
-        let g = self.dot(self.train.row(i as usize), self.train.row(j as usize));
+        let g = crate::matrix::dot(self.train.row(i as usize), self.train.row(j as usize));
         crate::gemm::dist_from_gram(self.norms[i as usize], self.norms[j as usize], g)
     }
 
@@ -246,17 +229,8 @@ impl<'a> DistCtx<'a> {
     /// `nq`) to training row `j`.
     #[inline]
     fn dist_q(&self, q: &[f64], nq: f64, j: u32) -> f64 {
-        let g = self.dot(q, self.train.row(j as usize));
+        let g = crate::matrix::dot(q, self.train.row(j as usize));
         crate::gemm::dist_from_gram(nq, self.norms[j as usize], g)
-    }
-
-    /// Squared norm of an external query under the context's precision.
-    pub(crate) fn query_norm(&self, q: &[f64]) -> f64 {
-        if self.mixed {
-            crate::gemm::norm_sq_mixed(q)
-        } else {
-            crate::matrix::norm_sq(q)
-        }
     }
 }
 
@@ -569,7 +543,7 @@ impl GraphBuilder {
 
 impl HnswGraph {
     /// Builds the graph over the rows of `train` (Euclidean metric,
-    /// `norms[i] = ‖row_i‖²` under the configured precision).
+    /// `norms[i] = ‖row_i‖²`).
     ///
     /// Batched frozen-graph construction: each batch's candidate
     /// searches run read-only against the pre-batch graph (chunked over
@@ -580,13 +554,12 @@ impl HnswGraph {
     pub(crate) fn build(
         train: &Matrix,
         norms: &[f64],
-        precision: Precision,
         params: HnswParams,
         n_threads: usize,
     ) -> Self {
         let n = train.nrows();
         assert!(n > 0, "HnswGraph::build requires rows");
-        let ctx = DistCtx::new(train, norms, precision);
+        let ctx = DistCtx::new(train, norms);
         let (params, levels) = seeded(params, n);
         let mut graph = GraphBuilder {
             params,
@@ -757,7 +730,7 @@ impl HnswGraph {
         k: usize,
         ef: usize,
     ) -> Vec<Neighbor> {
-        let nq = ctx.query_norm(query);
+        let nq = crate::matrix::norm_sq(query);
         let mut ep = Cand {
             dist: ctx.dist_q(query, nq, self.entry),
             idx: self.entry,
@@ -868,7 +841,7 @@ mod tests {
 
     fn build(x: &Matrix, params: HnswParams, threads: usize) -> HnswGraph {
         let norms = row_sq_norms(x);
-        HnswGraph::build(x, &norms, Precision::F64, params, threads)
+        HnswGraph::build(x, &norms, params, threads)
     }
 
     #[test]
@@ -913,7 +886,7 @@ mod tests {
             ..HnswParams::default()
         };
         let g = build(&x, params, 1);
-        let ctx = DistCtx::new(&x, &norms, Precision::F64);
+        let ctx = DistCtx::new(&x, &norms);
         let k = 10;
         let mut matched = 0usize;
         let mut total = 0usize;

@@ -19,9 +19,8 @@
 //! * [`gemm`] — packed, register-blocked GEMM micro-kernels with an
 //!   explicit AVX2 lane ([`SimdLane`], runtime-detected, scalar
 //!   fallback), the [`DistanceBackend`] selector (naive | blocked |
-//!   gemm) behind the brute-force distance paths, the opt-in
-//!   mixed-precision mode ([`Precision`]: f32 packed storage, f64
-//!   accumulation), the configurable KD-tree crossover
+//!   gemm) behind the brute-force distance paths, the configurable
+//!   KD-tree crossover
 //!   ([`KernelConfig`]), and the kernel-work counters ([`KernelStats`]).
 //! * [`kdtree`] — exact KD-tree used by [`distance::KnnIndex`] on
 //!   low-dimensional data.
@@ -30,7 +29,7 @@
 //! * [`rank`] — argsort, average-tie ranking and top-k selection used by
 //!   the metrics crate and the BPS scheduler.
 //! * [`parallel`] — scoped-thread row-block helpers behind the
-//!   data-parallel kernels ([`pairwise_distances_parallel`],
+//!   data-parallel kernels ([`pairwise_distances_with`],
 //!   [`Matrix::matmul_blocked`], [`KnnIndex::query_batch_parallel`]).
 //!   Every kernel takes an explicit thread count and produces
 //!   bit-identical results for every value of it.
@@ -72,18 +71,12 @@ pub mod rank;
 pub mod snapshot;
 pub mod stats;
 
-pub use distance::{
-    pairwise_distances, pairwise_distances_backend, pairwise_distances_parallel,
-    pairwise_distances_symmetric, pairwise_distances_symmetric_backend,
-    pairwise_distances_symmetric_parallel, pairwise_distances_symmetric_with,
-    pairwise_distances_with, DistanceMetric, KnnIndex, Neighbor,
-};
+pub use distance::{pairwise_distances_with, DistanceMetric, KnnIndex, Neighbor};
 pub use eigen::{symmetric_eigen, EigenDecomposition};
 pub use forest::{FlatNode, Forest};
 pub use gemm::{
-    gram, matmul_packed, mixed_distance_error_bound, row_sq_norms, row_sq_norms_mixed,
-    set_simd_lane_override, DistanceBackend, KernelConfig, KernelCounters, KernelStats, Precision,
-    SimdLane, DEFAULT_KDTREE_CROSSOVER_DIM, DEFAULT_KDTREE_MIN_ROWS, F32_UNIT_ROUNDOFF,
+    gram, matmul_packed, row_sq_norms, set_simd_lane_override, DistanceBackend, KernelConfig,
+    KernelCounters, KernelStats, SimdLane, DEFAULT_KDTREE_CROSSOVER_DIM, DEFAULT_KDTREE_MIN_ROWS,
 };
 pub use hnsw::{
     HnswGraph, HnswParams, NeighborBackend, DEFAULT_EF_CONSTRUCTION, DEFAULT_EF_SEARCH,

@@ -510,9 +510,9 @@ impl NeighborCache {
 
 /// Reports a [`KernelCounters`] snapshot to an observer as
 /// [`Counter::PackedPanel`]/[`Counter::GemmTile`]/[`Counter::KernelFallback`]
-/// events, plus the lane/precision tags
-/// ([`Counter::SimdKernel`]/[`Counter::ScalarKernel`]/
-/// [`Counter::MixedKernel`]); zero counts are skipped. Shared by the
+/// events, plus the lane tags
+/// ([`Counter::SimdKernel`]/[`Counter::ScalarKernel`]); zero counts are
+/// skipped. Shared by the
 /// cache's graph builds and the standalone fit path in `suod-detectors`,
 /// so pooled and standalone kernel telemetry reconcile.
 pub fn emit_kernel_counters(observer: &dyn Observer, counters: KernelCounters) {
@@ -530,9 +530,6 @@ pub fn emit_kernel_counters(observer: &dyn Observer, counters: KernelCounters) {
     }
     if counters.scalar_invocations > 0 {
         observer.counter(Counter::ScalarKernel, counters.scalar_invocations);
-    }
-    if counters.mixed_invocations > 0 {
-        observer.counter(Counter::MixedKernel, counters.mixed_invocations);
     }
     if counters.ann_queries > 0 {
         observer.counter(Counter::AnnQuery, counters.ann_queries);

@@ -36,11 +36,14 @@
 //! neighbour-index record; a version-1 index record carries none and its
 //! graph is rebuilt at load. `KnnIndex::snapshot_read_parts` is the one
 //! reader that looks at the version.
+//!
+//! A [`KernelConfig`] record still carries the precision byte it had when
+//! a mixed f32-storage mode existed. This build writes it as `0` (f64),
+//! so files keep their bytes, and refuses `1` (the retired mixed mode):
+//! loading such a pool as f64 would change its scores without a word.
 
 use crate::hnsw::{HnswParams, NeighborBackend};
-use crate::{
-    DistanceBackend, DistanceMetric, Error, KernelConfig, KnnIndex, Matrix, Precision, Result,
-};
+use crate::{DistanceBackend, DistanceMetric, Error, KernelConfig, KnnIndex, Matrix, Result};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -184,10 +187,8 @@ impl SnapshotWriter {
             DistanceBackend::Blocked => 1,
             DistanceBackend::Gemm => 2,
         });
-        self.write_u8(match config.precision {
-            Precision::F64 => 0,
-            Precision::Mixed => 1,
-        });
+        // The precision byte: always f64 (see the module docs).
+        self.write_u8(0);
         self.write_usize(config.kdtree_crossover_dim);
         self.write_usize(config.kdtree_min_rows);
         match config.neighbor {
@@ -207,6 +208,11 @@ impl SnapshotWriter {
 pub(crate) fn corrupt(what: &str) -> Error {
     Error::InvalidParameter(format!("snapshot: {what}"))
 }
+
+/// Why a kernel config with precision tag `1` does not load.
+const RETIRED_MIXED_PRECISION: &str = "kernel config uses the retired mixed-precision \
+     (f32 storage) mode; this build computes f64 distances only and will not score the \
+     pool with different distances than it was fitted with";
 
 /// Neighbour indexes decoded so far during one snapshot load, shared by
 /// a reader and the readers nested from it.
@@ -403,11 +409,11 @@ impl<'a> SnapshotReader<'a> {
             2 => DistanceBackend::Gemm,
             other => return Err(corrupt(&format!("unknown backend tag {other}"))),
         };
-        let precision = match self.read_u8()? {
-            0 => Precision::F64,
-            1 => Precision::Mixed,
+        match self.read_u8()? {
+            0 => {}
+            1 => return Err(corrupt(RETIRED_MIXED_PRECISION)),
             other => return Err(corrupt(&format!("unknown precision tag {other}"))),
-        };
+        }
         let kdtree_crossover_dim = self.read_usize()?;
         let kdtree_min_rows = self.read_usize()?;
         let neighbor = match self.read_u8()? {
@@ -423,7 +429,6 @@ impl<'a> SnapshotReader<'a> {
         };
         Ok(KernelConfig {
             backend,
-            precision,
             kdtree_crossover_dim,
             kdtree_min_rows,
             neighbor,
@@ -498,7 +503,6 @@ mod tests {
             KernelConfig::default(),
             KernelConfig {
                 backend: DistanceBackend::Gemm,
-                precision: Precision::Mixed,
                 kdtree_crossover_dim: 7,
                 kdtree_min_rows: 10,
                 neighbor: NeighborBackend::Hnsw(HnswParams::default().with_ef_search(99)),
@@ -512,6 +516,107 @@ mod tests {
                 .unwrap();
             assert_eq!(got, config);
         }
+    }
+
+    #[test]
+    fn retired_precision_tag_is_refused_not_read_as_f64() {
+        let config = KernelConfig::default().with_backend(DistanceBackend::Gemm);
+        let mut w = SnapshotWriter::new();
+        w.write_kernel_config(&config);
+        let mut bytes = w.into_bytes();
+        // Byte 0 is the backend tag, byte 1 the precision tag.
+        assert_eq!(bytes[1], 0, "this build writes f64");
+        bytes[1] = 1;
+        let err = SnapshotReader::new(&bytes)
+            .read_kernel_config()
+            .unwrap_err();
+        let Error::InvalidParameter(msg) = err else {
+            panic!("expected InvalidParameter, got {err:?}");
+        };
+        assert!(msg.starts_with("snapshot: "), "{msg}");
+        assert!(msg.contains("retired mixed-precision"), "{msg}");
+    }
+
+    #[test]
+    fn retired_precision_tag_is_refused_at_every_format_version() {
+        // Mixed-precision records could only come from older files; the
+        // refusal must not depend on which format version reads them.
+        for neighbor in [
+            NeighborBackend::Exact,
+            NeighborBackend::Hnsw(HnswParams::default()),
+        ] {
+            let config = KernelConfig::default().with_neighbor(neighbor);
+            let mut w = SnapshotWriter::new();
+            w.write_kernel_config(&config);
+            let mut bytes = w.into_bytes();
+            bytes[1] = 1;
+            for version in OLDEST_SNAPSHOT_VERSION..=SNAPSHOT_VERSION {
+                let err = SnapshotReader::with_version(&bytes, version)
+                    .read_kernel_config()
+                    .unwrap_err();
+                assert!(
+                    err.to_string().contains("retired mixed-precision"),
+                    "v{version}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_precision_tags_are_corrupt_not_retired() {
+        let mut w = SnapshotWriter::new();
+        w.write_kernel_config(&KernelConfig::default());
+        let clean = w.into_bytes();
+        for tag in [2u8, 7, 255] {
+            let mut bytes = clean.clone();
+            bytes[1] = tag;
+            let err = SnapshotReader::new(&bytes)
+                .read_kernel_config()
+                .unwrap_err();
+            let Error::InvalidParameter(msg) = err else {
+                panic!("tag {tag}: expected InvalidParameter, got {err:?}");
+            };
+            assert!(
+                msg.contains(&format!("unknown precision tag {tag}")),
+                "{msg}"
+            );
+            assert!(!msg.contains("retired"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn kernel_config_record_layout_is_pinned() {
+        // backend u8 | precision u8 (always 0) | crossover u64 |
+        // min rows u64 | neighbour u8 [| m, ef_c, ef_s, seed, min_rows].
+        let config = KernelConfig {
+            backend: DistanceBackend::Gemm,
+            kdtree_crossover_dim: 7,
+            kdtree_min_rows: 10,
+            neighbor: NeighborBackend::Exact,
+        };
+        let mut w = SnapshotWriter::new();
+        w.write_kernel_config(&config);
+        let mut want = vec![2u8, 0];
+        want.extend_from_slice(&7u64.to_le_bytes());
+        want.extend_from_slice(&10u64.to_le_bytes());
+        want.push(0);
+        assert_eq!(w.as_bytes(), want.as_slice());
+
+        let params = HnswParams::default();
+        let mut w = SnapshotWriter::new();
+        w.write_kernel_config(&config.with_neighbor(NeighborBackend::Hnsw(params)));
+        want.pop();
+        want.push(1);
+        for v in [
+            params.m as u64,
+            params.ef_construction as u64,
+            params.ef_search as u64,
+            params.seed,
+            params.min_rows as u64,
+        ] {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(w.as_bytes(), want.as_slice());
     }
 
     #[test]

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use suod_linalg::rank::{argsort, average_ranks, ordinal_ranks};
 use suod_linalg::stats::{zscore_in_place, Standardizer};
 use suod_linalg::{
-    pairwise_distances, pairwise_distances_backend, symmetric_eigen, DistanceBackend,
-    DistanceMetric, KernelConfig, KnnIndex, Matrix,
+    pairwise_distances_with, set_simd_lane_override, symmetric_eigen, DistanceBackend,
+    DistanceMetric, KernelConfig, KnnIndex, Matrix, SimdLane,
 };
 
 fn small_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -32,6 +32,59 @@ fn matmul_pair(max_dim: usize) -> impl Strategy<Value = (Matrix, Matrix)> {
 }
 
 /// Sorted neighbour index set of one result row.
+/// [`pairwise_distances_with`] on `backend` at `threads`, no counters.
+fn pairwise(
+    a: &Matrix,
+    b: &Matrix,
+    metric: DistanceMetric,
+    backend: DistanceBackend,
+    threads: usize,
+) -> Matrix {
+    let config = KernelConfig::default().with_backend(backend);
+    pairwise_distances_with(a, b, metric, config, threads, None).expect("widths agree")
+}
+
+/// Every f64 bit pattern of a matrix.
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// GEMM distances carry the same bits at 1, 2 and 8 threads and on
+/// either micro-kernel lane, over shapes that end mid-panel (`MR` = 4
+/// rows, `NR` = 8 columns) and mid-cache-block (256 `a` rows, 1024 `b`
+/// rows). The lane is forced process-wide, so this is an ordinary test
+/// rather than a property (nothing else in this binary forces a lane).
+#[test]
+fn gemm_distances_bit_identical_across_threads_tiles_and_lanes() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut random = |rows: usize, cols: usize| {
+        let data = (0..rows * cols)
+            .map(|_| rng.random_range(-2.0..2.0))
+            .collect();
+        Matrix::from_vec(rows, cols, data).expect("sized")
+    };
+    let euclid = DistanceMetric::Euclidean;
+    for (na, nb, d) in [(1, 1, 1), (5, 9, 3), (33, 17, 7), (261, 1029, 5)] {
+        let (a, b) = (random(na, d), random(nb, d));
+        set_simd_lane_override(Some(SimdLane::Scalar));
+        let reference = bits(&pairwise(&a, &b, euclid, DistanceBackend::Gemm, 1));
+        for lane in [SimdLane::Scalar, SimdLane::Avx2] {
+            set_simd_lane_override(Some(lane));
+            for threads in [1usize, 2, 8] {
+                let got = pairwise(&a, &b, euclid, DistanceBackend::Gemm, threads);
+                assert_eq!(
+                    bits(&got),
+                    reference,
+                    "{na}x{nb}x{d} lane={lane} threads={threads}"
+                );
+            }
+        }
+        set_simd_lane_override(None);
+    }
+}
+
 fn index_set(nn: &[suod_linalg::distance::Neighbor]) -> Vec<usize> {
     let mut ids: Vec<usize> = nn.iter().map(|n| n.index).collect();
     ids.sort_unstable();
@@ -69,7 +122,7 @@ proptest! {
     #[test]
     fn distances_symmetric_nonneg(m in small_matrix(6)) {
         for metric in [DistanceMetric::Euclidean, DistanceMetric::Manhattan, DistanceMetric::Minkowski(3.0)] {
-            let d = pairwise_distances(&m, &m, metric).unwrap();
+            let d = pairwise(&m, &m, metric, DistanceBackend::Blocked, 1);
             for i in 0..m.nrows() {
                 prop_assert!(d.get(i, i).abs() < 1e-9);
                 for j in 0..m.nrows() {
@@ -252,11 +305,9 @@ proptest! {
     #[test]
     fn blocked_distances_bit_identical_to_naive(m in small_matrix(8)) {
         for metric in [DistanceMetric::Euclidean, DistanceMetric::Manhattan] {
-            let naive = pairwise_distances_backend(
-                &m, &m, metric, DistanceBackend::Naive, 1, None).unwrap();
+            let naive = pairwise(&m, &m, metric, DistanceBackend::Naive, 1);
             for t in [1usize, 3] {
-                let blocked = pairwise_distances_backend(
-                    &m, &m, metric, DistanceBackend::Blocked, t, None).unwrap();
+                let blocked = pairwise(&m, &m, metric, DistanceBackend::Blocked, t);
                 prop_assert_eq!(blocked.as_slice(), naive.as_slice());
             }
         }
@@ -267,16 +318,13 @@ proptest! {
         // Compare squared distances: the norm trick's error is relative
         // to the norms (`||x||^2 + ||y||^2`), not to the distance itself,
         // which for near-duplicate rows can be arbitrarily smaller.
-        let naive = pairwise_distances_backend(
-            &m, &m, DistanceMetric::Euclidean, DistanceBackend::Naive, 1, None).unwrap();
+        let naive = pairwise(&m, &m, DistanceMetric::Euclidean, DistanceBackend::Naive, 1);
         let norms: Vec<f64> = (0..m.nrows())
             .map(|i| m.row(i).iter().map(|v| v * v).sum())
             .collect();
-        let g1 = pairwise_distances_backend(
-            &m, &m, DistanceMetric::Euclidean, DistanceBackend::Gemm, 1, None).unwrap();
+        let g1 = pairwise(&m, &m, DistanceMetric::Euclidean, DistanceBackend::Gemm, 1);
         for t in [2usize, 5] {
-            let gt = pairwise_distances_backend(
-                &m, &m, DistanceMetric::Euclidean, DistanceBackend::Gemm, t, None).unwrap();
+            let gt = pairwise(&m, &m, DistanceMetric::Euclidean, DistanceBackend::Gemm, t);
             prop_assert_eq!(gt.as_slice(), g1.as_slice());
         }
         for i in 0..m.nrows() {
@@ -313,10 +361,8 @@ proptest! {
         rows.push(rows[0].clone());
         rows.push(rows[n / 2].clone());
         let m = Matrix::from_rows(&rows).unwrap();
-        let naive = pairwise_distances_backend(
-            &m, &m, DistanceMetric::Euclidean, DistanceBackend::Naive, 1, None).unwrap();
-        let gemm = pairwise_distances_backend(
-            &m, &m, DistanceMetric::Euclidean, DistanceBackend::Gemm, 1, None).unwrap();
+        let naive = pairwise(&m, &m, DistanceMetric::Euclidean, DistanceBackend::Naive, 1);
+        let gemm = pairwise(&m, &m, DistanceMetric::Euclidean, DistanceBackend::Gemm, 1);
         let norms: Vec<f64> = (0..m.nrows())
             .map(|i| m.row(i).iter().map(|v| v * v).sum())
             .collect();

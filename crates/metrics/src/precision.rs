@@ -1,9 +1,9 @@
-//! Precision at rank N and related top-k diagnostics.
+//! P@N (precision at rank N) and related top-k diagnostics.
 
 use crate::{check_lengths, Error, Result};
 use suod_linalg::rank::top_k_indices;
 
-/// Precision at rank `n` (P@N).
+/// P@N: the precision at rank `n`.
 ///
 /// The paper (Appendix A) evaluates P@N with `n` set to the actual number
 /// of outliers in the dataset, which is the default here (`n = None`).
@@ -49,7 +49,7 @@ pub fn precision_at_n(labels: &[i32], scores: &[f64], n: Option<usize>) -> Resul
     Ok(hits as f64 / k as f64)
 }
 
-/// Precision and recall among the top-`k` scored samples, returned as
+/// The precision and recall among the top-`k` scored samples, returned as
 /// `(precision, recall)`.
 ///
 /// # Errors

@@ -337,6 +337,19 @@ mod tests {
     }
 
     #[test]
+    fn retired_mixed_kernel_counter_is_a_schema_error() {
+        // Traces from builds that still had the mixed-precision kernel
+        // carry a `mixed_kernel` counter; it is refused by name rather
+        // than dropped, so no trace silently loses a column.
+        let old = r#"{"schema": "suod-trace/1", "spans": [], "counters": [
+            {"name": "mixed_kernel", "value": 3, "deterministic": true}
+        ], "histograms": []}"#;
+        let err = from_json(old).unwrap_err().0;
+        assert!(err.contains("unknown counter \"mixed_kernel\""), "{err}");
+        assert!(crate::COUNTERS.iter().all(|c| c.name() != "mixed_kernel"));
+    }
+
+    #[test]
     fn empty_trace_round_trips() {
         let trace = RecordingObserver::new().trace();
         assert_eq!(from_json(&to_json(&trace)).unwrap(), trace);

@@ -236,9 +236,6 @@ pub enum Counter {
     /// GEMM kernel invocations that ran on the scalar fallback lane.
     /// Host-dependent, like [`Counter::SimdKernel`].
     ScalarKernel,
-    /// GEMM kernel invocations that ran in mixed precision (f32 packed
-    /// storage, f64 accumulation). Config-derived and deterministic.
-    MixedKernel,
     /// kNN queries answered by the approximate HNSW graph (request-
     /// derived, thread-independent — the graph is identical at any
     /// worker count for a fixed seed).
@@ -316,7 +313,6 @@ pub const COUNTERS: &[Counter] = &[
     Counter::KernelFallback,
     Counter::SimdKernel,
     Counter::ScalarKernel,
-    Counter::MixedKernel,
     Counter::AnnQuery,
     Counter::AnnFallback,
     Counter::Admitted,
@@ -352,7 +348,6 @@ impl Counter {
             Counter::KernelFallback => "kernel_fallback",
             Counter::SimdKernel => "simd_kernel",
             Counter::ScalarKernel => "scalar_kernel",
-            Counter::MixedKernel => "mixed_kernel",
             Counter::AnnQuery => "ann_query",
             Counter::AnnFallback => "ann_fallback",
             Counter::Admitted => "admitted",

@@ -253,7 +253,12 @@ impl JlProjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use suod_linalg::DistanceMetric;
+    use suod_linalg::{pairwise_distances_with, DistanceMetric, KernelConfig};
+
+    fn euclidean_distances(m: &Matrix) -> Matrix {
+        let config = KernelConfig::default();
+        pairwise_distances_with(m, m, DistanceMetric::Euclidean, config, 1, None).unwrap()
+    }
 
     fn random_data(n: usize, d: usize, seed: u64) -> Matrix {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -276,12 +281,12 @@ mod tests {
         // With k close to d, pairwise distances survive within a loose
         // factor — the JL property the detectors rely on.
         let x = random_data(20, 60, 3);
-        let orig = suod_linalg::pairwise_distances(&x, &x, DistanceMetric::Euclidean).unwrap();
+        let orig = euclidean_distances(&x);
         for variant in JlVariant::all() {
             let mut p = JlProjector::new(variant, 40, 7).unwrap();
             p.fit(&x).unwrap();
             let z = p.transform(&x).unwrap();
-            let proj = suod_linalg::pairwise_distances(&z, &z, DistanceMetric::Euclidean).unwrap();
+            let proj = euclidean_distances(&z);
             let mut ratios = Vec::new();
             for i in 0..20 {
                 for j in (i + 1)..20 {

@@ -6,6 +6,13 @@ use suod_projection::{
     IdentityProjector, JlProjector, JlVariant, PcaProjector, Projector, RandomSelectProjector,
 };
 
+/// Euclidean self-distances of `m` through the one pairwise entry point.
+fn euclidean_distances(m: &Matrix) -> Matrix {
+    let config = suod_linalg::KernelConfig::default();
+    suod_linalg::pairwise_distances_with(m, m, DistanceMetric::Euclidean, config, 1, None)
+        .expect("same matrix")
+}
+
 fn data_matrix() -> impl Strategy<Value = Matrix> {
     (4usize..20, 4usize..24).prop_flat_map(|(n, d)| {
         proptest::collection::vec(-100.0f64..100.0, n * d)
@@ -83,7 +90,7 @@ proptest! {
             (0..32).map(|i| (i as f64 * 0.37).sin()).collect(),
             (0..32).map(|i| (i as f64 * 0.11).cos() * 3.0).collect(),
         ]).unwrap();
-        let orig = suod_linalg::pairwise_distances(&x, &x, DistanceMetric::Euclidean).unwrap();
+        let orig = euclidean_distances(&x);
         for variant in JlVariant::all() {
             let mut ratio_sum = 0.0;
             let mut count = 0.0;
@@ -91,7 +98,7 @@ proptest! {
                 let mut p = JlProjector::new(variant, 24, s).unwrap();
                 p.fit(&x).unwrap();
                 let z = p.transform(&x).unwrap();
-                let proj = suod_linalg::pairwise_distances(&z, &z, DistanceMetric::Euclidean).unwrap();
+                let proj = euclidean_distances(&z);
                 for i in 0..3 {
                     for j in (i + 1)..3 {
                         ratio_sum += proj.get(i, j) / orig.get(i, j);

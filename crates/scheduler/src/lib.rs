@@ -19,9 +19,7 @@
 //!   a trainable [`cost::ForestCostPredictor`] (random forest over
 //!   meta-features, validated by Spearman rank correlation as in §3.5).
 //! * [`assignment`] — generic / shuffled / BPS schedulers.
-//! * [`executor`] — a real thread-pool executor running one worker thread
-//!   per group.
-//! * [`work_stealing`] — a persistent pool whose per-worker deques are
+//! * [`work_stealing`] — the one real executor: a persistent pool whose per-worker deques are
 //!   seeded from the BPS placement; idle workers steal from the tail of
 //!   the most-loaded peer, and each run emits an
 //!   [`work_stealing::ExecutionReport`] (per-task wall time, per-worker
@@ -51,7 +49,6 @@
 
 pub mod assignment;
 pub mod cost;
-pub mod executor;
 pub mod meta;
 pub mod simulate;
 pub mod work_stealing;
@@ -61,7 +58,6 @@ pub use cost::{
     predict_batch_forecast, predict_chunk_costs, shared_query_costs, AnalyticCostModel, CostModel,
     DistillForest, ForestCostPredictor, TaskDescriptor,
 };
-pub use executor::ThreadPoolExecutor;
 pub use meta::DatasetMeta;
 pub use simulate::{simulate_makespan, SimulationResult};
 pub use work_stealing::{current_worker, ExecutionReport, TaskFailure, WorkStealingExecutor};

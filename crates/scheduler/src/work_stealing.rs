@@ -47,8 +47,7 @@
 //! a *prior* panic already being propagated — it must never cascade into
 //! unrelated batches.
 //!
-//! Unlike [`ThreadPoolExecutor`](crate::executor::ThreadPoolExecutor),
-//! the pool threads are **persistent**: one executor can serve many
+//! The pool threads are **persistent**: one executor can serve many
 //! `run` calls (e.g. a fit followed by thousands of predict batches)
 //! without respawning OS threads. Tasks must therefore be `'static`
 //! (move their inputs, e.g. via `Arc`).
@@ -634,9 +633,7 @@ impl WorkStealingExecutor {
     }
 
     /// Like [`run_with_report`](Self::run_with_report), discarding the
-    /// telemetry. Drop-in replacement for
-    /// [`ThreadPoolExecutor::run`](crate::executor::ThreadPoolExecutor::run)
-    /// for `'static` tasks.
+    /// telemetry.
     ///
     /// # Errors
     ///
@@ -746,6 +743,22 @@ mod tests {
         let a = generic_schedule(10, 3).unwrap();
         let out = pool.run(boxed_tasks(10), &a).unwrap();
         assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn works_with_bps_assignment() {
+        // BPS interleaves tasks across groups, so group order is not
+        // task order; results still come back in task order.
+        let costs: Vec<f64> = (1..=9).map(|i| i as f64).collect();
+        let a = bps_schedule(&costs, 3, 1.0).unwrap();
+        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0usize..9)
+            .map(|i| Box::new(move || i + 100) as _)
+            .collect();
+        let out = WorkStealingExecutor::new(3)
+            .unwrap()
+            .run(tasks, &a)
+            .unwrap();
+        assert_eq!(out, (100..109).collect::<Vec<_>>());
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub mod wire;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use lanes::{AdmissionLanes, LaneConfig, QuotaGuard};
-pub use net::{score_rows_text, serve_front, FrontConfig, FrontReport, WireClient};
+pub use net::{serve_front, FrontConfig, FrontReport, WireClient};
 pub use report::ServeReport;
 pub use service::{
     ModelFault, ReloadReport, ScoreOutcome, ScoreService, ScoredBatch, ServeConfig, SubmitError,

@@ -1,5 +1,5 @@
 //! The serving network front end: threaded accept, keep-alive
-//! connections, and the `suod-wire/1` + text protocols over TCP.
+//! connections, and the `suod-wire/1` protocol over TCP.
 //!
 //! PR 8/9 built a deterministic [`ScoreService`]; the network edge in
 //! front of it was still a single-threaded accept loop speaking a
@@ -26,10 +26,11 @@
 //!   [`AdmissionLanes`]; rejections are
 //!   answered `busy(quota)` / `busy(lane)` without touching the service
 //!   queue.
-//! * **Protocol auto-detection** — the first bytes of a connection pick
-//!   the path: the `b"SWIR"` magic enters the binary keep-alive loop,
-//!   anything else is served one text CSV request (the debug path,
-//!   same grammar the CLI spoke before this module existed).
+//! * **One protocol** — every connection is read as `suod-wire/1` frames
+//!   from its first byte. Anything else (a CSV line, another protocol)
+//!   fails framing and is answered with an in-band error frame, then
+//!   closed; nothing reaches the service without passing the quota and
+//!   lane gates.
 //!
 //! The front end is policy *around* the service, never inside it: batch
 //! composition, shedding, and quarantine remain pure functions of the
@@ -37,7 +38,7 @@
 //! determinism suites hold unchanged behind this edge.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -47,9 +48,7 @@ use suod_observe::{span, Counter, Observer, SpanAttrs, Stage};
 
 use crate::lanes::{AdmissionLanes, LaneConfig, QuotaGuard};
 use crate::service::{lock_ignore_poison, ScoreOutcome, ScoreService, SubmitError, Ticket};
-use crate::wire::{
-    read_request, write_response, BusyReason, Lane, WireError, WireResponse, WIRE_MAGIC,
-};
+use crate::wire::{read_request, write_response, BusyReason, Lane, WireError, WireResponse};
 use crate::{Error, Result};
 
 /// Knobs for the network front end.
@@ -66,8 +65,8 @@ pub struct FrontConfig {
     /// (or a fresh connection may wait before its first byte) before
     /// the server closes it.
     pub idle_timeout: Duration,
-    /// Budget for reads *inside* a frame or text request — a client
-    /// that stalls mid-payload is cut off long before `idle_timeout`.
+    /// Budget for reads *inside* a frame — a client that stalls
+    /// mid-payload is cut off long before `idle_timeout`.
     pub read_timeout: Duration,
     /// Budget for writing any response.
     pub write_timeout: Duration,
@@ -137,8 +136,6 @@ pub struct FrontReport {
     pub accept_retries: u64,
     /// Binary `suod-wire/1` requests decoded.
     pub wire_requests: u64,
-    /// Text-protocol (debug path) requests served.
-    pub text_requests: u64,
     /// Responses answered with scores.
     pub responses_ok: u64,
     /// Responses answered `busy` because the service queue was full.
@@ -158,14 +155,13 @@ impl std::fmt::Display for FrontReport {
         write!(
             f,
             "front: {} connections ({} rejected, {} idle-closed, {} accept retries), \
-             {} wire + {} text requests ({} ok, {} busy [queue {} / quota {} / lane {}], \
+             {} wire requests ({} ok, {} busy [queue {} / quota {} / lane {}], \
              {} shed, {} error)",
             self.conns_accepted,
             self.conns_rejected,
             self.conns_idle_closed,
             self.accept_retries,
             self.wire_requests,
-            self.text_requests,
             self.responses_ok,
             self.busy_queue + self.busy_quota + self.busy_lane,
             self.busy_queue,
@@ -185,7 +181,6 @@ struct FrontStats {
     conns_idle_closed: AtomicU64,
     accept_retries: AtomicU64,
     wire_requests: AtomicU64,
-    text_requests: AtomicU64,
     responses_ok: AtomicU64,
     busy_queue: AtomicU64,
     busy_quota: AtomicU64,
@@ -203,7 +198,6 @@ impl FrontStats {
             conns_idle_closed: get(&self.conns_idle_closed),
             accept_retries: get(&self.accept_retries),
             wire_requests: get(&self.wire_requests),
-            text_requests: get(&self.text_requests),
             responses_ok: get(&self.responses_ok),
             busy_queue: get(&self.busy_queue),
             busy_quota: get(&self.busy_quota),
@@ -378,7 +372,7 @@ enum PendingReply<'a> {
 }
 
 fn serve_connection(
-    stream: TcpStream,
+    mut stream: TcpStream,
     service: &ScoreService,
     config: &FrontConfig,
     lanes: &AdmissionLanes,
@@ -393,77 +387,18 @@ fn serve_connection(
         .peer_addr()
         .map(|a| a.ip().to_string())
         .unwrap_or_else(|_| "unknown".to_string());
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let reader = &mut BufReader::new(stream.try_clone()?);
+    let writer = &mut stream;
 
-    // Protocol sniff: the first bytes of the connection pick the path.
-    // The read runs under the idle timeout, so a client that connects
-    // and sends nothing is closed instead of pinning this worker
-    // forever.
-    writer.set_read_timeout(Some(config.idle_timeout))?;
-    let mut prefix = Vec::with_capacity(WIRE_MAGIC.len());
-    let mut byte = [0u8; 1];
-    while prefix.len() < WIRE_MAGIC.len() {
-        match reader.read(&mut byte) {
-            Ok(0) => break,
-            Ok(_) => prefix.push(byte[0]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                stats.conns_idle_closed.fetch_add(1, Ordering::Relaxed);
-                observer.counter(Counter::ConnIdleClosed, 1);
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if prefix.is_empty() {
-        return Ok(()); // connected and left; clean close
-    }
-    if prefix == WIRE_MAGIC {
-        serve_binary(
-            &mut reader,
-            &mut writer,
-            &client,
-            service,
-            config,
-            lanes,
-            observer,
-            stats,
-        )
-    } else {
-        serve_text_once(prefix, reader, &mut writer, service, stats)
-    }
-}
-
-/// The binary keep-alive loop: batches of pipelined frames in, in-order
-/// responses out, until the client hangs up or times out idle.
-#[allow(clippy::too_many_arguments)]
-fn serve_binary(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    client: &str,
-    service: &ScoreService,
-    config: &FrontConfig,
-    lanes: &AdmissionLanes,
-    observer: &Arc<dyn Observer>,
-    stats: &FrontStats,
-) -> io::Result<()> {
-    // The sniff consumed the first frame's magic; replay it in front of
-    // the stream for the first decode only.
-    let mut replay: &[u8] = WIRE_MAGIC;
-    let mut first = true;
-
+    // The keep-alive loop: batches of pipelined frames in, in-order
+    // responses out, until the client hangs up or times out idle.
     loop {
         // --- Read one batch of pipelined requests -------------------
-        // First frame of the batch: block under the idle timeout.
+        // First frame of the batch: block under the idle timeout, so a
+        // client that connects and sends nothing is closed instead of
+        // pinning this worker forever.
         writer.set_read_timeout(Some(config.idle_timeout))?;
-        let head = if first {
-            first = false;
-            read_request(&mut Read::chain(&mut replay, &mut *reader))
-        } else {
-            read_request(reader)
-        };
-        let head = match head {
+        let head = match read_request(reader) {
             Ok(Some(request)) => request,
             Ok(None) => return Ok(()), // clean keep-alive close
             Err(e) if e.is_timeout() => {
@@ -496,7 +431,7 @@ fn serve_binary(
             observer.counter(Counter::WireRequests, 1);
             let request_span = span(&**observer, Stage::WireRequest, SpanAttrs::none());
             let gate = lanes.admit(
-                client,
+                &client,
                 request.lane,
                 service.queue_depth(),
                 service.queue_capacity(),
@@ -599,108 +534,6 @@ fn count_response(stats: &FrontStats, response: &WireResponse) {
         WireResponse::Shed { .. } => stats.responses_shed.fetch_add(1, Ordering::Relaxed),
         WireResponse::Error { .. } => stats.responses_error.fetch_add(1, Ordering::Relaxed),
     };
-}
-
-/// The text CSV protocol, unchanged from the original CLI edge and kept
-/// as the human-debuggable path: comma-separated f64 rows, blank line
-/// (or EOF) to finish, one request per connection. `prefix` holds the
-/// bytes the protocol sniff consumed.
-///
-/// `f64` `Display` round-trips, so even this path is bit-exact — it
-/// just pays formatting, parsing, and a TCP handshake per request,
-/// which is exactly what `BENCH_wire.json` quantifies against the
-/// binary protocol.
-fn serve_text_once(
-    prefix: Vec<u8>,
-    reader: BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    service: &ScoreService,
-    stats: &FrontStats,
-) -> io::Result<()> {
-    stats.text_requests.fetch_add(1, Ordering::Relaxed);
-    let mut reader = BufReader::new(Read::chain(io::Cursor::new(prefix), reader));
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line.trim().is_empty() => break,
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => {
-                stats.conns_idle_closed.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-        let parsed: std::result::Result<Vec<f64>, _> = line
-            .trim()
-            .split(',')
-            .map(|cell| cell.trim().parse::<f64>())
-            .collect();
-        match parsed {
-            Ok(row) => rows.push(row),
-            Err(e) => {
-                stats.responses_error.fetch_add(1, Ordering::Relaxed);
-                writeln!(writer, "error cannot parse row {}: {e}", rows.len())?;
-                return Ok(());
-            }
-        }
-    }
-    let query = match suod_linalg::Matrix::from_rows(&rows) {
-        Ok(m) => m,
-        Err(e) => {
-            stats.responses_error.fetch_add(1, Ordering::Relaxed);
-            writeln!(writer, "error {e}")?;
-            return Ok(());
-        }
-    };
-    let ticket = match service.submit(query) {
-        Ok(t) => t,
-        Err(SubmitError::Busy { .. }) => {
-            stats.busy_queue.fetch_add(1, Ordering::Relaxed);
-            writeln!(writer, "busy")?;
-            return Ok(());
-        }
-        Err(e) => {
-            stats.responses_error.fetch_add(1, Ordering::Relaxed);
-            writeln!(writer, "error {e}")?;
-            return Ok(());
-        }
-    };
-    match ticket.wait() {
-        ScoreOutcome::Scored(batch) => {
-            stats.responses_ok.fetch_add(1, Ordering::Relaxed);
-            writeln!(writer, "ok {}", batch.combined.len())?;
-            for s in &batch.combined {
-                // f64 Display round-trips, so scores cross the wire
-                // bit-identically (just slowly).
-                writeln!(writer, "{s}")?;
-            }
-        }
-        ScoreOutcome::Shed {
-            waited_ms,
-            deadline_ms,
-        } => {
-            stats.responses_shed.fetch_add(1, Ordering::Relaxed);
-            writeln!(
-                writer,
-                "shed waited_ms={waited_ms} deadline_ms={deadline_ms}"
-            )?;
-        }
-        ScoreOutcome::Failed(msg) => {
-            stats.responses_error.fetch_add(1, Ordering::Relaxed);
-            writeln!(writer, "error {msg}")?;
-        }
-    }
-    writer.flush()
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -816,59 +649,6 @@ impl std::fmt::Debug for WireClient {
     }
 }
 
-/// Client side of the one-shot text protocol (debug path): sends `rows`
-/// as CSV lines over a fresh connection and parses the reply.
-///
-/// # Errors
-///
-/// Returns a message on connection failure, a `busy` / `shed` /
-/// `error` response, or a malformed reply.
-pub fn score_rows_text(addr: &str, rows: &[Vec<f64>]) -> std::result::Result<Vec<f64>, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone stream: {e}"))?;
-    let mut body = String::new();
-    for row in rows {
-        let cells: Vec<String> = row.iter().map(f64::to_string).collect();
-        body.push_str(&cells.join(","));
-        body.push('\n');
-    }
-    body.push('\n'); // blank-line terminator
-    writer
-        .write_all(body.as_bytes())
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("cannot send request: {e}"))?;
-
-    let mut reader = BufReader::new(stream);
-    let mut header = String::new();
-    reader
-        .read_line(&mut header)
-        .map_err(|e| format!("cannot read response: {e}"))?;
-    let header = header.trim();
-    let n: usize = match header.strip_prefix("ok ") {
-        Some(count) => count
-            .parse()
-            .map_err(|_| format!("malformed response header `{header}`"))?,
-        None => return Err(format!("server refused request: {header}")),
-    };
-    let mut scores = Vec::with_capacity(n);
-    let mut line = String::new();
-    for i in 0..n {
-        line.clear();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| format!("cannot read score {i}: {e}"))?;
-        scores.push(
-            line.trim()
-                .parse::<f64>()
-                .map_err(|_| format!("malformed score line `{}`", line.trim()))?,
-        );
-    }
-    Ok(scores)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -913,7 +693,6 @@ mod tests {
             conns_idle_closed: 1,
             accept_retries: 2,
             wire_requests: 10,
-            text_requests: 1,
             responses_ok: 8,
             busy_queue: 1,
             busy_quota: 1,
@@ -923,7 +702,7 @@ mod tests {
         };
         let line = report.to_string();
         assert!(line.contains("5 connections"), "{line}");
-        assert!(line.contains("10 wire + 1 text requests"), "{line}");
+        assert!(line.contains("10 wire requests"), "{line}");
         assert!(line.contains("busy [queue 1 / quota 1 / lane 1]"), "{line}");
     }
 

@@ -167,7 +167,7 @@ pub struct WireRequest {
 /// One framed response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireResponse {
-    /// Scores plus the batch-health summary the text protocol never had.
+    /// Scores plus the batch-health summary.
     Ok {
         /// Echoed request id.
         id: u64,
@@ -394,12 +394,15 @@ fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, u64, Vec<u8>)>, WireErro
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(WireError::Io(e)),
         }
-    }
-    if &header[..4] != WIRE_MAGIC {
-        return Err(WireError::Malformed(format!(
-            "bad magic {:02x?} (expected {WIRE_MAGIC:02x?})",
-            &header[..4]
-        )));
+        // Refuse a wrong magic as soon as its four bytes are in: a peer
+        // speaking another protocol (a CSV line, say) is answered without
+        // having to send a full header's worth of bytes first.
+        if filled >= 4 && &header[..4] != WIRE_MAGIC {
+            return Err(WireError::Malformed(format!(
+                "bad magic {:02x?} (expected {WIRE_MAGIC:02x?})",
+                &header[..4]
+            )));
+        }
     }
     if header[4] != WIRE_VERSION {
         return Err(WireError::Malformed(format!(
@@ -768,6 +771,66 @@ mod tests {
             read_request(&mut resp.as_slice()).unwrap_err(),
             WireError::Malformed(_)
         ));
+    }
+
+    /// Yields its bytes one per `read` call and panics if asked for more:
+    /// proves how far the decoder reads before it answers.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let (first, rest) = self
+                .bytes
+                .split_first()
+                .expect("decoder read past the bytes it needed");
+            buf[0] = *first;
+            self.bytes = rest;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn wrong_magic_is_refused_once_its_four_bytes_are_in() {
+        // A short CSV line is answered at its fourth byte; a live socket
+        // would otherwise block here waiting for the rest of a header.
+        let err = read_request(&mut Trickle { bytes: b"0.5," }).unwrap_err();
+        let WireError::Malformed(msg) = err else {
+            panic!("expected Malformed, got {err}");
+        };
+        assert!(msg.contains("bad magic"), "{msg}");
+        // A right magic keeps reading.
+        let mut frame = Vec::new();
+        write_request(
+            &mut frame,
+            &WireRequest {
+                id: 3,
+                lane: Lane::Normal,
+                deadline_ms: None,
+                rows: rows(1, 2),
+            },
+        )
+        .unwrap();
+        let decoded = read_request(&mut Trickle { bytes: &frame })
+            .unwrap()
+            .unwrap();
+        assert_eq!(decoded.id, 3);
+    }
+
+    #[test]
+    fn eof_inside_a_header_is_malformed_not_clean() {
+        assert!(read_request(&mut &b""[..]).unwrap().is_none());
+        for partial in [&b"SW"[..], b"SWIR", b"SWIR\x01\x01\x00", b"ab"] {
+            let err = read_request(&mut &partial[..]).unwrap_err();
+            let WireError::Malformed(msg) = err else {
+                panic!("{partial:?}: expected Malformed, got {err}");
+            };
+            assert!(
+                msg.contains(&format!("eof after {} header bytes", partial.len())),
+                "{partial:?}: {msg}"
+            );
+        }
     }
 
     #[test]

@@ -306,7 +306,6 @@ proptest! {
         n_pick in 0usize..6,
         d in 1usize..48,
         m in 2usize..16,
-        mixed in proptest::bool::ANY,
         dup in proptest::bool::ANY,
         threads_pick in 0usize..3,
         seed in 0u64..1_000_000,
@@ -316,7 +315,6 @@ proptest! {
         let d = if n == 3000 && cfg!(debug_assertions) { d.min(6) } else { d };
         let x = if dup { duplicate_heavy(n, d, seed) } else { clustered(n, d, seed) };
         let config = KernelConfig {
-            precision: if mixed { Precision::Mixed } else { Precision::F64 },
             neighbor: NeighborBackend::Hnsw(HnswParams {
                 m,
                 min_rows: 0,
@@ -345,7 +343,7 @@ proptest! {
 
 /// `ann-mixed`'s pool shape: three proximity models over their own
 /// projected spaces (RP on, so three graphs) beside HBOS and an IForest.
-fn ann_mixed_pool(n_workers: usize, x: &Matrix) -> Suod {
+fn ann_workload_pool(n_workers: usize, x: &Matrix) -> Suod {
     let mut clf = Suod::builder()
         .base_estimators(vec![
             ModelSpec::Knn {
@@ -386,10 +384,10 @@ fn score_bits(clf: &Suod, q: &Matrix) -> Vec<u64> {
 fn reloaded_ann_pool_scores_the_offline_bits_and_serves_them() {
     let (x, _) = with_outliers(700, 24, 20, 17);
     let q = probe_rows(&x, 3);
-    let reference = ann_mixed_pool(1, &x);
+    let reference = ann_workload_pool(1, &x);
     let want = score_bits(&reference, &q);
     for workers in [1usize, 2, 8] {
-        let clf = ann_mixed_pool(workers, &x);
+        let clf = ann_workload_pool(workers, &x);
         let bytes = clf.save_to_bytes().expect("save");
         let loaded = Suod::load_from_bytes(&bytes).expect("load");
         assert_eq!(score_bits(&loaded, &q), want, "n_workers={workers}");
@@ -408,7 +406,7 @@ fn reloaded_ann_pool_scores_the_offline_bits_and_serves_them() {
     let bytes = reference.save_to_bytes().unwrap();
     let offline = reference.combined_scores(&q).unwrap();
     let service = ScoreService::with_parts(
-        ann_mixed_pool(2, &with_outliers(300, 24, 8, 5).0),
+        ann_workload_pool(2, &with_outliers(300, 24, 8, 5).0),
         ServeConfig::default(),
         Arc::new(ManualClock::new()),
         suod_observe::noop(),

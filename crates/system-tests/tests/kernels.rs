@@ -40,20 +40,7 @@ fn fit_and_score(
     x: &Matrix,
     queries: &Matrix,
 ) -> (Matrix, Matrix) {
-    fit_and_score_precision(backend, crossover, Precision::F64, n_workers, x, queries)
-}
-
-fn fit_and_score_precision(
-    backend: DistanceBackend,
-    crossover: Option<usize>,
-    precision: Precision,
-    n_workers: usize,
-    x: &Matrix,
-    queries: &Matrix,
-) -> (Matrix, Matrix) {
-    let mut kernel = KernelConfig::default()
-        .with_backend(backend)
-        .with_precision(precision);
+    let mut kernel = KernelConfig::default().with_backend(backend);
     if let Some(dims) = crossover {
         kernel = kernel.with_kdtree_crossover_dim(dims);
     }
@@ -184,123 +171,6 @@ fn crossover_knob_changes_data_structure_not_scores() {
 }
 
 #[test]
-fn mixed_precision_is_deterministic_across_worker_counts() {
-    let ds = registry::load_scaled("cardio", 5, 0.2).expect("registry dataset");
-    let queries = queries_for(&ds.x);
-    let (train_1, query_1) = fit_and_score_precision(
-        DistanceBackend::Gemm,
-        Some(0),
-        Precision::Mixed,
-        1,
-        &ds.x,
-        &queries,
-    );
-    assert!(train_1.as_slice().iter().all(|v| v.is_finite()));
-    assert!(query_1.as_slice().iter().all(|v| v.is_finite()));
-    for workers in [2usize, 8] {
-        let (train_w, query_w) = fit_and_score_precision(
-            DistanceBackend::Gemm,
-            Some(0),
-            Precision::Mixed,
-            workers,
-            &ds.x,
-            &queries,
-        );
-        assert_eq!(
-            train_1.as_slice(),
-            train_w.as_slice(),
-            "mixed training scores differ at n_workers={workers}"
-        );
-        assert_eq!(
-            query_1.as_slice(),
-            query_w.as_slice(),
-            "mixed query scores differ at n_workers={workers}"
-        );
-    }
-}
-
-#[test]
-fn mixed_precision_preserves_outlier_ranking() {
-    // Mixed mode rounds each coordinate to f32 before the norm-trick
-    // contraction; scores move within the documented error bound, so
-    // the detected-outlier ordering must agree with the exact f64 path.
-    let ds = registry::load_scaled("cardio", 9, 0.2).expect("registry dataset");
-    let queries = queries_for(&ds.x);
-    let (train_f64, _) = fit_and_score(DistanceBackend::Gemm, Some(0), 1, &ds.x, &queries);
-    let (train_mixed, _) = fit_and_score_precision(
-        DistanceBackend::Gemm,
-        Some(0),
-        Precision::Mixed,
-        1,
-        &ds.x,
-        &queries,
-    );
-    let n = train_f64.nrows();
-    let mean = |m: &Matrix| -> Vec<f64> {
-        (0..m.nrows())
-            .map(|i| m.row(i).iter().sum::<f64>() / m.ncols() as f64)
-            .collect()
-    };
-    let top = |scores: &[f64]| -> std::collections::HashSet<usize> {
-        suod_linalg::rank::argsort_desc(scores)
-            .into_iter()
-            .take((n / 10).max(5))
-            .collect()
-    };
-    let (mean_f64, mean_mixed) = (mean(&train_f64), mean(&train_mixed));
-    let (tf, tm) = (top(&mean_f64), top(&mean_mixed));
-    let overlap = tf.intersection(&tm).count() as f64 / tf.len() as f64;
-    assert!(
-        overlap >= 0.9,
-        "mixed top-decile overlap with f64 too low: {overlap}"
-    );
-    // Detection quality against the labelled anomalies must survive the
-    // f32-storage rounding.
-    let auc_f64 = suod_metrics::roc_auc(&ds.y, &mean_f64).expect("labelled dataset");
-    let auc_mixed = suod_metrics::roc_auc(&ds.y, &mean_mixed).expect("labelled dataset");
-    assert!(
-        (auc_f64 - auc_mixed).abs() < 0.01,
-        "mixed ROC-AUC drifted: f64 {auc_f64} vs mixed {auc_mixed}"
-    );
-}
-
-#[test]
-fn mixed_run_reports_precision_and_emits_lane_counters() {
-    let ds = registry::load_scaled("cardio", 5, 0.15).expect("registry dataset");
-    let recorder = Arc::new(RecordingObserver::new());
-    let mut model = Suod::builder()
-        .base_estimators(proximity_pool())
-        .kernel(
-            KernelConfig::default()
-                .with_backend(DistanceBackend::Gemm)
-                .with_precision(Precision::Mixed)
-                .with_kdtree_crossover_dim(0),
-        )
-        .observer(recorder.clone())
-        .seed(7)
-        .build()
-        .expect("valid config");
-    model.fit(&ds.x).expect("fit succeeds");
-    let features = model.diagnostics().expect("fitted").cpu_features();
-    assert_eq!(features.precision, Precision::Mixed);
-    let trace = recorder.trace();
-    assert!(
-        trace.counter(Counter::MixedKernel) > 0,
-        "mixed run should record mixed kernel invocations"
-    );
-    // Which lane ran is host-dependent; that *a* lane ran is not.
-    assert!(
-        trace.counter(Counter::SimdKernel) + trace.counter(Counter::ScalarKernel) > 0,
-        "run should record a micro-kernel lane"
-    );
-    assert_eq!(
-        trace.counter(Counter::SimdKernel) > 0,
-        features.simd_lane == SimdLane::Avx2,
-        "lane counters should match the detected lane"
-    );
-}
-
-#[test]
 fn gemm_run_emits_kernel_counters() {
     let ds = registry::load_scaled("cardio", 5, 0.15).expect("registry dataset");
     let recorder = Arc::new(RecordingObserver::new());
@@ -316,6 +186,7 @@ fn gemm_run_emits_kernel_counters() {
         .build()
         .expect("valid config");
     model.fit(&ds.x).expect("fit succeeds");
+    let features = model.diagnostics().expect("fitted").cpu_features();
     let trace = recorder.trace();
     assert!(
         trace.counter(Counter::GemmTile) > 0,
@@ -329,5 +200,15 @@ fn gemm_run_emits_kernel_counters() {
         trace.counter(Counter::KernelFallback),
         0,
         "Euclidean-only pool should never fall back"
+    );
+    // Which lane ran is host-dependent; that *a* lane ran is not.
+    assert!(
+        trace.counter(Counter::SimdKernel) + trace.counter(Counter::ScalarKernel) > 0,
+        "run should record a micro-kernel lane"
+    );
+    assert_eq!(
+        trace.counter(Counter::SimdKernel) > 0,
+        features.simd_lane == SimdLane::Avx2,
+        "lane counters should match the detected lane"
     );
 }

@@ -144,13 +144,12 @@ fn config_variants() -> Vec<(&'static str, SuodBuilder)> {
                 .seed(11),
         ),
         (
-            "gemm-mixed",
+            "gemm",
             Suod::builder()
                 .base_estimators(full_pool())
                 .kernel(
                     KernelConfig::default()
                         .with_backend(DistanceBackend::Gemm)
-                        .with_precision(Precision::Mixed)
                         .with_kdtree_crossover_dim(0),
                 )
                 .seed(13),

@@ -487,8 +487,10 @@ fn idle_client_is_closed_without_stalling_others() {
     assert_eq!(front.responses_ok, 3);
 }
 
-/// A malformed binary frame is answered with an in-band error frame and
-/// a close — and the next connection is served normally.
+/// A malformed binary frame — or a connection that opens with anything
+/// but a frame, such as a CSV line — is answered with an in-band error
+/// frame and a close, never reaches the service, and the next connection
+/// is served normally.
 #[test]
 fn malformed_frame_is_answered_in_band_and_never_kills_the_server() {
     let mut service = ScoreService::new(fit(41, 1), ServeConfig::default()).unwrap();
@@ -502,16 +504,34 @@ fn malformed_frame_is_answered_in_band_and_never_kills_the_server() {
         std::thread::spawn(move || {
             let front = FrontConfig {
                 worker_threads: 1,
-                max_conns: 2,
+                max_conns: 3,
                 ..FrontConfig::default()
             };
             serve_front(&listener, &service, &front, &suod::observe::noop()).unwrap()
         })
     };
 
+    // A CSV line is not a frame: it is refused at the magic, in band,
+    // and never admitted into the service queue.
+    use std::io::Write as _;
+    let admitted_before = service.report().admitted;
+    let mut csv = TcpStream::connect(&addr).unwrap();
+    // Shorter than a frame header: refused at the magic, not left
+    // waiting for the header's remaining bytes.
+    csv.write_all(b"0.5,1,2,3,4\n\n").unwrap();
+    csv.flush().unwrap();
+    let mut reader = std::io::BufReader::new(csv.try_clone().unwrap());
+    match read_response(&mut reader).unwrap().unwrap() {
+        WireResponse::Error { id, message } => {
+            assert_eq!(id, 0);
+            assert!(message.contains("magic"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    assert_eq!(service.report().admitted, admitted_before);
+
     // Valid magic, unsupported version: enters the binary path, then
     // fails framing.
-    use std::io::Write as _;
     let mut bad = TcpStream::connect(&addr).unwrap();
     bad.write_all(b"SWIR\x63\x01AAAAAAAA\x00\x00\x00\x00")
         .unwrap();
@@ -537,8 +557,10 @@ fn malformed_frame_is_answered_in_band_and_never_kills_the_server() {
     drop(client);
 
     let front = server.join().unwrap();
-    assert_eq!(front.responses_error, 1);
+    assert_eq!(front.responses_error, 2);
     assert_eq!(front.responses_ok, 1);
+    assert_eq!(front.wire_requests, 1);
+    assert_eq!(service.report().admitted, admitted_before + 1);
 }
 
 /// The binary protocol is bit-transparent end to end across worker
