@@ -613,9 +613,7 @@ impl Suod {
             return plan;
         };
         let mut fp_by_space: HashMap<usize, DataFingerprint> = HashMap::new();
-        // (space, metric) -> members as (pool index, effective k).
-        type Group = ((DataFingerprint, DistanceMetric), Vec<(usize, usize)>);
-        let mut groups: Vec<Group> = Vec::new();
+        let mut requirements = vec![None; specs.len()];
         for &i in run {
             if let Some((metric, k)) = specs[i].neighbor_requirement() {
                 let ptr = Arc::as_ptr(&spaces[i]) as usize;
@@ -624,26 +622,46 @@ impl Suod {
                     .or_insert_with(|| DataFingerprint::of(&spaces[i]));
                 cache.register(fp, metric, k);
                 plan.fingerprints[i] = Some(fp);
-                let member = (i, k.min(fp.rows().saturating_sub(1)));
-                match groups.iter_mut().find(|(key, _)| *key == (fp, metric)) {
-                    Some((_, members)) => members.push(member),
-                    None => groups.push(((fp, metric), vec![member])),
-                }
+                requirements[i] = Some(((fp, metric), k.min(fp.rows().saturating_sub(1))));
             }
         }
-        for (_, members) in &groups {
-            // Builder = largest effective k (ties break to the lowest
-            // model index, matching the cache's widen-to-max rule).
-            let &(builder, _) = members
-                .iter()
-                .max_by_key(|&&(i, k)| (k, std::cmp::Reverse(i)))
-                .expect("groups are non-empty by construction");
-            for &(i, _) in members {
-                plan.cached[i] = i != builder;
-            }
-        }
-        plan.fit_threads = (self.config.n_workers / groups.len().max(1)).max(1);
+        let (cached, groups) = cache_hits(&requirements);
+        plan.cached = cached;
+        plan.fit_threads = (self.config.n_workers / groups.max(1)).max(1);
         plan
+    }
+
+    /// The task descriptors a cold fit of `state`'s models forecasts from:
+    /// [`fit_descriptor`](Self::fit_descriptor) with each model's cache hit
+    /// planned as [`plan_neighbors`](Self::plan_neighbors) plans it. Every
+    /// unprojected model reads the training matrix, and a projected one
+    /// the space its projector makes, so models with equal projectors (or
+    /// none) and one metric share a graph.
+    pub(super) fn forecast_descriptors(&self, state: &FittedState) -> Vec<TaskDescriptor> {
+        let (n, d) = (state.train_rows(), state.n_features);
+        let cached = match self.config.neighbor_cache_enabled {
+            true => {
+                let requirements: Vec<_> = state
+                    .models
+                    .iter()
+                    .map(|m| {
+                        let (metric, k) = m.spec.neighbor_requirement()?;
+                        Some(((m.projector.as_ref(), metric), k.min(n.saturating_sub(1))))
+                    })
+                    .collect();
+                cache_hits(&requirements).0
+            }
+            false => vec![false; state.models.len()],
+        };
+        state
+            .models
+            .iter()
+            .zip(cached)
+            .map(|(m, cached)| {
+                let width = m.projector.as_ref().map_or(d, |p| p.output_dim());
+                self.fit_descriptor(&m.spec, cached, n, width)
+            })
+            .collect()
     }
 
     /// `true` when a fresh fit of `spec` ends by distilling a PSA
@@ -682,6 +700,38 @@ impl Suod {
             .with_approx_neighbors(approx)
             .with_distillation(forest)
     }
+}
+
+/// Groups the models that need a neighbour graph by `key` (feature space
+/// and metric), given as `Some((key, effective k))` by pool index. Returns,
+/// by pool index, `true` for a model whose graph another member of its
+/// group builds — a near-free cache hit — and the number of groups. A
+/// group's builder is the member with the largest effective k, ties
+/// going to the lowest index, as the cache widens a build to the largest
+/// k registered.
+fn cache_hits<K: PartialEq>(requirements: &[Option<(K, usize)>]) -> (Vec<bool>, usize) {
+    let mut groups: Vec<(&K, Vec<(usize, usize)>)> = Vec::new();
+    for (i, (key, k)) in requirements
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| Some((i, r.as_ref()?)))
+    {
+        match groups.iter_mut().find(|(g, _)| *g == key) {
+            Some((_, members)) => members.push((i, *k)),
+            None => groups.push((key, vec![(i, *k)])),
+        }
+    }
+    let mut cached = vec![false; requirements.len()];
+    for (_, members) in &groups {
+        let &(builder, _) = members
+            .iter()
+            .max_by_key(|&&(i, k)| (k, std::cmp::Reverse(i)))
+            .expect("groups are non-empty by construction");
+        for &(i, _) in members {
+            cached[i] = i != builder;
+        }
+    }
+    (cached, groups.len())
 }
 
 #[cfg(test)]
@@ -1162,6 +1212,56 @@ mod tests {
             assert_eq!(off.fit_descriptor(spec, false, 62, 3), plain);
             assert_eq!(ridge.fit_descriptor(spec, false, 62, 3), plain);
         }
+    }
+
+    #[test]
+    fn simulation_forecasts_the_cache_hits_fit_planned() {
+        let knn = |k| ModelSpec::Knn {
+            n_neighbors: k,
+            method: KnnMethod::Largest,
+        };
+        let lof = |k| ModelSpec::Lof {
+            n_neighbors: k,
+            metric: DistanceMetric::Euclidean,
+        };
+        let hbos = ModelSpec::Hbos {
+            n_bins: 5,
+            tolerance: 0.1,
+        };
+        // One Euclidean group over the training matrix: kNN(10) builds it
+        // (largest k, lowest index), the others hit.
+        let pool = vec![knn(5), knn(10), hbos, lof(10)];
+        let x = data();
+        let mut clf = Suod::builder()
+            .base_estimators(pool.clone())
+            .with_projection(false)
+            .with_approximation(false)
+            .build()
+            .unwrap();
+        clf.fit(&x).unwrap();
+        let cached: Vec<bool> = clf
+            .forecast_descriptors(clf.state().unwrap())
+            .iter()
+            .map(|t| t.cached_neighbors)
+            .collect();
+        assert_eq!(cached, vec![true, false, false, true]);
+        let (n, d) = x.shape();
+        let described = clf.forecast_descriptors(clf.state().unwrap());
+        for (i, spec) in pool.iter().enumerate() {
+            assert_eq!(described[i], clf.fit_descriptor(spec, cached[i], n, d));
+        }
+
+        // Without the shared cache, every model builds its own graph.
+        let mut uncached = Suod::builder()
+            .base_estimators(pool)
+            .with_projection(false)
+            .with_approximation(false)
+            .with_neighbor_cache(false)
+            .build()
+            .unwrap();
+        uncached.fit(&x).unwrap();
+        let described = uncached.forecast_descriptors(uncached.state().unwrap());
+        assert!(described.iter().all(|t| !t.cached_neighbors));
     }
 
     #[test]

@@ -611,11 +611,7 @@ impl Suod {
             .collect();
         let generic = simulate_makespan(&costs, &generic_schedule(costs.len(), t)?)?;
         // BPS schedules on *forecasted* costs, evaluated against true ones.
-        let tasks: Vec<_> = state
-            .models
-            .iter()
-            .map(|m| m.spec.task_descriptor())
-            .collect();
+        let tasks = self.forecast_descriptors(state);
         let meta = DatasetMeta::from_shape(state.train_rows(), state.n_features);
         let predicted = self.config.cost_model.predict_costs(&tasks, &meta);
         let bps = simulate_makespan(&costs, &bps_schedule(&predicted, t, self.config.bps_alpha)?)?;

@@ -7,67 +7,38 @@
 //! approximate or project (§3.3/§3.4) — it serves as the fast baseline in
 //! the heterogeneous pool.
 //!
+//! The histograms live in one [`Binned`] operator, shared with LODA: each
+//! feature is a view of one weight of 1.0, which reads the value exactly,
+//! and each bin's `log(1 / density)` is a table entry built at fit and at
+//! snapshot load.
+//!
 //! The `tolerance` hyperparameter (Table B.1) controls how far outside the
 //! training range a test value may fall while still borrowing the edge
 //! bin's density; beyond `tolerance * range` the density decays toward the
-//! minimum, mirroring PyOD's handling.
+//! minimum, mirroring PyOD's handling ([`Edge::Band`]). That decay is the
+//! one `ln` taken at score time.
 
 use crate::{check_dims, Detector, Error, Result};
-use suod_linalg::Matrix;
+use suod_linalg::{Binned, Edge, Matrix, Rule};
 
-#[derive(Debug, Clone)]
-struct FeatureHistogram {
-    min: f64,
-    max: f64,
-    /// Normalized bin densities; max height is 1.
-    densities: Vec<f64>,
-}
+/// The least density a bin scores with, so an empty bin scores finite.
+const FLOOR: f64 = 1e-6;
 
-impl FeatureHistogram {
-    fn build(values: &[f64], n_bins: usize) -> Self {
-        let min = suod_linalg::stats::min(values);
-        let max = suod_linalg::stats::max(values);
-        let mut counts = vec![0usize; n_bins];
-        let range = (max - min).max(1e-12);
-        for &v in values {
-            let bin = (((v - min) / range) * n_bins as f64) as usize;
-            counts[bin.min(n_bins - 1)] += 1;
-        }
-        let peak = *counts.iter().max().expect("n_bins >= 1") as f64;
-        let densities = counts
-            .iter()
-            .map(|&c| if peak > 0.0 { c as f64 / peak } else { 0.0 })
-            .collect();
-        Self {
-            min,
-            max,
-            densities,
-        }
-    }
-
-    /// Density for a query value, honouring the tolerance band outside the
-    /// training range.
-    fn density(&self, v: f64, tolerance: f64) -> f64 {
-        const FLOOR: f64 = 1e-6;
-        let n_bins = self.densities.len();
-        let range = (self.max - self.min).max(1e-12);
-        if v >= self.min && v <= self.max {
-            let bin = (((v - self.min) / range) * n_bins as f64) as usize;
-            return self.densities[bin.min(n_bins - 1)].max(FLOOR);
-        }
-        // Outside the range: borrow the edge bin within the tolerance band,
-        // then decay with distance.
-        let (edge_density, overshoot) = if v < self.min {
-            (self.densities[0], self.min - v)
-        } else {
-            (self.densities[n_bins - 1], v - self.max)
-        };
-        let band = tolerance * range;
-        if band > 0.0 && overshoot <= band {
-            return edge_density.max(FLOOR);
-        }
-        let decay = band.max(1e-12) / overshoot.max(1e-12);
-        (edge_density * decay).max(FLOOR)
+/// HBOS's binning: a bin's density is its count over the fullest bin's,
+/// its score `ln(1 / density)`, and the tolerance band at the edges.
+fn rule(tolerance: f64) -> Rule {
+    Rule {
+        mass: |count, peak, _| {
+            let peak = peak as f64;
+            if peak > 0.0 {
+                count as f64 / peak
+            } else {
+                0.0
+            }
+        },
+        score: |density| (1.0 / density.max(FLOOR)).ln(),
+        edge: Edge::Band { tolerance },
+        dense: false,
     }
 }
 
@@ -95,7 +66,8 @@ impl FeatureHistogram {
 pub struct HbosDetector {
     n_bins: usize,
     tolerance: f64,
-    histograms: Vec<FeatureHistogram>,
+    /// One view per feature; none before `fit`.
+    histograms: Binned,
     train_scores: Vec<f64>,
 }
 
@@ -119,7 +91,7 @@ impl HbosDetector {
         Ok(Self {
             n_bins,
             tolerance,
-            histograms: Vec::new(),
+            histograms: Binned::new(0, rule(tolerance)),
             train_scores: Vec::new(),
         })
     }
@@ -128,14 +100,11 @@ impl HbosDetector {
     pub fn n_bins(&self) -> usize {
         self.n_bins
     }
-
-    fn score_row(&self, row: &[f64]) -> f64 {
-        row.iter()
-            .zip(&self.histograms)
-            .map(|(&v, h)| (1.0 / h.density(v, self.tolerance)).ln())
-            .sum()
-    }
 }
+
+/// Where a row's per-feature scores are added onto: `Iterator::sum`'s
+/// start, as the scores were once summed.
+const SUM_START: f64 = -0.0;
 
 impl Detector for HbosDetector {
     fn fit(&mut self, x: &Matrix) -> Result<()> {
@@ -145,23 +114,26 @@ impl Detector for HbosDetector {
                 got: x.nrows(),
             });
         }
-        self.histograms = (0..x.ncols())
-            .map(|c| FeatureHistogram::build(&x.col(c), self.n_bins))
-            .collect();
-        self.train_scores = x.rows_iter().map(|row| self.score_row(row)).collect();
+        let mut histograms = Binned::new(x.ncols(), rule(self.tolerance));
+        let mut train_scores = vec![SUM_START; x.nrows()];
+        for c in 0..x.ncols() {
+            histograms.fit_view(x, &[(c, 1.0)], self.n_bins, &mut train_scores)?;
+        }
+        self.histograms = histograms;
+        self.train_scores = train_scores;
         Ok(())
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if self.histograms.is_empty() {
+        if !self.is_fitted() {
             return Err(Error::NotFitted("HbosDetector"));
         }
-        check_dims(self.histograms.len(), x)?;
-        Ok(x.rows_iter().map(|row| self.score_row(row)).collect())
+        check_dims(self.histograms.n_features(), x)?;
+        Ok(self.histograms.row_sums(x, SUM_START)?)
     }
 
     fn training_scores(&self) -> Result<Vec<f64>> {
-        if self.histograms.is_empty() {
+        if !self.is_fitted() {
             return Err(Error::NotFitted("HbosDetector"));
         }
         Ok(self.train_scores.clone())
@@ -172,17 +144,18 @@ impl Detector for HbosDetector {
     }
 
     fn is_fitted(&self) -> bool {
-        !self.histograms.is_empty()
+        self.histograms.n_views() > 0
     }
 
     fn snapshot_write(&self, w: &mut suod_linalg::SnapshotWriter) -> Result<()> {
         w.write_usize(self.n_bins);
         w.write_f64(self.tolerance);
-        w.write_usize(self.histograms.len());
-        for h in &self.histograms {
-            w.write_f64(h.min);
-            w.write_f64(h.max);
-            w.write_f64s(&h.densities);
+        w.write_usize(self.histograms.n_views());
+        for v in 0..self.histograms.n_views() {
+            let (min, max) = self.histograms.grid(v);
+            w.write_f64(min);
+            w.write_f64(max);
+            w.write_f64s(self.histograms.masses(v));
         }
         w.write_f64s(&self.train_scores);
         Ok(())
@@ -190,11 +163,13 @@ impl Detector for HbosDetector {
 }
 
 impl HbosDetector {
-    /// Reads a detector written by [`Detector::snapshot_write`].
+    /// Reads a detector written by [`Detector::snapshot_write`], building
+    /// its score tables.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameter`] on truncated or malformed state.
+    /// Returns [`Error::InvalidParameter`] on truncated or malformed state,
+    /// a histogram without bins included.
     pub fn snapshot_read(
         r: &mut suod_linalg::SnapshotReader<'_>,
         _n_threads: usize,
@@ -202,13 +177,10 @@ impl HbosDetector {
         let n_bins = r.read_usize()?;
         let tolerance = r.read_f64()?;
         let n_hist = r.read_usize()?;
-        let mut histograms = Vec::new();
-        for _ in 0..n_hist {
-            histograms.push(FeatureHistogram {
-                min: r.read_f64()?,
-                max: r.read_f64()?,
-                densities: r.read_f64s()?,
-            });
+        let mut histograms = Binned::new(n_hist, rule(tolerance));
+        for c in 0..n_hist {
+            let (min, max) = (r.read_f64()?, r.read_f64()?);
+            histograms.push_view(&[(c, 1.0)], min, max, &r.read_f64s()?)?;
         }
         Ok(Self {
             n_bins,
@@ -220,8 +192,16 @@ impl HbosDetector {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tie_heavy;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use suod_linalg::{SnapshotReader, SnapshotWriter};
 
     fn uniform_with_rare_value() -> Matrix {
         let mut rows: Vec<Vec<f64>> = (0..100).map(|i| vec![(i % 10) as f64, 0.0]).collect();
@@ -292,5 +272,113 @@ mod tests {
         a.fit(&x).unwrap();
         b.fit(&x).unwrap();
         assert_eq!(a.training_scores().unwrap(), b.training_scores().unwrap());
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|s| s.to_bits()).collect()
+    }
+
+    /// Values that stress one feature's histogram: its ends and their
+    /// neighbours, every bin edge, each side of the tolerance band, the
+    /// extremes, subnormals, signed zeros, NaN and the infinities.
+    fn probes(h: &oracle::FeatureHistogram, tolerance: f64) -> Vec<f64> {
+        let (lo, hi, bins) = (h.min, h.max, h.densities.len() as f64);
+        let range = (hi - lo).max(1e-12);
+        let band = tolerance * range;
+        let mut v = vec![lo.next_down(), lo.next_up(), hi.next_down(), hi.next_up()];
+        v.extend((0..=h.densities.len()).map(|k| lo + k as f64 * range / bins));
+        for edge in [lo - band, hi + band, lo - 2.0 * band, hi + 2.0 * band] {
+            v.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+        v.extend([1e308, -1e308, 5e-324, -5e-324, 1e-310, -0.0, 0.0]);
+        v.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        v
+    }
+
+    /// `count` rows, each cell one of its feature's probes.
+    fn probe_rows(
+        expected: &oracle::OracleHbos,
+        tolerance: f64,
+        count: usize,
+        seed: u64,
+    ) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let columns: Vec<Vec<f64>> = expected
+            .histograms
+            .iter()
+            .map(|h| probes(h, tolerance))
+            .collect();
+        let mut q = Matrix::zeros(count, columns.len());
+        for r in 0..count {
+            for (c, values) in columns.iter().enumerate() {
+                q.set(r, c, values[rng.random_range(0..values.len())]);
+            }
+        }
+        q
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The binned operator is the per-feature histograms: fed one
+        /// oracle histogram, it scores every probe value with the bits of
+        /// `ln(1 / density)`; fitted as a detector, it writes the oracle's
+        /// snapshot bytes and scores training rows and probe rows, before
+        /// and after a reload, with the oracle's bits.
+        #[test]
+        fn binned_histograms_score_the_oracle(
+            (n, d, seed) in (2usize..300, 1usize..6, 0u64..u64::MAX),
+            (bins_at, tolerance_at) in (0usize..4, 0usize..3),
+        ) {
+            let n_bins = [1, 2, 7, 50][bins_at];
+            let tolerance = [0.0, 0.3, 1.0][tolerance_at];
+            let (x, _) = tie_heavy::tie_heavy_problem(n, d, seed);
+            let expected = oracle::fit(n_bins, tolerance, &x);
+
+            for h in &expected.histograms {
+                let mut op = Binned::new(1, rule(tolerance));
+                op.push_view(&[(0, 1.0)], h.min, h.max, &h.densities).unwrap();
+                let values = probes(h, tolerance);
+                let want: Vec<f64> = values
+                    .iter()
+                    .map(|&v| (1.0 / h.density(v, tolerance)).ln())
+                    .collect();
+                let column = Matrix::from_vec(values.len(), 1, values).unwrap();
+                prop_assert_eq!(bits(&op.row_sums(&column, SUM_START).unwrap()), bits(&want));
+            }
+
+            let mut det = HbosDetector::new(n_bins, tolerance).unwrap();
+            det.fit(&x).unwrap();
+            let mut w = SnapshotWriter::new();
+            det.snapshot_write(&mut w).unwrap();
+            prop_assert_eq!(w.as_bytes(), expected.snapshot_bytes().as_slice());
+            prop_assert_eq!(
+                bits(&det.training_scores().unwrap()),
+                bits(&expected.train_scores)
+            );
+            let loaded = HbosDetector::snapshot_read(&mut SnapshotReader::new(w.as_bytes()), 1)
+                .unwrap();
+            for (k, &count) in tie_heavy::QUERY_COUNTS.iter().enumerate() {
+                let q = probe_rows(&expected, tolerance, count, seed ^ k as u64);
+                let want = bits(&expected.score_rows(&q));
+                prop_assert_eq!(&bits(&det.decision_function(&q).unwrap()), &want);
+                prop_assert_eq!(&bits(&loaded.decision_function(&q).unwrap()), &want);
+            }
+        }
+    }
+
+    #[test]
+    fn a_histogram_without_bins_is_a_typed_snapshot_error() {
+        let mut w = SnapshotWriter::new();
+        w.write_usize(5); // n_bins
+        w.write_f64(0.1); // tolerance
+        w.write_usize(1); // histograms
+        w.write_f64(0.0);
+        w.write_f64(1.0);
+        w.write_f64s(&[]);
+        w.write_f64s(&[0.5, 0.5]);
+        let err =
+            HbosDetector::snapshot_read(&mut SnapshotReader::new(w.as_bytes()), 1).unwrap_err();
+        assert!(err.to_string().contains("snapshot: "), "{err}");
     }
 }

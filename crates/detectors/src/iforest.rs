@@ -445,12 +445,9 @@ impl IsolationForest {
 mod oracle;
 
 #[cfg(test)]
-#[path = "../../supervised/src/tie_heavy.rs"]
-mod tie_heavy;
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tie_heavy;
     use proptest::prelude::*;
     use std::sync::mpsc;
     use std::time::Duration;

@@ -63,6 +63,10 @@ pub mod loop_detector;
 pub mod ocsvm;
 pub mod pca_detector;
 
+#[cfg(test)]
+#[path = "../../supervised/src/tie_heavy.rs"]
+mod tie_heavy;
+
 pub use abod::AbodDetector;
 pub use cblof::CblofDetector;
 pub use chaos::{ChaosConfig, ChaosDetector, ChaosMode};

@@ -9,11 +9,34 @@
 //! data-level module — it *is* random projection plus a cheap density
 //! model — and rounds the zoo out to the eleven algorithm families the
 //! paper's cost predictor covers.
+//!
+//! The members live in one [`Binned`] operator, shared with HBOS: a
+//! member is a view holding only its drawn weights, and each bin's
+//! negative log probability is a table entry built at fit and at
+//! snapshot load. Outside a member's training range the density is a
+//! floor ([`Edge::Floor`]).
+//!
+//! # Non-finite input
+//!
+//! A pool rejects NaN and infinities before any detector sees them. A
+//! standalone `LodaDetector` does not check, and defines:
+//! - a member reads only the features it drew, so a non-finite value in
+//!   any other feature leaves that member's score as it is;
+//! - a member whose projection is ±inf scores the floor;
+//! - a member whose projection is NaN (a NaN it reads, or `inf - inf`)
+//!   scores its bin 0;
+//! - a member whose training projections were all NaN has a NaN grid, and
+//!   scores every projection its bin 0.
+//!
+//! A member's grid ends are those of the dense dot product with its
+//! direction, as stored: where every training projection is zero, the
+//! sign of that zero comes from the features the member did not draw
+//! ([`Rule::dense`]). The scores do not depend on it.
 
 use crate::{check_dims, Detector, Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use suod_linalg::Matrix;
+use suod_linalg::{Binned, Edge, Matrix, Rule};
 
 /// Draws one standard-normal value (Box–Muller).
 fn randn(rng: &mut StdRng) -> f64 {
@@ -22,33 +45,20 @@ fn randn(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-#[derive(Debug, Clone)]
-struct LodaMember {
-    /// Sparse projection vector (dense storage, mostly zeros).
-    direction: Vec<f64>,
-    /// Histogram over the projected training values.
-    lo: f64,
-    hi: f64,
-    /// Probability mass per bin (sums to 1 over occupied bins).
-    probs: Vec<f64>,
-}
+/// The least probability a bin scores with; a tiny floor keeps the log
+/// finite for never-seen regions.
+const FLOOR: f64 = 1e-9;
 
-impl LodaMember {
-    fn project(&self, row: &[f64]) -> f64 {
-        suod_linalg::matrix::dot(row, &self.direction)
-    }
-
-    /// Density estimate for a projected value; a tiny floor keeps the log
-    /// finite for never-seen regions.
-    fn density(&self, z: f64) -> f64 {
-        const FLOOR: f64 = 1e-9;
-        let n_bins = self.probs.len();
-        let range = (self.hi - self.lo).max(1e-12);
-        if z < self.lo || z > self.hi {
-            return FLOOR;
-        }
-        let bin = (((z - self.lo) / range) * n_bins as f64) as usize;
-        self.probs[bin.min(n_bins - 1)].max(FLOOR)
+/// LODA's binning: a bin's mass is its share of the training rows, its
+/// score `-ln(mass)`, and everything outside the grid scores as an empty
+/// bin, the floor. A member's projection is the dense dot product with
+/// its direction, as stored.
+fn rule() -> Rule {
+    Rule {
+        mass: |count, _, n| count as f64 / n as f64,
+        score: |p| -(p.max(FLOOR)).ln(),
+        edge: Edge::Floor,
+        dense: true,
     }
 }
 
@@ -78,8 +88,8 @@ pub struct LodaDetector {
     n_members: usize,
     n_bins: usize,
     seed: u64,
-    members: Vec<LodaMember>,
-    n_features: usize,
+    /// One view per member; none before `fit`.
+    members: Binned,
     train_scores: Vec<f64>,
 }
 
@@ -101,8 +111,7 @@ impl LodaDetector {
             n_members,
             n_bins,
             seed,
-            members: Vec::new(),
-            n_features: 0,
+            members: Binned::new(0, rule()),
             train_scores: Vec::new(),
         })
     }
@@ -112,12 +121,13 @@ impl LodaDetector {
         self.n_members
     }
 
-    fn score_row(&self, row: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for member in &self.members {
-            acc += -member.density(member.project(row)).ln();
+    /// Turns per-row sums over the members into their mean.
+    fn mean(&self, mut sums: Vec<f64>) -> Vec<f64> {
+        let members = self.members.n_views() as f64;
+        for s in &mut sums {
+            *s /= members;
         }
-        acc / self.members.len() as f64
+        sums
     }
 }
 
@@ -130,59 +140,38 @@ impl Detector for LodaDetector {
                 got: n,
             });
         }
-        self.n_features = d;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let nnz = ((d as f64).sqrt().ceil() as usize).clamp(1, d);
-
-        self.members = (0..self.n_members)
-            .map(|_| {
-                // Sparse direction: sqrt(d) nonzero Gaussian entries.
-                let mut direction = vec![0.0; d];
-                let mut pool: Vec<usize> = (0..d).collect();
-                for i in 0..nnz {
-                    let j = rng.random_range(i..d);
-                    pool.swap(i, j);
-                }
-                for &f in &pool[..nnz] {
-                    direction[f] = randn(&mut rng);
-                }
-
-                let projected: Vec<f64> = x
-                    .rows_iter()
-                    .map(|row| suod_linalg::matrix::dot(row, &direction))
-                    .collect();
-                let lo = suod_linalg::stats::min(&projected);
-                let hi = suod_linalg::stats::max(&projected);
-                let range = (hi - lo).max(1e-12);
-                let mut counts = vec![0usize; self.n_bins];
-                for &z in &projected {
-                    let bin = (((z - lo) / range) * self.n_bins as f64) as usize;
-                    counts[bin.min(self.n_bins - 1)] += 1;
-                }
-                let probs = counts.iter().map(|&c| c as f64 / n as f64).collect();
-                LodaMember {
-                    direction,
-                    lo,
-                    hi,
-                    probs,
-                }
-            })
-            .collect();
-
-        self.train_scores = x.rows_iter().map(|row| self.score_row(row)).collect();
+        let mut members = Binned::new(d, rule());
+        let mut sums = vec![0.0; n];
+        for _ in 0..self.n_members {
+            // Sparse direction: sqrt(d) Gaussian weights on drawn features,
+            // kept in ascending feature order.
+            let mut pool: Vec<usize> = (0..d).collect();
+            for i in 0..nnz {
+                let j = rng.random_range(i..d);
+                pool.swap(i, j);
+            }
+            let mut weights: Vec<(usize, f64)> =
+                pool[..nnz].iter().map(|&f| (f, randn(&mut rng))).collect();
+            weights.sort_unstable_by_key(|&(f, _)| f);
+            members.fit_view(x, &weights, self.n_bins, &mut sums)?;
+        }
+        self.members = members;
+        self.train_scores = self.mean(sums);
         Ok(())
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if self.members.is_empty() {
+        if !self.is_fitted() {
             return Err(Error::NotFitted("LodaDetector"));
         }
-        check_dims(self.n_features, x)?;
-        Ok(x.rows_iter().map(|row| self.score_row(row)).collect())
+        check_dims(self.members.n_features(), x)?;
+        Ok(self.mean(self.members.row_sums(x, 0.0)?))
     }
 
     fn training_scores(&self) -> Result<Vec<f64>> {
-        if self.members.is_empty() {
+        if !self.is_fitted() {
             return Err(Error::NotFitted("LodaDetector"));
         }
         Ok(self.train_scores.clone())
@@ -193,32 +182,44 @@ impl Detector for LodaDetector {
     }
 
     fn is_fitted(&self) -> bool {
-        !self.members.is_empty()
+        self.members.n_views() > 0
     }
 
+    /// Writes each member's direction dense, as the format has it: its
+    /// drawn weights, zeros elsewhere.
     fn snapshot_write(&self, w: &mut suod_linalg::SnapshotWriter) -> Result<()> {
+        let d = self.members.n_features();
         w.write_usize(self.n_members);
         w.write_usize(self.n_bins);
         w.write_u64(self.seed);
-        w.write_usize(self.members.len());
-        for m in &self.members {
-            w.write_f64s(&m.direction);
-            w.write_f64(m.lo);
-            w.write_f64(m.hi);
-            w.write_f64s(&m.probs);
+        w.write_usize(self.members.n_views());
+        for v in 0..self.members.n_views() {
+            let mut direction = vec![0.0; d];
+            let (features, weights) = self.members.weights(v);
+            for (&f, &weight) in features.iter().zip(weights) {
+                direction[f] = weight;
+            }
+            let (lo, hi) = self.members.grid(v);
+            w.write_f64s(&direction);
+            w.write_f64(lo);
+            w.write_f64(hi);
+            w.write_f64s(self.members.masses(v));
         }
-        w.write_usize(self.n_features);
+        w.write_usize(d);
         w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
 
 impl LodaDetector {
-    /// Reads a detector written by [`Detector::snapshot_write`].
+    /// Reads a detector written by [`Detector::snapshot_write`], building
+    /// its score tables. A member keeps every weight whose bits are not
+    /// `+0.0`'s, so a drawn `-0.0` is written back as it was read.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameter`] on truncated or malformed state.
+    /// Returns [`Error::InvalidParameter`] on truncated or malformed state:
+    /// a member without bins, or a direction not as wide as the rows.
     pub fn snapshot_read(
         r: &mut suod_linalg::SnapshotReader<'_>,
         _n_threads: usize,
@@ -227,29 +228,45 @@ impl LodaDetector {
         let n_bins = r.read_usize()?;
         let seed = r.read_u64()?;
         let count = r.read_usize()?;
-        let mut members = Vec::new();
+        let mut records = Vec::new();
         for _ in 0..count {
-            members.push(LodaMember {
-                direction: r.read_f64s()?,
-                lo: r.read_f64()?,
-                hi: r.read_f64()?,
-                probs: r.read_f64s()?,
-            });
+            records.push((r.read_f64s()?, r.read_f64()?, r.read_f64()?, r.read_f64s()?));
+        }
+        let d = r.read_usize()?;
+        let mut members = Binned::new(d, rule());
+        for (direction, lo, hi, probs) in records {
+            if direction.len() != d {
+                return Err(Error::InvalidParameter(format!(
+                    "snapshot: LODA direction of {} weights for {d} features",
+                    direction.len()
+                )));
+            }
+            let weights: Vec<(usize, f64)> = direction
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, w)| w.to_bits() != 0)
+                .collect();
+            members.push_view(&weights, lo, hi, &probs)?;
         }
         Ok(Self {
             n_members,
             n_bins,
             seed,
             members,
-            n_features: r.read_usize()?,
             train_scores: r.read_f64s()?,
         })
     }
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tie_heavy;
+    use proptest::prelude::*;
+    use suod_linalg::{SnapshotReader, SnapshotWriter};
 
     fn grid_with_outlier() -> Matrix {
         let mut rows: Vec<Vec<f64>> = (0..64)
@@ -329,5 +346,208 @@ mod tests {
         let mut det = LodaDetector::new(10, 5, 0).unwrap();
         det.fit(&x).unwrap();
         assert!(det.training_scores().unwrap().iter().all(|v| v.is_finite()));
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|s| s.to_bits()).collect()
+    }
+
+    /// Projections that stress one member's grid: its ends and their
+    /// neighbours, every bin edge, the extremes, subnormals, signed
+    /// zeros, NaN and the infinities.
+    fn probes(m: &oracle::LodaMember) -> Vec<f64> {
+        let (lo, hi, bins) = (m.lo, m.hi, m.probs.len() as f64);
+        let range = (hi - lo).max(1e-12);
+        let mut v = vec![lo.next_down(), lo.next_up(), hi.next_down(), hi.next_up()];
+        v.extend((0..=m.probs.len()).map(|k| lo + k as f64 * range / bins));
+        v.extend([1e308, -1e308, 5e-324, -5e-324, 1e-310, -0.0, 0.0]);
+        v.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        v
+    }
+
+    /// `count` finite rows as wide as `x`: mostly copies of its cells,
+    /// some ±1e308 (whose projections overflow), subnormals and signed
+    /// zeros. Non-finite cells are left out: there the sparse member
+    /// differs from the dense one by design (see the module docs).
+    fn finite_probe_rows(x: &Matrix, count: usize, seed: u64) -> Matrix {
+        let specials = [1e308, -1e308, 5e-324, -5e-324, 1e-310, -0.0, 0.0];
+        let mut q = tie_heavy::hostile_queries(x, count, seed);
+        for (i, v) in q.as_mut_slice().iter_mut().enumerate() {
+            if !v.is_finite() || i % 7 == 3 {
+                *v = specials[(i / 7 + seed as usize) % specials.len()];
+            }
+        }
+        q
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The binned operator is the dense members: fed one oracle
+        /// member's histogram, it scores every probe projection with the
+        /// bits of `-ln(density)`; fitted as a detector with the same
+        /// seed, it writes the oracle's snapshot bytes (directions dense)
+        /// and scores training rows and probe rows, before and after a
+        /// reload, with the oracle's bits.
+        #[test]
+        fn binned_members_score_the_oracle(
+            (n, d, seed) in (2usize..300, 1usize..12, 0u64..u64::MAX),
+            (n_members, bins_at) in (1usize..30, 0usize..4),
+        ) {
+            let n_bins = [1, 2, 7, 50][bins_at];
+            let (x, _) = tie_heavy::tie_heavy_problem(n, d, seed);
+            let expected = oracle::fit(n_members, n_bins, seed, &x);
+
+            for m in &expected.members {
+                let mut op = Binned::new(1, rule());
+                op.push_view(&[(0, 1.0)], m.lo, m.hi, &m.probs).unwrap();
+                let values = probes(m);
+                let want: Vec<f64> = values.iter().map(|&z| -m.density(z).ln()).collect();
+                let column = Matrix::from_vec(values.len(), 1, values).unwrap();
+                prop_assert_eq!(bits(&op.row_sums(&column, -0.0).unwrap()), bits(&want));
+            }
+
+            let mut det = LodaDetector::new(n_members, n_bins, seed).unwrap();
+            det.fit(&x).unwrap();
+            let mut w = SnapshotWriter::new();
+            det.snapshot_write(&mut w).unwrap();
+            prop_assert_eq!(w.as_bytes(), expected.snapshot_bytes().as_slice());
+            prop_assert_eq!(
+                bits(&det.training_scores().unwrap()),
+                bits(&expected.train_scores)
+            );
+            let loaded = LodaDetector::snapshot_read(&mut SnapshotReader::new(w.as_bytes()), 1)
+                .unwrap();
+            for (k, &count) in tie_heavy::QUERY_COUNTS.iter().enumerate() {
+                let q = finite_probe_rows(&x, count, seed ^ k as u64);
+                let want = bits(&expected.score_rows(&q));
+                prop_assert_eq!(&bits(&det.decision_function(&q).unwrap()), &want);
+                prop_assert_eq!(&bits(&loaded.decision_function(&q).unwrap()), &want);
+            }
+        }
+    }
+
+    /// A member reads only the features it drew: a non-finite value
+    /// anywhere else leaves its score as it is. Where it drew the feature,
+    /// ±inf projects outside the grid and scores the floor.
+    #[test]
+    fn non_finite_features_outside_a_members_support_are_ignored() {
+        let rows: Vec<Vec<f64>> = (0..50)
+            .map(|i| (0..16).map(|c| ((i * 7 + c * 3) % 11) as f64).collect())
+            .collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let mut det = LodaDetector::new(1, 10, 3).unwrap();
+        det.fit(&x).unwrap();
+        let drawn = det.members.weights(0).0.to_vec();
+        assert_eq!(drawn.len(), 4); // ceil(sqrt(16))
+        let base = det.decision_function(&x).unwrap()[0];
+        let floor = -(FLOOR.ln());
+        for f in 0..16 {
+            for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut row = rows[0].clone();
+                row[f] = special;
+                let q = Matrix::from_rows(&[row]).unwrap();
+                let s = det.decision_function(&q).unwrap()[0];
+                if !drawn.contains(&f) {
+                    assert_eq!(s.to_bits(), base.to_bits(), "feature {f} = {special}");
+                } else if special.is_infinite() {
+                    assert_eq!(s.to_bits(), floor.to_bits(), "feature {f} = {special}");
+                }
+            }
+        }
+    }
+
+    /// Columns 0 and 1 are +0.0 and column 2 is a
+    /// constant. A member drawing features 0 and 1 with negative weights
+    /// projects every row to -0.0 sparsely. The dense dot adds column 2's
+    /// product with +0.0, which is +0.0 for a positive constant, so the
+    /// stored grid ends are +0.0; for a negative constant they stay -0.0.
+    #[test]
+    fn zero_projections_store_the_dense_sign() {
+        for third in [0.5, -0.5] {
+            let x = Matrix::from_rows(&vec![vec![0.0, 0.0, third]; 6]).unwrap();
+            let expected = oracle::fit(64, 3, 11, &x);
+            let mut det = LodaDetector::new(64, 3, 11).unwrap();
+            det.fit(&x).unwrap();
+            let hits = (0..det.members.n_views())
+                .filter(|&v| {
+                    let (features, weights) = det.members.weights(v);
+                    features == [0, 1] && weights.iter().all(|w| *w < 0.0)
+                })
+                .inspect(|&v| {
+                    let (lo, hi) = det.members.grid(v);
+                    let want = if third > 0.0 { 0.0f64 } else { -0.0 };
+                    assert_eq!(
+                        (lo.to_bits(), hi.to_bits()),
+                        (want.to_bits(), want.to_bits())
+                    );
+                })
+                .count();
+            assert!(
+                hits > 0,
+                "no member drew features 0 and 1 with negative weights"
+            );
+            let mut w = SnapshotWriter::new();
+            det.snapshot_write(&mut w).unwrap();
+            assert_eq!(w.as_bytes(), expected.snapshot_bytes().as_slice());
+        }
+    }
+
+    /// Training projections that are all NaN leave a NaN grid: no value
+    /// is below or above it, so every projection scores bin 0, as the
+    /// dense members did.
+    #[test]
+    fn a_member_over_nan_projections_scores_bin_zero() {
+        let x = Matrix::from_rows(&vec![vec![f64::NAN]; 5]).unwrap();
+        let expected = oracle::fit(3, 4, 2, &x);
+        let mut det = LodaDetector::new(3, 4, 2).unwrap();
+        det.fit(&x).unwrap();
+        let q: Vec<f64> = probes(&expected.members[0]);
+        let q = Matrix::from_vec(q.len(), 1, q).unwrap();
+        assert_eq!(
+            bits(&det.decision_function(&q).unwrap()),
+            bits(&expected.score_rows(&q))
+        );
+        let bin0 = -(1.0f64.ln());
+        assert!(det
+            .decision_function(&q)
+            .unwrap()
+            .iter()
+            .all(|s| *s == bin0));
+    }
+
+    #[test]
+    fn a_drawn_negative_zero_weight_round_trips() {
+        let mut det = LodaDetector::new(2, 4, 0).unwrap();
+        det.fit(&grid_with_outlier()).unwrap();
+        let mut w = SnapshotWriter::new();
+        det.snapshot_write(&mut w).unwrap();
+        let mut bytes = w.into_bytes();
+        // Member 0's direction starts after three header fields, the
+        // member count and its length: overwrite its weights with -0.0.
+        let at = 5 * 8;
+        for i in 0..3 {
+            bytes[at + 8 * i..at + 8 * i + 8].copy_from_slice(&(-0.0f64).to_bits().to_le_bytes());
+        }
+        let loaded = LodaDetector::snapshot_read(&mut SnapshotReader::new(&bytes), 1).unwrap();
+        assert_eq!(loaded.members.weights(0).0, &[0, 1, 2]);
+        let mut again = SnapshotWriter::new();
+        loaded.snapshot_write(&mut again).unwrap();
+        assert_eq!(again.as_bytes(), &bytes[..]);
+    }
+
+    #[test]
+    fn a_direction_of_the_wrong_width_is_a_typed_snapshot_error() {
+        let mut det = LodaDetector::new(2, 4, 0).unwrap();
+        det.fit(&grid_with_outlier()).unwrap();
+        let mut w = SnapshotWriter::new();
+        det.snapshot_write(&mut w).unwrap();
+        let mut bytes = w.into_bytes();
+        // The stored feature count sits before the training scores.
+        let n_train = grid_with_outlier().nrows();
+        let at = bytes.len() - 8 * (n_train + 2);
+        bytes[at..at + 8].copy_from_slice(&4u64.to_le_bytes());
+        let err = LodaDetector::snapshot_read(&mut SnapshotReader::new(&bytes), 1).unwrap_err();
+        assert!(err.to_string().contains("snapshot: "), "{err}");
     }
 }

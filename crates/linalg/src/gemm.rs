@@ -979,7 +979,12 @@ mod tests {
         set_simd_lane_override(Some(SimdLane::Avx2));
         assert_eq!(SimdLane::detect(), SimdLane::supported());
         set_simd_lane_override(None);
-        assert_eq!(SimdLane::detect(), SimdLane::supported());
+        // With the override cleared, `SUOD_SIMD_LANE` comes next.
+        let expected = match env_lane() {
+            Some(SimdLane::Scalar) => SimdLane::Scalar,
+            _ => SimdLane::supported(),
+        };
+        assert_eq!(SimdLane::detect(), expected);
     }
 
     /// Adversarial inputs for the lane-equivalence test: denormals,

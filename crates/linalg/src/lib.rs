@@ -43,6 +43,9 @@
 //!   with an exactness fallback for small n and non-Euclidean metrics.
 //! * [`forest`] — the flat node arena ([`Forest`]) every tree ensemble
 //!   stores its trees in, and the one walk that scores them.
+//! * [`binned`] — the binned-density operator ([`Binned`]) HBOS and LODA
+//!   store their histograms in: sparse one-dimensional views, an
+//!   equal-width grid and a per-bin score table each, and one kernel.
 //!
 //! # Example
 //!
@@ -58,6 +61,7 @@
 //! # }
 //! ```
 
+pub mod binned;
 pub mod distance;
 pub mod eigen;
 pub mod forest;
@@ -71,6 +75,7 @@ pub mod rank;
 pub mod snapshot;
 pub mod stats;
 
+pub use binned::{Binned, Edge, Rule};
 pub use distance::{pairwise_distances_with, DistanceMetric, KnnIndex, Neighbor};
 pub use eigen::{symmetric_eigen, EigenDecomposition};
 pub use forest::{FlatNode, Forest};

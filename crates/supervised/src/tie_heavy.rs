@@ -1,6 +1,6 @@
-//! Generated test data for the tree-ensemble oracles: matrices built to
-//! tie, and query rows built to stress a walk. Compiled only into test
-//! builds; `suod-detectors` includes this file too, by path.
+//! Generated test data for the tree-ensemble and histogram oracles:
+//! matrices built to tie, and query rows built to stress a walk. Compiled
+//! only into test builds; `suod-detectors` includes this file too, by path.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

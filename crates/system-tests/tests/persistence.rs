@@ -513,6 +513,91 @@ fn golden_v1_hnsw_fixture_rebuilds_the_graphs_v2_stores() {
     );
 }
 
+/// FNV-1a over `bytes`: a digest to pin bits with, not a checksum.
+fn digest(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn bits_digest(values: &[f64]) -> u64 {
+    digest(values.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+}
+
+/// The cheap families pinned at the pool level: `e2e`'s `serve-small`
+/// pool (HBOS ×2, IForest ×2, LODA ×2, PCA) fitted on a seeded synthetic
+/// set. Neither the golden fixtures nor the CLI's pools hold a LODA, so
+/// this is where its scores and its snapshot record are held to fixed
+/// bits. The digests were recorded before HBOS and LODA moved onto the
+/// binned operator; a change to any of them is a change of scores or of
+/// format.
+#[test]
+fn serve_small_pool_keeps_its_digests() {
+    use suod_datasets::synthetic::{generate, OutlierKind, SyntheticConfig};
+    let data = generate(&SyntheticConfig {
+        n_samples: 800,
+        n_features: 16,
+        contamination: 0.2,
+        n_clusters: 3,
+        n_noise_features: 8,
+        outlier_kind: OutlierKind::Mixed,
+        seed: 17,
+    })
+    .unwrap();
+    let rows = |range: std::ops::Range<usize>| {
+        let picked: Vec<Vec<f64>> = range.map(|r| data.x.row(r).to_vec()).collect();
+        Matrix::from_rows(&picked).unwrap()
+    };
+    let (train, query) = (rows(0..600), rows(600..800));
+    let hbos = |n_bins, tolerance| ModelSpec::Hbos { n_bins, tolerance };
+    let iforest = |n_estimators, max_features| ModelSpec::IForest {
+        n_estimators,
+        max_features,
+    };
+    let loda = |n_members, n_bins| ModelSpec::Loda { n_members, n_bins };
+    let specs = vec![
+        hbos(10, 0.3),
+        hbos(20, 0.5),
+        iforest(20, 0.8),
+        iforest(40, 1.0),
+        loda(20, 10),
+        loda(40, 20),
+        ModelSpec::Pca {
+            variance_retained: 0.9,
+        },
+    ];
+    let clf = fit(
+        Suod::builder().base_estimators(specs).n_workers(2).seed(17),
+        &train,
+    );
+    let scores = clf.decision_function(&query).unwrap();
+    let combined = clf.training_combined_scores().unwrap();
+    let got = (
+        bits_digest(scores.as_slice()),
+        bits_digest(&combined),
+        digest(payload_without_fit_times(&clf)),
+    );
+    // Optimised builds call `exp2` for IForest's `2f64.powf(x)`, which
+    // rounds some scores differently from `pow`: each profile has its own.
+    let want = if cfg!(debug_assertions) {
+        (
+            0x61ea_e48d_4100_46f5,
+            0x985f_f071_637a_80d7,
+            0x1978_d6e0_e49d_f647,
+        )
+    } else {
+        (
+            0x01ac_2ad3_4a4c_72c6,
+            0x9285_b291_f521_9363,
+            0x6077_0016_cef3_3ec4,
+        )
+    };
+    assert_eq!(
+        got, want,
+        "decision_function, training_combined_scores, snapshot payload"
+    );
+}
+
 /// Hostile bytes at the stored HNSW graph. Each mutant is re-signed with
 /// [`payload_signature`](suod::observe::payload_signature) (the checksum
 /// is not a MAC), then loaded and scored on another thread: a typed error
