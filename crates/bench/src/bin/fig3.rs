@@ -84,8 +84,7 @@ fn main() {
 
     for (name, spec) in models() {
         let mut det = spec.build(7).expect("valid spec");
-        det.fit(&ds.x).expect("fit on toy data");
-        let train_scores = det.training_scores().expect("fitted");
+        let train_scores = det.fit(&ds.x).expect("fit on toy data");
 
         // Distill into the paper's approximator: a random forest regressor.
         let mut rf = RandomForestRegressor::new(100, 7).with_max_depth(10);

@@ -49,9 +49,8 @@ fn main() {
                 .build(seed)
                 .expect("valid spec");
                 let start = Instant::now();
-                det.fit(&z).expect("detector fit");
+                let scores = det.fit(&z).expect("detector fit");
                 times.push(start.elapsed().as_secs_f64());
-                let scores = det.training_scores().expect("fitted");
                 rocs.push(roc_auc(&ds.y, &scores).expect("both classes"));
             }
             let (t, r) = (mean(&times), mean(&rocs));

@@ -87,9 +87,8 @@ fn main() {
                     let spec = detector_for(det_name, seed);
                     let mut det = spec.build(seed).expect("valid spec");
                     let start = std::time::Instant::now();
-                    det.fit(&z).expect("detector fit");
+                    let scores = det.fit(&z).expect("detector fit");
                     times.push(start.elapsed().as_secs_f64());
-                    let scores = det.training_scores().expect("fitted");
                     rocs.push(roc_auc(&ds.y, &scores).expect("both classes present"));
                     pans.push(precision_at_n(&ds.y, &scores, None).expect("has outliers"));
                 }

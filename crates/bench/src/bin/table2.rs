@@ -90,10 +90,9 @@ fn main() {
                 let split = train_test_split(&ds, 0.4, seed).expect("valid split");
 
                 let mut det = spec.build(seed).expect("valid spec");
-                if det.fit(&split.x_train).is_err() {
+                let Ok(truth) = det.fit(&split.x_train) else {
                     continue;
-                }
-                let truth = det.training_scores().expect("fitted");
+                };
                 let orig_scores = det
                     .decision_function(&split.x_test)
                     .expect("scoring fitted detector");

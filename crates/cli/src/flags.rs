@@ -12,7 +12,7 @@ use suod::prelude::*;
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Fit an ensemble and write a `suod-pool/2` snapshot.
+    /// Fit an ensemble and write a `suod-pool/3` snapshot.
     Fit(FitArgs),
     /// Fit an ensemble and emit per-sample scores.
     Detect(DetectArgs),
@@ -485,7 +485,7 @@ USAGE:
   suod-cli list-datasets                       show the benchmark registry
   suod-cli help                                this text
 
-Snapshots use the suod-pool/2 format: versioned, integrity-checked, and
+Snapshots use the suod-pool/3 format: versioned, integrity-checked, and
 bitwise score-stable across save/load at any worker count.
 
 FIT / DETECT / TRACE OPTIONS:

@@ -4,7 +4,7 @@
 //!
 //! The binary (`suod-cli`) wraps the `suod` library around the fitted-pool
 //! lifecycle: **fit** a heterogeneous ensemble once and persist it as a
-//! `suod-pool/2` snapshot, **score** datasets with it (locally or against
+//! `suod-pool/3` snapshot, **score** datasets with it (locally or against
 //! a server), and **serve** it online with hot reload. Argument parsing
 //! is hand-rolled (no CLI dependency) and lives in [`flags`] so it is
 //! unit-testable; `main.rs` is a thin shell.
@@ -706,7 +706,7 @@ mod tests {
         let out = run(cmd).unwrap();
         assert!(out.contains("kernels: backend=gemm lane="), "{out}");
         assert!(out.contains("neighbors=exact"), "{out}");
-        assert!(out.contains("snapshot format: suod-pool/2"), "{out}");
+        assert!(out.contains("snapshot format: suod-pool/3"), "{out}");
     }
 
     #[test]
@@ -908,7 +908,7 @@ mod tests {
         .unwrap();
         let out = run(cmd).unwrap();
         assert!(out.contains("snapshot written to"), "{out}");
-        assert!(out.contains("suod-pool/2"), "{out}");
+        assert!(out.contains("suod-pool/3"), "{out}");
         assert!(snapshot.exists());
 
         // Offline scoring with the saved pool on the same rows reports

@@ -216,8 +216,7 @@ mod tests {
     fn approximator_reproduces_detector_ranking() {
         let x = training_data();
         let mut det = KnnDetector::new(3, KnnMethod::Largest).unwrap();
-        det.fit(&x).unwrap();
-        let truth = det.training_scores().unwrap();
+        let truth = det.fit(&x).unwrap();
 
         for spec in [
             ApproxSpec::default(),
@@ -236,8 +235,7 @@ mod tests {
     fn rf_approximator_generalizes_to_new_points() {
         let x = training_data();
         let mut det = KnnDetector::new(3, KnnMethod::Largest).unwrap();
-        det.fit(&x).unwrap();
-        let truth = det.training_scores().unwrap();
+        let truth = det.fit(&x).unwrap();
         let approx = fit_approximator(&ApproxSpec::default(), &space_of(&x), &truth, 1).unwrap();
         let q = Matrix::from_rows(&[vec![0.5, 0.5], vec![7.5, 7.5]]).unwrap();
         let pred = approx.predict(&q).unwrap();

@@ -1,18 +1,19 @@
-//! Versioned fitted-pool snapshots — the `suod-pool/2` format.
+//! Versioned fitted-pool snapshots — the `suod-pool/3` format.
 //!
 //! A snapshot captures everything a fitted [`Suod`] needs to score new
 //! samples bitwise-identically on another process: the builder
-//! configuration, every surviving model's detector state, retained JL
-//! projector, and PSA approximator, the standardization reference and
-//! contamination threshold, and the per-model health report. Like the
-//! `suod-trace/1` exporter it is a hand-rolled, dependency-free byte
-//! format (see [`suod_linalg::SnapshotWriter`]).
+//! configuration, every surviving model's scorer (its detector state, or
+//! the PSA approximator that replaced it), retained JL projector and
+//! training scores, the standardization reference and contamination
+//! threshold, and the per-model health report. Like the `suod-trace/1`
+//! exporter it is a hand-rolled, dependency-free byte format (see
+//! [`suod_linalg::SnapshotWriter`]).
 //!
 //! # Layout
 //!
 //! ```text
 //! 8 bytes   magic b"SUODPOOL"
-//! u64       format version (2; files of version 1 still load)
+//! u64       format version (3; files of versions 1 and 2 still load)
 //! str       integrity signature ("fnv1a64:<16 hex>" over the payload)
 //! bytes     payload (length-prefixed)
 //! ```
@@ -23,13 +24,39 @@
 //! the stored value: any truncation or bit flip surfaces as a typed
 //! [`Error::SnapshotCorrupt`], never a panic.
 //!
+//! A model record is
+//!
+//! ```text
+//! usize     pool index
+//! spec      the model's recipe
+//! u8        scorer tag: 0 = detector record, 1 = approximator record
+//! record    the scorer
+//! option    JL projector
+//! f64s      training scores
+//! u64       fit time (ns)
+//! ```
+//!
+//! Every fitted value is stored once, by its one owner: the training
+//! scores in the model record (detector records hold none), and either
+//! the detector or its approximator, never both.
+//!
 //! Each neighbour-index record carries the HNSW graph fit built, when the
-//! index engages HNSW, as per-level CSR (`suod-pool/2`). Loading checks
-//! the graph against the rules it was built under and uses it as is, so
-//! a cold start does not rebuild it. A `suod-pool/1` file carries no
-//! graphs: they are rebuilt at load, bit for bit the graphs fit built,
-//! and saving such a pool writes `suod-pool/2`. The loader reads the
-//! version once and hands it to every record reader.
+//! index engages HNSW, as per-level CSR. Loading checks the graph against
+//! the rules it was built under and uses it as is, so a cold start does
+//! not rebuild it. The loader reads the version once and hands it to
+//! every record reader; older files differ in three ways:
+//!
+//! * a `suod-pool/1` file carries no graphs: they are rebuilt at load,
+//!   bit for bit the graphs fit built;
+//! * a `/1` or `/2` model record stores a detector for every model, an
+//!   optional approximator after the projector, and a second copy of the
+//!   training scores inside the detector record. The copy is read and
+//!   dropped; so is an approximated model's detector, once read in full;
+//! * a `/1` or `/2` config carries the precision byte of its kernel
+//!   config and the retired `ef_search` slot, both read and checked.
+//!
+//! Saving a loaded old pool writes `suod-pool/3`, the bytes a fresh fit's
+//! save gives (fit times aside).
 //!
 //! # What is not persisted
 //!
@@ -69,7 +96,7 @@ use crate::diagnostics::{CpuFeatures, FitDiagnostics, ModelDiagnostics};
 use crate::health::{ModelHealth, ModelReport, ModelStatus};
 use crate::pseudo::ApproxSpec;
 use crate::spec::ModelSpec;
-use crate::suod::{FittedModel, FittedState, Suod, SuodBuilder, WarmContext};
+use crate::suod::{FittedModel, FittedState, Scorer, Suod, SuodBuilder, WarmContext};
 use crate::{Error, Result};
 use std::sync::Arc;
 use std::time::Duration;
@@ -86,7 +113,7 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SUODPOOL";
 pub use suod_linalg::snapshot::{OLDEST_SNAPSHOT_VERSION, SNAPSHOT_VERSION};
 
 /// Human-readable format name (magic + version), printed by the CLI.
-pub const SNAPSHOT_FORMAT: &str = "suod-pool/2";
+pub const SNAPSHOT_FORMAT: &str = "suod-pool/3";
 
 fn corrupt(what: &str) -> Error {
     Error::Linalg(suod_linalg::Error::InvalidParameter(format!(
@@ -131,9 +158,6 @@ fn write_config(config: &SuodBuilder, w: &mut SnapshotWriter) {
     w.write_u64(config.seed);
     w.write_bool(config.neighbor_cache_enabled);
     w.write_kernel_config(&config.kernel);
-    // Slot of the retired `ef_search` builder override (always folded
-    // into the kernel config above): kept so the byte layout stands.
-    w.write_opt_u64(None);
     w.write_f64(config.min_healthy_fraction);
     w.write_usize(config.max_model_retries);
     w.write_f64(config.straggler_factor);
@@ -165,28 +189,38 @@ fn read_config(r: &mut SnapshotReader<'_>) -> Result<SuodBuilder> {
     config.seed = r.read_u64()?;
     config.neighbor_cache_enabled = r.read_bool()?;
     config.kernel = r.read_kernel_config()?;
-    r.read_opt_u64()?; // retired `ef_search` override, see `write_config`
+    if r.version() < 3 {
+        // Slot of the retired `ef_search` builder override, which was
+        // always folded into the kernel config above.
+        r.read_opt_u64()?;
+    }
     config.min_healthy_fraction = r.read_f64()?;
     config.max_model_retries = r.read_usize()?;
     config.straggler_factor = r.read_f64()?;
     Ok(config)
 }
 
+/// Scorer tags of a `suod-pool/3` model record.
+const SCORER_DETECTOR: u8 = 0;
+const SCORER_APPROXIMATOR: u8 = 1;
+
 fn write_model(model: &FittedModel, w: &mut SnapshotWriter) -> Result<()> {
     w.write_usize(model.pool_index);
     model.spec.snapshot_write(w);
-    write_detector(model.detector.as_ref(), w)?;
+    match &model.scorer {
+        Scorer::Detector(detector) => {
+            w.write_u8(SCORER_DETECTOR);
+            write_detector(detector.as_ref(), w)?;
+        }
+        Scorer::Approximator(approximator) => {
+            w.write_u8(SCORER_APPROXIMATOR);
+            write_regressor(approximator.as_ref(), w)?;
+        }
+    }
     match &model.projector {
         Some(proj) => {
             w.write_bool(true);
             proj.snapshot_write(w)?;
-        }
-        None => w.write_bool(false),
-    }
-    match &model.approximator {
-        Some(approx) => {
-            w.write_bool(true);
-            write_regressor(approx.as_ref(), w)?;
         }
         None => w.write_bool(false),
     }
@@ -198,26 +232,51 @@ fn write_model(model: &FittedModel, w: &mut SnapshotWriter) -> Result<()> {
 fn read_model(r: &mut SnapshotReader<'_>, n_threads: usize) -> Result<FittedModel> {
     let pool_index = r.read_usize()?;
     let spec = ModelSpec::snapshot_read(r)?;
-    let detector = read_detector(r, n_threads)?;
-    let projector = if r.read_bool()? {
-        Some(JlProjector::snapshot_read(r)?)
+    let (scorer, projector) = if r.version() < 3 {
+        read_v2_scorer(r, n_threads)?
     } else {
-        None
-    };
-    let approximator = if r.read_bool()? {
-        Some(read_regressor(r)?)
-    } else {
-        None
+        let scorer = match r.read_u8()? {
+            SCORER_DETECTOR => Scorer::Detector(read_detector(r, n_threads)?),
+            SCORER_APPROXIMATOR => Scorer::Approximator(read_regressor(r)?),
+            other => return Err(corrupt(&format!("unknown scorer tag {other}"))),
+        };
+        (scorer, read_projector(r)?)
     };
     Ok(FittedModel {
         spec,
         pool_index,
-        detector,
+        scorer,
         projector,
-        approximator,
         train_scores: r.read_f64s()?,
         fit_time: Duration::from_nanos(r.read_u64()?),
     })
+}
+
+fn read_projector(r: &mut SnapshotReader<'_>) -> Result<Option<JlProjector>> {
+    Ok(if r.read_bool()? {
+        Some(JlProjector::snapshot_read(r)?)
+    } else {
+        None
+    })
+}
+
+/// The scorer and projector of a `suod-pool/1` or `/2` model record,
+/// which stores the detector of every model and then, optionally, its
+/// approximator. An approximated model's detector is read in full, so
+/// its record is validated, and dropped: a loaded old pool holds what a
+/// fresh fit does.
+fn read_v2_scorer(
+    r: &mut SnapshotReader<'_>,
+    n_threads: usize,
+) -> Result<(Scorer, Option<JlProjector>)> {
+    let detector = read_detector(r, n_threads)?;
+    let projector = read_projector(r)?;
+    let scorer = if r.read_bool()? {
+        Scorer::Approximator(read_regressor(r)?)
+    } else {
+        Scorer::Detector(detector)
+    };
+    Ok((scorer, projector))
 }
 
 fn write_health(health: &ModelHealth, w: &mut SnapshotWriter) {
@@ -277,7 +336,7 @@ fn read_health(r: &mut SnapshotReader<'_>, config: &SuodBuilder) -> Result<Model
 
 impl Suod {
     /// Serializes the estimator — configuration, fitted state, and health
-    /// report — into a `suod-pool/2` snapshot.
+    /// report — into a `suod-pool/3` snapshot.
     ///
     /// The bytes are self-verifying: the header carries a deterministic
     /// signature over the payload which [`Suod::load_from_bytes`] checks
@@ -335,7 +394,7 @@ impl Suod {
         Ok(bytes)
     }
 
-    /// Writes a `suod-pool/2` snapshot to `path` **atomically**: the
+    /// Writes a `suod-pool/3` snapshot to `path` **atomically**: the
     /// bytes land in a sibling temporary file first and are renamed into
     /// place, so a reader (e.g. a serving process hot-reloading the
     /// pool) never observes a half-written snapshot.
@@ -466,7 +525,7 @@ impl Suod {
                         straggler: rep.straggler,
                         fit_time: model.map(|m| m.fit_time),
                         projected: model.is_some_and(|m| m.projector.is_some()),
-                        approximated: model.is_some_and(|m| m.approximator.is_some()),
+                        approximated: model.is_some_and(|m| m.is_approximated()),
                     }
                 })
                 .collect();
@@ -519,9 +578,33 @@ mod tests {
     use super::*;
     use crate::suod::testing::small_pool;
 
+    /// A `suod-pool/2` file stores a detector for every model. Loaded, its
+    /// approximated models hold their regressor alone, as a fresh fit's
+    /// do: the committed v2 fixture's kNN and two LOFs are distilled.
+    #[test]
+    fn a_loaded_v2_pool_keeps_only_the_approximators() {
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../system-tests/tests/fixtures/golden-v2.suod"
+        );
+        let clf = Suod::load(fixture).expect("v2 fixture loads");
+        let state = clf.state.as_ref().expect("fitted");
+        let approximated: Vec<bool> = state
+            .models
+            .iter()
+            .map(|m| matches!(m.scorer, Scorer::Approximator(_)))
+            .collect();
+        assert_eq!(approximated, [false, false, true, true, true]);
+        for model in &state.models {
+            assert_eq!(model.is_approximated(), model.spec.is_costly());
+        }
+    }
+
     /// The optional-`u64` slot after the kernel config once carried the
     /// builder's `ef_search` override (already folded into the persisted
-    /// kernel config). A file written with a value there must still load.
+    /// kernel config). `suod-pool/3` dropped it with the kernel config's
+    /// precision byte; a `suod-pool/2` file with a value in the slot must
+    /// still load, and re-encode as a fresh `/3` save.
     #[test]
     fn retired_ef_search_slot_loads_with_a_value_in_it() {
         let unfitted = Suod::builder()
@@ -534,19 +617,23 @@ mod tests {
         header.read_str().unwrap();
         let payload = header.read_bytes().unwrap();
 
-        // Unfitted, no health: the slot's tag byte is followed by three
-        // 8-byte config fields and the fitted + health flags.
-        let slot = payload.len() - (3 * 8 + 2) - 1;
-        assert_eq!(payload[slot], 0, "this build writes the slot empty");
-        let mut patched = payload[..slot].to_vec();
-        patched.push(1);
-        patched.extend_from_slice(&128u64.to_le_bytes());
-        patched.extend_from_slice(&payload[slot + 1..]);
+        // Unfitted, no health: the config ends with an exact-neighbour
+        // kernel config (backend tag, two u64, neighbour tag), then three
+        // 8-byte fields, then the fitted + health flags.
+        let slot = payload.len() - (3 * 8 + 2);
+        let kernel = slot - 18;
+        assert_eq!(payload[slot - 1], 0, "exact neighbour backend");
+        let mut v2 = payload[..=kernel].to_vec();
+        v2.push(0); // precision byte: f64
+        v2.extend_from_slice(&payload[kernel + 1..slot]);
+        v2.push(1);
+        v2.extend_from_slice(&128u64.to_le_bytes());
+        v2.extend_from_slice(&payload[slot..]);
 
         let mut framed = SnapshotWriter::new();
-        framed.write_u64(SNAPSHOT_VERSION);
-        framed.write_str(&payload_signature(&patched));
-        framed.write_bytes(&patched);
+        framed.write_u64(2);
+        framed.write_str(&payload_signature(&v2));
+        framed.write_bytes(&v2);
         let old_file = [&SNAPSHOT_MAGIC[..], framed.as_bytes()].concat();
 
         let loaded = Suod::load_from_bytes(&old_file).expect("old file loads");

@@ -605,9 +605,8 @@ mod tests {
         let x = Matrix::from_rows(&rows).unwrap();
         for spec in sample_specs() {
             let mut det = spec.build(1).unwrap();
-            det.fit(&x).unwrap();
+            let s = det.fit(&x).unwrap();
             assert!(det.is_fitted(), "{}", spec.name());
-            let s = det.training_scores().unwrap();
             assert_eq!(s.len(), 31, "{}", spec.name());
         }
     }

@@ -27,7 +27,7 @@ mod predict;
 mod state;
 
 pub use builder::SuodBuilder;
-pub(crate) use state::{FittedModel, FittedState, WarmContext};
+pub(crate) use state::{FittedModel, FittedState, Scorer, WarmContext};
 
 use crate::diagnostics::FitDiagnostics;
 use crate::{Error, Result};

@@ -2,7 +2,7 @@
 //! points. A cold [`Suod::fit`] is a [`Suod::warm_refit`] with nothing to
 //! carry over and an empty neighbour cache.
 
-use super::{FittedModel, FittedState, Suod, WarmContext};
+use super::{FittedModel, FittedState, Scorer, Suod, WarmContext};
 use crate::diagnostics::{CpuFeatures, FitDiagnostics, ModelDiagnostics};
 use crate::health::{ModelHealth, ModelReport, ModelStatus};
 use crate::pseudo::{fit_approximator, DistillSpace};
@@ -11,25 +11,24 @@ use crate::{Error, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use suod_detectors::{validate_finite, Detector, FitContext};
+use suod_detectors::{validate_finite, FitContext};
 use suod_linalg::{DataFingerprint, DistanceMetric, Matrix, NeighborBackend, NeighborCache};
 use suod_observe::{Counter, SpanAttrs, Stage};
 use suod_projection::{JlProjector, Projector};
 use suod_scheduler::{
     current_worker, generic_schedule, DatasetMeta, ExecutionReport, TaskDescriptor, TaskFailure,
 };
-use suod_supervised::Regressor;
 
 /// What a successful fit task leaves behind.
 struct FitSuccess {
-    detector: Box<dyn Detector>,
+    /// The fitted detector, or the PSA approximator the task distilled
+    /// from `train_scores` as its last step.
+    scorer: Scorer,
+    /// What the detector's `fit` returned, moved here without a copy.
     /// Finite: a model with non-finite training scores has failed.
     train_scores: Vec<f64>,
     /// Duration of the detector fit alone.
     fit_time: Duration,
-    /// The PSA approximator the task distilled from `train_scores` as its
-    /// last step; `None` for a model that serves its own predictions.
-    approximator: Option<Box<dyn Regressor>>,
 }
 
 /// What a fit task returns: the model-level outcome, where `Err` is a
@@ -349,11 +348,11 @@ impl Suod {
                 let fit_span = suod_observe::span(task_obs.as_ref(), stage, attrs);
                 let mut detector = spec.build(seed)?;
                 let start = Instant::now();
-                if let Err(e) = detector.fit_with_context(&psi, &ctx) {
-                    return Ok(Err(e));
-                }
+                let train_scores = match detector.fit_with_context(&psi, &ctx) {
+                    Ok(scores) => scores,
+                    Err(e) => return Ok(Err(e)),
+                };
                 let fit_time = start.elapsed();
-                let train_scores = detector.training_scores()?;
                 drop(fit_span);
                 if !train_scores.iter().all(|v| v.is_finite()) {
                     return Ok(Err(suod_detectors::Error::DegenerateData(
@@ -362,23 +361,25 @@ impl Suod {
                 }
                 // PSA: the costly model's task ends by growing its
                 // approximator, on this worker, beside the other fits.
-                let approximator = match &distill_space {
+                // The approximator replaces the detector (paper §3.4),
+                // so the detector goes first.
+                let scorer = match &distill_space {
                     Some(space) => {
+                        drop(detector);
                         let _span = suod_observe::span(task_obs.as_ref(), Stage::PsaDistill, attrs);
-                        Some(fit_approximator(
+                        Scorer::Approximator(fit_approximator(
                             &approx_spec,
                             space,
                             &train_scores,
                             distill_seed,
                         )?)
                     }
-                    None => None,
+                    None => Scorer::Detector(detector),
                 };
                 Ok(Ok(FitSuccess {
-                    detector,
+                    scorer,
                     train_scores,
                     fit_time,
-                    approximator,
                 }))
             })
         };
@@ -546,16 +547,15 @@ impl Suod {
                 models.push(Arc::new(FittedModel {
                     spec: specs[i],
                     pool_index: i,
-                    detector: ok.detector,
+                    scorer: ok.scorer,
                     projector: projectors[i].take(),
-                    approximator: ok.approximator,
                     train_scores: ok.train_scores,
                     fit_time: ok.fit_time,
                 }));
             }
         }
         for model in &models {
-            diagnostics.models_mut()[model.pool_index].approximated = model.approximator.is_some();
+            diagnostics.models_mut()[model.pool_index].approximated = model.is_approximated();
         }
         // Fit-only scratch goes before the new state exists beside the old.
         drop((spaces, shared_x, projectors));

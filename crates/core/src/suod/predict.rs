@@ -1,7 +1,7 @@
 //! The predict side of the estimator: the fault-isolated scoring engine,
 //! the combiners, and the fitted-state accessors.
 
-use super::{FittedState, Suod};
+use super::{FittedState, Scorer, Suod};
 use crate::diagnostics::{PredictFailure, PredictReport};
 use crate::{Error, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,7 +50,7 @@ impl Suod {
             } else {
                 for &mi in members {
                     let model = &state.models[mi];
-                    costs[mi] = if model.approximator.is_some() {
+                    costs[mi] = if model.is_approximated() {
                         1.0
                     } else {
                         cost_model.predict_cost(&model.spec.task_descriptor(), &meta)
@@ -565,14 +565,11 @@ impl Suod {
         let mut acc = vec![0.0; state.n_features];
         let mut count = 0usize;
         for model in &state.models {
-            if model.projector.is_some() {
+            let (None, Scorer::Approximator(approximator)) = (&model.projector, &model.scorer)
+            else {
                 continue;
-            }
-            if let Some(imp) = model
-                .approximator
-                .as_ref()
-                .and_then(|a| a.feature_importances())
-            {
+            };
+            if let Some(imp) = approximator.feature_importances() {
                 for (a, v) in acc.iter_mut().zip(imp) {
                     *a += v;
                 }
@@ -761,25 +758,23 @@ fn score_unit_chunk(
                 SpanAttrs::model(mi).with_task(task_index),
             );
             let start = Instant::now();
-            let scores = catch_unwind(AssertUnwindSafe(|| {
-                match (&lists, model.neighbor_query()) {
+            let scores = catch_unwind(AssertUnwindSafe(|| match &model.scorer {
+                Scorer::Approximator(r) => r.predict(z).map_err(|e| {
+                    suod_detectors::Error::DegenerateData(format!(
+                        "approximator prediction failed: {e}"
+                    ))
+                }),
+                Scorer::Detector(detector) => match (&lists, detector.neighbor_query()) {
                     // Lists are sorted by (distance, index) and the unit's
                     // members are prefix-exact, so the first k entries are
                     // this member's own query answer.
                     (Some(lists), Some((_, k))) => {
                         let prefixes: Vec<&[Neighbor]> =
                             lists.iter().map(|nn| &nn[..k.min(nn.len())]).collect();
-                        model.detector.score_from_neighbors(z, &prefixes)
+                        detector.score_from_neighbors(z, &prefixes)
                     }
-                    _ => match &model.approximator {
-                        Some(r) => r.predict(z).map_err(|e| {
-                            suod_detectors::Error::DegenerateData(format!(
-                                "approximator prediction failed: {e}"
-                            ))
-                        }),
-                        None => model.detector.decision_function(z),
-                    },
-                }
+                    _ => detector.decision_function(z),
+                },
             }))
             .map_err(TaskFailure::from_payload);
             (scores, start.elapsed())

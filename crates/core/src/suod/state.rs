@@ -11,28 +11,44 @@ use suod_linalg::{DataFingerprint, KnnIndex, Matrix, NeighborCache};
 use suod_projection::JlProjector;
 use suod_supervised::Regressor;
 
+/// What scores a model's rows at prediction time: its fitted detector,
+/// or — for a costly model under PSA (paper §3.4) — the regressor
+/// distilled from it, which replaces it. Never both: a costly model's
+/// fit task drops its detector before it distils.
+pub(crate) enum Scorer {
+    Detector(Box<dyn Detector>),
+    Approximator(Box<dyn Regressor>),
+}
+
 pub(crate) struct FittedModel {
     pub(crate) spec: ModelSpec,
     /// Original index in the configured pool — stable across fit-time
     /// quarantines, so predict-time health reports line up with the
     /// fit-time [`ModelHealth`] indices.
     pub(crate) pool_index: usize,
-    pub(crate) detector: Box<dyn Detector>,
+    pub(crate) scorer: Scorer,
     pub(crate) projector: Option<JlProjector>,
-    pub(crate) approximator: Option<Box<dyn Regressor>>,
+    /// The model's scores of the training rows, as its detector's `fit`
+    /// returned them: the only copy. The ensemble standardizes against
+    /// them, sets its threshold from them, and distills from them.
     pub(crate) train_scores: Vec<f64>,
     pub(crate) fit_time: Duration,
 }
 
 impl FittedModel {
     /// The neighbour query this model's prediction starts with: its
-    /// detector's, unless a PSA approximator answers in the detector's
-    /// place (a regressor queries nothing).
+    /// detector's, or none for an approximator (a regressor queries
+    /// nothing).
     pub(super) fn neighbor_query(&self) -> Option<(&Arc<KnnIndex>, usize)> {
-        match self.approximator {
-            Some(_) => None,
-            None => self.detector.neighbor_query(),
+        match &self.scorer {
+            Scorer::Detector(detector) => detector.neighbor_query(),
+            Scorer::Approximator(_) => None,
         }
+    }
+
+    /// `true` when a PSA approximator scores in the detector's place.
+    pub(crate) fn is_approximated(&self) -> bool {
+        matches!(self.scorer, Scorer::Approximator(_))
     }
 
     /// `true` when `other` can answer from this model's neighbour query:

@@ -24,7 +24,6 @@ use suod_linalg::{DistanceMetric, KnnIndex, Matrix};
 pub struct AbodDetector {
     k: usize,
     index: Option<Arc<KnnIndex>>,
-    train_scores: Vec<f64>,
 }
 
 impl AbodDetector {
@@ -40,11 +39,7 @@ impl AbodDetector {
                 "ABOD needs n_neighbors >= 2".into(),
             ));
         }
-        Ok(Self {
-            k,
-            index: None,
-            train_scores: Vec::new(),
-        })
+        Ok(Self { k, index: None })
     }
 
     /// Neighbourhood size.
@@ -106,11 +101,11 @@ impl AbodDetector {
 }
 
 impl Detector for AbodDetector {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         self.fit_with_context(x, &FitContext::default())
     }
 
-    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<()> {
+    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<Vec<f64>> {
         if x.nrows() < 3 {
             return Err(Error::InsufficientData {
                 needed: "at least 3 samples".into(),
@@ -126,13 +121,13 @@ impl Detector for AbodDetector {
         // otherwise.
         let k = self.k.min(x.nrows() - 1);
         let (index, neighbors) = ctx.self_neighbors(x, DistanceMetric::Euclidean, k)?;
-        self.train_scores = neighbors
+        let train_scores = neighbors
             .iter()
             .enumerate()
             .map(|(i, nn)| Self::score_one(&index, x.row(i), nn))
             .collect();
         self.index = Some(index);
-        Ok(())
+        Ok(train_scores)
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -156,13 +151,6 @@ impl Detector for AbodDetector {
             .collect())
     }
 
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        if self.index.is_none() {
-            return Err(Error::NotFitted("AbodDetector"));
-        }
-        Ok(self.train_scores.clone())
-    }
-
     fn name(&self) -> &'static str {
         "abod"
     }
@@ -174,7 +162,6 @@ impl Detector for AbodDetector {
     fn snapshot_write(&self, w: &mut suod_linalg::SnapshotWriter) -> Result<()> {
         w.write_usize(self.k);
         crate::write_opt_index(self.index.as_deref(), w);
-        w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
@@ -189,11 +176,12 @@ impl AbodDetector {
         r: &mut suod_linalg::SnapshotReader<'_>,
         n_threads: usize,
     ) -> Result<Self> {
-        Ok(Self {
+        let det = Self {
             k: r.read_usize()?,
             index: crate::read_opt_index(r, n_threads)?,
-            train_scores: r.read_f64s()?,
-        })
+        };
+        crate::skip_training_scores(r)?;
+        Ok(det)
     }
 }
 
@@ -216,8 +204,7 @@ mod tests {
     #[test]
     fn outlier_scores_highest() {
         let mut det = AbodDetector::new(6).unwrap();
-        det.fit(&ring_with_outlier()).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&ring_with_outlier()).unwrap();
         assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 12);
     }
 
@@ -229,10 +216,8 @@ mod tests {
         let scaled = x.map(|v| v * 3.0);
         let mut a = AbodDetector::new(6).unwrap();
         let mut b = AbodDetector::new(6).unwrap();
-        a.fit(&x).unwrap();
-        b.fit(&scaled).unwrap();
-        let ra = suod_linalg::rank::argsort_desc(&a.training_scores().unwrap());
-        let rb = suod_linalg::rank::argsort_desc(&b.training_scores().unwrap());
+        let ra = suod_linalg::rank::argsort_desc(&a.fit(&x).unwrap());
+        let rb = suod_linalg::rank::argsort_desc(&b.fit(&scaled).unwrap());
         assert_eq!(ra[0], rb[0]);
         assert_eq!(ra[0], 12);
     }
@@ -253,8 +238,7 @@ mod tests {
         rows.push(vec![2.0, 0.0]);
         let x = Matrix::from_rows(&rows).unwrap();
         let mut det = AbodDetector::new(3).unwrap();
-        det.fit(&x).unwrap();
-        assert!(det.training_scores().unwrap().iter().all(|v| v.is_finite()));
+        assert!(det.fit(&x).unwrap().iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -281,7 +265,7 @@ mod tests {
     fn scores_are_nonpositive() {
         // -variance is always <= 0.
         let mut det = AbodDetector::new(5).unwrap();
-        det.fit(&ring_with_outlier()).unwrap();
-        assert!(det.training_scores().unwrap().iter().all(|&v| v <= 0.0));
+        let s = det.fit(&ring_with_outlier()).unwrap();
+        assert!(s.iter().all(|&v| v <= 0.0));
     }
 }

@@ -26,8 +26,7 @@ use suod_linalg::Matrix;
 /// rows.push(vec![50.0, 50.0]);
 /// let x = Matrix::from_rows(&rows).unwrap();
 /// let mut det = CblofDetector::new(3, 7)?;
-/// det.fit(&x)?;
-/// let s = det.training_scores()?;
+/// let s = det.fit(&x)?;
 /// assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 30);
 /// # Ok(())
 /// # }
@@ -40,7 +39,6 @@ pub struct CblofDetector {
     seed: u64,
     kmeans: Option<KMeans>,
     large_clusters: Vec<usize>,
-    train_scores: Vec<f64>,
 }
 
 impl CblofDetector {
@@ -61,7 +59,6 @@ impl CblofDetector {
             seed,
             kmeans: None,
             large_clusters: Vec::new(),
-            train_scores: Vec::new(),
         })
     }
 
@@ -145,7 +142,7 @@ impl CblofDetector {
 }
 
 impl Detector for CblofDetector {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         if x.nrows() < self.n_clusters.max(2) {
             return Err(Error::InsufficientData {
                 needed: format!("at least {} samples", self.n_clusters.max(2)),
@@ -157,10 +154,9 @@ impl Detector for CblofDetector {
             Self::find_large_clusters(km.sizes(), x.nrows(), self.alpha, self.beta);
         self.kmeans = Some(km);
         let km = self.kmeans.as_ref().expect("just set");
-        self.train_scores = (0..x.nrows())
+        Ok((0..x.nrows())
             .map(|i| self.score_row(x.row(i), km.assignments()[i]))
-            .collect();
-        Ok(())
+            .collect())
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -172,13 +168,6 @@ impl Detector for CblofDetector {
         Ok(x.rows_iter()
             .map(|row| self.score_row(row, km.assign(row)))
             .collect())
-    }
-
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        if self.kmeans.is_none() {
-            return Err(Error::NotFitted("CblofDetector"));
-        }
-        Ok(self.train_scores.clone())
     }
 
     fn name(&self) -> &'static str {
@@ -202,7 +191,6 @@ impl Detector for CblofDetector {
             None => w.write_bool(false),
         }
         w.write_usizes(&self.large_clusters);
-        w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
@@ -226,14 +214,15 @@ impl CblofDetector {
         } else {
             None
         };
+        let large_clusters = r.read_usizes()?;
+        crate::skip_training_scores(r)?;
         Ok(Self {
             n_clusters,
             alpha,
             beta,
             seed,
             kmeans,
-            large_clusters: r.read_usizes()?,
-            train_scores: r.read_f64s()?,
+            large_clusters,
         })
     }
 }
@@ -258,8 +247,7 @@ mod tests {
     #[test]
     fn small_cluster_members_score_high() {
         let mut det = CblofDetector::new(2, 0).unwrap();
-        det.fit(&blob_with_outlier_group()).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&blob_with_outlier_group()).unwrap();
         let top3: Vec<usize> = suod_linalg::rank::argsort_desc(&s)[..3].to_vec();
         for i in 40..43 {
             assert!(top3.contains(&i), "index {i} missing from top3 {top3:?}");
@@ -316,8 +304,8 @@ mod tests {
         let x = blob_with_outlier_group();
         let mut a = CblofDetector::new(3, 5).unwrap();
         let mut b = CblofDetector::new(3, 5).unwrap();
-        a.fit(&x).unwrap();
-        b.fit(&x).unwrap();
-        assert_eq!(a.training_scores().unwrap(), b.training_scores().unwrap());
+        let sa = a.fit(&x).unwrap();
+        let sb = b.fit(&x).unwrap();
+        assert_eq!(sa, sb);
     }
 }

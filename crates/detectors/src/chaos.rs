@@ -301,14 +301,14 @@ impl ChaosDetector {
 }
 
 impl Detector for ChaosDetector {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         self.inject_pre_fit();
-        self.inner.fit(x)
+        self.inner.fit(x).map(|s| self.poison(s))
     }
 
-    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<()> {
+    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<Vec<f64>> {
         self.inject_pre_fit();
-        self.inner.fit_with_context(x, ctx)
+        self.inner.fit_with_context(x, ctx).map(|s| self.poison(s))
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -327,10 +327,6 @@ impl Detector for ChaosDetector {
         self.inner
             .score_from_neighbors(x, neighbors)
             .map(|s| self.poison_predict(s))
-    }
-
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        self.inner.training_scores().map(|s| self.poison(s))
     }
 
     fn name(&self) -> &'static str {
@@ -409,13 +405,10 @@ mod tests {
     fn passthrough_matches_inner() {
         let x = data();
         let mut plain = HbosDetector::new(5, 0.5).unwrap();
-        plain.fit(&x).unwrap();
+        let plain_scores = plain.fit(&x).unwrap();
         let mut wrapped = ChaosDetector::from_mode(inner(), ChaosMode::Passthrough, 7);
-        wrapped.fit(&x).unwrap();
-        assert_eq!(
-            plain.training_scores().unwrap(),
-            wrapped.training_scores().unwrap()
-        );
+        let wrapped_scores = wrapped.fit(&x).unwrap();
+        assert_eq!(plain_scores, wrapped_scores);
         assert_eq!(wrapped.name(), "chaos");
         assert!(wrapped.is_fitted());
     }
@@ -437,8 +430,8 @@ mod tests {
     fn nan_mode_poisons_all_scores() {
         let x = data();
         let mut det = ChaosDetector::from_mode(inner(), ChaosMode::NanScores, 3);
-        det.fit(&x).unwrap();
-        assert!(det.training_scores().unwrap().iter().all(|v| v.is_nan()));
+        let scores = det.fit(&x).unwrap();
+        assert!(scores.iter().all(|v| v.is_nan()));
         assert!(det
             .decision_function(&x)
             .unwrap()
@@ -477,8 +470,8 @@ mod tests {
     fn predict_panic_mode_fits_cleanly_then_panics_on_predict() {
         let x = data();
         let mut det = ChaosDetector::from_mode(inner(), ChaosMode::PanicOnPredict, 9);
-        det.fit(&x).unwrap();
-        assert!(det.training_scores().unwrap().iter().all(|v| v.is_finite()));
+        let scores = det.fit(&x).unwrap();
+        assert!(scores.iter().all(|v| v.is_finite()));
         assert!(det.will_panic_on_predict());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = det.decision_function(&x);
@@ -490,8 +483,8 @@ mod tests {
     fn predict_nan_mode_keeps_training_scores_clean() {
         let x = data();
         let mut det = ChaosDetector::from_mode(inner(), ChaosMode::NanOnPredict, 9);
-        det.fit(&x).unwrap();
-        assert!(det.training_scores().unwrap().iter().all(|v| v.is_finite()));
+        let scores = det.fit(&x).unwrap();
+        assert!(scores.iter().all(|v| v.is_finite()));
         assert!(det
             .decision_function(&x)
             .unwrap()
@@ -514,6 +507,10 @@ mod tests {
     #[test]
     fn unfitted_wrapper_propagates_not_fitted() {
         let det = ChaosDetector::from_mode(inner(), ChaosMode::Passthrough, 0);
-        assert!(matches!(det.training_scores(), Err(DetError::NotFitted(_))));
+        assert!(!det.is_fitted());
+        assert!(matches!(
+            det.decision_function(&data()),
+            Err(DetError::NotFitted(_))
+        ));
     }
 }

@@ -31,8 +31,7 @@ use suod_linalg::{DistanceMetric, KnnIndex, Matrix};
 /// rows.push(vec![5.0, 3.0]);
 /// let x = Matrix::from_rows(&rows).unwrap();
 /// let mut cof = CofDetector::new(5)?;
-/// cof.fit(&x)?;
-/// let s = cof.training_scores()?;
+/// let s = cof.fit(&x)?;
 /// assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 20);
 /// # Ok(())
 /// # }
@@ -43,7 +42,6 @@ pub struct CofDetector {
     index: Option<Arc<KnnIndex>>,
     /// Average chaining distance of each training point.
     ac_dist: Vec<f64>,
-    train_scores: Vec<f64>,
 }
 
 impl CofDetector {
@@ -61,7 +59,6 @@ impl CofDetector {
             k,
             index: None,
             ac_dist: Vec::new(),
-            train_scores: Vec::new(),
         })
     }
 
@@ -135,11 +132,11 @@ impl CofDetector {
 }
 
 impl Detector for CofDetector {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         self.fit_with_context(x, &FitContext::default())
     }
 
-    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<()> {
+    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<Vec<f64>> {
         let n = x.nrows();
         if n < 3 {
             return Err(Error::InsufficientData {
@@ -163,7 +160,7 @@ impl Detector for CofDetector {
             })
             .collect();
 
-        self.train_scores = (0..n)
+        let train_scores = (0..n)
             .map(|i| {
                 let mean_nb: f64 = neighbor_ids[i].iter().map(|&j| ac_dist[j]).sum::<f64>()
                     / neighbor_ids[i].len().max(1) as f64;
@@ -180,7 +177,7 @@ impl Detector for CofDetector {
             .collect();
         self.ac_dist = ac_dist;
         self.index = Some(index);
-        Ok(())
+        Ok(train_scores)
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -201,13 +198,6 @@ impl Detector for CofDetector {
             .collect())
     }
 
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        if self.index.is_none() {
-            return Err(Error::NotFitted("CofDetector"));
-        }
-        Ok(self.train_scores.clone())
-    }
-
     fn name(&self) -> &'static str {
         "cof"
     }
@@ -220,7 +210,6 @@ impl Detector for CofDetector {
         w.write_usize(self.k);
         crate::write_opt_index(self.index.as_deref(), w);
         w.write_f64s(&self.ac_dist);
-        w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
@@ -235,12 +224,13 @@ impl CofDetector {
         r: &mut suod_linalg::SnapshotReader<'_>,
         n_threads: usize,
     ) -> Result<Self> {
-        Ok(Self {
+        let det = Self {
             k: r.read_usize()?,
             index: crate::read_opt_index(r, n_threads)?,
             ac_dist: r.read_f64s()?,
-            train_scores: r.read_f64s()?,
-        })
+        };
+        crate::skip_training_scores(r)?;
+        Ok(det)
     }
 }
 
@@ -260,8 +250,7 @@ mod tests {
     #[test]
     fn flags_pattern_deviation() {
         let mut cof = CofDetector::new(5).unwrap();
-        cof.fit(&line_with_deviant()).unwrap();
-        let s = cof.training_scores().unwrap();
+        let s = cof.fit(&line_with_deviant()).unwrap();
         assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 30);
         assert!(s[30] > 1.2, "deviant COF {}", s[30]);
     }
@@ -271,8 +260,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 * 0.4, 0.0]).collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let mut cof = CofDetector::new(5).unwrap();
-        cof.fit(&x).unwrap();
-        let s = cof.training_scores().unwrap();
+        let s = cof.fit(&x).unwrap();
         // Interior points chain exactly like their neighbours.
         assert!((s[15] - 1.0).abs() < 0.2, "interior COF {}", s[15]);
     }
@@ -301,8 +289,8 @@ mod tests {
     fn duplicates_handled() {
         let x = Matrix::from_rows(&vec![vec![1.0, 1.0]; 8]).unwrap();
         let mut cof = CofDetector::new(3).unwrap();
-        cof.fit(&x).unwrap();
-        assert!(cof.training_scores().unwrap().iter().all(|v| v.is_finite()));
+        let cof_scores = cof.fit(&x).unwrap();
+        assert!(cof_scores.iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -320,8 +308,8 @@ mod tests {
         let x = line_with_deviant();
         let mut a = CofDetector::new(4).unwrap();
         let mut b = CofDetector::new(4).unwrap();
-        a.fit(&x).unwrap();
-        b.fit(&x).unwrap();
-        assert_eq!(a.training_scores().unwrap(), b.training_scores().unwrap());
+        let sa = a.fit(&x).unwrap();
+        let sb = b.fit(&x).unwrap();
+        assert_eq!(sa, sb);
     }
 }

@@ -28,8 +28,7 @@ use suod_linalg::Matrix;
 /// rows.push(vec![5.0, 5.0, 5.0]);
 /// let x = Matrix::from_rows(&rows).unwrap();
 /// let mut det = FeatureBagging::new(10, 5, 42)?;
-/// det.fit(&x)?;
-/// let s = det.training_scores()?;
+/// let s = det.fit(&x)?;
 /// assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 30);
 /// # Ok(())
 /// # }
@@ -40,7 +39,6 @@ pub struct FeatureBagging {
     base_k: usize,
     seed: u64,
     members: Vec<(Vec<usize>, LofDetector)>,
-    train_scores: Vec<f64>,
 }
 
 impl FeatureBagging {
@@ -62,7 +60,6 @@ impl FeatureBagging {
             base_k,
             seed,
             members: Vec::new(),
-            train_scores: Vec::new(),
         })
     }
 
@@ -86,7 +83,7 @@ impl FeatureBagging {
 }
 
 impl Detector for FeatureBagging {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         let n = x.nrows();
         let d = x.ncols();
         if n < 3 {
@@ -112,13 +109,11 @@ impl Detector for FeatureBagging {
 
             let sub = x.select_cols(&pool);
             let mut base = LofDetector::new(self.base_k)?;
-            base.fit(&sub)?;
-            columns.push(base.training_scores()?);
+            columns.push(base.fit(&sub)?);
             members.push((pool, base));
         }
-        self.train_scores = Self::combine(columns);
         self.members = members;
-        Ok(())
+        Ok(Self::combine(columns))
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -143,13 +138,6 @@ impl Detector for FeatureBagging {
         Ok(Self::combine(columns?))
     }
 
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        if self.members.is_empty() {
-            return Err(Error::NotFitted("FeatureBagging"));
-        }
-        Ok(self.train_scores.clone())
-    }
-
     fn name(&self) -> &'static str {
         "feature_bagging"
     }
@@ -167,7 +155,6 @@ impl Detector for FeatureBagging {
             w.write_usizes(features);
             base.snapshot_write(w)?;
         }
-        w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
@@ -192,12 +179,12 @@ impl FeatureBagging {
             let base = LofDetector::snapshot_read(r, n_threads)?;
             members.push((features, base));
         }
+        crate::skip_training_scores(r)?;
         Ok(Self {
             n_estimators,
             base_k,
             seed,
             members,
-            train_scores: r.read_f64s()?,
         })
     }
 }
@@ -227,8 +214,7 @@ mod tests {
     #[test]
     fn detects_outlier() {
         let mut det = FeatureBagging::new(8, 5, 0).unwrap();
-        det.fit(&grid_with_outlier()).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&grid_with_outlier()).unwrap();
         assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 36);
     }
 
@@ -237,12 +223,12 @@ mod tests {
         let x = grid_with_outlier();
         let mut a = FeatureBagging::new(5, 4, 3).unwrap();
         let mut b = FeatureBagging::new(5, 4, 3).unwrap();
-        a.fit(&x).unwrap();
-        b.fit(&x).unwrap();
-        assert_eq!(a.training_scores().unwrap(), b.training_scores().unwrap());
+        let sa = a.fit(&x).unwrap();
+        let sb = b.fit(&x).unwrap();
+        assert_eq!(sa, sb);
         let mut c = FeatureBagging::new(5, 4, 4).unwrap();
-        c.fit(&x).unwrap();
-        assert_ne!(a.training_scores().unwrap(), c.training_scores().unwrap());
+        let sc = c.fit(&x).unwrap();
+        assert_ne!(sa, sc);
     }
 
     #[test]
@@ -282,8 +268,7 @@ mod tests {
         rows.push(vec![50.0]);
         let x = Matrix::from_rows(&rows).unwrap();
         let mut det = FeatureBagging::new(4, 3, 0).unwrap();
-        det.fit(&x).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&x).unwrap();
         assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 20);
     }
 }

@@ -56,8 +56,7 @@ fn rule(tolerance: f64) -> Rule {
 /// x_rows.push(vec![100.0]);
 /// let x = Matrix::from_rows(&x_rows).unwrap();
 /// let mut det = HbosDetector::new(10, 0.5)?;
-/// det.fit(&x)?;
-/// let s = det.training_scores()?;
+/// let s = det.fit(&x)?;
 /// assert!(s[50] >= *s[..50].iter().max_by(|a, b| a.total_cmp(b)).unwrap());
 /// # Ok(())
 /// # }
@@ -68,7 +67,6 @@ pub struct HbosDetector {
     tolerance: f64,
     /// One view per feature; none before `fit`.
     histograms: Binned,
-    train_scores: Vec<f64>,
 }
 
 impl HbosDetector {
@@ -92,7 +90,6 @@ impl HbosDetector {
             n_bins,
             tolerance,
             histograms: Binned::new(0, rule(tolerance)),
-            train_scores: Vec::new(),
         })
     }
 
@@ -107,7 +104,7 @@ impl HbosDetector {
 const SUM_START: f64 = -0.0;
 
 impl Detector for HbosDetector {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         if x.nrows() < 2 {
             return Err(Error::InsufficientData {
                 needed: "at least 2 samples".into(),
@@ -120,8 +117,7 @@ impl Detector for HbosDetector {
             histograms.fit_view(x, &[(c, 1.0)], self.n_bins, &mut train_scores)?;
         }
         self.histograms = histograms;
-        self.train_scores = train_scores;
-        Ok(())
+        Ok(train_scores)
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -130,13 +126,6 @@ impl Detector for HbosDetector {
         }
         check_dims(self.histograms.n_features(), x)?;
         Ok(self.histograms.row_sums(x, SUM_START)?)
-    }
-
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        if !self.is_fitted() {
-            return Err(Error::NotFitted("HbosDetector"));
-        }
-        Ok(self.train_scores.clone())
     }
 
     fn name(&self) -> &'static str {
@@ -157,7 +146,6 @@ impl Detector for HbosDetector {
             w.write_f64(max);
             w.write_f64s(self.histograms.masses(v));
         }
-        w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
@@ -182,11 +170,11 @@ impl HbosDetector {
             let (min, max) = (r.read_f64()?, r.read_f64()?);
             histograms.push_view(&[(c, 1.0)], min, max, &r.read_f64s()?)?;
         }
+        crate::skip_training_scores(r)?;
         Ok(Self {
             n_bins,
             tolerance,
             histograms,
-            train_scores: r.read_f64s()?,
         })
     }
 }
@@ -212,8 +200,7 @@ mod tests {
     #[test]
     fn rare_value_scores_highest() {
         let mut det = HbosDetector::new(10, 0.2).unwrap();
-        det.fit(&uniform_with_rare_value()).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&uniform_with_rare_value()).unwrap();
         assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 100);
     }
 
@@ -248,8 +235,8 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, 7.0]).collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let mut det = HbosDetector::new(5, 0.1).unwrap();
-        det.fit(&x).unwrap();
-        assert!(det.training_scores().unwrap().iter().all(|v| v.is_finite()));
+        let scores = det.fit(&x).unwrap();
+        assert!(scores.iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -269,9 +256,9 @@ mod tests {
         let x = uniform_with_rare_value();
         let mut a = HbosDetector::new(8, 0.3).unwrap();
         let mut b = HbosDetector::new(8, 0.3).unwrap();
-        a.fit(&x).unwrap();
-        b.fit(&x).unwrap();
-        assert_eq!(a.training_scores().unwrap(), b.training_scores().unwrap());
+        let sa = a.fit(&x).unwrap();
+        let sb = b.fit(&x).unwrap();
+        assert_eq!(sa, sb);
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -348,14 +335,11 @@ mod tests {
             }
 
             let mut det = HbosDetector::new(n_bins, tolerance).unwrap();
-            det.fit(&x).unwrap();
+            let scores = det.fit(&x).unwrap();
             let mut w = SnapshotWriter::new();
             det.snapshot_write(&mut w).unwrap();
             prop_assert_eq!(w.as_bytes(), expected.snapshot_bytes().as_slice());
-            prop_assert_eq!(
-                bits(&det.training_scores().unwrap()),
-                bits(&expected.train_scores)
-            );
+            prop_assert_eq!(bits(&scores), bits(&expected.train_scores));
             let loaded = HbosDetector::snapshot_read(&mut SnapshotReader::new(w.as_bytes()), 1)
                 .unwrap();
             for (k, &count) in tie_heavy::QUERY_COUNTS.iter().enumerate() {
@@ -376,7 +360,6 @@ mod tests {
         w.write_f64(0.0);
         w.write_f64(1.0);
         w.write_f64s(&[]);
-        w.write_f64s(&[0.5, 0.5]);
         let err =
             HbosDetector::snapshot_read(&mut SnapshotReader::new(w.as_bytes()), 1).unwrap_err();
         assert!(err.to_string().contains("snapshot: "), "{err}");

@@ -1,9 +1,10 @@
 //! Test oracle: the per-feature histograms this crate shipped before the
 //! binned operator, kept as they were — a column copied out per feature,
 //! a density looked up per value with its tolerance band, and `ln` taken
-//! per (row, feature) at score time — with their snapshot writer. The
-//! generated properties in `hbos.rs` hold the shipped detector to these
-//! bytes and these scores.
+//! per (row, feature) at score time — with their snapshot writer, less
+//! the training scores `fit` now returns instead. The generated
+//! properties in `hbos.rs` hold the shipped detector to these bytes and
+//! these scores.
 
 use suod_linalg::{Matrix, SnapshotWriter};
 
@@ -108,7 +109,6 @@ impl OracleHbos {
             w.write_f64(h.max);
             w.write_f64s(&h.densities);
         }
-        w.write_f64s(&self.train_scores);
         w.into_bytes()
     }
 }

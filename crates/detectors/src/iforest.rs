@@ -105,8 +105,7 @@ impl TreeRecords {
 /// rows.push(vec![10.0, 10.0]);
 /// let x = Matrix::from_rows(&rows).unwrap();
 /// let mut forest = IsolationForest::new(50, 7)?;
-/// forest.fit(&x)?;
-/// let s = forest.training_scores()?;
+/// let s = forest.fit(&x)?;
 /// let top = suod_linalg::rank::argsort_desc(&s)[0];
 /// assert_eq!(top, 64);
 /// # Ok(())
@@ -121,7 +120,6 @@ pub struct IsolationForest {
     forest: Forest,
     records: TreeRecords,
     subsample_size: usize,
-    train_scores: Vec<f64>,
 }
 
 impl IsolationForest {
@@ -143,7 +141,6 @@ impl IsolationForest {
             forest: Forest::default(),
             records: TreeRecords::default(),
             subsample_size: 0,
-            train_scores: Vec::new(),
         })
     }
 
@@ -275,7 +272,7 @@ impl IsolationForest {
 }
 
 impl Detector for IsolationForest {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         let n = x.nrows();
         if n < 2 {
             return Err(Error::InsufficientData {
@@ -322,8 +319,7 @@ impl Detector for IsolationForest {
         self.forest = forest;
         self.records = records;
         self.subsample_size = psi;
-        self.train_scores = self.score_rows(x)?;
-        Ok(())
+        self.score_rows(x)
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -332,13 +328,6 @@ impl Detector for IsolationForest {
         }
         check_dims(self.forest.n_features(), x)?;
         self.score_rows(x)
-    }
-
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        if !self.is_fitted() {
-            return Err(Error::NotFitted("IsolationForest"));
-        }
-        Ok(self.train_scores.clone())
     }
 
     fn name(&self) -> &'static str {
@@ -374,7 +363,6 @@ impl Detector for IsolationForest {
         }
         w.write_usize(self.forest.n_features());
         w.write_usize(self.subsample_size);
-        w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
@@ -428,6 +416,8 @@ impl IsolationForest {
         for (tree, ids, subset) in read {
             records.push(&mut forest, tree, ids, subset)?;
         }
+        let subsample_size = r.read_usize()?;
+        crate::skip_training_scores(r)?;
         Ok(Self {
             n_estimators,
             max_samples,
@@ -435,8 +425,7 @@ impl IsolationForest {
             seed,
             forest,
             records,
-            subsample_size: r.read_usize()?,
-            train_scores: r.read_f64s()?,
+            subsample_size,
         })
     }
 }
@@ -464,8 +453,7 @@ mod tests {
     #[test]
     fn outlier_isolated_fastest() {
         let mut f = IsolationForest::new(100, 3).unwrap();
-        f.fit(&grid_with_outlier()).unwrap();
-        let s = f.training_scores().unwrap();
+        let s = f.fit(&grid_with_outlier()).unwrap();
         assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 100);
         // Scores are anomaly scores in (0, 1).
         assert!(s.iter().all(|&v| v > 0.0 && v < 1.0));
@@ -486,12 +474,12 @@ mod tests {
         let x = grid_with_outlier();
         let mut a = IsolationForest::new(20, 9).unwrap();
         let mut b = IsolationForest::new(20, 9).unwrap();
-        a.fit(&x).unwrap();
-        b.fit(&x).unwrap();
-        assert_eq!(a.training_scores().unwrap(), b.training_scores().unwrap());
+        let sa = a.fit(&x).unwrap();
+        let sb = b.fit(&x).unwrap();
+        assert_eq!(sa, sb);
         let mut c = IsolationForest::new(20, 10).unwrap();
-        c.fit(&x).unwrap();
-        assert_ne!(a.training_scores().unwrap(), c.training_scores().unwrap());
+        let sc = c.fit(&x).unwrap();
+        assert_ne!(sa, sc);
     }
 
     #[test]
@@ -509,8 +497,7 @@ mod tests {
             .unwrap()
             .with_max_features_fraction(0.5)
             .unwrap();
-        f.fit(&grid_with_outlier()).unwrap();
-        let s = f.training_scores().unwrap();
+        let s = f.fit(&grid_with_outlier()).unwrap();
         assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 100);
     }
 
@@ -520,8 +507,7 @@ mod tests {
             .unwrap()
             .with_max_samples(16)
             .unwrap();
-        f.fit(&grid_with_outlier()).unwrap();
-        let s = f.training_scores().unwrap();
+        let s = f.fit(&grid_with_outlier()).unwrap();
         assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 100);
     }
 
@@ -529,8 +515,7 @@ mod tests {
     fn constant_data_gives_uniform_scores() {
         let x = Matrix::filled(20, 3, 1.0);
         let mut f = IsolationForest::new(10, 0).unwrap();
-        f.fit(&x).unwrap();
-        let s = f.training_scores().unwrap();
+        let s = f.fit(&x).unwrap();
         let first = s[0];
         assert!(s.iter().all(|&v| (v - first).abs() < 1e-9));
     }
@@ -578,16 +563,13 @@ mod tests {
                 .unwrap()
                 .with_max_features_fraction(fraction)
                 .unwrap();
-            forest.fit(&x).unwrap();
+            let forest_scores = forest.fit(&x).unwrap();
             let expected = oracle::fit(n_estimators, max_samples, fraction, seed, &x);
 
             let mut w = SnapshotWriter::new();
             forest.snapshot_write(&mut w).unwrap();
             prop_assert_eq!(w.as_bytes(), expected.snapshot_bytes().as_slice());
-            prop_assert_eq!(
-                bits(&forest.training_scores().unwrap()),
-                bits(&expected.train_scores)
-            );
+            prop_assert_eq!(bits(&forest_scores), bits(&expected.train_scores));
 
             let loaded = IsolationForest::snapshot_read(&mut SnapshotReader::new(w.as_bytes()), 1)
                 .unwrap();
@@ -633,7 +615,6 @@ mod tests {
         w.write_usizes(subset);
         w.write_usize(2); // n_features
         w.write_usize(4); // subsample_size
-        w.write_f64s(&[0.5]);
         w.into_bytes()
     }
 

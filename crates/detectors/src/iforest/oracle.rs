@@ -2,8 +2,9 @@
 //! forest arena, kept as they were — `enum` nodes, a per-tree feature
 //! subset read through `row[features[feature]]`, a walk that counts its
 //! depth and calls `average_path_length` at the leaf, one row × one tree
-//! at a time — with their snapshot writer. The generated property in
-//! `iforest.rs` holds the shipped forest to these bytes and these scores.
+//! at a time — with their snapshot writer, less the training scores
+//! `fit` now returns instead. The generated property in `iforest.rs`
+//! holds the shipped forest to these bytes and these scores.
 
 use super::average_path_length;
 use rand::rngs::StdRng;
@@ -226,7 +227,6 @@ impl OracleForest {
         }
         w.write_usize(self.n_features);
         w.write_usize(self.subsample_size);
-        w.write_f64s(&self.train_scores);
         w.into_bytes()
     }
 }

@@ -66,7 +66,6 @@ pub struct KnnDetector {
     method: KnnMethod,
     metric: DistanceMetric,
     index: Option<Arc<KnnIndex>>,
-    train_scores: Vec<f64>,
 }
 
 impl KnnDetector {
@@ -84,7 +83,6 @@ impl KnnDetector {
             method,
             metric: DistanceMetric::Euclidean,
             index: None,
-            train_scores: Vec::new(),
         })
     }
 
@@ -126,23 +124,22 @@ impl KnnDetector {
         };
         let metric = r.read_metric()?;
         let index = crate::read_opt_index(r, n_threads)?;
-        let train_scores = r.read_f64s()?;
+        crate::skip_training_scores(r)?;
         Ok(Self {
             k,
             method,
             metric,
             index,
-            train_scores,
         })
     }
 }
 
 impl Detector for KnnDetector {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         self.fit_with_context(x, &FitContext::default())
     }
 
-    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<()> {
+    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<Vec<f64>> {
         if x.nrows() < 2 {
             return Err(Error::InsufficientData {
                 needed: "at least 2 samples".into(),
@@ -153,7 +150,7 @@ impl Detector for KnnDetector {
         // neighbour); served as a prefix of the pool-shared neighbour
         // graph when `ctx` carries a cache, swept directly otherwise.
         let (index, neighbors) = ctx.self_neighbors(x, self.metric, self.k)?;
-        self.train_scores = neighbors
+        let train_scores = neighbors
             .iter()
             .map(|nn| {
                 let d: Vec<f64> = nn.iter().map(|n| n.distance).collect();
@@ -161,7 +158,7 @@ impl Detector for KnnDetector {
             })
             .collect();
         self.index = Some(index);
-        Ok(())
+        Ok(train_scores)
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -186,13 +183,6 @@ impl Detector for KnnDetector {
             .collect())
     }
 
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        if self.index.is_none() {
-            return Err(Error::NotFitted("KnnDetector"));
-        }
-        Ok(self.train_scores.clone())
-    }
-
     fn name(&self) -> &'static str {
         match self.method {
             KnnMethod::Mean => "aknn",
@@ -213,7 +203,6 @@ impl Detector for KnnDetector {
         });
         w.write_metric(self.metric);
         crate::write_opt_index(self.index.as_deref(), w);
-        w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
@@ -238,8 +227,7 @@ mod tests {
     fn outlier_scores_highest() {
         for method in [KnnMethod::Largest, KnnMethod::Mean, KnnMethod::Median] {
             let mut det = KnnDetector::new(3, method).unwrap();
-            det.fit(&cluster_with_outlier()).unwrap();
-            let s = det.training_scores().unwrap();
+            let s = det.fit(&cluster_with_outlier()).unwrap();
             let max_idx = suod_linalg::rank::argsort_desc(&s)[0];
             assert_eq!(max_idx, 5, "method {method:?}");
         }
@@ -276,8 +264,7 @@ mod tests {
     fn k_clamps_to_train_size() {
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0]]).unwrap();
         let mut det = KnnDetector::new(50, KnnMethod::Mean).unwrap();
-        det.fit(&x).unwrap();
-        assert_eq!(det.training_scores().unwrap().len(), 3);
+        assert_eq!(det.fit(&x).unwrap().len(), 3);
     }
 
     #[test]
@@ -294,12 +281,10 @@ mod tests {
     fn metric_changes_scores() {
         let x = cluster_with_outlier();
         let mut e = KnnDetector::new(2, KnnMethod::Largest).unwrap();
-        e.fit(&x).unwrap();
         let mut m = KnnDetector::new(2, KnnMethod::Largest)
             .unwrap()
             .with_metric(DistanceMetric::Manhattan);
-        m.fit(&x).unwrap();
-        assert_ne!(e.training_scores().unwrap(), m.training_scores().unwrap());
+        assert_ne!(e.fit(&x).unwrap(), m.fit(&x).unwrap());
     }
 
     #[test]

@@ -23,11 +23,14 @@
 //! # Conventions
 //!
 //! All detectors implement [`Detector`]: `fit` learns from an unlabeled
-//! training matrix, `decision_function` scores new rows with **larger =
-//! more outlying** (the PyOD convention; detectors whose native score is
-//! inverted, like ABOD, negate internally), and `training_scores` exposes
-//! the scores of the training rows themselves — the "pseudo ground truth"
-//! that SUOD's model-approximation module trains regressors on.
+//! training matrix and returns the scores of the training rows themselves
+//! — the "pseudo ground truth" that SUOD's model-approximation module
+//! trains regressors on — and `decision_function` scores new rows with
+//! **larger = more outlying** (the PyOD convention; detectors whose native
+//! score is inverted, like ABOD, negate internally). A fitted detector
+//! keeps what scoring needs and not the training scores: their one owner
+//! is the caller (in a pool, the ensemble, which standardizes against
+//! them, sets its threshold from them and distills from them).
 //!
 //! # Example
 //!
@@ -40,8 +43,7 @@
 //!     vec![0.0, 0.0], vec![0.1, 0.0], vec![0.0, 0.1], vec![9.0, 9.0],
 //! ]).unwrap();
 //! let mut det = KnnDetector::new(2, KnnMethod::Largest)?;
-//! det.fit(&train)?;
-//! let scores = det.training_scores()?;
+//! let scores = det.fit(&train)?;
 //! // The far point is the most outlying.
 //! assert!(scores[3] > scores[0]);
 //! # Ok(())
@@ -95,7 +97,7 @@ use suod_observe::{Counter, Observer, SpanAttrs};
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Error {
-    /// `decision_function`/`training_scores` called before `fit`.
+    /// `decision_function` called before `fit`.
     NotFitted(&'static str),
     /// A hyperparameter was outside its valid domain.
     InvalidParameter(String),
@@ -342,13 +344,17 @@ impl FitContext {
 /// worker threads. Scores follow the PyOD convention: **larger = more
 /// outlying**.
 pub trait Detector: Send + Sync {
-    /// Learns the detector from unlabeled training rows.
+    /// Learns the detector from unlabeled training rows and returns their
+    /// outlyingness scores, one per row of `x` — PyOD's `decision_scores_`,
+    /// handed to the caller instead of kept as an attribute. For
+    /// neighbourhood methods this is the leave-one-out score (a point is
+    /// not its own neighbour).
     ///
     /// # Errors
     ///
     /// Returns [`Error::InsufficientData`] when `x` is too small for the
     /// configuration, plus detector-specific parameter failures.
-    fn fit(&mut self, x: &Matrix) -> Result<()>;
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>>;
 
     /// [`fit`](Self::fit) with pool-shared resources.
     ///
@@ -361,7 +367,7 @@ pub trait Detector: Send + Sync {
     /// # Errors
     ///
     /// Same failure modes as [`fit`](Self::fit).
-    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<()> {
+    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<Vec<f64>> {
         let _ = ctx;
         self.fit(x)
     }
@@ -406,16 +412,6 @@ pub trait Detector: Send + Sync {
             self.name()
         )))
     }
-
-    /// Outlyingness scores of the training rows, computed at fit time.
-    ///
-    /// For neighbourhood methods this is the leave-one-out score (a point
-    /// is not its own neighbour), matching PyOD's `decision_scores_`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotFitted`] before `fit`.
-    fn training_scores(&self) -> Result<Vec<f64>>;
 
     /// Short algorithm name for logs and reports (e.g. `"lof"`).
     fn name(&self) -> &'static str;
@@ -507,6 +503,16 @@ pub fn read_detector(r: &mut SnapshotReader<'_>, n_threads: usize) -> Result<Box
         )));
     }
     Ok(det)
+}
+
+/// Reads past the training scores a `suod-pool/1` or `/2` detector record
+/// ends its fitted state with. A `/3` record holds none: `fit` returns
+/// them, and the pool stores them once, beside the model.
+pub(crate) fn skip_training_scores(r: &mut SnapshotReader<'_>) -> Result<()> {
+    if r.version() < 3 {
+        r.read_f64s()?;
+    }
+    Ok(())
 }
 
 pub(crate) fn write_opt_index(index: Option<&KnnIndex>, w: &mut SnapshotWriter) {
@@ -902,17 +908,14 @@ mod tests {
         ])
         .unwrap();
         let mut plain = LofDetector::new(2).unwrap();
-        plain
+        let plain_scores = plain
             .fit_with_context(&x, &FitContext::standalone(1))
             .unwrap();
         let mut observed = LofDetector::new(2).unwrap();
         let rec = Arc::new(RecordingObserver::new());
-        observed
+        let observed_scores = observed
             .fit_with_context(&x, &FitContext::standalone(1).with_observer(rec))
             .unwrap();
-        assert_eq!(
-            plain.training_scores().unwrap(),
-            observed.training_scores().unwrap()
-        );
+        assert_eq!(plain_scores, observed_scores);
     }
 }

@@ -77,8 +77,7 @@ fn rule() -> Rule {
 /// rows.push(vec![9.0, -9.0]);
 /// let x = Matrix::from_rows(&rows).unwrap();
 /// let mut det = LodaDetector::new(50, 10, 7)?;
-/// det.fit(&x)?;
-/// let s = det.training_scores()?;
+/// let s = det.fit(&x)?;
 /// assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 60);
 /// # Ok(())
 /// # }
@@ -90,7 +89,6 @@ pub struct LodaDetector {
     seed: u64,
     /// One view per member; none before `fit`.
     members: Binned,
-    train_scores: Vec<f64>,
 }
 
 impl LodaDetector {
@@ -112,7 +110,6 @@ impl LodaDetector {
             n_bins,
             seed,
             members: Binned::new(0, rule()),
-            train_scores: Vec::new(),
         })
     }
 
@@ -132,7 +129,7 @@ impl LodaDetector {
 }
 
 impl Detector for LodaDetector {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         let (n, d) = x.shape();
         if n < 2 {
             return Err(Error::InsufficientData {
@@ -158,8 +155,7 @@ impl Detector for LodaDetector {
             members.fit_view(x, &weights, self.n_bins, &mut sums)?;
         }
         self.members = members;
-        self.train_scores = self.mean(sums);
-        Ok(())
+        Ok(self.mean(sums))
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -168,13 +164,6 @@ impl Detector for LodaDetector {
         }
         check_dims(self.members.n_features(), x)?;
         Ok(self.mean(self.members.row_sums(x, 0.0)?))
-    }
-
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        if !self.is_fitted() {
-            return Err(Error::NotFitted("LodaDetector"));
-        }
-        Ok(self.train_scores.clone())
     }
 
     fn name(&self) -> &'static str {
@@ -206,7 +195,6 @@ impl Detector for LodaDetector {
             w.write_f64s(self.members.masses(v));
         }
         w.write_usize(d);
-        w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
@@ -248,12 +236,12 @@ impl LodaDetector {
                 .collect();
             members.push_view(&weights, lo, hi, &probs)?;
         }
+        crate::skip_training_scores(r)?;
         Ok(Self {
             n_members,
             n_bins,
             seed,
             members,
-            train_scores: r.read_f64s()?,
         })
     }
 }
@@ -279,8 +267,7 @@ mod tests {
     #[test]
     fn detects_far_outlier() {
         let mut det = LodaDetector::new(60, 12, 3).unwrap();
-        det.fit(&grid_with_outlier()).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&grid_with_outlier()).unwrap();
         assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 64);
     }
 
@@ -298,12 +285,12 @@ mod tests {
         let x = grid_with_outlier();
         let mut a = LodaDetector::new(20, 10, 5).unwrap();
         let mut b = LodaDetector::new(20, 10, 5).unwrap();
-        a.fit(&x).unwrap();
-        b.fit(&x).unwrap();
-        assert_eq!(a.training_scores().unwrap(), b.training_scores().unwrap());
+        let sa = a.fit(&x).unwrap();
+        let sb = b.fit(&x).unwrap();
+        assert_eq!(sa, sb);
         let mut c = LodaDetector::new(20, 10, 6).unwrap();
-        c.fit(&x).unwrap();
-        assert_ne!(a.training_scores().unwrap(), c.training_scores().unwrap());
+        let sc = c.fit(&x).unwrap();
+        assert_ne!(sa, sc);
     }
 
     #[test]
@@ -313,10 +300,8 @@ mod tests {
         let x = grid_with_outlier();
         let mut a = LodaDetector::new(200, 10, 1).unwrap();
         let mut b = LodaDetector::new(200, 10, 2).unwrap();
-        a.fit(&x).unwrap();
-        b.fit(&x).unwrap();
-        let sa = a.training_scores().unwrap();
-        let sb = b.training_scores().unwrap();
+        let sa = a.fit(&x).unwrap();
+        let sb = b.fit(&x).unwrap();
         let ra = suod_linalg::rank::average_ranks(&sa);
         let rb = suod_linalg::rank::average_ranks(&sb);
         let ma = suod_linalg::stats::mean(&ra);
@@ -344,8 +329,8 @@ mod tests {
     fn scores_finite_on_constant_data() {
         let x = Matrix::filled(20, 4, 3.0);
         let mut det = LodaDetector::new(10, 5, 0).unwrap();
-        det.fit(&x).unwrap();
-        assert!(det.training_scores().unwrap().iter().all(|v| v.is_finite()));
+        let scores = det.fit(&x).unwrap();
+        assert!(scores.iter().all(|v| v.is_finite()));
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -408,14 +393,11 @@ mod tests {
             }
 
             let mut det = LodaDetector::new(n_members, n_bins, seed).unwrap();
-            det.fit(&x).unwrap();
+            let scores = det.fit(&x).unwrap();
             let mut w = SnapshotWriter::new();
             det.snapshot_write(&mut w).unwrap();
             prop_assert_eq!(w.as_bytes(), expected.snapshot_bytes().as_slice());
-            prop_assert_eq!(
-                bits(&det.training_scores().unwrap()),
-                bits(&expected.train_scores)
-            );
+            prop_assert_eq!(bits(&scores), bits(&expected.train_scores));
             let loaded = LodaDetector::snapshot_read(&mut SnapshotReader::new(w.as_bytes()), 1)
                 .unwrap();
             for (k, &count) in tie_heavy::QUERY_COUNTS.iter().enumerate() {
@@ -543,9 +525,8 @@ mod tests {
         let mut w = SnapshotWriter::new();
         det.snapshot_write(&mut w).unwrap();
         let mut bytes = w.into_bytes();
-        // The stored feature count sits before the training scores.
-        let n_train = grid_with_outlier().nrows();
-        let at = bytes.len() - 8 * (n_train + 2);
+        // The stored feature count is the record's last field.
+        let at = bytes.len() - 8;
         bytes[at..at + 8].copy_from_slice(&4u64.to_le_bytes());
         let err = LodaDetector::snapshot_read(&mut SnapshotReader::new(&bytes), 1).unwrap_err();
         assert!(err.to_string().contains("snapshot: "), "{err}");

@@ -1,9 +1,9 @@
 //! Test oracle: the LODA members this crate shipped before the binned
 //! operator, kept as they were — a dense `d`-length direction per member,
 //! dotted in full with every row (twice in fit), and `ln` taken per (row,
-//! member) at score time — with their snapshot writer. The generated
-//! properties in `loda.rs` hold the shipped detector to these bytes and
-//! these scores.
+//! member) at score time — with their snapshot writer, less the training
+//! scores `fit` now returns instead. The generated properties in
+//! `loda.rs` hold the shipped detector to these bytes and these scores.
 
 use super::randn;
 use rand::rngs::StdRng;
@@ -129,7 +129,6 @@ impl OracleLoda {
             w.write_f64s(&m.probs);
         }
         w.write_usize(self.n_features);
-        w.write_f64s(&self.train_scores);
         w.into_bytes()
     }
 }

@@ -27,8 +27,7 @@ use suod_linalg::{DistanceMetric, KnnIndex, Matrix};
 ///     vec![0.0], vec![0.1], vec![0.2], vec![0.3], vec![5.0],
 /// ]).unwrap();
 /// let mut lof = LofDetector::new(2)?;
-/// lof.fit(&x)?;
-/// let s = lof.training_scores()?;
+/// let s = lof.fit(&x)?;
 /// assert!(s[4] > s[0]);
 /// # Ok(())
 /// # }
@@ -42,7 +41,6 @@ pub struct LofDetector {
     k_distances: Vec<f64>,
     /// Local reachability density of each training point.
     lrd: Vec<f64>,
-    train_scores: Vec<f64>,
 }
 
 impl LofDetector {
@@ -61,7 +59,6 @@ impl LofDetector {
             index: None,
             k_distances: Vec::new(),
             lrd: Vec::new(),
-            train_scores: Vec::new(),
         })
     }
 
@@ -78,11 +75,11 @@ impl LofDetector {
 }
 
 impl Detector for LofDetector {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         self.fit_with_context(x, &FitContext::default())
     }
 
-    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<()> {
+    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<Vec<f64>> {
         let n = x.nrows();
         if n < 3 {
             return Err(Error::InsufficientData {
@@ -132,9 +129,8 @@ impl Detector for LofDetector {
 
         self.k_distances = k_distances;
         self.lrd = lrd;
-        self.train_scores = train_scores;
         self.index = Some(index);
-        Ok(())
+        Ok(train_scores)
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -166,13 +162,6 @@ impl Detector for LofDetector {
         Ok(scores)
     }
 
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        if self.index.is_none() {
-            return Err(Error::NotFitted("LofDetector"));
-        }
-        Ok(self.train_scores.clone())
-    }
-
     fn name(&self) -> &'static str {
         "lof"
     }
@@ -187,7 +176,6 @@ impl Detector for LofDetector {
         crate::write_opt_index(self.index.as_deref(), w);
         w.write_f64s(&self.k_distances);
         w.write_f64s(&self.lrd);
-        w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
@@ -202,14 +190,15 @@ impl LofDetector {
         r: &mut suod_linalg::SnapshotReader<'_>,
         n_threads: usize,
     ) -> Result<Self> {
-        Ok(Self {
+        let det = Self {
             k: r.read_usize()?,
             metric: r.read_metric()?,
             index: crate::read_opt_index(r, n_threads)?,
             k_distances: r.read_f64s()?,
             lrd: r.read_f64s()?,
-            train_scores: r.read_f64s()?,
-        })
+        };
+        crate::skip_training_scores(r)?;
+        Ok(det)
     }
 }
 
@@ -228,8 +217,7 @@ mod tests {
     #[test]
     fn outlier_has_max_lof() {
         let mut det = LofDetector::new(5).unwrap();
-        det.fit(&dense_cluster_with_outlier()).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&dense_cluster_with_outlier()).unwrap();
         assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 20);
         assert!(s[20] > 2.0, "outlier LOF {}", s[20]);
     }
@@ -242,8 +230,7 @@ mod tests {
             .collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let mut det = LofDetector::new(4).unwrap();
-        det.fit(&x).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&x).unwrap();
         // Central point (index 12) is surrounded symmetrically.
         assert!((s[12] - 1.0).abs() < 0.2, "central LOF {}", s[12]);
     }
@@ -264,8 +251,7 @@ mod tests {
         let rows = vec![vec![1.0, 1.0]; 6];
         let x = Matrix::from_rows(&rows).unwrap();
         let mut det = LofDetector::new(3).unwrap();
-        det.fit(&x).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&x).unwrap();
         assert!(s.iter().all(|v| v.is_finite()));
     }
 
@@ -275,7 +261,6 @@ mod tests {
         let mut det = LofDetector::new(2).unwrap();
         assert!(det.fit(&Matrix::zeros(2, 2)).is_err());
         assert!(det.decision_function(&Matrix::zeros(1, 2)).is_err());
-        assert!(det.training_scores().is_err());
         det.fit(&dense_cluster_with_outlier()).unwrap();
         assert!(det.decision_function(&Matrix::zeros(1, 5)).is_err());
     }
@@ -289,8 +274,7 @@ mod tests {
             DistanceMetric::Minkowski(3.0),
         ] {
             let mut det = LofDetector::new(4).unwrap().with_metric(metric);
-            det.fit(&x).unwrap();
-            let s = det.training_scores().unwrap();
+            let s = det.fit(&x).unwrap();
             assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 20);
         }
     }

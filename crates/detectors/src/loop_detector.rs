@@ -30,8 +30,7 @@ const LAMBDA: f64 = 3.0;
 /// rows.push(vec![7.0, 7.0]);
 /// let x = Matrix::from_rows(&rows).unwrap();
 /// let mut det = LoopDetector::new(5)?;
-/// det.fit(&x)?;
-/// let s = det.training_scores()?;
+/// let s = det.fit(&x)?;
 /// assert!(s[25] > 0.9);
 /// # Ok(())
 /// # }
@@ -44,7 +43,6 @@ pub struct LoopDetector {
     pdist: Vec<f64>,
     /// Normalization constant `nPLOF`.
     nplof: f64,
-    train_scores: Vec<f64>,
 }
 
 impl LoopDetector {
@@ -62,7 +60,6 @@ impl LoopDetector {
             index: None,
             pdist: Vec::new(),
             nplof: 0.0,
-            train_scores: Vec::new(),
         })
     }
 
@@ -99,11 +96,11 @@ fn erf(x: f64) -> f64 {
 }
 
 impl Detector for LoopDetector {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         self.fit_with_context(x, &FitContext::default())
     }
 
-    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<()> {
+    fn fit_with_context(&mut self, x: &Matrix, ctx: &FitContext) -> Result<Vec<f64>> {
         let n = x.nrows();
         if n < 3 {
             return Err(Error::InsufficientData {
@@ -136,14 +133,14 @@ impl Detector for LoopDetector {
         let mean_sq: f64 = plof.iter().map(|p| p * p).sum::<f64>() / n as f64;
         let nplof = (LAMBDA * mean_sq.sqrt()).max(1e-12);
 
-        self.train_scores = plof
+        let train_scores = plof
             .iter()
             .map(|&p| erf(p / (nplof * std::f64::consts::SQRT_2)).max(0.0))
             .collect();
         self.pdist = pdist;
         self.nplof = nplof;
         self.index = Some(index);
-        Ok(())
+        Ok(train_scores)
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -175,13 +172,6 @@ impl Detector for LoopDetector {
         Ok(scores)
     }
 
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        if self.index.is_none() {
-            return Err(Error::NotFitted("LoopDetector"));
-        }
-        Ok(self.train_scores.clone())
-    }
-
     fn name(&self) -> &'static str {
         "loop"
     }
@@ -195,7 +185,6 @@ impl Detector for LoopDetector {
         crate::write_opt_index(self.index.as_deref(), w);
         w.write_f64s(&self.pdist);
         w.write_f64(self.nplof);
-        w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
@@ -210,13 +199,14 @@ impl LoopDetector {
         r: &mut suod_linalg::SnapshotReader<'_>,
         n_threads: usize,
     ) -> Result<Self> {
-        Ok(Self {
+        let det = Self {
             k: r.read_usize()?,
             index: crate::read_opt_index(r, n_threads)?,
             pdist: r.read_f64s()?,
             nplof: r.read_f64()?,
-            train_scores: r.read_f64s()?,
-        })
+        };
+        crate::skip_training_scores(r)?;
+        Ok(det)
     }
 }
 
@@ -235,16 +225,14 @@ mod tests {
     #[test]
     fn scores_are_probabilities() {
         let mut det = LoopDetector::new(5).unwrap();
-        det.fit(&grid_with_outlier()).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&grid_with_outlier()).unwrap();
         assert!(s.iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
     #[test]
     fn outlier_probability_near_one() {
         let mut det = LoopDetector::new(5).unwrap();
-        det.fit(&grid_with_outlier()).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&grid_with_outlier()).unwrap();
         assert!(s[25] > 0.9, "outlier LoOP {}", s[25]);
         // Grid points should be far less suspicious.
         assert!(s[..25].iter().all(|&v| v < s[25]));
@@ -279,8 +267,7 @@ mod tests {
             .collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let mut det = LoopDetector::new(4).unwrap();
-        det.fit(&x).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&x).unwrap();
         let mean = suod_linalg::stats::mean(&s);
         assert!(mean < 0.35, "mean LoOP on uniform grid {mean}");
     }
@@ -300,7 +287,7 @@ mod tests {
         let rows = vec![vec![0.0, 0.0]; 8];
         let x = Matrix::from_rows(&rows).unwrap();
         let mut det = LoopDetector::new(3).unwrap();
-        det.fit(&x).unwrap();
-        assert!(det.training_scores().unwrap().iter().all(|v| v.is_finite()));
+        let scores = det.fit(&x).unwrap();
+        assert!(scores.iter().all(|v| v.is_finite()));
     }
 }

@@ -130,8 +130,7 @@ impl Kernel {
 /// rows.push(vec![9.0, 9.0]);
 /// let x = Matrix::from_rows(&rows).unwrap();
 /// let mut det = OcsvmDetector::new(0.1, Kernel::Rbf { gamma: 0.0 })?;
-/// det.fit(&x)?;
-/// let s = det.training_scores()?;
+/// let s = det.fit(&x)?;
 /// assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 40);
 /// # Ok(())
 /// # }
@@ -146,7 +145,6 @@ pub struct OcsvmDetector {
     support_vectors: Option<Matrix>,
     alphas: Vec<f64>,
     rho: f64,
-    train_scores: Vec<f64>,
 }
 
 impl OcsvmDetector {
@@ -171,7 +169,6 @@ impl OcsvmDetector {
             support_vectors: None,
             alphas: Vec::new(),
             rho: 0.0,
-            train_scores: Vec::new(),
         })
     }
 
@@ -224,7 +221,7 @@ impl OcsvmDetector {
 }
 
 impl Detector for OcsvmDetector {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         let n = x.nrows();
         if n < 2 {
             return Err(Error::InsufficientData {
@@ -330,10 +327,10 @@ impl Detector for OcsvmDetector {
         }
 
         // Training scores: f(x_i) = g_i - rho; outlyingness = rho - g_i.
-        self.train_scores = g.iter().map(|&gi| self.rho - gi).collect();
+        let train_scores = g.iter().map(|&gi| self.rho - gi).collect();
         self.alphas = alpha;
         self.support_vectors = Some(x.clone());
-        Ok(())
+        Ok(train_scores)
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -343,13 +340,6 @@ impl Detector for OcsvmDetector {
             .ok_or(Error::NotFitted("OcsvmDetector"))?;
         check_dims(sv.ncols(), x)?;
         Ok(x.rows_iter().map(|row| -self.decision_value(row)).collect())
-    }
-
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        if self.support_vectors.is_none() {
-            return Err(Error::NotFitted("OcsvmDetector"));
-        }
-        Ok(self.train_scores.clone())
     }
 
     fn name(&self) -> &'static str {
@@ -395,7 +385,6 @@ impl Detector for OcsvmDetector {
         }
         w.write_f64s(&self.alphas);
         w.write_f64(self.rho);
-        w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
@@ -440,15 +429,16 @@ impl OcsvmDetector {
         } else {
             None
         };
+        let (alphas, rho) = (r.read_f64s()?, r.read_f64()?);
+        crate::skip_training_scores(r)?;
         Ok(Self {
             nu,
             kernel,
             max_iter,
             tol,
             support_vectors,
-            alphas: r.read_f64s()?,
-            rho: r.read_f64()?,
-            train_scores: r.read_f64s()?,
+            alphas,
+            rho,
         })
     }
 }
@@ -468,8 +458,7 @@ mod tests {
     #[test]
     fn rbf_flags_far_point() {
         let mut det = OcsvmDetector::new(0.1, Kernel::Rbf { gamma: 0.0 }).unwrap();
-        det.fit(&blob_with_outlier()).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&blob_with_outlier()).unwrap();
         assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 40);
     }
 
@@ -509,8 +498,7 @@ mod tests {
         let x = Matrix::from_rows(&rows).unwrap();
         let nu = 0.3;
         let mut det = OcsvmDetector::new(nu, Kernel::Rbf { gamma: 1.0 }).unwrap();
-        det.fit(&x).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&x).unwrap();
         let frac = s.iter().filter(|&&v| v > 1e-9).count() as f64 / s.len() as f64;
         assert!(
             (frac - nu).abs() < 0.2,
@@ -524,8 +512,7 @@ mod tests {
         for name in ["linear", "poly", "rbf", "sigmoid"] {
             let kernel = Kernel::parse(name).unwrap();
             let mut det = OcsvmDetector::new(0.2, kernel).unwrap();
-            det.fit(&x).unwrap();
-            let s = det.training_scores().unwrap();
+            let s = det.fit(&x).unwrap();
             assert!(s.iter().all(|v| v.is_finite()), "kernel {name}");
             let q = det.decision_function(&x).unwrap();
             assert_eq!(q.len(), x.nrows(), "kernel {name}");
@@ -554,11 +541,10 @@ mod tests {
 
     #[test]
     fn training_scores_match_decision_function() {
-        // For a converged solve, training_scores ~ -f(x_i) recomputed.
+        // For a converged solve, fit's scores ~ -f(x_i) recomputed.
         let x = blob_with_outlier();
         let mut det = OcsvmDetector::new(0.2, Kernel::Rbf { gamma: 1.0 }).unwrap();
-        det.fit(&x).unwrap();
-        let from_fit = det.training_scores().unwrap();
+        let from_fit = det.fit(&x).unwrap();
         let recomputed = det.decision_function(&x).unwrap();
         for (a, b) in from_fit.iter().zip(&recomputed) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");

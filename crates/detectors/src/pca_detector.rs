@@ -29,8 +29,7 @@ use suod_linalg::{symmetric_eigen, Matrix};
 /// rows.push(vec![1.5, -1.5]);
 /// let x = Matrix::from_rows(&rows).unwrap();
 /// let mut det = PcaDetector::new(0.7)?;
-/// det.fit(&x)?;
-/// let s = det.training_scores()?;
+/// let s = det.fit(&x)?;
 /// assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 30);
 /// # Ok(())
 /// # }
@@ -43,7 +42,6 @@ pub struct PcaDetector {
     minor_components: Option<Matrix>,
     /// Matching eigenvalues (floored away from zero).
     minor_values: Vec<f64>,
-    train_scores: Vec<f64>,
 }
 
 impl PcaDetector {
@@ -66,7 +64,6 @@ impl PcaDetector {
             means: Vec::new(),
             minor_components: None,
             minor_values: Vec::new(),
-            train_scores: Vec::new(),
         })
     }
 
@@ -96,7 +93,7 @@ impl PcaDetector {
 }
 
 impl Detector for PcaDetector {
-    fn fit(&mut self, x: &Matrix) -> Result<()> {
+    fn fit(&mut self, x: &Matrix) -> Result<Vec<f64>> {
         let (n, d) = x.shape();
         if n < 3 {
             return Err(Error::InsufficientData {
@@ -161,8 +158,7 @@ impl Detector for PcaDetector {
         // by ~0 and let noise dominate.
         let floor = (total / d as f64) * 1e-6 + 1e-12;
         self.minor_values = minor.iter().map(|&i| eig.values[i].max(floor)).collect();
-        self.train_scores = x.rows_iter().map(|row| self.score_row(row)).collect();
-        Ok(())
+        Ok(x.rows_iter().map(|row| self.score_row(row)).collect())
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -171,13 +167,6 @@ impl Detector for PcaDetector {
         }
         check_dims(self.means.len(), x)?;
         Ok(x.rows_iter().map(|row| self.score_row(row)).collect())
-    }
-
-    fn training_scores(&self) -> Result<Vec<f64>> {
-        if self.minor_components.is_none() {
-            return Err(Error::NotFitted("PcaDetector"));
-        }
-        Ok(self.train_scores.clone())
     }
 
     fn name(&self) -> &'static str {
@@ -199,7 +188,6 @@ impl Detector for PcaDetector {
             None => w.write_bool(false),
         }
         w.write_f64s(&self.minor_values);
-        w.write_f64s(&self.train_scores);
         Ok(())
     }
 }
@@ -221,12 +209,13 @@ impl PcaDetector {
         } else {
             None
         };
+        let minor_values = r.read_f64s()?;
+        crate::skip_training_scores(r)?;
         Ok(Self {
             variance_retained,
             means,
             minor_components,
-            minor_values: r.read_f64s()?,
-            train_scores: r.read_f64s()?,
+            minor_values,
         })
     }
 }
@@ -250,8 +239,7 @@ mod tests {
     #[test]
     fn flags_correlation_breaker() {
         let mut det = PcaDetector::new(0.9).unwrap();
-        det.fit(&correlated_with_outlier()).unwrap();
-        let s = det.training_scores().unwrap();
+        let s = det.fit(&correlated_with_outlier()).unwrap();
         assert_eq!(suod_linalg::rank::argsort_desc(&s)[0], 40);
         assert!(det.n_minor_components() >= 1);
     }
@@ -281,20 +269,16 @@ mod tests {
         let x = correlated_with_outlier();
         let mut a = PcaDetector::new(0.8).unwrap();
         let mut b = PcaDetector::new(0.8).unwrap();
-        a.fit(&x).unwrap();
-        b.fit(&x).unwrap();
-        assert_eq!(a.training_scores().unwrap(), b.training_scores().unwrap());
+        let sa = a.fit(&x).unwrap();
+        let sb = b.fit(&x).unwrap();
+        assert_eq!(sa, sb);
     }
 
     #[test]
     fn scores_nonnegative_and_finite() {
         let mut det = PcaDetector::new(0.5).unwrap();
-        det.fit(&correlated_with_outlier()).unwrap();
-        assert!(det
-            .training_scores()
-            .unwrap()
-            .iter()
-            .all(|&v| v.is_finite() && v >= 0.0));
+        let scores = det.fit(&correlated_with_outlier()).unwrap();
+        assert!(scores.iter().all(|&v| v.is_finite() && v >= 0.0));
     }
 
     #[test]
@@ -315,7 +299,7 @@ mod tests {
     fn constant_data_handled() {
         let x = Matrix::filled(10, 3, 2.0);
         let mut det = PcaDetector::new(0.5).unwrap();
-        det.fit(&x).unwrap();
-        assert!(det.training_scores().unwrap().iter().all(|v| v.is_finite()));
+        let scores = det.fit(&x).unwrap();
+        assert!(scores.iter().all(|v| v.is_finite()));
     }
 }

@@ -73,8 +73,7 @@ proptest! {
             if det.name() == "pca" {
                 continue;
             }
-            det.fit(&x).unwrap();
-            let s = det.training_scores().unwrap();
+            let s = det.fit(&x).unwrap();
             prop_assert_eq!(s.len(), x.nrows());
             prop_assert!(s.iter().all(|v| v.is_finite()), "{} non-finite", det.name());
             let mut inliers: Vec<f64> = s[..outlier_idx].to_vec();
@@ -96,11 +95,11 @@ proptest! {
         let jitter = &jitter[..(jitter.len() / 2) * 2];
         let x = cluster_with_far_point(jitter, 30.0);
         for (mut a, mut b) in zoo(seed).into_iter().zip(zoo(seed)) {
-            a.fit(&x).unwrap();
-            b.fit(&x).unwrap();
+            let sa = a.fit(&x).unwrap();
+            let sb = b.fit(&x).unwrap();
             prop_assert_eq!(
-                a.training_scores().unwrap(),
-                b.training_scores().unwrap(),
+                sa,
+                sb,
                 "{} not deterministic", a.name()
             );
         }

@@ -83,7 +83,7 @@ fn every_detector_round_trips_bitwise() {
         write_detector(loaded.as_ref(), &mut w2).unwrap();
         assert_eq!(w2.as_bytes(), &bytes[..], "{}: bytes drifted", det.name());
 
-        // Scores are bitwise equal, including training scores.
+        // Scores are bitwise equal.
         let (a, b) = (det.decision_function(&q), loaded.decision_function(&q));
         match (a, b) {
             (Ok(a), Ok(b)) => {
@@ -94,13 +94,6 @@ fn every_detector_round_trips_bitwise() {
             }
             (Err(_), Err(_)) => {} // chaos predict-time injection: both fail alike
             (a, b) => panic!("{}: outcome mismatch {a:?} vs {b:?}", det.name()),
-        }
-        let (ta, tb) = (
-            det.training_scores().unwrap(),
-            loaded.training_scores().unwrap(),
-        );
-        for (x, y) in ta.iter().zip(&tb) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{}: train drift", det.name());
         }
     }
 }

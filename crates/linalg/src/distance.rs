@@ -334,7 +334,7 @@ impl KnnIndex {
         )
     }
 
-    /// Serializes the index for a `suod-pool/2` snapshot: the training
+    /// Serializes the index for a `suod-pool` snapshot: the training
     /// slab, metric and [`KernelConfig`], then a graph tag. When the
     /// index engages HNSW the tag is 1 and the built graph follows as
     /// per-level CSR, so [`snapshot_read`](Self::snapshot_read) loads it
@@ -355,8 +355,8 @@ impl KnnIndex {
     }
 
     /// Reconstructs an index written by [`snapshot_write`](Self::snapshot_write).
-    /// A `suod-pool/2` record brings its HNSW graph, checked before use;
-    /// a `suod-pool/1` record carries none, and the graph is rebuilt with
+    /// A `suod-pool/2` or later record brings its HNSW graph, checked
+    /// before use; a `suod-pool/1` record carries none, and the graph is rebuilt with
     /// `n_threads` workers (bit-identical for every thread count). Any
     /// KD-tree is rebuilt either way.
     ///
@@ -376,10 +376,9 @@ impl KnnIndex {
         Self::build_inner(train, metric, config, graph, true, "KnnIndex::build")
     }
 
-    /// Decodes an index record. The one place that reads the format
-    /// version: `suod-pool/1` records carry no graph (it is rebuilt),
-    /// `suod-pool/2` records carry one exactly when the index engages
-    /// HNSW.
+    /// Decodes an index record as its format version wrote it:
+    /// `suod-pool/1` records carry no graph (it is rebuilt), later
+    /// records carry one exactly when the index engages HNSW.
     fn snapshot_read_parts(
         r: &mut crate::snapshot::SnapshotReader<'_>,
         n_threads: usize,
@@ -417,7 +416,7 @@ impl KnnIndex {
     /// # Errors
     ///
     /// Same conditions as [`snapshot_read`](Self::snapshot_read), and a
-    /// `suod-pool/2` record whose graph differs from the one an equal
+    /// `suod-pool/2` or later record whose graph differs from the one an equal
     /// earlier record carried.
     pub fn snapshot_read_shared(
         r: &mut crate::snapshot::SnapshotReader<'_>,
@@ -879,7 +878,7 @@ enum GraphSource {
     /// Build it with this many workers: at fit, and for `suod-pool/1`
     /// records, which carry no graph.
     Build(usize),
-    /// Decoded from a `suod-pool/2` record: present exactly when the
+    /// Decoded from a `suod-pool/2` or later record: present exactly when the
     /// index engages HNSW.
     Stored(Option<HnswGraph>),
 }

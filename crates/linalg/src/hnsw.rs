@@ -640,7 +640,7 @@ impl HnswGraph {
         graph.finish()
     }
 
-    /// Appends the CSR levels to a `suod-pool/2` index record: the level
+    /// Appends the CSR levels to a `suod-pool` index record: the level
     /// count, then each level's offsets and neighbour ids as
     /// length-prefixed `u32` arrays. Node levels and the entry point are
     /// not written: they are functions of `(params.seed, i)`.

@@ -1,5 +1,5 @@
-//! Byte-level codec for the `suod-pool` snapshot format (`suod-pool/2`;
-//! `suod-pool/1` still reads).
+//! Byte-level codec for the `suod-pool` snapshot format (`suod-pool/3`;
+//! `suod-pool/1` and `/2` still read).
 //!
 //! Hand-rolled (serde-free) little-endian encoding, in the same spirit as
 //! the `suod-trace/1` JSON schema in `suod-observe`: every field is
@@ -24,9 +24,10 @@
 //! Decoding is defensive: every read validates remaining length and
 //! returns a typed [`Error::InvalidParameter`] with a `snapshot:` prefix
 //! instead of panicking, so a truncated or corrupt snapshot surfaces as a
-//! recoverable error at the `Suod::load` boundary. A length prefix is
-//! checked against the bytes that remain before anything is allocated
-//! for it.
+//! recoverable error at the `Suod::load` boundary. A vector is decoded
+//! one way: its byte length (checked for overflow) is taken from the
+//! bytes that remain, before anything is allocated for it, and converted
+//! with `chunks_exact`.
 //!
 //! # Versions
 //!
@@ -34,13 +35,14 @@
 //! (the top-level loader sets it once; [`SnapshotReader::nested`]
 //! readers inherit it). Version 2 added the built HNSW graph to each
 //! neighbour-index record; a version-1 index record carries none and its
-//! graph is rebuilt at load. `KnnIndex::snapshot_read_parts` is the one
-//! reader that looks at the version.
+//! graph is rebuilt at load. Version 3 stores every fitted value once:
+//! detector records lose the training scores the pool already holds, and
+//! the precision byte of a [`KernelConfig`] record is gone.
 //!
-//! A [`KernelConfig`] record still carries the precision byte it had when
-//! a mixed f32-storage mode existed. This build writes it as `0` (f64),
-//! so files keep their bytes, and refuses `1` (the retired mixed mode):
-//! loading such a pool as f64 would change its scores without a word.
+//! That byte is a remnant of a mixed f32-storage mode. Version 1 and 2
+//! records carry it, always `0` (f64) when this build's predecessors
+//! wrote it; a `1` (the retired mixed mode) is refused, since loading such
+//! a pool as f64 would change its scores without a word.
 
 use crate::hnsw::{HnswParams, NeighborBackend};
 use crate::{DistanceBackend, DistanceMetric, Error, KernelConfig, KnnIndex, Matrix, Result};
@@ -50,7 +52,7 @@ use std::sync::Arc;
 
 /// The `suod-pool` format version this build writes, and the newest it
 /// reads.
-pub const SNAPSHOT_VERSION: u64 = 2;
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// The oldest `suod-pool` format version this build reads.
 pub const OLDEST_SNAPSHOT_VERSION: u64 = 1;
@@ -187,8 +189,6 @@ impl SnapshotWriter {
             DistanceBackend::Blocked => 1,
             DistanceBackend::Gemm => 2,
         });
-        // The precision byte: always f64 (see the module docs).
-        self.write_u8(0);
         self.write_usize(config.kdtree_crossover_dim);
         self.write_usize(config.kdtree_min_rows);
         match config.neighbor {
@@ -203,6 +203,11 @@ impl SnapshotWriter {
             }
         }
     }
+}
+
+/// An `f64` from its 8 little-endian bytes.
+fn f64_le(b: &[u8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes")))
 }
 
 pub(crate) fn corrupt(what: &str) -> Error {
@@ -336,36 +341,44 @@ impl<'a> SnapshotReader<'a> {
         String::from_utf8(b.to_vec()).map_err(|_| corrupt("invalid UTF-8 in string"))
     }
 
-    /// Reads a length-prefixed `f64` vector.
+    /// The bytes of `n` little-endian words of `width` bytes, taken whole
+    /// before anything is allocated for them.
+    fn take_words(&mut self, n: usize, width: usize, what: &str) -> Result<&'a [u8]> {
+        let len = n
+            .checked_mul(width)
+            .ok_or_else(|| corrupt(&format!("{what} length overflows")))?;
+        self.take(len)
+    }
+
+    /// Reads a length-prefixed `f64` vector (see [`Self::read_u32s`]).
     pub fn read_f64s(&mut self) -> Result<Vec<f64>> {
         let n = self.read_usize()?;
-        if self.remaining() < n.saturating_mul(8) {
-            return Err(corrupt("truncated f64 vector"));
-        }
-        (0..n).map(|_| self.read_f64()).collect()
+        let bytes = self.take_words(n, 8, "f64 vector")?;
+        Ok(bytes.chunks_exact(8).map(f64_le).collect())
     }
 
     /// Reads a length-prefixed `u32` vector. The claimed length is
     /// checked against the remaining bytes before anything is allocated.
     pub fn read_u32s(&mut self) -> Result<Vec<u32>> {
         let n = self.read_usize()?;
-        let bytes = self.take(
-            n.checked_mul(4)
-                .ok_or_else(|| corrupt("u32 vector length overflows"))?,
-        )?;
+        let bytes = self.take_words(n, 4, "u32 vector")?;
         Ok(bytes
             .chunks_exact(4)
             .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
             .collect())
     }
 
-    /// Reads a length-prefixed `usize` vector.
+    /// Reads a length-prefixed `usize` vector (see [`Self::read_u32s`]).
     pub fn read_usizes(&mut self) -> Result<Vec<usize>> {
         let n = self.read_usize()?;
-        if self.remaining() < n.saturating_mul(8) {
-            return Err(corrupt("truncated usize vector"));
-        }
-        (0..n).map(|_| self.read_usize()).collect()
+        let bytes = self.take_words(n, 8, "usize vector")?;
+        bytes
+            .chunks_exact(8)
+            .map(|b| {
+                let v = u64::from_le_bytes(b.try_into().expect("8 bytes"));
+                usize::try_from(v).map_err(|_| corrupt("length overflows usize"))
+            })
+            .collect()
     }
 
     /// Reads an optional `u64`.
@@ -384,11 +397,8 @@ impl<'a> SnapshotReader<'a> {
         let n = rows
             .checked_mul(cols)
             .ok_or_else(|| corrupt("matrix shape overflows"))?;
-        if self.remaining() < n.saturating_mul(8) {
-            return Err(corrupt("truncated matrix payload"));
-        }
-        let data: Vec<f64> = (0..n).map(|_| self.read_f64()).collect::<Result<_>>()?;
-        Matrix::from_vec(rows, cols, data)
+        let bytes = self.take_words(n, 8, "matrix")?;
+        Matrix::from_vec(rows, cols, bytes.chunks_exact(8).map(f64_le).collect())
     }
 
     /// Reads a distance metric.
@@ -401,7 +411,8 @@ impl<'a> SnapshotReader<'a> {
         }
     }
 
-    /// Reads a [`KernelConfig`].
+    /// Reads a [`KernelConfig`]; a version 1 or 2 record's precision
+    /// byte is checked and dropped (see the module docs).
     pub fn read_kernel_config(&mut self) -> Result<KernelConfig> {
         let backend = match self.read_u8()? {
             0 => DistanceBackend::Naive,
@@ -409,10 +420,12 @@ impl<'a> SnapshotReader<'a> {
             2 => DistanceBackend::Gemm,
             other => return Err(corrupt(&format!("unknown backend tag {other}"))),
         };
-        match self.read_u8()? {
-            0 => {}
-            1 => return Err(corrupt(RETIRED_MIXED_PRECISION)),
-            other => return Err(corrupt(&format!("unknown precision tag {other}"))),
+        if self.version < 3 {
+            match self.read_u8()? {
+                0 => {}
+                1 => return Err(corrupt(RETIRED_MIXED_PRECISION)),
+                other => return Err(corrupt(&format!("unknown precision tag {other}"))),
+            }
         }
         let kdtree_crossover_dim = self.read_usize()?;
         let kdtree_min_rows = self.read_usize()?;
@@ -518,16 +531,25 @@ mod tests {
         }
     }
 
+    /// `config` as a version 1 or 2 record: the version 3 record with
+    /// the precision byte (f64) back after the backend tag.
+    fn v2_kernel_config(config: &KernelConfig) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.write_kernel_config(config);
+        let mut bytes = w.into_bytes();
+        bytes.insert(1, 0);
+        bytes
+    }
+
     #[test]
     fn retired_precision_tag_is_refused_not_read_as_f64() {
         let config = KernelConfig::default().with_backend(DistanceBackend::Gemm);
-        let mut w = SnapshotWriter::new();
-        w.write_kernel_config(&config);
-        let mut bytes = w.into_bytes();
+        let mut bytes = v2_kernel_config(&config);
+        let read = SnapshotReader::with_version(&bytes, 2).read_kernel_config();
+        assert_eq!(read.unwrap(), config, "a version 2 record reads as f64");
         // Byte 0 is the backend tag, byte 1 the precision tag.
-        assert_eq!(bytes[1], 0, "this build writes f64");
         bytes[1] = 1;
-        let err = SnapshotReader::new(&bytes)
+        let err = SnapshotReader::with_version(&bytes, 2)
             .read_kernel_config()
             .unwrap_err();
         let Error::InvalidParameter(msg) = err else {
@@ -546,11 +568,9 @@ mod tests {
             NeighborBackend::Hnsw(HnswParams::default()),
         ] {
             let config = KernelConfig::default().with_neighbor(neighbor);
-            let mut w = SnapshotWriter::new();
-            w.write_kernel_config(&config);
-            let mut bytes = w.into_bytes();
+            let mut bytes = v2_kernel_config(&config);
             bytes[1] = 1;
-            for version in OLDEST_SNAPSHOT_VERSION..=SNAPSHOT_VERSION {
+            for version in OLDEST_SNAPSHOT_VERSION..3 {
                 let err = SnapshotReader::with_version(&bytes, version)
                     .read_kernel_config()
                     .unwrap_err();
@@ -559,18 +579,25 @@ mod tests {
                     "v{version}: {err}"
                 );
             }
+            // Version 3 dropped the byte: its record is the version 2
+            // record without it, and reads back as written.
+            let mut w = SnapshotWriter::new();
+            w.write_kernel_config(&config);
+            let v3 = w.into_bytes();
+            let v2 = v2_kernel_config(&config);
+            assert_eq!((v3[0], &v3[1..]), (v2[0], &v2[2..]));
+            let read = SnapshotReader::with_version(&v3, 3).read_kernel_config();
+            assert_eq!(read.unwrap(), config);
         }
     }
 
     #[test]
     fn unknown_precision_tags_are_corrupt_not_retired() {
-        let mut w = SnapshotWriter::new();
-        w.write_kernel_config(&KernelConfig::default());
-        let clean = w.into_bytes();
+        let clean = v2_kernel_config(&KernelConfig::default());
         for tag in [2u8, 7, 255] {
             let mut bytes = clean.clone();
             bytes[1] = tag;
-            let err = SnapshotReader::new(&bytes)
+            let err = SnapshotReader::with_version(&bytes, 2)
                 .read_kernel_config()
                 .unwrap_err();
             let Error::InvalidParameter(msg) = err else {
@@ -586,8 +613,8 @@ mod tests {
 
     #[test]
     fn kernel_config_record_layout_is_pinned() {
-        // backend u8 | precision u8 (always 0) | crossover u64 |
-        // min rows u64 | neighbour u8 [| m, ef_c, ef_s, seed, min_rows].
+        // backend u8 | crossover u64 | min rows u64 |
+        // neighbour u8 [| m, ef_c, ef_s, seed, min_rows].
         let config = KernelConfig {
             backend: DistanceBackend::Gemm,
             kdtree_crossover_dim: 7,
@@ -596,7 +623,7 @@ mod tests {
         };
         let mut w = SnapshotWriter::new();
         w.write_kernel_config(&config);
-        let mut want = vec![2u8, 0];
+        let mut want = vec![2u8];
         want.extend_from_slice(&7u64.to_le_bytes());
         want.extend_from_slice(&10u64.to_le_bytes());
         want.push(0);
@@ -642,6 +669,34 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapshotReader::new(&bytes[..bytes.len() - 1]);
         assert!(r.read_u32s().is_err());
+    }
+
+    #[test]
+    fn vector_lengths_that_overflow_or_overrun_are_typed_errors() {
+        let mut w = SnapshotWriter::new();
+        w.write_f64s(&[1.0, 2.0]);
+        let good = w.into_bytes();
+        // 2^61 words of 8 bytes overflow a usize byte length; 3 words
+        // overrun the 16 bytes that remain.
+        for claimed in [1u64 << 61, u64::MAX / 4, 3] {
+            let mut bytes = good.clone();
+            bytes[..8].copy_from_slice(&claimed.to_le_bytes());
+            for err in [
+                SnapshotReader::new(&bytes).read_f64s().unwrap_err(),
+                SnapshotReader::new(&bytes).read_usizes().unwrap_err(),
+            ] {
+                let Error::InvalidParameter(msg) = err else {
+                    panic!("claimed {claimed}: expected InvalidParameter, got {err:?}");
+                };
+                assert!(msg.starts_with("snapshot: "), "{msg}");
+            }
+        }
+        let mut r = SnapshotReader::new(&good);
+        assert_eq!(
+            r.read_usizes().unwrap(),
+            vec![1.0f64.to_bits() as usize, 2.0f64.to_bits() as usize]
+        );
+        assert!(r.is_exhausted());
     }
 
     #[test]

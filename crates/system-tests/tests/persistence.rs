@@ -9,7 +9,10 @@
 //! written by an old build must open under every future one. A stored
 //! HNSW graph is checked before use: every truncation, bit flip and
 //! inflated count in a graph section, and every hand-crafted graph that
-//! breaks a load rule, is a typed error. On the
+//! breaks a load rule, is a typed error. So is every truncation of a
+//! model record, an unknown scorer tag and an inflated training-score
+//! count, and no mutant of the record panics, hangs or allocates more
+//! than the file it was read from. On the
 //! serving side: a reload under concurrent submission drops zero
 //! requests, and every answered batch is bitwise-equal to one of the
 //! two pools' sequential scores.
@@ -342,47 +345,57 @@ fn golden_estimator() -> Suod {
     )
 }
 
-/// The recipe of `golden-v2.suod` (written by this format) and of
-/// `golden-v1-hnsw.suod` (written by the last `suod-pool/1` build): an
-/// HNSW pool with `min_rows: 0`, so the kNN and the Euclidean LOF share
-/// one graph, and the Manhattan LOF's index is exact and carries none.
-/// The kernel config is pool-wide, so the graph-less index record comes
-/// from the non-Euclidean model.
+/// The recipe of `golden-v2.suod` (written by the last `suod-pool/2`
+/// build) and of `golden-v1-hnsw.suod` (written by the last
+/// `suod-pool/1` build): an HNSW pool with `min_rows: 0`, so the kNN and
+/// the Euclidean LOF share one graph, and the Manhattan LOF's index is
+/// exact and carries none. The kernel config is pool-wide, so the
+/// graph-less index record comes from the non-Euclidean model. PSA is
+/// on, so the three proximity models are approximated: a `suod-pool/3`
+/// pool keeps their regressors and none of their indexes.
 fn golden_hnsw_estimator() -> Suod {
-    fit(
-        Suod::builder()
-            .base_estimators(vec![
-                ModelSpec::Hbos {
-                    n_bins: 8,
-                    tolerance: 0.3,
-                },
-                ModelSpec::IForest {
-                    n_estimators: 10,
-                    max_features: 1.0,
-                },
-                ModelSpec::Knn {
-                    n_neighbors: 5,
-                    method: KnnMethod::Mean,
-                },
-                ModelSpec::Lof {
-                    n_neighbors: 6,
-                    metric: Metric::Euclidean,
-                },
-                ModelSpec::Lof {
-                    n_neighbors: 6,
-                    metric: Metric::Manhattan,
-                },
-            ])
-            .kernel(
-                KernelConfig::default().with_neighbor(NeighborBackend::Hnsw(HnswParams {
-                    min_rows: 0,
-                    ..HnswParams::default()
-                })),
-            )
-            .n_workers(1)
-            .seed(7),
-        &data(),
-    )
+    fit(golden_hnsw_builder(), &data())
+}
+
+/// The recipe of `golden-v3.suod`: [`golden_hnsw_estimator`]'s with PSA
+/// off, so the proximity models keep their detectors and the fixture
+/// stores the shared graph beside the exact index.
+fn golden_v3_estimator() -> Suod {
+    fit(golden_hnsw_builder().with_approximation(false), &data())
+}
+
+fn golden_hnsw_builder() -> SuodBuilder {
+    Suod::builder()
+        .base_estimators(vec![
+            ModelSpec::Hbos {
+                n_bins: 8,
+                tolerance: 0.3,
+            },
+            ModelSpec::IForest {
+                n_estimators: 10,
+                max_features: 1.0,
+            },
+            ModelSpec::Knn {
+                n_neighbors: 5,
+                method: KnnMethod::Mean,
+            },
+            ModelSpec::Lof {
+                n_neighbors: 6,
+                metric: Metric::Euclidean,
+            },
+            ModelSpec::Lof {
+                n_neighbors: 6,
+                metric: Metric::Manhattan,
+            },
+        ])
+        .kernel(
+            KernelConfig::default().with_neighbor(NeighborBackend::Hnsw(HnswParams {
+                min_rows: 0,
+                ..HnswParams::default()
+            })),
+        )
+        .n_workers(1)
+        .seed(7)
 }
 
 fn fixture(name: &str) -> std::path::PathBuf {
@@ -429,9 +442,9 @@ fn payload_without_fit_times(clf: &Suod) -> Vec<u8> {
 #[test]
 #[ignore = "writes the committed fixture; run once when the format version bumps"]
 fn regenerate_golden_fixture() {
-    let path = fixture("golden-v2.suod");
+    let path = fixture("golden-v3.suod");
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    golden_hnsw_estimator().save(&path).unwrap();
+    golden_v3_estimator().save(&path).unwrap();
 }
 
 /// Format stability: `golden.suod` was written by the build that
@@ -462,18 +475,45 @@ fn golden_fixture_still_loads_and_reencodes_identically() {
     );
 }
 
-/// Format stability of `suod-pool/2`: `golden-v2.suod` (an HNSW graph
+/// Format stability of `suod-pool/2`: `golden-v2.suod` was written by
+/// the last `suod-pool/2` build. It loads, scores exactly like a fresh
+/// fit of its recipe, and re-encodes like a fresh `suod-pool/3` save
+/// (fit times aside): the detectors of its approximated models and every
+/// detector's copy of the training scores are read and dropped.
+#[test]
+fn golden_v2_fixture_loads_and_reencodes_byte_for_byte() {
+    let bytes = read_fixture("golden-v2.suod");
+    assert_eq!(&bytes[8..16], &2u64.to_le_bytes());
+    let loaded = Suod::load_from_bytes(&bytes).expect("v2 fixture loads");
+    assert_eq!(loaded.n_models(), 5);
+    let approximated = loaded.diagnostics().expect("fitted").approximated();
+    assert_eq!(approximated, [false, false, true, true, true]);
+    let fresh = golden_hnsw_estimator();
+    let q = queries();
+    let bits = |clf: &Suod| -> Vec<u64> {
+        let s = clf.decision_function(&q).unwrap();
+        s.as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&fresh), bits(&loaded), "fixture scores drifted");
+    assert_eq!(
+        payload_without_fit_times(&loaded),
+        payload_without_fit_times(&fresh),
+        "a suod-pool/2 pool must re-encode like a fresh save"
+    );
+}
+
+/// Format stability of `suod-pool/3`: `golden-v3.suod` (an HNSW graph
 /// stored beside an exact index) loads, re-encodes byte for byte, and
 /// matches a fresh fit's save but for fit times — if this fails, the
 /// format changed and the version must be bumped instead.
 #[test]
-fn golden_v2_fixture_loads_and_reencodes_byte_for_byte() {
-    let bytes = read_fixture("golden-v2.suod");
+fn golden_v3_fixture_loads_and_reencodes_byte_for_byte() {
+    let bytes = read_fixture("golden-v3.suod");
     assert_eq!(&bytes[8..16], &SNAPSHOT_VERSION.to_le_bytes());
-    let loaded = Suod::load_from_bytes(&bytes).expect("v2 fixture loads");
+    let loaded = Suod::load_from_bytes(&bytes).expect("v3 fixture loads");
     assert_eq!(loaded.n_models(), 5);
     assert_eq!(loaded.save_to_bytes().unwrap(), bytes, "format drifted");
-    let fresh = golden_hnsw_estimator();
+    let fresh = golden_v3_estimator();
     assert_eq!(
         payload_without_fit_times(&fresh),
         payload_without_fit_times(&loaded),
@@ -488,9 +528,11 @@ fn golden_v2_fixture_loads_and_reencodes_byte_for_byte() {
 
 /// `golden-v1-hnsw.suod` has `golden-v2.suod`'s recipe but was written by
 /// the last `suod-pool/1` build, so it carries no graphs: loading it
-/// rebuilds them, and the rebuilt graphs must be the stored ones — same
-/// scores bit for bit, and the same bytes once re-encoded (fit times
-/// aside).
+/// rebuilds them. Both fixtures' graphs belong to approximated models,
+/// whose detectors a load drops once read, so the two loaded pools must
+/// be one pool — same scores bit for bit, and the same bytes once
+/// re-encoded (fit times aside). That a rebuilt graph is the stored one
+/// is held by `ann.rs`'s `stored_graph_equals_a_fresh_build`.
 #[test]
 fn golden_v1_hnsw_fixture_rebuilds_the_graphs_v2_stores() {
     let v1 = read_fixture("golden-v1-hnsw.suod");
@@ -528,9 +570,10 @@ fn bits_digest(values: &[f64]) -> u64 {
 /// pool (HBOS ×2, IForest ×2, LODA ×2, PCA) fitted on a seeded synthetic
 /// set. Neither the golden fixtures nor the CLI's pools hold a LODA, so
 /// this is where its scores and its snapshot record are held to fixed
-/// bits. The digests were recorded before HBOS and LODA moved onto the
-/// binned operator; a change to any of them is a change of scores or of
-/// format.
+/// bits. The score digests were recorded before HBOS and LODA moved onto
+/// the binned operator, the payload digest when `suod-pool/3` stopped
+/// storing each detector's copy of the training scores; a change to any
+/// of them is a change of scores or of format.
 #[test]
 fn serve_small_pool_keeps_its_digests() {
     use suod_datasets::synthetic::{generate, OutlierKind, SyntheticConfig};
@@ -583,13 +626,13 @@ fn serve_small_pool_keeps_its_digests() {
         (
             0x61ea_e48d_4100_46f5,
             0x985f_f071_637a_80d7,
-            0x1978_d6e0_e49d_f647,
+            0x9810_4276_e393_a27d,
         )
     } else {
         (
             0x01ac_2ad3_4a4c_72c6,
             0x9285_b291_f521_9363,
-            0x6077_0016_cef3_3ec4,
+            0xad2b_70ea_5909_7b3a,
         )
     };
     assert_eq!(
@@ -645,7 +688,7 @@ mod graph_mutants {
     }
 
     /// A snapshot file around `payload`, signed for it.
-    fn frame(payload: &[u8]) -> Vec<u8> {
+    pub(super) fn frame(payload: &[u8]) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.write_u64(SNAPSHOT_VERSION);
         w.write_str(&payload_signature(payload));
@@ -1001,6 +1044,254 @@ mod graph_mutants {
             "carry different graphs",
         );
         assert!(load_records([record(&good), record(&good)].concat(), 2).is_ok());
+    }
+}
+
+/// The largest single allocation a thread makes while armed. Installed
+/// as this binary's allocator so the model-record mutants can check that
+/// no claimed length makes a load allocate more than the bytes it reads.
+mod alloc_probe {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    pub struct Probe;
+
+    thread_local! {
+        static ARMED: Cell<bool> = const { Cell::new(false) };
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note(size: usize) {
+        // `try_with`: allocations can happen while a thread's locals are
+        // being torn down.
+        let _ = ARMED.try_with(|armed| {
+            if armed.get() {
+                LARGEST.with(|largest| largest.set(largest.get().max(size)));
+            }
+        });
+    }
+
+    // SAFETY: every call is forwarded unchanged to the system allocator;
+    // `note` only reads and writes thread-local `Cell`s, which allocate
+    // nothing.
+    unsafe impl GlobalAlloc for Probe {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    /// Runs `f` on this thread and returns its result with the size of
+    /// the largest allocation it made.
+    pub fn largest_while<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        LARGEST.with(|largest| largest.set(0));
+        ARMED.with(|armed| armed.set(true));
+        let out = f();
+        ARMED.with(|armed| armed.set(false));
+        (out, LARGEST.with(Cell::get))
+    }
+}
+
+#[global_allocator]
+static PROBE: alloc_probe::Probe = alloc_probe::Probe;
+
+/// Hostile bytes at one `suod-pool/3` model record: the approximated kNN
+/// of a small RP + PSA pool, whose record holds every part a model record
+/// can (scorer tag, regressor, projector, training scores). Each mutant is
+/// re-signed and loaded on another thread, which must answer within the
+/// deadline without a panic, and without one allocation larger than the
+/// file it was given. A truncation, an unknown scorer tag and an inflated
+/// training-score count must be typed errors. A bit flip may also load:
+/// one in a stored value (a score, a threshold, a weight) is a different
+/// pool, not a malformed one; a loaded mutant must then score.
+mod model_mutants {
+    use super::graph_mutants::frame;
+    use super::*;
+    use std::ops::Range;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const KNN: ModelSpec = ModelSpec::Knn {
+        n_neighbors: 5,
+        method: KnnMethod::Largest,
+    };
+
+    fn pool() -> Suod {
+        let x = data().select_rows(&(0..40).collect::<Vec<_>>());
+        fit(
+            Suod::builder()
+                .base_estimators(vec![
+                    ModelSpec::Hbos {
+                        n_bins: 4,
+                        tolerance: 0.3,
+                    },
+                    KNN,
+                ])
+                .approximator(ApproxSpec::RandomForest {
+                    n_estimators: 2,
+                    max_depth: 3,
+                })
+                .n_workers(1)
+                .seed(3),
+            &x,
+        )
+    }
+
+    /// Where each model's record ends in `payload`: after its training
+    /// scores and its fit time, which no other field repeats.
+    fn record_ends(clf: &Suod, payload: &[u8]) -> Vec<usize> {
+        let scores = clf.training_scores().unwrap();
+        let times = clf.diagnostics().expect("fitted").fit_times();
+        (0..scores.ncols())
+            .map(|m| {
+                let mut tail: Vec<u8> = (0..scores.nrows())
+                    .flat_map(|i| scores.get(i, m).to_bits().to_le_bytes())
+                    .collect();
+                let nanos = u64::try_from(times[m].as_nanos()).unwrap();
+                tail.extend_from_slice(&nanos.to_le_bytes());
+                let at = payload
+                    .windows(tail.len())
+                    .position(|w| w == tail)
+                    .expect("a model record ends with its scores and fit time");
+                at + tail.len()
+            })
+            .collect()
+    }
+
+    /// Loads `file` and scores the query rows on another thread: the
+    /// outcome, and the largest allocation the load made.
+    fn load_and_score(file: Vec<u8>) -> (suod::Result<Matrix>, usize) {
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let (loaded, largest) = alloc_probe::largest_while(|| Suod::load_from_bytes(&file));
+            let scored = loaded.and_then(|clf| clf.decision_function(&queries()));
+            let _ = tx.send((scored, largest));
+        });
+        // A hung load cannot be joined; it is left behind when this fails.
+        let out = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("load + score neither hangs nor panics");
+        worker.join().expect("the loading thread finished");
+        out
+    }
+
+    /// Loads `payload` re-signed; `Some(message)` for a typed snapshot
+    /// error, `None` for a pool that loaded and scored.
+    fn load(payload: &[u8], what: &str) -> Option<String> {
+        let file = frame(payload);
+        let (outcome, largest) = load_and_score(file.clone());
+        assert!(
+            largest <= file.len(),
+            "{what}: allocated {largest} bytes decoding a {}-byte file",
+            file.len()
+        );
+        match outcome {
+            Ok(_) => None,
+            // Whichever layer's reader refused the bytes, its message
+            // carries the codec's `snapshot:` prefix.
+            Err(e) => {
+                let msg = e.to_string();
+                assert!(msg.contains("snapshot: "), "{what}: {e:?}");
+                Some(msg)
+            }
+        }
+    }
+
+    fn assert_typed_error(payload: &[u8], what: &str) -> String {
+        load(payload, what).unwrap_or_else(|| panic!("{what}: loaded"))
+    }
+
+    /// The pool, its payload, and the kNN's record in it.
+    fn knn_record() -> (Suod, Vec<u8>, Range<usize>) {
+        let clf = pool();
+        assert_eq!(
+            clf.diagnostics().unwrap().approximated(),
+            [false, true],
+            "the kNN is distilled"
+        );
+        assert_eq!(clf.diagnostics().unwrap().projected(), [false, true]);
+        let good = payload(&clf.save_to_bytes().unwrap());
+        let ends = record_ends(&clf, &good);
+        (clf, good, ends[0]..ends[1])
+    }
+
+    #[test]
+    fn truncated_and_flipped_model_records_fail_typed_or_score() {
+        let (clf, good, record) = knn_record();
+        // The locator and the framing are right: the re-signed payload
+        // loads and scores like the pool.
+        assert_eq!(
+            load_and_score(frame(&good)).0.unwrap(),
+            clf.decision_function(&queries()).unwrap()
+        );
+
+        for cut in record.clone() {
+            assert_typed_error(&good[..cut], &format!("truncated at {cut}"));
+        }
+        let mut loaded = 0;
+        for at in record.clone() {
+            for bit in 0..8 {
+                let mut flipped = good.clone();
+                flipped[at] ^= 1 << bit;
+                if load(&flipped, &format!("bit {bit} flipped at {at}")).is_none() {
+                    loaded += 1;
+                }
+            }
+        }
+        // Most of the record is stored values, so many flips load; the
+        // structural bytes (tags, lengths, tree links) do not.
+        assert!(
+            0 < loaded && loaded < 8 * record.len(),
+            "{loaded} flips loaded"
+        );
+    }
+
+    #[test]
+    fn unknown_scorer_tags_are_typed_errors() {
+        let (_, good, record) = knn_record();
+        let mut spec = SnapshotWriter::new();
+        KNN.snapshot_write(&mut spec);
+        // pool index | spec | scorer tag.
+        let tag = record.start + 8 + spec.len();
+        assert_eq!(good[tag], 1, "the kNN's scorer is its approximator");
+        for unknown in [2u8, 7, 255] {
+            let mut mutant = good.clone();
+            mutant[tag] = unknown;
+            let msg = assert_typed_error(&mutant, &format!("scorer tag {unknown}"));
+            assert!(msg.contains("unknown scorer tag"), "{msg}");
+        }
+        // Tag 0 reads the approximator's record as a detector's.
+        let mut mutant = good.clone();
+        mutant[tag] = 0;
+        assert_typed_error(&mutant, "scorer tag 0");
+    }
+
+    #[test]
+    fn inflated_training_score_counts_are_typed_errors() {
+        let (clf, good, record) = knn_record();
+        let n = clf.training_scores().unwrap().nrows() as u64;
+        // ... | training scores (count, n values) | fit time.
+        let at = record.end - 8 - 8 * n as usize - 8;
+        assert_eq!(good[at..at + 8], n.to_le_bytes());
+        for inflated in [n + 1, n + 1000, 1 << 40, u64::MAX / 8 + 1, u64::MAX] {
+            let mut mutant = good.clone();
+            mutant[at..at + 8].copy_from_slice(&inflated.to_le_bytes());
+            assert_typed_error(&mutant, &format!("count {n} -> {inflated}"));
+        }
     }
 }
 
