@@ -13,6 +13,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use suod_observe::noop;
 use suod_scheduler::{
     bps_schedule, generic_schedule, shuffled_schedule, simulate_makespan, WorkStealingExecutor,
 };
@@ -74,7 +75,7 @@ fn bench_straggler(c: &mut Criterion) {
     group.bench_function("stealing", |b| {
         b.iter_batched(
             straggler_tasks,
-            |tasks| pool.run(tasks, &assignment).expect("runs"),
+            |tasks| pool.run(tasks, &assignment, noop()).expect("runs"),
             BatchSize::SmallInput,
         )
     });

@@ -20,6 +20,7 @@ use std::time::Instant;
 use suod::prelude::*;
 use suod_bench::Scale;
 use suod_linalg::{pairwise_distances_with, DistanceMetric, KnnIndex, Matrix};
+use suod_observe::noop;
 use suod_scheduler::{bps_schedule, WorkStealingExecutor};
 
 const THREADS: &[usize] = &[1, 2, 4, 8];
@@ -115,7 +116,8 @@ fn pool(m_each: usize) -> Vec<ModelSpec> {
 
 /// A proximity-only pool sharing one (unprojected) input: the workload
 /// the shared neighbour-graph cache exists for. 24 detectors = 8 k-values
-/// x {kNN, LOF, LoOP}; uncached, each pays its own KD-tree build + sweep.
+/// x {kNN, LOF, LoOP}; fitted standalone, each pays its own KD-tree build
+/// and sweep.
 fn proximity_pool() -> Vec<ModelSpec> {
     let mut specs = Vec::new();
     for i in 0..8 {
@@ -176,7 +178,7 @@ fn main() {
     let mut steals = 0usize;
     let stealing_s = min_time(|| {
         let (_, report) = steal_pool
-            .run_with_report(straggler_tasks(), &assignment)
+            .run(straggler_tasks(), &assignment, noop())
             .expect("runs");
         steals = report.steals;
     });
@@ -217,49 +219,48 @@ fn main() {
     }
     println!();
 
-    // --- Neighbor-cache pool fit: cached vs uncached. ----------------------
-    // >= 20 proximity detectors sharing one unprojected input. Uncached,
-    // every model pays its own KD-tree build + leave-one-out sweep; cached,
-    // the Euclidean group builds once at the pooled k_max and everyone else
-    // gets a prefix view.
+    // --- Neighbor-cache pool fit: standalone fits vs one pool. ------------
+    // >= 20 proximity detectors sharing one unprojected input. Fitted
+    // standalone — each model a pool of one — every model pays its own
+    // KD-tree build + leave-one-out sweep; in one pool, the Euclidean
+    // group builds once at the pooled k_max and everyone else gets a
+    // prefix view.
     let cache_n = scale.pick(400, 1200, 2400);
     let cache_x = random_matrix(cache_n, 12, 8);
     let cache_pool_size = proximity_pool().len();
-    let cache_fit = |cache_on: bool, t: usize| -> (f64, u64, u64) {
-        let mut counters = (0u64, 0u64);
-        let secs = min_time(|| {
-            let mut model = Suod::builder()
-                .base_estimators(proximity_pool())
-                .with_projection(false)
-                .with_approximation(false)
-                .with_neighbor_cache(cache_on)
-                .n_workers(t)
-                .seed(9)
-                .build()
-                .expect("valid config");
-            model.fit(&cache_x).expect("fit succeeds");
-            let report = model
-                .diagnostics()
-                .expect("fit emits telemetry")
-                .execution();
-            counters = (report.cache_hits, report.cache_misses);
-        });
-        (secs, counters.0, counters.1)
+    let pool_fit = |specs: Vec<ModelSpec>, t: usize| -> (u64, u64) {
+        let mut model = Suod::builder()
+            .base_estimators(specs)
+            .with_projection(false)
+            .with_approximation(false)
+            .n_workers(t)
+            .seed(9)
+            .build()
+            .expect("valid config");
+        model.fit(&cache_x).expect("fit succeeds");
+        let report = model
+            .diagnostics()
+            .expect("fit emits telemetry")
+            .execution();
+        (report.cache_hits, report.cache_misses)
     };
-    let mut cached_times: Vec<(usize, f64)> = Vec::new();
-    let mut uncached_times: Vec<(usize, f64)> = Vec::new();
+    let mut pooled_times: Vec<(usize, f64)> = Vec::new();
+    let mut standalone_times: Vec<(usize, f64)> = Vec::new();
     let mut cache_hits = 0u64;
     let mut cache_misses = 0u64;
     for &t in THREADS {
-        let (off_s, _, _) = cache_fit(false, t);
-        let (on_s, hits, misses) = cache_fit(true, t);
-        uncached_times.push((t, off_s));
-        cached_times.push((t, on_s));
-        cache_hits = hits;
-        cache_misses = misses;
+        let off_s = min_time(|| {
+            for spec in proximity_pool() {
+                pool_fit(vec![spec], t);
+            }
+        });
+        let on_s = min_time(|| (cache_hits, cache_misses) = pool_fit(proximity_pool(), t));
+        standalone_times.push((t, off_s));
+        pooled_times.push((t, on_s));
+        let (hits, misses) = (cache_hits, cache_misses);
         println!(
             "cache pool fit n={cache_n} m={cache_pool_size} {t}T   \
-             uncached {off_s:>9.4}s  cached {on_s:>9.4}s  ({:.2}x, \
+             standalone {off_s:>9.4}s  pooled {on_s:>9.4}s  ({:.2}x, \
              {hits} hits/{misses} misses)",
             off_s / on_s
         );
@@ -279,9 +280,9 @@ fn main() {
          \"cache_misses\": {cache_misses}\n  }}\n}}\n",
         times_json(&fit_times),
         times_json(&predict_times),
-        times_json(&uncached_times),
-        times_json(&cached_times),
-        uncached_times[0].1 / cached_times[0].1,
+        times_json(&standalone_times),
+        times_json(&pooled_times),
+        standalone_times[0].1 / pooled_times[0].1,
     );
     std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
     println!("wrote BENCH_parallel.json");

@@ -156,7 +156,9 @@ fn write_config(config: &SuodBuilder, w: &mut SnapshotWriter) {
     w.write_f64(config.bps_alpha);
     w.write_f64(config.contamination);
     w.write_u64(config.seed);
-    w.write_bool(config.neighbor_cache_enabled);
+    // The slot of the retired neighbour-cache switch: every fit shares
+    // its graphs now, so it is always written on.
+    w.write_bool(true);
     w.write_kernel_config(&config.kernel);
     w.write_f64(config.min_healthy_fraction);
     w.write_usize(config.max_model_retries);
@@ -187,7 +189,9 @@ fn read_config(r: &mut SnapshotReader<'_>) -> Result<SuodBuilder> {
     config.bps_alpha = r.read_f64()?;
     config.contamination = r.read_f64()?;
     config.seed = r.read_u64()?;
-    config.neighbor_cache_enabled = r.read_bool()?;
+    // The retired neighbour-cache switch: a pool fitted with it off
+    // scores the same bits, so the stored value is read past.
+    r.read_bool()?;
     config.kernel = r.read_kernel_config()?;
     if r.version() < 3 {
         // Slot of the retired `ef_search` builder override, which was

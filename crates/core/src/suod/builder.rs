@@ -27,7 +27,6 @@ pub struct SuodBuilder {
     pub(crate) cost_model: Arc<dyn CostModel>,
     pub(crate) contamination: f64,
     pub(crate) seed: u64,
-    pub(crate) neighbor_cache_enabled: bool,
     pub(crate) kernel: KernelConfig,
     pub(crate) min_healthy_fraction: f64,
     pub(crate) max_model_retries: usize,
@@ -51,7 +50,6 @@ impl Default for SuodBuilder {
             cost_model: Arc::new(AnalyticCostModel::new()),
             contamination: 0.1,
             seed: 0,
-            neighbor_cache_enabled: true,
             kernel: KernelConfig::default(),
             min_healthy_fraction: 1.0,
             max_model_retries: 1,
@@ -130,19 +128,6 @@ impl SuodBuilder {
     /// Replaces the cost model used by BPS (default: analytic).
     pub fn cost_model(mut self, model: Arc<dyn CostModel>) -> Self {
         self.cost_model = model;
-        self
-    }
-
-    /// Enables/disables the shared neighbour-graph cache (default on).
-    ///
-    /// When on, `fit` groups proximity models (kNN, LOF, LoOP, COF, ABOD)
-    /// by feature space and distance metric, builds each group's
-    /// [`KnnIndex`](suod_linalg::KnnIndex) and leave-one-out neighbour sweep **once** at the
-    /// pooled maximum `k`, and serves every member
-    /// an exact sorted-prefix view. Scores are bit-identical either way —
-    /// the switch exists for benchmarking and as an escape hatch.
-    pub fn with_neighbor_cache(mut self, enabled: bool) -> Self {
-        self.neighbor_cache_enabled = enabled;
         self
     }
 

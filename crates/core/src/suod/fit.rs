@@ -90,7 +90,7 @@ impl FitResults {
 /// How the models that run will meet the shared neighbour cache.
 struct NeighborPlan {
     /// Cache key of each running proximity model's feature space, by
-    /// pool index; `None` everywhere when the cache is off.
+    /// pool index.
     fingerprints: Vec<Option<DataFingerprint>>,
     /// By pool index: another member of the model's cache group builds
     /// the graph, so this model's own lookup is a near-free hit.
@@ -116,15 +116,13 @@ impl Suod {
         ((d as f64 * self.config.rp_target_fraction).ceil() as usize).clamp(1, d)
     }
 
-    /// An empty neighbour cache under this estimator's kernel config, or
-    /// `None` when the shared cache is switched off.
-    fn fresh_cache(&self) -> Option<Arc<NeighborCache>> {
-        self.config.neighbor_cache_enabled.then(|| {
-            Arc::new(NeighborCache::with_config(
-                self.config.kernel,
-                Arc::clone(&self.config.observer),
-            ))
-        })
+    /// An empty neighbour cache under this estimator's kernel config,
+    /// reporting to its observer.
+    fn fresh_cache(&self) -> Arc<NeighborCache> {
+        Arc::new(NeighborCache::with_config(
+            self.config.kernel,
+            Arc::clone(&self.config.observer),
+        ))
     }
 
     /// Fits every base estimator (Algorithm 1, lines 3–16) and trains the
@@ -217,7 +215,7 @@ impl Suod {
         }
         // The retained cache serves graphs over feature spaces it has
         // already seen; after a snapshot load there is none to retain.
-        let cache = warm.cache.clone().or_else(|| self.fresh_cache());
+        let cache = warm.cache.clone().unwrap_or_else(|| self.fresh_cache());
         let carry = specs
             .iter()
             .enumerate()
@@ -254,7 +252,7 @@ impl Suod {
         train_fingerprint: DataFingerprint,
         specs: Vec<ModelSpec>,
         mut carry: Vec<Option<Arc<FittedModel>>>,
-        cache: Option<Arc<NeighborCache>>,
+        cache: Arc<NeighborCache>,
     ) -> Result<()> {
         if x.nrows() == 0 || x.ncols() == 0 {
             return Err(Error::InvalidConfig(
@@ -285,11 +283,11 @@ impl Suod {
 
         // --- Neighbour plan (pass 1 of the two-pass fit). -------------------
         let plan_span = obs.span_begin(Stage::NeighborPlan, SpanAttrs::none());
-        let plan = self.plan_neighbors(cache.as_deref(), &specs, &spaces, &run);
+        let plan = self.plan_neighbors(&cache, &specs, &spaces, &run);
         obs.span_end(plan_span);
         // The cache may have served earlier fits: this run's share of its
         // lifetime counters is what the diagnostics report.
-        let cache_before = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+        let cache_before = cache.stats();
 
         let executor = self.executor_for_run()?;
 
@@ -324,13 +322,7 @@ impl Suod {
             let distill_seed = self.model_seed(i) ^ 0xA55A;
             let approx_spec = self.config.approx_spec;
             let psi = Arc::clone(&spaces[i]);
-            let ctx = match (&cache, plan.fingerprints[i]) {
-                (Some(c), Some(fp)) => {
-                    FitContext::cached(Arc::clone(c), Some(fp), plan.fit_threads)
-                }
-                _ => FitContext::standalone(plan.fit_threads),
-            }
-            .with_kernel_config(self.config.kernel);
+            let ctx = FitContext::new(Arc::clone(&cache), plan.fingerprints[i], plan.fit_threads);
             let task_obs = Arc::clone(&obs);
             let stage = if attempt == 0 {
                 Stage::ModelFit
@@ -401,11 +393,7 @@ impl Suod {
                 .zip(distill_spaces(&run))
                 .map(|(&i, space)| make_task(i, 0, space))
                 .collect();
-            let (outcomes, first_report) = executor.run_with_report_isolated_observed(
-                tasks,
-                &assignment?,
-                Arc::clone(&obs),
-            )?;
+            let (outcomes, first_report) = executor.run(tasks, &assignment?, Arc::clone(&obs))?;
             report = first_report;
             for (&i, outcome) in run.iter().zip(outcomes) {
                 results.record(i, outcome)?;
@@ -428,11 +416,8 @@ impl Suod {
                 .collect();
             let retry_assignment =
                 generic_schedule(pending.len(), self.config.n_workers.min(pending.len()))?;
-            let (retry_outcomes, retry_report) = executor.run_with_report_isolated_observed(
-                retry_tasks,
-                &retry_assignment,
-                Arc::clone(&obs),
-            )?;
+            let (retry_outcomes, retry_report) =
+                executor.run(retry_tasks, &retry_assignment, Arc::clone(&obs))?;
             obs.counter(Counter::Retry, pending.len() as u64);
             report.retries += pending.len();
             report.failures += retry_report.failures;
@@ -444,14 +429,11 @@ impl Suod {
 
         // Cache counters are copied after the retry loop so retried
         // models' hits/misses reconcile exactly with the observer trace.
-        let mut ann_fallbacks = 0u64;
-        if let Some(cache) = &cache {
-            let stats = cache.stats();
-            report.cache_hits = stats.hits - cache_before.hits;
-            report.cache_misses = stats.misses - cache_before.misses;
-            report.cache_build_time = stats.build_time - cache_before.build_time;
-            ann_fallbacks = stats.ann_fallbacks - cache_before.ann_fallbacks;
-        }
+        let stats = cache.stats();
+        report.cache_hits = stats.hits - cache_before.hits;
+        report.cache_misses = stats.misses - cache_before.misses;
+        report.cache_build_time = stats.build_time - cache_before.build_time;
+        let ann_fallbacks = stats.ann_fallbacks - cache_before.ann_fallbacks;
 
         // --- Stragglers, from the BPS cost forecast of the tasks that ran. --
         report.stragglers =
@@ -568,7 +550,7 @@ impl Suod {
         // Retain the neighbour cache + data identity so a warm refit on
         // the same matrix can reuse proximity graphs and survivor models.
         let warm = WarmContext {
-            cache,
+            cache: Some(cache),
             train_fingerprint,
         };
         self.commit(specs, Some((state, warm)), diagnostics);
@@ -599,7 +581,7 @@ impl Suod {
     /// near-free cache hit).
     fn plan_neighbors(
         &self,
-        cache: Option<&NeighborCache>,
+        cache: &NeighborCache,
         specs: &[ModelSpec],
         spaces: &[Arc<Matrix>],
         run: &[usize],
@@ -608,9 +590,6 @@ impl Suod {
             fingerprints: vec![None; specs.len()],
             cached: vec![false; specs.len()],
             fit_threads: 1,
-        };
-        let Some(cache) = cache else {
-            return plan;
         };
         let mut fp_by_space: HashMap<usize, DataFingerprint> = HashMap::new();
         let mut requirements = vec![None; specs.len()];
@@ -639,20 +618,15 @@ impl Suod {
     /// none) and one metric share a graph.
     pub(super) fn forecast_descriptors(&self, state: &FittedState) -> Vec<TaskDescriptor> {
         let (n, d) = (state.train_rows(), state.n_features);
-        let cached = match self.config.neighbor_cache_enabled {
-            true => {
-                let requirements: Vec<_> = state
-                    .models
-                    .iter()
-                    .map(|m| {
-                        let (metric, k) = m.spec.neighbor_requirement()?;
-                        Some(((m.projector.as_ref(), metric), k.min(n.saturating_sub(1))))
-                    })
-                    .collect();
-                cache_hits(&requirements).0
-            }
-            false => vec![false; state.models.len()],
-        };
+        let requirements: Vec<_> = state
+            .models
+            .iter()
+            .map(|m| {
+                let (metric, k) = m.spec.neighbor_requirement()?;
+                Some(((m.projector.as_ref(), metric), k.min(n.saturating_sub(1))))
+            })
+            .collect();
+        let (cached, _) = cache_hits(&requirements);
         state
             .models
             .iter()
@@ -844,30 +818,31 @@ mod tests {
             ModelSpec::Abod { n_neighbors: 4 },
         ];
         let x = data();
-        let run = |cache_on: bool| {
+        for workers in [1usize, 2, 8] {
             let mut clf = Suod::builder()
                 .base_estimators(pool.clone())
                 .with_projection(false)
                 .with_approximation(false)
-                .with_neighbor_cache(cache_on)
+                .n_workers(workers)
                 .seed(1)
                 .build()
                 .unwrap();
             clf.fit(&x).unwrap();
             let exec = clf.diagnostics().unwrap().execution();
-            let counters = (exec.cache_hits, exec.cache_misses);
-            (
-                clf.training_scores().unwrap(),
-                clf.decision_function(&x).unwrap(),
-                counters,
-            )
-        };
-        let (ts_on, df_on, (hits, misses)) = run(true);
-        let (ts_off, df_off, (hits_off, misses_off)) = run(false);
-        assert_eq!(ts_on.as_slice(), ts_off.as_slice());
-        assert_eq!(df_on.as_slice(), df_off.as_slice());
-        assert_eq!((hits, misses), (2, 1));
-        assert_eq!((hits_off, misses_off), (0, 0));
+            assert_eq!((exec.cache_hits, exec.cache_misses), (2, 1));
+            let train = clf.training_scores().unwrap();
+            let query = clf.decision_function(&x).unwrap();
+            // The reference is each model fitted on its own: a pool of one.
+            for (i, spec) in pool.iter().enumerate() {
+                let mut det = spec.build(clf.model_seed(i)).unwrap();
+                let own_train = det.fit(&x).unwrap();
+                let own_query = det.decision_function(&x).unwrap();
+                for r in 0..x.nrows() {
+                    assert_eq!(train.get(r, i).to_bits(), own_train[r].to_bits());
+                    assert_eq!(query.get(r, i).to_bits(), own_query[r].to_bits());
+                }
+            }
+        }
     }
 
     #[test]
@@ -1250,18 +1225,6 @@ mod tests {
         for (i, spec) in pool.iter().enumerate() {
             assert_eq!(described[i], clf.fit_descriptor(spec, cached[i], n, d));
         }
-
-        // Without the shared cache, every model builds its own graph.
-        let mut uncached = Suod::builder()
-            .base_estimators(pool)
-            .with_projection(false)
-            .with_approximation(false)
-            .with_neighbor_cache(false)
-            .build()
-            .unwrap();
-        uncached.fit(&x).unwrap();
-        let described = uncached.forecast_descriptors(uncached.state().unwrap());
-        assert!(described.iter().all(|t| !t.cached_neighbors));
     }
 
     #[test]

@@ -224,8 +224,7 @@ impl Suod {
             }
         }
 
-        let (outcomes, mut execution) =
-            executor.run_with_report_isolated_observed(tasks, &assignment, Arc::clone(observer))?;
+        let (outcomes, mut execution) = executor.run(tasks, &assignment, Arc::clone(observer))?;
 
         // Per-model reassembly: the first failed chunk quarantines the
         // whole column (partial columns would silently shift the

@@ -88,10 +88,9 @@ use std::fmt;
 use std::sync::Arc;
 use suod_linalg::distance::Neighbor;
 use suod_linalg::{
-    emit_kernel_counters, DataFingerprint, DistanceMetric, KernelConfig, KnnIndex, Matrix,
-    NeighborCache, SelfNeighbors, SnapshotReader, SnapshotWriter,
+    DataFingerprint, DistanceMetric, KernelConfig, KnnIndex, Matrix, NeighborCache, SelfNeighbors,
+    SnapshotReader, SnapshotWriter,
 };
-use suod_observe::{Counter, Observer, SpanAttrs};
 
 /// Errors produced by detector training and scoring.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,98 +177,47 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Proximity detectors (kNN, LOF, LoOP, COF, ABOD) all start their fit
 /// with the same expensive step: build a [`KnnIndex`] over the training
 /// matrix, then run a leave-one-out neighbour sweep. A `FitContext`
-/// optionally carries a pool-wide [`NeighborCache`] so detectors sharing
-/// a training matrix share one index build and one sweep (served as exact
-/// sorted-prefix views), plus the thread budget the standalone sweep
-/// should use. The default context (`FitContext::default()`) is
-/// cache-less and single-threaded, matching a bare [`Detector::fit`].
+/// carries the [`NeighborCache`] that step goes through, so detectors
+/// sharing a training matrix and a cache share one index build and one
+/// sweep (served as exact sorted-prefix views), plus the thread budget of
+/// a build. The cache also carries the kernel tuning and the observer a
+/// build reports to.
 ///
-/// A context also carries an [`Observer`]: standalone neighbour sweeps
-/// report through the same hooks the pooled cache uses (a private build
-/// is a [`Counter::CacheMiss`] plus a `NeighborBuild` span), so telemetry
-/// reconciles between pooled and standalone fits. The default is the
-/// no-op observer.
-#[derive(Clone)]
+/// A standalone fit is a pool of one: the default context
+/// (`FitContext::default()`, what a bare [`Detector::fit`] uses) is a
+/// private single-threaded cache under the default [`KernelConfig`] and
+/// the no-op observer.
+#[derive(Debug, Clone)]
 pub struct FitContext {
-    cache: Option<Arc<NeighborCache>>,
+    cache: Arc<NeighborCache>,
     fingerprint: Option<DataFingerprint>,
     n_threads: usize,
-    observer: Arc<dyn Observer>,
-    kernel: KernelConfig,
-}
-
-impl std::fmt::Debug for FitContext {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FitContext")
-            .field("has_cache", &self.cache.is_some())
-            .field("fingerprint", &self.fingerprint)
-            .field("n_threads", &self.n_threads)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Default for FitContext {
     fn default() -> Self {
-        Self::standalone(1)
+        let cache = NeighborCache::with_config(KernelConfig::default(), suod_observe::noop());
+        Self::new(Arc::new(cache), None, 1)
     }
 }
 
 impl FitContext {
-    /// A cache-less context whose neighbour sweeps use `n_threads`
-    /// threads (clamped to at least 1).
-    pub fn standalone(n_threads: usize) -> Self {
-        Self {
-            cache: None,
-            fingerprint: None,
-            n_threads,
-            observer: suod_observe::noop(),
-            kernel: KernelConfig::default(),
-        }
-    }
-
-    /// A context that routes neighbour queries through a shared `cache`.
+    /// A context whose neighbour queries go through `cache`, with builds
+    /// sized to `n_threads` threads (clamped to at least 1).
     ///
     /// `fingerprint` is the precomputed identity of the training matrix
     /// this context will be used with; passing `None` makes the detector
     /// compute it on first use (one extra `O(n d)` pass).
-    pub fn cached(
+    pub fn new(
         cache: Arc<NeighborCache>,
         fingerprint: Option<DataFingerprint>,
         n_threads: usize,
     ) -> Self {
         Self {
-            cache: Some(cache),
+            cache,
             fingerprint,
             n_threads,
-            observer: suod_observe::noop(),
-            kernel: KernelConfig::default(),
         }
-    }
-
-    /// Attaches an instrumentation sink. Standalone neighbour sweeps then
-    /// emit the same telemetry a pooled cache miss would (one
-    /// [`Counter::CacheMiss`] plus a
-    /// [`Stage::NeighborBuild`](suod_observe::Stage::NeighborBuild) span);
-    /// cached contexts report through the cache's own observer instead.
-    #[must_use]
-    pub fn with_observer(mut self, observer: Arc<dyn Observer>) -> Self {
-        self.observer = observer;
-        self
-    }
-
-    /// Sets the kernel tuning (distance backend + KD-tree crossover) for
-    /// standalone neighbour sweeps. Cached contexts build through the
-    /// cache, which carries its own [`KernelConfig`] — a pool orchestrator
-    /// should configure both from the same source.
-    #[must_use]
-    pub fn with_kernel_config(mut self, kernel: KernelConfig) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The kernel tuning this context applies to standalone sweeps.
-    pub fn kernel_config(&self) -> KernelConfig {
-        self.kernel
     }
 
     /// Thread budget for neighbour sweeps (at least 1).
@@ -277,17 +225,10 @@ impl FitContext {
         self.n_threads.max(1)
     }
 
-    /// `true` when a shared neighbour cache is attached.
-    pub fn has_cache(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Index + leave-one-out neighbour lists at `k` for the rows of `x`.
-    ///
-    /// With a cache attached this is served from (or builds) the shared
-    /// [`NeighborGraph`](suod_linalg::NeighborGraph) for `(x, metric)`;
-    /// standalone it builds a private index and sweeps directly. Both
-    /// paths return bit-identical neighbour slices for any thread count.
+    /// Index + leave-one-out neighbour lists at `k` for the rows of `x`,
+    /// served from (or built into) the cache's
+    /// [`NeighborGraph`](suod_linalg::NeighborGraph) for `(x, metric)` —
+    /// bit-identical neighbour slices for any thread count.
     ///
     /// # Errors
     ///
@@ -298,43 +239,11 @@ impl FitContext {
         metric: DistanceMetric,
         k: usize,
     ) -> suod_linalg::Result<(Arc<KnnIndex>, SelfNeighbors)> {
-        match &self.cache {
-            Some(cache) => {
-                let fp = self.fingerprint.unwrap_or_else(|| DataFingerprint::of(x));
-                let graph = cache.get_or_build_keyed(fp, x, metric, k, self.n_threads())?;
-                let index = Arc::clone(graph.index());
-                Ok((index, SelfNeighbors::Shared { graph, k }))
-            }
-            None => {
-                // Standalone fits pay a private build every time — telemetry
-                // reports it exactly like a pooled cache miss so counters
-                // stay comparable between the two paths.
-                self.observer.counter(Counter::CacheMiss, 1);
-                let result = (|| {
-                    // Same two-span split as the pooled path: NeighborBuild
-                    // wraps index construction, NeighborQuery the sweep.
-                    let span = self
-                        .observer
-                        .span_begin(suod_observe::Stage::NeighborBuild, SpanAttrs::none());
-                    let index =
-                        KnnIndex::build_with_threads(x, metric, self.kernel, self.n_threads());
-                    self.observer.span_end(span);
-                    let index = Arc::new(index?);
-                    let span = self
-                        .observer
-                        .span_begin(suod_observe::Stage::NeighborQuery, SpanAttrs::none());
-                    let lists = index.self_query_batch(k, self.n_threads());
-                    self.observer.span_end(span);
-                    Ok((index, SelfNeighbors::Owned(lists)))
-                })();
-                if let Ok((index, _)) = &result {
-                    // Fresh index: the snapshot is exactly this build's
-                    // kernel work, mirroring the pooled cache-miss path.
-                    emit_kernel_counters(self.observer.as_ref(), index.kernel_counters());
-                }
-                result
-            }
-        }
+        let fp = self.fingerprint.unwrap_or_else(|| DataFingerprint::of(x));
+        let graph = self
+            .cache
+            .get_or_build_keyed(fp, x, metric, k, self.n_threads())?;
+        Ok((Arc::clone(graph.index()), SelfNeighbors { graph, k }))
     }
 }
 
@@ -359,10 +268,9 @@ pub trait Detector: Send + Sync {
     /// [`fit`](Self::fit) with pool-shared resources.
     ///
     /// Proximity detectors use `ctx` to draw their leave-one-out
-    /// neighbour lists from a shared [`NeighborCache`] (and to size their
-    /// standalone sweeps to `ctx.n_threads()`); the default
-    /// implementation ignores the context, so non-proximity detectors
-    /// behave exactly as before.
+    /// neighbour lists from its [`NeighborCache`], built with
+    /// `ctx.n_threads()` threads; the default implementation ignores the
+    /// context, so non-proximity detectors behave exactly as before.
     ///
     /// # Errors
     ///
@@ -821,9 +729,15 @@ mod tests {
         assert_eq!(labels[2], 1);
     }
 
+    /// A pool of one reporting to `observer`.
+    fn observed_context(observer: Arc<dyn suod_observe::Observer>) -> FitContext {
+        let cache = NeighborCache::with_config(KernelConfig::default(), observer);
+        FitContext::new(Arc::new(cache), None, 1)
+    }
+
     #[test]
     fn standalone_fit_emits_cache_telemetry() {
-        use suod_observe::{RecordingObserver, Stage};
+        use suod_observe::{Counter, RecordingObserver, Stage};
         let x = Matrix::from_rows(&[
             vec![0.0, 0.0],
             vec![0.1, 0.0],
@@ -833,12 +747,12 @@ mod tests {
         ])
         .unwrap();
         let rec = Arc::new(RecordingObserver::new());
-        let ctx = FitContext::standalone(1).with_observer(rec.clone());
+        let ctx = observed_context(rec.clone());
         let mut det = KnnDetector::new(2, KnnMethod::Largest).unwrap();
         det.fit_with_context(&x, &ctx).unwrap();
         let trace = rec.trace();
-        // A standalone proximity fit reports its private build exactly
-        // like a pooled cache miss: one miss, no hits, one build span.
+        // A standalone proximity fit is a pool of one: its private build
+        // is one miss, no hits, one build span.
         assert_eq!(trace.counter(Counter::CacheMiss), 1);
         assert_eq!(trace.counter(Counter::CacheHit), 0);
         assert_eq!(trace.spans_of(Stage::NeighborBuild).count(), 1);
@@ -908,13 +822,11 @@ mod tests {
         ])
         .unwrap();
         let mut plain = LofDetector::new(2).unwrap();
-        let plain_scores = plain
-            .fit_with_context(&x, &FitContext::standalone(1))
-            .unwrap();
+        let plain_scores = plain.fit(&x).unwrap();
         let mut observed = LofDetector::new(2).unwrap();
         let rec = Arc::new(RecordingObserver::new());
         let observed_scores = observed
-            .fit_with_context(&x, &FitContext::standalone(1).with_observer(rec))
+            .fit_with_context(&x, &observed_context(rec))
             .unwrap();
         assert_eq!(plain_scores, observed_scores);
     }

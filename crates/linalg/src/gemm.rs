@@ -13,7 +13,8 @@
 //!   rows for [`gram`], which computes `A · Bᵀ`).
 //! * [`DistanceBackend`] — selects how pairwise distances are evaluated
 //!   (`naive` | `blocked` | `gemm`); threaded from `SuodBuilder` through
-//!   `FitContext`/`NeighborCache` into every proximity detector.
+//!   the `NeighborCache` a `FitContext` carries into every proximity
+//!   detector.
 //! * [`KernelConfig`] — backend plus the KD-tree-vs-brute-force
 //!   crossover tuning consumed by
 //!   [`KnnIndex::build_with`](crate::distance::KnnIndex::build_with).

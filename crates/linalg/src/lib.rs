@@ -89,8 +89,7 @@ pub use hnsw::{
 };
 pub use matrix::Matrix;
 pub use neighbor_cache::{
-    emit_kernel_counters, DataFingerprint, NeighborCache, NeighborCacheStats, NeighborGraph,
-    SelfNeighbors,
+    DataFingerprint, NeighborCache, NeighborCacheStats, NeighborGraph, SelfNeighbors,
 };
 pub use snapshot::{SnapshotReader, SnapshotWriter};
 

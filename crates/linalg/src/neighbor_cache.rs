@@ -22,15 +22,16 @@
 //! # Example
 //!
 //! ```
-//! use suod_linalg::{DistanceMetric, Matrix, NeighborCache};
+//! use suod_linalg::{DataFingerprint, DistanceMetric, KernelConfig, Matrix, NeighborCache};
 //!
 //! # fn main() -> Result<(), suod_linalg::Error> {
 //! let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![9.0]])?;
-//! let cache = NeighborCache::new();
+//! let fp = DataFingerprint::of(&x);
+//! let cache = NeighborCache::with_config(KernelConfig::default(), suod_observe::noop());
 //! // First call builds the index and the k=3 neighbour lists...
-//! let g3 = cache.get_or_build(&x, DistanceMetric::Euclidean, 3, 1)?;
+//! let g3 = cache.get_or_build_keyed(fp, &x, DistanceMetric::Euclidean, 3, 1)?;
 //! // ...later, smaller-k requests are served as prefix views.
-//! let g2 = cache.get_or_build(&x, DistanceMetric::Euclidean, 2, 1)?;
+//! let g2 = cache.get_or_build_keyed(fp, &x, DistanceMetric::Euclidean, 2, 1)?;
 //! assert_eq!(g3.prefix(0, 2), g2.prefix(0, 2));
 //! assert_eq!(cache.stats().builds, 1);
 //! assert_eq!(cache.stats().hits, 1);
@@ -131,45 +132,13 @@ pub struct NeighborGraph {
 }
 
 impl NeighborGraph {
-    /// Builds a graph directly (no cache): one index build plus one
-    /// parallel leave-one-out sweep at `k`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Empty`](crate::Error::Empty) when `x` has no rows.
-    pub fn build(x: &Matrix, metric: DistanceMetric, k: usize, n_threads: usize) -> Result<Self> {
-        Self::build_with(x, metric, k, n_threads, KernelConfig::default())
-    }
-
-    /// [`build`](Self::build) with explicit kernel tuning (distance
-    /// backend + KD-tree crossover) for the index and its sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Empty`](crate::Error::Empty) when `x` has no rows.
-    pub fn build_with(
-        x: &Matrix,
-        metric: DistanceMetric,
-        k: usize,
-        n_threads: usize,
-        config: KernelConfig,
-    ) -> Result<Self> {
-        Self::build_observed(
-            x,
-            metric,
-            k,
-            n_threads,
-            config,
-            suod_observe::noop().as_ref(),
-        )
-    }
-
-    /// [`build_with`](Self::build_with) reporting the two phases to
-    /// `observer` as separate spans: [`Stage::NeighborBuild`] wraps the
-    /// index construction (where an approximate backend pays its graph
-    /// build) and [`Stage::NeighborQuery`] wraps the leave-one-out sweep
-    /// (where it earns the speedup) — so recall/speed tradeoffs are
-    /// visible per phase in traces.
+    /// Builds a graph: one index build under `config` plus one parallel
+    /// leave-one-out sweep at `k`, reported to `observer` as separate
+    /// spans: [`Stage::NeighborBuild`] wraps the index construction (where
+    /// an approximate backend pays its graph build) and
+    /// [`Stage::NeighborQuery`] wraps the leave-one-out sweep (where it
+    /// earns the speedup) — so recall/speed tradeoffs are visible per
+    /// phase in traces.
     ///
     /// # Errors
     ///
@@ -224,30 +193,21 @@ impl NeighborGraph {
     }
 }
 
-/// Leave-one-out neighbour lists handed to a detector: either owned
-/// (standalone fit, no cache) or a prefix view into a shared
-/// [`NeighborGraph`]. Both present the same slice-per-row API, and the
-/// slices are bit-identical between the two forms.
+/// Leave-one-out neighbour lists handed to a detector: a prefix view at
+/// `k` into a [`NeighborGraph`] built at `k_max >= k`, slice for slice
+/// what a direct `self_query_batch(k, t)` returns.
 #[derive(Debug, Clone)]
-pub enum SelfNeighbors {
-    /// Detector-owned lists from a direct `self_query_batch(k, t)`.
-    Owned(Vec<Vec<Neighbor>>),
-    /// Prefix views at `k` into a pool-shared graph built at `k_max >= k`.
-    Shared {
-        /// The shared graph.
-        graph: Arc<NeighborGraph>,
-        /// The prefix length this detector asked for.
-        k: usize,
-    },
+pub struct SelfNeighbors {
+    /// The graph the lists are prefixes of.
+    pub graph: Arc<NeighborGraph>,
+    /// The prefix length the detector asked for.
+    pub k: usize,
 }
 
 impl SelfNeighbors {
     /// Number of training rows covered.
     pub fn len(&self) -> usize {
-        match self {
-            SelfNeighbors::Owned(lists) => lists.len(),
-            SelfNeighbors::Shared { graph, .. } => graph.len(),
-        }
+        self.graph.len()
     }
 
     /// `true` when no rows are covered.
@@ -257,10 +217,7 @@ impl SelfNeighbors {
 
     /// The neighbour slice of training row `i`.
     pub fn get(&self, i: usize) -> &[Neighbor] {
-        match self {
-            SelfNeighbors::Owned(lists) => &lists[i],
-            SelfNeighbors::Shared { graph, k } => graph.prefix(i, *k),
-        }
+        self.graph.prefix(i, self.k)
     }
 
     /// Iterates the per-row neighbour slices in row order.
@@ -330,12 +287,6 @@ impl std::fmt::Debug for NeighborCache {
     }
 }
 
-impl Default for NeighborCache {
-    fn default() -> Self {
-        Self::with_observer(suod_observe::noop())
-    }
-}
-
 /// `DistanceMetric` is not `Eq`/`Hash` (it carries an `f64` exponent);
 /// keying by the bit pattern keeps distinct Minkowski exponents distinct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -356,21 +307,11 @@ impl From<DistanceMetric> for MetricKey {
 }
 
 impl NeighborCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty cache reporting into `observer`: every hit/miss
-    /// emits [`Counter::CacheHit`]/[`Counter::CacheMiss`] and every graph
-    /// build is wrapped in a [`Stage::NeighborBuild`] span.
-    pub fn with_observer(observer: Arc<dyn Observer>) -> Self {
-        Self::with_config(KernelConfig::default(), observer)
-    }
-
-    /// Creates an empty cache with explicit kernel tuning; every graph it
-    /// builds uses `config`'s distance backend and KD-tree crossover.
-    /// Kernel work done by each build is reported to `observer` as
+    /// Creates an empty cache: every graph it builds uses `config`'s
+    /// distance backend, neighbour backend and KD-tree crossover. Every
+    /// hit/miss emits [`Counter::CacheHit`]/[`Counter::CacheMiss`] to
+    /// `observer`, every build its [`Stage::NeighborBuild`] and
+    /// [`Stage::NeighborQuery`] spans, and the kernel work of each build
     /// [`Counter::PackedPanel`]/[`Counter::GemmTile`]/
     /// [`Counter::KernelFallback`] events.
     pub fn with_config(config: KernelConfig, observer: Arc<dyn Observer>) -> Self {
@@ -383,11 +324,6 @@ impl NeighborCache {
             observer,
             kernel: config,
         }
-    }
-
-    /// The kernel tuning applied to this cache's graph builds.
-    pub fn kernel_config(&self) -> KernelConfig {
-        self.kernel
     }
 
     fn slot(&self, fp: DataFingerprint, metric: DistanceMetric) -> Arc<Mutex<Slot>> {
@@ -406,8 +342,8 @@ impl NeighborCache {
     ///
     /// `k` is clamped to `rows - 1` (leave-one-out lists can never be
     /// longer). Call once per pool member during planning (pass 1);
-    /// [`get_or_build`](Self::get_or_build) calls during fitting (pass 2)
-    /// then share one build.
+    /// [`get_or_build_keyed`](Self::get_or_build_keyed) calls during
+    /// fitting (pass 2) then share one build.
     pub fn register(&self, fp: DataFingerprint, metric: DistanceMetric, k: usize) {
         let k = k.min(fp.rows().saturating_sub(1));
         let slot = self.slot(fp, metric);
@@ -418,9 +354,9 @@ impl NeighborCache {
     /// The graph for `(x, metric)`, built on first use at
     /// `max(k, registered k_max)` and served as-is (a hit) whenever the
     /// existing graph already covers `k`. A request for a larger `k` than
-    /// built rebuilds the lists (a miss) at the new maximum; the matrix
-    /// contents are trusted to match `fp` (callers that cannot guarantee
-    /// that should use [`get_or_build`](Self::get_or_build)).
+    /// built rebuilds the lists (a miss) at the new maximum. The matrix
+    /// contents are trusted to match `fp` (a caller without a precomputed
+    /// key passes [`DataFingerprint::of`]`(x)`).
     ///
     /// # Errors
     ///
@@ -474,22 +410,6 @@ impl NeighborCache {
         Ok(graph)
     }
 
-    /// [`get_or_build_keyed`](Self::get_or_build_keyed) with the
-    /// fingerprint computed from `x` (one extra `O(n d)` pass).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Empty`](crate::Error::Empty) when `x` has no rows.
-    pub fn get_or_build(
-        &self,
-        x: &Matrix,
-        metric: DistanceMetric,
-        k: usize,
-        n_threads: usize,
-    ) -> Result<Arc<NeighborGraph>> {
-        self.get_or_build_keyed(DataFingerprint::of(x), x, metric, k, n_threads)
-    }
-
     /// Number of distinct `(data, metric)` keys seen so far.
     pub fn n_entries(&self) -> usize {
         self.slots.lock().expect("cache map lock poisoned").len()
@@ -512,10 +432,8 @@ impl NeighborCache {
 /// [`Counter::PackedPanel`]/[`Counter::GemmTile`]/[`Counter::KernelFallback`]
 /// events, plus the lane tags
 /// ([`Counter::SimdKernel`]/[`Counter::ScalarKernel`]); zero counts are
-/// skipped. Shared by the
-/// cache's graph builds and the standalone fit path in `suod-detectors`,
-/// so pooled and standalone kernel telemetry reconcile.
-pub fn emit_kernel_counters(observer: &dyn Observer, counters: KernelCounters) {
+/// skipped.
+fn emit_kernel_counters(observer: &dyn Observer, counters: KernelCounters) {
     if counters.packed_panels > 0 {
         observer.counter(Counter::PackedPanel, counters.packed_panels);
     }
@@ -542,6 +460,20 @@ pub fn emit_kernel_counters(observer: &dyn Observer, counters: KernelCounters) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn new_cache() -> NeighborCache {
+        NeighborCache::with_config(KernelConfig::default(), suod_observe::noop())
+    }
+
+    /// A lookup keyed by `x`'s own fingerprint.
+    fn get_or_build(
+        cache: &NeighborCache,
+        x: &Matrix,
+        metric: DistanceMetric,
+        k: usize,
+    ) -> Result<Arc<NeighborGraph>> {
+        cache.get_or_build_keyed(DataFingerprint::of(x), x, metric, k, 1)
+    }
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut s = seed;
@@ -570,14 +502,10 @@ mod tests {
     #[test]
     fn build_once_serve_prefixes() {
         let x = random_matrix(60, 5, 3);
-        let cache = NeighborCache::new();
-        let g8 = cache
-            .get_or_build(&x, DistanceMetric::Euclidean, 8, 1)
-            .unwrap();
+        let cache = new_cache();
+        let g8 = get_or_build(&cache, &x, DistanceMetric::Euclidean, 8).unwrap();
         for k in 1..=8usize {
-            let g = cache
-                .get_or_build(&x, DistanceMetric::Euclidean, k, 1)
-                .unwrap();
+            let g = get_or_build(&cache, &x, DistanceMetric::Euclidean, k).unwrap();
             assert!(
                 Arc::ptr_eq(&g, &g8),
                 "k={k} should be served by the k=8 graph"
@@ -598,7 +526,7 @@ mod tests {
     fn registration_widens_first_build() {
         let x = random_matrix(40, 3, 5);
         let fp = DataFingerprint::of(&x);
-        let cache = NeighborCache::new();
+        let cache = new_cache();
         cache.register(fp, DistanceMetric::Euclidean, 3);
         cache.register(fp, DistanceMetric::Euclidean, 9);
         cache.register(fp, DistanceMetric::Euclidean, 5);
@@ -617,13 +545,9 @@ mod tests {
     #[test]
     fn larger_k_than_built_rebuilds() {
         let x = random_matrix(30, 4, 7);
-        let cache = NeighborCache::new();
-        let g3 = cache
-            .get_or_build(&x, DistanceMetric::Euclidean, 3, 1)
-            .unwrap();
-        let g6 = cache
-            .get_or_build(&x, DistanceMetric::Euclidean, 6, 1)
-            .unwrap();
+        let cache = new_cache();
+        let g3 = get_or_build(&cache, &x, DistanceMetric::Euclidean, 3).unwrap();
+        let g6 = get_or_build(&cache, &x, DistanceMetric::Euclidean, 6).unwrap();
         assert!(!Arc::ptr_eq(&g3, &g6));
         assert_eq!(g6.k_built(), 6);
         assert_eq!(cache.stats().misses, 2);
@@ -636,19 +560,11 @@ mod tests {
     #[test]
     fn metric_keys_are_distinct() {
         let x = random_matrix(25, 4, 11);
-        let cache = NeighborCache::new();
-        cache
-            .get_or_build(&x, DistanceMetric::Euclidean, 4, 1)
-            .unwrap();
-        cache
-            .get_or_build(&x, DistanceMetric::Manhattan, 4, 1)
-            .unwrap();
-        cache
-            .get_or_build(&x, DistanceMetric::Minkowski(3.0), 4, 1)
-            .unwrap();
-        cache
-            .get_or_build(&x, DistanceMetric::Minkowski(4.0), 4, 1)
-            .unwrap();
+        let cache = new_cache();
+        get_or_build(&cache, &x, DistanceMetric::Euclidean, 4).unwrap();
+        get_or_build(&cache, &x, DistanceMetric::Manhattan, 4).unwrap();
+        get_or_build(&cache, &x, DistanceMetric::Minkowski(3.0), 4).unwrap();
+        get_or_build(&cache, &x, DistanceMetric::Minkowski(4.0), 4).unwrap();
         assert_eq!(cache.n_entries(), 4);
         assert_eq!(cache.stats().misses, 4);
     }
@@ -656,45 +572,49 @@ mod tests {
     #[test]
     fn k_clamped_to_leave_one_out_size() {
         let x = random_matrix(6, 2, 13);
-        let cache = NeighborCache::new();
-        let g = cache
-            .get_or_build(&x, DistanceMetric::Euclidean, 50, 1)
-            .unwrap();
+        let cache = new_cache();
+        let g = get_or_build(&cache, &x, DistanceMetric::Euclidean, 50).unwrap();
         assert_eq!(g.k_built(), 5);
         assert!(g.prefix(0, 50).len() == 5);
         // A second oversized request is a hit, not a rebuild.
-        cache
-            .get_or_build(&x, DistanceMetric::Euclidean, 20, 1)
-            .unwrap();
+        get_or_build(&cache, &x, DistanceMetric::Euclidean, 20).unwrap();
         assert_eq!(cache.stats().builds, 1);
     }
 
     #[test]
-    fn self_neighbors_forms_agree() {
+    fn self_neighbors_view_equals_a_direct_sweep() {
         let x = random_matrix(40, 4, 17);
-        let index = Arc::new(KnnIndex::build(&x, DistanceMetric::Euclidean).unwrap());
-        let owned = SelfNeighbors::Owned(index.self_query_batch(4, 1));
-        let graph = Arc::new(NeighborGraph::build(&x, DistanceMetric::Euclidean, 9, 2).unwrap());
-        let shared = SelfNeighbors::Shared { graph, k: 4 };
-        assert_eq!(owned.len(), shared.len());
-        for (a, b) in owned.iter().zip(shared.iter()) {
-            assert_eq!(a, b);
+        let graph = NeighborGraph::build_observed(
+            &x,
+            DistanceMetric::Euclidean,
+            9,
+            2,
+            KernelConfig::default(),
+            suod_observe::noop().as_ref(),
+        )
+        .unwrap();
+        let direct = graph.index().self_query_batch(4, 1);
+        let view = SelfNeighbors {
+            graph: Arc::new(graph),
+            k: 4,
+        };
+        assert_eq!(view.len(), direct.len());
+        for (a, b) in view.iter().zip(&direct) {
+            assert_eq!(a, &b[..]);
         }
     }
 
     #[test]
     fn concurrent_requesters_share_one_build() {
         let x = Arc::new(random_matrix(200, 4, 19));
-        let cache = Arc::new(NeighborCache::new());
+        let cache = Arc::new(new_cache());
         let graphs: Vec<Arc<NeighborGraph>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|t| {
                     let cache = Arc::clone(&cache);
                     let x = Arc::clone(&x);
                     scope.spawn(move || {
-                        cache
-                            .get_or_build(&x, DistanceMetric::Euclidean, 2 + (t % 3), 1)
-                            .unwrap()
+                        get_or_build(&cache, &x, DistanceMetric::Euclidean, 2 + (t % 3)).unwrap()
                     })
                 })
                 .collect();
@@ -713,17 +633,11 @@ mod tests {
     fn observer_counters_match_stats() {
         use suod_observe::RecordingObserver;
         let rec = Arc::new(RecordingObserver::new());
-        let cache = NeighborCache::with_observer(rec.clone());
+        let cache = NeighborCache::with_config(KernelConfig::default(), rec.clone());
         let x = random_matrix(30, 3, 23);
-        cache
-            .get_or_build(&x, DistanceMetric::Euclidean, 5, 1)
-            .unwrap();
-        cache
-            .get_or_build(&x, DistanceMetric::Euclidean, 3, 1)
-            .unwrap();
-        cache
-            .get_or_build(&x, DistanceMetric::Manhattan, 4, 1)
-            .unwrap();
+        get_or_build(&cache, &x, DistanceMetric::Euclidean, 5).unwrap();
+        get_or_build(&cache, &x, DistanceMetric::Euclidean, 3).unwrap();
+        get_or_build(&cache, &x, DistanceMetric::Manhattan, 4).unwrap();
         let stats = cache.stats();
         let trace = rec.trace();
         assert_eq!(trace.counter(Counter::CacheHit), stats.hits);
@@ -748,11 +662,8 @@ mod tests {
             ..KernelConfig::default().with_backend(DistanceBackend::Gemm)
         };
         let cache = NeighborCache::with_config(cfg, rec.clone());
-        assert_eq!(cache.kernel_config(), cfg);
         let x = random_matrix(50, 6, 29);
-        cache
-            .get_or_build(&x, DistanceMetric::Euclidean, 5, 1)
-            .unwrap();
+        get_or_build(&cache, &x, DistanceMetric::Euclidean, 5).unwrap();
         let trace = rec.trace();
         assert!(trace.counter(Counter::GemmTile) > 0);
         assert!(trace.counter(Counter::PackedPanel) > 0);
@@ -761,9 +672,7 @@ mod tests {
 
     #[test]
     fn empty_matrix_rejected() {
-        let cache = NeighborCache::new();
-        assert!(cache
-            .get_or_build(&Matrix::zeros(0, 3), DistanceMetric::Euclidean, 3, 1)
-            .is_err());
+        let cache = new_cache();
+        assert!(get_or_build(&cache, &Matrix::zeros(0, 3), DistanceMetric::Euclidean, 3).is_err());
     }
 }

@@ -271,11 +271,15 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let data: Vec<f64> = (0..n * d).map(|_| rng.random_range(-50.0f64..50.0)).collect();
         let pts = Matrix::from_vec(n, d, data).unwrap();
-        let cache = suod_linalg::NeighborCache::new();
+        let cache = suod_linalg::NeighborCache::with_config(
+            suod_linalg::KernelConfig::default(),
+            suod_observe::noop(),
+        );
+        let fp = suod_linalg::DataFingerprint::of(&pts);
         // Warm the cache at a larger k, then request smaller ones.
         let metric = DistanceMetric::Euclidean;
-        cache.get_or_build(&pts, metric, k + 3, 2).unwrap();
-        let graph = cache.get_or_build(&pts, metric, k, 1).unwrap();
+        cache.get_or_build_keyed(fp, &pts, metric, k + 3, 2).unwrap();
+        let graph = cache.get_or_build_keyed(fp, &pts, metric, k, 1).unwrap();
         let index = suod_linalg::KnnIndex::build(&pts, metric).unwrap();
         let direct = index.self_query_batch(k, 1);
         for (i, row) in direct.iter().enumerate() {

@@ -19,14 +19,15 @@
 //!   a trainable [`cost::ForestCostPredictor`] (random forest over
 //!   meta-features, validated by Spearman rank correlation as in §3.5).
 //! * [`assignment`] — generic / shuffled / BPS schedulers.
-//! * [`work_stealing`] — the one real executor: a persistent pool whose per-worker deques are
-//!   seeded from the BPS placement; idle workers steal from the tail of
-//!   the most-loaded peer, and each run emits an
-//!   [`work_stealing::ExecutionReport`] (per-task wall time, per-worker
-//!   busy time, steal count, failure/retry/straggler telemetry). A
-//!   fault-isolated mode (`run_with_report_isolated`) catches each
-//!   task's panic individually as a [`work_stealing::TaskFailure`]
-//!   instead of aborting the batch.
+//! * [`work_stealing`] — the one real executor: a persistent pool whose
+//!   per-worker deques are seeded from the BPS placement; idle workers
+//!   steal from the tail of the most-loaded peer. Its one run mode,
+//!   [`WorkStealingExecutor::run`], catches each task's panic — and any
+//!   panic of the observer calls made for that task — as that task's
+//!   [`work_stealing::TaskFailure`] instead of aborting the batch, and
+//!   emits an [`work_stealing::ExecutionReport`] (per-task wall time,
+//!   per-worker busy time, steal count, failure/retry/straggler
+//!   telemetry).
 //! * [`simulate`] — a discrete-event executor computing exact worker
 //!   makespans from per-model costs. Used to reproduce the paper's
 //!   multi-worker timing tables on hosts with fewer physical cores (see

@@ -29,23 +29,19 @@
 //!
 //! Heterogeneous detector pools are numerically fragile: one ABOD on
 //! degenerate variance or one non-converging OCSVM must not abort the
-//! other 199 fits. The pool therefore offers two execution modes:
-//!
-//! * [`run_with_report`](WorkStealingExecutor::run_with_report) — the
-//!   fail-fast mode: the first task panic aborts the batch and is
-//!   re-raised on the submitting thread (remaining tasks may be
-//!   abandoned).
-//! * [`run_with_report_isolated`](WorkStealingExecutor::run_with_report_isolated)
-//!   — the fault-isolated mode: every task's panic is caught
-//!   individually and surfaces as a per-task `Err(`[`TaskFailure`]`)`
-//!   while all other tasks run to completion. The report counts
-//!   failures, and the pool stays healthy for subsequent batches either
-//!   way.
+//! other 199 fits. [`run`](WorkStealingExecutor::run) therefore gives
+//! every task its own fault boundary: a task's panic is caught and
+//! surfaces as that task's `Err(`[`TaskFailure`]`)` while all other tasks
+//! run to completion. The boundary also covers the observer calls made
+//! for the task (its [`Stage::ExecutorTask`] span, its steal and failure
+//! counters), so a panicking [`Observer`] fails the tasks it panics on
+//! instead of killing a worker thread. The report counts failures, and
+//! the pool stays healthy for subsequent batches however many fail.
 //!
 //! All internal locks are poison-tolerant (`PoisonError::into_inner`):
 //! tasks execute under `catch_unwind`, so a poisoned mutex can only mean
-//! a *prior* panic already being propagated — it must never cascade into
-//! unrelated batches.
+//! a panic already reported through another channel — it must never
+//! cascade into unrelated batches.
 //!
 //! The pool threads are **persistent**: one executor can serve many
 //! `run` calls (e.g. a fit followed by thousands of predict batches)
@@ -56,8 +52,7 @@ use crate::assignment::Assignment;
 use crate::{Error, Result};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use suod_observe::{Counter, Observer, SpanAttrs, Stage};
@@ -70,7 +65,7 @@ fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A task that panicked under fault-isolated execution.
+/// A task that panicked inside its fault boundary.
 ///
 /// The panic payload is flattened to its string form (the common
 /// `panic!("...")` cases); non-string payloads are described generically.
@@ -103,7 +98,7 @@ impl std::fmt::Display for TaskFailure {
 
 impl std::error::Error for TaskFailure {}
 
-/// Telemetry from one [`WorkStealingExecutor::run_with_report`] call.
+/// Telemetry from one [`WorkStealingExecutor::run`] call.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionReport {
     /// Measured wall time of each task, indexed like the input task list.
@@ -118,23 +113,24 @@ pub struct ExecutionReport {
     /// End-to-end wall time of the batch.
     pub wall_time: Duration,
     /// Neighbour-cache hits during the batch (tasks served an existing
-    /// shared neighbour graph). Zero when no cache was in play; filled in
-    /// by the orchestrator after the run.
+    /// shared neighbour graph). Filled in by the orchestrator after a
+    /// fit's run; zero for a prediction pass, which builds no graphs.
     pub cache_hits: u64,
     /// Neighbour-cache misses (graphs that had to be built).
     pub cache_misses: u64,
     /// Total wall time spent building shared neighbour graphs.
     pub cache_build_time: Duration,
-    /// Tasks that panicked during this batch (fault-isolated runs only;
-    /// fail-fast runs re-raise the first panic instead of counting it).
+    /// Tasks that panicked during this batch.
     pub failures: usize,
     /// Task re-executions performed on top of this batch. Zero for a
     /// plain run; filled in by the orchestrator when it retries failed
     /// tasks (e.g. `Suod::fit`'s bounded per-model retry).
     pub retries: usize,
-    /// Task indices whose measured runtime exceeded the soft deadline
-    /// derived from the cost model's forecast. Filled in by the
-    /// orchestrator, which owns the forecast.
+    /// Positions whose measured runtime exceeded the soft deadline
+    /// derived from the cost model's forecast: task positions in a fit's
+    /// run (`Suod::fit`), surviving-model positions in a prediction pass
+    /// (`Suod::decision_function`). Filled in by the orchestrator, which
+    /// owns the forecast.
     pub stragglers: Vec<usize>,
 }
 
@@ -161,7 +157,7 @@ impl ExecutionReport {
 /// What one worker accumulated during a batch.
 struct WorkerLog<T> {
     /// `(task index, outcome, task wall time)` triples, in execution
-    /// order. Failed outcomes only occur under fault-isolated execution.
+    /// order.
     out: Vec<(usize, std::result::Result<T, TaskFailure>, Duration)>,
     busy: Duration,
     steals: usize,
@@ -191,13 +187,6 @@ struct Batch<F, T> {
     queues: Vec<Mutex<VecDeque<usize>>>,
     /// Per-worker result buffers — no shared result table.
     logs: Vec<Mutex<WorkerLog<T>>>,
-    /// First panic payload from a task, propagated to the submitter
-    /// (fail-fast mode only).
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    panicked: AtomicBool,
-    /// Fault-isolated mode: catch each task's panic individually and
-    /// record it as a per-task failure instead of poisoning the batch.
-    isolate: bool,
     /// Instrumentation sink: each task execution is wrapped in an
     /// [`Stage::ExecutorTask`] span; steals and fault-boundary failures
     /// emit [`Counter`] events. The no-op observer makes this free.
@@ -234,6 +223,42 @@ where
             // still hold queued work, so probe again.
         }
     }
+
+    /// Runs one task inside its fault boundary, together with the
+    /// observer calls made for it: a panic from either the task or the
+    /// observer becomes the task's [`TaskFailure`]. The time is the
+    /// task's own, observer calls excluded.
+    fn run_task(
+        &self,
+        task: F,
+        index: usize,
+        worker: usize,
+        stolen: bool,
+    ) -> (std::result::Result<T, TaskFailure>, Duration) {
+        let mut elapsed = Duration::ZERO;
+        let observed = catch_unwind(AssertUnwindSafe(|| {
+            if stolen {
+                self.observer.counter(Counter::Steal, 1);
+            }
+            let span = self.observer.span_begin(
+                Stage::ExecutorTask,
+                SpanAttrs::task(index).on_worker(worker),
+            );
+            let start = Instant::now();
+            let out = catch_unwind(AssertUnwindSafe(task));
+            elapsed = start.elapsed();
+            self.observer.span_end(span);
+            if out.is_err() {
+                self.observer.counter(Counter::TaskFailure, 1);
+            }
+            out
+        }));
+        let out = match observed {
+            Ok(Ok(value)) => Ok(value),
+            Ok(Err(payload)) | Err(payload) => Err(TaskFailure::from_payload(payload)),
+        };
+        (out, elapsed)
+    }
 }
 
 impl<F, T> BatchExec for Batch<F, T>
@@ -243,56 +268,18 @@ where
 {
     fn execute(&self, worker: usize) {
         let mut log = WorkerLog::default();
-        loop {
-            if self.panicked.load(Ordering::Acquire) {
-                break;
-            }
-            // The task set is fixed, so empty deques end this worker's
-            // part of the batch; the submitter waits for every worker.
-            let Some((index, stolen)) = self.find_work(worker) else {
-                break;
-            };
+        // The task set is fixed, so empty deques end this worker's part
+        // of the batch; the submitter waits for every worker.
+        while let Some((index, stolen)) = self.find_work(worker) {
             if stolen {
                 log.steals += 1;
-                self.observer.counter(Counter::Steal, 1);
             }
             let task = lock_ignore_poison(&self.tasks[index])
                 .take()
                 .expect("deque protocol hands out each task once");
-            let span = self.observer.span_begin(
-                Stage::ExecutorTask,
-                SpanAttrs::task(index).on_worker(worker),
-            );
-            let start = Instant::now();
-            match catch_unwind(AssertUnwindSafe(task)) {
-                Ok(out) => {
-                    let elapsed = start.elapsed();
-                    self.observer.span_end(span);
-                    log.out.push((index, Ok(out), elapsed));
-                    log.busy += elapsed;
-                }
-                Err(payload) if self.isolate => {
-                    // Per-task fault boundary: record the failure and keep
-                    // draining the deques — the rest of the batch is
-                    // unaffected.
-                    let elapsed = start.elapsed();
-                    self.observer.span_end(span);
-                    self.observer.counter(Counter::TaskFailure, 1);
-                    log.out
-                        .push((index, Err(TaskFailure::from_payload(payload)), elapsed));
-                    log.busy += elapsed;
-                }
-                Err(payload) => {
-                    self.observer.span_end(span);
-                    self.observer.counter(Counter::TaskFailure, 1);
-                    let mut slot = lock_ignore_poison(&self.panic);
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                    self.panicked.store(true, Ordering::Release);
-                    break;
-                }
-            }
+            let (out, elapsed) = self.run_task(task, index, worker, stolen);
+            log.out.push((index, out, elapsed));
+            log.busy += elapsed;
         }
         *lock_ignore_poison(&self.logs[worker]) = log;
     }
@@ -331,8 +318,9 @@ struct PoolShared {
 /// let assignment = bps_schedule(&costs, 2, 1.0).unwrap();
 /// let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
 ///     (0usize..4).map(|i| Box::new(move || i * 10) as _).collect();
-/// let (results, report) = pool.run_with_report(tasks, &assignment).unwrap();
-/// assert_eq!(results, vec![0, 10, 20, 30]);
+/// let (results, report) = pool.run(tasks, &assignment, suod_observe::noop()).unwrap();
+/// let values: Vec<usize> = results.into_iter().map(Result::unwrap).collect();
+/// assert_eq!(values, vec![0, 10, 20, 30]);
 /// assert_eq!(report.task_times.len(), 4);
 /// ```
 pub struct WorkStealingExecutor {
@@ -395,12 +383,37 @@ impl WorkStealingExecutor {
         self.n_workers
     }
 
-    /// Shared body of the fail-fast and fault-isolated run paths.
-    fn run_batch<T, F>(
+    /// Runs `tasks`, seeding per-worker deques from `assignment`, and
+    /// returns each task's outcome **in task order** plus the run's
+    /// telemetry.
+    ///
+    /// Worker `w`'s deque is seeded with assignment group `w` in group
+    /// order (groups beyond the pool size wrap around). Idle workers
+    /// steal from the tail of the most-loaded peer, so a mispredicted
+    /// straggler no longer gates the batch.
+    ///
+    /// Every task runs inside its own fault boundary: a panic is caught
+    /// and returned as `Err(`[`TaskFailure`]`)` in that task's slot while
+    /// every other task still runs to completion. `report.failures`
+    /// counts the failed tasks; `report.task_times` for a failed task
+    /// measures the time until its panic unwound. The pool stays healthy
+    /// regardless of how many tasks fail.
+    ///
+    /// `observer` receives one [`Stage::ExecutorTask`] span per task (task
+    /// index + worker attribution), a [`Counter::Steal`] per successful
+    /// steal and a [`Counter::TaskFailure`] per caught panic. These calls
+    /// run inside the task's fault boundary, so an observer that panics
+    /// fails the task it panicked on and nothing else.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::BadAssignment`] when the assignment does not
+    /// cover exactly `tasks.len()` tasks. Task panics are **not** errors
+    /// at this level — they surface in the per-task results.
+    pub fn run<T, F>(
         &self,
         tasks: Vec<F>,
         assignment: &Assignment,
-        isolate: bool,
         observer: Arc<dyn Observer>,
     ) -> Result<(Vec<std::result::Result<T, TaskFailure>>, ExecutionReport)>
     where
@@ -440,16 +453,13 @@ impl WorkStealingExecutor {
             logs: (0..self.n_workers)
                 .map(|_| Mutex::new(WorkerLog::default()))
                 .collect(),
-            panic: Mutex::new(None),
-            panicked: AtomicBool::new(false),
-            isolate,
             observer,
         });
 
         let start = Instant::now();
         // Poisoning is recoverable here: the guard only serializes
-        // submissions, and a previous batch's task panic (re-raised below
-        // while this lock was held) must not brick the pool.
+        // submissions, and a panic on a previous submitter's thread must
+        // not brick the pool.
         let _guard = lock_ignore_poison(&self.submit);
         {
             let mut state = lock_ignore_poison(&self.shared.state);
@@ -470,10 +480,6 @@ impl WorkStealingExecutor {
             state.batch = None;
         }
         let wall_time = start.elapsed();
-
-        if let Some(payload) = lock_ignore_poison(&batch.panic).take() {
-            resume_unwind(payload);
-        }
 
         let mut slots: Vec<Option<std::result::Result<T, TaskFailure>>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
@@ -502,172 +508,6 @@ impl WorkStealingExecutor {
             .map(|s| s.expect("every task produced an outcome"))
             .collect();
         Ok((results, report))
-    }
-
-    /// Runs `tasks`, seeding per-worker deques from `assignment`, and
-    /// returns results **in task order** plus the run's telemetry.
-    ///
-    /// Worker `w`'s deque is seeded with assignment group `w` in group
-    /// order (groups beyond the pool size wrap around). Idle workers
-    /// steal from the tail of the most-loaded peer, so a mispredicted
-    /// straggler no longer gates the batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BadAssignment`] when the assignment does not
-    /// cover exactly `tasks.len()` tasks.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panicking task's payload (remaining tasks may
-    /// be abandoned; the pool itself stays usable). Use
-    /// [`run_with_report_isolated`](Self::run_with_report_isolated) to
-    /// contain panics per task instead.
-    pub fn run_with_report<T, F>(
-        &self,
-        tasks: Vec<F>,
-        assignment: &Assignment,
-    ) -> Result<(Vec<T>, ExecutionReport)>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_with_report_observed(tasks, assignment, suod_observe::noop())
-    }
-
-    /// Like [`run_with_report`](Self::run_with_report) with an explicit
-    /// instrumentation sink: each task execution becomes a
-    /// [`Stage::ExecutorTask`] span (task index + worker attribution) and
-    /// successful steals emit [`Counter::Steal`]. Passing the no-op
-    /// observer is equivalent to `run_with_report`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_with_report`](Self::run_with_report).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`run_with_report`](Self::run_with_report).
-    pub fn run_with_report_observed<T, F>(
-        &self,
-        tasks: Vec<F>,
-        assignment: &Assignment,
-        observer: Arc<dyn Observer>,
-    ) -> Result<(Vec<T>, ExecutionReport)>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let (outcomes, report) = self.run_batch(tasks, assignment, false, observer)?;
-        let results = outcomes
-            .into_iter()
-            .map(|o| o.expect("fail-fast mode re-raises panics before collecting"))
-            .collect();
-        Ok((results, report))
-    }
-
-    /// Like [`run_with_report`](Self::run_with_report) but with a
-    /// **per-task fault boundary**: each task's panic is caught
-    /// individually and returned as `Err(`[`TaskFailure`]`)` in that
-    /// task's slot while every other task still runs to completion.
-    ///
-    /// `report.failures` counts the failed tasks; `report.task_times` for
-    /// a failed task measures the time until its panic unwound. The pool
-    /// stays healthy regardless of how many tasks fail.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BadAssignment`] when the assignment does not
-    /// cover exactly `tasks.len()` tasks. Task panics are **not** errors
-    /// at this level — they surface in the per-task results.
-    pub fn run_with_report_isolated<T, F>(
-        &self,
-        tasks: Vec<F>,
-        assignment: &Assignment,
-    ) -> Result<(Vec<std::result::Result<T, TaskFailure>>, ExecutionReport)>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_batch(tasks, assignment, true, suod_observe::noop())
-    }
-
-    /// Like [`run_with_report_isolated`](Self::run_with_report_isolated)
-    /// with an explicit instrumentation sink: task executions become
-    /// [`Stage::ExecutorTask`] spans, steals emit [`Counter::Steal`], and
-    /// tasks caught at the fault boundary emit [`Counter::TaskFailure`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_with_report_isolated`](Self::run_with_report_isolated).
-    pub fn run_with_report_isolated_observed<T, F>(
-        &self,
-        tasks: Vec<F>,
-        assignment: &Assignment,
-        observer: Arc<dyn Observer>,
-    ) -> Result<(Vec<std::result::Result<T, TaskFailure>>, ExecutionReport)>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_batch(tasks, assignment, true, observer)
-    }
-
-    /// Like [`run_with_report_isolated`](Self::run_with_report_isolated),
-    /// discarding the telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_with_report_isolated`](Self::run_with_report_isolated).
-    pub fn run_isolated<T, F>(
-        &self,
-        tasks: Vec<F>,
-        assignment: &Assignment,
-    ) -> Result<Vec<std::result::Result<T, TaskFailure>>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_with_report_isolated(tasks, assignment)
-            .map(|(r, _)| r)
-    }
-
-    /// Like [`run_with_report`](Self::run_with_report), discarding the
-    /// telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_with_report`](Self::run_with_report).
-    pub fn run<T, F>(&self, tasks: Vec<F>, assignment: &Assignment) -> Result<Vec<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_with_report(tasks, assignment).map(|(r, _)| r)
-    }
-
-    /// Like [`run`](Self::run) with an explicit instrumentation sink,
-    /// discarding the telemetry report.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_observed<T, F>(
-        &self,
-        tasks: Vec<F>,
-        assignment: &Assignment,
-        observer: Arc<dyn Observer>,
-    ) -> Result<Vec<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_with_report_observed(tasks, assignment, observer)
-            .map(|(r, _)| r)
     }
 }
 
@@ -731,17 +571,38 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
 mod tests {
     use super::*;
     use crate::assignment::{bps_schedule, generic_schedule};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn boxed_tasks(n: usize) -> Vec<Box<dyn FnOnce() -> usize + Send>> {
         (0..n).map(|i| Box::new(move || i * i) as _).collect()
+    }
+
+    /// [`WorkStealingExecutor::run`] without an observer, for batches in
+    /// which no task may fail.
+    fn run_ok<T, F>(
+        pool: &WorkStealingExecutor,
+        tasks: Vec<F>,
+        assignment: &Assignment,
+    ) -> (Vec<T>, ExecutionReport)
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let (outcomes, report) = pool
+            .run(tasks, assignment, suod_observe::noop())
+            .expect("assignment covers the tasks");
+        let values = outcomes
+            .into_iter()
+            .map(|o| o.expect("no task fails"))
+            .collect();
+        (values, report)
     }
 
     #[test]
     fn results_in_task_order() {
         let pool = WorkStealingExecutor::new(3).unwrap();
         let a = generic_schedule(10, 3).unwrap();
-        let out = pool.run(boxed_tasks(10), &a).unwrap();
+        let (out, _) = run_ok(&pool, boxed_tasks(10), &a);
         assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -754,10 +615,7 @@ mod tests {
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0usize..9)
             .map(|i| Box::new(move || i + 100) as _)
             .collect();
-        let out = WorkStealingExecutor::new(3)
-            .unwrap()
-            .run(tasks, &a)
-            .unwrap();
+        let (out, _) = run_ok(&WorkStealingExecutor::new(3).unwrap(), tasks, &a);
         assert_eq!(out, (100..109).collect::<Vec<_>>());
     }
 
@@ -768,7 +626,7 @@ mod tests {
             let a = generic_schedule(6, 2).unwrap();
             let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
                 (0..6).map(|i| Box::new(move || i + round) as _).collect();
-            let out = pool.run(tasks, &a).unwrap();
+            let (out, _) = run_ok(&pool, tasks, &a);
             assert_eq!(out, (0..6).map(|i| i + round).collect::<Vec<_>>());
         }
     }
@@ -785,7 +643,7 @@ mod tests {
             })
             .collect();
         let a = generic_schedule(25, 4).unwrap();
-        pool.run(tasks, &a).unwrap();
+        run_ok(&pool, tasks, &a);
         assert_eq!(COUNTER.load(Ordering::SeqCst), 25);
     }
 
@@ -793,7 +651,7 @@ mod tests {
     fn report_accounts_every_task_and_worker() {
         let pool = WorkStealingExecutor::new(3).unwrap();
         let a = generic_schedule(9, 3).unwrap();
-        let (_, report) = pool.run_with_report(boxed_tasks(9), &a).unwrap();
+        let (_, report) = run_ok(&pool, boxed_tasks(9), &a);
         assert_eq!(report.task_times.len(), 9);
         assert_eq!(report.worker_busy.len(), 3);
         assert_eq!(report.worker_tasks.iter().sum::<usize>(), 9);
@@ -832,7 +690,7 @@ mod tests {
             .collect();
 
         let pool = WorkStealingExecutor::new(2).unwrap();
-        let (out, report) = pool.run_with_report(tasks, &assignment).unwrap();
+        let (out, report) = run_ok(&pool, tasks, &assignment);
         assert_eq!(out, (0..n).collect::<Vec<_>>(), "results in task order");
         assert_eq!(RUNS.load(Ordering::SeqCst), n, "every task exactly once");
         assert!(
@@ -843,48 +701,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "task exploded")]
-    fn task_panic_propagates_and_pool_survives() {
-        let pool = WorkStealingExecutor::new(2).unwrap();
-        let a = generic_schedule(2, 2).unwrap();
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            vec![Box::new(|| 1), Box::new(|| panic!("task exploded"))];
-        let _ = pool.run(tasks, &a);
-    }
-
-    #[test]
     fn pool_usable_after_task_panic() {
         let pool = WorkStealingExecutor::new(2).unwrap();
         let a = generic_schedule(2, 2).unwrap();
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
             vec![Box::new(|| 1), Box::new(|| panic!("first batch dies"))];
-        assert!(catch_unwind(AssertUnwindSafe(|| pool.run(tasks, &a))).is_err());
+        let (out, report) = pool.run(tasks, &a, suod_observe::noop()).unwrap();
+        assert_eq!(out[0], Ok(1));
+        assert_eq!(report.failures, 1);
         // The pool must still execute subsequent batches.
         let a = generic_schedule(4, 2).unwrap();
-        let out = pool.run(boxed_tasks(4), &a).unwrap();
+        let (out, _) = run_ok(&pool, boxed_tasks(4), &a);
         assert_eq!(out, vec![0, 1, 4, 9]);
     }
 
     #[test]
     fn isolated_run_contains_each_panic() {
         let pool = WorkStealingExecutor::new(2).unwrap();
-        let a = generic_schedule(5, 2).unwrap();
+        let a = generic_schedule(6, 2).unwrap();
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
             Box::new(|| 10),
             Box::new(|| panic!("boom one")),
             Box::new(|| 30),
             Box::new(|| panic!("boom two")),
             Box::new(|| 50),
+            Box::new(|| std::panic::panic_any(7u32)),
         ];
-        let (out, report) = pool.run_with_report_isolated(tasks, &a).unwrap();
-        assert_eq!(out.len(), 5);
+        let (out, report) = pool.run(tasks, &a, suod_observe::noop()).unwrap();
+        assert_eq!(out.len(), 6);
         assert_eq!(*out[0].as_ref().unwrap(), 10);
         assert_eq!(*out[2].as_ref().unwrap(), 30);
         assert_eq!(*out[4].as_ref().unwrap(), 50);
         assert_eq!(out[1].as_ref().unwrap_err().message, "boom one");
         assert_eq!(out[3].as_ref().unwrap_err().message, "boom two");
-        assert_eq!(report.failures, 2);
-        assert_eq!(report.worker_tasks.iter().sum::<usize>(), 5);
+        // A payload that is no string is described, not lost.
+        assert_eq!(
+            out[5].as_ref().unwrap_err().message,
+            "task panicked with a non-string payload"
+        );
+        assert_eq!(report.failures, 3);
+        assert_eq!(report.worker_tasks.iter().sum::<usize>(), 6);
     }
 
     #[test]
@@ -894,33 +750,39 @@ mod tests {
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..4)
             .map(|i| Box::new(move || -> usize { panic!("task {i} exploded") }) as _)
             .collect();
-        let (out, report) = pool.run_with_report_isolated(tasks, &a).unwrap();
+        let (out, report) = pool.run(tasks, &a, suod_observe::noop()).unwrap();
         assert!(out.iter().all(|o| o.is_err()));
         assert_eq!(report.failures, 4);
-        // The pool must still execute subsequent fail-fast batches.
+        // The pool must still execute subsequent batches.
         let a = generic_schedule(4, 2).unwrap();
-        let out = pool.run(boxed_tasks(4), &a).unwrap();
+        let (out, _) = run_ok(&pool, boxed_tasks(4), &a);
         assert_eq!(out, vec![0, 1, 4, 9]);
     }
 
     #[test]
     fn isolated_failure_message_formats() {
         let pool = WorkStealingExecutor::new(1).unwrap();
-        let a = generic_schedule(1, 1).unwrap();
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            vec![Box::new(|| panic!("formatted {}", 42))];
-        let out = pool.run_isolated(tasks, &a).unwrap();
+        let a = generic_schedule(2, 1).unwrap();
+        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
+            Box::new(|| panic!("formatted {}", 42)),
+            Box::new(|| std::panic::panic_any(7u32)),
+        ];
+        let (out, _) = pool.run(tasks, &a, suod_observe::noop()).unwrap();
         let failure = out[0].as_ref().unwrap_err();
         assert_eq!(failure.message, "formatted 42");
         assert!(failure.to_string().contains("task panicked"));
+        let opaque = out[1].as_ref().unwrap_err();
+        assert_eq!(
+            opaque.to_string(),
+            "task panicked: task panicked with a non-string payload"
+        );
     }
 
     #[test]
     fn mismatched_assignment_rejected() {
         let pool = WorkStealingExecutor::new(2).unwrap();
         let a = generic_schedule(3, 1).unwrap();
-        assert!(pool.run(boxed_tasks(2), &a).is_err());
-        assert!(pool.run_isolated(boxed_tasks(2), &a).is_err());
+        assert!(pool.run(boxed_tasks(2), &a, suod_observe::noop()).is_err());
     }
 
     #[test]
@@ -932,7 +794,7 @@ mod tests {
     fn more_groups_than_workers_wraps() {
         let pool = WorkStealingExecutor::new(2).unwrap();
         let a = generic_schedule(8, 4).unwrap();
-        let out = pool.run(boxed_tasks(8), &a).unwrap();
+        let (out, _) = run_ok(&pool, boxed_tasks(8), &a);
         assert_eq!(out, (0..8).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -942,9 +804,8 @@ mod tests {
         let pool = WorkStealingExecutor::new(3).unwrap();
         let a = generic_schedule(9, 3).unwrap();
         let rec = Arc::new(RecordingObserver::new());
-        let (out, report) = pool
-            .run_with_report_observed(boxed_tasks(9), &a, rec.clone())
-            .unwrap();
+        let (out, report) = pool.run(boxed_tasks(9), &a, rec.clone()).unwrap();
+        let out: Vec<usize> = out.into_iter().map(|o| o.unwrap()).collect();
         assert_eq!(out, (0..9).map(|i| i * i).collect::<Vec<_>>());
         let trace = rec.trace();
         let spans: Vec<_> = trace.spans_of(Stage::ExecutorTask).collect();
@@ -969,9 +830,7 @@ mod tests {
             Box::new(|| 3),
             Box::new(|| panic!("bang")),
         ];
-        let (out, report) = pool
-            .run_with_report_isolated_observed(tasks, &a, rec.clone())
-            .unwrap();
+        let (out, report) = pool.run(tasks, &a, rec.clone()).unwrap();
         assert_eq!(out.iter().filter(|o| o.is_err()).count(), 2);
         let trace = rec.trace();
         assert_eq!(trace.counter(Counter::TaskFailure), report.failures as u64);
@@ -980,11 +839,51 @@ mod tests {
         assert!(trace.spans().iter().all(|s| s.id != 0));
     }
 
+    /// An observer that panics whenever an executor task span opens.
+    struct PanicOnTaskSpan;
+
+    impl Observer for PanicOnTaskSpan {
+        fn span_begin(&self, stage: Stage, attrs: SpanAttrs) -> suod_observe::SpanId {
+            let _ = attrs;
+            if stage == Stage::ExecutorTask {
+                panic!("observer exploded");
+            }
+            suod_observe::SpanId::NONE
+        }
+    }
+
+    #[test]
+    fn a_panicking_observer_fails_its_tasks_and_the_pool_serves_on() {
+        let pool = Arc::new(WorkStealingExecutor::new(2).unwrap());
+        let (send, recv) = std::sync::mpsc::channel();
+        let runner = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                let a = generic_schedule(4, 2).unwrap();
+                let first = pool.run(boxed_tasks(4), &a, Arc::new(PanicOnTaskSpan));
+                let (second, _) = run_ok(&pool, boxed_tasks(4), &a);
+                send.send((first, second)).unwrap();
+            })
+        };
+        let (first, second) = recv
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a panicking observer must not hang the run");
+        runner.join().unwrap();
+        let (out, report) = first.unwrap();
+        assert_eq!(report.failures, 4);
+        for outcome in &out {
+            let failure = outcome.as_ref().unwrap_err();
+            assert!(failure.message.contains("observer exploded"), "{failure}");
+        }
+        // Both workers survived: the next batch runs on the same pool.
+        assert_eq!(second, vec![0, 1, 4, 9]);
+    }
+
     #[test]
     fn single_worker_runs_everything_without_steals() {
         let pool = WorkStealingExecutor::new(1).unwrap();
         let a = generic_schedule(5, 1).unwrap();
-        let (out, report) = pool.run_with_report(boxed_tasks(5), &a).unwrap();
+        let (out, report) = run_ok(&pool, boxed_tasks(5), &a);
         assert_eq!(out, vec![0, 1, 4, 9, 16]);
         assert_eq!(report.steals, 0);
         assert_eq!(report.worker_tasks, vec![5]);

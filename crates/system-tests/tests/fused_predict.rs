@@ -252,9 +252,13 @@ fn a_failing_member_loses_its_own_column_and_nothing_else() {
 
 #[test]
 fn a_reloaded_pool_shares_one_index_again() {
-    // Fitted without the shared cache every model builds its own equal
-    // index; both that pool and its reload must still plan one unit
-    // (one task per chunk), and score the same bits.
+    // The fitted pool shares one index; its reload decodes the index
+    // records of its three models into one again. Both must plan one unit
+    // (one task per chunk) and score every column like the model's
+    // standalone fit. A pool whose models built equal private indexes
+    // (an old file fitted without the shared cache) is
+    // `persistence.rs`'s
+    // `golden_cache_off_fixture_fuses_and_reencodes_like_a_fresh_fit`.
     let train = data(0, 90, 8);
     let queries = data(0, 40, 9);
     let specs = vec![
@@ -262,25 +266,25 @@ fn a_reloaded_pool_shares_one_index_again() {
         proximity_spec(3, 20),
         proximity_spec(5, 6),
     ];
+    let standalone: Vec<Vec<u64>> = specs
+        .iter()
+        .map(|spec| {
+            let mut det = spec.build(0).expect("valid spec");
+            det.fit(&train).expect("standalone fit");
+            bits(&det.decision_function(&queries).expect("standalone scoring"))
+        })
+        .collect();
     let noop: Arc<dyn Observer> = Arc::new(NoopObserver);
-    let mut reference: Option<Matrix> = None;
-    for cache in [true, false] {
-        let mut clf = Suod::builder()
-            .base_estimators(specs.clone())
-            .with_projection(false)
-            .with_approximation(false)
-            .with_neighbor_cache(cache)
-            .build()
-            .expect("valid config");
-        clf.fit(&train).expect("fit");
-        let reloaded = Suod::load_from_bytes(&clf.save_to_bytes().expect("save")).expect("load");
-        for pool in [&clf, &reloaded] {
-            let (scores, report) = pool
-                .decision_function_observed(&queries, &noop)
-                .expect("scoring");
-            assert_eq!(report.execution.task_times.len(), 1, "cache={cache}");
-            let reference = reference.get_or_insert_with(|| scores.clone());
-            assert_eq!(bits(scores.as_slice()), bits(reference.as_slice()));
+    let mut clf = pool(&specs, 1);
+    clf.fit(&train).expect("fit");
+    let reloaded = Suod::load_from_bytes(&clf.save_to_bytes().expect("save")).expect("load");
+    for pool in [&clf, &reloaded] {
+        let (scores, report) = pool
+            .decision_function_observed(&queries, &noop)
+            .expect("scoring");
+        assert_eq!(report.execution.task_times.len(), 1);
+        for (c, expected) in standalone.iter().enumerate() {
+            assert_eq!(&column_bits(&scores, c), expected, "column {c}");
         }
     }
 }

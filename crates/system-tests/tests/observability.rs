@@ -58,7 +58,6 @@ fn fit_and_score(
         .with_projection(true)
         .with_approximation(false)
         .with_bps(true)
-        .with_neighbor_cache(true)
         .n_workers(n_workers)
         .seed(23);
     if let Some(rec) = observer {
@@ -138,7 +137,6 @@ fn trace_counters_reconcile_with_execution_report() {
     let rec = Arc::new(RecordingObserver::new());
     let mut model = Suod::builder()
         .base_estimators(pool())
-        .with_neighbor_cache(true)
         .with_projection(false)
         .n_workers(4)
         .seed(11)

@@ -555,6 +555,75 @@ fn golden_v1_hnsw_fixture_rebuilds_the_graphs_v2_stores() {
     );
 }
 
+/// The recipe of `golden-v3-cache-off.suod`: three Euclidean proximity
+/// models on the raw rows, no projection, no PSA. The fixture was written
+/// by the last build with the neighbour-cache switch, fitted with it off:
+/// every model built its own, equal index, and the config record's cache
+/// byte is 0.
+fn cache_off_recipe() -> Suod {
+    fit(
+        Suod::builder()
+            .base_estimators(vec![
+                ModelSpec::Knn {
+                    n_neighbors: 5,
+                    method: KnnMethod::Largest,
+                },
+                ModelSpec::Lof {
+                    n_neighbors: 8,
+                    metric: Metric::Euclidean,
+                },
+                ModelSpec::Knn {
+                    n_neighbors: 3,
+                    method: KnnMethod::Median,
+                },
+            ])
+            .with_projection(false)
+            .with_approximation(false)
+            .n_workers(1)
+            .seed(7),
+        &data(),
+    )
+}
+
+/// A pool fitted without the shared cache still fuses once loaded: its
+/// three models plan one prediction unit (one task per row chunk), score
+/// exactly like a fresh fit of the recipe, and re-encode like a fresh
+/// save — the retired switch's byte now written as 1, the only byte
+/// that moves.
+#[test]
+fn golden_cache_off_fixture_fuses_and_reencodes_like_a_fresh_fit() {
+    let bytes = read_fixture("golden-v3-cache-off.suod");
+    assert_eq!(&bytes[8..16], &3u64.to_le_bytes());
+    let loaded = Suod::load_from_bytes(&bytes).expect("cache-off fixture loads");
+    let fresh = cache_off_recipe();
+    let q = queries();
+    let noop: Arc<dyn Observer> = Arc::new(NoopObserver);
+    let (scores, report) = loaded
+        .decision_function_observed(&q, &noop)
+        .expect("scoring");
+    assert_eq!(report.execution.task_times.len(), q.nrows().div_ceil(256));
+    let bits = |m: &Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+    assert_eq!(bits(&scores), bits(&fresh.decision_function(&q).unwrap()));
+    assert_eq!(
+        loaded.training_combined_scores().unwrap(),
+        fresh.training_combined_scores().unwrap()
+    );
+    assert_eq!(
+        payload_without_fit_times(&loaded),
+        payload_without_fit_times(&fresh),
+        "a cache-off pool must re-encode like a fresh save"
+    );
+    let (stored, reencoded) = (payload(&bytes), payload(&loaded.save_to_bytes().unwrap()));
+    assert_eq!(stored.len(), reencoded.len());
+    let moved: Vec<(u8, u8)> = stored
+        .iter()
+        .zip(&reencoded)
+        .filter(|(a, b)| a != b)
+        .map(|(&a, &b)| (a, b))
+        .collect();
+    assert_eq!(moved, [(0, 1)], "only the cache byte moves, from off to on");
+}
+
 /// FNV-1a over `bytes`: a digest to pin bits with, not a checksum.
 fn digest(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
