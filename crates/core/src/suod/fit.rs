@@ -283,7 +283,8 @@ impl Suod {
 
         // --- Neighbour plan (pass 1 of the two-pass fit). -------------------
         let plan_span = obs.span_begin(Stage::NeighborPlan, SpanAttrs::none());
-        let plan = self.plan_neighbors(&cache, &specs, &spaces, &run);
+        let train = (&shared_x, train_fingerprint);
+        let plan = self.plan_neighbors(&cache, &specs, &spaces, train, &run);
         obs.span_end(plan_span);
         // The cache may have served earlier fits: this run's share of its
         // lifetime counters is what the diagnostics report.
@@ -384,8 +385,13 @@ impl Suod {
                 .iter()
                 .map(|&i| self.fit_descriptor(&specs[i], plan.cached[i], n, spaces[i].ncols()))
                 .collect();
-            let meta = DatasetMeta::extract(x);
-            forecast = self.config.cost_model.predict_costs(&descriptors, &meta);
+            let cost_model = &self.config.cost_model;
+            let meta = if cost_model.reads_moments() {
+                DatasetMeta::extract(x)
+            } else {
+                DatasetMeta::from_shape(n, d)
+            };
+            forecast = cost_model.predict_costs(&descriptors, &meta);
             let assignment = self.schedule(&forecast);
             obs.span_end(bps_span);
             let tasks: Vec<_> = run
@@ -578,12 +584,14 @@ impl Suod {
     /// share a feature space and metric, pre-registers each group's k so
     /// the cache's first build covers the pooled maximum, and picks one
     /// "builder" per group for the cost model (everyone else is a
-    /// near-free cache hit).
+    /// near-free cache hit). `train` is the unprojected space with the
+    /// fingerprint the fit already took of it, so it is not hashed twice.
     fn plan_neighbors(
         &self,
         cache: &NeighborCache,
         specs: &[ModelSpec],
         spaces: &[Arc<Matrix>],
+        train: (&Arc<Matrix>, DataFingerprint),
         run: &[usize],
     ) -> NeighborPlan {
         let mut plan = NeighborPlan {
@@ -591,7 +599,7 @@ impl Suod {
             cached: vec![false; specs.len()],
             fit_threads: 1,
         };
-        let mut fp_by_space: HashMap<usize, DataFingerprint> = HashMap::new();
+        let mut fp_by_space = HashMap::from([(Arc::as_ptr(train.0) as usize, train.1)]);
         let mut requirements = vec![None; specs.len()];
         for &i in run {
             if let Some((metric, k)) = specs[i].neighbor_requirement() {

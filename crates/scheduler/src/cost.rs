@@ -158,6 +158,14 @@ pub trait CostModel: Send + Sync {
     /// Predicted cost for one task on one dataset.
     fn predict_cost(&self, task: &TaskDescriptor, meta: &DatasetMeta) -> f64;
 
+    /// Whether forecasts read the data's moments (`mean_std`,
+    /// `mean_skewness`, `mean_kurtosis`) and not only its shape. A caller
+    /// may then pass [`DatasetMeta::from_shape`] instead of paying for
+    /// [`DatasetMeta::extract`] when this is `false`, the default.
+    fn reads_moments(&self) -> bool {
+        false
+    }
+
     /// Predicted costs for a batch of tasks on the same dataset, applying
     /// the paper's unknown-gets-max rule in one place.
     fn predict_costs(&self, tasks: &[TaskDescriptor], meta: &DatasetMeta) -> Vec<f64> {
@@ -429,6 +437,10 @@ impl CostModel for ForestCostPredictor {
         };
         task.with_distill_cost(fit, SECONDS_PER_DISTILL_OP, meta.n_samples)
     }
+
+    fn reads_moments(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -654,6 +666,45 @@ mod tests {
             &m,
         ) - knn;
         assert!(term > cblof && term < knn * 2.0, "{term} vs {cblof}, {knn}");
+    }
+
+    /// A fit skips [`DatasetMeta::extract`] for a model that says it reads
+    /// the shape alone, so the analytic forecast must be the same from
+    /// any moments.
+    #[test]
+    fn the_analytic_forecast_reads_the_shape_alone() {
+        assert!(!AnalyticCostModel::new().reads_moments());
+        assert!(ForestCostPredictor::new(3, 0).reads_moments());
+        let shape = meta(5000, 12);
+        let skewed = DatasetMeta {
+            mean_std: 37.0,
+            mean_skewness: -4.5,
+            mean_kurtosis: 81.0,
+            ..shape
+        };
+        let forest = Some(DistillForest {
+            trees: 10,
+            max_depth: 8,
+            n_features: 4,
+        });
+        let tasks: Vec<TaskDescriptor> = AlgorithmFamily::known()
+            .into_iter()
+            .chain([AlgorithmFamily::Unknown])
+            .flat_map(|family| {
+                let t = TaskDescriptor::new(family, 7.0);
+                [
+                    t,
+                    t.with_cached_neighbors(true),
+                    t.with_approx_neighbors(true),
+                    t.with_distillation(forest),
+                ]
+            })
+            .collect();
+        let model = AnalyticCostModel::new();
+        assert_eq!(
+            model.predict_costs(&tasks, &skewed),
+            model.predict_costs(&tasks, &shape)
+        );
     }
 
     #[test]

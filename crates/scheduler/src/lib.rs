@@ -19,9 +19,10 @@
 //!   a trainable [`cost::ForestCostPredictor`] (random forest over
 //!   meta-features, validated by Spearman rank correlation as in §3.5).
 //! * [`assignment`] — generic / shuffled / BPS schedulers.
-//! * [`work_stealing`] — the one real executor: a persistent pool whose
-//!   per-worker deques are seeded from the BPS placement; idle workers
-//!   steal from the tail of the most-loaded peer. Its one run mode,
+//! * [`work_stealing`] — the one real executor: the calling thread as
+//!   worker 0 plus persistent pooled threads, whose per-worker deques are
+//!   seeded from the BPS placement; idle workers steal from the tail of
+//!   the most-loaded peer. Its one run mode,
 //!   [`WorkStealingExecutor::run`], catches each task's panic — and any
 //!   panic of the observer calls made for that task — as that task's
 //!   [`work_stealing::TaskFailure`] instead of aborting the batch, and

@@ -16,10 +16,10 @@
 //!
 //! Two properties the rest of the workspace relies on:
 //!
-//! * **Determinism of results.** Every task runs exactly once and results
-//!   are merged back into task order from per-worker buffers, so the
-//!   output vector is independent of which worker ran what and of the
-//!   steal interleaving. Only timing varies.
+//! * **Determinism of results.** Every task runs exactly once and stores
+//!   its outcome in the task's own slot, so the output vector is in task
+//!   order, independent of which worker ran what and of the steal
+//!   interleaving. Only timing varies.
 //! * **Telemetry.** Each run emits an [`ExecutionReport`] (per-task wall
 //!   time, per-worker busy time, steal count) so the cost model's
 //!   forecasts can be validated against *measured* runtimes with the
@@ -43,17 +43,28 @@
 //! a panic already reported through another channel — it must never
 //! cascade into unrelated batches.
 //!
-//! The pool threads are **persistent**: one executor can serve many
-//! `run` calls (e.g. a fit followed by thousands of predict batches)
-//! without respawning OS threads. Tasks must therefore be `'static`
-//! (move their inputs, e.g. via `Arc`).
+//! # Threads
+//!
+//! A pool of `n` workers is the thread that calls
+//! [`run`](WorkStealingExecutor::run), as worker 0, plus `n − 1` pooled
+//! threads, workers `1..n`. The pooled threads are **persistent**: one
+//! executor can serve many `run` calls (e.g. a fit followed by thousands
+//! of predict batches) without respawning OS threads. Tasks must
+//! therefore be `'static` (move their inputs, e.g. via `Arc`). The caller
+//! publishes the batch, wakes the pooled threads and works its own deque;
+//! the batch is complete when its last task has stored its outcome, so a
+//! lone small batch can finish on the caller before a pooled thread is
+//! even scheduled, and no worker has to check in. A pooled thread that
+//! wakes after its batch finished goes back to sleep.
 
 use crate::assignment::Assignment;
 use crate::{Error, Result};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 use suod_observe::{Counter, Observer, SpanAttrs, Stage};
 
@@ -154,39 +165,33 @@ impl ExecutionReport {
     }
 }
 
-/// What one worker accumulated during a batch.
-struct WorkerLog<T> {
-    /// `(task index, outcome, task wall time)` triples, in execution
-    /// order.
-    out: Vec<(usize, std::result::Result<T, TaskFailure>, Duration)>,
-    busy: Duration,
-    steals: usize,
+/// What running one task left behind, in that task's slot.
+struct Outcome<T> {
+    result: std::result::Result<T, TaskFailure>,
+    elapsed: Duration,
+    worker: usize,
+    stolen: bool,
 }
 
-impl<T> Default for WorkerLog<T> {
-    fn default() -> Self {
-        WorkerLog {
-            out: Vec::new(),
-            busy: Duration::ZERO,
-            steals: 0,
-        }
-    }
-}
-
-/// Type-erased batch the persistent workers execute.
+/// Type-erased batch the pooled workers execute.
 trait BatchExec: Send + Sync {
     fn execute(&self, worker: usize);
 }
 
-/// One submitted batch: tasks, per-worker deques, per-worker logs.
+/// One submitted batch: tasks, per-worker deques, per-task outcomes.
 struct Batch<F, T> {
     /// Task cells; the deque protocol guarantees each is taken once.
     tasks: Vec<Mutex<Option<F>>>,
     /// Per-worker deques of task indices. Owners pop from the front,
     /// thieves steal from the back.
     queues: Vec<Mutex<VecDeque<usize>>>,
-    /// Per-worker result buffers — no shared result table.
-    logs: Vec<Mutex<WorkerLog<T>>>,
+    /// One slot per task, filled by whichever worker ran it.
+    outcomes: Vec<Mutex<Option<Outcome<T>>>>,
+    /// Tasks whose outcome is not stored yet: the batch is complete at 0.
+    remaining: AtomicUsize,
+    /// The thread that submitted the batch (worker 0). A pooled worker
+    /// that stores the last outcome unparks it.
+    submitter: Thread,
     /// Instrumentation sink: each task execution is wrapped in an
     /// [`Stage::ExecutorTask`] span; steals and fault-boundary failures
     /// emit [`Counter`] events. The no-op observer makes this free.
@@ -267,39 +272,44 @@ where
     T: Send + 'static,
 {
     fn execute(&self, worker: usize) {
-        let mut log = WorkerLog::default();
         // The task set is fixed, so empty deques end this worker's part
-        // of the batch; the submitter waits for every worker.
+        // of the batch; what is still running elsewhere is counted in
+        // `remaining`.
         while let Some((index, stolen)) = self.find_work(worker) {
-            if stolen {
-                log.steals += 1;
-            }
             let task = lock_ignore_poison(&self.tasks[index])
                 .take()
                 .expect("deque protocol hands out each task once");
-            let (out, elapsed) = self.run_task(task, index, worker, stolen);
-            log.out.push((index, out, elapsed));
-            log.busy += elapsed;
+            let (result, elapsed) = self.run_task(task, index, worker, stolen);
+            *lock_ignore_poison(&self.outcomes[index]) = Some(Outcome {
+                result,
+                elapsed,
+                worker,
+                stolen,
+            });
+            // AcqRel: the submitter's Acquire load of 0 sees every
+            // outcome stored before its count was released. If the
+            // submitter reads 0 before this unpark lands, the token only
+            // makes one later `park` on its thread return early, which
+            // every `park` loop tolerates.
+            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 && worker != 0 {
+                self.submitter.unpark();
+            }
         }
-        *lock_ignore_poison(&self.logs[worker]) = log;
     }
 }
 
-/// Coordination state between the submitter and the persistent workers.
+/// Coordination state between the submitter and the pooled workers.
 struct PoolState {
     /// The batch currently being executed, if any.
     batch: Option<Arc<dyn BatchExec>>,
-    /// Bumped per submission so workers join each batch exactly once.
+    /// Bumped per submission so workers join each batch at most once.
     epoch: u64,
-    /// Workers that finished the current epoch.
-    done: usize,
     shutdown: bool,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
     work_ready: Condvar,
-    batch_done: Condvar,
 }
 
 /// A persistent work-stealing thread pool seeded from BPS placements.
@@ -325,6 +335,7 @@ struct PoolShared {
 /// ```
 pub struct WorkStealingExecutor {
     shared: Arc<PoolShared>,
+    /// Workers `1..n_workers`; worker 0 is whichever thread calls `run`.
     handles: Vec<std::thread::JoinHandle<()>>,
     /// Serializes `run` calls: one batch occupies the pool at a time.
     submit: Mutex<()>,
@@ -340,7 +351,10 @@ impl std::fmt::Debug for WorkStealingExecutor {
 }
 
 impl WorkStealingExecutor {
-    /// Spawns a pool of `n_workers` persistent worker threads.
+    /// Creates a pool of `n_workers` workers: `n_workers − 1` persistent
+    /// threads, plus the thread that calls [`run`](Self::run), which is
+    /// worker 0 for that call. A 1-worker pool spawns no thread and runs
+    /// every task on the caller.
     ///
     /// # Errors
     ///
@@ -355,13 +369,11 @@ impl WorkStealingExecutor {
             state: Mutex::new(PoolState {
                 batch: None,
                 epoch: 0,
-                done: 0,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            batch_done: Condvar::new(),
         });
-        let handles = (0..n_workers)
+        let handles = (1..n_workers)
             .map(|worker| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -378,7 +390,7 @@ impl WorkStealingExecutor {
         })
     }
 
-    /// Number of persistent workers.
+    /// Number of workers, the calling thread included.
     pub fn n_workers(&self) -> usize {
         self.n_workers
     }
@@ -388,7 +400,9 @@ impl WorkStealingExecutor {
     /// telemetry.
     ///
     /// Worker `w`'s deque is seeded with assignment group `w` in group
-    /// order (groups beyond the pool size wrap around). Idle workers
+    /// order (groups beyond the pool size wrap around). The calling
+    /// thread is worker 0 until the call returns
+    /// ([`current_worker`] reads `Some(0)` in its tasks). Idle workers
     /// steal from the tail of the most-loaded peer, so a mispredicted
     /// straggler no longer gates the batch.
     ///
@@ -428,15 +442,14 @@ impl WorkStealingExecutor {
             )));
         }
         let n = tasks.len();
+        let mut report = ExecutionReport {
+            task_times: vec![Duration::ZERO; n],
+            worker_busy: vec![Duration::ZERO; self.n_workers],
+            worker_tasks: vec![0; self.n_workers],
+            ..ExecutionReport::default()
+        };
         if n == 0 {
-            return Ok((
-                Vec::new(),
-                ExecutionReport {
-                    worker_busy: vec![Duration::ZERO; self.n_workers],
-                    worker_tasks: vec![0; self.n_workers],
-                    ..ExecutionReport::default()
-                },
-            ));
+            return Ok((Vec::new(), report));
         }
 
         // Seed deques from the assignment: the static placement is the
@@ -450,9 +463,9 @@ impl WorkStealingExecutor {
         let batch: Arc<Batch<F, T>> = Arc::new(Batch {
             tasks: tasks.into_iter().map(|t| Mutex::new(Some(t))).collect(),
             queues: queues.into_iter().map(Mutex::new).collect(),
-            logs: (0..self.n_workers)
-                .map(|_| Mutex::new(WorkerLog::default()))
-                .collect(),
+            outcomes: (0..n).map(|_| Mutex::new(None)).collect(),
+            remaining: AtomicUsize::new(n),
+            submitter: std::thread::current(),
             observer,
         });
 
@@ -461,51 +474,46 @@ impl WorkStealingExecutor {
         // submissions, and a panic on a previous submitter's thread must
         // not brick the pool.
         let _guard = lock_ignore_poison(&self.submit);
-        {
-            let mut state = lock_ignore_poison(&self.shared.state);
-            state.batch = Some(Arc::clone(&batch) as Arc<dyn BatchExec>);
-            state.epoch += 1;
-            state.done = 0;
+        let pooled = !self.handles.is_empty();
+        if pooled {
+            {
+                let mut state = lock_ignore_poison(&self.shared.state);
+                state.batch = Some(Arc::clone(&batch) as Arc<dyn BatchExec>);
+                state.epoch += 1;
+            }
+            // Notified after the lock is released, so a woken worker does
+            // not block on it straight away.
             self.shared.work_ready.notify_all();
         }
-        {
-            let mut state = lock_ignore_poison(&self.shared.state);
-            while state.done < self.n_workers {
-                state = self
-                    .shared
-                    .batch_done
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            state.batch = None;
+        let outer = CURRENT_WORKER.replace(Some(0));
+        batch.execute(0);
+        CURRENT_WORKER.set(outer);
+        // Every deque is empty; what is left runs on pooled workers, and
+        // the one that stores the last outcome unparks this thread.
+        // `park` may also return spuriously, hence the loop.
+        while batch.remaining.load(Ordering::Acquire) != 0 {
+            std::thread::park();
         }
-        let wall_time = start.elapsed();
+        if pooled {
+            lock_ignore_poison(&self.shared.state).batch = None;
+        }
+        report.wall_time = start.elapsed();
 
-        let mut slots: Vec<Option<std::result::Result<T, TaskFailure>>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let mut report = ExecutionReport {
-            task_times: vec![Duration::ZERO; n],
-            worker_busy: vec![Duration::ZERO; self.n_workers],
-            worker_tasks: vec![0; self.n_workers],
-            wall_time,
-            ..ExecutionReport::default()
-        };
-        for (w, log) in batch.logs.iter().enumerate() {
-            let log = std::mem::take(&mut *lock_ignore_poison(log));
-            report.worker_busy[w] = log.busy;
-            report.worker_tasks[w] = log.out.len();
-            report.steals += log.steals;
-            for (i, out, elapsed) in log.out {
-                report.task_times[i] = elapsed;
-                if out.is_err() {
-                    report.failures += 1;
-                }
-                slots[i] = Some(out);
-            }
-        }
-        let results = slots
-            .into_iter()
-            .map(|s| s.expect("every task produced an outcome"))
+        let results = batch
+            .outcomes
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                let outcome = lock_ignore_poison(slot)
+                    .take()
+                    .expect("a complete batch holds every outcome");
+                report.task_times[i] = outcome.elapsed;
+                report.worker_busy[outcome.worker] += outcome.elapsed;
+                report.worker_tasks[outcome.worker] += 1;
+                report.steals += usize::from(outcome.stolen);
+                report.failures += usize::from(outcome.result.is_err());
+                outcome.result
+            })
             .collect();
         Ok((results, report))
     }
@@ -513,11 +521,8 @@ impl WorkStealingExecutor {
 
 impl Drop for WorkStealingExecutor {
     fn drop(&mut self) {
-        {
-            let mut state = lock_ignore_poison(&self.shared.state);
-            state.shutdown = true;
-            self.shared.work_ready.notify_all();
-        }
+        lock_ignore_poison(&self.shared.state).shutdown = true;
+        self.shared.work_ready.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -530,8 +535,10 @@ thread_local! {
 }
 
 /// Index, within its pool, of the [`WorkStealingExecutor`] worker the
-/// calling thread is — `None` on any other thread. A task reads it to
-/// attribute the spans it opens to the worker that runs it, as the
+/// calling thread is: `Some(w)` on pooled worker `w`, `Some(0)` on a
+/// thread inside [`run`](WorkStealingExecutor::run), which is worker 0
+/// until the call returns, and `None` on any other thread. A task reads
+/// it to attribute the spans it opens to the worker that runs it, as the
 /// executor does for the [`Stage::ExecutorTask`] span around the task.
 pub fn current_worker() -> Option<usize> {
     CURRENT_WORKER.get()
@@ -548,8 +555,9 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
                     return;
                 }
                 if state.epoch != seen_epoch {
+                    seen_epoch = state.epoch;
+                    // `None`: the batch finished before this worker woke.
                     if let Some(batch) = state.batch.clone() {
-                        seen_epoch = state.epoch;
                         break batch;
                     }
                 }
@@ -560,10 +568,6 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
             }
         };
         batch.execute(worker);
-        drop(batch);
-        let mut state = lock_ignore_poison(&shared.state);
-        state.done += 1;
-        shared.batch_done.notify_all();
     }
 }
 
@@ -571,7 +575,6 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
 mod tests {
     use super::*;
     use crate::assignment::{bps_schedule, generic_schedule};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn boxed_tasks(n: usize) -> Vec<Box<dyn FnOnce() -> usize + Send>> {
         (0..n).map(|i| Box::new(move || i * i) as _).collect()
@@ -887,5 +890,96 @@ mod tests {
         assert_eq!(out, vec![0, 1, 4, 9, 16]);
         assert_eq!(report.steals, 0);
         assert_eq!(report.worker_tasks, vec![5]);
+    }
+
+    #[test]
+    fn a_one_worker_pool_runs_every_task_on_the_caller_as_worker_0() {
+        let pool = WorkStealingExecutor::new(1).unwrap();
+        assert!(pool.handles.is_empty(), "the caller is the only worker");
+        assert_eq!(WorkStealingExecutor::new(4).unwrap().handles.len(), 3);
+        let a = generic_schedule(4, 1).unwrap();
+        // Each task reports the thread and the worker index it ran on.
+        let tasks: Vec<_> = (0..4)
+            .map(|_| || (std::thread::current().id(), current_worker()))
+            .collect();
+        let (out, report) = run_ok(&pool, tasks, &a);
+        let caller = std::thread::current().id();
+        assert_eq!(out, vec![(caller, Some(0)); 4]);
+        assert_eq!(report.worker_tasks, vec![4]);
+    }
+
+    #[test]
+    fn the_caller_is_worker_0_only_until_run_returns() {
+        let outer = WorkStealingExecutor::new(1).unwrap();
+        let inner = WorkStealingExecutor::new(2).unwrap();
+        assert_eq!(current_worker(), None);
+        // A task of `outer` runs on this thread as its worker 0 and
+        // submits to `inner`; returning from the inner run restores the
+        // outer index, and returning from the outer run restores `None`.
+        let tasks: Vec<Box<dyn FnOnce() -> Option<usize> + Send>> = vec![Box::new(move || {
+            let a = generic_schedule(2, 2).unwrap();
+            run_ok(&inner, boxed_tasks(2), &a);
+            current_worker()
+        })];
+        let (out, _) = run_ok(&outer, tasks, &generic_schedule(1, 1).unwrap());
+        assert_eq!(out, vec![Some(0)]);
+        assert_eq!(current_worker(), None);
+    }
+
+    /// Small batches end as soon as their last task does, often before a
+    /// pooled worker has woken for them; that worker must find nothing
+    /// to run in the finished batch, and never a task of the next one
+    /// twice.
+    #[test]
+    fn back_to_back_small_batches_return_every_outcome_once_in_task_order() {
+        for workers in [2, 4] {
+            let pool = WorkStealingExecutor::new(workers).unwrap();
+            let runs = Arc::new(AtomicUsize::new(0));
+            let mut expected_runs = 0;
+            for round in 0..10_000usize {
+                let n = 1 + round % 3;
+                let a = generic_schedule(n, workers.min(n)).unwrap();
+                let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..n)
+                    .map(|i| {
+                        let runs = Arc::clone(&runs);
+                        Box::new(move || {
+                            runs.fetch_add(1, Ordering::SeqCst);
+                            round * 3 + i
+                        }) as _
+                    })
+                    .collect();
+                let (out, report) = run_ok(&pool, tasks, &a);
+                expected_runs += n;
+                assert_eq!(out, (0..n).map(|i| round * 3 + i).collect::<Vec<_>>());
+                assert_eq!(runs.load(Ordering::SeqCst), expected_runs);
+                assert_eq!(report.worker_tasks.len(), workers);
+                assert_eq!(report.worker_tasks.iter().sum::<usize>(), n);
+            }
+        }
+    }
+
+    #[test]
+    fn panics_on_the_callers_thread_fail_only_their_task() {
+        let pool = WorkStealingExecutor::new(1).unwrap();
+        let a = generic_schedule(2, 1).unwrap();
+        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
+            vec![Box::new(|| 1), Box::new(|| panic!("task exploded"))];
+        let (out, report) = pool.run(tasks, &a, suod_observe::noop()).unwrap();
+        assert_eq!(out[0], Ok(1));
+        assert_eq!(out[1].as_ref().unwrap_err().message, "task exploded");
+        assert_eq!(report.failures, 1);
+
+        let (out, report) = pool
+            .run(boxed_tasks(2), &a, Arc::new(PanicOnTaskSpan))
+            .unwrap();
+        for outcome in &out {
+            let failure = outcome.as_ref().unwrap_err();
+            assert!(failure.message.contains("observer exploded"), "{failure}");
+        }
+        assert_eq!(report.failures, 2);
+
+        let (out, _) = run_ok(&pool, boxed_tasks(2), &a);
+        assert_eq!(out, vec![0, 1]);
+        assert_eq!(current_worker(), None);
     }
 }
