@@ -12,7 +12,7 @@ use suod::prelude::*;
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Fit an ensemble and write a `suod-pool/3` snapshot.
+    /// Fit an ensemble and write a `suod-pool` snapshot.
     Fit(FitArgs),
     /// Fit an ensemble and emit per-sample scores.
     Detect(DetectArgs),
@@ -470,8 +470,10 @@ fn parse_num<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
 }
 
 /// Usage text.
-pub fn usage() -> &'static str {
-    "suod-cli — scalable unsupervised heterogeneous outlier detection
+pub fn usage() -> String {
+    let format = suod::SNAPSHOT_FORMAT;
+    format!(
+        "suod-cli — scalable unsupervised heterogeneous outlier detection
 
 USAGE:
   suod-cli fit --dataset <name> --snapshot <path>   fit a pool, write a snapshot
@@ -485,7 +487,7 @@ USAGE:
   suod-cli list-datasets                       show the benchmark registry
   suod-cli help                                this text
 
-Snapshots use the suod-pool/3 format: versioned, integrity-checked, and
+Snapshots use the {format} format: versioned, integrity-checked, and
 bitwise score-stable across save/load at any worker count.
 
 FIT / DETECT / TRACE OPTIONS:
@@ -546,4 +548,5 @@ SCORE OPTIONS:
   --label-column <i>    label column (metrics in --snapshot mode)
   --output <path>       write index,score CSV instead of printing
 "
+    )
 }

@@ -4,7 +4,7 @@
 //!
 //! The binary (`suod-cli`) wraps the `suod` library around the fitted-pool
 //! lifecycle: **fit** a heterogeneous ensemble once and persist it as a
-//! `suod-pool/3` snapshot, **score** datasets with it (locally or against
+//! `suod-pool` snapshot, **score** datasets with it (locally or against
 //! a server), and **serve** it online with hot reload. Argument parsing
 //! is hand-rolled (no CLI dependency) and lives in [`flags`] so it is
 //! unit-testable; `main.rs` is a thin shell.
@@ -49,7 +49,7 @@ use suod_serve::{
 /// Returns a human-readable message on any pipeline failure.
 pub fn run(command: Command) -> Result<String, String> {
     match command {
-        Command::Help => Ok(usage().to_string()),
+        Command::Help => Ok(usage()),
         Command::ListDatasets => {
             let mut out = String::new();
             writeln!(
@@ -706,7 +706,8 @@ mod tests {
         let out = run(cmd).unwrap();
         assert!(out.contains("kernels: backend=gemm lane="), "{out}");
         assert!(out.contains("neighbors=exact"), "{out}");
-        assert!(out.contains("snapshot format: suod-pool/3"), "{out}");
+        let format = format!("snapshot format: {}", suod::SNAPSHOT_FORMAT);
+        assert!(out.contains(&format), "{out}");
     }
 
     #[test]
@@ -908,7 +909,7 @@ mod tests {
         .unwrap();
         let out = run(cmd).unwrap();
         assert!(out.contains("snapshot written to"), "{out}");
-        assert!(out.contains("suod-pool/3"), "{out}");
+        assert!(out.contains(suod::SNAPSHOT_FORMAT), "{out}");
         assert!(snapshot.exists());
 
         // Offline scoring with the saved pool on the same rows reports

@@ -1,4 +1,4 @@
-//! Versioned fitted-pool snapshots — the `suod-pool/3` format.
+//! Versioned fitted-pool snapshots — the `suod-pool/4` format.
 //!
 //! A snapshot captures everything a fitted [`Suod`] needs to score new
 //! samples bitwise-identically on another process: the builder
@@ -13,15 +13,16 @@
 //!
 //! ```text
 //! 8 bytes   magic b"SUODPOOL"
-//! u64       format version (3; files of versions 1 and 2 still load)
-//! str       integrity signature ("fnv1a64:<16 hex>" over the payload)
+//! u64       format version (4; files of versions 1 to 3 still load)
+//! str       integrity signature ("lanes64:<16 hex>" over the payload)
 //! bytes     payload (length-prefixed)
 //! ```
 //!
 //! The payload is `config section · fitted flag · state section · health
 //! section`, every field in a fixed order so that save → load → save is
-//! byte-identical. The signature is recomputed at load and compared to
-//! the stored value: any truncation or bit flip surfaces as a typed
+//! byte-identical. The signature is recomputed at load, with the
+//! algorithm the header's version names ([`payload_signature`]), and
+//! compared to the stored value: any truncation or bit flip surfaces as a typed
 //! [`Error::SnapshotCorrupt`], never a panic.
 //!
 //! A model record is
@@ -44,8 +45,12 @@
 //! index engages HNSW, as per-level CSR. Loading checks the graph against
 //! the rules it was built under and uses it as is, so a cold start does
 //! not rebuild it. The loader reads the version once and hands it to
-//! every record reader; older files differ in three ways:
+//! every record reader; older files differ in four ways:
 //!
+//! * a `suod-pool/1` to `/3` file is signed with FNV-1a
+//!   (`"fnv1a64:<16 hex>"`), a byte-serial hash about 20 times slower
+//!   than `/4`'s word-at-a-time `lanes64`. That is all `/4` changed: its
+//!   payload decodes exactly as a `/3` payload does;
 //! * a `suod-pool/1` file carries no graphs: they are rebuilt at load,
 //!   bit for bit the graphs fit built;
 //! * a `/1` or `/2` model record stores a detector for every model, an
@@ -55,7 +60,7 @@
 //! * a `/1` or `/2` config carries the precision byte of its kernel
 //!   config and the retired `ef_search` slot, both read and checked.
 //!
-//! Saving a loaded old pool writes `suod-pool/3`, the bytes a fresh fit's
+//! Saving a loaded old pool writes `suod-pool/4`, the bytes a fresh fit's
 //! save gives (fit times aside).
 //!
 //! # What is not persisted
@@ -113,7 +118,7 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SUODPOOL";
 pub use suod_linalg::snapshot::{OLDEST_SNAPSHOT_VERSION, SNAPSHOT_VERSION};
 
 /// Human-readable format name (magic + version), printed by the CLI.
-pub const SNAPSHOT_FORMAT: &str = "suod-pool/3";
+pub const SNAPSHOT_FORMAT: &str = "suod-pool/4";
 
 fn corrupt(what: &str) -> Error {
     Error::Linalg(suod_linalg::Error::InvalidParameter(format!(
@@ -204,7 +209,7 @@ fn read_config(r: &mut SnapshotReader<'_>) -> Result<SuodBuilder> {
     Ok(config)
 }
 
-/// Scorer tags of a `suod-pool/3` model record.
+/// Scorer tags of a model record (`suod-pool/3` and later).
 const SCORER_DETECTOR: u8 = 0;
 const SCORER_APPROXIMATOR: u8 = 1;
 
@@ -340,7 +345,7 @@ fn read_health(r: &mut SnapshotReader<'_>, config: &SuodBuilder) -> Result<Model
 
 impl Suod {
     /// Serializes the estimator — configuration, fitted state, and health
-    /// report — into a `suod-pool/3` snapshot.
+    /// report — into a `suod-pool/4` snapshot.
     ///
     /// The bytes are self-verifying: the header carries a deterministic
     /// signature over the payload which [`Suod::load_from_bytes`] checks
@@ -391,14 +396,14 @@ impl Suod {
         let mut bytes = Vec::with_capacity(payload.len() + 64);
         bytes.extend_from_slice(SNAPSHOT_MAGIC);
         out.write_u64(SNAPSHOT_VERSION);
-        out.write_str(&payload_signature(&payload));
+        out.write_str(&payload_signature(SNAPSHOT_VERSION, &payload));
         out.write_bytes(&payload);
         bytes.extend_from_slice(out.as_bytes());
         obs.counter(Counter::SnapshotSave, 1);
         Ok(bytes)
     }
 
-    /// Writes a `suod-pool/3` snapshot to `path` **atomically**: the
+    /// Writes a `suod-pool/4` snapshot to `path` **atomically**: the
     /// bytes land in a sibling temporary file first and are renamed into
     /// place, so a reader (e.g. a serving process hot-reloading the
     /// pool) never observes a half-written snapshot.
@@ -420,7 +425,9 @@ impl Suod {
 
     /// Deserializes a snapshot produced by [`Suod::save_to_bytes`].
     ///
-    /// The payload signature is verified first; corrupt or truncated
+    /// The payload signature is verified first, with the algorithm the
+    /// header's version names (never the one the stored string names, so
+    /// a `/4` file carrying an FNV string is corrupt); corrupt or truncated
     /// input returns a typed error ([`Error::SnapshotCorrupt`] /
     /// [`Error::SnapshotFormat`]), never panics. The loaded estimator
     /// scores bitwise-identically to the saved one at any worker count.
@@ -458,7 +465,7 @@ impl Suod {
                 header.remaining()
             )));
         }
-        let actual = payload_signature(payload);
+        let actual = payload_signature(version, payload);
         if actual != expected {
             return Err(Error::SnapshotCorrupt { expected, actual });
         }
@@ -608,7 +615,7 @@ mod tests {
     /// builder's `ef_search` override (already folded into the persisted
     /// kernel config). `suod-pool/3` dropped it with the kernel config's
     /// precision byte; a `suod-pool/2` file with a value in the slot must
-    /// still load, and re-encode as a fresh `/3` save.
+    /// still load, and re-encode as a fresh save.
     #[test]
     fn retired_ef_search_slot_loads_with_a_value_in_it() {
         let unfitted = Suod::builder()
@@ -636,7 +643,7 @@ mod tests {
 
         let mut framed = SnapshotWriter::new();
         framed.write_u64(2);
-        framed.write_str(&payload_signature(&v2));
+        framed.write_str(&payload_signature(2, &v2));
         framed.write_bytes(&v2);
         let old_file = [&SNAPSHOT_MAGIC[..], framed.as_bytes()].concat();
 

@@ -429,9 +429,7 @@ impl Suod {
     ///
     /// Same conditions as [`decision_function`](Self::decision_function).
     pub fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {
-        let train = self.training_combined_scores()?;
-        let lo = suod_linalg::stats::min(&train);
-        let hi = suod_linalg::stats::max(&train);
+        let (lo, hi) = self.state()?.train_range()?;
         let span = (hi - lo).max(1e-12);
         let combined = self.combined_scores(x)?;
         Ok(combined

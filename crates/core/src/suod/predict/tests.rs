@@ -116,6 +116,38 @@ fn predict_proba_bounded_and_ordered() {
     assert!(p[60] > 0.8 || p[61] > 0.8, "{} {}", p[60], p[61]);
 }
 
+/// `predict_proba` scales by the range a fit keeps, or a load derives
+/// once: the bits of min-max scaling by `training_combined_scores()`.
+#[test]
+fn predict_proba_scales_by_the_training_range_fitted_or_loaded() {
+    let x = data();
+    for workers in [1, 2] {
+        let clf = fitted(Suod::builder().n_workers(workers));
+        let loaded = Suod::load_from_bytes(&clf.save_to_bytes().unwrap()).unwrap();
+        for pool in [&clf, &loaded] {
+            let train = pool.training_combined_scores().unwrap();
+            let lo = suod_linalg::stats::min(&train);
+            let hi = suod_linalg::stats::max(&train);
+            let span = (hi - lo).max(1e-12);
+            let want: Vec<u64> = pool
+                .combined_scores(&x)
+                .unwrap()
+                .iter()
+                .map(|&s| ((s - lo) / span).clamp(0.0, 1.0).to_bits())
+                .collect();
+            for _ in 0..2 {
+                let got: Vec<u64> = pool
+                    .predict_proba(&x)
+                    .unwrap()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(got, want, "{workers} workers");
+            }
+        }
+    }
+}
+
 #[test]
 fn non_finite_query_rejected_typed() {
     let clf = fitted(Suod::builder());

@@ -4,7 +4,7 @@
 use super::predict::combine_standardized;
 use crate::spec::ModelSpec;
 use crate::{Error, Result};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use suod_detectors::Detector;
 use suod_linalg::{DataFingerprint, KnnIndex, Matrix, NeighborCache};
@@ -86,6 +86,10 @@ pub(crate) struct FittedState {
     /// neighbour query. Derived from the models alone, so a fit, a warm
     /// refit and a snapshot load of the same pool plan the same units.
     pub(crate) units: Vec<Vec<usize>>,
+    /// `(min, max)` of the training rows' combined scores: the range
+    /// `predict_proba` scales by. A fit keeps it from the combined scores
+    /// it thresholds; a loaded pool derives it on first use.
+    train_range: OnceLock<(f64, f64)>,
 }
 
 impl FittedState {
@@ -118,6 +122,7 @@ impl FittedState {
             score_means,
             score_stds,
             units,
+            train_range: OnceLock::new(),
         }
     }
 
@@ -147,19 +152,24 @@ impl FittedState {
         let n_out = ((n as f64 * contamination).round() as usize).clamp(1, n);
         let threshold = suod_linalg::rank::kth_largest(&combined, n_out)
             .expect("n_out within bounds by construction");
-        Ok(Self::new(
-            models,
-            threshold,
-            n_features,
-            score_means,
-            score_stds,
-        ))
+        let mut state = Self::new(models, threshold, n_features, score_means, score_stds);
+        state.train_range = OnceLock::from(min_max(&combined));
+        Ok(state)
     }
 
     /// Combines an `n x m` score matrix against this ensemble's training
     /// statistics (see [`combine_standardized`]).
     pub(super) fn combine(&self, scores: &Matrix, buckets: Option<usize>) -> Vec<f64> {
         combine_standardized(scores, &self.score_means, &self.score_stds, buckets)
+    }
+
+    /// `(min, max)` of the training rows' combined scores, derived once.
+    pub(super) fn train_range(&self) -> Result<(f64, f64)> {
+        if let Some(&range) = self.train_range.get() {
+            return Ok(range);
+        }
+        let range = min_max(&self.combine(&self.train_score_matrix()?, None));
+        Ok(*self.train_range.get_or_init(|| range))
     }
 
     /// Number of training rows the ensemble was fitted on.
@@ -212,6 +222,13 @@ pub(crate) struct WarmContext {
     pub(crate) cache: Option<Arc<NeighborCache>>,
     /// Fingerprint of the training matrix the fitted state came from.
     pub(crate) train_fingerprint: DataFingerprint,
+}
+
+fn min_max(combined: &[f64]) -> (f64, f64) {
+    (
+        suod_linalg::stats::min(combined),
+        suod_linalg::stats::max(combined),
+    )
 }
 
 /// The `n x m` matrix of per-model training scores, filled row-major

@@ -77,18 +77,31 @@ impl PcaDetector {
         self.minor_values.len()
     }
 
-    fn score_row(&self, row: &[f64]) -> f64 {
+    /// Scores every row of `x`, each centred into one reused buffer.
+    fn score_rows(&self, x: &Matrix) -> Vec<f64> {
         let comp = self.minor_components.as_ref().expect("called after fit");
-        let centered: Vec<f64> = row.iter().zip(&self.means).map(|(&v, &m)| v - m).collect();
-        let mut score = 0.0;
-        for (j, &lambda) in self.minor_values.iter().enumerate() {
-            let mut proj = 0.0;
-            for (i, &c) in centered.iter().enumerate() {
-                proj += c * comp.get(i, j);
-            }
-            score += proj * proj / lambda;
-        }
-        score
+        let mut centered = vec![0.0; self.means.len()];
+        x.rows_iter()
+            .map(|row| {
+                center_into(&mut centered, row, &self.means);
+                let mut score = 0.0;
+                for (j, &lambda) in self.minor_values.iter().enumerate() {
+                    let mut proj = 0.0;
+                    for (i, &c) in centered.iter().enumerate() {
+                        proj += c * comp.get(i, j);
+                    }
+                    score += proj * proj / lambda;
+                }
+                score
+            })
+            .collect()
+    }
+}
+
+/// `out[i] = row[i] - means[i]`.
+fn center_into(out: &mut [f64], row: &[f64], means: &[f64]) {
+    for ((o, &v), &m) in out.iter_mut().zip(row).zip(means) {
+        *o = v - m;
     }
 }
 
@@ -105,13 +118,12 @@ impl Detector for PcaDetector {
 
         // Covariance.
         let mut cov = Matrix::zeros(d, d);
-        for r in 0..n {
-            let row = x.row(r);
-            for i in 0..d {
-                let xi = row[i] - self.means[i];
-                for j in i..d {
-                    let xj = row[j] - self.means[j];
-                    cov.set(i, j, cov.get(i, j) + xi * xj);
+        let mut centered = vec![0.0; d];
+        for row in x.rows_iter() {
+            center_into(&mut centered, row, &self.means);
+            for (i, &xi) in centered.iter().enumerate() {
+                for (c, &xj) in cov.row_mut(i)[i..].iter_mut().zip(&centered[i..]) {
+                    *c += xi * xj;
                 }
             }
         }
@@ -158,7 +170,7 @@ impl Detector for PcaDetector {
         // by ~0 and let noise dominate.
         let floor = (total / d as f64) * 1e-6 + 1e-12;
         self.minor_values = minor.iter().map(|&i| eig.values[i].max(floor)).collect();
-        Ok(x.rows_iter().map(|row| self.score_row(row)).collect())
+        Ok(self.score_rows(x))
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -166,7 +178,7 @@ impl Detector for PcaDetector {
             return Err(Error::NotFitted("PcaDetector"));
         }
         check_dims(self.means.len(), x)?;
-        Ok(x.rows_iter().map(|row| self.score_row(row)).collect())
+        Ok(self.score_rows(x))
     }
 
     fn name(&self) -> &'static str {

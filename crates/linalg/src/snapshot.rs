@@ -1,5 +1,5 @@
-//! Byte-level codec for the `suod-pool` snapshot format (`suod-pool/3`;
-//! `suod-pool/1` and `/2` still read).
+//! Byte-level codec for the `suod-pool` snapshot format (`suod-pool/4`;
+//! `suod-pool/1` to `/3` still read).
 //!
 //! Hand-rolled (serde-free) little-endian encoding, in the same spirit as
 //! the `suod-trace/1` JSON schema in `suod-observe`: every field is
@@ -37,7 +37,9 @@
 //! neighbour-index record; a version-1 index record carries none and its
 //! graph is rebuilt at load. Version 3 stores every fitted value once:
 //! detector records lose the training scores the pool already holds, and
-//! the precision byte of a [`KernelConfig`] record is gone.
+//! the precision byte of a [`KernelConfig`] record is gone. Version 4
+//! changes only the signature over the payload, not a byte of it, so no
+//! record reader tells version 4 from version 3.
 //!
 //! That byte is a remnant of a mixed f32-storage mode. Version 1 and 2
 //! records carry it, always `0` (f64) when this build's predecessors
@@ -52,7 +54,7 @@ use std::sync::Arc;
 
 /// The `suod-pool` format version this build writes, and the newest it
 /// reads.
-pub const SNAPSHOT_VERSION: u64 = 3;
+pub const SNAPSHOT_VERSION: u64 = 4;
 
 /// The oldest `suod-pool` format version this build reads.
 pub const OLDEST_SNAPSHOT_VERSION: u64 = 1;

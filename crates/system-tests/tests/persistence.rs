@@ -280,7 +280,8 @@ fn corruption_and_version_skew_are_typed_errors_not_panics() {
     match Suod::load_from_bytes(&garbled) {
         Err(suod::Error::SnapshotCorrupt { expected, actual }) => {
             assert_ne!(expected, actual);
-            assert!(expected.starts_with("fnv1a64:"), "{expected}");
+            assert!(expected.starts_with("lanes64:"), "{expected}");
+            assert!(actual.starts_with("lanes64:"), "{actual}");
         }
         other => panic!("expected SnapshotCorrupt, got {other:?}"),
     }
@@ -352,15 +353,16 @@ fn golden_estimator() -> Suod {
 /// exact and carries none. The kernel config is pool-wide, so the
 /// graph-less index record comes from the non-Euclidean model. PSA is
 /// on, so the three proximity models are approximated: a `suod-pool/3`
-/// pool keeps their regressors and none of their indexes.
+/// or later pool keeps their regressors and none of their indexes.
 fn golden_hnsw_estimator() -> Suod {
     fit(golden_hnsw_builder(), &data())
 }
 
-/// The recipe of `golden-v3.suod`: [`golden_hnsw_estimator`]'s with PSA
-/// off, so the proximity models keep their detectors and the fixture
-/// stores the shared graph beside the exact index.
-fn golden_v3_estimator() -> Suod {
+/// The recipe of `golden-v3.suod` and `golden-v4.suod`:
+/// [`golden_hnsw_estimator`]'s with PSA off, so the proximity models keep
+/// their detectors and the fixture stores the shared graph beside the
+/// exact index.
+fn golden_graph_estimator() -> Suod {
     fit(golden_hnsw_builder().with_approximation(false), &data())
 }
 
@@ -408,6 +410,16 @@ fn read_fixture(name: &str) -> Vec<u8> {
     std::fs::read(fixture(name)).expect("committed fixture present")
 }
 
+/// A snapshot file of format `version` around `payload`, carrying
+/// `signature` as its integrity signature.
+fn framed(version: u64, signature: &str, payload: &[u8]) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    w.write_u64(version);
+    w.write_str(signature);
+    w.write_bytes(payload);
+    [&b"SUODPOOL"[..], w.as_bytes()].concat()
+}
+
 /// The payload of a snapshot file.
 fn payload(file: &[u8]) -> Vec<u8> {
     let mut r = SnapshotReader::new(&file[8..]);
@@ -442,9 +454,9 @@ fn payload_without_fit_times(clf: &Suod) -> Vec<u8> {
 #[test]
 #[ignore = "writes the committed fixture; run once when the format version bumps"]
 fn regenerate_golden_fixture() {
-    let path = fixture("golden-v3.suod");
+    let path = fixture("golden-v4.suod");
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    golden_v3_estimator().save(&path).unwrap();
+    golden_graph_estimator().save(&path).unwrap();
 }
 
 /// Format stability: `golden.suod` was written by the build that
@@ -477,8 +489,8 @@ fn golden_fixture_still_loads_and_reencodes_identically() {
 
 /// Format stability of `suod-pool/2`: `golden-v2.suod` was written by
 /// the last `suod-pool/2` build. It loads, scores exactly like a fresh
-/// fit of its recipe, and re-encodes like a fresh `suod-pool/3` save
-/// (fit times aside): the detectors of its approximated models and every
+/// fit of its recipe, and re-encodes like a fresh save (fit times
+/// aside): the detectors of its approximated models and every
 /// detector's copy of the training scores are read and dropped.
 #[test]
 fn golden_v2_fixture_loads_and_reencodes_byte_for_byte() {
@@ -503,17 +515,45 @@ fn golden_v2_fixture_loads_and_reencodes_byte_for_byte() {
 }
 
 /// Format stability of `suod-pool/3`: `golden-v3.suod` (an HNSW graph
-/// stored beside an exact index) loads, re-encodes byte for byte, and
-/// matches a fresh fit's save but for fit times — if this fails, the
-/// format changed and the version must be bumped instead.
+/// stored beside an exact index) was written by the last `suod-pool/3`
+/// build. It loads, scores exactly like a fresh fit of its recipe, and
+/// re-encodes like a fresh save (fit times aside). `/4` changed only the
+/// signature, so its payload re-encodes byte for byte under a `/4`
+/// header.
 #[test]
 fn golden_v3_fixture_loads_and_reencodes_byte_for_byte() {
     let bytes = read_fixture("golden-v3.suod");
-    assert_eq!(&bytes[8..16], &SNAPSHOT_VERSION.to_le_bytes());
+    assert_eq!(&bytes[8..16], &3u64.to_le_bytes());
     let loaded = Suod::load_from_bytes(&bytes).expect("v3 fixture loads");
     assert_eq!(loaded.n_models(), 5);
+    let resaved = loaded.save_to_bytes().unwrap();
+    assert_eq!(&resaved[8..16], &SNAPSHOT_VERSION.to_le_bytes());
+    assert_eq!(payload(&resaved), payload(&bytes), "payload drifted");
+    let fresh = golden_graph_estimator();
+    assert_eq!(
+        payload_without_fit_times(&fresh),
+        payload_without_fit_times(&loaded),
+        "fit drifted"
+    );
+    let q = queries();
+    assert_eq!(
+        fresh.decision_function(&q).unwrap(),
+        loaded.decision_function(&q).unwrap()
+    );
+}
+
+/// Format stability of `suod-pool/4`: `golden-v4.suod` (the recipe of
+/// `golden-v3.suod`) loads, re-encodes byte for byte, and matches a fresh
+/// fit's save but for fit times — if this fails, the format changed and
+/// the version must be bumped instead.
+#[test]
+fn golden_v4_fixture_loads_and_reencodes_byte_for_byte() {
+    let bytes = read_fixture("golden-v4.suod");
+    assert_eq!(&bytes[8..16], &SNAPSHOT_VERSION.to_le_bytes());
+    let loaded = Suod::load_from_bytes(&bytes).expect("v4 fixture loads");
+    assert_eq!(loaded.n_models(), 5);
     assert_eq!(loaded.save_to_bytes().unwrap(), bytes, "format drifted");
-    let fresh = golden_v3_estimator();
+    let fresh = golden_graph_estimator();
     assert_eq!(
         payload_without_fit_times(&fresh),
         payload_without_fit_times(&loaded),
@@ -710,6 +750,79 @@ fn serve_small_pool_keeps_its_digests() {
     );
 }
 
+/// Hostile bytes at a whole `suod-pool/4` file, small enough to mutate
+/// at every bit: every single-bit flip of the payload is
+/// `SnapshotCorrupt` (`lanes64` sees any change to one word), every flip
+/// of the header and every truncation is a typed error. The version
+/// picks the signature algorithm, never the stored string: a `/4` header
+/// carrying its payload's FNV string is corrupt, and so is a `/3` header
+/// carrying its `lanes64` string.
+#[test]
+fn signature_mutants_are_typed_errors() {
+    use suod::observe::payload_signature;
+    let x = data().select_rows(&(0..40).collect::<Vec<_>>());
+    let clf = fit(
+        Suod::builder()
+            .base_estimators(vec![ModelSpec::Hbos {
+                n_bins: 4,
+                tolerance: 0.3,
+            }])
+            .n_workers(1)
+            .seed(3),
+        &x,
+    );
+    let good = clf.save_to_bytes().unwrap();
+    let body = payload(&good);
+    let start = good.len() - body.len();
+    assert_eq!(&good[start..], &body[..]);
+    assert!(body.len() > 64, "the payload spans whole steps and a tail");
+
+    for at in 0..good.len() {
+        for bit in 0..8 {
+            let mut flipped = good.clone();
+            flipped[at] ^= 1 << bit;
+            let outcome = Suod::load_from_bytes(&flipped);
+            if at >= start {
+                assert!(
+                    matches!(outcome, Err(suod::Error::SnapshotCorrupt { .. })),
+                    "bit {bit} of payload byte {}: {outcome:?}",
+                    at - start
+                );
+            } else {
+                assert!(outcome.is_err(), "bit {bit} of header byte {at} loaded");
+            }
+        }
+    }
+    for cut in 0..good.len() {
+        assert!(
+            Suod::load_from_bytes(&good[..cut]).is_err(),
+            "truncation at {cut} bytes loaded"
+        );
+    }
+
+    let fnv = payload_signature(3, &body);
+    let lanes = payload_signature(SNAPSHOT_VERSION, &body);
+    assert!(fnv.starts_with("fnv1a64:") && lanes.starts_with("lanes64:"));
+    // The framing is right: each header with its own algorithm's string
+    // loads the pool.
+    let q = queries();
+    for (version, signature) in [(3, &fnv), (SNAPSHOT_VERSION, &lanes)] {
+        let loaded = Suod::load_from_bytes(&framed(version, signature, &body)).unwrap();
+        assert_eq!(
+            loaded.decision_function(&q).unwrap(),
+            clf.decision_function(&q).unwrap()
+        );
+    }
+    for (version, signature) in [(SNAPSHOT_VERSION, &fnv), (3, &lanes)] {
+        match Suod::load_from_bytes(&framed(version, signature, &body)) {
+            Err(suod::Error::SnapshotCorrupt { expected, actual }) => {
+                assert_eq!((&expected, actual.len()), (signature, signature.len()));
+            }
+            other => panic!("v{version} header with {signature}: {other:?}"),
+        }
+    }
+}
+
 /// Hostile bytes at the stored HNSW graph. Each mutant is re-signed with
 /// [`payload_signature`](suod::observe::payload_signature) (the checksum
 /// is not a MAC), then loaded and scored on another thread: a typed error
@@ -758,11 +871,11 @@ mod graph_mutants {
 
     /// A snapshot file around `payload`, signed for it.
     pub(super) fn frame(payload: &[u8]) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.write_u64(SNAPSHOT_VERSION);
-        w.write_str(&payload_signature(payload));
-        w.write_bytes(payload);
-        [&b"SUODPOOL"[..], w.as_bytes()].concat()
+        framed(
+            SNAPSHOT_VERSION,
+            &payload_signature(SNAPSHOT_VERSION, payload),
+            payload,
+        )
     }
 
     fn u64_at(b: &[u8], at: usize) -> Option<u64> {
