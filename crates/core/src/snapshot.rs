@@ -549,11 +549,11 @@ impl Suod {
             )
         });
         let warm = match (&state, fingerprint) {
-            // The neighbour cache is not persisted: warm refits after a
-            // load rebuild proximity graphs but still reuse survivor
-            // models via the stored fingerprint.
+            // The neighbour cache is not persisted: a loaded pool's starts
+            // empty, so warm refits after a load rebuild proximity graphs
+            // but still reuse survivor models via the stored fingerprint.
             (Some(_), Some(fp)) => Some(WarmContext {
-                cache: None,
+                cache: config.fresh_cache(),
                 train_fingerprint: fp,
             }),
             _ => None,

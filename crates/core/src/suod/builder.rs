@@ -5,7 +5,7 @@ use crate::pseudo::ApproxSpec;
 use crate::spec::ModelSpec;
 use crate::{Error, Result};
 use std::sync::Arc;
-use suod_linalg::KernelConfig;
+use suod_linalg::{KernelConfig, NeighborCache};
 use suod_observe::Observer;
 use suod_projection::JlVariant;
 use suod_scheduler::{AnalyticCostModel, CostModel};
@@ -60,6 +60,15 @@ impl Default for SuodBuilder {
 }
 
 impl SuodBuilder {
+    /// An empty neighbour cache under this recipe's kernel config,
+    /// reporting to its observer.
+    pub(crate) fn fresh_cache(&self) -> Arc<NeighborCache> {
+        Arc::new(NeighborCache::with_config(
+            self.kernel,
+            Arc::clone(&self.observer),
+        ))
+    }
+
     /// Sets the heterogeneous pool of base estimators.
     pub fn base_estimators(mut self, specs: Vec<ModelSpec>) -> Self {
         self.base_estimators = specs;

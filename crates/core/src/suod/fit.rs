@@ -116,15 +116,6 @@ impl Suod {
         ((d as f64 * self.config.rp_target_fraction).ceil() as usize).clamp(1, d)
     }
 
-    /// An empty neighbour cache under this estimator's kernel config,
-    /// reporting to its observer.
-    fn fresh_cache(&self) -> Arc<NeighborCache> {
-        Arc::new(NeighborCache::with_config(
-            self.config.kernel,
-            Arc::clone(&self.config.observer),
-        ))
-    }
-
     /// Fits every base estimator (Algorithm 1, lines 3–16) and trains the
     /// PSA approximators for costly models (lines 17–24): one task per
     /// model on the work-stealing executor, and a costly model's task
@@ -164,7 +155,7 @@ impl Suod {
     pub fn fit(&mut self, x: &Matrix) -> Result<&mut Self> {
         let specs = self.config.base_estimators.clone();
         let carry = vec![None; specs.len()];
-        let cache = self.fresh_cache();
+        let cache = self.config.fresh_cache();
         self.run_fit(x, DataFingerprint::of(x), specs, carry, cache)?;
         Ok(self)
     }
@@ -214,8 +205,8 @@ impl Suod {
             ));
         }
         // The retained cache serves graphs over feature spaces it has
-        // already seen; after a snapshot load there is none to retain.
-        let cache = warm.cache.clone().unwrap_or_else(|| self.fresh_cache());
+        // already seen; a loaded pool's starts empty.
+        let cache = Arc::clone(&warm.cache);
         let carry = specs
             .iter()
             .enumerate()
@@ -556,7 +547,7 @@ impl Suod {
         // Retain the neighbour cache + data identity so a warm refit on
         // the same matrix can reuse proximity graphs and survivor models.
         let warm = WarmContext {
-            cache: Some(cache),
+            cache,
             train_fingerprint,
         };
         self.commit(specs, Some((state, warm)), diagnostics);

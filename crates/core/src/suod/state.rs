@@ -217,9 +217,9 @@ impl FittedState {
 /// the shared neighbour cache (proximity graphs keyed by feature space)
 /// and the fingerprint that gates reuse to an identical dataset.
 pub(crate) struct WarmContext {
-    /// Neighbour cache from the fit, `None` after a snapshot load (graphs
+    /// Neighbour cache from the fit; empty after a snapshot load (graphs
     /// are not persisted — they rebuild on the first warm refit).
-    pub(crate) cache: Option<Arc<NeighborCache>>,
+    pub(crate) cache: Arc<NeighborCache>,
     /// Fingerprint of the training matrix the fitted state came from.
     pub(crate) train_fingerprint: DataFingerprint,
 }

@@ -13,7 +13,8 @@
 //! the PyOD convention used across this workspace.
 
 use crate::{
-    check_scoring_input, query_then_score, validate_finite, Detector, Error, FitContext, Result,
+    check_scoring_input, finite_training_scores, query_then_score, validate_finite, Detector,
+    Error, FitContext, Result,
 };
 use std::sync::Arc;
 use suod_linalg::distance::Neighbor;
@@ -121,11 +122,13 @@ impl Detector for AbodDetector {
         // otherwise.
         let k = self.k.min(x.nrows() - 1);
         let (index, neighbors) = ctx.self_neighbors(x, DistanceMetric::Euclidean, k)?;
-        let train_scores = neighbors
-            .iter()
-            .enumerate()
-            .map(|(i, nn)| Self::score_one(&index, x.row(i), nn))
-            .collect();
+        let train_scores = finite_training_scores(
+            neighbors
+                .iter()
+                .enumerate()
+                .map(|(i, nn)| Self::score_one(&index, x.row(i), nn))
+                .collect(),
+        )?;
         self.index = Some(index);
         Ok(train_scores)
     }
@@ -188,6 +191,14 @@ impl AbodDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overflowing_rows_are_degenerate() {
+        let mut det = AbodDetector::new(5).unwrap();
+        let err = det.fit(&crate::overflowing_rows()).unwrap_err();
+        assert!(matches!(err, Error::DegenerateData(_)), "{err:?}");
+        assert!(!det.is_fitted());
+    }
 
     fn ring_with_outlier() -> Matrix {
         // Points on a circle (inliers see wide angles) plus a far outlier.

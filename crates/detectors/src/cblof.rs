@@ -10,7 +10,7 @@
 //! center — small clusters are treated as candidate outlier groups.
 
 use crate::kmeans::KMeans;
-use crate::{check_dims, Detector, Error, Result};
+use crate::{check_dims, finite_training_scores, Detector, Error, Result};
 use suod_linalg::Matrix;
 
 /// CBLOF detector.
@@ -128,12 +128,11 @@ impl CblofDetector {
         large
     }
 
-    fn score_row(&self, row: &[f64], cluster: usize) -> f64 {
-        let km = self.kmeans.as_ref().expect("called after fit");
-        if self.large_clusters.contains(&cluster) {
+    fn score_row(km: &KMeans, large_clusters: &[usize], row: &[f64], cluster: usize) -> f64 {
+        if large_clusters.contains(&cluster) {
             km.distance_to_center(row, cluster)
         } else {
-            self.large_clusters
+            large_clusters
                 .iter()
                 .map(|&c| km.distance_to_center(row, c))
                 .fold(f64::INFINITY, f64::min)
@@ -150,13 +149,16 @@ impl Detector for CblofDetector {
             });
         }
         let km = KMeans::fit(x, self.n_clusters, self.seed, 100)?;
-        self.large_clusters =
+        let large_clusters =
             Self::find_large_clusters(km.sizes(), x.nrows(), self.alpha, self.beta);
+        let scores = finite_training_scores(
+            (0..x.nrows())
+                .map(|i| Self::score_row(&km, &large_clusters, x.row(i), km.assignments()[i]))
+                .collect(),
+        )?;
+        self.large_clusters = large_clusters;
         self.kmeans = Some(km);
-        let km = self.kmeans.as_ref().expect("just set");
-        Ok((0..x.nrows())
-            .map(|i| self.score_row(x.row(i), km.assignments()[i]))
-            .collect())
+        Ok(scores)
     }
 
     fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>> {
@@ -166,7 +168,7 @@ impl Detector for CblofDetector {
             .ok_or(Error::NotFitted("CblofDetector"))?;
         check_dims(km.centers().ncols(), x)?;
         Ok(x.rows_iter()
-            .map(|row| self.score_row(row, km.assign(row)))
+            .map(|row| Self::score_row(km, &self.large_clusters, row, km.assign(row)))
             .collect())
     }
 
@@ -230,6 +232,14 @@ impl CblofDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overflowing_rows_are_degenerate() {
+        let mut det = CblofDetector::new(4, 3).unwrap();
+        let err = det.fit(&crate::overflowing_rows()).unwrap_err();
+        assert!(matches!(err, Error::DegenerateData(_)), "{err:?}");
+        assert!(!det.is_fitted());
+    }
 
     fn blob_with_outlier_group() -> Matrix {
         let mut rows = Vec::new();

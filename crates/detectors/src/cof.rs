@@ -12,7 +12,10 @@
 //! COF(p) = ac_dist(p) / mean_{o in N_k(p)} ac_dist(o)
 //! ```
 
-use crate::{check_scoring_input, query_then_score, Detector, Error, FitContext, Result};
+use crate::{
+    check_scoring_input, finite_training_scores, query_then_score, Detector, Error, FitContext,
+    Result,
+};
 use std::sync::Arc;
 use suod_linalg::distance::Neighbor;
 use suod_linalg::{DistanceMetric, KnnIndex, Matrix};
@@ -175,6 +178,7 @@ impl Detector for CofDetector {
                 }
             })
             .collect();
+        let train_scores = finite_training_scores(train_scores)?;
         self.ac_dist = ac_dist;
         self.index = Some(index);
         Ok(train_scores)
@@ -237,6 +241,14 @@ impl CofDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overflowing_rows_are_degenerate() {
+        let mut det = CofDetector::new(5).unwrap();
+        let err = det.fit(&crate::overflowing_rows()).unwrap_err();
+        assert!(matches!(err, Error::DegenerateData(_)), "{err:?}");
+        assert!(!det.is_fitted());
+    }
 
     /// Points along a line with one pattern-breaking point above it —
     /// the scenario COF was designed for (density alone barely separates

@@ -113,9 +113,8 @@ impl Detector for HbosDetector {
         }
         let mut histograms = Binned::new(x.ncols(), rule(self.tolerance));
         let mut train_scores = vec![SUM_START; x.nrows()];
-        for c in 0..x.ncols() {
-            histograms.fit_view(x, &[(c, 1.0)], self.n_bins, &mut train_scores)?;
-        }
+        let views: Vec<Vec<(usize, f64)>> = (0..x.ncols()).map(|c| vec![(c, 1.0)]).collect();
+        histograms.fit_views(x, &views, self.n_bins, &mut train_scores)?;
         self.histograms = histograms;
         Ok(train_scores)
     }

@@ -348,7 +348,7 @@ impl Detector for IsolationForest {
             let span = self.forest.tree_span(t);
             w.write_usize(span.len());
             for i in span.clone() {
-                let node = self.forest.nodes()[i];
+                let node = self.forest.node(i);
                 let id = self.records.ids[i];
                 if node.is_leaf() {
                     w.write_u8(0);

@@ -6,7 +6,10 @@
 //! `{largest, mean, median}`; "average kNN" (akNN, §4.2) is exactly
 //! `method = mean`.
 
-use crate::{check_scoring_input, query_then_score, Detector, Error, FitContext, Result};
+use crate::{
+    check_scoring_input, finite_training_scores, query_then_score, Detector, Error, FitContext,
+    Result,
+};
 use std::sync::Arc;
 use suod_linalg::distance::Neighbor;
 use suod_linalg::{DistanceMetric, KnnIndex, Matrix};
@@ -150,13 +153,15 @@ impl Detector for KnnDetector {
         // neighbour); served as a prefix of the pool-shared neighbour
         // graph when `ctx` carries a cache, swept directly otherwise.
         let (index, neighbors) = ctx.self_neighbors(x, self.metric, self.k)?;
-        let train_scores = neighbors
-            .iter()
-            .map(|nn| {
-                let d: Vec<f64> = nn.iter().map(|n| n.distance).collect();
-                self.method.aggregate(&d)
-            })
-            .collect();
+        let train_scores = finite_training_scores(
+            neighbors
+                .iter()
+                .map(|nn| {
+                    let d: Vec<f64> = nn.iter().map(|n| n.distance).collect();
+                    self.method.aggregate(&d)
+                })
+                .collect(),
+        )?;
         self.index = Some(index);
         Ok(train_scores)
     }
@@ -210,6 +215,16 @@ impl Detector for KnnDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overflowing_rows_are_degenerate() {
+        for method in [KnnMethod::Largest, KnnMethod::Mean, KnnMethod::Median] {
+            let mut det = KnnDetector::new(5, method).unwrap();
+            let err = det.fit(&crate::overflowing_rows()).unwrap_err();
+            assert!(matches!(err, Error::DegenerateData(_)), "{err:?}");
+            assert!(!det.is_fitted());
+        }
+    }
 
     fn cluster_with_outlier() -> Matrix {
         Matrix::from_rows(&[

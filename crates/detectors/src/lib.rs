@@ -657,6 +657,30 @@ pub fn validate_finite(x: &Matrix, boundary: &'static str) -> Result<()> {
     }
 }
 
+/// A fit's training scores, or [`Error::DegenerateData`] when one is not
+/// finite: the fit's arithmetic overflowed (squared distances of rows near
+/// `1e200` pass `f64::MAX`), so its scores rank nothing. The message is
+/// the one a pool gives a model whose fit returned such scores.
+pub(crate) fn finite_training_scores(scores: Vec<f64>) -> Result<Vec<f64>> {
+    if scores.iter().all(|v| v.is_finite()) {
+        Ok(scores)
+    } else {
+        Err(Error::DegenerateData(
+            "model produced non-finite training scores".into(),
+        ))
+    }
+}
+
+/// 200 rows of three columns whose values reach `±1e200`, so squared
+/// distances between them overflow.
+#[cfg(test)]
+pub(crate) fn overflowing_rows() -> Matrix {
+    let cells = (0..200 * 3)
+        .map(|i| ((i * 37 % 101) as f64 - 50.0) * 2e198)
+        .collect();
+    Matrix::from_vec(200, 3, cells).expect("200 x 3")
+}
+
 /// The standalone form of a proximity detector's `decision_function`:
 /// its own [`Detector::neighbor_query`], then
 /// [`Detector::score_from_neighbors`] on the answer.

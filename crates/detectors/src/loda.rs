@@ -140,20 +140,24 @@ impl Detector for LodaDetector {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let nnz = ((d as f64).sqrt().ceil() as usize).clamp(1, d);
         let mut members = Binned::new(d, rule());
+        // Sparse directions: sqrt(d) Gaussian weights on drawn features,
+        // kept in ascending feature order. Fitting draws nothing, so all
+        // are drawn first.
+        let directions: Vec<Vec<(usize, f64)>> = (0..self.n_members)
+            .map(|_| {
+                let mut pool: Vec<usize> = (0..d).collect();
+                for i in 0..nnz {
+                    let j = rng.random_range(i..d);
+                    pool.swap(i, j);
+                }
+                let mut weights: Vec<(usize, f64)> =
+                    pool[..nnz].iter().map(|&f| (f, randn(&mut rng))).collect();
+                weights.sort_unstable_by_key(|&(f, _)| f);
+                weights
+            })
+            .collect();
         let mut sums = vec![0.0; n];
-        for _ in 0..self.n_members {
-            // Sparse direction: sqrt(d) Gaussian weights on drawn features,
-            // kept in ascending feature order.
-            let mut pool: Vec<usize> = (0..d).collect();
-            for i in 0..nnz {
-                let j = rng.random_range(i..d);
-                pool.swap(i, j);
-            }
-            let mut weights: Vec<(usize, f64)> =
-                pool[..nnz].iter().map(|&f| (f, randn(&mut rng))).collect();
-            weights.sort_unstable_by_key(|&(f, _)| f);
-            members.fit_view(x, &weights, self.n_bins, &mut sums)?;
-        }
+        members.fit_views(x, &directions, self.n_bins, &mut sums)?;
         self.members = members;
         Ok(self.mean(sums))
     }

@@ -124,7 +124,7 @@ impl DecisionTreeRegressor {
 
     /// Number of nodes in the fitted tree.
     pub fn node_count(&self) -> usize {
-        self.forest.nodes().len()
+        self.forest.n_nodes()
     }
 }
 
@@ -407,7 +407,7 @@ pub(crate) fn write_tree_record(
     let span = tree.map_or(0..0, |t| forest.tree_span(t));
     w.write_usize(span.len());
     for i in span.clone() {
-        let node = forest.nodes()[i];
+        let node = forest.node(i);
         if node.is_leaf() {
             w.write_u8(0);
             w.write_f64(node.value());
