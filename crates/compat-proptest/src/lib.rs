@@ -319,7 +319,8 @@ macro_rules! prop_assume {
 }
 
 /// Declares property tests: each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running `cases` generated inputs (no shrinking).
+/// runs `cases` generated inputs (no shrinking). As in upstream proptest,
+/// the macro adds no `#[test]`; each property carries its own.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -341,7 +342,6 @@ macro_rules! __proptest_impl {
         fn $name:ident($($pat:pat in $strat:expr),* $(,)?) $body:block
     )*) => {$(
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::test_runner::Config = $cfg;
             for case in 0..config.cases {
@@ -352,10 +352,26 @@ macro_rules! __proptest_impl {
                     $body
                     Ok(())
                 };
-                let _ = case_fn();
+                if let Err(panic) = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(
+                    || { let _ = case_fn(); },
+                )) {
+                    $crate::__case_failed(stringify!($name), case, panic);
+                }
             }
         }
     )*};
+}
+
+/// Re-panics with a failed case's property name and index in front of
+/// the case's own panic message.
+#[doc(hidden)]
+pub fn __case_failed(property: &str, case: u32, panic: Box<dyn std::any::Any + Send>) -> ! {
+    let message = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(a panic without a message)");
+    panic!("property `{property}` failed at case {case}: {message}")
 }
 
 #[cfg(test)]
@@ -369,28 +385,43 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
+        #[test]
         fn ranges_in_bounds(n in 3usize..10, x in -2.0f64..2.0) {
             prop_assert!((3..10).contains(&n));
             prop_assert!((-2.0..2.0).contains(&x));
         }
 
+        #[test]
         fn vec_lengths(v in crate::collection::vec(-1.0f64..1.0, 2..6)) {
             prop_assert!((2..6).contains(&v.len()));
             prop_assert!(v.iter().all(|x| (-1.0..1.0).contains(x)));
         }
 
+        #[test]
         fn flat_map_composes((n, x) in pair()) {
             prop_assert!((1..9).contains(&n));
             prop_assert!(x.abs() <= 1.0);
         }
 
+        #[test]
         fn assume_skips(n in 0usize..10) {
             prop_assume!(n % 2 == 0);
             prop_assert_eq!(n % 2, 0);
         }
 
+        #[test]
         fn bools_vary(b in crate::bool::ANY) {
             let _ = b;
+        }
+
+        #[test]
+        #[should_panic(expected = "property `fails_at_case_three` failed at case 3: case 3 failed")]
+        fn fails_at_case_three(n in 0usize..10) {
+            use std::sync::atomic::{AtomicU32, Ordering};
+            static CASES: AtomicU32 = AtomicU32::new(0);
+            let case = CASES.fetch_add(1, Ordering::Relaxed);
+            prop_assert!(n < 10);
+            prop_assert!(case < 3, "case {case} failed");
         }
     }
 }

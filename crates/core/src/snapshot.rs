@@ -110,7 +110,7 @@ use suod_linalg::{DataFingerprint, SnapshotReader, SnapshotWriter};
 use suod_observe::{payload_signature, Counter, SpanAttrs, Stage};
 use suod_projection::{JlProjector, JlVariant, Projector};
 use suod_scheduler::{ExecutionReport, WorkStealingExecutor};
-use suod_supervised::{read_regressor, write_regressor};
+use suod_supervised::RandomForestRegressor;
 
 /// Leading magic bytes of every `suod-pool` snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SUODPOOL";
@@ -212,6 +212,8 @@ fn read_config(r: &mut SnapshotReader<'_>) -> Result<SuodBuilder> {
 /// Scorer tags of a model record (`suod-pool/3` and later).
 const SCORER_DETECTOR: u8 = 0;
 const SCORER_APPROXIMATOR: u8 = 1;
+/// The name an approximator record starts with.
+const APPROXIMATOR_NAME: &str = "random_forest";
 
 fn write_model(model: &FittedModel, w: &mut SnapshotWriter) -> Result<()> {
     w.write_usize(model.pool_index);
@@ -223,7 +225,7 @@ fn write_model(model: &FittedModel, w: &mut SnapshotWriter) -> Result<()> {
         }
         Scorer::Approximator(approximator) => {
             w.write_u8(SCORER_APPROXIMATOR);
-            write_regressor(approximator.as_ref(), w)?;
+            write_approximator(approximator, w);
         }
     }
     match &model.projector {
@@ -246,7 +248,7 @@ fn read_model(r: &mut SnapshotReader<'_>, n_threads: usize) -> Result<FittedMode
     } else {
         let scorer = match r.read_u8()? {
             SCORER_DETECTOR => Scorer::Detector(read_detector(r, n_threads)?),
-            SCORER_APPROXIMATOR => Scorer::Approximator(read_regressor(r)?),
+            SCORER_APPROXIMATOR => Scorer::Approximator(read_approximator(r)?),
             other => return Err(corrupt(&format!("unknown scorer tag {other}"))),
         };
         (scorer, read_projector(r)?)
@@ -259,6 +261,37 @@ fn read_model(r: &mut SnapshotReader<'_>, n_threads: usize) -> Result<FittedMode
         train_scores: r.read_f64s()?,
         fit_time: Duration::from_nanos(r.read_u64()?),
     })
+}
+
+/// Writes a PSA forest as its record: the name `"random_forest"`, then
+/// the forest's state as a length-prefixed body.
+fn write_approximator(forest: &RandomForestRegressor, w: &mut SnapshotWriter) {
+    w.write_str(APPROXIMATOR_NAME);
+    let mut body = SnapshotWriter::new();
+    forest.snapshot_write(&mut body);
+    w.write_bytes(body.as_bytes());
+}
+
+/// Reads a record written by [`write_approximator`]. A record of another
+/// name — a retired `"ridge"` or `"knn_regressor"`, a lone
+/// `"decision_tree"` — is refused by that name.
+fn read_approximator(r: &mut SnapshotReader<'_>) -> Result<RandomForestRegressor> {
+    let name = r.read_str()?;
+    if name != APPROXIMATOR_NAME {
+        return Err(corrupt(&format!(
+            "approximator {name:?} is not a {APPROXIMATOR_NAME}; ridge and k-NN were retired"
+        )));
+    }
+    let body = r.read_bytes()?;
+    let mut body = r.nested(body);
+    let forest = RandomForestRegressor::snapshot_read(&mut body)?;
+    if !body.is_exhausted() {
+        return Err(corrupt(&format!(
+            "approximator left {} trailing bytes",
+            body.remaining()
+        )));
+    }
+    Ok(forest)
 }
 
 fn read_projector(r: &mut SnapshotReader<'_>) -> Result<Option<JlProjector>> {
@@ -281,7 +314,7 @@ fn read_v2_scorer(
     let detector = read_detector(r, n_threads)?;
     let projector = read_projector(r)?;
     let scorer = if r.read_bool()? {
-        Scorer::Approximator(read_regressor(r)?)
+        Scorer::Approximator(read_approximator(r)?)
     } else {
         Scorer::Detector(detector)
     };

@@ -109,7 +109,9 @@ impl SuodBuilder {
         self
     }
 
-    /// Chooses the approximation regressor (default: random forest).
+    /// Sizes the random forest PSA distils costly models into (default:
+    /// 50 trees, depth at most 12). [`build`](Self::build) rejects a
+    /// forest of 0 trees.
     pub fn approximator(mut self, spec: ApproxSpec) -> Self {
         self.approx_spec = spec;
         self
@@ -226,8 +228,8 @@ impl SuodBuilder {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for an empty pool, a projection
-    /// fraction outside `(0, 1]`, `n_workers == 0`, a negative BPS alpha,
-    /// or contamination outside `(0, 0.5]`.
+    /// fraction outside `(0, 1]`, `n_workers == 0`, a PSA forest of 0
+    /// trees, a negative BPS alpha, or contamination outside `(0, 0.5]`.
     pub fn build(self) -> Result<Suod> {
         if self.base_estimators.is_empty() {
             return Err(Error::InvalidConfig(
@@ -242,6 +244,12 @@ impl SuodBuilder {
         }
         if self.n_workers == 0 {
             return Err(Error::InvalidConfig("n_workers must be >= 1".into()));
+        }
+        let ApproxSpec::RandomForest { n_estimators, .. } = self.approx_spec;
+        if n_estimators == 0 {
+            return Err(Error::InvalidConfig(
+                "approximator n_estimators must be >= 1".into(),
+            ));
         }
         if self.bps_alpha.is_nan() || self.bps_alpha < 0.0 {
             return Err(Error::InvalidConfig(format!(
@@ -319,6 +327,30 @@ mod tests {
             .bps_alpha(-1.0)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn a_forest_of_no_trees_is_rejected() {
+        // The forest would clamp 0 trees to 1, while the fit forecast and
+        // the saved config recorded 0.
+        let zero = ApproxSpec::RandomForest {
+            n_estimators: 0,
+            max_depth: 4,
+        };
+        let err = Suod::builder()
+            .base_estimators(small_pool())
+            .approximator(zero)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+        assert!(Suod::builder()
+            .base_estimators(small_pool())
+            .approximator(ApproxSpec::RandomForest {
+                n_estimators: 1,
+                max_depth: 4,
+            })
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -664,10 +664,9 @@ impl Suod {
             }
             _ => false,
         };
-        let forest = match self.distills(spec) {
-            true => self.config.approx_spec.distill_forest(space_features),
-            false => None,
-        };
+        let forest = self
+            .distills(spec)
+            .then(|| self.config.approx_spec.distill_forest(space_features));
         spec.task_descriptor()
             .with_cached_neighbors(cached)
             .with_approx_neighbors(approx)
@@ -1134,31 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn an_approximator_that_cannot_be_trained_fails_the_fit_and_keeps_the_previous_pool() {
-        use crate::ApproxSpec;
-        // No costly model, so the unusable approximator is never built.
-        let cheap = vec![small_pool()[2], small_pool()[3]];
-        let mut clf = Suod::builder()
-            .base_estimators(cheap.clone())
-            .approximator(ApproxSpec::Ridge { lambda: -1.0 })
-            .min_healthy_fraction(0.1)
-            .n_workers(2)
-            .build()
-            .unwrap();
-        let x = data();
-        clf.fit(&x).unwrap();
-        let before = clf.decision_function(&x).unwrap();
-        // A costly model joins: its task fits the detector, then fails to
-        // distill — fatal, not a quarantine, whatever the health floor.
-        let err = clf.warm_refit(&x, small_pool()).unwrap_err();
-        assert!(matches!(err, Error::Approximation(_)), "{err}");
-        assert_eq!(clf.config.base_estimators, cheap);
-        assert_eq!(clf.diagnostics().unwrap().models().len(), 2);
-        let after = clf.decision_function(&x).unwrap();
-        assert_eq!(before.as_slice(), after.as_slice());
-    }
-
-    #[test]
     fn only_a_distilled_model_is_forecast_a_forest() {
         use crate::ApproxSpec;
         let spec_of =
@@ -1169,7 +1143,6 @@ mod tests {
         };
         let on = spec_of(Suod::builder().approximator(approx));
         let off = spec_of(Suod::builder().with_approximation(false));
-        let ridge = spec_of(Suod::builder().approximator(ApproxSpec::Ridge { lambda: 1.0 }));
         for (i, spec) in small_pool().iter().enumerate() {
             let forest = on.fit_descriptor(spec, false, 62, 3).distill;
             // kNN and LOF are costly; HBOS and iForest serve themselves.
@@ -1180,11 +1153,10 @@ mod tests {
                     (7, 3, 3)
                 );
             }
-            // PSA off, or an approximator that is no forest: the task is
-            // described exactly as before distillation joined it.
+            // PSA off: the task is described exactly as before
+            // distillation joined it.
             let plain = spec.task_descriptor();
             assert_eq!(off.fit_descriptor(spec, false, 62, 3), plain);
-            assert_eq!(ridge.fit_descriptor(spec, false, 62, 3), plain);
         }
     }
 

@@ -16,6 +16,7 @@ use suod_scheduler::{
     bps_schedule, generic_schedule, shared_query_costs, simulate_makespan, DatasetMeta,
     ExecutionReport, SimulationResult, TaskFailure,
 };
+use suod_supervised::Regressor;
 
 /// Row-chunk width for the (unit x row-chunk) prediction task split.
 /// Fixed (never derived from the worker count) so the task decomposition
@@ -566,7 +567,7 @@ impl Suod {
             else {
                 continue;
             };
-            if let Some(imp) = approximator.feature_importances() {
+            if let Ok(imp) = approximator.feature_importances() {
                 for (a, v) in acc.iter_mut().zip(imp) {
                     *a += v;
                 }

@@ -9,15 +9,15 @@ use std::time::Duration;
 use suod_detectors::Detector;
 use suod_linalg::{DataFingerprint, KnnIndex, Matrix, NeighborCache};
 use suod_projection::JlProjector;
-use suod_supervised::Regressor;
+use suod_supervised::RandomForestRegressor;
 
 /// What scores a model's rows at prediction time: its fitted detector,
-/// or — for a costly model under PSA (paper §3.4) — the regressor
+/// or — for a costly model under PSA (paper §3.4) — the random forest
 /// distilled from it, which replaces it. Never both: a costly model's
 /// fit task drops its detector before it distils.
 pub(crate) enum Scorer {
     Detector(Box<dyn Detector>),
-    Approximator(Box<dyn Regressor>),
+    Approximator(RandomForestRegressor),
 }
 
 pub(crate) struct FittedModel {

@@ -214,16 +214,14 @@ impl Regressor for RandomForestRegressor {
         }
         Ok(sums)
     }
+}
 
-    fn name(&self) -> &'static str {
-        "random_forest"
-    }
-
-    fn feature_importances(&self) -> Option<Vec<f64>> {
-        RandomForestRegressor::feature_importances(self).ok()
-    }
-
-    fn snapshot_write(&self, w: &mut SnapshotWriter) -> Result<()> {
+impl RandomForestRegressor {
+    /// Appends the forest's full state (parameters and every tree) to a
+    /// snapshot body, each field in a fixed order, so that save → load →
+    /// save is byte-identical. [`snapshot_read`](Self::snapshot_read)
+    /// reads it back.
+    pub fn snapshot_write(&self, w: &mut SnapshotWriter) {
         w.write_usize(self.n_estimators);
         tree::write_tree_params(&self.tree_params, w);
         match self.max_features_fraction {
@@ -240,12 +238,9 @@ impl Regressor for RandomForestRegressor {
             tree::write_tree_record(w, member, &self.forest, Some(t));
         }
         w.write_usize(self.forest.n_features());
-        Ok(())
     }
-}
 
-impl RandomForestRegressor {
-    /// Reads a forest written by [`Regressor::snapshot_write`].
+    /// Reads a forest written by [`snapshot_write`](Self::snapshot_write).
     ///
     /// # Errors
     ///
@@ -387,7 +382,7 @@ mod tests {
 
     fn tree_bytes(tree: &DecisionTreeRegressor) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        tree.snapshot_write(&mut w).unwrap();
+        tree.snapshot_write(&mut w);
         w.into_bytes()
     }
 
@@ -442,7 +437,7 @@ mod tests {
             }
 
             let mut w = SnapshotWriter::new();
-            forest.snapshot_write(&mut w).unwrap();
+            forest.snapshot_write(&mut w);
             let loaded = RandomForestRegressor::snapshot_read(&mut SnapshotReader::new(w.as_bytes()))
                 .unwrap();
             let loaded_tree = DecisionTreeRegressor::snapshot_read(
@@ -513,13 +508,16 @@ mod tests {
     /// and predicts two all-zero rows on another thread; whatever comes
     /// back within the deadline. A hang or a panic is a failure.
     fn load_and_predict(name: &'static str, body: Vec<u8>) -> Result<Vec<f64>> {
-        let mut w = SnapshotWriter::new();
-        w.write_str(name);
-        w.write_bytes(&body);
         let (tx, rx) = std::sync::mpsc::channel();
         let worker = std::thread::spawn(move || {
-            let predicted = crate::read_regressor(&mut SnapshotReader::new(w.as_bytes()))
-                .and_then(|model| model.predict(&Matrix::zeros(2, 2)));
+            let r = &mut SnapshotReader::new(&body);
+            let rows = Matrix::zeros(2, 2);
+            let predicted = match name {
+                "decision_tree" => {
+                    DecisionTreeRegressor::snapshot_read(r).and_then(|tree| tree.predict(&rows))
+                }
+                _ => RandomForestRegressor::snapshot_read(r).and_then(|rf| rf.predict(&rows)),
+            };
             let _ = tx.send(predicted);
         });
         // A hung walk cannot be joined; it is left behind when this fails.

@@ -12,9 +12,9 @@
 //! * **Balanced Parallel Scheduling** (paper §3.5) forecasts model cost
 //!   with a random forest regressor over dataset meta-features.
 //!
-//! [`DecisionTreeRegressor`] is the CART building block; [`Ridge`] and
-//! [`KnnRegressor`] are additional approximators used in the ablation
-//! studies.
+//! [`DecisionTreeRegressor`] is the CART building block. The forest and
+//! the tree carry their own snapshot codecs (`snapshot_write` and
+//! `snapshot_read`); the pool snapshot frames a PSA forest's record.
 //!
 //! # Example
 //!
@@ -34,22 +34,18 @@
 //! ```
 
 pub mod forest;
-pub mod knn_regressor;
 pub mod presorted;
-pub mod ridge;
 pub mod tree;
 
 #[cfg(test)]
 mod tie_heavy;
 
 pub use forest::RandomForestRegressor;
-pub use knn_regressor::KnnRegressor;
 pub use presorted::PresortedSpace;
-pub use ridge::Ridge;
 pub use tree::{DecisionTreeRegressor, TreeParams};
 
 use std::fmt;
-use suod_linalg::{Matrix, SnapshotReader, SnapshotWriter};
+use suod_linalg::Matrix;
 
 /// Errors produced by supervised model training and prediction.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,8 +107,8 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// A trainable regression model mapping feature rows to scalar targets.
 ///
-/// All regressors in this crate are [`Send`] so the scheduler can move
-/// them across worker threads.
+/// Regressors are [`Send`] and [`Sync`] so the scheduler can move them
+/// across worker threads.
 pub trait Regressor: Send + Sync {
     /// Fits the model to `(x, y)` pairs.
     ///
@@ -129,97 +125,12 @@ pub trait Regressor: Send + Sync {
     /// # Errors
     ///
     /// Returns [`Error::NotFitted`] before `fit` and
-    /// [`Error::ShapeMismatch`]-like failures on dimension mismatch.
+    /// [`Error::InvalidParameter`] when `x` is not as wide as the
+    /// training rows.
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>>;
-
-    /// Short human-readable model name for logs and reports.
-    fn name(&self) -> &'static str;
-
-    /// Per-feature importances normalized to sum to 1, when the model can
-    /// provide them (tree ensembles do; linear/instance models return
-    /// `None`). This surfaces the interpretability benefit the paper
-    /// highlights for pseudo-supervised approximation (§3.4, Remark 1).
-    fn feature_importances(&self) -> Option<Vec<f64>> {
-        None
-    }
-
-    /// Appends the regressor's full state (parameters + fitted model) to
-    /// a `suod-pool` snapshot body.
-    ///
-    /// Implementations write every field in a fixed order so that
-    /// save → load → save is byte-identical; the matching reader is the
-    /// type's `snapshot_read` associated function, dispatched by
-    /// [`read_regressor`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] when the regressor does not
-    /// support snapshots.
-    fn snapshot_write(&self, w: &mut SnapshotWriter) -> Result<()> {
-        let _ = w;
-        Err(Error::InvalidParameter(format!(
-            "{} does not support snapshots",
-            self.name()
-        )))
-    }
 }
 
-/// Writes `model` as a dispatchable snapshot record: name string followed
-/// by a length-prefixed state body (mirror of the detectors-crate record).
-///
-/// # Errors
-///
-/// Propagates the regressor's [`Regressor::snapshot_write`] failure.
-pub fn write_regressor(model: &dyn Regressor, w: &mut SnapshotWriter) -> Result<()> {
-    w.write_str(model.name());
-    let mut body = SnapshotWriter::new();
-    model.snapshot_write(&mut body)?;
-    w.write_bytes(body.as_bytes());
-    Ok(())
-}
-
-/// Reads a regressor record written by [`write_regressor`], dispatching
-/// on the stored name.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] for unknown names, truncated
-/// state, or trailing bytes left by a mismatched reader.
-pub fn read_regressor(r: &mut SnapshotReader<'_>) -> Result<Box<dyn Regressor>> {
-    let name = r.read_str()?;
-    let body = r.read_bytes()?;
-    // Nested, not new: a kNN regressor's index record is read under the
-    // file's format version.
-    let mut br = r.nested(body);
-    let model: Box<dyn Regressor> = match name.as_str() {
-        "random_forest" => Box::new(RandomForestRegressor::snapshot_read(&mut br)?),
-        "decision_tree" => Box::new(DecisionTreeRegressor::snapshot_read(&mut br)?),
-        "ridge" => Box::new(Ridge::snapshot_read(&mut br)?),
-        "knn_regressor" => Box::new(KnnRegressor::snapshot_read(&mut br)?),
-        other => {
-            return Err(Error::InvalidParameter(format!(
-                "snapshot: unknown regressor name {other:?}"
-            )))
-        }
-    };
-    if !br.is_exhausted() {
-        return Err(Error::InvalidParameter(format!(
-            "snapshot: regressor {name:?} left {} trailing bytes",
-            br.remaining()
-        )));
-    }
-    Ok(model)
-}
-
-pub(crate) fn check_fit_inputs(x: &Matrix, y: &[f64]) -> Result<()> {
-    if x.nrows() == 0 {
-        return Err(Error::EmptyInput("Regressor::fit"));
-    }
-    check_finite(x.as_slice(), "features")?;
-    check_targets(x.nrows(), y)
-}
-
-/// The target half of [`check_fit_inputs`], for `rows` training rows.
+/// Checks that `y` holds one finite target per training row.
 pub(crate) fn check_targets(rows: usize, y: &[f64]) -> Result<()> {
     if rows != y.len() {
         return Err(Error::ShapeMismatch {
@@ -246,28 +157,24 @@ mod tests {
     fn every_regressor_rejects_non_finite_training_data() {
         let x = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.5], vec![2.0, 0.0]]).unwrap();
         let y = [0.0, 1.0, 2.0];
-        let regressors: Vec<Box<dyn Regressor>> = vec![
-            Box::new(DecisionTreeRegressor::default()),
-            Box::new(RandomForestRegressor::new(3, 0)),
-            Box::new(Ridge::new(1e-3).unwrap()),
-            Box::new(KnnRegressor::new(1).unwrap()),
-        ];
-        for mut regressor in regressors {
+        let mut tree = DecisionTreeRegressor::default();
+        let mut forest = RandomForestRegressor::new(3, 0);
+        let regressors: [(&str, &mut dyn Regressor); 2] =
+            [("tree", &mut tree), ("forest", &mut forest)];
+        for (name, regressor) in regressors {
             for bad in [f64::NAN, f64::INFINITY] {
                 let mut bad_x = x.clone();
                 bad_x.set(1, 1, bad);
                 assert_eq!(
                     regressor.fit(&bad_x, &y).unwrap_err(),
                     Error::NonFiniteInput("features"),
-                    "{}",
-                    regressor.name()
+                    "{name}"
                 );
             }
             assert_eq!(
                 regressor.fit(&x, &[0.0, f64::NAN, 2.0]).unwrap_err(),
                 Error::NonFiniteInput("targets"),
-                "{}",
-                regressor.name()
+                "{name}"
             );
             regressor.fit(&x, &y).unwrap();
         }

@@ -340,24 +340,17 @@ impl Regressor for DecisionTreeRegressor {
         // A one-tree sum is the leaf itself, bit for bit.
         Ok(self.forest.leaf_sums(x)?)
     }
-
-    fn name(&self) -> &'static str {
-        "decision_tree"
-    }
-
-    fn feature_importances(&self) -> Option<Vec<f64>> {
-        DecisionTreeRegressor::feature_importances(self).ok()
-    }
-
-    fn snapshot_write(&self, w: &mut SnapshotWriter) -> Result<()> {
-        let tree = (self.forest.n_trees() > 0).then_some(0);
-        write_tree_record(w, &self.meta, &self.forest, tree);
-        Ok(())
-    }
 }
 
 impl DecisionTreeRegressor {
-    /// Reads a tree written by [`Regressor::snapshot_write`].
+    /// Appends the tree's full state (parameters and nodes) to a snapshot
+    /// body; [`snapshot_read`](Self::snapshot_read) reads it back.
+    pub fn snapshot_write(&self, w: &mut SnapshotWriter) {
+        let tree = (self.forest.n_trees() > 0).then_some(0);
+        write_tree_record(w, &self.meta, &self.forest, tree);
+    }
+
+    /// Reads a tree written by [`snapshot_write`](Self::snapshot_write).
     ///
     /// # Errors
     ///

@@ -302,6 +302,7 @@ proptest! {
     /// The graph a `suod-pool/2` record carries is the graph a fresh
     /// build makes — every CSR array, the entry node and the top level —
     /// and answers queries with the same bits, at any build thread count.
+    #[test]
     fn stored_graph_equals_a_fresh_build(
         n_pick in 0usize..6,
         d in 1usize..48,

@@ -101,6 +101,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    #[test]
     fn pooled_columns_equal_standalone_detectors(
         families in proptest::collection::vec(0usize..7, 2..7),
         ks in proptest::collection::vec(1usize..(N_TRAIN + 10), 7),

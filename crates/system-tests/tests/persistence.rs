@@ -1296,10 +1296,11 @@ static PROBE: alloc_probe::Probe = alloc_probe::Probe;
 /// can (scorer tag, regressor, projector, training scores). Each mutant is
 /// re-signed and loaded on another thread, which must answer within the
 /// deadline without a panic, and without one allocation larger than the
-/// file it was given. A truncation, an unknown scorer tag and an inflated
-/// training-score count must be typed errors. A bit flip may also load:
-/// one in a stored value (a score, a threshold, a weight) is a different
-/// pool, not a malformed one; a loaded mutant must then score.
+/// file it was given. A truncation, an unknown scorer tag, an inflated
+/// training-score count and an approximator of a retired kind must be
+/// typed errors. A bit flip may also load: one in a stored value (a
+/// score, a threshold, a weight) is a different pool, not a malformed
+/// one; a loaded mutant must then score.
 mod model_mutants {
     use super::graph_mutants::frame;
     use super::*;
@@ -1460,6 +1461,45 @@ mod model_mutants {
         let mut mutant = good.clone();
         mutant[tag] = 0;
         assert_typed_error(&mutant, "scorer tag 0");
+    }
+
+    /// Where `needle` starts in `haystack`, which holds it exactly once.
+    fn only_position(haystack: &[u8], needle: &[u8]) -> usize {
+        let mut at = haystack.windows(needle.len()).enumerate();
+        let first = at.find(|(_, w)| *w == needle).expect("present").0;
+        assert!(at.all(|(_, w)| w != needle), "present once");
+        first
+    }
+
+    #[test]
+    fn retired_approximator_kinds_are_typed_errors() {
+        let (_, good, record) = knn_record();
+        // The approximator record's name, renamed to a kind that no
+        // longer loads: the retired regressors, or a lone tree.
+        let mut name = SnapshotWriter::new();
+        name.write_str("random_forest");
+        let at = record.start + only_position(&good[record], name.as_bytes());
+        for kind in ["ridge", "knn_regressor", "decision_tree"] {
+            let mut renamed = SnapshotWriter::new();
+            renamed.write_str(kind);
+            let mutant = [&good[..at], renamed.as_bytes(), &good[at + name.len()..]].concat();
+            let msg = assert_typed_error(&mutant, &format!("approximator renamed {kind:?}"));
+            assert!(msg.contains(kind), "{msg}");
+        }
+        // The config's ApproxSpec tag, set to a retired kind's.
+        let mut spec = SnapshotWriter::new();
+        ApproxSpec::RandomForest {
+            n_estimators: 2,
+            max_depth: 3,
+        }
+        .snapshot_write(&mut spec);
+        let at = only_position(&good, spec.as_bytes());
+        for (tag, kind) in [(1u64, "ridge"), (2, "knn_regressor")] {
+            let mut mutant = good.clone();
+            mutant[at..at + 8].copy_from_slice(&tag.to_le_bytes());
+            let msg = assert_typed_error(&mutant, &format!("ApproxSpec tag {tag}"));
+            assert!(msg.contains(kind), "{msg}");
+        }
     }
 
     #[test]
@@ -1811,6 +1851,7 @@ proptest! {
     /// Snapshots of the two cannot be byte-equal — they carry wall-clock
     /// fit times and per-round attempt counts — so the check there is
     /// equal size, and equal scores after a reload.
+    #[test]
     fn generated_warm_refits_equal_cold_fits(
         first in proptest::collection::vec((0usize..10, 2usize..14), 3..7),
         edits in proptest::collection::vec((0usize..3, 0usize..64, 0usize..10, 2usize..14), 1..4),

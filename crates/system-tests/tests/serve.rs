@@ -574,6 +574,7 @@ fn replay_and_check(steps: Vec<Step>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    #[test]
     fn generated_traces_resolve_every_ticket_once_in_fifo_prefix_batches(
         steps in proptest::collection::vec(step(), 1..40),
     ) {
