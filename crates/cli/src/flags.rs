@@ -550,3 +550,174 @@ SCORE OPTIONS:
 "
     )
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn serve(line: &str) -> ServeArgs {
+        match parse_args(&argv(line)).unwrap() {
+            Command::Serve(s) => s,
+            other => panic!("expected serve, got {other:?}"),
+        }
+    }
+
+    fn detect(line: &str) -> DetectArgs {
+        match parse_args(&argv(line)).unwrap() {
+            Command::Detect(d) => d,
+            other => panic!("expected detect, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn listen_mode_flags_parse() {
+        let s = serve(
+            "serve --snapshot p.suod --listen 127.0.0.1:0 --max-conns 3 --front-workers 2 \
+             --idle-timeout-ms 500 --max-pipeline 4 --client-quota 5 --lane-headroom 0.75 \
+             --no-rp --no-psa --no-bps --label-column 1 --seed 3",
+        );
+        assert_eq!(s.listen.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(s.max_conns, 3);
+        assert_eq!(s.front_workers, 2);
+        assert_eq!(s.idle_timeout_ms, 500);
+        assert_eq!(s.max_pipeline, 4);
+        assert_eq!(s.client_quota, 5);
+        assert_eq!(s.lane_headroom, 0.75);
+        assert!(!s.detect.rp && !s.detect.psa && !s.detect.bps);
+        assert_eq!(s.detect.label_column, Some(1));
+        assert_eq!(s.detect.seed, 3);
+    }
+
+    #[test]
+    fn unset_serve_flags_keep_their_defaults() {
+        let s = serve("serve --dataset cardio");
+        let expected = ServeArgs {
+            detect: DetectArgs {
+                dataset: Some("cardio".into()),
+                ..DetectArgs::default()
+            },
+            ..ServeArgs::default()
+        };
+        assert_eq!(s, expected);
+    }
+
+    #[test]
+    fn pipeline_flags_parse() {
+        let d = detect(
+            "detect --csv rows.csv --label-column 2 --contamination 0.05 \
+             --output scores.csv --backend naive",
+        );
+        assert_eq!(d.csv.as_deref(), Some("rows.csv"));
+        assert_eq!(d.dataset, None);
+        assert_eq!(d.label_column, Some(2));
+        assert_eq!(d.contamination, 0.05);
+        assert_eq!(d.output.as_deref(), Some("scores.csv"));
+        assert_eq!(d.backend, DistanceBackend::Naive);
+    }
+
+    #[test]
+    fn errors_name_the_flag_and_the_value() {
+        let err = |line: &str| parse_args(&argv(line)).unwrap_err();
+        assert_eq!(
+            err("detect --dataset a --models"),
+            "flag --models needs a value"
+        );
+        assert_eq!(
+            err("detect --dataset a --models many"),
+            "cannot parse `many` for --models"
+        );
+        assert_eq!(
+            err("serve --dataset a --queue -1"),
+            "cannot parse `-1` for --queue"
+        );
+        assert_eq!(
+            err("serve --dataset a --listen"),
+            "flag --listen needs a value"
+        );
+        assert_eq!(
+            err("score --snapshot p --csv q --seed x"),
+            "cannot parse `x` for --seed"
+        );
+        assert_eq!(err("score --connect"), "flag --connect needs a value");
+        assert_eq!(
+            err("serve --dataset a --chaos slow:soon"),
+            "unknown chaos mode `slow:soon` (panic|nan|slow[:ms])"
+        );
+        assert_eq!(
+            err("frobnicate --dataset a"),
+            "unknown command `frobnicate` (see `suod-cli help`)"
+        );
+        assert_eq!(
+            err("trace --dataset a --bogus"),
+            "unknown flag `--bogus` (see `suod-cli help`)"
+        );
+    }
+
+    #[test]
+    fn ef_search_only_overrides_an_hnsw_backend() {
+        let d = detect("detect --dataset a --ef-search 9");
+        assert_eq!(d.ef_search, Some(9));
+        assert_eq!(d.kernel_config().neighbor, NeighborBackend::Exact);
+        assert_eq!(d.kernel_config(), KernelConfig::default());
+    }
+
+    #[test]
+    fn score_subsample_defaults_match_the_pipeline_defaults() {
+        // `score --dataset` must pick the rows the fit picked when neither
+        // side names a scale or a seed.
+        let Command::Score(s) = parse_args(&argv("score --snapshot p --dataset cardio")).unwrap()
+        else {
+            panic!("expected score")
+        };
+        let d = DetectArgs::default();
+        assert_eq!((s.scale, s.seed), (d.scale, d.seed));
+    }
+
+    #[test]
+    fn usage_lists_every_accepted_flag() {
+        let text = usage();
+        for flag in [
+            "--dataset",
+            "--csv",
+            "--label-column",
+            "--scale",
+            "--models",
+            "--workers",
+            "--contamination",
+            "--seed",
+            "--output",
+            "--backend",
+            "--neighbor-backend",
+            "--ef-search",
+            "--no-rp",
+            "--no-psa",
+            "--no-bps",
+            "--format",
+            "--snapshot",
+            "--queue",
+            "--batch-rows",
+            "--window-ms",
+            "--deadline-ms",
+            "--failure-budget",
+            "--min-healthy",
+            "--chaos",
+            "--requests",
+            "--rows-per-request",
+            "--listen",
+            "--max-conns",
+            "--front-workers",
+            "--idle-timeout-ms",
+            "--max-pipeline",
+            "--client-quota",
+            "--lane-headroom",
+            "--connect",
+        ] {
+            assert!(text.contains(flag), "usage does not mention {flag}");
+        }
+        assert!(text.contains(suod::SNAPSHOT_FORMAT));
+    }
+}

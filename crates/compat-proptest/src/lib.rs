@@ -424,4 +424,136 @@ mod tests {
             prop_assert!(case < 3, "case {case} failed");
         }
     }
+
+    use crate::TestRng;
+
+    #[test]
+    fn case_rngs_are_stable_and_distinct() {
+        let draws = |case| {
+            let mut rng = TestRng::for_case(case);
+            (0..4).map(|_| rng.next_u64()).collect::<Vec<_>>()
+        };
+        assert_eq!(draws(5), draws(5));
+        assert_ne!(draws(5), draws(6));
+        assert_ne!(draws(0), draws(1));
+    }
+
+    #[test]
+    fn unit_draws_stay_in_the_unit_interval() {
+        let mut rng = TestRng::for_case(3);
+        for _ in 0..1000 {
+            let v = rng.next_f64();
+            assert!((0.0..1.0).contains(&v), "{v}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample empty range")]
+    fn below_zero_panics() {
+        TestRng::for_case(0).below(0);
+    }
+
+    #[test]
+    fn integer_ranges_reach_both_ends() {
+        let mut rng = TestRng::for_case(1);
+        let inclusive: Vec<i32> = (0..400).map(|_| (-2i32..=2).generate(&mut rng)).collect();
+        assert!(inclusive.iter().all(|v| (-2..=2).contains(v)));
+        assert!(inclusive.contains(&-2) && inclusive.contains(&2));
+        let half_open: Vec<u32> = (0..400).map(|_| (7u32..10).generate(&mut rng)).collect();
+        assert!(half_open.iter().all(|v| (7..10).contains(v)));
+        assert!(half_open.contains(&7) && half_open.contains(&9));
+        // A full-width range does not overflow its span.
+        let _ = (0u64..u64::MAX).generate(&mut rng);
+        let _ = (i64::MIN..i64::MAX).generate(&mut rng);
+    }
+
+    #[test]
+    fn vec_lengths_can_be_fixed_or_inclusive() {
+        let mut rng = TestRng::for_case(2);
+        let fixed = crate::collection::vec(Just(1u8), 4);
+        assert_eq!(fixed.generate(&mut rng), vec![1; 4]);
+        let lengths: Vec<usize> = (0..200)
+            .map(|_| {
+                crate::collection::vec(0u32..5, 2..=3)
+                    .generate(&mut rng)
+                    .len()
+            })
+            .collect();
+        assert!(lengths.iter().all(|n| (2..=3).contains(n)));
+        assert!(lengths.contains(&2) && lengths.contains(&3));
+        assert!(crate::collection::vec(Just(0), 0..1)
+            .generate(&mut rng)
+            .is_empty());
+    }
+
+    #[test]
+    fn just_tuples_and_maps_compose() {
+        let mut rng = TestRng::for_case(4);
+        let strategy = (Just("a"), 0usize..1, 5i64..=5, Just(2.5)).prop_map(|(s, z, f, x)| {
+            assert_eq!((z, f), (0, 5));
+            format!("{s}{x}")
+        });
+        assert_eq!(strategy.generate(&mut rng), "a2.5");
+        let f = (1.0f64..=1.0).generate(&mut rng);
+        assert_eq!(f, 1.0);
+    }
+
+    #[test]
+    fn a_property_runs_exactly_its_configured_cases() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static RUN: AtomicU32 = AtomicU32::new(0);
+        static PASSED_ASSUME: AtomicU32 = AtomicU32::new(0);
+        // Without `#[test]` the macro registers nothing: the property is a
+        // plain function, called here.
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(7))]
+            fn counted(n in 0usize..100) {
+                RUN.fetch_add(1, Ordering::Relaxed);
+                prop_assume!(n % 2 == 0);
+                PASSED_ASSUME.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        counted();
+        assert_eq!(RUN.load(Ordering::Relaxed), 7);
+        let even = (0..7u64)
+            .filter(|&case| (0usize..100).generate(&mut TestRng::for_case(case)) % 2 == 0)
+            .count();
+        assert_eq!(PASSED_ASSUME.load(Ordering::Relaxed) as usize, even);
+    }
+
+    #[test]
+    fn the_default_config_runs_32_cases() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static RUN: AtomicU32 = AtomicU32::new(0);
+        proptest! {
+            fn counted(_b in crate::bool::ANY) {
+                RUN.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        counted();
+        assert_eq!(RUN.load(Ordering::Relaxed), 32);
+    }
+
+    #[test]
+    fn a_failed_case_keeps_any_panic_message() {
+        let message = |payload: Box<dyn std::any::Any + Send>| {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                crate::__case_failed("p", 4, payload)
+            }))
+            .unwrap_err();
+            caught.downcast_ref::<String>().cloned().unwrap()
+        };
+        assert_eq!(
+            message(Box::new("static text")),
+            "property `p` failed at case 4: static text"
+        );
+        assert_eq!(
+            message(Box::new(String::from("formatted 9"))),
+            "property `p` failed at case 4: formatted 9"
+        );
+        assert_eq!(
+            message(Box::new(42u8)),
+            "property `p` failed at case 4: (a panic without a message)"
+        );
+    }
 }

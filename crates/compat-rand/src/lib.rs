@@ -243,4 +243,65 @@ mod tests {
         let mean: f64 = (0..n).map(|_| rng.random::<f64>()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
     }
+
+    #[test]
+    fn random_bool_follows_p() {
+        let mut rng = StdRng::seed_from_u64(4);
+        assert!((0..1000).all(|_| !rng.random_bool(0.0)));
+        assert!((0..1000).all(|_| rng.random_bool(1.0)));
+        let hits = (0..20_000).filter(|_| rng.random_bool(0.3)).count();
+        assert!((hits as f64 / 20_000.0 - 0.3).abs() < 0.02, "{hits}");
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample empty range")]
+    fn empty_integer_range_panics() {
+        StdRng::seed_from_u64(5).random_range(5usize..5);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample empty range")]
+    fn empty_float_range_panics() {
+        StdRng::seed_from_u64(6).random_range(1.0f64..1.0);
+    }
+
+    #[test]
+    fn inclusive_ranges_reach_both_ends() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let draws: Vec<i8> = (0..4000)
+            .map(|_| rng.random_range(i8::MIN..=i8::MAX))
+            .collect();
+        assert!(draws.contains(&i8::MIN) && draws.contains(&i8::MAX));
+        let draws: Vec<u32> = (0..200).map(|_| rng.random_range(2u32..=3)).collect();
+        assert!(draws.contains(&2) && draws.contains(&3));
+        // Spans as wide as the type neither overflow nor panic.
+        let _ = rng.random_range(0u64..=u64::MAX);
+        let _ = rng.random_range(i64::MIN..=i64::MAX);
+        assert_eq!(rng.random_range(2.5f64..=2.5), 2.5);
+    }
+
+    #[test]
+    fn a_clone_continues_the_same_stream() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let _ = rng.random::<u64>();
+        let mut copy = rng.clone();
+        let a: Vec<u64> = (0..8).map(|_| rng.random()).collect();
+        let b: Vec<u64> = (0..8).map(|_| copy.random()).collect();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn narrow_draws_take_their_bits_from_one_word() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..64 {
+            let word = rng.clone().random::<u64>();
+            assert_eq!(rng.clone().random::<u32>(), (word >> 32) as u32);
+            assert_eq!(rng.clone().random::<bool>(), word & 1 == 1);
+            assert_eq!(
+                rng.clone().random::<f64>(),
+                (word >> 11) as f64 / (1u64 << 53) as f64
+            );
+            let _ = rng.random::<u64>();
+        }
+    }
 }

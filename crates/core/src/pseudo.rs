@@ -176,4 +176,126 @@ mod tests {
         let pred = approx.predict(&q).unwrap();
         assert!(pred[1] > pred[0]);
     }
+
+    #[test]
+    fn default_is_random_forest() {
+        assert_eq!(
+            ApproxSpec::default(),
+            ApproxSpec::RandomForest {
+                n_estimators: 50,
+                max_depth: 12,
+            }
+        );
+    }
+
+    #[test]
+    fn invalid_params_propagate() {
+        // What the forest rejects reaches the caller as a typed error:
+        // targets that are not one finite value per row.
+        let x = training_data();
+        let space = space_of(&x);
+        let spec = ApproxSpec::default();
+        let short = vec![0.0; x.nrows() - 1];
+        assert!(matches!(
+            fit_approximator(&spec, &space, &short, 0).unwrap_err(),
+            crate::Error::Approximation(suod_supervised::Error::ShapeMismatch { .. })
+        ));
+        let mut nan = vec![0.0; x.nrows()];
+        nan[3] = f64::NAN;
+        assert!(matches!(
+            fit_approximator(&spec, &space, &nan, 0).unwrap_err(),
+            crate::Error::Approximation(suod_supervised::Error::NonFiniteInput("targets"))
+        ));
+        // So does a space the forest cannot presort, for every forest
+        // that asks.
+        let empty = space_of(&Matrix::zeros(0, 2));
+        for _ in 0..2 {
+            assert!(matches!(
+                fit_approximator(&spec, &empty, &[], 0).unwrap_err(),
+                crate::Error::Approximation(suod_supervised::Error::EmptyInput(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn the_forest_is_the_one_the_spec_names() {
+        let x = training_data();
+        let truth: Vec<f64> = (0..x.nrows()).map(|i| (i % 5) as f64).collect();
+        let spec = ApproxSpec::RandomForest {
+            n_estimators: 6,
+            max_depth: 3,
+        };
+        let approx = fit_approximator(&spec, &space_of(&x), &truth, 11).unwrap();
+        assert_eq!(approx.n_estimators(), 6);
+        let mut plain = RandomForestRegressor::new(6, 11).with_max_depth(3);
+        plain.fit(&x, &truth).unwrap();
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(approx.predict(&x).unwrap()),
+            bits(plain.predict(&x).unwrap())
+        );
+    }
+
+    #[test]
+    fn forests_on_one_space_presort_it_once() {
+        let x = training_data();
+        let space = space_of(&x);
+        assert!(space.presorted.get().is_none());
+        let truth: Vec<f64> = (0..x.nrows()).map(|i| i as f64).collect();
+        fit_approximator(&ApproxSpec::default(), &space, &truth, 0).unwrap();
+        let first: *const PresortedSpace = space.presorted().unwrap();
+        fit_approximator(&ApproxSpec::default(), &space, &truth, 1).unwrap();
+        assert!(std::ptr::eq(first, space.presorted().unwrap()));
+    }
+
+    #[test]
+    fn distill_forest_forecasts_the_spec() {
+        let spec = ApproxSpec::RandomForest {
+            n_estimators: 9,
+            max_depth: 4,
+        };
+        let forecast = spec.distill_forest(13);
+        assert_eq!(
+            (forecast.trees, forecast.max_depth, forecast.n_features),
+            (9, 4, 13)
+        );
+    }
+
+    fn read_spec(bytes: &[u8]) -> Result<ApproxSpec> {
+        ApproxSpec::snapshot_read(&mut suod_linalg::SnapshotReader::new(bytes))
+    }
+
+    #[test]
+    fn spec_snapshot_round_trips() {
+        let spec = ApproxSpec::RandomForest {
+            n_estimators: 3,
+            max_depth: 7,
+        };
+        let mut w = suod_linalg::SnapshotWriter::new();
+        spec.snapshot_write(&mut w);
+        assert_eq!(read_spec(w.as_bytes()).unwrap(), spec);
+        for len in 0..w.len() {
+            assert!(
+                read_spec(&w.as_bytes()[..len]).is_err(),
+                "{len}-byte prefix"
+            );
+        }
+    }
+
+    #[test]
+    fn retired_and_unknown_spec_tags_name_their_kind() {
+        for (tag, kind) in [
+            (1, "retired ridge approximator"),
+            (2, "knn_regressor"),
+            (9, "9, which names no approximator"),
+        ] {
+            let mut w = suod_linalg::SnapshotWriter::new();
+            w.write_u64(tag);
+            w.write_usize(5);
+            w.write_usize(5);
+            let msg = read_spec(w.as_bytes()).unwrap_err().to_string();
+            assert!(msg.contains("snapshot: ApproxSpec tag"), "{msg}");
+            assert!(msg.contains(kind), "{msg}");
+        }
+    }
 }

@@ -684,4 +684,107 @@ mod tests {
         assert_eq!(loaded.n_models(), 4);
         assert_eq!(loaded.save_to_bytes().unwrap(), bytes);
     }
+
+    fn snapshot_error<T>(result: Result<T>) -> String {
+        match result {
+            Err(Error::Linalg(suod_linalg::Error::InvalidParameter(msg))) => msg,
+            Err(other) => panic!("expected a typed snapshot error, got {other:?}"),
+            Ok(_) => panic!("expected a typed snapshot error, got a value"),
+        }
+    }
+
+    fn small_forest() -> RandomForestRegressor {
+        use suod_supervised::Regressor;
+        let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, (i % 3) as f64]).collect();
+        let x = suod_linalg::Matrix::from_rows(&rows).unwrap();
+        let y: Vec<f64> = (0..20).map(|i| (i * i % 7) as f64).collect();
+        let mut forest = RandomForestRegressor::new(3, 5).with_max_depth(3);
+        forest.fit(&x, &y).unwrap();
+        forest
+    }
+
+    #[test]
+    fn approximator_record_round_trips() {
+        let mut w = SnapshotWriter::new();
+        write_approximator(&small_forest(), &mut w);
+        let mut r = SnapshotReader::new(w.as_bytes());
+        let loaded = read_approximator(&mut r).unwrap();
+        assert!(r.is_exhausted());
+        let mut again = SnapshotWriter::new();
+        write_approximator(&loaded, &mut again);
+        assert_eq!(again.as_bytes(), w.as_bytes());
+    }
+
+    #[test]
+    fn approximator_record_with_trailing_bytes_is_rejected() {
+        let mut body = SnapshotWriter::new();
+        small_forest().snapshot_write(&mut body);
+        body.write_u8(0);
+        let mut w = SnapshotWriter::new();
+        w.write_str(APPROXIMATOR_NAME);
+        w.write_bytes(body.as_bytes());
+        let msg = snapshot_error(read_approximator(&mut SnapshotReader::new(w.as_bytes())));
+        assert_eq!(msg, "snapshot: approximator left 1 trailing bytes");
+    }
+
+    #[test]
+    fn jl_variant_tags_round_trip_and_unknown_tags_fail() {
+        for variant in [
+            JlVariant::Basic,
+            JlVariant::Discrete,
+            JlVariant::Circulant,
+            JlVariant::Toeplitz,
+        ] {
+            let mut w = SnapshotWriter::new();
+            write_jl_variant(variant, &mut w);
+            assert_eq!(w.len(), 1);
+            let read = read_jl_variant(&mut SnapshotReader::new(w.as_bytes())).unwrap();
+            assert_eq!(read, variant);
+        }
+        let msg = snapshot_error(read_jl_variant(&mut SnapshotReader::new(&[4])));
+        assert_eq!(msg, "snapshot: unknown JlVariant tag 4");
+    }
+
+    #[test]
+    fn unknown_scorer_tag_is_a_typed_error() {
+        let mut w = SnapshotWriter::new();
+        w.write_usize(0);
+        small_pool()[0].snapshot_write(&mut w);
+        w.write_u8(7);
+        let msg = snapshot_error(read_model(&mut SnapshotReader::new(w.as_bytes()), 1));
+        assert_eq!(msg, "snapshot: unknown scorer tag 7");
+    }
+
+    #[test]
+    fn config_record_round_trips() {
+        let mut config = Suod::builder()
+            .base_estimators(small_pool())
+            .projection_variant(JlVariant::Toeplitz)
+            .projection_fraction(0.75)
+            .approximator(ApproxSpec::RandomForest {
+                n_estimators: 9,
+                max_depth: 5,
+            })
+            .n_workers(3)
+            .contamination(0.2)
+            .seed(77)
+            .min_healthy_fraction(0.25)
+            .max_model_retries(4);
+        config.bps_enabled = false;
+        let mut w = SnapshotWriter::new();
+        write_config(&config, &mut w);
+        let mut r = SnapshotReader::new(w.as_bytes());
+        let loaded = read_config(&mut r).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(loaded.base_estimators, config.base_estimators);
+        assert_eq!(loaded.rp_variant, JlVariant::Toeplitz);
+        assert_eq!(loaded.approx_spec, config.approx_spec);
+        assert_eq!(
+            (loaded.n_workers, loaded.seed, loaded.bps_enabled),
+            (3, 77, false)
+        );
+        let mut again = SnapshotWriter::new();
+        write_config(&loaded, &mut again);
+        assert_eq!(again.as_bytes(), w.as_bytes());
+    }
 }

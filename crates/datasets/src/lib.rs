@@ -80,3 +80,28 @@ impl From<suod_linalg::Error> for Error {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::error::Error as _;
+
+    #[test]
+    fn errors_name_the_dataset_and_keep_their_source() {
+        let err = Error::UnknownDataset("nope".into());
+        assert_eq!(err.to_string(), "unknown dataset `nope`");
+        assert!(err.source().is_none());
+        assert_eq!(
+            Error::InvalidConfig("scale".into()).to_string(),
+            "invalid dataset config: scale"
+        );
+        let cause = suod_linalg::Error::BadDimensions {
+            expected: 6,
+            actual: 5,
+        };
+        let err = Error::from(cause.clone());
+        assert_eq!(err, Error::Linalg(cause.clone()));
+        assert_eq!(err.to_string(), format!("linear algebra error: {cause}"));
+        assert_eq!(err.source().unwrap().to_string(), cause.to_string());
+    }
+}

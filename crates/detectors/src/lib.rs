@@ -854,4 +854,57 @@ mod tests {
             .unwrap();
         assert_eq!(plain_scores, observed_scores);
     }
+
+    fn snapshot_message<T>(result: Result<T>) -> String {
+        match result {
+            Err(Error::InvalidParameter(msg)) => msg,
+            Err(other) => panic!("expected a typed snapshot error, got {other:?}"),
+            Ok(_) => panic!("expected a typed snapshot error, got a value"),
+        }
+    }
+
+    #[test]
+    fn unknown_detector_name_is_a_typed_error() {
+        let mut w = SnapshotWriter::new();
+        w.write_str("dbscan");
+        w.write_bytes(&[]);
+        let msg = snapshot_message(read_detector(&mut SnapshotReader::new(w.as_bytes()), 1));
+        assert_eq!(msg, "snapshot: unknown detector name \"dbscan\"");
+    }
+
+    #[test]
+    fn unknown_error_tags_are_typed_errors() {
+        let msg = snapshot_message(read_error(&mut SnapshotReader::new(&[9])));
+        assert_eq!(msg, "snapshot: unknown error tag 9");
+        let msg = snapshot_message(read_error(&mut SnapshotReader::new(&[4, 5])));
+        assert_eq!(msg, "snapshot: unknown linalg error tag 5");
+        assert!(read_error(&mut SnapshotReader::new(&[])).is_err());
+    }
+
+    #[test]
+    fn validate_finite_names_its_boundary() {
+        let mut x = Matrix::zeros(3, 2);
+        assert!(validate_finite(&x, "fit").is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            x.set(2, 1, bad);
+            assert_eq!(
+                validate_finite(&x, "decision_function").unwrap_err(),
+                Error::NonFiniteInput("decision_function")
+            );
+        }
+    }
+
+    #[test]
+    fn only_finite_training_scores_pass() {
+        assert_eq!(
+            finite_training_scores(vec![0.0, -1.5, 3.0]).unwrap(),
+            vec![0.0, -1.5, 3.0]
+        );
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                finite_training_scores(vec![1.0, bad]).unwrap_err(),
+                Error::DegenerateData("model produced non-finite training scores".into())
+            );
+        }
+    }
 }

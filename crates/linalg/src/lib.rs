@@ -146,3 +146,37 @@ impl std::error::Error for Error {}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn errors_describe_shapes_and_parameters() {
+        for (err, message) in [
+            (
+                Error::ShapeMismatch {
+                    op: "matmul",
+                    lhs: (2, 3),
+                    rhs: (4, 5),
+                },
+                "shape mismatch in matmul: left is 2x3, right is 4x5",
+            ),
+            (
+                Error::BadDimensions {
+                    expected: 6,
+                    actual: 5,
+                },
+                "data length 5 does not match requested shape (6 elements)",
+            ),
+            (Error::Empty("mean"), "mean requires a non-empty matrix"),
+            (Error::NoConvergence("svd"), "svd failed to converge"),
+            (
+                Error::InvalidParameter("k = 0".into()),
+                "invalid parameter: k = 0",
+            ),
+        ] {
+            assert_eq!(err.to_string(), message);
+        }
+    }
+}

@@ -149,4 +149,37 @@ mod tests {
         assert!(pearson(&[1.0], &[1.0]).is_err());
         assert!(kendall_tau(&[1.0], &[1.0]).is_err());
     }
+
+    #[test]
+    fn length_mismatch_is_an_error() {
+        let mismatch = Error::LengthMismatch {
+            labels: 3,
+            scores: 2,
+        };
+        let (x, y) = ([1.0, 2.0, 3.0], [1.0, 2.0]);
+        assert_eq!(pearson(&x, &y).unwrap_err(), mismatch);
+        assert_eq!(spearman(&x, &y).unwrap_err(), mismatch);
+        assert_eq!(kendall_tau(&x, &y).unwrap_err(), mismatch);
+    }
+
+    #[test]
+    fn kendall_ties_count_as_neither() {
+        // Pairs: (0,1) tied in x, (0,2) and (1,2) concordant: 2 of 3.
+        let t = kendall_tau(&[1.0, 1.0, 2.0], &[1.0, 2.0, 3.0]).unwrap();
+        assert!((t - 2.0 / 3.0).abs() < 1e-12);
+        // Every pair tied: 0, not undefined.
+        assert_eq!(kendall_tau(&[5.0; 4], &[1.0, 2.0, 3.0, 4.0]).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn spearman_of_a_constant_is_undefined() {
+        assert!(matches!(
+            spearman(&[2.0; 5], &[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap_err(),
+            Error::Undefined(_)
+        ));
+        assert!(matches!(
+            spearman(&[1.0], &[1.0]).unwrap_err(),
+            Error::Empty(_)
+        ));
+    }
 }

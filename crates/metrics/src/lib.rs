@@ -84,3 +84,40 @@ pub(crate) fn check_lengths(labels: usize, scores: usize) -> Result<()> {
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn errors_describe_the_input() {
+        for (err, message) in [
+            (
+                Error::LengthMismatch {
+                    labels: 4,
+                    scores: 3,
+                },
+                "labels (4) and scores (3) must have equal length",
+            ),
+            (
+                Error::Undefined("roc_auc with one class"),
+                "metric undefined: roc_auc with one class",
+            ),
+            (Error::Empty("roc_auc"), "roc_auc received empty input"),
+            (
+                Error::NonFinite("aom"),
+                "aom received non-finite (NaN/inf) scores",
+            ),
+        ] {
+            assert_eq!(err.to_string(), message);
+        }
+        assert_eq!(check_lengths(2, 2), Ok(()));
+        assert_eq!(
+            check_lengths(2, 5),
+            Err(Error::LengthMismatch {
+                labels: 2,
+                scores: 5
+            })
+        );
+    }
+}

@@ -144,4 +144,39 @@ mod tests {
         assert!((p - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(r, 1.0);
     }
+
+    #[test]
+    fn any_nonzero_label_is_an_outlier() {
+        let p = precision_at_n(&[2, -1, 0, 0], &[0.9, 0.8, 0.2, 0.1], None).unwrap();
+        assert_eq!(p, 1.0);
+        let (p, r) = precision_recall_at_k(&[0, 7, 0], &[0.1, 0.9, 0.5], 1).unwrap();
+        assert_eq!((p, r), (1.0, 1.0));
+    }
+
+    #[test]
+    fn precision_recall_rejects_malformed_input() {
+        assert!(matches!(
+            precision_recall_at_k(&[], &[], 1).unwrap_err(),
+            Error::Empty(_)
+        ));
+        assert_eq!(
+            precision_recall_at_k(&[1, 0], &[0.5], 1).unwrap_err(),
+            Error::LengthMismatch {
+                labels: 2,
+                scores: 1
+            }
+        );
+        assert!(matches!(
+            precision_recall_at_k(&[1, 0], &[0.5, 0.1], 0).unwrap_err(),
+            Error::Undefined(_)
+        ));
+        assert!(matches!(
+            precision_recall_at_k(&[0, 0], &[0.5, 0.1], 1).unwrap_err(),
+            Error::Undefined(_)
+        ));
+        assert!(matches!(
+            precision_at_n(&[], &[], Some(1)).unwrap_err(),
+            Error::Empty(_)
+        ));
+    }
 }

@@ -382,4 +382,39 @@ mod tests {
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("0").unwrap().as_u64(), Some(0));
     }
+
+    #[test]
+    fn as_u64_stops_where_f64_stops_being_exact() {
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), Some(1 << 53));
+        assert_eq!(parse("1e16").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn accessors_reject_other_kinds() {
+        let v = parse(r#"{"n": 1, "s": "x", "b": true, "a": []}"#).unwrap();
+        let n = v.get("n").unwrap();
+        assert_eq!(n.as_str(), None);
+        assert_eq!(n.as_bool(), None);
+        assert_eq!(n.as_array(), None);
+        assert_eq!(n.get("n"), None);
+        assert_eq!(v.get("s").unwrap().as_u64(), None);
+        assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("a").unwrap().as_array(), Some(&[][..]));
+        assert_eq!(v.get("a").unwrap().as_object(), None);
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(v.as_object().unwrap().len(), 4);
+    }
+
+    #[test]
+    fn parse_errors_report_their_offset() {
+        let err = parse("[1, x]").unwrap_err();
+        assert_eq!(err.offset, 4);
+        assert!(
+            err.to_string().starts_with("JSON parse error at byte 4: "),
+            "{err}"
+        );
+        let err = parse("1 2").unwrap_err();
+        assert_eq!(err.offset, 2);
+        assert_eq!(err.message, "trailing characters after document");
+    }
 }

@@ -290,4 +290,104 @@ mod tests {
         assert!(check_target_dim(6, 5).is_err());
         assert!(check_target_dim(5, 5).is_ok());
     }
+
+    fn record(proj: &dyn Projector) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        write_projector(proj, &mut w).unwrap();
+        w.into_bytes()
+    }
+
+    #[test]
+    fn every_projector_round_trips_through_its_record() {
+        let rows: Vec<Vec<f64>> = (0..12)
+            .map(|i| {
+                (0..5)
+                    .map(|j| ((i * 7 + j * 3) % 11) as f64 - 4.0)
+                    .collect()
+            })
+            .collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let mut projectors: Vec<Box<dyn Projector>> = vec![
+            Box::new(IdentityProjector::new()),
+            Box::new(PcaProjector::new(2).unwrap()),
+            Box::new(RandomSelectProjector::new(3, 4).unwrap()),
+        ];
+        for variant in [
+            JlVariant::Basic,
+            JlVariant::Discrete,
+            JlVariant::Circulant,
+            JlVariant::Toeplitz,
+        ] {
+            projectors.push(Box::new(JlProjector::new(variant, 3, 7).unwrap()));
+        }
+        for mut proj in projectors {
+            proj.fit(&x).unwrap();
+            let bytes = record(proj.as_ref());
+            let mut r = SnapshotReader::new(&bytes);
+            let loaded = read_projector(&mut r).unwrap();
+            assert!(r.is_exhausted(), "{}", proj.name());
+            assert_eq!(loaded.name(), proj.name());
+            assert_eq!(loaded.output_dim(), proj.output_dim());
+            assert_eq!(
+                loaded.transform(&x).unwrap(),
+                proj.transform(&x).unwrap(),
+                "{}",
+                proj.name()
+            );
+            assert_eq!(record(loaded.as_ref()), bytes, "{}", proj.name());
+        }
+    }
+
+    fn read_error(bytes: &[u8]) -> String {
+        match read_projector(&mut SnapshotReader::new(bytes)) {
+            Err(Error::InvalidParameter(msg)) => msg,
+            Err(other) => panic!("expected InvalidParameter, got {other:?}"),
+            Ok(proj) => panic!("loaded a {} projector", proj.name()),
+        }
+    }
+
+    #[test]
+    fn unknown_projector_name_is_a_typed_error() {
+        let mut w = SnapshotWriter::new();
+        w.write_str("umap");
+        w.write_bytes(&[]);
+        assert_eq!(
+            read_error(w.as_bytes()),
+            "snapshot: unknown projector name \"umap\""
+        );
+    }
+
+    #[test]
+    fn trailing_bytes_in_a_projector_record_are_rejected() {
+        let mut body = SnapshotWriter::new();
+        body.write_usize(2);
+        body.write_bool(true);
+        body.write_u8(9);
+        let mut w = SnapshotWriter::new();
+        w.write_str("original");
+        w.write_bytes(body.as_bytes());
+        assert_eq!(
+            read_error(w.as_bytes()),
+            "snapshot: projector \"original\" left 1 trailing bytes"
+        );
+    }
+
+    #[test]
+    fn errors_keep_their_source() {
+        use std::error::Error as _;
+        let err = Error::DimensionMismatch {
+            expected: 4,
+            actual: 3,
+        };
+        assert_eq!(err.to_string(), "expected 4 columns, got 3");
+        assert!(err.source().is_none());
+        assert_eq!(
+            Error::NotFitted("PcaProjector").to_string(),
+            "PcaProjector must be fitted before transform"
+        );
+        let cause = suod_linalg::Error::NoConvergence("eigh");
+        let err = Error::from(cause.clone());
+        assert_eq!(err.to_string(), format!("linear algebra error: {cause}"));
+        assert_eq!(err.source().unwrap().to_string(), cause.to_string());
+    }
 }

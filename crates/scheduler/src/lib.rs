@@ -193,3 +193,66 @@ impl From<suod_supervised::Error> for Error {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn family_indices_lay_out_a_one_hot_embedding() {
+        for (i, family) in AlgorithmFamily::known().iter().enumerate() {
+            assert_eq!(family.index(), i, "{family}");
+        }
+        assert!(!AlgorithmFamily::known().contains(&AlgorithmFamily::Unknown));
+        assert_eq!(
+            AlgorithmFamily::Unknown.index(),
+            AlgorithmFamily::known().len()
+        );
+    }
+
+    #[test]
+    fn family_names_are_distinct() {
+        let mut names: Vec<String> = AlgorithmFamily::known()
+            .iter()
+            .chain(&[AlgorithmFamily::Unknown])
+            .map(ToString::to_string)
+            .collect();
+        assert!(names
+            .iter()
+            .all(|n| n.chars().all(|c| c.is_ascii_lowercase() || c == '_')));
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), 12);
+        assert_eq!(
+            AlgorithmFamily::FeatureBagging.to_string(),
+            "feature_bagging"
+        );
+    }
+
+    #[test]
+    fn errors_describe_the_failure() {
+        for (err, message) in [
+            (
+                Error::InvalidParameter("n_workers".into()),
+                "invalid parameter: n_workers",
+            ),
+            (
+                Error::NotFitted("ForestCostPredictor"),
+                "ForestCostPredictor must be trained before prediction",
+            ),
+            (
+                Error::BadAssignment("task 9".into()),
+                "bad assignment: task 9",
+            ),
+        ] {
+            assert_eq!(err.to_string(), message);
+        }
+        let cause = suod_supervised::Error::EmptyInput("fit");
+        let err = Error::from(cause.clone());
+        assert_eq!(err, Error::Supervised(cause.to_string()));
+        assert_eq!(
+            err.to_string(),
+            "cost regressor error: fit received empty training data"
+        );
+    }
+}

@@ -123,4 +123,13 @@ mod tests {
         // Both readings come off one origin.
         assert!(clock.now_micros() >= 2_000);
     }
+
+    #[test]
+    fn manual_micros_saturate_instead_of_wrapping() {
+        let clock = ManualClock::new();
+        clock.advance(u64::MAX / 1000);
+        assert_eq!(clock.now_micros(), (u64::MAX / 1000) * 1000);
+        clock.advance(1);
+        assert_eq!(clock.now_micros(), u64::MAX);
+    }
 }

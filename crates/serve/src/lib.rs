@@ -151,3 +151,33 @@ impl From<suod::Error> for Error {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::error::Error as _;
+
+    #[test]
+    fn errors_name_the_layer_that_failed() {
+        for (err, message) in [
+            (
+                Error::Config("queue 0".into()),
+                "invalid serve configuration: queue 0",
+            ),
+            (
+                Error::Reload("width 3".into()),
+                "hot reload rejected: width 3",
+            ),
+            (Error::Front("accept".into()), "front end failed: accept"),
+        ] {
+            assert_eq!(err.to_string(), message);
+            assert!(err.source().is_none());
+        }
+        let core = suod::Error::InvalidConfig("workers must be at least 1".into());
+        let message = format!("estimator error: {core}");
+        let err = Error::from(core);
+        assert!(matches!(err, Error::Core(_)));
+        assert_eq!(err.to_string(), message);
+        assert!(err.source().is_some());
+    }
+}

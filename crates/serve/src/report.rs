@@ -89,3 +89,57 @@ impl std::fmt::Display for ServeReport {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report() -> ServeReport {
+        ServeReport {
+            admitted: 10,
+            rejected: 2,
+            shed: 1,
+            deadline_missed: 3,
+            predict_faults: 4,
+            quarantined: 1,
+            batches: 5,
+            requests_scored: 8,
+            requests_failed: 1,
+            rows_scored: 64,
+            reloads: 2,
+            pool_epoch: 2,
+            active_models: 6,
+            total_models: 7,
+            p50_latency_us: 1_500,
+            p99_latency_us: 9_000,
+            max_latency_us: 12_345,
+            p50_latency_ms: 1,
+            p99_latency_ms: 9,
+            max_latency_ms: 12,
+            secs_per_unit: None,
+        }
+    }
+
+    #[test]
+    fn display_reports_every_counter() {
+        assert_eq!(
+            report().to_string(),
+            "serve: 10 admitted, 2 rejected, 1 shed, 3 deadline-missed\n  \
+             5 batches, 8 requests scored (1 failed), 64 rows\n  \
+             models: 6/7 active, 4 predict faults, 1 quarantined\n  \
+             pool: epoch 2 (2 reloads)\n  \
+             latency: p50 1500µs, p99 9000µs, max 12345µs"
+        );
+    }
+
+    #[test]
+    fn display_adds_the_unit_cost_once_measured() {
+        let measured = ServeReport {
+            secs_per_unit: Some(0.00025),
+            ..report()
+        };
+        let text = measured.to_string();
+        assert!(text.ends_with("max 12345µs, 2.500e-4s/unit"), "{text}");
+        assert!(!report().to_string().contains("s/unit"));
+    }
+}

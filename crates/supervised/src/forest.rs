@@ -620,4 +620,161 @@ mod tests {
         rf.fit(&x, &y).unwrap();
         assert_eq!(rf.predict(&x).unwrap().len(), 20);
     }
+
+    fn forest_bytes(forest: &RandomForestRegressor) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        forest.snapshot_write(&mut w);
+        w.into_bytes()
+    }
+
+    fn fitted_forest() -> RandomForestRegressor {
+        let (x, y) = linear_data(30);
+        let mut rf = RandomForestRegressor::new(4, 9)
+            .with_max_depth(4)
+            .with_max_features_fraction(0.5)
+            .unwrap();
+        rf.fit(&x, &y).unwrap();
+        rf
+    }
+
+    #[test]
+    fn snapshot_resaves_byte_identical_and_predicts_the_same_bits() {
+        let rf = fitted_forest();
+        let bytes = forest_bytes(&rf);
+        let mut r = SnapshotReader::new(&bytes);
+        let loaded = RandomForestRegressor::snapshot_read(&mut r).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(forest_bytes(&loaded), bytes);
+        assert_eq!(loaded.n_estimators(), 4);
+        let (x, _) = linear_data(45);
+        assert_eq!(
+            bits(&loaded.predict(&x).unwrap()),
+            bits(&rf.predict(&x).unwrap())
+        );
+        assert_eq!(
+            loaded.feature_importances().unwrap(),
+            rf.feature_importances().unwrap()
+        );
+    }
+
+    #[test]
+    fn unfitted_forest_round_trips_unfitted() {
+        let rf = RandomForestRegressor::new(7, 3).without_bootstrap();
+        let bytes = forest_bytes(&rf);
+        let loaded =
+            RandomForestRegressor::snapshot_read(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!(loaded.n_estimators(), 7);
+        assert!(matches!(
+            loaded.predict(&Matrix::zeros(1, 2)).unwrap_err(),
+            Error::NotFitted(_)
+        ));
+        assert_eq!(forest_bytes(&loaded), bytes);
+    }
+
+    #[test]
+    fn every_truncated_forest_snapshot_is_an_error() {
+        let bytes = forest_bytes(&fitted_forest());
+        for len in 0..bytes.len() {
+            assert!(
+                RandomForestRegressor::snapshot_read(&mut SnapshotReader::new(&bytes[..len]))
+                    .is_err(),
+                "a {len}-byte prefix of {} loaded",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn unfitted_member_record_is_a_typed_error() {
+        let mut w = SnapshotWriter::new();
+        w.write_usize(1);
+        tree::write_tree_params(&TreeParams::default(), &mut w);
+        w.write_bool(false); // max_features_fraction
+        w.write_bool(true); // bootstrap
+        w.write_u64(0); // seed
+        w.write_usize(1);
+        let meta = TreeMeta {
+            params: TreeParams::default(),
+            seed: 0,
+            importances: vec![0.0; 2],
+        };
+        tree::write_tree_record(&mut w, &meta, &Forest::new(2), None);
+        w.write_usize(2);
+        match RandomForestRegressor::snapshot_read(&mut SnapshotReader::new(w.as_bytes())) {
+            Err(Error::InvalidParameter(msg)) => {
+                assert!(
+                    msg.starts_with("snapshot: forest tree 0 (fitted: false)"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected a typed snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_trees_are_clamped_to_one() {
+        let rf = RandomForestRegressor::new(0, 0);
+        assert_eq!(rf.n_estimators(), 1);
+        let (x, y) = linear_data(10);
+        let mut rf = rf;
+        rf.fit(&x, &y).unwrap();
+        assert_eq!(rf.members.len(), 1);
+    }
+
+    #[test]
+    fn zero_min_samples_leaf_means_one() {
+        let (x, y) = linear_data(25);
+        let mut zero = RandomForestRegressor::new(3, 1).with_min_samples_leaf(0);
+        let mut one = RandomForestRegressor::new(3, 1).with_min_samples_leaf(1);
+        zero.fit(&x, &y).unwrap();
+        one.fit(&x, &y).unwrap();
+        assert_eq!(forest_bytes(&zero), forest_bytes(&one));
+    }
+
+    #[test]
+    fn feature_fraction_bounds() {
+        for bad in [f64::NAN, -0.5, f64::INFINITY] {
+            assert!(matches!(
+                RandomForestRegressor::new(2, 0)
+                    .with_max_features_fraction(bad)
+                    .unwrap_err(),
+                Error::InvalidParameter(_)
+            ));
+        }
+        // The upper bound is inclusive: every feature at every split.
+        assert!(RandomForestRegressor::new(2, 0)
+            .with_max_features_fraction(1.0)
+            .is_ok());
+    }
+
+    #[test]
+    fn a_failed_fit_keeps_the_previous_forest() {
+        let mut rf = fitted_forest();
+        let before = forest_bytes(&rf);
+        let space = PresortedSpace::new(&linear_data(30).0).unwrap();
+        assert_eq!(
+            rf.fit_presorted(&space, &[1.0; 29]).unwrap_err(),
+            Error::ShapeMismatch {
+                rows: 30,
+                targets: 29
+            }
+        );
+        let mut y = vec![1.0; 30];
+        y[4] = f64::NAN;
+        assert_eq!(
+            rf.fit_presorted(&space, &y).unwrap_err(),
+            Error::NonFiniteInput("targets")
+        );
+        assert_eq!(forest_bytes(&rf), before);
+    }
+
+    #[test]
+    fn no_rows_predict_no_scores() {
+        let rf = fitted_forest();
+        assert_eq!(rf.predict(&Matrix::zeros(0, 2)).unwrap(), Vec::<f64>::new());
+        assert!(matches!(
+            rf.predict(&Matrix::zeros(0, 3)).unwrap_err(),
+            Error::InvalidParameter(_)
+        ));
+    }
 }

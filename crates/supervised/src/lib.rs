@@ -179,4 +179,40 @@ mod tests {
             regressor.fit(&x, &y).unwrap();
         }
     }
+
+    #[test]
+    fn errors_say_what_went_wrong() {
+        use std::error::Error as _;
+        let cases = [
+            (
+                Error::ShapeMismatch {
+                    rows: 3,
+                    targets: 2,
+                },
+                "feature rows (3) and targets (2) must match",
+            ),
+            (
+                Error::NotFitted("Model"),
+                "Model must be fitted before prediction",
+            ),
+            (
+                Error::InvalidParameter("depth".into()),
+                "invalid parameter: depth",
+            ),
+            (Error::EmptyInput("fit"), "fit received empty training data"),
+            (
+                Error::NonFiniteInput("targets"),
+                "training targets contain NaN or infinity",
+            ),
+        ];
+        for (err, message) in cases {
+            assert_eq!(err.to_string(), message);
+            assert!(err.source().is_none());
+        }
+        let linalg = suod_linalg::Error::Empty("gemm");
+        let err = Error::from(linalg.clone());
+        assert_eq!(err, Error::Linalg(linalg.clone()));
+        assert_eq!(err.to_string(), format!("linear algebra error: {linalg}"));
+        assert_eq!(err.source().unwrap().to_string(), linalg.to_string());
+    }
 }

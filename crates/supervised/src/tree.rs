@@ -646,4 +646,120 @@ mod tests {
             .count();
         assert!(correct >= 35, "only {correct}/40 correct");
     }
+
+    fn snapshot_of(tree: &DecisionTreeRegressor) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        tree.snapshot_write(&mut w);
+        w.into_bytes()
+    }
+
+    fn fitted_step_tree() -> DecisionTreeRegressor {
+        let (x, y) = step_data();
+        let params = TreeParams {
+            max_depth: 5,
+            min_samples_split: 3,
+            min_samples_leaf: 1,
+            max_features: Some(1),
+        };
+        let mut t = DecisionTreeRegressor::new(params, 17);
+        t.fit(&x, &y).unwrap();
+        t
+    }
+
+    #[test]
+    fn snapshot_round_trip_keeps_predictions_and_bytes() {
+        let tree = fitted_step_tree();
+        let bytes = snapshot_of(&tree);
+        let mut r = SnapshotReader::new(&bytes);
+        let loaded = DecisionTreeRegressor::snapshot_read(&mut r).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(snapshot_of(&loaded), bytes);
+        let q = Matrix::from_rows(&[vec![-1.0], vec![2.0], vec![6.0], vec![f64::NAN]]).unwrap();
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(loaded.predict(&q).unwrap()),
+            bits(tree.predict(&q).unwrap())
+        );
+        assert_eq!(loaded.params(), tree.params());
+        assert_eq!(loaded.node_count(), tree.node_count());
+        assert_eq!(
+            loaded.feature_importances().unwrap(),
+            tree.feature_importances().unwrap()
+        );
+    }
+
+    #[test]
+    fn unfitted_tree_round_trips_unfitted() {
+        let params = TreeParams {
+            max_depth: 3,
+            ..Default::default()
+        };
+        let tree = DecisionTreeRegressor::new(params, 4);
+        let bytes = snapshot_of(&tree);
+        let loaded =
+            DecisionTreeRegressor::snapshot_read(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!(loaded.params(), params);
+        assert_eq!(loaded.node_count(), 0);
+        assert!(matches!(
+            loaded.predict(&Matrix::zeros(1, 1)).unwrap_err(),
+            Error::NotFitted(_)
+        ));
+        assert_eq!(snapshot_of(&loaded), bytes);
+    }
+
+    #[test]
+    fn every_truncated_tree_snapshot_is_an_error() {
+        let bytes = snapshot_of(&fitted_step_tree());
+        for len in 0..bytes.len() {
+            assert!(
+                DecisionTreeRegressor::snapshot_read(&mut SnapshotReader::new(&bytes[..len]))
+                    .is_err(),
+                "a {len}-byte prefix of {} loaded",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_node_tag_is_a_typed_error() {
+        let mut w = SnapshotWriter::new();
+        write_tree_params(&TreeParams::default(), &mut w);
+        w.write_u64(0);
+        w.write_usize(1);
+        w.write_u8(7);
+        match DecisionTreeRegressor::snapshot_read(&mut SnapshotReader::new(w.as_bytes())) {
+            Err(Error::InvalidParameter(msg)) => {
+                assert_eq!(msg, "snapshot: unknown tree node tag 7")
+            }
+            other => panic!("expected a typed snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fitted_flag_must_agree_with_the_nodes() {
+        // A fitted tree whose flag says unfitted, and an unfitted tree
+        // whose flag says fitted: both are rejected before any walk.
+        let mut bytes = snapshot_of(&fitted_step_tree());
+        *bytes.last_mut().unwrap() = 0;
+        let mut unfitted = snapshot_of(&DecisionTreeRegressor::default());
+        *unfitted.last_mut().unwrap() = 1;
+        for (body, fitted) in [(bytes, false), (unfitted, true)] {
+            match DecisionTreeRegressor::snapshot_read(&mut SnapshotReader::new(&body)) {
+                Err(Error::InvalidParameter(msg)) => assert!(
+                    msg.starts_with(&format!("snapshot: tree (fitted: {fitted}) has ")),
+                    "{msg}"
+                ),
+                other => panic!("expected a typed snapshot error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_fit_keeps_the_previous_tree() {
+        let mut tree = fitted_step_tree();
+        let before = snapshot_of(&tree);
+        assert!(tree.fit(&Matrix::zeros(3, 1), &[1.0, 2.0]).is_err());
+        assert!(tree.fit(&Matrix::zeros(0, 1), &[]).is_err());
+        assert_eq!(snapshot_of(&tree), before);
+    }
 }
