@@ -145,19 +145,26 @@ pub mod strategy {
 
     macro_rules! impl_int_range_strategy {
         ($($t:ty),*) => {$(
+            // The span is computed in `u128`: a range as wide as the
+            // type (`0u64..=u64::MAX`) has 2^64 values. Below 2^64 the
+            // draw is `next_u64() % span`, exactly what `below` draws.
             impl Strategy for core::ops::Range<$t> {
                 type Value = $t;
                 fn generate(&self, rng: &mut TestRng) -> $t {
-                    let span = (self.end as i128 - self.start as i128) as u64;
-                    (self.start as i128 + rng.below(span) as i128) as $t
+                    assert!(self.start < self.end, "cannot sample empty range");
+                    let span = (self.end as i128 - self.start as i128) as u128;
+                    let v = u128::from(rng.next_u64()) % span;
+                    (self.start as i128 + v as i128) as $t
                 }
             }
             impl Strategy for core::ops::RangeInclusive<$t> {
                 type Value = $t;
                 fn generate(&self, rng: &mut TestRng) -> $t {
                     let (s, e) = (*self.start(), *self.end());
-                    let span = (e as i128 - s as i128) as u64 + 1;
-                    (s as i128 + rng.below(span) as i128) as $t
+                    assert!(s <= e, "cannot sample empty range");
+                    let span = (e as i128 - s as i128) as u128 + 1;
+                    let v = u128::from(rng.next_u64()) % span;
+                    (s as i128 + v as i128) as $t
                 }
             }
         )*};
@@ -451,6 +458,20 @@ mod tests {
     #[should_panic(expected = "cannot sample empty range")]
     fn below_zero_panics() {
         TestRng::for_case(0).below(0);
+    }
+
+    #[test]
+    fn full_width_integer_ranges_draw_without_overflow() {
+        // A range as wide as its type draws the raw 64 bits, shifted to
+        // the range's start.
+        let (mut rng, mut raw) = (TestRng::for_case(2), TestRng::for_case(2));
+        for _ in 0..64 {
+            assert_eq!((0u64..=u64::MAX).generate(&mut rng), raw.next_u64());
+            let bits = raw.next_u64() as i64;
+            assert_eq!((i64::MIN..=i64::MAX).generate(&mut rng), bits ^ i64::MIN);
+            raw.next_u64();
+            assert!((i64::MIN..i64::MAX).generate(&mut rng) < i64::MAX);
+        }
     }
 
     #[test]

@@ -285,9 +285,8 @@ pub struct PredictReport {
     /// Executor telemetry for the predict-phase task batch: per-task wall
     /// times (one task per prediction unit and row chunk, unit-major),
     /// steals, and the fault-isolation `failures` counter — panics caught
-    /// at a task's boundary or at a unit member's own — with `stragglers`
-    /// holding the positions (in the surviving ensemble) of models whose
-    /// measured scoring time ran far past their forecast share.
+    /// at a task's boundary or at a unit member's own. Prediction forecasts
+    /// no costs, so `stragglers` is always empty here.
     pub execution: ExecutionReport,
     /// Models whose scoring failed this call (panic, typed error, or
     /// non-finite scores). Their columns in the returned matrix are NaN.

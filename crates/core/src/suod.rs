@@ -32,8 +32,7 @@ pub(crate) use state::{FittedModel, FittedState, Scorer, WarmContext};
 use crate::diagnostics::FitDiagnostics;
 use crate::{Error, Result};
 use std::sync::Arc;
-use std::time::Duration;
-use suod_scheduler::{bps_schedule, generic_schedule, Assignment, WorkStealingExecutor};
+use suod_scheduler::WorkStealingExecutor;
 
 /// The SUOD estimator (see the [crate docs](crate) for the full story).
 pub struct Suod {
@@ -105,18 +104,6 @@ impl Suod {
         }
     }
 
-    /// Places tasks with the given cost `forecast` onto the workers: BPS
-    /// over the forecast, or generic contiguous chunks when BPS is off or
-    /// there is one worker. Fit and prediction schedule alike (§3.5).
-    fn schedule(&self, forecast: &[f64]) -> Result<Assignment> {
-        let t = self.config.n_workers;
-        if t > 1 && self.config.bps_enabled {
-            Ok(bps_schedule(forecast, t, self.config.bps_alpha)?)
-        } else {
-            Ok(generic_schedule(forecast.len(), t)?)
-        }
-    }
-
     /// Fewest healthy models a pool of `total` may be left with: the
     /// `min_healthy_fraction` floor fit and prediction both enforce.
     fn required_healthy(&self, total: usize) -> usize {
@@ -133,26 +120,6 @@ impl Suod {
     pub fn diagnostics(&self) -> Option<&FitDiagnostics> {
         self.diagnostics.as_ref()
     }
-}
-
-/// Positions whose measured time exceeds `factor` times their
-/// forecast-implied share of the total (and is non-trivial in absolute
-/// terms) — the straggler rule of fit tasks and predict models alike.
-/// Wall-clock-dependent by nature, so deliberately excluded from
-/// determinism guarantees.
-fn stragglers(forecast: &[f64], measured: &[Duration], factor: f64) -> Vec<usize> {
-    let total_pred: f64 = forecast.iter().sum();
-    let total_measured: f64 = measured.iter().map(Duration::as_secs_f64).sum();
-    if forecast.len() != measured.len() || total_pred <= 0.0 || total_measured <= 0.0 {
-        return Vec::new();
-    }
-    (0..measured.len())
-        .filter(|&i| {
-            let expected = forecast[i] / total_pred * total_measured;
-            let measured = measured[i].as_secs_f64();
-            measured > factor * expected && measured > 0.05
-        })
-        .collect()
 }
 
 /// Fixtures shared by the submodules' unit tests.

@@ -117,8 +117,9 @@ impl SuodBuilder {
         self
     }
 
-    /// Enables/disables balanced parallel scheduling (`bps_flag`). When
-    /// disabled, multi-worker runs use generic contiguous chunking.
+    /// Enables/disables balanced parallel scheduling (`bps_flag`) of the
+    /// fit tasks. When disabled, multi-worker fits use generic contiguous
+    /// chunking, as prediction always does.
     pub fn with_bps(mut self, enabled: bool) -> Self {
         self.bps_enabled = enabled;
         self
@@ -130,13 +131,14 @@ impl SuodBuilder {
         self
     }
 
-    /// Rank-discount strength `alpha` for BPS (default 1).
+    /// Rank-discount strength `alpha` for the fit's BPS (default 1).
     pub fn bps_alpha(mut self, alpha: f64) -> Self {
         self.bps_alpha = alpha;
         self
     }
 
-    /// Replaces the cost model used by BPS (default: analytic).
+    /// Replaces the cost model that forecasts fit tasks for BPS and
+    /// straggler flagging (default: analytic). Prediction never reads it.
     pub fn cost_model(mut self, model: Arc<dyn CostModel>) -> Self {
         self.cost_model = model;
         self

@@ -16,7 +16,8 @@ use suod_linalg::{DataFingerprint, DistanceMetric, Matrix, NeighborBackend, Neig
 use suod_observe::{Counter, SpanAttrs, Stage};
 use suod_projection::{JlProjector, Projector};
 use suod_scheduler::{
-    current_worker, generic_schedule, DatasetMeta, ExecutionReport, TaskDescriptor, TaskFailure,
+    bps_schedule, current_worker, generic_schedule, simulate_makespan, Assignment, DatasetMeta,
+    ExecutionReport, SimulationResult, TaskDescriptor, TaskFailure,
 };
 
 /// What a successful fit task leaves behind.
@@ -433,8 +434,7 @@ impl Suod {
         let ann_fallbacks = stats.ann_fallbacks - cache_before.ann_fallbacks;
 
         // --- Stragglers, from the BPS cost forecast of the tasks that ran. --
-        report.stragglers =
-            super::stragglers(&forecast, &report.task_times, self.config.straggler_factor);
+        report.stragglers = stragglers(&forecast, &report.task_times, self.config.straggler_factor);
         let mut straggler_flags = vec![false; m];
         for &task in &report.stragglers {
             straggler_flags[run[task]] = true;
@@ -637,6 +637,43 @@ impl Suod {
             .collect()
     }
 
+    /// Simulates the fit makespan of this pool's **measured** costs under
+    /// an arbitrary worker count, for both generic and BPS scheduling.
+    /// Returns `(generic, bps)` simulation results. Used by the Table 3/4
+    /// reproduction harnesses (see DESIGN.md §4 on the single-core host).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NotFitted`] before `fit` and propagates scheduler
+    /// failures.
+    pub fn simulate_fit_schedules(&self, t: usize) -> Result<(SimulationResult, SimulationResult)> {
+        let state = self.state()?;
+        let costs: Vec<f64> = state
+            .models
+            .iter()
+            .map(|m| m.fit_time.as_secs_f64())
+            .collect();
+        let generic = simulate_makespan(&costs, &generic_schedule(costs.len(), t)?)?;
+        // BPS schedules on *forecasted* costs, evaluated against true ones.
+        let tasks = self.forecast_descriptors(state);
+        let meta = DatasetMeta::from_shape(state.train_rows(), state.n_features);
+        let predicted = self.config.cost_model.predict_costs(&tasks, &meta);
+        let bps = simulate_makespan(&costs, &bps_schedule(&predicted, t, self.config.bps_alpha)?)?;
+        Ok((generic, bps))
+    }
+
+    /// Places fit tasks with the given cost `forecast` onto the workers:
+    /// BPS over the forecast (§3.5), or generic contiguous chunks when BPS
+    /// is off or there is one worker.
+    fn schedule(&self, forecast: &[f64]) -> Result<Assignment> {
+        let t = self.config.n_workers;
+        if t > 1 && self.config.bps_enabled {
+            Ok(bps_schedule(forecast, t, self.config.bps_alpha)?)
+        } else {
+            Ok(generic_schedule(forecast.len(), t)?)
+        }
+    }
+
     /// `true` when a fresh fit of `spec` ends by distilling a PSA
     /// approximator from the model's training scores.
     fn distills(&self, spec: &ModelSpec) -> bool {
@@ -704,6 +741,25 @@ fn cache_hits<K: PartialEq>(requirements: &[Option<(K, usize)>]) -> (Vec<bool>, 
         }
     }
     (cached, groups.len())
+}
+
+/// Fit tasks whose measured time exceeds `factor` times their
+/// forecast-implied share of the total (and is non-trivial in absolute
+/// terms). Wall-clock-dependent by nature, so deliberately excluded from
+/// determinism guarantees.
+fn stragglers(forecast: &[f64], measured: &[Duration], factor: f64) -> Vec<usize> {
+    let total_pred: f64 = forecast.iter().sum();
+    let total_measured: f64 = measured.iter().map(Duration::as_secs_f64).sum();
+    if forecast.len() != measured.len() || total_pred <= 0.0 || total_measured <= 0.0 {
+        return Vec::new();
+    }
+    (0..measured.len())
+        .filter(|&i| {
+            let expected = forecast[i] / total_pred * total_measured;
+            let measured = measured[i].as_secs_f64();
+            measured > factor * expected && measured > 0.05
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1256,10 +1312,10 @@ mod tests {
             .map(|cost| Duration::from_secs_f64(cost / shortest))
             .collect();
         let factor = clf.config.straggler_factor;
-        assert!(super::super::stragglers(&whole, &measured, factor).is_empty());
+        assert!(super::stragglers(&whole, &measured, factor).is_empty());
         // Against a forecast of the fits alone, CBLOF's task is many times
         // its share.
-        let flagged = super::super::stragglers(&fit_only, &measured, factor);
+        let flagged = super::stragglers(&fit_only, &measured, factor);
         assert!(flagged.contains(&2), "{flagged:?}");
     }
 

@@ -12,10 +12,7 @@ use suod_linalg::distance::Neighbor;
 use suod_linalg::Matrix;
 use suod_observe::{Counter, Observer, SpanAttrs, Stage};
 use suod_projection::Projector;
-use suod_scheduler::{
-    bps_schedule, generic_schedule, shared_query_costs, simulate_makespan, DatasetMeta,
-    ExecutionReport, SimulationResult, TaskFailure,
-};
+use suod_scheduler::{generic_schedule, ExecutionReport, TaskFailure};
 use suod_supervised::Regressor;
 
 /// Row-chunk width for the (unit x row-chunk) prediction task split.
@@ -25,43 +22,6 @@ use suod_supervised::Regressor;
 const PREDICT_ROW_CHUNK: usize = 256;
 
 impl Suod {
-    /// Per-model prediction cost forecast (the cost model's unitless
-    /// scale) for the given [active units](FittedState::active_units),
-    /// indexed by surviving-ensemble position; zero for models in none of
-    /// them. Nominal 1.0 for approximated models (cheap forest lookups),
-    /// the analytic forecast for a model scoring alone, and for the
-    /// members of a shared-query unit one index sweep split between them
-    /// plus each member's epilogue ([`shared_query_costs`]).
-    fn predict_model_costs(&self, state: &FittedState, units: &[Vec<usize>]) -> Vec<f64> {
-        let meta = DatasetMeta::from_shape(state.train_rows(), state.n_features);
-        let cost_model = self.config.cost_model.as_ref();
-        let mut costs = vec![0.0; state.models.len()];
-        for members in units {
-            if state.shared_query(members).is_some() {
-                let tasks: Vec<_> = members
-                    .iter()
-                    .map(|&mi| state.models[mi].spec.task_descriptor())
-                    .collect();
-                for (&mi, cost) in members
-                    .iter()
-                    .zip(shared_query_costs(cost_model, &tasks, &meta))
-                {
-                    costs[mi] = cost;
-                }
-            } else {
-                for &mi in members {
-                    let model = &state.models[mi];
-                    costs[mi] = if model.is_approximated() {
-                        1.0
-                    } else {
-                        cost_model.predict_cost(&model.spec.task_descriptor(), &meta)
-                    };
-                }
-            }
-        }
-        costs
-    }
-
     /// Per-model outlyingness scores for new samples: an `n x m` matrix
     /// with one column per surviving base estimator. Costly models answer
     /// through their PSA approximators when approximation is enabled.
@@ -86,7 +46,7 @@ impl Suod {
     /// returns a [`PredictReport`]: per-model scoring durations (the true
     /// prediction cost vector consumed by the scheduling-simulation
     /// harnesses — Table 4 / IQVIA reproductions), the predict-phase
-    /// executor telemetry ([`ExecutionReport`] failure/steal/straggler
+    /// executor telemetry ([`ExecutionReport`] failure and steal
     /// counters), and one [`PredictFailure`] per model whose column was
     /// replaced by NaN.
     ///
@@ -189,19 +149,9 @@ impl Suod {
 
         let chunks = predict_chunks(n);
         let n_chunks = chunks.len();
-        let model_costs = self.predict_model_costs(&state, &units);
-        let unit_costs: Vec<f64> = units
-            .iter()
-            .map(|members| members.iter().map(|&mi| model_costs[mi]).sum())
-            .collect();
-        // BPS applies to "both training and prediction stage" (paper
-        // §3.5): a task's cost is its unit's forecast scaled by the chunk's
-        // share of the query rows.
-        let chunk_lens: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
-        let assignment = self.schedule(&suod_scheduler::predict_chunk_costs(
-            &unit_costs,
-            &chunk_lens,
-        ))?;
+        // Tasks start on contiguous runs of the task list, one per
+        // worker; the executor's stealing balances from there.
+        let assignment = generic_schedule(units.len() * n_chunks, executor.n_workers())?;
 
         // (unit x row-chunk) tasks, unit-major over the active units. One
         // row slab per chunk, shared by every task of that chunk. Every
@@ -321,14 +271,6 @@ impl Suod {
             }
         }
         let out = Matrix::from_vec(n, m, data)?;
-
-        // Straggler flagging mirrors fit: measured model time far past
-        // its forecast-implied share of the pass.
-        execution.stragglers =
-            super::stragglers(&model_costs, &model_times, self.config.straggler_factor);
-        if !execution.stragglers.is_empty() {
-            observer.counter(Counter::Straggler, execution.stragglers.len() as u64);
-        }
 
         let report = PredictReport {
             model_times,
@@ -468,16 +410,6 @@ impl Suod {
         Ok(self.state()?.n_features)
     }
 
-    /// Number of training rows — the reference scale for prediction-cost
-    /// forecasts (see [`suod_scheduler::predict_batch_forecast`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotFitted`] before `fit`.
-    pub fn train_rows(&self) -> Result<usize> {
-        Ok(self.state()?.train_rows())
-    }
-
     /// `(pool index, algorithm name)` of each surviving model, in
     /// surviving-ensemble order — the column order of
     /// [`decision_function`](Self::decision_function) and the index space
@@ -494,23 +426,6 @@ impl Suod {
             .iter()
             .map(|m| (m.pool_index, m.spec.name()))
             .collect())
-    }
-
-    /// Per-surviving-model prediction cost forecast in the cost model's
-    /// unitless scale (nominal 1.0 for approximated models, which answer
-    /// through cheap forest lookups; proximity models that share one
-    /// neighbour query at predict split one index sweep between them, so
-    /// the sum charges it once). Combine with
-    /// [`train_rows`](Self::train_rows) and
-    /// [`suod_scheduler::predict_batch_forecast`] to size serving
-    /// micro-batches.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotFitted`] before `fit`.
-    pub fn predict_unit_costs(&self) -> Result<Vec<f64>> {
-        let state = self.state()?;
-        Ok(self.predict_model_costs(state, &state.active_units(None)))
     }
 
     /// Combines an already-computed `n x m` per-model score matrix (as
@@ -586,31 +501,6 @@ impl Suod {
             }
         }
         Ok(acc)
-    }
-
-    /// Simulates the fit makespan of this pool's **measured** costs under
-    /// an arbitrary worker count, for both generic and BPS scheduling.
-    /// Returns `(generic, bps)` simulation results. Used by the Table 3/4
-    /// reproduction harnesses (see DESIGN.md §4 on the single-core host).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotFitted`] before `fit` and propagates scheduler
-    /// failures.
-    pub fn simulate_fit_schedules(&self, t: usize) -> Result<(SimulationResult, SimulationResult)> {
-        let state = self.state()?;
-        let costs: Vec<f64> = state
-            .models
-            .iter()
-            .map(|m| m.fit_time.as_secs_f64())
-            .collect();
-        let generic = simulate_makespan(&costs, &generic_schedule(costs.len(), t)?)?;
-        // BPS schedules on *forecasted* costs, evaluated against true ones.
-        let tasks = self.forecast_descriptors(state);
-        let meta = DatasetMeta::from_shape(state.train_rows(), state.n_features);
-        let predicted = self.config.cost_model.predict_costs(&tasks, &meta);
-        let bps = simulate_makespan(&costs, &bps_schedule(&predicted, t, self.config.bps_alpha)?)?;
-        Ok((generic, bps))
     }
 }
 

@@ -252,20 +252,6 @@ fn models_on_one_index_share_one_query_per_chunk() {
     assert_eq!(trace.spans_of(Stage::NeighborQuery).count(), 4);
     assert_eq!(trace.spans_of(Stage::PredictChunk).count(), 14);
     assert!(report.model_times.iter().all(|t| *t > Duration::ZERO));
-
-    // The forecast charges the shared sweep once: the unit's five
-    // members together cost less than two of them would alone.
-    let costs = clf.predict_unit_costs().unwrap();
-    let meta = DatasetMeta::from_shape(62, 4);
-    let alone = |i: usize| {
-        clf.config
-            .cost_model
-            .predict_cost(&clf.config.base_estimators[i].task_descriptor(), &meta)
-    };
-    let unit: f64 = [0usize, 1, 3, 5, 6].iter().map(|&i| costs[i]).sum();
-    assert!(unit < alone(0) + alone(1));
-    assert_eq!(costs[2], alone(2));
-    assert_eq!(costs[4], alone(4));
 }
 
 #[test]
@@ -426,17 +412,10 @@ fn masked_models_get_nan_columns_and_no_work() {
 fn serve_accessors_describe_fitted_state() {
     let clf = fitted(Suod::builder());
     assert_eq!(clf.n_features().unwrap(), 4);
-    assert_eq!(clf.train_rows().unwrap(), 62);
     let models = clf.surviving_models().unwrap();
     assert_eq!(models.len(), 4);
     assert_eq!(models[0], (0, "knn"));
     assert_eq!(models[2], (2, "hbos"));
-    let costs = clf.predict_unit_costs().unwrap();
-    assert_eq!(costs.len(), 4);
-    assert!(costs.iter().all(|&c| c > 0.0));
-    // Approximated models (kNN, LOF) carry the nominal cost 1.0.
-    assert_eq!(costs[0], 1.0);
-    assert_eq!(costs[1], 1.0);
     // combine_score_matrix reproduces combined_scores from the raw
     // matrix without a second prediction pass.
     let x = data();

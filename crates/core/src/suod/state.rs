@@ -24,7 +24,7 @@ pub(crate) struct FittedModel {
     pub(crate) spec: ModelSpec,
     /// Original index in the configured pool — stable across fit-time
     /// quarantines, so predict-time health reports line up with the
-    /// fit-time [`ModelHealth`] indices.
+    /// fit-time [`ModelHealth`](crate::health::ModelHealth) indices.
     pub(crate) pool_index: usize,
     pub(crate) scorer: Scorer,
     pub(crate) projector: Option<JlProjector>,
@@ -213,9 +213,10 @@ impl FittedState {
 }
 
 /// Context retained from the most recent fit so a subsequent
-/// [`Suod::warm_refit`] on the *same* training matrix can reuse work:
-/// the shared neighbour cache (proximity graphs keyed by feature space)
-/// and the fingerprint that gates reuse to an identical dataset.
+/// [`Suod::warm_refit`](super::Suod::warm_refit) on the *same* training
+/// matrix can reuse work: the shared neighbour cache (proximity graphs
+/// keyed by feature space) and the fingerprint that gates reuse to an
+/// identical dataset.
 pub(crate) struct WarmContext {
     /// Neighbour cache from the fit; empty after a snapshot load (graphs
     /// are not persisted — they rebuild on the first warm refit).

@@ -559,7 +559,10 @@ mod x86 {
     /// # Safety
     ///
     /// Caller must ensure the CPU supports AVX2 (guaranteed when
-    /// [`super::SimdLane::detect`] returned `Avx2`).
+    /// [`super::SimdLane::detect`] returned `Avx2`), and that
+    /// `bpanel.len() >= (apanel.len() / MR) * NR`: the loop reads
+    /// `apanel[k * MR..k * MR + MR]` and `bpanel[k * NR..k * NR + NR]` for
+    /// every `k < apanel.len() / MR` through unchecked pointer offsets.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn microkernel_f64(apanel: &[f64], bpanel: &[f64], acc: &mut [f64; MR * NR]) {
         debug_assert_eq!(MR, 4);
@@ -572,6 +575,7 @@ mod x86 {
         let mut acc2h = _mm256_loadu_pd(acc.as_ptr().add(2 * NR + 4));
         let mut acc3l = _mm256_loadu_pd(acc.as_ptr().add(3 * NR));
         let mut acc3h = _mm256_loadu_pd(acc.as_ptr().add(3 * NR + 4));
+        debug_assert_eq!(apanel.len() % MR, 0);
         let depth = apanel.len() / MR;
         debug_assert_eq!(bpanel.len(), depth * NR);
         for k in 0..depth {
@@ -670,7 +674,10 @@ fn gram_rows_apply(
     out: &mut [f64],
     finish: impl FnMut(usize, usize, f64) -> f64,
 ) {
-    debug_assert_eq!(a.ncols(), packed.d);
+    // The AVX2 kernel's reads are in bounds only for B panels NR wide
+    // over A's own depth (see its SAFETY comment below): checked once per
+    // call, not per tile.
+    assert!(packed.width == NR && packed.d == a.ncols());
     debug_assert_eq!(out.len(), a_range.len() * packed.len());
     if a_range.is_empty() || packed.len() == 0 {
         return;
@@ -683,7 +690,14 @@ fn gram_rows_apply(
             packed,
             a_range.start,
             // SAFETY: `Avx2` is only selected when runtime detection
-            // confirmed AVX2 support.
+            // confirmed AVX2 support. Panel lengths: `apanels` was packed
+            // just above from `a` at width MR, so every A panel holds
+            // exactly `d * MR` values (`d = a.ncols()`; a short last panel
+            // is zero-padded to full width) and the kernel's depth is `d`.
+            // `packed` is NR wide over `packed.d == d` (asserted above), so
+            // every B panel holds exactly `d * NR` values. The kernel thus
+            // reads `k * MR + 3 < d * MR` and `k * NR + 7 < d * NR` for
+            // every `k < d`.
             |ap, bp, acc| unsafe { x86::microkernel_f64(ap, bp, acc) },
             out,
             finish,

@@ -215,7 +215,7 @@ pub enum Counter {
     Retry,
     /// Models quarantined out of the ensemble after exhausting retries.
     Quarantine,
-    /// Models flagged as stragglers against the BPS forecast
+    /// Fit tasks flagged as stragglers against the BPS forecast
     /// (wall-clock-dependent).
     Straggler,
     /// Contiguous MR/NR panels packed by the GEMM distance kernels

@@ -56,10 +56,7 @@ pub mod simulate;
 pub mod work_stealing;
 
 pub use assignment::{bps_schedule, generic_schedule, shuffled_schedule, Assignment};
-pub use cost::{
-    predict_batch_forecast, predict_chunk_costs, shared_query_costs, AnalyticCostModel, CostModel,
-    DistillForest, ForestCostPredictor, TaskDescriptor,
-};
+pub use cost::{AnalyticCostModel, CostModel, DistillForest, ForestCostPredictor, TaskDescriptor};
 pub use meta::DatasetMeta;
 pub use simulate::{simulate_makespan, SimulationResult};
 pub use work_stealing::{current_worker, ExecutionReport, TaskFailure, WorkStealingExecutor};

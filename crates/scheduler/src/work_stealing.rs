@@ -139,9 +139,8 @@ pub struct ExecutionReport {
     pub retries: usize,
     /// Positions whose measured runtime exceeded the soft deadline
     /// derived from the cost model's forecast: task positions in a fit's
-    /// run (`Suod::fit`), surviving-model positions in a prediction pass
-    /// (`Suod::decision_function`). Filled in by the orchestrator, which
-    /// owns the forecast.
+    /// run (`Suod::fit`). Filled in by the orchestrator, which owns the
+    /// forecast; empty for a prediction pass, which forecasts nothing.
     pub stragglers: Vec<usize>,
 }
 

@@ -23,15 +23,14 @@
 //! * **Work-conserving micro-batching** — each
 //!   [`ScoreService::process_once`] call takes the FIFO prefix of the
 //!   queue into one matrix that rides the estimator's existing
-//!   (model x row-chunk) parallel predict path, so service throughput
-//!   inherits the paper's BPS scheduling. The background dispatcher is
-//!   *wait until the queue is non-empty → `process_once`*: idle, it
-//!   serves a lone request at once; busy, everything that arrives while
-//!   a batch executes coalesces into the next. No timer is involved
-//!   ([`ServeConfig::batch_window`] is zero unless someone asks for an
-//!   extra delay). Batch size is capped by rows and, optionally, by the
-//!   scheduler's deterministic cost forecast
-//!   ([`ServeConfig::max_batch_units`]).
+//!   (model x row-chunk) parallel predict path, whose work-stealing
+//!   executor balances the batch's tasks over the workers. The background
+//!   dispatcher is *wait until the queue is non-empty → `process_once`*:
+//!   idle, it serves a lone request at once; busy, everything that
+//!   arrives while a batch executes coalesces into the next. No timer is
+//!   involved ([`ServeConfig::batch_window`] is zero unless someone asks
+//!   for an extra delay). Batch size is capped by rows
+//!   ([`ServeConfig::max_batch_rows`]).
 //! * **Deadline shedding** — requests carry a deadline budget; those
 //!   already expired at assembly are dropped *before* any compute is
 //!   spent ([`ScoreOutcome::Shed`]).

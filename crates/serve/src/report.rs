@@ -50,10 +50,6 @@ pub struct ServeReport {
     pub p99_latency_ms: u64,
     /// `max_latency_us` in whole milliseconds.
     pub max_latency_ms: u64,
-    /// EWMA of measured seconds per forecast cost unit; `None` before
-    /// the first batch. Multiplied by a batch's unit forecast this
-    /// estimates its wall time.
-    pub secs_per_unit: Option<f64>,
 }
 
 impl std::fmt::Display for ServeReport {
@@ -82,11 +78,7 @@ impl std::fmt::Display for ServeReport {
             f,
             "  latency: p50 {}µs, p99 {}µs, max {}µs",
             self.p50_latency_us, self.p99_latency_us, self.max_latency_us
-        )?;
-        if let Some(spu) = self.secs_per_unit {
-            write!(f, ", {spu:.3e}s/unit")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -116,7 +108,6 @@ mod tests {
             p50_latency_ms: 1,
             p99_latency_ms: 9,
             max_latency_ms: 12,
-            secs_per_unit: None,
         }
     }
 
@@ -130,16 +121,5 @@ mod tests {
              pool: epoch 2 (2 reloads)\n  \
              latency: p50 1500µs, p99 9000µs, max 12345µs"
         );
-    }
-
-    #[test]
-    fn display_adds_the_unit_cost_once_measured() {
-        let measured = ServeReport {
-            secs_per_unit: Some(0.00025),
-            ..report()
-        };
-        let text = measured.to_string();
-        assert!(text.ends_with("max 12345µs, 2.500e-4s/unit"), "{text}");
-        assert!(!report().to_string().contains("s/unit"));
     }
 }

@@ -22,13 +22,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Hard cap on rows per micro-batch.
     pub max_batch_rows: usize,
-    /// Optional cost cap per micro-batch, in the cost model's unitless
-    /// scale (see [`Suod::predict_unit_costs`]): the batch stops
-    /// accepting requests once its forecast
-    /// ([`suod_scheduler::predict_batch_forecast`] over the currently
-    /// active models) would exceed this. Deterministic — derived from
-    /// the fit-time cost forecast, not from measured times.
-    pub max_batch_units: Option<f64>,
     /// Extra delay the background dispatcher adds between finding the
     /// queue non-empty and assembling a batch. Zero by default: dispatch
     /// is work-conserving — an idle dispatcher serves whatever is queued
@@ -67,7 +60,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 64,
             max_batch_rows: 1024,
-            max_batch_units: None,
             batch_window: Duration::ZERO,
             default_deadline_ms: None,
             predict_failure_budget: 3,
@@ -84,13 +76,6 @@ impl ServeConfig {
         }
         if self.max_batch_rows == 0 {
             return Err(Error::Config("max_batch_rows must be >= 1".into()));
-        }
-        if let Some(u) = self.max_batch_units {
-            if !(u.is_finite() && u > 0.0) {
-                return Err(Error::Config(format!(
-                    "max_batch_units must be finite and positive, got {u}"
-                )));
-            }
         }
         if self.predict_failure_budget == 0 {
             return Err(Error::Config("predict_failure_budget must be >= 1".into()));
@@ -277,11 +262,8 @@ struct ServeHealth {
 /// `Arc` they cloned at assembly, new batches pick up the replacement.
 struct ServingPool {
     clf: Suod,
-    /// Per-surviving-model forecast cost (fit-time, immutable).
-    unit_costs: Vec<f64>,
     /// `(pool index, name)` per surviving model.
     model_names: Vec<(usize, &'static str)>,
-    train_rows: usize,
     n_features: usize,
     /// Generation counter; starts at 0, bumped once per reload.
     epoch: u64,
@@ -290,14 +272,10 @@ struct ServingPool {
 impl ServingPool {
     fn new(clf: Suod, epoch: u64) -> Result<Self> {
         let model_names = clf.surviving_models()?;
-        let unit_costs = clf.predict_unit_costs()?;
-        let train_rows = clf.train_rows()?;
         let n_features = clf.n_features()?;
         Ok(ServingPool {
             clf,
-            unit_costs,
             model_names,
-            train_rows,
             n_features,
             epoch,
         })
@@ -342,10 +320,6 @@ struct ServeStats {
     /// Ring of the most recent [`LATENCY_SAMPLE_CAP`] request latencies,
     /// in clock microseconds.
     latencies_us: VecDeque<u64>,
-    /// EWMA of measured seconds per forecast cost unit — the
-    /// calibration joining the scheduler's unitless forecasts to wall
-    /// time for capacity estimates.
-    secs_per_unit: Option<f64>,
 }
 
 struct ServiceInner {
@@ -734,28 +708,6 @@ impl ServiceInner {
         Ok(report)
     }
 
-    /// Row cap for the next batch given the currently active models:
-    /// the hard `max_batch_rows`, tightened by `max_batch_units` through
-    /// the scheduler's deterministic cost forecast.
-    fn batch_row_cap(&self, pool: &ServingPool, active: &[bool]) -> usize {
-        let mut cap = self.config.max_batch_rows;
-        if let Some(max_units) = self.config.max_batch_units {
-            let active_cost: f64 = pool
-                .unit_costs
-                .iter()
-                .zip(active)
-                .filter(|(_, &a)| a)
-                .map(|(&c, _)| c)
-                .sum();
-            if active_cost > 0.0 {
-                // Invert forecast(rows) = active_cost * rows / train_rows.
-                let rows = (max_units * pool.train_rows as f64 / active_cost).floor() as usize;
-                cap = cap.min(rows.max(1));
-            }
-        }
-        cap
-    }
-
     fn process_once(&self) -> usize {
         // --- Assemble: drain FIFO up to the caps, shed expired work. ----
         let assemble_span = suod_observe::span(
@@ -772,7 +724,6 @@ impl ServiceInner {
             let health = lock_ignore_poison(&self.health);
             (self.pool_read(), health.active.clone())
         };
-        let row_cap = self.batch_row_cap(&pool, &active);
         let mut drained: Vec<Pending> = Vec::new();
         {
             let mut queue = lock_ignore_poison(&self.queue);
@@ -781,7 +732,7 @@ impl ServiceInner {
                 let request_rows = front.rows.nrows();
                 // Always take at least one request so oversized requests
                 // cannot starve.
-                if !drained.is_empty() && rows + request_rows > row_cap {
+                if !drained.is_empty() && rows + request_rows > self.config.max_batch_rows {
                     break;
                 }
                 rows += request_rows;
@@ -992,7 +943,7 @@ impl ServiceInner {
             offset += rows;
         }
 
-        // --- Stats + forecast calibration. ------------------------------
+        // --- Stats. -----------------------------------------------------
         // Published before the tickets resolve so a client that has
         // observed its outcome always finds it reflected in `report()`.
         {
@@ -1004,22 +955,6 @@ impl ServiceInner {
             stats.latencies_us.extend(latencies);
             while stats.latencies_us.len() > LATENCY_SAMPLE_CAP {
                 stats.latencies_us.pop_front();
-            }
-            let active_cost: f64 = pool
-                .unit_costs
-                .iter()
-                .zip(&active)
-                .filter(|(_, &a)| a)
-                .map(|(&c, _)| c)
-                .sum();
-            let units =
-                suod_scheduler::predict_batch_forecast(&[active_cost], total_rows, pool.train_rows);
-            if units > 0.0 {
-                let sample = predict_report.wall_time.as_secs_f64() / units;
-                stats.secs_per_unit = Some(match stats.secs_per_unit {
-                    Some(prev) => 0.7 * prev + 0.3 * sample,
-                    None => sample,
-                });
             }
         }
         for (request, outcome) in batch.iter().zip(outcomes) {
@@ -1066,7 +1001,6 @@ impl ServiceInner {
                 p50_latency_ms: p50 / 1000,
                 p99_latency_ms: p99 / 1000,
                 max_latency_ms: max / 1000,
-                secs_per_unit: stats.secs_per_unit,
             }
         };
         {
@@ -1140,10 +1074,6 @@ mod tests {
             },
             ServeConfig {
                 max_batch_rows: 0,
-                ..ServeConfig::default()
-            },
-            ServeConfig {
-                max_batch_units: Some(0.0),
                 ..ServeConfig::default()
             },
             ServeConfig {
@@ -1276,16 +1206,12 @@ mod tests {
     }
 
     #[test]
-    fn forecast_cap_limits_batch_rows() {
-        let clf = fitted(healthy_pool());
-        let unit_cost: f64 = clf.predict_unit_costs().unwrap().iter().sum();
-        let train_rows = clf.train_rows().unwrap() as f64;
-        // Budget exactly enough units for ~6 rows.
+    fn row_cap_limits_batch_rows() {
         let config = ServeConfig {
-            max_batch_units: Some(unit_cost * 6.0 / train_rows),
+            max_batch_rows: 6,
             ..ServeConfig::default()
         };
-        let service = ScoreService::new(clf, config).unwrap();
+        let service = ScoreService::new(fitted(healthy_pool()), config).unwrap();
         let a = service.submit(data(4)).unwrap();
         let b = service.submit(data(4)).unwrap();
         // 4 + 4 > 6-row cap: the second request waits for the next batch.

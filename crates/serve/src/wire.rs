@@ -62,6 +62,10 @@ pub const WIRE_FORMAT: &str = "suod-wire/1";
 /// 16k-feature request is 128 MiB).
 pub const MAX_FRAME_BODY: u32 = 1 << 30;
 
+/// Most body bytes [`read_frame`] reserves before they arrive; a larger
+/// body grows its buffer as it is received.
+const BODY_PREALLOC: usize = 64 * 1024;
+
 /// Frame type tags. Requests use the low range, responses the high bit.
 pub const FRAME_REQUEST: u8 = 0x01;
 /// Response: scored.
@@ -418,11 +422,16 @@ fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, u64, Vec<u8>)>, WireErro
             "body length {body_len} exceeds the {MAX_FRAME_BODY}-byte cap"
         )));
     }
-    let mut body = vec![0u8; body_len as usize];
-    r.read_exact(&mut body).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => WireError::Malformed("eof inside frame body".to_string()),
-        _ => WireError::Io(e),
-    })?;
+    // The header is a claim, not a payment: the buffer grows with the
+    // bytes that actually arrive, so a peer that declares a large body and
+    // then stops sending costs at most `BODY_PREALLOC` up front.
+    let mut body = Vec::with_capacity((body_len as usize).min(BODY_PREALLOC));
+    r.take(u64::from(body_len))
+        .read_to_end(&mut body)
+        .map_err(WireError::Io)?;
+    if body.len() < body_len as usize {
+        return Err(WireError::Malformed("eof inside frame body".to_string()));
+    }
     Ok(Some((frame_type, id, body)))
 }
 

@@ -14,10 +14,10 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use suod::prelude::*;
-use suod_serve::wire::{read_response, write_request, WireRequest};
+use suod_serve::wire::{read_request, read_response, write_request, WireRequest, MAX_FRAME_BODY};
 use suod_serve::{
     serve_front, BusyReason, FrontConfig, Lane, LaneConfig, ScoreService, ServeConfig, WireClient,
-    WireResponse,
+    WireError, WireResponse,
 };
 
 /// 90 x 5 synthetic grid with two planted outliers (the serve-suite
@@ -609,4 +609,91 @@ fn scores_are_bit_identical_across_front_worker_counts() {
         }
         server.join().unwrap();
     }
+}
+
+/// The largest allocation a closure makes on its own thread, counted by a
+/// global allocator that forwards every call to the system one.
+mod alloc_probe {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    pub struct Probe;
+
+    thread_local! {
+        static ARMED: Cell<bool> = const { Cell::new(false) };
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note(size: usize) {
+        // `try_with`: allocations can happen while a thread's locals are
+        // being torn down.
+        let _ = ARMED.try_with(|armed| {
+            if armed.get() {
+                LARGEST.with(|largest| largest.set(largest.get().max(size)));
+            }
+        });
+    }
+
+    // SAFETY: every call is forwarded unchanged to the system allocator;
+    // `note` only reads and writes thread-local `Cell`s, which allocate
+    // nothing.
+    unsafe impl GlobalAlloc for Probe {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    /// Runs `f` on this thread and returns its result with the size of
+    /// the largest allocation it made.
+    pub fn largest_while<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        LARGEST.with(|largest| largest.set(0));
+        ARMED.with(|armed| armed.set(true));
+        let out = f();
+        ARMED.with(|armed| armed.set(false));
+        (out, LARGEST.with(Cell::get))
+    }
+}
+
+#[global_allocator]
+static PROBE: alloc_probe::Probe = alloc_probe::Probe;
+
+/// A header that declares the largest body the protocol allows, followed
+/// by EOF, is a typed error, and the reader never reserves the declared
+/// size: the buffer grows only with bytes that arrive.
+#[test]
+fn declared_body_without_bytes_is_malformed_and_allocates_little() {
+    let mut frame = Vec::new();
+    write_request(
+        &mut frame,
+        &WireRequest {
+            id: 7,
+            lane: Lane::Normal,
+            deadline_ms: None,
+            rows: Matrix::zeros(1, 2),
+        },
+    )
+    .unwrap();
+    frame.truncate(18);
+    frame[14..18].copy_from_slice(&MAX_FRAME_BODY.to_le_bytes());
+    let (outcome, largest) = alloc_probe::largest_while(|| read_request(&mut frame.as_slice()));
+    match outcome {
+        Err(WireError::Malformed(reason)) => assert_eq!(reason, "eof inside frame body"),
+        other => panic!("expected a malformed frame, got {other:?}"),
+    }
+    assert!(largest <= 1 << 20, "largest allocation {largest} bytes");
 }
