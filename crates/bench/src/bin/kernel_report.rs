@@ -21,10 +21,11 @@
 //! parallelism.
 //!
 //! Flags: `--quick` shrinks problem sizes for smoke runs; `--smoke`
-//! times only the 20k x 32 pairwise cell and exits non-zero unless the
-//! blocked backend beats naive AND (when the host supports AVX2+FMA)
-//! the AVX2 gemm lane beats the forced-scalar gemm lane (the CI
-//! regression gates for the tiled and vectorized kernels).
+//! times only the 20k x 32 pairwise cell and a 2k-train / 200-query
+//! batched kNN cell, and exits non-zero unless the blocked backend beats
+//! naive on both AND (when the host supports AVX2+FMA) the AVX2 gemm
+//! lane beats the forced-scalar gemm lane (the CI regression gates for
+//! the tiled and vectorized kernels).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -127,6 +128,22 @@ impl PairwiseCell {
     }
 }
 
+/// Single-thread batched brute-force kNN time (`n` train rows, `q`
+/// queries, width `d`, `k` neighbours) per backend.
+fn knn_timer(n: usize, q: usize, d: usize, k: usize) -> impl Fn(DistanceBackend) -> f64 {
+    let train = random_matrix(n, d, 21);
+    let queries = random_matrix(q, d, 22);
+    move |backend| {
+        let index = KnnIndex::build_with(&train, DistanceMetric::Euclidean, brute_config(backend))
+            .expect("non-empty");
+        min_time(|| {
+            let _ = index
+                .query_batch_parallel(&queries, k, 1)
+                .expect("shapes agree");
+        })
+    }
+}
+
 fn brute_config(backend: DistanceBackend) -> KernelConfig {
     KernelConfig {
         backend,
@@ -167,6 +184,20 @@ fn main() {
             eprintln!("FAIL: AVX2 gemm lane no faster than forced-scalar gemm");
             std::process::exit(1);
         }
+        let knn_time = knn_timer(2_000, 200, 32, 10);
+        let (knn_naive, knn_blocked) = (
+            knn_time(DistanceBackend::Naive),
+            knn_time(DistanceBackend::Blocked),
+        );
+        println!(
+            "knn_batch 2000tr/200q d32 k10  naive {knn_naive:.4}s  blocked {knn_blocked:.4}s \
+             ({:.2}x)",
+            knn_naive / knn_blocked
+        );
+        if knn_blocked >= knn_naive {
+            eprintln!("FAIL: blocked batched kNN no faster than naive");
+            std::process::exit(1);
+        }
         println!("OK");
         return;
     }
@@ -203,20 +234,10 @@ fn main() {
         (20_000, 2_000, 32, 10),
         (20_000, 2_000, 32, 10),
     );
-    let train = random_matrix(knn_n, knn_d, 21);
-    let queries = random_matrix(knn_q, knn_d, 22);
-    let knn_time = |config: KernelConfig| {
-        let index =
-            KnnIndex::build_with(&train, DistanceMetric::Euclidean, config).expect("non-empty");
-        min_time(|| {
-            let _ = index
-                .query_batch_parallel(&queries, knn_k, 1)
-                .expect("shapes agree");
-        })
-    };
-    let knn_naive = knn_time(brute_config(DistanceBackend::Naive));
-    let knn_blocked = knn_time(brute_config(DistanceBackend::Blocked));
-    let knn_gemm = knn_time(brute_config(DistanceBackend::Gemm));
+    let knn_time = knn_timer(knn_n, knn_q, knn_d, knn_k);
+    let knn_naive = knn_time(DistanceBackend::Naive);
+    let knn_blocked = knn_time(DistanceBackend::Blocked);
+    let knn_gemm = knn_time(DistanceBackend::Gemm);
     println!(
         "knn_batch {knn_n}tr/{knn_q}q d{knn_d} k{knn_k}  naive {knn_naive:>8.3}s  \
          blocked {knn_blocked:>8.3}s ({:>4.2}x)  gemm {knn_gemm:>8.3}s ({:>4.2}x)",

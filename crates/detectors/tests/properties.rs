@@ -122,3 +122,66 @@ proptest! {
         }
     }
 }
+
+/// A fresh detector of one configuration.
+type MakeDetector = fn() -> Box<dyn Detector>;
+
+/// `x · 2^e`, exact away from overflow and underflow.
+fn scaled(x: &Matrix, e: i32) -> Matrix {
+    let f = 2f64.powi(e);
+    Matrix::from_vec(
+        x.nrows(),
+        x.ncols(),
+        x.as_slice().iter().map(|v| v * f).collect(),
+    )
+    .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Scaling laws of the neighbour family, bit for bit at fit and at
+    /// predict: multiplying every coordinate by 2^e multiplies each exact
+    /// Euclidean distance by 2^e, so kNN scores scale by 2^e, the ratio
+    /// scores (LOF, COF, LoOP) do not move, and ABOD's variance of
+    /// `⟨a, b⟩ / (‖a‖²‖b‖²)` scales by 2^(−4e). Widths 7–12 keep every
+    /// index on the brute-force kernel.
+    #[test]
+    fn neighbour_scores_obey_power_of_two_scaling(
+        n in 20usize..48,
+        d in 7usize..13,
+        e in -20i32..21,
+        seed in 0u64..1000,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut draw = |rows: usize| {
+            Matrix::from_vec(rows, d, (0..rows * d).map(|_| rng.random_range(-2.0..2.0)).collect())
+                .unwrap()
+        };
+        let (x, q) = (draw(n), draw(5));
+        let (xs, qs) = (scaled(&x, e), scaled(&q, e));
+        let family: Vec<(MakeDetector, i32)> = vec![
+            (|| Box::new(KnnDetector::new(5, KnnMethod::Largest).unwrap()), e),
+            (|| Box::new(KnnDetector::new(5, KnnMethod::Mean).unwrap()), e),
+            (|| Box::new(KnnDetector::new(5, KnnMethod::Median).unwrap()), e),
+            (|| Box::new(LofDetector::new(5).unwrap()), 0),
+            (|| Box::new(CofDetector::new(5).unwrap()), 0),
+            (|| Box::new(LoopDetector::new(5).unwrap()), 0),
+            (|| Box::new(AbodDetector::new(5).unwrap()), -4 * e),
+        ];
+        for (make, law) in &family {
+            let (mut base, mut big) = (make(), make());
+            let f = 2f64.powi(*law);
+            let want: Vec<u64> = base.fit(&x).unwrap().iter().map(|v| (v * f).to_bits()).collect();
+            let got: Vec<u64> = big.fit(&xs).unwrap().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want, "{} fit, e={}", base.name(), e);
+            let want: Vec<u64> =
+                base.decision_function(&q).unwrap().iter().map(|v| (v * f).to_bits()).collect();
+            let got: Vec<u64> =
+                big.decision_function(&qs).unwrap().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want, "{} predict, e={}", base.name(), e);
+        }
+    }
+}

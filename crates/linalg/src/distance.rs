@@ -13,9 +13,12 @@
 //!
 //! * `naive` — one query row against the full training matrix at a time;
 //!   the reference implementation.
-//! * `blocked` (default) — identical arithmetic, tiled over column blocks
-//!   so a panel of training rows stays cache-resident; **bit-identical**
-//!   to `naive` for every metric.
+//! * `blocked` (default) — **bit-identical** to `naive` for every metric.
+//!   Euclidean sweeps run the exact packed-panel kernel
+//!   ([`crate::gemm`]: a 4x8 register block, one `−`, `×`, `+` per term,
+//!   `k` ascending, no FMA — the per-pair sequence of
+//!   [`DistanceMetric::distance`]) on the scalar or AVX2 lane; the other
+//!   metrics run the per-pair loop tiled over column blocks.
 //! * `gemm` — Euclidean distances through the packed-panel GEMM in
 //!   [`crate::gemm`] via the norm trick `d² = ‖x‖² + ‖y‖² − 2·x·y`
 //!   (clamped at zero); fastest, numerically equal within ~1e-9 on squared
@@ -171,6 +174,17 @@ fn naive_pairwise(a: &Matrix, b: &Matrix, metric: DistanceMetric, n_threads: usi
 fn blocked_pairwise(a: &Matrix, b: &Matrix, metric: DistanceMetric, n_threads: usize) -> Matrix {
     let mut out = Matrix::zeros(a.nrows(), b.nrows());
     let cols = b.nrows();
+    if metric == DistanceMetric::Euclidean {
+        // The exact packed-panel kernel: per element the naive
+        // `metric.distance` sequence, so bit-identical, and cache blocked
+        // by the panel sweep itself.
+        let lane = SimdLane::detect();
+        let packed = PackedPanels::from_rows(b);
+        crate::parallel::par_row_blocks(out.as_mut_slice(), cols, n_threads, |rows, block| {
+            crate::gemm::euclidean_rows_into(a, rows, &packed, lane, block);
+        });
+        return out;
+    }
     crate::parallel::par_row_blocks(out.as_mut_slice(), cols, n_threads, |rows, block| {
         // i-tile x j-tile: the j-tile of `b` rows stays in L1 while a
         // bounded band of `a` rows consumes it, and output writes stay
@@ -689,10 +703,11 @@ impl KnnIndex {
     /// equal to per-row [`query`](Self::query) calls.
     ///
     /// On the brute-force blocked/gemm backends this runs the batched
-    /// fast path: distances are produced tile by tile (scalar tiles for
-    /// `blocked`, packed GEMM tiles plus the norm trick for `gemm`) and
-    /// each query keeps its k best in a bounded max-heap — the full
-    /// `queries x train` distance matrix is never materialized.
+    /// fast path: distances are produced tile by tile (exact packed
+    /// Euclidean tiles or scalar per-pair tiles for `blocked`, packed GEMM
+    /// tiles plus the norm trick for `gemm`) and each query keeps its k
+    /// best in a bounded max-heap — the full `queries x train` distance
+    /// matrix is never materialized.
     ///
     /// # Errors
     ///
@@ -731,7 +746,8 @@ impl KnnIndex {
     /// `fit` (LOF, kNN, LoOP, COF, ABOD).
     ///
     /// The brute-force blocked and gemm backends stream distance tiles
-    /// (scalar tiles, or norm-trick GEMM tiles) through per-row bounded
+    /// (exact Euclidean or norm-trick GEMM tiles over every pair, scalar
+    /// per-pair tiles for the other metrics) through per-row bounded
     /// heaps: no `n x n` matrix at any size, so a fit's peak memory does
     /// not depend on how many sweeps ran before it. The scalar tiles call
     /// the metric once per pair of rows inside a thread's chunk (see
@@ -754,8 +770,11 @@ impl KnnIndex {
     }
 
     /// The batched brute-force kNN fast path: stream `train` tiles
-    /// (packed GEMM tiles on the gemm configuration, scalar blocked tiles
-    /// otherwise) through a bounded max-heap per query.
+    /// (packed GEMM tiles on the gemm configuration, exact packed
+    /// Euclidean tiles on the exact one, scalar per-pair tiles for the
+    /// other metrics) through a bounded max-heap per query, each
+    /// candidate farther than its heap's worst skipped before any heap
+    /// work.
     ///
     /// Deterministic across `n_threads` and tile boundaries: every
     /// distance is computed by a per-element code path independent of the
@@ -764,7 +783,8 @@ impl KnnIndex {
     /// With `exclude_self` — `queries` is the training matrix itself —
     /// the heap holds `k+1` candidates and the querying row is dropped
     /// afterwards, the exact [`query_excluding`](Self::query_excluding)
-    /// protocol. The scalar tiles then evaluate a pair whose two rows
+    /// protocol. The packed tiles compute every pair; the scalar tiles
+    /// (Manhattan, Minkowski) evaluate a pair whose two rows
     /// both fall in one thread's chunk once, at (lower row, higher row),
     /// and push the distance into both rows' heaps: every metric is
     /// bitwise symmetric (`(x - y)²` and `|x - y|` do not see the sign),
@@ -785,6 +805,10 @@ impl KnnIndex {
             k.min(n)
         };
         let gemm = self.train_sq_norms.as_deref();
+        // Euclidean sweeps on the exact backend run the packed exact
+        // kernel; the other metrics stay on the per-pair scalar loop.
+        let exact_tiles = gemm.is_none() && self.metric == DistanceMetric::Euclidean;
+        let tiled = gemm.is_some() || exact_tiles;
         let lane = SimdLane::detect();
         if gemm.is_some() {
             // Logical work of one queries x train gemm; derived from
@@ -796,28 +820,48 @@ impl KnnIndex {
         let metric = self.metric;
         crate::parallel::par_chunk_map(queries.nrows(), n_threads, |range| {
             let mut heaps: Vec<TopK> = range.clone().map(|_| TopK::new(k_eff)).collect();
-            let mut scratch = vec![0.0; KNN_Q_TILE * KNN_T_TILE];
+            // One distance tile, sized to this chunk's largest: a 1-row
+            // query needs 1 x n, not a full KNN_Q_TILE x KNN_T_TILE.
+            let mut scratch = if tiled {
+                vec![0.0; range.len().min(KNN_Q_TILE) * n.min(KNN_T_TILE)]
+            } else {
+                Vec::new()
+            };
             for t0 in (0..n).step_by(KNN_T_TILE) {
                 let t1 = (t0 + KNN_T_TILE).min(n);
                 // Pack the train tile once per thread; the packing cost is
                 // O(n d) per sweep, noise next to the O(nq n d) contraction.
-                let packed = gemm
-                    .is_some()
-                    .then(|| PackedPanels::from_row_range(train, t0..t1, NR));
+                let packed = tiled.then(|| PackedPanels::from_row_range(train, t0..t1, NR));
                 for q0 in (range.start..range.end).step_by(KNN_Q_TILE) {
                     let q1 = (q0 + KNN_Q_TILE).min(range.end);
-                    if let (Some(norms), Some(packed)) = (gemm, &packed) {
-                        let tile = &mut scratch[..(q1 - q0) * (t1 - t0)];
-                        crate::gemm::gram_rows_into(queries, q0..q1, packed, lane, tile);
-                        for qi in q0..q1 {
-                            let nq = crate::matrix::norm_sq(queries.row(qi));
-                            let row = &tile[(qi - q0) * (t1 - t0)..(qi - q0 + 1) * (t1 - t0)];
+                    if let Some(packed) = &packed {
+                        let width = t1 - t0;
+                        let tile = &mut scratch[..(q1 - q0) * width];
+                        match gemm {
+                            Some(_) => {
+                                crate::gemm::gram_rows_into(queries, q0..q1, packed, lane, tile)
+                            }
+                            None => crate::gemm::euclidean_rows_into(
+                                queries,
+                                q0..q1,
+                                packed,
+                                lane,
+                                tile,
+                            ),
+                        }
+                        for (qi, row) in (q0..q1).zip(tile.chunks_exact(width)) {
                             let heap = &mut heaps[qi - range.start];
-                            for (j, &g) in row.iter().enumerate() {
-                                heap.push(Neighbor {
-                                    index: t0 + j,
-                                    distance: dist_from_gram(nq, norms[t0 + j], g),
-                                });
+                            match gemm {
+                                Some(norms) => {
+                                    let nq = crate::matrix::norm_sq(queries.row(qi));
+                                    heap.offer_all(
+                                        t0,
+                                        row.iter()
+                                            .zip(&norms[t0..t1])
+                                            .map(|(&g, &nb)| dist_from_gram(nq, nb, g)),
+                                    );
+                                }
+                                None => heap.offer_all(t0, row.iter().copied()),
                             }
                         }
                     } else if exclude_self {
@@ -846,13 +890,8 @@ impl KnnIndex {
                     } else {
                         for qi in q0..q1 {
                             let rq = queries.row(qi);
-                            let heap = &mut heaps[qi - range.start];
-                            for j in t0..t1 {
-                                heap.push(Neighbor {
-                                    index: j,
-                                    distance: metric.distance(rq, train.row(j)),
-                                });
-                            }
+                            heaps[qi - range.start]
+                                .offer_all(t0, (t0..t1).map(|j| metric.distance(rq, train.row(j))));
                         }
                     }
                 }
@@ -928,6 +967,36 @@ impl TopK {
         Self {
             heap: Vec::with_capacity(k),
             k,
+        }
+    }
+
+    /// The distance a candidate must not exceed to enter: the root's once
+    /// the heap is full, `+inf` before.
+    #[inline]
+    fn worst(&self) -> f64 {
+        match self.heap.first() {
+            Some(root) if self.heap.len() == self.k => root.distance,
+            _ if self.k == 0 => f64::NEG_INFINITY,
+            _ => f64::INFINITY,
+        }
+    }
+
+    /// Pushes `distances[j]` as neighbour `first + j` for every `j`,
+    /// skipping before any heap work each candidate farther than the
+    /// current worst: it cannot enter whatever its index, so the kept set
+    /// is exactly the one [`push`](Self::push) alone would keep.
+    #[inline]
+    fn offer_all(&mut self, first: usize, distances: impl IntoIterator<Item = f64>) {
+        let mut worst = self.worst();
+        for (j, distance) in distances.into_iter().enumerate() {
+            if distance > worst {
+                continue;
+            }
+            self.push(Neighbor {
+                index: first + j,
+                distance,
+            });
+            worst = self.worst();
         }
     }
 

@@ -93,9 +93,11 @@ pub enum DistanceBackend {
     /// backend is validated against.
     Naive,
     /// The same per-pair arithmetic as `Naive` — identical formula,
-    /// identical reduction order, **bit-identical results** — but tiled
-    /// over pair blocks so a panel of `B` rows stays resident in cache
-    /// while a block of `A` rows streams through it. The default.
+    /// identical reduction order, **bit-identical results**. Euclidean
+    /// pairs run the exact 4x8 packed-panel kernel (one subtract,
+    /// multiply and add per term, `k` ascending, no FMA) on the scalar
+    /// or AVX2 lane; other metrics run the per-pair loop tiled over pair
+    /// blocks so a panel of `B` rows stays cache-resident. The default.
     #[default]
     Blocked,
     /// Euclidean distances via the norm trick
@@ -134,8 +136,10 @@ impl DistanceBackend {
     }
 
     /// `true` when the backend produces the same bits as `Naive` for
-    /// every metric. `Blocked` reorders only *which* pairs are evaluated
-    /// when, never the arithmetic of a pair, so it qualifies; `Gemm`
+    /// every metric. `Blocked` changes which pairs are evaluated when and
+    /// runs up to 32 pairs side by side in vector registers, but each
+    /// pair still sees `Naive`'s exact operation sequence, so it
+    /// qualifies; `Gemm`
     /// algebraically rearranges `Σ(xᵢ−yᵢ)²` into `‖x‖²+‖y‖²−2x·y` and
     /// does not.
     pub fn is_bit_identical_to_naive(self) -> bool {
@@ -541,12 +545,110 @@ fn microkernel(apanel: &[f64], bpanel: &[f64], acc: &mut [f64; MR * NR]) {
     }
 }
 
+/// The exact Euclidean kernel over the `rows` live rows of an `A` panel:
+/// `out[i][j] = sqrt(Σ_k (a[k][i] − b[k][j])²)`. Each term is its own
+/// subtract, multiply and add, `k` strictly ascending, one accumulator
+/// per output element starting at `-0.0` — the operation sequence of
+/// [`DistanceMetric::Euclidean`](crate::distance::DistanceMetric)'s
+/// `distance` (`Iterator::sum::<f64>` folds from `-0.0`, so a zero-width
+/// pair stays `-0.0`), so every output carries that function's bits. A
+/// full panel runs the 4x8 block; a short one (the tail of a row range)
+/// runs a 1x`NR` row per live row rather than paying for padding rows.
+#[inline]
+fn euclid_kernel(apanel: &[f64], rows: usize, bpanel: &[f64], out: &mut [f64; MR * NR]) {
+    let mut acc = [-0.0f64; MR * NR];
+    if rows == MR {
+        for (a, b) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
+            for i in 0..MR {
+                let ai = a[i];
+                for j in 0..NR {
+                    let t = ai - b[j];
+                    acc[i * NR + j] += t * t;
+                }
+            }
+        }
+    } else {
+        for (r, row) in acc.chunks_exact_mut(NR).take(rows).enumerate() {
+            for (a, b) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
+                let ar = a[r];
+                for j in 0..NR {
+                    let t = ar - b[j];
+                    row[j] += t * t;
+                }
+            }
+        }
+    }
+    for (o, s) in out.iter_mut().zip(acc) {
+        *o = s.sqrt();
+    }
+}
+
 /// Explicit AVX2 micro-kernels (`x86_64` only; callers dispatch through
 /// [`SimdLane`], which never selects these on hosts without AVX2+FMA).
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{MR, NR};
     use std::arch::x86_64::*;
+
+    /// AVX2 lane of [`super::euclid_kernel`]: the same per-element
+    /// sequence — `-0.0` start, then `sub`, `mul`, `add` per `k` in
+    /// ascending order, never FMA — and a correctly rounded
+    /// `_mm256_sqrt_pd` root, so it is bitwise identical to the scalar
+    /// lane. A full panel keeps the 4x8 tile in eight accumulators; a
+    /// short panel runs each live row through two (1x`NR`).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports AVX2 (guaranteed when
+    /// [`super::SimdLane::detect`] returned `Avx2`), that
+    /// `rows <= MR`, and that `bpanel.len() >= (apanel.len() / MR) * NR`:
+    /// the loops read `apanel[k * MR + i]` for `i < MR` and
+    /// `bpanel[k * NR..k * NR + NR]` for every `k < apanel.len() / MR`
+    /// through unchecked pointer offsets.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn euclid_f64(
+        apanel: &[f64],
+        rows: usize,
+        bpanel: &[f64],
+        out: &mut [f64; MR * NR],
+    ) {
+        debug_assert!(rows <= MR);
+        debug_assert_eq!(apanel.len() % MR, 0);
+        let depth = apanel.len() / MR;
+        debug_assert_eq!(bpanel.len(), depth * NR);
+        let zero = _mm256_set1_pd(-0.0);
+        let (a, b) = (apanel.as_ptr(), bpanel.as_ptr());
+        if rows == MR {
+            let mut acc = [zero; 2 * MR];
+            for k in 0..depth {
+                let bl = _mm256_loadu_pd(b.add(k * NR));
+                let bh = _mm256_loadu_pd(b.add(k * NR + 4));
+                for i in 0..MR {
+                    let ai = _mm256_set1_pd(*a.add(k * MR + i));
+                    let tl = _mm256_sub_pd(ai, bl);
+                    let th = _mm256_sub_pd(ai, bh);
+                    acc[2 * i] = _mm256_add_pd(acc[2 * i], _mm256_mul_pd(tl, tl));
+                    acc[2 * i + 1] = _mm256_add_pd(acc[2 * i + 1], _mm256_mul_pd(th, th));
+                }
+            }
+            for (h, v) in acc.into_iter().enumerate() {
+                _mm256_storeu_pd(out.as_mut_ptr().add(4 * h), _mm256_sqrt_pd(v));
+            }
+        } else {
+            for r in 0..rows {
+                let (mut lo, mut hi) = (zero, zero);
+                for k in 0..depth {
+                    let ar = _mm256_set1_pd(*a.add(k * MR + r));
+                    let tl = _mm256_sub_pd(ar, _mm256_loadu_pd(b.add(k * NR)));
+                    let th = _mm256_sub_pd(ar, _mm256_loadu_pd(b.add(k * NR + 4)));
+                    lo = _mm256_add_pd(lo, _mm256_mul_pd(tl, tl));
+                    hi = _mm256_add_pd(hi, _mm256_mul_pd(th, th));
+                }
+                _mm256_storeu_pd(out.as_mut_ptr().add(r * NR), _mm256_sqrt_pd(lo));
+                _mm256_storeu_pd(out.as_mut_ptr().add(r * NR + 4), _mm256_sqrt_pd(hi));
+            }
+        }
+    }
 
     /// AVX2 lane of the f64 micro-kernel. Two `__m256d` accumulators
     /// per `A` row (the 4x8 tile = 8 independent add chains, covering
@@ -618,19 +720,19 @@ pub(crate) fn dist_from_gram(na: f64, nb: f64, g: f64) -> f64 {
     (na + nb - 2.0 * g).max(0.0).sqrt()
 }
 
-/// Cache-blocked panel sweep: runs `kernel` over every
-/// `(A panel, B panel)` tile and writes
-/// `finish(absolute_a_row, packed_index, gram_value)` into `out`. The
+/// Cache-blocked panel sweep: runs `kernel(apanel, live_rows, bpanel,
+/// tile)` over every `(A panel, B panel)` pair and writes
+/// `finish(absolute_a_row, packed_index, tile_value)` into `out`. The
 /// block loops change only *when* a tile is computed (B blocks stay
 /// L2-resident across an A block), never the per-element reduction —
 /// results are bitwise independent of the blocking. Generic over the
-/// micro-kernel lane.
+/// micro-kernel and its lane; `live_rows < MR` only on the last A panel.
 #[inline]
 fn gram_blocks(
     apanels: &PackedPanels,
     packed: &PackedPanels,
     a_start: usize,
-    kernel: impl Fn(&[f64], &[f64], &mut [f64; MR * NR]),
+    kernel: impl Fn(&[f64], usize, &[f64], &mut [f64; MR * NR]),
     out: &mut [f64],
     mut finish: impl FnMut(usize, usize, f64) -> f64,
 ) {
@@ -648,7 +750,7 @@ fn gram_blocks(
                 for bp in bb..bb_hi {
                     let j_hi = (bp * NR + NR).min(n_out);
                     let mut acc = [0.0f64; MR * NR];
-                    kernel(apanel, packed.panel(bp), &mut acc);
+                    kernel(apanel, i_hi - ap * MR, packed.panel(bp), &mut acc);
                     for i in ap * MR..i_hi {
                         let li = i - ap * MR;
                         let row = &mut out[i * n_out..(i + 1) * n_out];
@@ -662,6 +764,15 @@ fn gram_blocks(
     }
 }
 
+/// What a panel sweep computes per `(A row, B row)` pair.
+#[derive(Clone, Copy)]
+enum Product {
+    /// The dot product `⟨a, b⟩` ([`microkernel`]).
+    Dot,
+    /// The exact Euclidean distance `‖a − b‖` ([`euclid_kernel`]).
+    Euclidean,
+}
+
 /// Panel sweep on the selected lane. Lane dispatch happens once per call
 /// (one branch), not per tile; either lane produces identical bits, so
 /// the choice only affects speed.
@@ -671,40 +782,60 @@ fn gram_rows_apply(
     a_range: Range<usize>,
     packed: &PackedPanels,
     lane: SimdLane,
+    product: Product,
     out: &mut [f64],
     finish: impl FnMut(usize, usize, f64) -> f64,
 ) {
-    // The AVX2 kernel's reads are in bounds only for B panels NR wide
-    // over A's own depth (see its SAFETY comment below): checked once per
-    // call, not per tile.
+    // The AVX2 kernels' reads are in bounds only for B panels NR wide
+    // over A's own depth (see their SAFETY comments below): checked once
+    // per call, not per tile.
     assert!(packed.width == NR && packed.d == a.ncols());
     debug_assert_eq!(out.len(), a_range.len() * packed.len());
     if a_range.is_empty() || packed.len() == 0 {
         return;
     }
     let apanels = PackedPanels::from_row_range(a, a_range.clone(), MR);
-    match lane {
+    let start = a_range.start;
+    // Panel lengths for the AVX2 arms: `apanels` was packed just above
+    // from `a` at width MR, so every A panel holds exactly `d * MR` values
+    // (`d = a.ncols()`; a short last panel is zero-padded to full width)
+    // and the kernels' depth is `d`. `packed` is NR wide over
+    // `packed.d == d` (asserted above), so every B panel holds exactly
+    // `d * NR` values. The kernels thus read `k * MR + i < d * MR` for
+    // `i < MR` and `k * NR + 7 < d * NR` for every `k < d`.
+    match (lane, product) {
         #[cfg(target_arch = "x86_64")]
-        SimdLane::Avx2 => gram_blocks(
+        (SimdLane::Avx2, Product::Dot) => gram_blocks(
             &apanels,
             packed,
-            a_range.start,
+            start,
             // SAFETY: `Avx2` is only selected when runtime detection
-            // confirmed AVX2 support. Panel lengths: `apanels` was packed
-            // just above from `a` at width MR, so every A panel holds
-            // exactly `d * MR` values (`d = a.ncols()`; a short last panel
-            // is zero-padded to full width) and the kernel's depth is `d`.
-            // `packed` is NR wide over `packed.d == d` (asserted above), so
-            // every B panel holds exactly `d * NR` values. The kernel thus
-            // reads `k * MR + 3 < d * MR` and `k * NR + 7 < d * NR` for
-            // every `k < d`.
-            |ap, bp, acc| unsafe { x86::microkernel_f64(ap, bp, acc) },
+            // confirmed AVX2 support; panel lengths as stated above.
+            |ap, _, bp, acc| unsafe { x86::microkernel_f64(ap, bp, acc) },
             out,
             finish,
         ),
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLane::Avx2 => gram_blocks(&apanels, packed, a_range.start, microkernel, out, finish),
-        SimdLane::Scalar => gram_blocks(&apanels, packed, a_range.start, microkernel, out, finish),
+        #[cfg(target_arch = "x86_64")]
+        (SimdLane::Avx2, Product::Euclidean) => gram_blocks(
+            &apanels,
+            packed,
+            start,
+            // SAFETY: `Avx2` is only selected when runtime detection
+            // confirmed AVX2 support; panel lengths as stated above, and
+            // `gram_blocks` passes `rows = live rows of the panel <= MR`.
+            |ap, rows, bp, acc| unsafe { x86::euclid_f64(ap, rows, bp, acc) },
+            out,
+            finish,
+        ),
+        (_, Product::Dot) => gram_blocks(
+            &apanels,
+            packed,
+            start,
+            |ap, _, bp, acc| microkernel(ap, bp, acc),
+            out,
+            finish,
+        ),
+        (_, Product::Euclidean) => gram_blocks(&apanels, packed, start, euclid_kernel, out, finish),
     }
 }
 
@@ -718,7 +849,30 @@ pub(crate) fn gram_rows_into(
     lane: SimdLane,
     out: &mut [f64],
 ) {
-    gram_rows_apply(a, a_range, packed, lane, out, |_, _, g| g);
+    gram_rows_apply(a, a_range, packed, lane, Product::Dot, out, |_, _, g| g);
+}
+
+/// Computes `out[r][c] = ‖a_row(a_range.start + r) − packed[c]‖` exactly:
+/// every value carries the bits of
+/// [`DistanceMetric::Euclidean`](crate::distance::DistanceMetric)'s
+/// `distance(a_row, packed_row)`, on either lane (see [`euclid_kernel`]).
+/// Same layout as [`gram_rows_into`].
+pub(crate) fn euclidean_rows_into(
+    a: &Matrix,
+    a_range: Range<usize>,
+    packed: &PackedPanels,
+    lane: SimdLane,
+    out: &mut [f64],
+) {
+    gram_rows_apply(
+        a,
+        a_range,
+        packed,
+        lane,
+        Product::Euclidean,
+        out,
+        |_, _, d| d,
+    );
 }
 
 /// [`gram_rows_into`] with the norm-trick epilogue fused into the tile
@@ -736,7 +890,7 @@ pub(crate) fn gram_rows_dist_into(
     nb: &[f64],
     out: &mut [f64],
 ) {
-    gram_rows_apply(a, a_range, packed, lane, out, |i, j, g| {
+    gram_rows_apply(a, a_range, packed, lane, Product::Dot, out, |i, j, g| {
         dist_from_gram(na[i], nb[j], g)
     });
 }

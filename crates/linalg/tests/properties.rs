@@ -31,6 +31,85 @@ fn matmul_pair(max_dim: usize) -> impl Strategy<Value = (Matrix, Matrix)> {
     })
 }
 
+/// The exact Euclidean kernel behind the default `Blocked` backend
+/// returns, bit for bit, what `DistanceMetric::Euclidean.distance`
+/// returns for the same pair, and its neighbour lists are the per-row
+/// `query` / `query_excluding` answers. Generated over query counts 1–9
+/// (every `MR` = 4 tail), train counts across `NR` = 8 tails and the
+/// 512-row train-tile boundary, widths 0–33, and values drawn from a pool
+/// with ±0.0, subnormals, duplicates, ties and |x| ≈ 1e160 (whose squares
+/// overflow to +inf). Runs on whichever lane is detected; CI runs it under
+/// both.
+#[test]
+fn exact_euclidean_kernel_matches_the_per_pair_reference() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let euclid = DistanceMetric::Euclidean;
+    let pool = [
+        0.0, -0.0, 5e-324, -2.2e-308, 1.0, -1.0, 0.5, 3.0, 1e160, -1e160,
+    ];
+    let mut rng = StdRng::seed_from_u64(48);
+    let draw = |rows: usize, cols: usize, rng: &mut StdRng| {
+        let data = (0..rows * cols)
+            .map(|_| match rng.random_range(0..4) {
+                0 => pool[rng.random_range(0..pool.len())],
+                _ => rng.random_range(-2.0..2.0),
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data).expect("sized")
+    };
+    let brute = KernelConfig::default().with_kdtree_crossover_dim(0);
+    for d in 0..=33usize {
+        let trains: &[usize] = if d % 11 == 3 {
+            &[1, 7, 9, 17, 515]
+        } else {
+            &[1, 7, 9, 17]
+        };
+        for &n in trains {
+            let mut train = draw(n, d, &mut rng);
+            if n > 2 && d > 0 {
+                // A duplicate row: exact ties broken by index.
+                let dup = train.row(0).to_vec();
+                for (k, v) in dup.into_iter().enumerate() {
+                    train.set(n - 1, k, v);
+                }
+            }
+            let index = KnnIndex::build_with(&train, euclid, brute).expect("non-empty");
+            assert_eq!(index.kernel_config().backend, DistanceBackend::Blocked);
+            for q in 1..=9usize {
+                let queries = draw(q, d, &mut rng);
+                let k = 1 + (q * 7 + d) % (n + 2);
+                let batch = index.query_batch(&queries, k).expect("widths agree");
+                for (i, nn) in batch.iter().enumerate() {
+                    assert_eq!(
+                        nn,
+                        &index.query(queries.row(i), k),
+                        "d={d} n={n} q={q} row {i}"
+                    );
+                    for nb in nn {
+                        let want = euclid.distance(queries.row(i), train.row(nb.index));
+                        assert_eq!(nb.distance.to_bits(), want.to_bits(), "d={d} n={n} q={q}");
+                    }
+                }
+                let naive = pairwise(&queries, &train, euclid, DistanceBackend::Naive, 1);
+                let blocked = pairwise(&queries, &train, euclid, DistanceBackend::Blocked, 2);
+                assert_eq!(bits(&blocked), bits(&naive), "pairwise d={d} n={n} q={q}");
+            }
+            let k = 1 + d % n.max(1);
+            let expected: Vec<_> = (0..n)
+                .map(|i| index.query_excluding(train.row(i), k, i))
+                .collect();
+            for threads in [1usize, 2] {
+                assert_eq!(
+                    index.self_query_batch(k, threads),
+                    expected,
+                    "self d={d} n={n}"
+                );
+            }
+        }
+    }
+}
+
 /// Sorted neighbour index set of one result row.
 /// [`pairwise_distances_with`] on `backend` at `threads`, no counters.
 fn pairwise(
