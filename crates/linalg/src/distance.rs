@@ -805,10 +805,10 @@ impl KnnIndex {
             k.min(n)
         };
         let gemm = self.train_sq_norms.as_deref();
-        // Euclidean sweeps on the exact backend run the packed exact
-        // kernel; the other metrics stay on the per-pair scalar loop.
-        let exact_tiles = gemm.is_none() && self.metric == DistanceMetric::Euclidean;
-        let tiled = gemm.is_some() || exact_tiles;
+        // Euclidean sweeps run packed tiles (the norm-trick GEMM when the
+        // norms are cached, the exact kernel otherwise); the other metrics
+        // stay on the per-pair scalar loop.
+        let tiled = self.metric == DistanceMetric::Euclidean;
         let lane = SimdLane::detect();
         if gemm.is_some() {
             // Logical work of one queries x train gemm; derived from
@@ -829,8 +829,9 @@ impl KnnIndex {
             };
             for t0 in (0..n).step_by(KNN_T_TILE) {
                 let t1 = (t0 + KNN_T_TILE).min(n);
-                // Pack the train tile once per thread; the packing cost is
-                // O(n d) per sweep, noise next to the O(nq n d) contraction.
+                // Pack the train tile once per thread: O(n d) per sweep,
+                // noise next to the O(nq n d) contraction except for a
+                // chunk of one or two rows.
                 let packed = tiled.then(|| PackedPanels::from_row_range(train, t0..t1, NR));
                 for q0 in (range.start..range.end).step_by(KNN_Q_TILE) {
                     let q1 = (q0 + KNN_Q_TILE).min(range.end);

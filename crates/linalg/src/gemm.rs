@@ -139,9 +139,8 @@ impl DistanceBackend {
     /// every metric. `Blocked` changes which pairs are evaluated when and
     /// runs up to 32 pairs side by side in vector registers, but each
     /// pair still sees `Naive`'s exact operation sequence, so it
-    /// qualifies; `Gemm`
-    /// algebraically rearranges `Σ(xᵢ−yᵢ)²` into `‖x‖²+‖y‖²−2x·y` and
-    /// does not.
+    /// qualifies; `Gemm` algebraically rearranges `Σ(xᵢ−yᵢ)²` into
+    /// `‖x‖²+‖y‖²−2x·y` and does not.
     pub fn is_bit_identical_to_naive(self) -> bool {
         !matches!(self, DistanceBackend::Gemm)
     }
