@@ -115,6 +115,13 @@ const KNN_Q_TILE: usize = 32;
 /// Training rows per tile in the batched brute-force kNN fast path.
 const KNN_T_TILE: usize = 512;
 
+/// Fewest query rows for which the exact Euclidean sweeps pack the train
+/// side. Below it, packing the whole train matrix costs more than the
+/// packed kernel saves (1600 x 24 at k = 40, AVX2: a 2-row query takes
+/// ~49 us per pair, ~57 us packed), so those rows take the per-pair loop,
+/// which gives the same bits.
+const EXACT_PACK_MIN_ROWS: usize = 3;
+
 /// Full pairwise distance matrix between the rows of `a` and the rows of
 /// `b`, through the [`DistanceBackend`] in `config`.
 ///
@@ -174,7 +181,7 @@ fn naive_pairwise(a: &Matrix, b: &Matrix, metric: DistanceMetric, n_threads: usi
 fn blocked_pairwise(a: &Matrix, b: &Matrix, metric: DistanceMetric, n_threads: usize) -> Matrix {
     let mut out = Matrix::zeros(a.nrows(), b.nrows());
     let cols = b.nrows();
-    if metric == DistanceMetric::Euclidean {
+    if metric == DistanceMetric::Euclidean && a.nrows() >= EXACT_PACK_MIN_ROWS {
         // The exact packed-panel kernel: per element the naive
         // `metric.distance` sequence, so bit-identical, and cache blocked
         // by the panel sweep itself.
@@ -772,7 +779,8 @@ impl KnnIndex {
     /// The batched brute-force kNN fast path: stream `train` tiles
     /// (packed GEMM tiles on the gemm configuration, exact packed
     /// Euclidean tiles on the exact one, scalar per-pair tiles for the
-    /// other metrics) through a bounded max-heap per query, each
+    /// other metrics and for a thread's chunk of fewer than
+    /// `EXACT_PACK_MIN_ROWS` exact Euclidean rows) through a bounded max-heap per query, each
     /// candidate farther than its heap's worst skipped before any heap
     /// work.
     ///
@@ -804,11 +812,13 @@ impl KnnIndex {
         } else {
             k.min(n)
         };
-        let gemm = self.train_sq_norms.as_deref();
-        // Euclidean sweeps run packed tiles (the norm-trick GEMM when the
-        // norms are cached, the exact kernel otherwise); the other metrics
-        // stay on the per-pair scalar loop.
-        let tiled = self.metric == DistanceMetric::Euclidean;
+        // The norm-trick GEMM path: train norms cached at build, query
+        // norms taken once per call, indexed by absolute query row.
+        let gemm = self
+            .train_sq_norms
+            .as_deref()
+            .map(|nb| (crate::gemm::row_sq_norms(queries), nb));
+        let euclidean = self.metric == DistanceMetric::Euclidean;
         let lane = SimdLane::detect();
         if gemm.is_some() {
             // Logical work of one queries x train gemm; derived from
@@ -820,8 +830,11 @@ impl KnnIndex {
         let metric = self.metric;
         crate::parallel::par_chunk_map(queries.nrows(), n_threads, |range| {
             let mut heaps: Vec<TopK> = range.clone().map(|_| TopK::new(k_eff)).collect();
-            // One distance tile, sized to this chunk's largest: a 1-row
-            // query needs 1 x n, not a full KNN_Q_TILE x KNN_T_TILE.
+            // Euclidean chunks run packed tiles: the norm-trick GEMM when
+            // the norms are cached, the exact kernel otherwise. A chunk
+            // too short to repay packing the train matrix stays on the
+            // per-pair loop, which gives the exact kernel's bits.
+            let tiled = euclidean && (gemm.is_some() || range.len() >= EXACT_PACK_MIN_ROWS);
             let mut scratch = if tiled {
                 vec![0.0; range.len().min(KNN_Q_TILE) * n.min(KNN_T_TILE)]
             } else {
@@ -830,18 +843,24 @@ impl KnnIndex {
             for t0 in (0..n).step_by(KNN_T_TILE) {
                 let t1 = (t0 + KNN_T_TILE).min(n);
                 // Pack the train tile once per thread: O(n d) per sweep,
-                // noise next to the O(nq n d) contraction except for a
-                // chunk of one or two rows.
+                // noise next to the O(nq n d) contraction once the chunk
+                // holds a few rows.
                 let packed = tiled.then(|| PackedPanels::from_row_range(train, t0..t1, NR));
                 for q0 in (range.start..range.end).step_by(KNN_Q_TILE) {
                     let q1 = (q0 + KNN_Q_TILE).min(range.end);
                     if let Some(packed) = &packed {
                         let width = t1 - t0;
                         let tile = &mut scratch[..(q1 - q0) * width];
-                        match gemm {
-                            Some(_) => {
-                                crate::gemm::gram_rows_into(queries, q0..q1, packed, lane, tile)
-                            }
+                        match &gemm {
+                            Some((qnorms, norms)) => crate::gemm::gram_rows_dist_into(
+                                queries,
+                                q0..q1,
+                                packed,
+                                lane,
+                                qnorms,
+                                &norms[t0..t1],
+                                tile,
+                            ),
                             None => crate::gemm::euclidean_rows_into(
                                 queries,
                                 q0..q1,
@@ -851,19 +870,7 @@ impl KnnIndex {
                             ),
                         }
                         for (qi, row) in (q0..q1).zip(tile.chunks_exact(width)) {
-                            let heap = &mut heaps[qi - range.start];
-                            match gemm {
-                                Some(norms) => {
-                                    let nq = crate::matrix::norm_sq(queries.row(qi));
-                                    heap.offer_all(
-                                        t0,
-                                        row.iter()
-                                            .zip(&norms[t0..t1])
-                                            .map(|(&g, &nb)| dist_from_gram(nq, nb, g)),
-                                    );
-                                }
-                                None => heap.offer_all(t0, row.iter().copied()),
-                            }
+                            heaps[qi - range.start].offer_all(t0, row.iter().copied());
                         }
                     } else if exclude_self {
                         // Row j's heap lives in this chunk when `range`

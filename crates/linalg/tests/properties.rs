@@ -91,6 +91,12 @@ fn exact_euclidean_kernel_matches_the_per_pair_reference() {
                         assert_eq!(nb.distance.to_bits(), want.to_bits(), "d={d} n={n} q={q}");
                     }
                 }
+                // Three threads split 1..=9 rows into chunks of one to
+                // three: 1-row chunks (per-pair loop) sit beside packed ones.
+                let split = index
+                    .query_batch_parallel(&queries, k, 3)
+                    .expect("widths agree");
+                assert_eq!(split, batch, "threads d={d} n={n} q={q}");
                 let naive = pairwise(&queries, &train, euclid, DistanceBackend::Naive, 1);
                 let blocked = pairwise(&queries, &train, euclid, DistanceBackend::Blocked, 2);
                 assert_eq!(bits(&blocked), bits(&naive), "pairwise d={d} n={n} q={q}");
