@@ -17,8 +17,10 @@
 //!   Euclidean sweeps run the exact packed-panel kernel
 //!   ([`crate::gemm`]: a 4x8 register block, one `−`, `×`, `+` per term,
 //!   `k` ascending, no FMA — the per-pair sequence of
-//!   [`DistanceMetric::distance`]) on the scalar or AVX2 lane; the other
-//!   metrics run the per-pair loop tiled over column blocks.
+//!   [`DistanceMetric::distance`]) on the scalar or AVX2 lane, except
+//!   queries too short to repay packing the train side, which run the
+//!   per-pair loop; the other metrics run the per-pair loop tiled over
+//!   column blocks.
 //! * `gemm` — Euclidean distances through the packed-panel GEMM in
 //!   [`crate::gemm`] via the norm trick `d² = ‖x‖² + ‖y‖² − 2·x·y`
 //!   (clamped at zero); fastest, numerically equal within ~1e-9 on squared

@@ -96,8 +96,9 @@ pub enum DistanceBackend {
     /// identical reduction order, **bit-identical results**. Euclidean
     /// pairs run the exact 4x8 packed-panel kernel (one subtract,
     /// multiply and add per term, `k` ascending, no FMA) on the scalar
-    /// or AVX2 lane; other metrics run the per-pair loop tiled over pair
-    /// blocks so a panel of `B` rows stays cache-resident. The default.
+    /// or AVX2 lane (a query of one or two rows runs the per-pair loop);
+    /// other metrics run the per-pair loop tiled over pair blocks so a
+    /// panel of `B` rows stays cache-resident. The default.
     #[default]
     Blocked,
     /// Euclidean distances via the norm trick
